@@ -6,6 +6,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/saturation.hpp"
@@ -108,6 +109,31 @@ StreamGeom check_stream_geometry(Report& report, const std::string& path,
                    "-bit stream gives every slot the full period");
   }
   return g;
+}
+
+/// Reports rule plan-budget-exceeded for a weighted node whose weight
+/// table (@p weights lanes) or activation plan (@p activations lanes) is
+/// over the configured plan budget — the executor's own footprint rule
+/// (sim::plan_table_bytes), so the note fires exactly where the planned
+/// path falls back to regeneration.
+void note_plan_budget(Report& report, const std::string& path,
+                      const sim::ScConfig& cfg, const StreamGeom& g,
+                      std::size_t weights, std::size_t activations) {
+  const sim::SegmentSchedule sched{cfg.phase_length(), g.positions, g.seg};
+  const std::pair<const char*, std::size_t> tables[] = {
+      {"weight table", weights}, {"activation plan", activations}};
+  for (const auto& [what, lanes] : tables) {
+    const std::size_t bytes = sim::plan_table_bytes(sched, lanes);
+    if (sim::over_plan_budget(bytes, cfg.plan_budget_bytes)) {
+      report.add("plan-budget-exceeded", Severity::kNote, path,
+                 std::string(what) + " would need " + std::to_string(bytes) +
+                     " bytes (~" + std::to_string(bytes >> 20) +
+                     " MiB) against a budget of " +
+                     std::to_string(cfg.plan_budget_bytes) +
+                     " bytes; the layer regenerates those stream words on "
+                     "the fly (bit-identical, slower)");
+    }
+  }
 }
 
 /// Reports rule or-saturation if the estimate's OR line level exceeds the
@@ -586,8 +612,12 @@ core::Report check_network(nn::Network& net, std::string_view name,
         }
         const StreamGeom g = check_stream_geometry(report, path, options.sc,
                                                    pool, out.h, out.w);
+        // Weights per output channel: a grouped conv sees only its group's
+        // input channels.
         const std::size_t rf = static_cast<std::size_t>(spec.kernel) *
-                               spec.kernel * spec.in_channels;
+                               spec.kernel *
+                               static_cast<std::size_t>(spec.in_channels /
+                                                        spec.groups);
         if (g.ok && rf > 0) {
           const WorstPhase worst = worst_saturation(
               conv.weights(), static_cast<std::size_t>(spec.out_channels),
@@ -602,21 +632,8 @@ core::Report check_network(nn::Network& net, std::string_view name,
                     " phase at activation prior " +
                     fmt(options.activation_prior));
           }
-          // Per-lane packed plan footprint: lanes x slots x words x 8B.
-          const std::size_t plan_bytes =
-              conv.weights().size() * (2 * g.positions) *
-              ((g.seg + 63) / 64) * sizeof(std::uint64_t);
-          if (options.sc.plan_budget_bytes != 0 &&
-              plan_bytes > options.sc.plan_budget_bytes) {
-            report.add("plan-budget-exceeded", Severity::kNote, path,
-                       "weight stream plan would need ~" +
-                           std::to_string(plan_bytes >> 20) +
-                           " MiB against a budget of " +
-                           std::to_string(options.sc.plan_budget_bytes >>
-                                          20) +
-                           " MiB; the layer falls back to on-the-fly "
-                           "stream generation (bit-identical, slower)");
-          }
+          note_plan_budget(report, path, options.sc, g,
+                           conv.weights().size(), shape.size());
         }
       }
       shape = out;
@@ -654,6 +671,8 @@ core::Report check_network(nn::Network& net, std::string_view name,
                     " phase at activation prior " +
                     fmt(options.activation_prior));
           }
+          note_plan_budget(report, path, options.sc, g,
+                           dense.weights().size(), shape.size());
         }
       }
       shape = nn::Shape{1, 1, spec.out_features};
@@ -689,7 +708,9 @@ core::Report check_network(nn::Network& net, std::string_view name,
         const StreamGeom g = check_stream_geometry(report, path, options.sc,
                                                    1, pout.h, pout.w);
         const std::size_t rf = static_cast<std::size_t>(pspec.kernel) *
-                               pspec.kernel * pspec.in_channels;
+                               pspec.kernel *
+                               static_cast<std::size_t>(pspec.in_channels /
+                                                        pspec.groups);
         if (g.ok && rf > 0) {
           const WorstPhase worst = worst_saturation(
               proj.conv().weights(),
@@ -705,6 +726,8 @@ core::Report check_network(nn::Network& net, std::string_view name,
                     " phase at activation prior " +
                     fmt(options.activation_prior));
           }
+          note_plan_budget(report, path, options.sc, g,
+                           proj.conv().weights().size(), it->second.size());
         }
       }
       it->second = proj.conv().output_shape(it->second);

@@ -95,9 +95,9 @@ class ScBackend final : public InferenceBackend {
   }
 
   [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
-    // Clones share the weight-plan store: the per-stage weight plans are
-    // pure functions of (config, weight levels), so N workers build each
-    // plan once between them and the merged stats stay thread-count
+    // Clones share the weight-table store: the per-stage ProductTables are
+    // pure functions of (config, schedule, weights), so N workers build
+    // each table once between them and the merged stats stay thread-count
     // invariant.
     return std::make_unique<ScBackend>(*net_, exec_.config(),
                                        exec_.shared_plans());

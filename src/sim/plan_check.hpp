@@ -8,13 +8,13 @@
 //   check_schedule — the segment timetable covers every (sign, slot) pair
 //     exactly once, slot windows are disjoint within a phase, and every
 //     packed word offset stays inside the bank window.
-//   check_plan — planned segments are bit-identical to regenerating the
-//     same (lane, level, offset) window from the bank (sampled lanes; the
-//     golden suite sweeps whole networks on top of this).
+//   check_product_table — a weight ProductTable is consistent with the
+//     weights it claims to be built from: group extents and prefix sums,
+//     the (sign phase, output channel) classification and oc-major entry
+//     order, slot bitmaps, gated counts, and sampled entries' stream words
+//     bit-identical to regenerating them from the bank.
 //
-// ScNetwork::validate_plans() composes these with its ProductTable
-// consistency checks; debug builds additionally assert the table
-// invariants right after each rebuild.
+// ScNetwork::validate_plans() composes these over every executed stage.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +34,15 @@ namespace acoustic::sim {
                                           std::size_t bank_length,
                                           std::string_view path);
 
-/// Cross-checks up to @p max_lanes built lanes of @p plan against fresh
-/// regeneration from @p bank: every slot of a sampled lane must serve
-/// exactly the words bank.fill produces for the schedule's offset.
-/// Disabled (over-budget) plans pass vacuously. Findings anchor at @p path.
-[[nodiscard]] core::Report check_plan(const LayerStreamPlan& plan,
-                                      const StreamBank& bank,
-                                      const SegmentSchedule& sched,
-                                      std::span<const std::uint32_t> levels,
-                                      std::string_view path,
-                                      std::size_t max_lanes = 8);
+/// Re-derives @p table from @p weights (the live, BN-folded float weights
+/// of its node) and @p bank (the weight bank it draws from) and reports
+/// every field that disagrees. Stream words are regenerated for up to
+/// @p max_entries sampled entries (every slot); an over-budget table's
+/// per-entry levels are checked instead. Findings anchor at @p path.
+[[nodiscard]] core::Report check_product_table(const ProductTable& table,
+                                               const StreamBank& bank,
+                                               std::span<const float> weights,
+                                               std::string_view path,
+                                               std::size_t max_entries = 8);
 
 }  // namespace acoustic::sim

@@ -95,10 +95,13 @@ struct ScConfig {
   /// VGG-scale layers (1e8+) parallelize.
   std::size_t intra_work_threshold = std::size_t{4} << 20;
 
-  /// Byte budget per packed stream plan (one weight plan + one activation
-  /// plan per layer). A plan that would exceed it disables itself and the
-  /// layer falls back to on-the-fly generation, counted as plan misses —
-  /// still bit-identical. 0 = unlimited.
+  /// Byte budget per packed stream table (one shared weight ProductTable
+  /// and one per-image activation plan per weighted node), measured by the
+  /// single footprint rule sim::plan_table_bytes. A table over it is left
+  /// unbuilt and the planned row body regenerates those words from the
+  /// bank into the same slot layout, counted as plan misses — still
+  /// bit-identical. `acoustic check` notes the same nodes
+  /// (plan-budget-exceeded). 0 = unlimited.
   std::size_t plan_budget_bytes = std::size_t{256} << 20;
 
   [[nodiscard]] std::size_t phase_length() const noexcept {

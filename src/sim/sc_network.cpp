@@ -27,12 +27,13 @@ std::int64_t popcount_acc(const std::uint64_t* words, std::size_t count) {
   return static_cast<std::int64_t>(sc::popcount_words({words, count}));
 }
 
-/// Geometry of one conv(+fused pool) stage: output shapes, the pooling
-/// window's segment timetable, the receptive-field extent and the grouped
-/// weight mapping. Shared by the scalar and planned executors so the two
-/// paths cannot drift.
+/// Geometry of one weighted node as the conv it executes: output shapes,
+/// the pooling window's segment timetable, the receptive-field extent and
+/// the grouped weight layout. Shared by the scalar and planned executors so
+/// the two paths cannot drift.
 struct ConvGeometry {
-  nn::Shape in;
+  nn::ConvSpec spec;  ///< the conv executed (a dense node's 1x1 view)
+  nn::Shape in;       ///< the input as that conv sees it
   nn::Shape conv_out;
   nn::Shape out_shape;
   int pool = 1;
@@ -48,23 +49,44 @@ struct ConvGeometry {
   /// divide evenly by the window size; hardware rounds the slice down the
   /// same way).
   double counted_bits = 0.0;
-  /// Receptive-field slot count: kernel^2 * in_channels, the full gather
-  /// extent regardless of grouping (cross-group slots simply map to no
-  /// weight).
-  std::size_t rf_max = 0;
-  std::size_t in_c = 0;          ///< input channels
-  std::size_t cpg = 0;           ///< input channels per group
-  std::size_t oc_per_group = 0;  ///< output channels per group
-  std::size_t w_per_oc = 0;      ///< weights per output channel (k*k*cpg)
+  /// Receptive-field slots (kernel^2 * in_channels, the full gather extent
+  /// regardless of grouping: cross-group slots map to no weight) and their
+  /// weights per output channel.
+  WeightLayout layout;
+
+  /// Flat input index of channel @p ic at pixel (@p iy, @p ix): the HWC
+  /// tensor layout, which for a dense node's 1x1xN view is just @p ic.
+  [[nodiscard]] std::size_t index(int iy, int ix, int ic) const noexcept {
+    return (static_cast<std::size_t>(iy) * static_cast<std::size_t>(in.w) +
+            static_cast<std::size_t>(ix)) *
+               static_cast<std::size_t>(in.c) +
+           static_cast<std::size_t>(ic);
+  }
 };
 
 ConvGeometry conv_geometry(const LoweredOp& op, const nn::Tensor& input,
                            std::size_t phase) {
-  const nn::Conv2D& conv = *op.conv;
-  const auto& spec = conv.spec();
   ConvGeometry g;
-  g.in = input.shape();
-  g.conv_out = conv.output_shape(g.in);
+  if (op.dense != nullptr) {
+    // Dense runs as a 1x1 conv over its input viewed as 1x1xN: the lane is
+    // the flat input index and weight o*N + i is (output channel o, slot i).
+    const nn::DenseSpec& ds = op.dense->spec();
+    if (static_cast<int>(input.size()) != ds.in_features) {
+      throw std::invalid_argument("ScNetwork: dense feature mismatch");
+    }
+    g.spec = nn::ConvSpec{.in_channels = ds.in_features,
+                          .out_channels = ds.out_features,
+                          .kernel = 1};
+    g.in = nn::Shape{1, 1, ds.in_features};
+  } else {
+    g.spec = op.conv->spec();
+    g.in = input.shape();
+  }
+  const nn::ConvSpec& spec = g.spec;
+  g.conv_out = nn::Shape{
+      (g.in.h + 2 * spec.padding - spec.kernel) / spec.stride + 1,
+      (g.in.w + 2 * spec.padding - spec.kernel) / spec.stride + 1,
+      spec.out_channels};
   g.pool = op.fused_pool != nullptr ? op.fused_pool->window() : 1;
   if (g.pool > 1 &&
       (g.conv_out.h % g.pool != 0 || g.conv_out.w % g.pool != 0)) {
@@ -83,29 +105,15 @@ ConvGeometry conv_geometry(const LoweredOp& op, const nn::Tensor& input,
   g.counted_bits = static_cast<double>(g.seg * g.window_positions);
   g.out_shape =
       nn::Shape{g.conv_out.h / g.pool, g.conv_out.w / g.pool, g.conv_out.c};
-  g.in_c = static_cast<std::size_t>(spec.in_channels);
-  g.rf_max = static_cast<std::size_t>(spec.kernel) * spec.kernel * g.in_c;
-  g.cpg = static_cast<std::size_t>(spec.in_channels / spec.groups);
-  g.oc_per_group = static_cast<std::size_t>(spec.out_channels / spec.groups);
-  g.w_per_oc =
-      static_cast<std::size_t>(spec.kernel) * spec.kernel * g.cpg;
+  const auto kk = static_cast<std::size_t>(spec.kernel) * spec.kernel;
+  g.layout.oc_count = static_cast<std::size_t>(spec.out_channels);
+  g.layout.in_c = static_cast<std::size_t>(spec.in_channels);
+  g.layout.rf = kk * g.layout.in_c;
+  g.layout.cpg = static_cast<std::size_t>(spec.in_channels / spec.groups);
+  g.layout.oc_per_group =
+      static_cast<std::size_t>(spec.out_channels / spec.groups);
+  g.layout.w_per_oc = kk * g.layout.cpg;
   return g;
-}
-
-inline constexpr std::size_t kNoWeight = static_cast<std::size_t>(-1);
-
-/// Weight index of (output channel, receptive-field slot), or kNoWeight
-/// when the slot's input channel lies outside oc's group (grouped conv:
-/// that product does not exist — neither computed nor operand-gated).
-/// Degenerates to oc * rf_max + slot exactly when groups == 1.
-inline std::size_t weight_slot(const ConvGeometry& g, std::size_t oc,
-                               std::size_t slot) noexcept {
-  const std::size_t ic = slot % g.in_c;
-  const std::size_t rel = ic - (oc / g.oc_per_group) * g.cpg;
-  if (rel >= g.cpg) {  // unsigned wrap also catches ic < group base
-    return kNoWeight;
-  }
-  return oc * g.w_per_oc + (slot / g.in_c) * g.cpg + rel;
 }
 
 /// Folds an absorbed BatchNorm's per-channel scale into the conv weights
@@ -130,10 +138,13 @@ void fold_bn_weights(const nn::Conv2D& conv, const nn::BatchNorm& bn,
   }
 }
 
-/// The float weights a conv node's stochastic datapath sees: the live conv
-/// weights, or the BN-folded copy staged in @p scratch.
+/// The float weights a weighted node's stochastic datapath sees: the live
+/// dense or conv weights, or the BN-folded copy staged in @p scratch.
 std::span<const float> node_weights(const LoweredOp& op,
                                     std::vector<float>& scratch) {
+  if (op.dense != nullptr) {
+    return op.dense->weights();
+  }
   if (op.bn == nullptr) {
     return op.conv->weights();
   }
@@ -141,15 +152,14 @@ std::span<const float> node_weights(const LoweredOp& op,
   return scratch;
 }
 
-/// Gathers the receptive field of conv output (oy, ox): slot s maps to an
-/// input pixel and to the weight offset (ky, kx, ic) shared by all output
-/// channels. Returns the slot count; dead slots (zero padding or a
+/// Gathers the receptive field of conv output (oy, ox) in slot order
+/// (ky, kx, ic) — slot s is also the weight offset the layout maps per
+/// output channel. Returns the slot count; dead slots (zero padding or a
 /// zero-quantized activation) are marked not-live.
-std::size_t gather_rf(const nn::ConvSpec& spec, const nn::Tensor& input,
-                      const std::uint32_t* act_levels, int oy, int ox,
-                      std::uint32_t* rf_weight_lane,
-                      std::size_t* rf_act_index, char* rf_live) {
-  const nn::Shape in = input.shape();
+std::size_t gather_rf(const ConvGeometry& g, const std::uint32_t* act_levels,
+                      int oy, int ox, std::size_t* rf_act_index,
+                      char* rf_live) {
+  const nn::ConvSpec& spec = g.spec;
   std::size_t rf_size = 0;
   for (int ky = 0; ky < spec.kernel; ++ky) {
     const int iy = oy * spec.stride + ky - spec.padding;
@@ -157,15 +167,11 @@ std::size_t gather_rf(const nn::ConvSpec& spec, const nn::Tensor& input,
       const int ix = ox * spec.stride + kx - spec.padding;
       for (int ic = 0; ic < spec.in_channels; ++ic) {
         const std::size_t slot = rf_size++;
-        rf_weight_lane[slot] = static_cast<std::uint32_t>(
-            (static_cast<std::size_t>(ky) * spec.kernel + kx) *
-                spec.in_channels +
-            ic);
-        if (iy < 0 || iy >= in.h || ix < 0 || ix >= in.w) {
+        if (iy < 0 || iy >= g.in.h || ix < 0 || ix >= g.in.w) {
           rf_live[slot] = 0;  // zero padding: operand-gated
           continue;
         }
-        const std::size_t ai = input.index(iy, ix, ic);
+        const std::size_t ai = g.index(iy, ix, ic);
         rf_act_index[slot] = ai;
         rf_live[slot] = act_levels[ai] != 0 ? 1 : 0;
       }
@@ -191,19 +197,27 @@ std::vector<std::uint32_t> quantize_activations(const StreamBank& bank,
 
 /// Quantizes all weight magnitudes once per layer (the sign schedules the
 /// product into the + or - phase instead).
-void quantize_weights_into(const StreamBank& bank,
-                           std::span<const float> weights,
-                           std::span<std::uint32_t> levels) {
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    levels[i] = bank.quantize(std::fabs(weights[i]));
-  }
-}
-
 std::vector<std::uint32_t> quantize_weights(const StreamBank& bank,
                                             std::span<const float> weights) {
   std::vector<std::uint32_t> levels(weights.size());
-  quantize_weights_into(bank, weights, levels);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    levels[i] = bank.quantize(std::fabs(weights[i]));
+  }
   return levels;
+}
+
+/// Books @p fetches segment fetches of @p seg bits each: served from a
+/// table (plan hits, reused bits) or regenerated from the bank (plan
+/// misses, generated bits).
+void charge(StreamPlanCounters& c, bool planned, std::uint64_t fetches,
+            std::size_t seg) {
+  if (planned) {
+    c.plan_hits += fetches;
+    c.bits_reused += fetches * seg;
+  } else {
+    c.plan_misses += fetches;
+    c.bits_generated += fetches * seg;
+  }
 }
 
 }  // namespace
@@ -231,9 +245,10 @@ runtime::ThreadPool* ScNetwork::intra_pool(std::size_t work_words) {
     return nullptr;
   }
   // Auto mode (0) gates per layer: below the work threshold the fork/join
-  // overhead exceeds the sharding win (bench/BENCH_sc_forward.json recorded
-  // 330 us at 4 forced threads vs 211 us serial on LeNet-small), so small
-  // layers stay serial. An explicit thread count always engages the pool.
+  // overhead exceeds the sharding win (the LeNet-small forward bench,
+  // `acoustic bench --suite forward`, measured 330 us at 4 forced threads
+  // vs 211 us serial), so small layers stay serial. An explicit thread
+  // count always engages the pool.
   if (cfg_.intra_threads == 0 && work_words < cfg_.intra_work_threshold) {
     return nullptr;
   }
@@ -258,45 +273,6 @@ StreamBank& ScNetwork::activation_bank() {
         cfg_.decorrelate_lanes);
   }
   return *act_bank_;
-}
-
-StreamBank& ScNetwork::weight_bank() {
-  if (wgt_bank_ == nullptr) {
-    wgt_bank_ = std::make_unique<StreamBank>(
-        cfg_.sng_width, cfg_.weight_seed, 2 * cfg_.phase_length(),
-        cfg_.decorrelate_lanes);
-  }
-  return *wgt_bank_;
-}
-
-std::shared_ptr<const LayerStreamPlan> ScNetwork::weight_plan(
-    std::size_t stage_idx, const SegmentSchedule& sched,
-    std::span<const std::uint32_t> levels, runtime::ThreadPool* pool) {
-  // The build's own kernel bits are deliberately NOT charged to per-run
-  // stats: a weight plan is built once and amortized across every image
-  // (and every clone), so charging the builder would make stats depend on
-  // evaluation history and break the thread-count / repeated-run
-  // invariance the batch evaluator guarantees.
-  StreamPlanCounters built;
-  return wgt_plans_->get(stage_idx, sched, levels, cfg_.plan_budget_bytes,
-                         built, pool);
-}
-
-std::span<const std::uint32_t> ScNetwork::cached_weight_levels(
-    StageScratch& scratch, const StreamBank& bank,
-    std::span<const float> weights, bool& refreshed) {
-  const bool hit =
-      scratch.wgt_src.size() == weights.size() &&
-      (weights.empty() ||
-       std::memcmp(scratch.wgt_src.data(), weights.data(),
-                   weights.size() * sizeof(float)) == 0);
-  if (!hit) {
-    scratch.wgt_src.assign(weights.begin(), weights.end());
-    scratch.wgt_levels.resize(weights.size());
-    quantize_weights_into(bank, weights, scratch.wgt_levels);
-    refreshed = true;
-  }
-  return scratch.wgt_levels;
 }
 
 void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
@@ -373,7 +349,7 @@ void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
       }
       case nn::OpKind::kDense: {
         nn::Tensor& dst = flip();
-        run_dense(op, s, *cur, dst, run);
+        run_conv(op, s, *cur, dst, run);
         cur_buf = &dst;
         cur = cur_buf;
         ++run.layers_run;
@@ -485,14 +461,14 @@ void ScNetwork::run_skip_project(const LoweredOp& op, std::size_t op_idx,
 }
 
 // Reference scalar path (the seed implementation): regenerates every
-// stream segment at its point of use. Kept verbatim as the equivalence
-// oracle for the planned path below.
+// stream segment at its point of use. Kept as the equivalence oracle for
+// the planned path below, for conv and dense (as a 1x1 conv) alike.
 void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
                                 nn::Tensor& out, Stats& run) {
-  const nn::Conv2D& conv = *op.conv;
-  const auto& spec = conv.spec();
   const std::size_t phase = cfg_.phase_length();
   const ConvGeometry g = conv_geometry(op, input, phase);
+  const std::size_t oc_count = g.layout.oc_count;
+  const std::size_t rf = g.layout.rf;
 
   StreamBank act_bank(cfg_.sng_width, cfg_.activation_seed, 2 * phase,
                       cfg_.decorrelate_lanes);
@@ -507,10 +483,10 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
       quantize_weights(wgt_bank, weights);
   // Folded BatchNorm's per-channel shift, added post-counter (zeros when
   // no BN is absorbed so every output write shares one expression).
-  std::vector<float> bias(static_cast<std::size_t>(g.conv_out.c), 0.0f);
+  std::vector<float> bias(oc_count, 0.0f);
   if (op.bn != nullptr) {
-    for (int oc = 0; oc < g.conv_out.c; ++oc) {
-      bias[static_cast<std::size_t>(oc)] = op.bn->shift(oc);
+    for (std::size_t oc = 0; oc < oc_count; ++oc) {
+      bias[oc] = op.bn->shift(static_cast<int>(oc));
     }
   }
 
@@ -521,13 +497,12 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
 
   // Receptive-field scratch: activation segment streams for one (output
   // position, window slot, phase), plus reusable weight/OR buffers.
-  std::vector<Words> act_streams(g.rf_max, Words(g.seg_words));
-  std::vector<std::uint32_t> rf_weight_lane(g.rf_max);
-  std::vector<std::size_t> rf_act_index(g.rf_max);
-  std::vector<char> rf_live(g.rf_max);
+  std::vector<Words> act_streams(rf, Words(g.seg_words));
+  std::vector<std::size_t> rf_act_index(rf);
+  std::vector<char> rf_live(rf);
   Words wgt_stream(g.seg_words);
   Words or_acc(g.seg_words);
-  std::vector<std::int64_t> counters(static_cast<std::size_t>(g.conv_out.c));
+  std::vector<std::int64_t> counters(oc_count);
 
   for (int py = 0; py < g.out_shape.h; ++py) {
     for (int px = 0; px < g.out_shape.w; ++px) {
@@ -537,10 +512,8 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
       for (int k = 0; k < static_cast<int>(g.window_positions); ++k) {
         const int oy = py * g.pool + k / g.pool;
         const int ox = px * g.pool + k % g.pool;
-        const std::size_t rf_size =
-            gather_rf(spec, input, act_levels.data(), oy, ox,
-                      rf_weight_lane.data(), rf_act_index.data(),
-                      rf_live.data());
+        const std::size_t rf_size = gather_rf(
+            g, act_levels.data(), oy, ox, rf_act_index.data(), rf_live.data());
         // Two phases: + (counts up), - (counts down). The activation SNGs
         // run continuously: phase+ uses cycles [k*seg, ...), phase- the
         // same slice offset by a full phase.
@@ -556,15 +529,14 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
               bits_generated += g.seg;
             }
           }
-          for (int oc = 0; oc < g.conv_out.c; ++oc) {
+          for (std::size_t oc = 0; oc < oc_count; ++oc) {
             for (std::size_t w = 0; w < g.seg_words; ++w) {
               or_acc[w] = 0;
             }
             bool any = false;
             for (std::size_t s = 0; s < rf_size; ++s) {
-              const std::size_t wi = weight_slot(
-                  g, static_cast<std::size_t>(oc), rf_weight_lane[s]);
-              if (wi == kNoWeight) {
+              const std::size_t wi = g.layout.weight(oc, s);
+              if (wi == WeightLayout::kNoWeight) {
                 continue;  // grouped conv: no weight connects this pair
               }
               const float wv = weights[wi];
@@ -588,18 +560,16 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
             if (any) {
               const std::int64_t ones =
                   popcount_acc(or_acc.data(), g.seg_words);
-              counters[static_cast<std::size_t>(oc)] +=
-                  positive ? ones : -ones;
+              counters[oc] += positive ? ones : -ones;
             }
           }
         }
       }
-      for (int oc = 0; oc < g.conv_out.c; ++oc) {
-        out.at(py, px, oc) =
-            static_cast<float>(
-                static_cast<double>(counters[static_cast<std::size_t>(oc)]) /
-                g.counted_bits) +
-            bias[static_cast<std::size_t>(oc)];
+      for (std::size_t oc = 0; oc < oc_count; ++oc) {
+        out.at(py, px, static_cast<int>(oc)) =
+            static_cast<float>(static_cast<double>(counters[oc]) /
+                               g.counted_bits) +
+            bias[oc];
       }
     }
   }
@@ -608,39 +578,39 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
   run.stream_bits_generated += bits_generated;
 }
 
-// Fast path: packed per-layer stream plans + optional row parallelism.
-// Bit-identical to run_conv_scalar — every served segment is the same pure
-// function of (bank, lane, level, offset), counter accumulation stays
-// integer-exact, and output rows are disjoint, so the H-row shard merge is
-// independent of worker count and scheduling order. All per-forward
-// scratch comes from the arena (carved BEFORE the row loop — the arena is
-// single-owner), so a steady-state call allocates nothing.
+// Planned path: ONE row body for conv and dense, driven by the stage's
+// shared ProductTable and the per-image activation plan. Bit-identical to
+// run_conv_scalar — every word it reads is the same pure function of
+// (bank, lane, level, offset) the oracle regenerates, counter accumulation
+// stays integer-exact, and parallel units write disjoint outputs, so the
+// merge is independent of worker count and scheduling order. A table over
+// its byte budget does not change the body: the missing words are
+// regenerated from the bank into per-worker scratch in the same layout
+// (plan misses). All per-forward scratch comes from the arena (carved
+// BEFORE the unit loop — the arena is single-owner), so a steady-state
+// call allocates nothing.
 void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                                  const nn::Tensor& input, nn::Tensor& out,
                                  Stats& run) {
-  const nn::Conv2D& conv = *op.conv;
-  const auto& spec = conv.spec();
   const std::size_t phase = cfg_.phase_length();
   const ConvGeometry g = conv_geometry(op, input, phase);
+  const nn::ConvSpec& spec = g.spec;
   const sc::kernels::KernelTable& kt = sc::kernels::table();
+  const std::size_t oc_count = g.layout.oc_count;
+  const std::size_t rf = g.layout.rf;
+  const std::size_t sw = g.seg_words;
 
   StreamBank& act_bank = activation_bank();
   const std::span<std::uint32_t> act_levels =
       arena_.alloc<std::uint32_t>(input.size());
   quantize_activations_into(act_bank, input, act_levels);
-  StageScratch& stage_scratch = stage_scratch_[op_idx];
-  const std::span<const float> weights =
-      node_weights(op, stage_scratch.folded);
-  bool wgt_refreshed = false;
-  const std::span<const std::uint32_t> wgt_levels = cached_weight_levels(
-      stage_scratch, weight_bank(), weights, wgt_refreshed);
+  StageScratch& stage = stage_scratch_[op_idx];
+  const std::span<const float> weights = node_weights(op, stage.folded);
   // Folded BatchNorm shift per output channel (zeros without a BN), added
-  // after the counter divide — identical expression in every row body.
-  const std::span<float> bias =
-      arena_.alloc<float>(static_cast<std::size_t>(g.conv_out.c));
-  for (int oc = 0; oc < g.conv_out.c; ++oc) {
-    bias[static_cast<std::size_t>(oc)] =
-        op.bn != nullptr ? op.bn->shift(oc) : 0.0f;
+  // after the counter divide.
+  const std::span<float> bias = arena_.alloc<float>(oc_count);
+  for (std::size_t oc = 0; oc < oc_count; ++oc) {
+    bias[oc] = op.bn != nullptr ? op.bn->shift(static_cast<int>(oc)) : 0.0f;
   }
 
   // Estimated word-level AND/OR work: output positions x window slots x
@@ -648,220 +618,57 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   // auto-mode gate compares against intra_work_threshold.
   const std::size_t work_words = static_cast<std::size_t>(g.out_shape.h) *
                                  static_cast<std::size_t>(g.out_shape.w) *
-                                 g.window_positions *
-                                 static_cast<std::size_t>(g.conv_out.c) *
-                                 g.rf_max * g.seg_words;
+                                 g.window_positions * oc_count * rf * sw;
   runtime::ThreadPool* pool = intra_pool(work_words);
 
-  // Weight plan: cached across images (the levels vector is the cache
-  // key). Activation plan: rebuilt per image into the stage's retained
-  // plan object — its table allocation depends only on (lanes, schedule),
-  // so across an evaluation the rebuild is allocation-free. Building
-  // before the row loop keeps both tables read-only while workers run.
+  // Weight table: shared across clones and images, re-fetched only when
+  // its key no longer matches (retraining, or an input size that changes
+  // the schedule). Its build's kernel bits are amortized capital cost,
+  // excluded from per-run stats so they stay a pure function of the sample
+  // set. Activation plan: rebuilt per image into the stage's retained plan
+  // object — its allocation depends only on (lanes, schedule). Building
+  // both before the unit loop keeps them read-only while workers run.
   const SegmentSchedule sched{phase, g.window_positions, g.seg};
-  const std::shared_ptr<const LayerStreamPlan> wgt_plan_ptr =
-      weight_plan(op_idx, sched, wgt_levels, pool);
-  const LayerStreamPlan& wgt_plan = *wgt_plan_ptr;
-  if (stage_scratch.act_plan == nullptr ||
-      stage_scratch.lanes != input.size() ||
-      !(stage_scratch.sched == sched)) {
-    stage_scratch.act_plan = std::make_unique<LayerStreamPlan>(
-        act_bank, sched, input.size(), cfg_.plan_budget_bytes);
-    stage_scratch.lanes = input.size();
-    stage_scratch.sched = sched;
+  if (stage.table == nullptr ||
+      !stage.table->keyed_on(sched, g.layout, weights)) {
+    stage.table = wgt_plans_->get(op_idx, sched, g.layout, weights,
+                                  cfg_.plan_budget_bytes, pool);
   }
-  LayerStreamPlan& act_plan = *stage_scratch.act_plan;
+  const ProductTable& tbl = *stage.table;
+  if (stage.act_plan == nullptr || stage.lanes != input.size() ||
+      !(stage.sched == sched)) {
+    stage.act_plan = std::make_unique<LayerStreamPlan>(
+        act_bank, sched, input.size(), cfg_.plan_budget_bytes);
+    stage.lanes = input.size();
+    stage.sched = sched;
+  }
+  LayerStreamPlan& act_plan = *stage.act_plan;
   StreamPlanCounters build_counters;
   act_plan.build(act_levels, build_counters, pool);
+  const bool act_planned = act_plan.enabled();
+  const StreamBank& wgt_bank = wgt_plans_->bank();
 
   out.resize(g.out_shape);
   const unsigned workers = pool != nullptr ? pool->size() : 1u;
-  const bool fast = wgt_plan.enabled() && act_plan.enabled();
-  const auto oc_count = static_cast<std::size_t>(g.conv_out.c);
-  const std::size_t seg_words = g.seg_words;
-  // Single-word segments (the common geometry) take a branchless row body
-  // driven by the stage's cached ProductTable; wider segments and
-  // budget-disabled plans take the kernel-chain / generic bodies below.
-  const bool fast1 = fast && seg_words == 1;
-
-  // Sign scheduling is position-invariant: whether weight (oc, slot) joins
-  // the + or the - phase depends only on its sign, and a zero-quantized
-  // weight is operand-gated at every position. Classify each weight once
-  // per layer into a flat grouped table (count -> prefix -> fill, all
-  // arena-backed), hoisting the sign test, the zero-weight gate and the
-  // plan lookup out of the per-position product loop.
-  struct SignEntry {
-    std::uint32_t slot;         ///< receptive-field slot (== weight offset)
-    const std::uint64_t* lane;  ///< weight lane's packed slot table
-  };
-  const std::size_t groups = 2 * oc_count;  // [ph * oc_count + oc]
-
-  // Branchless-path table: rebuilt only when the weights (sign pattern or
-  // quantized levels) or the segment schedule changed — never in steady
-  // state, so the retained vectors keep per-image forwards allocation-free.
-  StageScratch::ProductTable& tbl = stage_scratch.products;
-  if (fast1 && (!tbl.built || wgt_refreshed || !(tbl.sched == sched))) {
-    const std::size_t slots = sched.slots();
-    tbl.sched = sched;
-    tbl.bm_words = (g.rf_max + 63) / 64;
-    tbl.group_count.assign(groups, 0);
-    tbl.gated.assign(groups, 0);
-    tbl.group_off.assign(groups + 1, 0);
-    tbl.group_bm.assign(groups * tbl.bm_words, 0);
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t s = 0; s < g.rf_max; ++s) {
-        const std::size_t wi = weight_slot(g, oc, s);
-        if (wi == kNoWeight) {
-          continue;  // grouped conv: slot outside oc's group
-        }
-        const float wv = weights[wi];
-        // Same predicates as the scalar path's active_here test: zero (and
-        // non-finite) weights are active in neither sign phase.
-        if (!(wv > 0.0f) && !(wv < 0.0f)) {
-          continue;
-        }
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        if (wgt_levels[wi] != 0) {
-          ++tbl.group_count[group];
-        } else {
-          ++tbl.gated[group];
-        }
-      }
-    }
-    std::uint32_t total = 0;
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      tbl.group_off[gi] = total;
-      total += tbl.group_count[gi];
-    }
-    tbl.group_off[groups] = total;
-    tbl.total = total;
-    tbl.slot_of.assign(total, 0);
-    tbl.wgt_w.assign(slots * total, 0);
-    std::vector<std::uint32_t> cursor(tbl.group_off.begin(),
-                                      tbl.group_off.end() - 1);
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t s = 0; s < g.rf_max; ++s) {
-        const std::size_t wi = weight_slot(g, oc, s);
-        if (wi == kNoWeight) {
-          continue;
-        }
-        const float wv = weights[wi];
-        if ((!(wv > 0.0f) && !(wv < 0.0f)) || wgt_levels[wi] == 0) {
-          continue;
-        }
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        const std::uint32_t ei = cursor[group]++;
-        tbl.slot_of[ei] = static_cast<std::uint32_t>(s);
-        // Transpose the weight lane's slot words so each group's entries
-        // are sequential loads per (phase, position).
-        const std::uint64_t* lane = wgt_plan.lane_words(wi);
-        for (std::size_t si = 0; si < slots; ++si) {
-          tbl.wgt_w[si * total + ei] = lane[si];
-        }
-        tbl.group_bm[group * tbl.bm_words + s / 64] |=
-            std::uint64_t{1} << (s % 64);
-      }
-    }
-    tbl.built = true;
-#ifndef NDEBUG
-    // A freshly rebuilt table must satisfy the plan invariants the
-    // release-mode validator (validate_plans) re-derives on demand: the
-    // prefix sums tile [0, total), every slot id lands in its group's
-    // bitmap, and the bitmaps account for exactly the live entries.
-    assert(tbl.group_off.size() == groups + 1);
-    assert(tbl.group_off[groups] == tbl.total);
-    assert(tbl.slot_of.size() == tbl.total);
-    assert(tbl.wgt_w.size() == slots * tbl.total);
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      assert(tbl.group_off[gi + 1] - tbl.group_off[gi] ==
-             tbl.group_count[gi]);
-      std::uint64_t bits = 0;
-      for (std::size_t w = 0; w < tbl.bm_words; ++w) {
-        bits += static_cast<std::uint64_t>(
-            std::popcount(tbl.group_bm[gi * tbl.bm_words + w]));
-      }
-      assert(bits == tbl.group_count[gi]);
-      for (std::size_t ei = tbl.group_off[gi]; ei < tbl.group_off[gi + 1];
-           ++ei) {
-        const std::uint32_t slot = tbl.slot_of[ei];
-        assert(slot < g.rf_max);
-        assert((tbl.group_bm[gi * tbl.bm_words + slot / 64] >>
-                (slot % 64)) & 1u);
-      }
-    }
-#endif
+  const std::size_t bm_words = tbl.bm_words;
+  // Parallel unit: one output row x one block of output channels. Rows
+  // alone would leave a 1x1 map (every dense node) serial, so when a pool
+  // runs with fewer rows than workers the channels split into blocks.
+  const auto rows = static_cast<std::size_t>(g.out_shape.h);
+  std::size_t oc_blocks = 1;
+  if (pool != nullptr && rows < workers) {
+    oc_blocks = std::min(oc_count, (workers + rows - 1) / rows);
   }
+  const std::size_t oc_per_block = (oc_count + oc_blocks - 1) / oc_blocks;
+  oc_blocks = (oc_count + oc_per_block - 1) / oc_per_block;
 
-  std::span<std::uint32_t> group_count;
-  std::span<std::uint32_t> group_off;  ///< exclusive prefix, groups + 1 wide
-  std::span<std::uint32_t> gated;      ///< always-skipped per group
-  std::span<SignEntry> entries;
-  if (fast && !fast1) {
-    group_count = arena_.alloc<std::uint32_t>(groups);
-    gated = arena_.alloc<std::uint32_t>(groups);
-    group_off = arena_.alloc<std::uint32_t>(groups + 1);
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t s = 0; s < g.rf_max; ++s) {
-        const std::size_t wi = weight_slot(g, oc, s);
-        if (wi == kNoWeight) {
-          continue;  // grouped conv: slot outside oc's group
-        }
-        const float wv = weights[wi];
-        // Same predicates as the scalar path's active_here test: zero (and
-        // non-finite) weights are active in neither sign phase.
-        if (!(wv > 0.0f) && !(wv < 0.0f)) {
-          continue;
-        }
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        if (wgt_levels[wi] != 0) {
-          ++group_count[group];
-        } else {
-          ++gated[group];
-        }
-      }
-    }
-    std::uint32_t total = 0;
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      group_off[gi] = total;
-      total += group_count[gi];
-    }
-    group_off[groups] = total;
-    entries = arena_.alloc<SignEntry>(total);
-    const std::span<std::uint32_t> cursor = arena_.alloc<std::uint32_t>(groups);
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      cursor[gi] = group_off[gi];
-    }
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t s = 0; s < g.rf_max; ++s) {
-        const std::size_t wi = weight_slot(g, oc, s);
-        if (wi == kNoWeight) {
-          continue;
-        }
-        const float wv = weights[wi];
-        if ((!(wv > 0.0f) && !(wv < 0.0f)) || wgt_levels[wi] == 0) {
-          continue;
-        }
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        entries[cursor[group]++] = {static_cast<std::uint32_t>(s),
-                                    wgt_plan.lane_words(wi)};
-      }
-    }
-  }
-
-  // Per-worker scratch and accounting: disjoint output rows, additive
-  // counters merged after the loop (order-insensitive sums). Spans carve
-  // the arena up front; only the path that runs gets its buffers.
+  // Per-worker scratch and accounting: disjoint outputs, additive counters
+  // merged after the loop (order-insensitive sums).
   struct WorkerState {
-    std::span<std::uint64_t> act_w;    ///< [phase][slot] act words (fast1)
-    std::span<std::uint64_t> live_bm;  ///< live-slot bitmap (fast1)
-    std::span<const std::uint64_t*> act_lane;  ///< per-slot plan row (fast)
-    std::span<const std::uint64_t*> act_seg;  ///< per-slot segment (generic)
-    std::span<std::uint64_t> act_scratch;  ///< fallback storage per slot
-    std::span<std::uint64_t> wgt_scratch;
-    std::span<std::uint64_t> or_acc;
-    std::span<std::uint32_t> rf_weight_lane;
-    std::span<std::size_t> rf_act_index;
-    std::span<char> rf_live;
+    std::span<std::uint64_t> act_w;    ///< [sign][slot][word] field words
+    std::span<std::uint64_t> live_bm;  ///< live-slot bitmap of the field
+    std::span<std::uint64_t> wgt_w;    ///< regenerated group words (unplanned)
+    std::span<std::uint64_t> acc;      ///< multi-word OR accumulator
     std::span<std::int64_t> counters;
     std::uint64_t product_bits = 0;
     std::uint64_t skipped = 0;
@@ -869,109 +676,95 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   };
   const std::span<WorkerState> states = arena_.alloc<WorkerState>(workers);
   for (WorkerState& ws : states) {
-    ws.or_acc = arena_.alloc<std::uint64_t>(seg_words);
+    ws.act_w = arena_.alloc<std::uint64_t>(2 * rf * sw);
+    ws.live_bm = arena_.alloc<std::uint64_t>(bm_words);
+    ws.acc = arena_.alloc<std::uint64_t>(sw);
     ws.counters = arena_.alloc<std::int64_t>(oc_count);
-    if (fast1) {
-      ws.act_w = arena_.alloc<std::uint64_t>(2 * g.rf_max);
-      ws.live_bm = arena_.alloc<std::uint64_t>(tbl.bm_words);
-    } else if (fast) {
-      ws.act_lane = arena_.alloc<const std::uint64_t*>(g.rf_max);
-    } else {
-      ws.act_seg = arena_.alloc<const std::uint64_t*>(g.rf_max);
-      ws.act_scratch = arena_.alloc<std::uint64_t>(g.rf_max * seg_words);
-      ws.wgt_scratch = arena_.alloc<std::uint64_t>(seg_words);
-      ws.rf_weight_lane = arena_.alloc<std::uint32_t>(g.rf_max);
-      ws.rf_act_index = arena_.alloc<std::size_t>(g.rf_max);
-      ws.rf_live = arena_.alloc<char>(g.rf_max);
+    if (!tbl.planned) {
+      ws.wgt_w = arena_.alloc<std::uint64_t>(rf * sw);
     }
   }
 
-  // Branchless row body (single-word segments): the receptive field is
-  // gathered once per window position as plain activation WORDS (zero for
-  // padding, dead activations and dead lanes — OR-ing a zero word is the
-  // identity, so gating needs no branch), and every group's products run
-  // as a straight-line AND/OR chain over the table's sequential weight
-  // words. Product/skip counts come from the group x live slot bitmaps,
-  // so the accounting is bit-identical to the entry-scan bodies below.
-  const auto run_row_fast1 = [&](std::size_t row, unsigned worker) {
+  // The row body. The receptive field is gathered once per window position
+  // as plain activation WORDS in slot order (zero for padding and dead
+  // activations — OR-ing a zero word is the identity, so gating needs no
+  // branch), then every (sign phase, output channel) group of the table
+  // runs as an AND/OR chain over its sequential weight words. Product and
+  // skip counts come from the group x live-slot bitmaps, so the accounting
+  // matches the oracle's per-product scan exactly.
+  const auto run_unit = [&](std::size_t unit, unsigned worker) {
     WorkerState& ws = states[worker];
-    const std::size_t total = tbl.total;
-    const std::size_t bm_words = tbl.bm_words;
+    const int py = static_cast<int>(unit / oc_blocks);
+    const std::size_t oc_lo = (unit % oc_blocks) * oc_per_block;
+    const std::size_t oc_hi = std::min(oc_count, oc_lo + oc_per_block);
+    // Every block gathers the field, but only the first charges its
+    // activation fetches: the counters must not scale with the block count.
+    const bool charge_act = oc_lo == 0;
     std::uint64_t* const act_pos = ws.act_w.data();
-    std::uint64_t* const act_neg = ws.act_w.data() + g.rf_max;
+    std::uint64_t* const act_neg = act_pos + rf * sw;
     std::uint64_t* const live_bm = ws.live_bm.data();
-    const int py = static_cast<int>(row);
+    const auto live_slot = [live_bm](std::uint32_t s) {
+      return ((live_bm[s >> 6] >> (s & 63)) & 1u) != 0;
+    };
     for (int px = 0; px < g.out_shape.w; ++px) {
-      for (auto& c : ws.counters) {
-        c = 0;
-      }
-      for (int k = 0; k < static_cast<int>(g.window_positions); ++k) {
-        const int oy = py * g.pool + k / g.pool;
-        const int ox = px * g.pool + k % g.pool;
-        const std::size_t sp =
-            sched.slot_index(true, static_cast<std::size_t>(k));
-        const std::size_t sn =
-            sched.slot_index(false, static_cast<std::size_t>(k));
-        std::fill_n(act_pos, g.rf_max, std::uint64_t{0});
-        std::fill_n(act_neg, g.rf_max, std::uint64_t{0});
+      std::fill(ws.counters.begin() + static_cast<std::ptrdiff_t>(oc_lo),
+                ws.counters.begin() + static_cast<std::ptrdiff_t>(oc_hi), 0);
+      for (std::size_t k = 0; k < g.window_positions; ++k) {
+        const int oy = py * g.pool + static_cast<int>(k) / g.pool;
+        const int ox = px * g.pool + static_cast<int>(k) % g.pool;
+        const std::size_t sp = sched.slot_index(true, k);
+        const std::size_t sn = sched.slot_index(false, k);
         std::fill_n(live_bm, bm_words, std::uint64_t{0});
         std::uint64_t live = 0;
-        {
-          std::size_t slot = 0;
-          for (int ky = 0; ky < spec.kernel; ++ky) {
-            const int iy = oy * spec.stride + ky - spec.padding;
-            for (int kx = 0; kx < spec.kernel; ++kx) {
-              const int ix = ox * spec.stride + kx - spec.padding;
-              if (iy < 0 || iy >= g.in.h || ix < 0 || ix >= g.in.w) {
-                slot += static_cast<std::size_t>(spec.in_channels);
+        std::size_t slot = 0;
+        for (int ky = 0; ky < spec.kernel; ++ky) {
+          const int iy = oy * spec.stride + ky - spec.padding;
+          for (int kx = 0; kx < spec.kernel; ++kx) {
+            const int ix = ox * spec.stride + kx - spec.padding;
+            const bool inside =
+                iy >= 0 && iy < g.in.h && ix >= 0 && ix < g.in.w;
+            for (int ic = 0; ic < spec.in_channels; ++ic, ++slot) {
+              std::uint64_t* const dp = act_pos + slot * sw;
+              std::uint64_t* const dn = act_neg + slot * sw;
+              const std::size_t ai = inside ? g.index(iy, ix, ic) : 0;
+              if (!inside || act_levels[ai] == 0) {
+                std::fill_n(dp, sw, std::uint64_t{0});
+                std::fill_n(dn, sw, std::uint64_t{0});
                 continue;
               }
-              for (int ic = 0; ic < spec.in_channels; ++ic, ++slot) {
-                const std::size_t ai = input.index(iy, ix, ic);
-                if (act_levels[ai] != 0) {
-                  const std::uint64_t* lane = act_plan.lane_words(ai);
-                  act_pos[slot] = lane[sp];
-                  act_neg[slot] = lane[sn];
-                  live_bm[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-                  ++live;
-                }
+              if (act_planned) {
+                const std::uint64_t* const lane = act_plan.lane_words(ai);
+                std::copy_n(lane + sp * sw, sw, dp);
+                std::copy_n(lane + sn * sw, sw, dn);
+              } else {
+                const auto lane = static_cast<std::uint32_t>(ai);
+                act_bank.fill(act_levels[ai], lane, sched.offset(true, k),
+                              g.seg, {dp, sw});
+                act_bank.fill(act_levels[ai], lane, sched.offset(false, k),
+                              g.seg, {dn, sw});
               }
+              live_bm[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+              ++live;
             }
           }
+        }
+        if (charge_act) {
+          charge(ws.plan, act_planned, 2 * live, g.seg);
         }
         for (int ph = 0; ph < 2; ++ph) {
           const bool positive = ph == 0;
           const std::uint64_t* const act_w = positive ? act_pos : act_neg;
-          const std::uint64_t* const ww_base =
-              tbl.wgt_w.data() + (positive ? sp : sn) * total;
-          // Activation segments: one plan hit per live slot per phase
-          // (the same accounting the generic fetch() path produces).
-          ws.plan.plan_hits += live;
-          ws.plan.bits_reused += live * g.seg;
+          const std::uint64_t* const slot_words =
+              tbl.planned
+                  ? tbl.words.data() + (positive ? sp : sn) * tbl.total * sw
+                  : nullptr;
           std::uint64_t products_here = 0;
-          for (std::size_t oc = 0; oc < oc_count; ++oc) {
+          for (std::size_t oc = oc_lo; oc < oc_hi; ++oc) {
             const std::size_t group =
                 static_cast<std::size_t>(ph) * oc_count + oc;
             const std::size_t off = tbl.group_off[group];
             const std::size_t n_ent = tbl.group_count[group];
             const std::uint32_t* const sl = tbl.slot_of.data() + off;
-            const std::uint64_t* const ww = ww_base + off;
-            // Four independent accumulators break the OR dependency chain.
-            std::uint64_t a0 = 0;
-            std::uint64_t a1 = 0;
-            std::uint64_t a2 = 0;
-            std::uint64_t a3 = 0;
-            std::size_t ei = 0;
-            for (; ei + 4 <= n_ent; ei += 4) {
-              a0 |= act_w[sl[ei]] & ww[ei];
-              a1 |= act_w[sl[ei + 1]] & ww[ei + 1];
-              a2 |= act_w[sl[ei + 2]] & ww[ei + 2];
-              a3 |= act_w[sl[ei + 3]] & ww[ei + 3];
-            }
-            for (; ei < n_ent; ++ei) {
-              a0 |= act_w[sl[ei]] & ww[ei];
-            }
-            const std::uint64_t acc = (a0 | a1) | (a2 | a3);
             const std::uint64_t* const gbm =
                 tbl.group_bm.data() + group * bm_words;
             std::uint64_t products = 0;
@@ -980,142 +773,67 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                   std::popcount(gbm[w] & live_bm[w]));
             }
             ws.skipped += tbl.gated[group] + (n_ent - products);
-            if (products != 0) {
-              const auto ones =
-                  static_cast<std::int64_t>(std::popcount(acc));
-              ws.counters[oc] += positive ? ones : -ones;
+            if (products == 0) {
+              continue;  // every operand gated: the counter does not move
             }
             products_here += products;
-          }
-          ws.product_bits += products_here * g.seg;
-          ws.plan.plan_hits += products_here;
-          ws.plan.bits_reused += products_here * g.seg;
-        }
-      }
-      for (std::size_t oc = 0; oc < oc_count; ++oc) {
-        out.at(py, px, static_cast<int>(oc)) =
-            static_cast<float>(static_cast<double>(ws.counters[oc]) /
-                               g.counted_bits) +
-            bias[oc];
-      }
-    }
-  };
-
-  // Hot row body: every product is two loads, an AND and an OR — segments
-  // come straight out of the plan tables via hoisted row pointers, and all
-  // counters are tallied arithmetically per group instead of per product.
-  // Single-word segments use a register accumulator; wider segments run
-  // the dispatched and_or kernel with the final product's popcount fused.
-  const SignEntry* entry_base = entries.data();
-  const auto run_row_fast = [&](std::size_t row, unsigned worker) {
-    WorkerState& ws = states[worker];
-    const int py = static_cast<int>(row);
-    for (int px = 0; px < g.out_shape.w; ++px) {
-      for (auto& c : ws.counters) {
-        c = 0;
-      }
-      for (int k = 0; k < static_cast<int>(g.window_positions); ++k) {
-        const int oy = py * g.pool + k / g.pool;
-        const int ox = px * g.pool + k % g.pool;
-        // Gather the receptive field as direct plan-row pointers
-        // (nullptr = zero padding or zero activation, operand-gated).
-        std::uint64_t live = 0;
-        {
-          std::size_t slot = 0;
-          for (int ky = 0; ky < spec.kernel; ++ky) {
-            const int iy = oy * spec.stride + ky - spec.padding;
-            for (int kx = 0; kx < spec.kernel; ++kx) {
-              const int ix = ox * spec.stride + kx - spec.padding;
-              if (iy < 0 || iy >= g.in.h || ix < 0 || ix >= g.in.w) {
-                for (int ic = 0; ic < spec.in_channels; ++ic) {
-                  ws.act_lane[slot++] = nullptr;
-                }
-                continue;
-              }
-              for (int ic = 0; ic < spec.in_channels; ++ic) {
-                const std::size_t ai = input.index(iy, ix, ic);
-                if (act_levels[ai] != 0) {
-                  ws.act_lane[slot++] = act_plan.lane_words(ai);
-                  ++live;
-                } else {
-                  ws.act_lane[slot++] = nullptr;
-                }
-              }
-            }
-          }
-        }
-        for (int ph = 0; ph < 2; ++ph) {
-          const bool positive = ph == 0;
-          const std::size_t slot_off =
-              sched.slot_index(positive, static_cast<std::size_t>(k)) *
-              seg_words;
-          // Activation segments: one plan hit per live slot per phase
-          // (the same accounting the generic fetch() path produces).
-          ws.plan.plan_hits += live;
-          ws.plan.bits_reused += live * g.seg;
-          std::uint64_t products_here = 0;
-          for (std::size_t oc = 0; oc < oc_count; ++oc) {
-            const std::size_t group =
-                static_cast<std::size_t>(ph) * oc_count + oc;
-            ws.skipped += gated[group];
-            const SignEntry* ent = entry_base + group_off[group];
-            const std::size_t n_ent = group_count[group];
-            std::uint64_t products = 0;
-            std::int64_t ones = 0;
-            if (seg_words == 1) {
-              std::uint64_t acc = 0;
+            const std::uint64_t* ww = nullptr;
+            if (slot_words != nullptr) {
+              ww = slot_words + off * sw;
+            } else {
+              // Over budget: regenerate the group's words in table layout.
+              // A dead slot's product is zero whatever its weight word.
               for (std::size_t ei = 0; ei < n_ent; ++ei) {
-                const std::uint64_t* act = ws.act_lane[ent[ei].slot];
-                if (act == nullptr) {
-                  ++ws.skipped;
+                std::uint64_t* const dst = ws.wgt_w.data() + ei * sw;
+                if (!live_slot(sl[ei])) {
+                  std::fill_n(dst, sw, std::uint64_t{0});
                   continue;
                 }
-                acc |= act[slot_off] & ent[ei].lane[slot_off];
-                ++products;
+                wgt_bank.fill(tbl.level_of[off + ei],
+                              static_cast<std::uint32_t>(
+                                  g.layout.weight(oc, sl[ei])),
+                              sched.offset(positive, k), g.seg, {dst, sw});
               }
-              ones = static_cast<std::int64_t>(std::popcount(acc));
+              ww = ws.wgt_w.data();
+            }
+            std::int64_t ones = 0;
+            if (sw == 1) {
+              // Four independent accumulators break the OR dependency
+              // chain; dead slots contribute zero words, no branch.
+              std::uint64_t a0 = 0;
+              std::uint64_t a1 = 0;
+              std::uint64_t a2 = 0;
+              std::uint64_t a3 = 0;
+              std::size_t ei = 0;
+              for (; ei + 4 <= n_ent; ei += 4) {
+                a0 |= act_w[sl[ei]] & ww[ei];
+                a1 |= act_w[sl[ei + 1]] & ww[ei + 1];
+                a2 |= act_w[sl[ei + 2]] & ww[ei + 2];
+                a3 |= act_w[sl[ei + 3]] & ww[ei + 3];
+              }
+              for (; ei < n_ent; ++ei) {
+                a0 |= act_w[sl[ei]] & ww[ei];
+              }
+              ones = std::popcount((a0 | a1) | (a2 | a3));
             } else {
-              // Find the last live entry so the chain's final AND/OR can
-              // fuse the counter read into the same kernel pass; trailing
-              // dead slots are charged as skipped exactly as the forward
-              // scan would charge them.
-              std::size_t last = n_ent;
-              while (last > 0 &&
-                     ws.act_lane[ent[last - 1].slot] == nullptr) {
-                ++ws.skipped;
-                --last;
-              }
-              if (last != 0) {
-                std::uint64_t* acc = ws.or_acc.data();
-                std::fill_n(acc, seg_words, std::uint64_t{0});
-                for (std::size_t ei = 0; ei + 1 < last; ++ei) {
-                  const std::uint64_t* act = ws.act_lane[ent[ei].slot];
-                  if (act == nullptr) {
-                    ++ws.skipped;
-                    continue;
-                  }
-                  kt.and_or(acc, act + slot_off, ent[ei].lane + slot_off,
-                            seg_words);
-                  ++products;
+              // Wide segments: the dispatched kernel per live entry (a
+              // dead entry would OR in zeros, so it is skipped).
+              std::uint64_t* const acc = ws.acc.data();
+              std::fill_n(acc, sw, std::uint64_t{0});
+              for (std::size_t ei = 0; ei < n_ent; ++ei) {
+                if (live_slot(sl[ei])) {
+                  kt.and_or(acc, act_w + sl[ei] * sw, ww + ei * sw, sw);
                 }
-                const std::uint64_t* act = ws.act_lane[ent[last - 1].slot];
-                ones = static_cast<std::int64_t>(kt.and_or_popcount(
-                    acc, act + slot_off, ent[last - 1].lane + slot_off,
-                    seg_words));
-                ++products;
               }
+              ones = static_cast<std::int64_t>(kt.popcount_words(acc, sw));
             }
-            if (products != 0) {
-              ws.counters[oc] += positive ? ones : -ones;
-            }
-            products_here += products;
+            ws.counters[oc] += positive ? ones : -ones;
           }
           ws.product_bits += products_here * g.seg;
-          ws.plan.plan_hits += products_here;
-          ws.plan.bits_reused += products_here * g.seg;
+          charge(ws.plan, tbl.planned, products_here, g.seg);
         }
       }
-      for (std::size_t oc = 0; oc < oc_count; ++oc) {
+      for (std::size_t oc = oc_lo; oc < oc_hi; ++oc) {
         out.at(py, px, static_cast<int>(oc)) =
             static_cast<float>(static_cast<double>(ws.counters[oc]) /
                                g.counted_bits) +
@@ -1124,92 +842,12 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
     }
   };
 
-  // Generic row body: taken when a plan exceeded its byte budget. fetch()
-  // serves planned lanes and regenerates the rest on the fly (counted as
-  // plan misses); the served bits are identical either way.
-  const auto run_row_generic = [&](std::size_t row, unsigned worker) {
-    WorkerState& ws = states[worker];
-    const int py = static_cast<int>(row);
-    for (int px = 0; px < g.out_shape.w; ++px) {
-      for (auto& c : ws.counters) {
-        c = 0;
-      }
-      for (int k = 0; k < static_cast<int>(g.window_positions); ++k) {
-        const int oy = py * g.pool + k / g.pool;
-        const int ox = px * g.pool + k % g.pool;
-        const std::size_t rf_size =
-            gather_rf(spec, input, act_levels.data(), oy, ox,
-                      ws.rf_weight_lane.data(), ws.rf_act_index.data(),
-                      ws.rf_live.data());
-        for (int ph = 0; ph < 2; ++ph) {
-          const bool positive = ph == 0;
-          const auto kk = static_cast<std::size_t>(k);
-          for (std::size_t s = 0; s < rf_size; ++s) {
-            if (ws.rf_live[s]) {
-              const std::size_t ai = ws.rf_act_index[s];
-              ws.act_seg[s] = act_plan.fetch(
-                  ai, act_levels[ai], positive, kk,
-                  {ws.act_scratch.data() + s * seg_words, seg_words},
-                  ws.plan);
-            }
-          }
-          for (std::size_t oc = 0; oc < oc_count; ++oc) {
-            std::fill_n(ws.or_acc.data(), seg_words, std::uint64_t{0});
-            bool any = false;
-            for (std::size_t s = 0; s < rf_size; ++s) {
-              const std::size_t wi =
-                  weight_slot(g, oc, ws.rf_weight_lane[s]);
-              if (wi == kNoWeight) {
-                continue;  // grouped conv: no weight connects this pair
-              }
-              const float wv = weights[wi];
-              const bool active_here = positive ? (wv > 0.0f) : (wv < 0.0f);
-              if (!active_here) {
-                continue;  // scheduled in the other sign phase
-              }
-              if (!ws.rf_live[s] || wgt_levels[wi] == 0) {
-                ++ws.skipped;
-                continue;
-              }
-              const std::uint64_t* wgt_words = wgt_plan.fetch(
-                  wi, wgt_levels[wi], positive, kk,
-                  {ws.wgt_scratch.data(), seg_words}, ws.plan);
-              kt.and_or(ws.or_acc.data(), ws.act_seg[s], wgt_words,
-                        seg_words);
-              any = true;
-              ws.product_bits += g.seg;
-            }
-            if (any) {
-              const std::int64_t ones =
-                  popcount_acc(ws.or_acc.data(), seg_words);
-              ws.counters[oc] += positive ? ones : -ones;
-            }
-          }
-        }
-      }
-      for (std::size_t oc = 0; oc < oc_count; ++oc) {
-        out.at(py, px, static_cast<int>(oc)) =
-            static_cast<float>(static_cast<double>(ws.counters[oc]) /
-                               g.counted_bits) +
-            bias[oc];
-      }
-    }
-  };
-
-  const auto run_row = [&](std::size_t row, unsigned worker) {
-    if (fast1) {
-      run_row_fast1(row, worker);
-    } else if (fast) {
-      run_row_fast(row, worker);
-    } else {
-      run_row_generic(row, worker);
-    }
-  };
+  const std::size_t units = rows * oc_blocks;
   if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(g.out_shape.h), run_row);
+    pool->parallel_for(units, run_unit);
   } else {
-    for (int py = 0; py < g.out_shape.h; ++py) {
-      run_row(static_cast<std::size_t>(py), 0);
+    for (std::size_t unit = 0; unit < units; ++unit) {
+      run_unit(unit, 0);
     }
   }
 
@@ -1280,321 +918,38 @@ void ScNetwork::run_max_pool_sc(const LoweredOp& op, const nn::Tensor& input,
   run.stream_bits_generated += bits_generated;
 }
 
-void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
-                          const nn::Tensor& input, nn::Tensor& out,
-                          Stats& run) {
-  const nn::Dense& dense = *op.dense;
-  const auto& spec = dense.spec();
-  if (static_cast<int>(input.size()) != spec.in_features) {
-    throw std::invalid_argument("ScNetwork: dense feature mismatch");
-  }
-  const std::size_t phase = cfg_.phase_length();
-  const std::size_t words = word_count(phase);
-  const sc::kernels::KernelTable& kt = sc::kernels::table();
-
-  // The shared member banks serve both exec modes: bank content is a pure
-  // function of (width, seed, length, wiring), so they are bit-identical
-  // to the per-call locals the seed constructed here.
-  StreamBank& act_bank = activation_bank();
-  StreamBank& wgt_bank = weight_bank();
-
-  const auto n_in = static_cast<std::size_t>(spec.in_features);
-  const std::span<std::uint32_t> act_levels =
-      arena_.alloc<std::uint32_t>(input.size());
-  quantize_activations_into(act_bank, input, act_levels);
-  const auto weights = dense.weights();
-  // Quantize every weight level once per layer (not per (output, input)
-  // pair), and only when the live weights changed since the last image.
-  StageScratch& stage_scratch = stage_scratch_[op_idx];
-  bool wgt_refreshed = false;
-  const std::span<const std::uint32_t> wgt_levels = cached_weight_levels(
-      stage_scratch, wgt_bank, weights, wgt_refreshed);
-
-  // Activation streams are shared by every output: generate once per
-  // phase, into one arena block laid out [lane][sign][words].
-  std::uint64_t act_bits_generated = 0;
-  const std::span<std::uint64_t> act_streams =
-      arena_.alloc<std::uint64_t>(n_in * 2 * words);
-  for (std::size_t i = 0; i < n_in; ++i) {
-    if (act_levels[i] != 0) {
-      std::uint64_t* lane = act_streams.data() + i * 2 * words;
-      act_bank.fill(act_levels[i], static_cast<std::uint32_t>(i), 0, phase,
-                    {lane, words});
-      act_bank.fill(act_levels[i], static_cast<std::uint32_t>(i), phase,
-                    phase, {lane + words, words});
-      act_bits_generated += 2 * phase;
-    }
-  }
-
-  out.resize(nn::Shape{1, 1, spec.out_features});
-  runtime::ThreadPool* pool =
-      intra_pool(static_cast<std::size_t>(spec.out_features) * n_in * words);
-  const unsigned workers = pool != nullptr ? pool->size() : 1u;
-
-  // Planned mode serves weight phases from the cached per-stage plan
-  // (positions == 1: one full-phase slot per sign) instead of regenerating
-  // phase bits per product. Each dense weight is used once per image, so
-  // the reuse is across images; the served bits are identical to a fill.
-  std::shared_ptr<const LayerStreamPlan> wgt_plan_ptr;
-  const LayerStreamPlan* wgt_plan = nullptr;
-  const bool planned_mode = cfg_.exec == ExecMode::kPlanned;
-  if (planned_mode) {
-    const SegmentSchedule dsched{phase, 1, phase};
-    wgt_plan_ptr = weight_plan(op_idx, dsched, wgt_levels, pool);
-    if (wgt_plan_ptr->enabled()) {
-      wgt_plan = wgt_plan_ptr.get();
-    }
-  }
-
-  // Per-worker scratch + additive accounting; out[o] writes are disjoint,
-  // so sharding output neurons is bit-identical to the serial loop.
-  struct WorkerState {
-    std::span<std::uint64_t> wgt_stream;
-    std::span<std::uint64_t> or_acc;
-    std::uint64_t product_bits = 0;
-    std::uint64_t skipped = 0;
-    std::uint64_t bits_generated = 0;
-    StreamPlanCounters plan;
-  };
-  const std::span<WorkerState> states = arena_.alloc<WorkerState>(workers);
-  for (WorkerState& ws : states) {
-    ws.wgt_stream = arena_.alloc<std::uint64_t>(words);
-    ws.or_acc = arena_.alloc<std::uint64_t>(words);
-  }
-
-  const auto run_output = [&](std::size_t o, unsigned worker) {
-    WorkerState& ws = states[worker];
-    std::int64_t counter = 0;
-    for (int ph = 0; ph < 2; ++ph) {
-      const bool positive = ph == 0;
-      const std::size_t offset = positive ? 0 : phase;
-      const std::size_t sign_off = positive ? 0 : words;
-      // One-word phases (stream_length <= 128) accumulate in a register;
-      // wider phases run the dispatched and_or / popcount kernels.
-      std::uint64_t acc1 = 0;
-      if (words != 1) {
-        std::fill_n(ws.or_acc.data(), words, std::uint64_t{0});
-      }
-      bool any = false;
-      for (std::size_t i = 0; i < n_in; ++i) {
-        const std::size_t wi =
-            dense.weight_index(static_cast<int>(o), static_cast<int>(i));
-        const float wv = weights[wi];
-        const bool active_here = positive ? (wv > 0.0f) : (wv < 0.0f);
-        if (!active_here) {
-          continue;  // scheduled in the other sign phase
-        }
-        if (act_levels[i] == 0 || wgt_levels[wi] == 0) {
-          ++ws.skipped;  // operand-gated: zero input or zero weight
-          continue;
-        }
-        const std::uint64_t* wgt_words;
-        if (wgt_plan != nullptr) {
-          wgt_words = wgt_plan->lane_words(wi) + sign_off;
-          ++ws.plan.plan_hits;
-          ws.plan.bits_reused += phase;
-        } else {
-          wgt_bank.fill(wgt_levels[wi], static_cast<std::uint32_t>(wi),
-                        offset, phase, ws.wgt_stream);
-          wgt_words = ws.wgt_stream.data();
-          if (planned_mode) {
-            ++ws.plan.plan_misses;  // plan over budget: on-the-fly fallback
-            ws.plan.bits_generated += phase;
-          } else {
-            ws.bits_generated += phase;
-          }
-        }
-        const std::uint64_t* act =
-            act_streams.data() + i * 2 * words + sign_off;
-        if (words == 1) {
-          acc1 |= act[0] & wgt_words[0];
-        } else {
-          kt.and_or(ws.or_acc.data(), act, wgt_words, words);
-        }
-        any = true;
-        ws.product_bits += phase;
-      }
-      if (any) {
-        const std::int64_t ones =
-            words == 1 ? static_cast<std::int64_t>(std::popcount(acc1))
-                       : static_cast<std::int64_t>(
-                             kt.popcount_words(ws.or_acc.data(), words));
-        counter += positive ? ones : -ones;
-      }
-    }
-    out[o] = static_cast<float>(static_cast<double>(counter) /
-                                static_cast<double>(phase));
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(spec.out_features),
-                       run_output);
-  } else {
-    for (int o = 0; o < spec.out_features; ++o) {
-      run_output(static_cast<std::size_t>(o), 0);
-    }
-  }
-
-  run.stream_bits_generated += act_bits_generated;
-  for (const WorkerState& ws : states) {
-    run.product_bits += ws.product_bits;
-    run.skipped_operands += ws.skipped;
-    run.stream_bits_generated += ws.bits_generated + ws.plan.bits_generated;
-    run.stream_bits_reused += ws.plan.bits_reused;
-    run.plan_hits += ws.plan.plan_hits;
-    run.plan_misses += ws.plan.plan_misses;
-  }
-}
-
 core::Report ScNetwork::validate_plans() {
   core::Report report;
   if (cfg_.exec != ExecMode::kPlanned) {
-    return report;  // scalar mode builds no plans; nothing to validate
+    return report;  // scalar mode builds no tables; nothing to validate
   }
   const std::size_t phase = cfg_.phase_length();
-  const std::size_t bank_length = 2 * phase;
   for (std::size_t s = 0; s < ops_.size(); ++s) {
     const LoweredOp& op = ops_[s];
-    StageScratch& scratch = stage_scratch_[s];
-    // Nodes that are unweighted or never executed have no cached levels
-    // (and no plans); skip them rather than force a build the run never
-    // exercised.
-    if (!op.weighted() || scratch.wgt_levels.empty()) {
+    const StageScratch& scratch = stage_scratch_[s];
+    // Nodes that are unweighted or never executed hold no table; skip them
+    // rather than force a build the run never exercised.
+    if (!op.weighted() || scratch.table == nullptr) {
       continue;
     }
     const std::string name = op.layer->name();
-    const SegmentSchedule sched = op.conv != nullptr
-                                      ? scratch.sched
-                                      : SegmentSchedule{phase, 1, phase};
-    if (op.conv != nullptr && scratch.act_plan == nullptr) {
-      continue;  // conv ran scalar / never ran; sched is not meaningful
-    }
-    report.merge(check_schedule(sched, phase, bank_length,
+    const ProductTable& tbl = *scratch.table;
+    report.merge(check_schedule(tbl.sched, phase, 2 * phase,
                                 name + "/schedule"));
-    // The store returns the cached plan (the levels vector is the cache
-    // key), so this re-fetch never rebuilds after a forward.
-    const std::shared_ptr<const LayerStreamPlan> plan =
-        weight_plan(s, sched, scratch.wgt_levels, nullptr);
-    report.merge(check_plan(*plan, weight_bank(), sched, scratch.wgt_levels,
-                            name + "/weight-plan"));
-
-    // ProductTable consistency: re-derive the (sign phase, output channel)
-    // classification from the live weights — BN-folded, exactly as the
-    // executor classifies them — and compare every derived field. Valid
-    // right after a forward; a retrain in between legitimately invalidates
-    // the table (it is rebuilt lazily on the next forward), so callers are
-    // documented to validate before mutating weights.
-    const StageScratch::ProductTable& tbl = scratch.products;
-    if (op.conv == nullptr || !tbl.built || !(tbl.sched == sched) ||
-        !plan->enabled()) {
-      continue;
+    if (!(tbl.sched == scratch.sched)) {
+      report.add("plan-invariant", core::Severity::kError,
+                 name + "/product-table",
+                 "weight table was built for a different segment schedule "
+                 "than the stage last executed");
     }
-    const auto& spec = op.conv->spec();
+    // Re-derive against the live weights — BN-folded, exactly as the
+    // executor sees them. Valid right after a forward; a retrain in between
+    // legitimately invalidates the table (it is re-fetched on the next
+    // forward), so callers validate before mutating weights.
     std::vector<float> folded;
-    const std::span<const float> weights = node_weights(op, folded);
-    const std::size_t rf_max = static_cast<std::size_t>(spec.kernel) *
-                               spec.kernel * spec.in_channels;
-    // Grouped weight mapping, identical to the executor's weight_slot.
-    ConvGeometry wg;
-    wg.in_c = static_cast<std::size_t>(spec.in_channels);
-    wg.cpg = static_cast<std::size_t>(spec.in_channels / spec.groups);
-    wg.oc_per_group =
-        static_cast<std::size_t>(spec.out_channels / spec.groups);
-    wg.w_per_oc =
-        static_cast<std::size_t>(spec.kernel) * spec.kernel * wg.cpg;
-    const auto oc_count = static_cast<std::size_t>(spec.out_channels);
-    const std::size_t groups = 2 * oc_count;
-    const std::size_t slots = sched.slots();
-    const std::string tpath = name + "/product-table";
-    if (tbl.group_count.size() != groups ||
-        tbl.group_off.size() != groups + 1 ||
-        tbl.group_off[groups] != tbl.total ||
-        tbl.slot_of.size() != tbl.total ||
-        tbl.wgt_w.size() != slots * tbl.total ||
-        tbl.bm_words != (rf_max + 63) / 64 ||
-        tbl.group_bm.size() != groups * tbl.bm_words) {
-      report.add("plan-invariant", core::Severity::kError, tpath,
-                 "table extents are inconsistent with the layer geometry (" +
-                     std::to_string(groups) + " groups, rf " +
-                     std::to_string(rf_max) + ")");
-      continue;
-    }
-    std::vector<std::uint32_t> cursor(tbl.group_off.begin(),
-                                      tbl.group_off.end() - 1);
-    std::size_t mismatches = 0;
-    const auto flag = [&](const std::string& msg) {
-      if (++mismatches <= 4) {  // cap per-layer noise; the count is summarized
-        report.add("plan-invariant", core::Severity::kError, tpath, msg);
-      }
-    };
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t slot = 0; slot < rf_max; ++slot) {
-        const std::size_t wi = weight_slot(wg, oc, slot);
-        if (wi == kNoWeight) {
-          // Cross-group slot: no weight exists; must be absent everywhere.
-          for (std::size_t gi : {oc, oc_count + oc}) {
-            if (((tbl.group_bm[gi * tbl.bm_words + slot / 64] >>
-                  (slot % 64)) &
-                 1u) != 0) {
-              flag("cross-group slot " + std::to_string(slot) +
-                   " of output channel " + std::to_string(oc) +
-                   " is present in the group bitmap");
-            }
-          }
-          continue;
-        }
-        const float wv = weights[wi];
-        const bool signed_live = (wv > 0.0f) || (wv < 0.0f);
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        const bool in_bm =
-            signed_live &&
-            ((tbl.group_bm[group * tbl.bm_words + slot / 64] >>
-              (slot % 64)) &
-             1u) != 0;
-        const bool expect_entry = signed_live && scratch.wgt_levels[wi] != 0;
-        if (in_bm != expect_entry) {
-          flag("slot " + std::to_string(slot) + " of output channel " +
-               std::to_string(oc) + (expect_entry
-                                         ? " is live but missing from"
-                                         : " is gated but present in") +
-               " the group bitmap");
-          continue;
-        }
-        if (!expect_entry) {
-          continue;
-        }
-        const std::uint32_t ei = cursor[group]++;
-        if (ei >= tbl.group_off[group + 1] || tbl.slot_of[ei] != slot) {
-          flag("entry order for output channel " + std::to_string(oc) +
-               " slot " + std::to_string(slot) +
-               " disagrees with the oc-major fill order");
-          continue;
-        }
-        const std::uint64_t* lane = plan->lane_words(wi);
-        for (std::size_t si = 0; si < slots; ++si) {
-          if (tbl.wgt_w[si * tbl.total + ei] != lane[si]) {
-            flag("transposed weight words for output channel " +
-                 std::to_string(oc) + " slot " + std::to_string(slot) +
-                 " differ from the weight plan");
-            break;
-          }
-        }
-      }
-    }
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      if (cursor[gi] != tbl.group_off[gi + 1]) {
-        flag("group " + std::to_string(gi) + " holds " +
-             std::to_string(tbl.group_off[gi + 1] - tbl.group_off[gi]) +
-             " entries but the live weights produce " +
-             std::to_string(cursor[gi] - tbl.group_off[gi]));
-      }
-    }
-    if (mismatches > 4) {
-      report.add("plan-invariant", core::Severity::kError, tpath,
-                 std::to_string(mismatches) +
-                     " total mismatches against the live weights (first 4 "
-                     "shown)");
-    }
+    report.merge(check_product_table(tbl, wgt_plans_->bank(),
+                                     node_weights(op, folded),
+                                     name + "/product-table"));
   }
   return report;
 }

@@ -22,6 +22,10 @@
 //      streams are regenerated per layer, which removes inter-layer
 //      correlation exactly as the paper describes (II-C).
 //
+// Conv and dense share one datapath, as in the architecture: a dense node
+// executes as a 1x1 conv over its input viewed as 1x1xN, through the same
+// two implementations — the scalar oracle and the planned row body.
+//
 // With PoolingMode::kSkipping an AvgPool2D that directly follows a conv is
 // fused: each output in a p x p pooling window is computed over a
 // stream/p^2 time slice and the window's counter accumulates across slices
@@ -55,15 +59,17 @@ class ScNetwork {
   ///            are located with their surrounding ReLU / pooling layers
   ///            and executed stochastically; weights are read live, so
   ///            retraining between forward() calls is allowed.
-  /// @param shared weight-plan store to share with sibling clones (see
+  /// @param shared weight-table store to share with sibling clones (see
   ///            shared_plans()); nullptr creates a fresh one.
   ScNetwork(nn::Network& net, ScConfig cfg,
             std::shared_ptr<WeightPlanStore> shared = nullptr);
 
-  /// The weight-plan store this executor draws from. Pass it to the
-  /// ScNetwork of a clone so the per-stage weight plans are built once
-  /// across all workers (the store is thread-safe; plan content is a pure
-  /// function of config + weight levels, so sharing cannot change bits).
+  /// The weight-table store this executor draws from. Pass it to the
+  /// ScNetwork of a clone so each stage's ProductTable — the weights'
+  /// sign/channel classification plus their transposed stream words — is
+  /// built once across all workers instead of once per clone (the store is
+  /// thread-safe; table content is a pure function of config, schedule and
+  /// weights, so sharing cannot change bits).
   [[nodiscard]] const std::shared_ptr<WeightPlanStore>& shared_plans()
       const noexcept {
     return wgt_plans_;
@@ -95,7 +101,7 @@ class ScNetwork {
     std::uint64_t skipped_operands = 0;
     /// Comparator bits the SNG kernel actually produced for this run
     /// (scalar-path fills, per-image activation-plan builds, fallback
-    /// fills). Cached weight-plan builds are amortized across images and
+    /// fills). Shared weight-table builds are amortized across images and
     /// clones and deliberately excluded, keeping stats a pure function of
     /// the sample set.
     std::uint64_t stream_bits_generated = 0;
@@ -144,15 +150,14 @@ class ScNetwork {
   [[nodiscard]] const ScConfig& config() const noexcept { return cfg_; }
 
   /// Plan-invariant verification (rule "plan-invariant"): re-derives the
-  /// invariants of every plan built so far — segment-schedule slot
-  /// coverage and word-offset bounds (sim/plan_check), weight-plan
-  /// segments bit-identical to regeneration, and ProductTable consistency
-  /// with the live weights' sign/oc classification (group prefix sums,
-  /// slot lists, bitmap popcounts, transposed word table extents). Run at
-  /// least one forward() first so the plans exist; stages that have not
-  /// executed yet are skipped. Findings anchor at "<layer name>/...".
-  /// Debug builds additionally assert the ProductTable invariants right
-  /// after each rebuild, so the golden suite exercises them implicitly.
+  /// invariants of every table the stages last executed — segment-schedule
+  /// slot coverage and word-offset bounds, the weight table's schedule
+  /// matching the executed one, and ProductTable consistency with the live
+  /// weights' sign/oc classification (group prefix sums, slot lists,
+  /// bitmap popcounts, extents, sampled stream words bit-identical to
+  /// regeneration; sim/plan_check). Run at least one forward() first so the
+  /// tables exist; stages that have not executed yet are skipped. Findings
+  /// anchor at "<layer name>/...".
   [[nodiscard]] core::Report validate_plans();
 
   /// Enables per-stage profiling: every forward() records one
@@ -168,57 +173,38 @@ class ScNetwork {
   }
 
  private:
-  /// Per-stage reusable executor state: the activation stream plan is a
-  /// per-image table, but its allocation depends only on (lanes, schedule)
-  /// — fixed across images of one evaluation — so the plan object is kept
-  /// and rebuilt in place (build() overwrites every lane).
+  /// Per-stage reusable executor state of a weighted node. Nothing here
+  /// is per-clone weight data: the weight table is shared with every clone
+  /// through the WeightPlanStore, the clone only holds a reference to it.
   struct StageScratch {
+    /// The activation stream plan is a per-image table, but its allocation
+    /// depends only on (lanes, schedule) — fixed across images of one
+    /// evaluation — so the plan object is kept and rebuilt in place
+    /// (build() overwrites every lane). sched is the schedule the stage
+    /// last executed.
     std::unique_ptr<LayerStreamPlan> act_plan;
     std::size_t lanes = 0;
     SegmentSchedule sched;
-    /// Quantized weight magnitudes, valid while the stage's float weights
-    /// are bit-identical to wgt_src (quantization is a pure function, so
-    /// bitwise-equal inputs give equal levels). The memcmp guard keeps the
-    /// "weights are read live" contract — retraining between forwards is
-    /// picked up — while skipping thousands of quantize calls per image.
-    /// For a conv with a folded BatchNorm, wgt_src holds the FOLDED
-    /// weights (w * scale(oc)), so BN retraining invalidates the cache
-    /// exactly like conv retraining does.
-    std::vector<float> wgt_src;
-    std::vector<std::uint32_t> wgt_levels;
     /// Folded-weight staging buffer (conv nodes with an absorbed
     /// BatchNorm): recomputed every forward — one multiply per weight —
     /// into retained capacity, so steady state stays allocation-free.
     std::vector<float> folded;
-    /// Branchless product table for the single-word-segment fast path:
-    /// weights grouped by (sign phase, output channel), each group's slot
-    /// indices, its per-slot-index weight words transposed for sequential
-    /// loads, and a slot bitmap so live-product counts come from popcounts
-    /// instead of per-entry branches. Rebuilt with wgt_levels (it is a
-    /// pure function of the weights, the schedule and the weight plan).
-    struct ProductTable {
-      SegmentSchedule sched;
-      std::vector<std::uint32_t> group_count;  ///< entries per group
-      std::vector<std::uint32_t> gated;        ///< always-skipped per group
-      std::vector<std::uint32_t> group_off;    ///< exclusive prefix sums
-      std::vector<std::uint32_t> slot_of;      ///< entry -> rf / input slot
-      std::vector<std::uint64_t> wgt_w;        ///< [slot_index][entry] words
-      std::vector<std::uint64_t> group_bm;     ///< [group][word] slot bitmap
-      std::size_t total = 0;                   ///< entries across all groups
-      std::size_t bm_words = 0;
-      bool built = false;
-    };
-    ProductTable products;
+    /// The stage's ProductTable from the shared store, re-fetched only
+    /// when its key — (schedule, layout, float weights), compared bitwise —
+    /// no longer matches the live weights. That memcmp keeps the "weights
+    /// are read live" contract: retraining between forwards (of the conv,
+    /// or of a folded BatchNorm) is picked up on the next forward.
+    std::shared_ptr<const ProductTable> table;
   };
 
+  /// Runs a weighted node — conv, dense (as a 1x1 conv) or a skip-path
+  /// projection conv — on the executor the config selects.
   void run_conv(const LoweredOp& op, std::size_t op_idx,
                 const nn::Tensor& input, nn::Tensor& out, Stats& run);
   void run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
                        nn::Tensor& out, Stats& run);
   void run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                         const nn::Tensor& input, nn::Tensor& out, Stats& run);
-  void run_dense(const LoweredOp& op, std::size_t op_idx,
-                 const nn::Tensor& input, nn::Tensor& out, Stats& run);
   /// Runs the node's projection conv stochastically over the saved skip
   /// tensor (saved = proj(saved)); the main-path activation is untouched.
   void run_skip_project(const LoweredOp& op, std::size_t op_idx, Stats& run);
@@ -241,31 +227,11 @@ class ScNetwork {
   /// private pool_ below is only created for direct forward() callers.
   [[nodiscard]] runtime::ThreadPool* intra_pool(std::size_t work_words);
 
-  /// Shared SNG banks for the planned path. A bank's content is a pure
-  /// function of the config, so one activation bank and one weight bank
-  /// serve every stage (the scalar oracle keeps constructing per-layer
-  /// banks with identical content).
+  /// Shared activation SNG bank for the planned path. A bank's content is
+  /// a pure function of the config, so one bank serves every stage (the
+  /// weight bank lives in the shared WeightPlanStore; the scalar oracle
+  /// keeps constructing per-layer banks with identical content).
   [[nodiscard]] StreamBank& activation_bank();
-  [[nodiscard]] StreamBank& weight_bank();
-
-  /// Per-stage weight stream plan from the shared store, (re)built only
-  /// when the quantized weight levels changed — they are identical for
-  /// every image, so across a whole evaluation each stage builds once.
-  /// Sign scheduling is re-derived from the live weights on every call
-  /// regardless, so the "weights are read live" contract holds. The
-  /// build's kernel bits are amortized capital cost and excluded from
-  /// per-run stats (stats stay a pure function of the sample set).
-  [[nodiscard]] std::shared_ptr<const LayerStreamPlan> weight_plan(
-      std::size_t stage_idx, const SegmentSchedule& sched,
-      std::span<const std::uint32_t> levels, runtime::ThreadPool* pool);
-
-  /// The stage's quantized weight levels, re-quantized only when the live
-  /// float weights changed since the last forward (see
-  /// StageScratch::wgt_src). Sets @p refreshed when a re-quantization
-  /// happened, which invalidates the stage's cached ProductTable.
-  [[nodiscard]] std::span<const std::uint32_t> cached_weight_levels(
-      StageScratch& scratch, const StreamBank& bank,
-      std::span<const float> weights, bool& refreshed);
 
   nn::Network* net_;
   ScConfig cfg_;
@@ -288,7 +254,6 @@ class ScNetwork {
   /// benches); see intra_pool().
   std::unique_ptr<runtime::ThreadPool> pool_;
   std::unique_ptr<StreamBank> act_bank_;
-  std::unique_ptr<StreamBank> wgt_bank_;
   std::shared_ptr<WeightPlanStore> wgt_plans_;
   obs::Profiler* profiler_ = nullptr;
   std::uint32_t track_ = 0;

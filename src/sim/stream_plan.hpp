@@ -1,22 +1,31 @@
-// Packed per-layer stream plans for the SC functional simulator.
+// Packed stream tables for the SC functional simulator's planned path.
 //
 // Profiling the bit-level executor shows nearly all forward wall time in
-// stream generation: run_conv regenerates the stream segment of every
-// weight lane for every output position, although the segment for weight
-// index wi at a given (sign phase, pooling-window slot) is invariant
-// across all H x W output positions; activation segments are likewise
-// regenerated for every overlapping receptive field that touches a pixel.
+// stream generation: a naive conv regenerates the stream segment of every
+// weight for every output position, although the segment a weight draws
+// at a given (sign phase, pooling-window slot) is invariant across all
+// H x W output positions; activation segments are likewise regenerated for
+// every overlapping receptive field that touches a pixel.
 //
-// A LayerStreamPlan materializes those segments once per layer with the
-// word-parallel StreamBank kernel and serves them as packed 64-bit words,
-// so the per-output inner loop degenerates to AND/OR over words it never
-// regenerates. Plans are pure functions of (bank, schedule, levels), so
-// serving a planned segment is bit-identical to regenerating it — the
-// golden equivalence suite (tests/sim/sc_golden_test.cpp) pins that down.
+// Two tables materialize those segments once with the word-parallel
+// StreamBank kernel and serve them as packed 64-bit words, so the planned
+// row body degenerates to AND/OR over words it never regenerates:
 //
-// Memory is bounded: a plan whose table would exceed its byte budget
-// disables itself, and every fetch falls back to on-the-fly generation
-// (counted as a plan miss). Both paths produce identical bits.
+//   LayerStreamPlan — a per-image activation plan, lane-major (one lane
+//     per input activation, every slot of the schedule).
+//   ProductTable — a weighted node's products classified once per weight
+//     set and shared by every executor clone through the WeightPlanStore:
+//     live weights grouped by (sign phase, output channel) with their
+//     stream words transposed per slot.
+//
+// Both are pure functions of (bank, schedule, levels), so serving a table
+// word is bit-identical to regenerating it — the golden equivalence suite
+// (tests/sim/sc_golden_test.cpp) pins that down.
+//
+// Memory is bounded by one footprint rule (plan_table_bytes): a table over
+// ScConfig::plan_budget_bytes is left unbuilt and the row body regenerates
+// its words from the bank on the fly (counted as plan misses), into the
+// same slot layout. Both paths produce identical bits.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +64,7 @@ struct SegmentSchedule {
     return slots() * seg_words();
   }
   /// Stream-bank bit offset of slot @p k in the given sign phase — the
-  /// same mapping ScNetwork::run_conv uses: the negative phase replays the
+  /// same mapping the scalar oracle uses: the negative phase replays the
   /// slot layout one full phase later.
   [[nodiscard]] std::size_t offset(bool positive, std::size_t k) const noexcept {
     return (positive ? 0 : phase) + k * seg;
@@ -69,30 +78,47 @@ struct SegmentSchedule {
   bool operator==(const SegmentSchedule&) const = default;
 };
 
+/// The footprint rule every packed table obeys: @p lanes lanes of
+/// sched.slots() slots of sched.seg_words() words. The executor leaves a
+/// table unbuilt when this exceeds ScConfig::plan_budget_bytes (weight
+/// tables count every weight as a lane, live or not, so the decision is a
+/// function of the geometry alone), and `acoustic check` notes the same
+/// nodes with the same figure.
+[[nodiscard]] inline std::size_t plan_table_bytes(
+    const SegmentSchedule& sched, std::size_t lanes) noexcept {
+  return lanes * sched.words_per_lane() * sizeof(std::uint64_t);
+}
+
+/// True when a table of @p bytes exceeds @p budget_bytes (0 = unlimited).
+[[nodiscard]] inline bool over_plan_budget(std::size_t bytes,
+                                           std::size_t budget_bytes) noexcept {
+  return budget_bytes != 0 && bytes > budget_bytes;
+}
+
 /// Counters a plan reports into ScNetwork's per-run stats. All additive.
 struct StreamPlanCounters {
   std::uint64_t bits_generated = 0;  ///< comparator bits the SNG kernel ran
-  std::uint64_t bits_reused = 0;     ///< segment bits served from the plan
-  std::uint64_t plan_hits = 0;       ///< segment fetches served from the plan
-  std::uint64_t plan_misses = 0;     ///< fetches generated on the fly
+  std::uint64_t bits_reused = 0;     ///< segment bits served from a table
+  std::uint64_t plan_hits = 0;       ///< segment fetches served from a table
+  std::uint64_t plan_misses = 0;     ///< fetches regenerated on the fly
 };
 
-/// Per-layer table of precomputed stream segments for a dense lane id
-/// space (weight index or activation index). Thread-safety: build() must
-/// complete before concurrent fetch()/segment() calls; after that the plan
-/// is read-only and safe to share across row workers.
+/// Per-image activation plan: precomputed stream segments for a dense
+/// lane id space (the input activation index). Thread-safety: build() must
+/// complete before concurrent segment()/lane_words() calls; after that the
+/// plan is read-only and safe to share across row workers.
 class LayerStreamPlan {
  public:
   /// @param bank   the SNG bank the lanes draw from; must outlive the plan.
   /// @param sched  the layer's segment timetable.
   /// @param lanes  size of the dense lane id space.
-  /// @param budget_bytes table budget; a plan that would exceed it disables
-  ///        itself (every fetch becomes an on-the-fly miss). 0 = unlimited.
+  /// @param budget_bytes table budget; a plan over it (plan_table_bytes)
+  ///        disables itself and its users regenerate. 0 = unlimited.
   LayerStreamPlan(const StreamBank& bank, const SegmentSchedule& sched,
                   std::size_t lanes, std::size_t budget_bytes);
 
   /// Generates all slots of every lane with levels[lane] != 0 (a zero
-  /// level is operand-gated — dead — and never fetched). No-op when the
+  /// level is operand-gated — dead — and never read). No-op when the
   /// plan is disabled. @p pool, when non-null, shards the build across
   /// lanes (disjoint writes, deterministic content).
   void build(std::span<const std::uint32_t> levels,
@@ -107,15 +133,6 @@ class LayerStreamPlan {
     return enabled_ && built_[lane] != 0;
   }
 
-  /// The packed segment of (lane, positive, k). Serves the plan entry when
-  /// planned(lane); otherwise regenerates the segment into @p scratch
-  /// (seg_words() words, overwritten). Counters record which path ran.
-  [[nodiscard]] const std::uint64_t* fetch(std::size_t lane,
-                                           std::uint32_t level, bool positive,
-                                           std::size_t k,
-                                           std::span<std::uint64_t> scratch,
-                                           StreamPlanCounters& counters) const;
-
   /// Planned-entry accessor. Precondition: planned(lane).
   [[nodiscard]] const std::uint64_t* segment(std::size_t lane, bool positive,
                                              std::size_t k) const noexcept {
@@ -124,16 +141,10 @@ class LayerStreamPlan {
 
   /// First packed word of @p lane's slot table — the hot-loop entry point:
   /// callers hoist this base pointer and index slots as
-  /// `lane_words(lane)[slot_index * seg_words() + w]`, skipping the fetch()
-  /// call (and its per-segment counter writes) entirely.
+  /// `lane_words(lane)[slot_index * seg_words() + w]`.
   /// Precondition: planned(lane).
   [[nodiscard]] const std::uint64_t* lane_words(std::size_t lane) const noexcept {
     return words_.data() + lane * sched_.words_per_lane();
-  }
-
-  /// Bytes the fully-built table occupies (0 when disabled).
-  [[nodiscard]] std::size_t table_bytes() const noexcept {
-    return enabled_ ? words_.capacity() * sizeof(std::uint64_t) : 0;
   }
 
  private:
@@ -143,43 +154,117 @@ class LayerStreamPlan {
   bool enabled_;
   std::vector<std::uint64_t> words_;
   std::vector<char> built_;
-  /// Serial build()'s lane buffer, retained so a rebuilt plan (the
-  /// per-image activation plan) allocates nothing after its first build.
+  /// Serial build()'s lane buffer, retained so a rebuilt plan allocates
+  /// nothing after its first build.
   std::vector<std::uint64_t> build_buf_;
 };
 
-/// Thread-safe store of per-stage weight stream plans, shared by every
-/// clone of an ScNetwork. Weight streams depend only on the quantized
-/// weight levels — identical for every image — so the store builds each
-/// stage's plan exactly once no matter how many evaluator workers run:
-/// the totals stay thread-count invariant and clones after the first get
-/// the table for free. The store owns the weight SNG bank the plans draw
-/// from, so a handed-out plan never outlives its bank.
+/// Receptive-field -> weight mapping of one weighted node: the grouped-conv
+/// arithmetic. A dense node is the 1x1, groups == 1 case over its input
+/// viewed as 1x1xN (rf == in_c == N, weight o*N + i).
+struct WeightLayout {
+  static constexpr std::size_t kNoWeight = static_cast<std::size_t>(-1);
+
+  std::size_t oc_count = 0;      ///< output channels (dense: neurons)
+  std::size_t rf = 0;            ///< slots per receptive field: k*k*in_c
+  std::size_t in_c = 0;          ///< input channels
+  std::size_t cpg = 0;           ///< input channels per group
+  std::size_t oc_per_group = 0;  ///< output channels per group
+  std::size_t w_per_oc = 0;      ///< weights per output channel (k*k*cpg)
+
+  /// Weight index of (output channel, receptive-field slot), or kNoWeight
+  /// when the slot's input channel lies outside oc's group (grouped conv:
+  /// that product does not exist — neither computed nor operand-gated).
+  /// Degenerates to oc * rf + slot exactly when groups == 1.
+  [[nodiscard]] std::size_t weight(std::size_t oc,
+                                   std::size_t slot) const noexcept {
+    const std::size_t ic = slot % in_c;
+    const std::size_t rel = ic - (oc / oc_per_group) * cpg;
+    if (rel >= cpg) {  // unsigned wrap also catches ic < group base
+      return kNoWeight;
+    }
+    return oc * w_per_oc + (slot / in_c) * cpg + rel;
+  }
+
+  bool operator==(const WeightLayout&) const = default;
+};
+
+/// A weighted node's products, classified once per weight set. Sign
+/// scheduling is position-invariant: whether weight (oc, slot) joins the
+/// + or the - phase depends only on its sign, and a zero-quantized weight
+/// is operand-gated at every position. So the live weights are grouped by
+/// (sign phase, output channel) — group = phase * oc_count + oc, entries
+/// in oc-major slot order — with each entry's receptive-field slot, its
+/// stream words transposed per slot for sequential loads, and a slot
+/// bitmap per group so live-product counts come from popcounts instead of
+/// per-entry branches. A pure function of its key (schedule, layout,
+/// float weights) and the weight bank.
+struct ProductTable {
+  SegmentSchedule sched;
+  WeightLayout layout;
+  /// The float weights (BN-folded for a conv with an absorbed BatchNorm)
+  /// the table was built from — the cache key, compared bitwise.
+  std::vector<float> weights;
+  std::vector<std::uint32_t> group_count;  ///< entries per group
+  std::vector<std::uint32_t> gated;        ///< zero-level weights per group
+  std::vector<std::uint32_t> group_off;    ///< exclusive prefix sums
+  std::vector<std::uint32_t> slot_of;      ///< entry -> receptive-field slot
+  std::vector<std::uint64_t> group_bm;     ///< [group][word] slot bitmap
+  /// Stream words, [slot_index][entry][seg_words]. Empty when the table is
+  /// over its byte budget (planned == false): the row body then
+  /// regenerates each entry's words from the bank with level_of.
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint32_t> level_of;  ///< entry -> level (unplanned only)
+  std::size_t total = 0;                ///< entries across all groups
+  std::size_t bm_words = 0;             ///< bitmap words per group
+  bool planned = false;
+
+  /// True when the table was built for exactly this key.
+  [[nodiscard]] bool keyed_on(const SegmentSchedule& s, const WeightLayout& l,
+                              std::span<const float> w) const noexcept;
+};
+
+/// Builds the ProductTable for (sched, layout, weights) from @p bank; the
+/// stream words are generated only when plan_table_bytes(sched,
+/// weights.size()) fits @p budget_bytes. @p pool, when non-null, shards the
+/// word generation across entries (disjoint writes, deterministic content).
+[[nodiscard]] std::shared_ptr<const ProductTable> build_product_table(
+    const StreamBank& bank, const SegmentSchedule& sched,
+    const WeightLayout& layout, std::span<const float> weights,
+    std::size_t budget_bytes, runtime::ThreadPool* pool);
+
+/// Thread-safe store of per-stage ProductTables, shared by every clone of
+/// an ScNetwork. Weight streams depend only on the weights — identical for
+/// every image — so the store builds each stage's table once no matter how
+/// many evaluator workers run: clones after the first get the table for
+/// free, and the build's kernel bits stay out of per-run stats. The store
+/// owns the weight SNG bank the tables draw from.
 ///
-/// The cache key is the level vector itself: retraining that changes any
-/// level triggers a rebuild; the superseded plan stays alive for readers
-/// still holding it (shared_ptr swap).
+/// The cache key is (schedule, layout, float weights): retraining that
+/// changes any weight bit, or an input size that changes the schedule (a
+/// fused pool that stops tiling), triggers a rebuild; the superseded table
+/// stays alive for readers still holding it (shared_ptr swap).
 class WeightPlanStore {
  public:
   /// @param cfg    bank parameters (width, weight seed, phase, wiring).
-  /// @param stages number of weighted stages (one plan slot each).
+  /// @param stages number of lowered nodes (one table slot each).
   WeightPlanStore(const ScConfig& cfg, std::size_t stages);
 
-  /// The plan for @p stage under @p sched and @p levels, building it if
-  /// absent or stale. @p built receives the build's counters ONLY when
-  /// this call performed the build — callers fold it into their stats, so
-  /// the summed accounting records exactly one build. @p pool, when
-  /// non-null, shards the build (held only while this call runs).
-  [[nodiscard]] std::shared_ptr<const LayerStreamPlan> get(
+  /// The table for @p stage under the given key, building it if absent or
+  /// stale. @p pool, when non-null, shards the build (held only while this
+  /// call runs).
+  [[nodiscard]] std::shared_ptr<const ProductTable> get(
       std::size_t stage, const SegmentSchedule& sched,
-      std::span<const std::uint32_t> levels, std::size_t budget_bytes,
-      StreamPlanCounters& built, runtime::ThreadPool* pool);
+      const WeightLayout& layout, std::span<const float> weights,
+      std::size_t budget_bytes, runtime::ThreadPool* pool);
+
+  /// The weight bank every table of this store draws from.
+  [[nodiscard]] const StreamBank& bank() const noexcept { return bank_; }
 
  private:
   struct Entry {
     std::mutex mu;
-    std::vector<std::uint32_t> levels;
-    std::shared_ptr<const LayerStreamPlan> plan;
+    std::shared_ptr<const ProductTable> table;
   };
 
   StreamBank bank_;

@@ -15,6 +15,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/network.hpp"
 #include "nn/pool.hpp"
+#include "sim/sc_network.hpp"
 #include "train/models.hpp"
 
 namespace acoustic::analysis {
@@ -401,6 +402,42 @@ TEST(CheckNetwork, ProbeRunsThePlanInvariantValidator) {
   EXPECT_FALSE(with_probe.has_rule("plan-invariant")) << with_probe.to_string();
   EXPECT_FALSE(with_probe.has_rule("sc-lowering-failed"))
       << with_probe.to_string();
+}
+
+TEST(CheckNetwork, PlanBudgetNoteAgreesWithTheExecutorFallback) {
+  // One footprint rule for both sides: a budget one byte below the dense
+  // node's weight-table footprint — the network's largest table — must
+  // fire the note AND make the executor regenerate (plan misses); at
+  // exactly the footprint neither happens.
+  nn::Network net;
+  auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 1, .out_channels = 2, .kernel = 3, .padding = 1,
+      .mode = nn::AccumMode::kOrApprox});
+  net.add<nn::ReLU>();
+  auto& dense = net.add<nn::Dense>(
+      nn::DenseSpec{8 * 8 * 2, 4, false, nn::AccumMode::kOrApprox});
+  conv.initialize(3);
+  dense.initialize(4);
+  nn::Tensor input(nn::Shape{8, 8, 1});
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<float>(i % 7) / 7.0f;
+  }
+  CheckOptions opt;
+  opt.probe = false;
+  opt.sc.stream_length = 128;
+  const sim::SegmentSchedule sched{opt.sc.phase_length(), 1,
+                                   opt.sc.phase_length()};
+  const std::size_t figure =
+      sim::plan_table_bytes(sched, dense.weights().size());
+  for (const std::size_t budget : {figure - 1, figure}) {
+    opt.sc.plan_budget_bytes = budget;
+    const bool over = budget < figure;
+    const core::Report r = check_network(net, "budget", {8, 8, 1}, opt);
+    EXPECT_EQ(r.has_rule("plan-budget-exceeded"), over) << r.to_string();
+    sim::ScNetwork exec(net, opt.sc);
+    (void)exec.forward(input);
+    EXPECT_EQ(exec.stats().plan_misses > 0, over) << "budget " << budget;
+  }
 }
 
 }  // namespace

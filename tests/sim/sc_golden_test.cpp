@@ -144,21 +144,31 @@ TEST(ScGolden, StridedConvNoPoolMatchesScalar) {
                                 golden_config());
 }
 
-TEST(ScGolden, MultiWordSegmentsMatchScalar) {
-  // stream 1024 with a 2x2 fused pool -> 128-bit (two-word) segments:
-  // exercises the multi-word AND/OR lane of the fast path.
+/// stream 1024 with a 2x2 pool fused into the conv (the pool directly
+/// follows it) -> 128-bit (two-word) pooled segments.
+nn::Network multi_word_pooled_net() {
   nn::Network net;
   auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
       .in_channels = 1, .out_channels = 2, .kernel = 3, .padding = 1,
       .mode = nn::AccumMode::kOrExact});
-  net.add<nn::ReLU>();
   net.add<nn::AvgPool2D>(2);
+  net.add<nn::ReLU>();
   conv.initialize(57);
+  return net;
+}
+
+ScConfig multi_word_config() {
   ScConfig cfg;
   cfg.stream_length = 1024;
   cfg.sng_width = 10;
+  return cfg;
+}
+
+TEST(ScGolden, MultiWordSegmentsMatchScalar) {
+  // Exercises the multi-word AND/OR lane of the row body.
+  nn::Network net = multi_word_pooled_net();
   expect_planned_matches_scalar(net, random_unit(nn::Shape{6, 6, 1}, 127),
-                                cfg);
+                                multi_word_config());
 }
 
 TEST(ScGolden, GroupedConvMatchesScalar) {
@@ -272,23 +282,147 @@ TEST(ScGolden, Resnet18DescriptorMatchesScalar) {
   expect_planned_matches_scalar(net, random_unit(in, 153), cfg);
 }
 
-TEST(ScGolden, PlanBudgetFallbackMatchesScalar) {
-  // A 1-byte budget disables every plan: the generic fetch() fallback must
-  // regenerate exactly the bits the tables would have served.
-  nn::Network net = train::build_lenet_small(nn::AccumMode::kOrExact);
-  ScConfig cfg = golden_config();
+/// Runs @p net at a 1-byte plan budget — every weight table and activation
+/// plan over budget — and checks the regenerating fallback against the
+/// scalar oracle; the fallback must actually have run (plan misses).
+void expect_fallback_matches_scalar(nn::Network& net, const nn::Tensor& input,
+                                    ScConfig cfg) {
   cfg.plan_budget_bytes = 1;
-  expect_planned_matches_scalar(net, random_unit(nn::Shape{16, 16, 1}, 131),
-                                cfg);
+  expect_planned_matches_scalar(net, input, cfg);
+  ScNetwork planned(net, cfg);
+  (void)planned.forward(input);
+  const ScNetwork::Stats stats = planned.take_stats();
+  EXPECT_GT(stats.plan_misses, 0u);
+  EXPECT_EQ(stats.plan_hits, 0u);
 }
 
-TEST(ScGolden, PlannedThreadCountsAgreeOnAllStats) {
-  // Row/output sharding merges additive per-worker counters: every stat
-  // (including the reuse counters) must be independent of worker count.
-  nn::Network net = train::build_lenet_small(nn::AccumMode::kOrExact);
-  const nn::Tensor input = random_unit(nn::Shape{16, 16, 1}, 137);
+TEST(ScGolden, PlanBudgetFallbackMatchesScalar) {
+  // A 1-byte budget disables every plan: the row body must regenerate
+  // exactly the bits the tables would have served.
+  nn::Network lenet = train::build_lenet_small(nn::AccumMode::kOrExact);
+  expect_fallback_matches_scalar(
+      lenet, random_unit(nn::Shape{16, 16, 1}, 131), golden_config());
 
-  ScConfig cfg = golden_config();
+  // Wide segments: stream 1024 with max pooling gives 8-word conv and
+  // dense segments...
+  nn::Network cifar =
+      train::build_cifar_small_maxpool(nn::AccumMode::kOrExact);
+  ScConfig wide = golden_config();
+  wide.stream_length = 1024;
+  expect_fallback_matches_scalar(
+      cifar, random_unit(nn::Shape{16, 16, 3}, 133), wide);
+
+  // ...and a 2x2 fused pool at stream 1024 gives 2-word pooled segments.
+  nn::Network pooled = multi_word_pooled_net();
+  expect_fallback_matches_scalar(
+      pooled, random_unit(nn::Shape{6, 6, 1}, 127), multi_word_config());
+}
+
+TEST(ScGolden, ScheduleChangeMatchesScalar) {
+  // One executor fed two input sizes: at 8x8 the 2x2 pool tiles the conv
+  // output and fuses (four pooled slots per phase); at 7x7 it does not, so
+  // the conv runs unfused (one full-phase slot) and pools in the binary
+  // domain. The cached weight table must follow the schedule in both
+  // orders, never serving the other geometry's slot layout.
+  for (const bool small_first : {false, true}) {
+    nn::Network net;
+    auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
+        .in_channels = 2, .out_channels = 3, .kernel = 3, .padding = 1,
+        .mode = nn::AccumMode::kOrExact});
+    net.add<nn::AvgPool2D>(2);  // directly after the conv: fusable
+    conv.initialize(71);
+    ScConfig cfg = golden_config();
+    ScNetwork planned(net, cfg);
+    const int first = small_first ? 7 : 8;
+    for (const int side : {first, 15 - first}) {
+      const nn::Tensor input = random_unit(
+          nn::Shape{side, side, 2}, 173 + static_cast<std::uint32_t>(side));
+      ScConfig scalar_cfg = cfg;
+      scalar_cfg.exec = ExecMode::kScalar;
+      ScNetwork scalar(net, scalar_cfg);
+      const std::string label = "side=" + std::to_string(side) +
+                                " small_first=" + std::to_string(small_first);
+      expect_bytes_equal(planned.forward(input), scalar.forward(input), label);
+      const core::Report plan_report = planned.validate_plans();
+      EXPECT_TRUE(plan_report.clean()) << label << ":\n"
+                                       << plan_report.to_string();
+    }
+  }
+}
+
+/// FNV-1a over the logits' float bytes followed by the work counters that
+/// must not drift when the executor is restructured.
+std::uint64_t forward_digest(nn::Network& net, const nn::Tensor& input,
+                             const ScConfig& cfg) {
+  ScNetwork exec(net, cfg);
+  const nn::Tensor logits = exec.forward(input);
+  const ScNetwork::Stats stats = exec.take_stats();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+  };
+  mix(logits.data().data(), logits.size() * sizeof(float));
+  for (const std::uint64_t v : {stats.product_bits, stats.skipped_operands,
+                                stats.stream_bits_generated}) {
+    mix(&v, sizeof(v));
+  }
+  return h;
+}
+
+TEST(ScGolden, DigestUnchanged) {
+  // Absolute pins: planned == scalar comparisons cannot see a drift that
+  // moves both executors together, so these digests fix the logits and
+  // the work counters of four representative networks outright.
+  {
+    nn::Network net = train::build_lenet_small(nn::AccumMode::kOrExact);
+    ScConfig cfg = golden_config();
+    cfg.stream_length = 256;
+    EXPECT_EQ(forward_digest(net, random_unit(nn::Shape{16, 16, 1}, 181), cfg),
+              0xb8796042b735bcd4ull)
+        << "lenet-small stream 256";
+  }
+  {
+    nn::Network net =
+        train::build_cifar_small_maxpool(nn::AccumMode::kOrExact);
+    ScConfig cfg = golden_config();
+    cfg.stream_length = 1024;
+    cfg.max_pool = MaxPoolMode::kStochastic;
+    EXPECT_EQ(forward_digest(net, random_unit(nn::Shape{16, 16, 3}, 183), cfg),
+              0xcbbc7749090c3adaull)
+        << "cifar-small-maxpool stream 1024 stochastic max";
+  }
+  {
+    nn::Network net = train::build_resnet_tiny(nn::AccumMode::kOrExact, 8, 9);
+    EXPECT_EQ(forward_digest(net, random_unit(nn::Shape{8, 8, 3}, 187),
+                             golden_config()),
+              0xc67e9ffbc4f9e23full)
+        << "resnet-tiny";
+  }
+  {
+    nn::ZooBuildOptions opt;
+    opt.side = 8;
+    opt.mode = nn::AccumMode::kOrExact;
+    nn::Network net = nn::build_from_descriptor(nn::resnet18(), opt);
+    ScConfig cfg;
+    cfg.stream_length = 32;
+    cfg.sng_width = 8;
+    EXPECT_EQ(forward_digest(net,
+                             random_unit(nn::zoo_input_shape(nn::resnet18(),
+                                                             opt),
+                                         189),
+                             cfg),
+              0xe075619592b679f2ull)
+        << "resnet18 descriptor side 8 stream 32";
+  }
+}
+
+/// Checks that every stat of @p net's planned forward is independent of
+/// the intra-image worker count.
+void expect_thread_counts_agree(nn::Network& net, const nn::Tensor& input,
+                                ScConfig cfg) {
   cfg.exec = ExecMode::kPlanned;
   cfg.intra_threads = 1;
   ScNetwork serial(net, cfg);
@@ -310,6 +444,30 @@ TEST(ScGolden, PlannedThreadCountsAgreeOnAllStats) {
     EXPECT_EQ(got_stats.plan_hits, want_stats.plan_hits);
     EXPECT_EQ(got_stats.plan_misses, want_stats.plan_misses);
   }
+}
+
+TEST(ScGolden, PlannedThreadCountsAgreeOnAllStats) {
+  // Row/output sharding merges additive per-worker counters: every stat
+  // (including the reuse counters) must be independent of worker count.
+  nn::Network net = train::build_lenet_small(nn::AccumMode::kOrExact);
+  expect_thread_counts_agree(net, random_unit(nn::Shape{16, 16, 1}, 137),
+                             golden_config());
+
+  // A wide dense head on a 1x1 output map: sharding must split its output
+  // neurons, and the activation-segment counters must not scale with the
+  // number of shards.
+  nn::Network wide;
+  auto& conv = wide.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 2, .out_channels = 4, .kernel = 3, .padding = 1,
+      .mode = nn::AccumMode::kOrExact});
+  wide.add<nn::ReLU>();
+  auto& dense = wide.add<nn::Dense>(nn::DenseSpec{
+      .in_features = 8 * 8 * 4, .out_features = 96,
+      .mode = nn::AccumMode::kOrExact});
+  conv.initialize(79);
+  dense.initialize(80);
+  expect_thread_counts_agree(wide, random_unit(nn::Shape{8, 8, 2}, 191),
+                             golden_config());
 }
 
 /// Scoped override of the scheduler's per-chunk jitter hook (the same one

@@ -1,12 +1,12 @@
-// Unit tests for the packed per-layer stream plan: slot layout, bit
-// identity of planned segments against direct StreamBank generation, the
-// byte-budget fallback, counter accounting and the shared weight-plan
-// store.
+// Unit tests for the packed stream tables: slot layout, bit identity of
+// planned segments against direct StreamBank generation, the byte-budget
+// footprint rule, and the shared weight-table store.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
+#include "sim/plan_check.hpp"
 #include "sim/stream_plan.hpp"
 
 namespace acoustic::sim {
@@ -113,55 +113,30 @@ TEST(LayerStreamPlanTest, PooledBuildIsIdenticalToSerial) {
   }
 }
 
-TEST(LayerStreamPlanTest, FetchCountsHitsAndServesPlannedBits) {
-  const SegmentSchedule sched{64, 2, 32};
-  StreamBank bank(8, 0x1234, 2 * sched.phase, true);
-  const std::vector<std::uint32_t> levels{100, 0, 200};
-  LayerStreamPlan plan(bank, sched, levels.size(), 0);
-  StreamPlanCounters counters;
-  plan.build(levels, counters, nullptr);
-  EXPECT_EQ(counters.bits_generated, 2u * 2 * sched.phase);  // 2 built lanes
-
-  std::vector<std::uint64_t> scratch(sched.seg_words());
-  StreamPlanCounters fetch_counters;
-  const std::uint64_t* got =
-      plan.fetch(2, levels[2], true, 1, scratch, fetch_counters);
-  EXPECT_EQ(got, plan.segment(2, true, 1));
-  EXPECT_EQ(fetch_counters.plan_hits, 1u);
-  EXPECT_EQ(fetch_counters.bits_reused, sched.seg);
-  EXPECT_EQ(fetch_counters.plan_misses, 0u);
-}
-
-TEST(LayerStreamPlanTest, BudgetOverflowFallsBackBitExactly) {
+TEST(LayerStreamPlanTest, OverBudgetPlanDisablesItself) {
   const SegmentSchedule sched{64, 4, 16};
   StreamBank bank(8, 0x77, 2 * sched.phase, true);
   const std::vector<std::uint32_t> levels{10, 250, 77};
+  const std::size_t bytes = plan_table_bytes(sched, levels.size());
+  EXPECT_EQ(bytes, levels.size() * sched.words_per_lane() * 8);
 
-  LayerStreamPlan plan(bank, sched, levels.size(), 1);  // 1 byte: disabled
-  EXPECT_FALSE(plan.enabled());
-  EXPECT_EQ(plan.table_bytes(), 0u);
+  // Exactly at the footprint the plan fits; one byte less disables it.
+  LayerStreamPlan fits(bank, sched, levels.size(), bytes);
+  EXPECT_TRUE(fits.enabled());
+  LayerStreamPlan over(bank, sched, levels.size(), bytes - 1);
+  EXPECT_FALSE(over.enabled());
   StreamPlanCounters counters;
-  plan.build(levels, counters, nullptr);  // no-op
+  over.build(levels, counters, nullptr);  // no-op
   EXPECT_EQ(counters.bits_generated, 0u);
-  EXPECT_FALSE(plan.planned(1));
+  EXPECT_FALSE(over.planned(1));
+}
 
-  std::vector<std::uint64_t> scratch(sched.seg_words());
-  std::vector<std::uint64_t> want(sched.seg_words());
-  StreamPlanCounters fetch_counters;
-  for (const bool positive : {true, false}) {
-    for (std::size_t k = 0; k < sched.positions; ++k) {
-      const std::uint64_t* got =
-          plan.fetch(1, levels[1], positive, k, scratch, fetch_counters);
-      EXPECT_EQ(got, scratch.data());
-      bank.fill(levels[1], 1, sched.offset(positive, k), sched.seg, want);
-      for (std::size_t w = 0; w < sched.seg_words(); ++w) {
-        ASSERT_EQ(got[w], want[w]);
-      }
-    }
-  }
-  EXPECT_EQ(fetch_counters.plan_misses, 2 * sched.positions);
-  EXPECT_EQ(fetch_counters.plan_hits, 0u);
-  EXPECT_EQ(fetch_counters.bits_generated, 2 * sched.positions * sched.seg);
+/// A dense layer's layout: @p outputs neurons over @p inputs slots,
+/// weight o * inputs + i.
+WeightLayout dense_layout(std::size_t outputs, std::size_t inputs) {
+  return WeightLayout{.oc_count = outputs, .rf = inputs, .in_c = inputs,
+                      .cpg = inputs, .oc_per_group = outputs,
+                      .w_per_oc = inputs};
 }
 
 TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
@@ -171,33 +146,45 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   WeightPlanStore store(cfg, 2);
   const SegmentSchedule sched{cfg.phase_length(), 4,
                               cfg.phase_length() / 4};
-  const std::vector<std::uint32_t> levels{5, 0, 9, 200};
+  const WeightLayout layout = dense_layout(2, 3);
+  const std::vector<float> weights{0.5f, 0.0f, -0.25f, 0.75f, 1e-6f, -1.0f};
 
-  StreamPlanCounters first;
-  const auto plan1 = store.get(0, sched, levels, 0, first, nullptr);
-  EXPECT_GT(first.bits_generated, 0u);
+  const auto t1 = store.get(0, sched, layout, weights, 0, nullptr);
+  ASSERT_TRUE(t1->planned);
+  // 0.0 is in no phase; 1e-6 quantizes to level 0 (gated): 4 entries.
+  EXPECT_EQ(t1->total, 4u);
+  EXPECT_TRUE(check_product_table(*t1, store.bank(), weights, "t").clean());
 
-  // Same levels: the cached plan is returned and nothing is rebuilt.
-  StreamPlanCounters second;
-  const auto plan2 = store.get(0, sched, levels, 0, second, nullptr);
-  EXPECT_EQ(plan1.get(), plan2.get());
-  EXPECT_EQ(second.bits_generated, 0u);
+  // Same key: the cached table is returned and nothing is rebuilt.
+  EXPECT_EQ(store.get(0, sched, layout, weights, 0, nullptr).get(), t1.get());
 
-  // Changed levels (retraining): rebuild, and the old plan stays valid
+  // Changed weights (retraining): rebuild, and the old table stays valid
   // for holders of the original shared_ptr.
-  std::vector<std::uint32_t> retrained = levels;
-  retrained[0] = 6;
-  StreamPlanCounters third;
-  const auto plan3 = store.get(0, sched, retrained, 0, third, nullptr);
-  EXPECT_NE(plan1.get(), plan3.get());
-  EXPECT_GT(third.bits_generated, 0u);
-  EXPECT_TRUE(plan1->planned(0));
+  std::vector<float> retrained = weights;
+  retrained[0] = 0.5625f;
+  const auto t2 = store.get(0, sched, layout, retrained, 0, nullptr);
+  EXPECT_NE(t2.get(), t1.get());
+  EXPECT_TRUE(t1->keyed_on(sched, layout, weights));
+
+  // A changed schedule (a fused pool that stops tiling) is a new key too.
+  const SegmentSchedule unpooled{cfg.phase_length(), 1, cfg.phase_length()};
+  const auto t3 = store.get(0, unpooled, layout, retrained, 0, nullptr);
+  EXPECT_NE(t3.get(), t2.get());
+  EXPECT_EQ(t3->words.size(), unpooled.slots() * t3->total);
+  EXPECT_TRUE(
+      check_product_table(*t3, store.bank(), retrained, "t").clean());
 
   // Distinct stages are independent slots.
-  StreamPlanCounters other;
-  const auto plan4 = store.get(1, sched, levels, 0, other, nullptr);
-  EXPECT_NE(plan4.get(), plan2.get());
-  EXPECT_GT(other.bits_generated, 0u);
+  EXPECT_NE(store.get(1, sched, layout, weights, 0, nullptr).get(), t1.get());
+
+  // Over budget: the structure is built, the words are left out and the
+  // per-entry levels kept for regeneration.
+  WeightPlanStore tight(cfg, 1);
+  const auto t4 = tight.get(0, sched, layout, weights, 1, nullptr);
+  EXPECT_FALSE(t4->planned);
+  EXPECT_TRUE(t4->words.empty());
+  EXPECT_EQ(t4->level_of.size(), t4->total);
+  EXPECT_TRUE(check_product_table(*t4, tight.bank(), weights, "t").clean());
 }
 
 }  // namespace

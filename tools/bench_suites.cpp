@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,11 +49,41 @@ std::vector<std::uint64_t> random_words(std::size_t n, std::uint32_t seed) {
   return words;
 }
 
-// --- forward: single-image SC latency, the bench_sc_forward variants ---
+// --- forward: single-image SC latency, scalar oracle vs planned ---
+
+bool bytes_equal(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
 
 void run_forward(obs::Bench& bench, const BenchSuiteOptions& options) {
   nn::Network net = train::build_lenet_small(nn::AccumMode::kOrApprox, 16);
   const nn::Tensor input = random_unit(nn::Shape{16, 16, 1}, 2024);
+  sim::ScConfig base;
+  base.stream_length = options.stream;
+
+  // Bit-exactness gate before anything is timed: a latency for a path that
+  // changed the bits would be meaningless, so the suite fails (throws) when
+  // a planned configuration — serial, forced 4-way row sharding, or auto —
+  // differs from the scalar oracle by a single output byte.
+  {
+    sim::ScConfig scalar_cfg = base;
+    scalar_cfg.exec = sim::ExecMode::kScalar;
+    sim::ScNetwork scalar_exec(net, scalar_cfg);
+    const nn::Tensor want = scalar_exec.forward(input);
+    for (const unsigned threads : {1U, 4U, 0U}) {
+      sim::ScConfig cfg = base;
+      cfg.intra_threads = threads;
+      sim::ScNetwork planned_exec(net, cfg);
+      if (!bytes_equal(planned_exec.forward(input), want)) {
+        throw std::runtime_error(
+            "forward: planned output (intra_threads=" +
+            std::to_string(threads) +
+            ") is not byte-identical to the scalar oracle");
+      }
+    }
+  }
 
   struct Variant {
     const char* name;
@@ -67,13 +99,12 @@ void run_forward(obs::Bench& bench, const BenchSuiteOptions& options) {
     variants.resize(2);  // scalar + planned cover both code paths
   }
   for (const Variant& variant : variants) {
-    sim::ScConfig cfg;
-    cfg.stream_length = options.stream;
+    sim::ScConfig cfg = base;
     cfg.exec = variant.exec;
     cfg.intra_threads = variant.intra_threads;
     sim::ScNetwork exec(net, cfg);
     nn::Tensor out;
-    // Prime the weight plans + scratch arena outside the measurement so
+    // Prime the weight tables + scratch arena outside the measurement so
     // the Bench warmup starts from the allocation-free steady state.
     exec.forward_into(input, out);
     bench.run(variant.name, [&] {
@@ -262,7 +293,9 @@ void run_scaling(obs::Bench& bench, const BenchSuiteOptions& options) {
 
 const std::vector<BenchSuite>& bench_suites() {
   static const std::vector<BenchSuite> suites = {
-      {"forward", "single-image SC forward latency (scalar vs planned)",
+      {"forward",
+       "single-image SC forward latency (scalar vs planned), gated on "
+       "planned == scalar byte identity",
        run_forward},
       {"kernels", "SIMD kernel table: word ops, popcounts, comparator pack",
        run_kernels},

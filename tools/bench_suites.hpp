@@ -2,7 +2,9 @@
 // repo tracks continuously:
 //
 //   forward     single-image SC forward latency (scalar reference vs the
-//               planned fast path, serial and auto-threaded)
+//               planned fast path, serial and auto-threaded); fails when
+//               any planned configuration is not byte-identical to the
+//               scalar oracle
 //   kernels     the SIMD kernel table: word ops, fused product+count,
 //               comparator packing (StreamBank::fill), stochastic max
 //   plan        LayerStreamPlan construction + build for one layer's
