@@ -23,12 +23,12 @@
 // trajectories exactly like latency ones. Accuracies are deterministic
 // (MAD 0 by construction); comparisons fall back to the relative floor.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "core/report.hpp"
 #include "obs/bench_harness.hpp"
 #include "sim/backend.hpp"
@@ -49,23 +49,10 @@ struct Row {
   float fixed8 = 0.0f;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  unsigned threads = 0;  // hardware concurrency
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: table2_accuracy [--threads N] [--json PATH]\n");
-      return 2;
-    }
-  }
-
+/// Trains, evaluates and prints Table II on @p threads evaluator threads
+/// (0 = hardware concurrency); a non-empty @p json_path also gets the
+/// bench.v1 document.
+int print_table(unsigned threads, const std::string& json_path) {
   std::printf("=== Table II: accuracy comparisons ===\n\n");
   std::printf("training (synthetic datasets; OR-approximate arithmetic, "
               "section II-D)...\n");
@@ -177,8 +164,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary);
     if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", json_path.c_str());
-      return 1;
+      throw std::runtime_error("cannot write '" + json_path + "'");
     }
     const obs::BenchDocument& doc = bench.document();
     out << obs::to_json(doc);
@@ -186,4 +172,26 @@ int main(int argc, char** argv) {
                 json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  unsigned threads = 0;
+  std::string json_path;
+  const core::cli::OptionTable table{
+      "table2_accuracy",
+      "Table II: accuracy of fully stochastic inference against an 8-bit "
+      "fixed-point baseline as a function of stream length.",
+      {},
+      {core::cli::number("--threads", "N",
+                         "evaluator threads (default 0 = all hardware "
+                         "threads); results are identical for any count",
+                         threads),
+       core::cli::text("--json", "PATH",
+                       "also write every table cell as a bench.v1 document",
+                       json_path)}};
+  return core::cli::run(table,
+                        std::vector<std::string>(argv + 1, argv + argc),
+                        [&] { return print_table(threads, json_path); });
 }

@@ -10,14 +10,15 @@
 // --json writes one machine-readable record per workload (the ACOUSTIC
 // InferenceCost plus each baseline's throughput/efficiency point).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/eyeriss.hpp"
 #include "baselines/scope.hpp"
 #include "core/accelerator.hpp"
+#include "core/cli.hpp"
 #include "core/report.hpp"
 
 using namespace acoustic;
@@ -28,34 +29,8 @@ std::string perf_cell(double value, bool available) {
   return available ? core::format_number(value, 4) : "N/A";
 }
 
-/// One baseline point as a compact JSON object (null when the baseline
-/// does not publish this workload).
-std::string baseline_json(double frames_per_j, double frames_per_s,
-                          bool available) {
-  if (!available) {
-    return "null";
-  }
-  std::string out = "{\"frames_per_j\": ";
-  out += core::json_number(frames_per_j);
-  out += ", \"frames_per_s\": ";
-  out += core::json_number(frames_per_s);
-  out += "}";
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: table3_performance_lp [--json PATH]\n");
-      return 2;
-    }
-  }
-
+/// Prints Table III; a non-empty @p json_path also gets the JSON records.
+int print_table(const std::string& json_path) {
   std::printf("=== Table III: ACOUSTIC LP vs fixed-point and stochastic "
               "accelerators ===\n\n");
 
@@ -96,12 +71,11 @@ int main(int argc, char** argv) {
       rec += "\",\n     \"acoustic_lp\": ";
       rec += core::to_json(cost);
       rec += ",\n     \"eyeriss_base\": ";
-      rec += baseline_json(eb.frames_per_j, eb.frames_per_s, eb.available);
+      rec += core::to_json(eb);
       rec += ",\n     \"eyeriss_1k\": ";
-      rec += baseline_json(e1k.frames_per_j, e1k.frames_per_s,
-                           e1k.available);
+      rec += core::to_json(e1k);
       rec += ",\n     \"scope\": ";
-      rec += baseline_json(sc.frames_per_j, sc.frames_per_s, sc.available);
+      rec += core::to_json(sc);
       rec += "}";
       json_records.push_back(std::move(rec));
     }
@@ -147,8 +121,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", json_path.c_str());
-      return 1;
+      throw std::runtime_error("cannot write '" + json_path + "'");
     }
     out << "{\n  \"bench\": \"table3_performance_lp\",\n"
            "  \"arch\": \"ACOUSTIC-LP\",\n  \"workloads\": [\n";
@@ -160,4 +133,21 @@ int main(int argc, char** argv) {
                 json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string json_path;
+  const core::cli::OptionTable table{
+      "table3_performance_lp",
+      "Table III: ACOUSTIC LP against Eyeriss (168 and 1024 PEs) and SCOPE "
+      "on the zoo workloads.",
+      {},
+      {core::cli::text("--json", "PATH",
+                       "also write one JSON record per workload to PATH",
+                       json_path)}};
+  return core::cli::run(table,
+                        std::vector<std::string>(argv + 1, argv + argc),
+                        [&] { return print_table(json_path); });
 }

@@ -6,13 +6,14 @@
 // --json writes one machine-readable record per workload (the ACOUSTIC
 // InferenceCost plus each baseline's throughput/efficiency point).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/ulp_accelerators.hpp"
 #include "core/accelerator.hpp"
+#include "core/cli.hpp"
 #include "core/report.hpp"
 
 using namespace acoustic;
@@ -23,32 +24,8 @@ std::string cell(double v, bool available, int digits = 4) {
   return available ? core::format_number(v, digits) : "N/A";
 }
 
-std::string baseline_json(double frames_per_j, double frames_per_s,
-                          bool available) {
-  if (!available) {
-    return "null";
-  }
-  std::string out = "{\"frames_per_j\": ";
-  out += core::json_number(frames_per_j);
-  out += ", \"frames_per_s\": ";
-  out += core::json_number(frames_per_s);
-  out += "}";
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: table4_performance_ulp [--json PATH]\n");
-      return 2;
-    }
-  }
-
+/// Prints Table IV; a non-empty @p json_path also gets the JSON records.
+int print_table(const std::string& json_path) {
   std::printf("=== Table IV: ACOUSTIC ULP vs MDL-CNN and Conv-RAM "
               "(conv layers) ===\n\n");
 
@@ -133,18 +110,15 @@ int main(int argc, char** argv) {
       rec += "\",\n     \"acoustic_ulp\": ";
       rec += core::to_json(row.cost);
       rec += ",\n     \"mdl_cnn\": ";
-      rec += baseline_json(row.mdl_run.frames_per_j, row.mdl_run.frames_per_s,
-                           row.mdl_run.available);
+      rec += core::to_json(row.mdl_run);
       rec += ",\n     \"conv_ram\": ";
-      rec += baseline_json(row.cram_run.frames_per_j,
-                           row.cram_run.frames_per_s, row.cram_run.available);
+      rec += core::to_json(row.cram_run);
       rec += "}";
       records.push_back(std::move(rec));
     }
     std::ofstream out(json_path);
     if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", json_path.c_str());
-      return 1;
+      throw std::runtime_error("cannot write '" + json_path + "'");
     }
     out << "{\n  \"bench\": \"table4_performance_ulp\",\n"
            "  \"arch\": \"ACOUSTIC-ULP\",\n  \"power_mw\": "
@@ -157,4 +131,21 @@ int main(int argc, char** argv) {
                 json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string json_path;
+  const core::cli::OptionTable table{
+      "table4_performance_ulp",
+      "Table IV: ACOUSTIC ULP against MDL-CNN and Conv-RAM on the conv "
+      "layers of LeNet-5 and the small CIFAR-10 CNN.",
+      {},
+      {core::cli::text("--json", "PATH",
+                       "also write one JSON record per workload to PATH",
+                       json_path)}};
+  return core::cli::run(table,
+                        std::vector<std::string>(argv + 1, argv + argc),
+                        [&] { return print_table(json_path); });
 }

@@ -1,8 +1,24 @@
 #include "core/accelerator.hpp"
 
-#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
+#include "core/report.hpp"
 
 namespace acoustic::core {
+
+Accelerator::Accelerator(perf::ArchConfig config)
+    : config_(std::move(config)) {
+  if (config_.batch < 1) {
+    throw std::invalid_argument("batch must be >= 1, got " +
+                                std::to_string(config_.batch));
+  }
+  if (!std::isfinite(config_.clock_mhz) || config_.clock_mhz <= 0.0) {
+    throw std::invalid_argument("clock_mhz must be finite and > 0, got " +
+                                format_number(config_.clock_mhz, 6));
+  }
+}
 
 InferenceCost Accelerator::run(const nn::NetworkDesc& net) const {
   InferenceCost cost;
@@ -10,7 +26,7 @@ InferenceCost Accelerator::run(const nn::NetworkDesc& net) const {
   cost.perf = perf::simulate(compiled.program, config_);
   // The program (and its mappings) covers the whole batch; report
   // per-frame figures.
-  const double frames = static_cast<double>(std::max(1, config_.batch));
+  const double frames = static_cast<double>(config_.batch);
   cost.latency_s = cost.perf.latency_s / frames;
   cost.frames_per_s = cost.latency_s > 0.0 ? 1.0 / cost.latency_s : 0.0;
   cost.energy = energy::network_energy(compiled.mappings, config_,
@@ -27,7 +43,7 @@ std::vector<LayerCost> Accelerator::run_layers(
     const nn::NetworkDesc& net) const {
   std::vector<LayerCost> out;
   out.reserve(net.layers.size());
-  const double frames = static_cast<double>(std::max(1, config_.batch));
+  const double frames = static_cast<double>(config_.batch);
   for (std::size_t i = 0; i < net.layers.size(); ++i) {
     const nn::LayerDesc& layer = net.layers[i];
     const perf::LayerMapping m = perf::map_layer(

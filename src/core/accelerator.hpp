@@ -43,7 +43,9 @@ struct LayerCost {
 
 class Accelerator {
  public:
-  explicit Accelerator(perf::ArchConfig config) : config_(std::move(config)) {}
+  /// Throws std::invalid_argument, naming the field, unless batch >= 1 and
+  /// clock_mhz is finite and > 0.
+  explicit Accelerator(perf::ArchConfig config);
 
   /// Compiles @p net to an ACOUSTIC program.
   [[nodiscard]] isa::Program compile(const nn::NetworkDesc& net) const {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "baselines/eyeriss.hpp"
 #include "core/accelerator.hpp"
 
 namespace acoustic::core {
@@ -120,6 +121,14 @@ std::string to_json(const InferenceCost& cost) {
   out += json_number(cost.perf.dram_bytes);
   out += "}";
   return out;
+}
+
+std::string to_json(const baselines::Performance& point) {
+  if (!point.available) {
+    return "null";
+  }
+  return "{\"frames_per_j\": " + json_number(point.frames_per_j) +
+         ", \"frames_per_s\": " + json_number(point.frames_per_s) + "}";
 }
 
 }  // namespace acoustic::core

@@ -12,6 +12,10 @@
 #include "obs/json.hpp"
 #include "sim/batch_evaluator.hpp"
 
+namespace acoustic::baselines {
+struct Performance;  // baselines/eyeriss.hpp
+}  // namespace acoustic::baselines
+
 namespace acoustic::core {
 
 /// A simple column-aligned text table (first row = header).
@@ -54,5 +58,9 @@ struct InferenceCost;  // core/accelerator.hpp
 /// Serializes one performance+energy evaluation as a compact single-line
 /// JSON object, for embedding in the bench harnesses' --json documents.
 [[nodiscard]] std::string to_json(const InferenceCost& cost);
+
+/// One baseline accelerator's throughput/efficiency point as a compact
+/// JSON object, or null when the baseline does not publish the workload.
+[[nodiscard]] std::string to_json(const baselines::Performance& point);
 
 }  // namespace acoustic::core

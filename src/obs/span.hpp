@@ -7,9 +7,9 @@
 // reads, no counter syscalls and no string work, so the hooks can stay
 // compiled into the hot paths permanently (the disabled-path budget is
 // asserted by tests/obs/profile_test.cpp and tracked by the
-// BM_SpanDisabled microbench). Callers must uphold their half of the
-// contract: never build a span name eagerly — pass an empty string when
-// the profiler is null (see sim::BatchEvaluator for the idiom).
+// primitives/span_disabled bench entry). Callers must uphold their half
+// of the contract: never build a span name eagerly — pass an empty string
+// when the profiler is null (see sim::BatchEvaluator for the idiom).
 //
 // Hardware counters: attach() samples a PerfCounterGroup at the attach
 // point and appends the deltas (cycles, instructions, ...) as span

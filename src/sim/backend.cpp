@@ -212,9 +212,12 @@ std::unique_ptr<InferenceBackend> make_backend(
   if (name == "bipolar") {
     return make_bipolar_backend(net, bipolar_cfg);
   }
-  throw std::invalid_argument(
-      "make_backend: unknown backend '" + name +
-      "' (expected float, sc, sc-mux or bipolar)");
+  std::string expected;
+  for (const std::string_view known : kBackendNames) {
+    expected += (expected.empty() ? "" : ", ") + std::string(known);
+  }
+  throw std::invalid_argument("make_backend: unknown backend '" + name +
+                              "' (expected one of " + expected + ")");
 }
 
 }  // namespace acoustic::sim

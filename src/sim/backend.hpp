@@ -16,9 +16,11 @@
 // (weights, config, input), and stats merge commutatively.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "nn/network.hpp"
 #include "obs/span.hpp"
@@ -130,9 +132,13 @@ class InferenceBackend {
 [[nodiscard]] std::unique_ptr<InferenceBackend> make_bipolar_backend(
     nn::Network& net, const BipolarConfig& cfg);
 
-/// Factory by name: "float", "sc", "sc-mux" or "bipolar" (the --backend
-/// vocabulary of `acoustic eval`). The irrelevant config is ignored.
-/// Throws std::invalid_argument for an unknown name.
+/// The names make_backend accepts — the --backend choices of `acoustic
+/// eval`.
+inline constexpr std::array<std::string_view, 4> kBackendNames = {
+    "float", "sc", "sc-mux", "bipolar"};
+
+/// Factory by name (one of kBackendNames). The irrelevant config is
+/// ignored. Throws std::invalid_argument for an unknown name.
 [[nodiscard]] std::unique_ptr<InferenceBackend> make_backend(
     const std::string& name, nn::Network& net, const ScConfig& sc_cfg = {},
     const BipolarConfig& bipolar_cfg = {});

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "baselines/eyeriss.hpp"
 #include "baselines/scope.hpp"
 #include "baselines/ulp_accelerators.hpp"
@@ -14,6 +18,32 @@ TEST(Accelerator, CompileProducesValidProgram) {
   for (const auto& net : nn::table3_workloads()) {
     EXPECT_NO_THROW(lp.compile(net).validate()) << net.name;
   }
+}
+
+TEST(Accelerator, RejectsNonPositiveBatchOrClock) {
+  const auto what = [](const perf::ArchConfig& arch) -> std::string {
+    try {
+      (void)Accelerator(arch);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const int batch : {0, -3}) {
+    perf::ArchConfig arch = perf::lp();
+    arch.batch = batch;
+    EXPECT_NE(what(arch).find("batch"), std::string::npos) << batch;
+  }
+  for (const double mhz : {0.0, -200.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    perf::ArchConfig arch = perf::ulp();
+    arch.clock_mhz = mhz;
+    EXPECT_NE(what(arch).find("clock_mhz"), std::string::npos) << mhz;
+  }
+  perf::ArchConfig fine = perf::lp();
+  fine.batch = 8;
+  fine.clock_mhz = 0.5;
+  EXPECT_EQ(what(fine), "");
 }
 
 TEST(Accelerator, RunProducesConsistentCost) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/accelerator.hpp"
+#include "core/cli.hpp"
 #include "isa/analysis/analyzer.hpp"
 #include "isa/assembler.hpp"
 #include "isa/encoding.hpp"
@@ -14,6 +15,7 @@
 #include "sc/kernels/kernels.hpp"
 #include "sc/rng.hpp"
 #include "sc/sng.hpp"
+#include "sim/backend.hpp"
 #include "sim/stream_bank.hpp"
 
 namespace acoustic {
@@ -626,6 +628,88 @@ TEST(StreamBankProperties, NaiveSharingIsMaximallyCorrelated) {
   sim::StreamBank good(12, 0xACE1, 4096, /*decorrelate=*/true);
   EXPECT_NE(good.stream(half, 0), good.stream(half, 5));
 }
+
+// ---------------------------------------------------------------------
+// Command-line parser: any argv either parses or throws UsageError.
+// ---------------------------------------------------------------------
+
+class CliFuzzTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(CliFuzzTest, RandomArgvParsesOrThrowsUsageError) {
+  // Valid values of the rows below, then junk. No "--help": it prints.
+  const std::vector<std::string> tokens = {
+      "0", "1", "8", "128", "4294967295", "-1", "-0.5", "0.95", "2e2",
+      "lp", "ulp", "hbm", "ddr3-800", "planned", "scalar", "float",
+      "sc-mux", "lenet5", "-", "out.json", "", " ", "abc", "12x", "+3",
+      "0x10", "99999999999", "1e999", "nan", "inf", "--", "-x", "--bogus",
+      "--stream=8", "\xff", "1.5.2"};
+  sc::XorShift32 rng(GetParam());
+  int parsed = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    perf::ArchConfig arch = perf::lp();
+    sim::ScConfig sc;
+    bool has_target = false;
+    std::string backend = "sc";
+    std::string path;
+    std::vector<std::string> suites;
+    double threshold = 0.95;
+    bool werror = false;
+    bool probe = true;
+    namespace cli = core::cli;
+    const cli::OptionTable table{
+        "fuzz",
+        "",
+        {{"TARGET", "", [&](const std::string&) { has_target = true; }}},
+        {cli::choice("--arch", "", arch,
+                     {{"lp", perf::lp()}, {"ulp", perf::ulp()}}),
+         cli::number("--batch", "N", "", arch.batch),
+         cli::number("--clock", "MHZ", "", arch.clock_mhz),
+         cli::number("--stream", "N", "", sc.stream_length),
+         cli::number("--width", "N", "", sc.sng_width),
+         cli::choice("--exec", "", sc.exec,
+                     {{"planned", sim::ExecMode::kPlanned},
+                      {"scalar", sim::ExecMode::kScalar}}),
+         cli::choice("--backend", "", backend, sim::kBackendNames),
+         cli::number("--threshold", "X", "", threshold),
+         cli::list("--suite", "NAME", "", suites),
+         cli::text("--json", "FILE", "", path),
+         cli::flag("--werror", "", werror),
+         cli::flag("--no-probe", "", probe, false)}};
+    std::vector<std::string> argv;
+    if (rng.next() % 4 != 0) {
+      argv.push_back("lenet5");
+    }
+    const std::uint32_t words = rng.next() % 7;
+    for (std::uint32_t w = 0; w < words; ++w) {
+      const std::uint32_t pick = rng.next() % 8;
+      if (pick < 5) {
+        const cli::Option& row =
+            table.options[rng.next() % table.options.size()];
+        argv.push_back(row.flag);
+        if (!row.value.empty() && pick < 4) {
+          argv.push_back(tokens[rng.next() % tokens.size()]);
+        }
+      } else {
+        argv.insert(argv.begin() + rng.next() % (argv.size() + 1),
+                    tokens[rng.next() % tokens.size()]);
+      }
+    }
+    try {
+      if (cli::parse(table, argv)) {
+        ++parsed;
+        EXPECT_TRUE(has_target);
+      }
+    } catch (const cli::UsageError& e) {
+      ++rejected;
+      EXPECT_NE(std::string(e.what()), "");
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CliFuzzTest, ::testing::Range(1u, 9u));
 
 }  // namespace
 }  // namespace acoustic

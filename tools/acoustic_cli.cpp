@@ -1,102 +1,12 @@
 // acoustic — command-line driver for the reproduction.
 //
-//   acoustic list
-//       Show the model-zoo workloads with their MAC/weight footprints.
-//   acoustic compile <network> [--arch lp|ulp]
-//       Print the ACOUSTIC assembly for a workload.
-//   acoustic simulate <network> [--arch lp|ulp] [--batch N] [--clock MHZ]
-//                     [--stream N] [--dram ddr3-800..ddr3-2133|hbm]
-//                     [--trace] [--layers] [--metrics] [--json]
-//                     [--prometheus] [--trace-json FILE]
-//       Run the performance + energy simulation; --trace adds the per-unit
-//       Gantt chart of the dispatcher overlap, --layers the per-layer
-//       bottleneck table. --metrics collects the cycle/unit/DRAM/energy
-//       counters into the telemetry registry (text table, or one JSON
-//       document with --json, or Prometheus text format with
-//       --prometheus). --trace-json writes the instruction trace as
-//       Chrome trace-event JSON (one track per control unit, cycle
-//       timebase) for ui.perfetto.dev.
-//   acoustic breakdown [--arch lp|ulp]
-//       Print the Fig. 5 area/power breakdowns.
-//   acoustic lint <program.acasm|network> [--arch lp|ulp] [--werror]
-//                 [--json]
-//       Statically analyze an assembly file ('-' reads stdin) or the
-//       program generated for a model-zoo network: loop balance, barrier
-//       placement, scratchpad/weight-memory bounds, counter ordering,
-//       dead weight loads. Exits 1 on errors (with --werror, on any
-//       warning). --json prints the diagnostics as the shared JSON
-//       report format on stdout instead of the text rendering.
-//   acoustic check <network|zoo|lenet|cifar|resnet-tiny>
-//                  [--target sc|perf] [--stream N] [--width N]
-//                  [--threshold X] [--no-probe] [--werror] [--json]
-//       Network-level SC static analyzer: graph/shape inference over the
-//       zoo descriptors (or all of them with 'zoo'), SNG seed and LFSR
-//       period analysis, OR-accumulation saturation bounds, quantization
-//       range rules, and — for the trainable models lenet/cifar/
-//       resnet-tiny — weight scans plus an executed plan-invariant
-//       probe. --target perf restricts to the structural rules the
-//       performance simulator needs. Exits 1 on errors (with --werror,
-//       on any warning).
-//   acoustic eval [--backend float|sc|sc-mux|bipolar]
-//                 [--model lenet|cifar|cifar-max|resnet-tiny|<zoo network>]
-//                 [--threads N] [--intra-threads N] [--exec planned|scalar]
-//                 [--pool-mode exact|sc] [--side N]
-//                 [--stream N] [--train N] [--test N]
-//                 [--epochs N] [--json] [--metrics] [--profile]
-//                 [--prometheus] [--trace-json FILE] [--verbose]
-//       Train a small network on a synthetic dataset and evaluate it with
-//       the selected inference backend on the parallel batch evaluator.
-//       --model also accepts any zoo workload (lenet5, cifar10, svhn,
-//       alexnet, vgg16, resnet18): the network is built untrained from its
-//       shape descriptor at --side (default 16) and run end to end through
-//       the graph executor — residual blocks, grouped convs and batch norm
-//       included. The trainable variants cifar-max (max pooling) and
-//       resnet-tiny (one residual block) exercise the stochastic max and
-//       skip-connection stages with real trained weights. --pool-mode
-//       selects MaxPool2D execution: "exact" binary max (default) or
-//       "sc", the bit-serial stochastic max FSM.
-//   acoustic bench [--suite NAME]... [--quick] [--iters N] [--warmup N]
-//                  [--stream N] [--threads-max N] [--json FILE]
-//                  [--compare BASELINE] [--noise F] [--tolerance F]
-//                  [--strict] [--no-counters] [--list]
-//       Run the registered benchmark suites (forward latency, SIMD kernel
-//       table, stream-plan build, batch-eval throughput, thread-scaling
-//       matrix) under the shared
-//       harness: warmup + repetitions, median/MAD statistics, hardware
-//       counters where the host allows them, machine/build metadata — one
-//       bench.v1 trajectory document. --json writes it; --compare reads a
-//       previous document and prints per-entry verdicts
-//       (improved/unchanged/regressed) using MAD-based noise thresholds,
-//       exiting 1 on a regression. Baselines recorded on different
-//       hardware are reported but never gate unless --strict.
-//       ACOUSTIC_BENCH_SLOWDOWN=<factor> stretches every timed iteration
-//       (the test hook that proves the gate trips).
-//       --threads 0 (default) uses all hardware threads; results are
-//       bit-identical for any thread count. --intra-threads shards each
-//       image's conv rows / dense outputs inside the SC backend (0 =
-//       auto, the default: large layers join the batch evaluator's
-//       work-stealing pool as nested subtasks, small layers stay serial;
-//       1 = always serial, N >= 2 = force). --exec selects the SC execution
-//       strategy: "planned" (packed stream plans, default) or "scalar"
-//       (the reference path; both are bit-identical). --json emits the
-//       structured
-//       EvalResult instead of the human-readable summary. --metrics
-//       routes the run counters through the telemetry registry (with
-//       --json: one uniform document whose "metrics" section is
-//       byte-identical across thread counts; wall-clock data — including
-//       the evaluator's setup/run/reduce phase spans and whole-run
-//       hardware counters — is confined to "timing", and span/dropped
-//       accounting to "trace"). --profile prints the per-layer
-//       wall-time/counter table plus the evaluator phase table,
-//       --trace-json writes the evaluator's wall-clock spans (one track
-//       per worker) as Chrome trace-event JSON with a dropped_events
-//       metadata field, --verbose emits a training/evaluation progress
-//       line plus span/dropped accounting on stderr.
-#include <atomic>
+// `acoustic --help` lists the subcommands; `acoustic <command> --help`
+// prints one command's arguments and options, generated from its option
+// table below (see core/cli.hpp). Every command exits 0 on success, 1 on
+// a failed run or on findings, and 2 on a usage error.
+#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -105,10 +15,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/check.hpp"
 #include "core/accelerator.hpp"
+#include "core/cli.hpp"
 #include "core/diagnostics.hpp"
 #include "core/report.hpp"
 #include "energy/breakdown.hpp"
@@ -129,217 +42,269 @@
 #include "train/trainer.hpp"
 
 using namespace acoustic;
+namespace cli = core::cli;
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: acoustic <list|compile|simulate|breakdown|lint|eval|"
-               "bench> [network] [options]\n"
-               "  networks: lenet5, cifar10, svhn, alexnet, vgg16, "
-               "resnet18 (suffix '-conv' for conv layers only)\n"
-               "  options: --arch lp|ulp  --batch N  --clock MHZ  "
-               "--stream N\n"
-               "           --dram ddr3-800|...|ddr3-2133|hbm  --trace  "
-               "--layers\n"
-               "           --metrics  --json  --prometheus  "
-               "--trace-json FILE  --no-preflight\n"
-               "  lint: acoustic lint <program.acasm|-|network> "
-               "[--arch lp|ulp] [--werror] [--json]\n"
-               "  check: acoustic check <network|zoo|lenet|cifar|"
-               "resnet-tiny> [--target sc|perf]\n"
-               "         [--stream N] [--width N] [--threshold X] "
-               "[--no-probe] [--werror] [--json]\n"
-               "  eval: acoustic eval [--backend float|sc|sc-mux|bipolar] "
-               "[--model lenet|cifar|<zoo network>]\n"
-               "        [--threads N] [--intra-threads N] "
-               "[--exec planned|scalar]\n"
-               "        [--pool-mode exact|sc] [--side N]\n"
-               "        [--stream N] [--train N] [--test N] "
-               "[--epochs N] [--json]\n"
-               "        [--metrics] [--profile] [--prometheus] "
-               "[--trace-json FILE] [--verbose] [--no-preflight]\n"
-               "  bench: acoustic bench [--suite NAME]... [--quick] "
-               "[--iters N] [--warmup N]\n"
-               "         [--stream N] [--threads-max N] [--json FILE] "
-               "[--compare BASELINE]\n"
-               "         [--noise F] [--tolerance F] [--strict] "
-               "[--no-counters] [--list]\n");
-  return 2;
-}
+/// The model zoo by command-line name.
+constexpr std::pair<std::string_view, nn::NetworkDesc (*)()> kZoo[] = {
+    {"lenet5", nn::lenet5}, {"cifar10", nn::cifar10_cnn},
+    {"svhn", nn::svhn_cnn}, {"alexnet", nn::alexnet},
+    {"vgg16", nn::vgg16},   {"resnet18", nn::resnet18}};
 
+/// A zoo network by name; the suffix "-conv" keeps its conv layers only.
 std::optional<nn::NetworkDesc> find_network(std::string name) {
-  bool conv_only = false;
-  const std::string suffix = "-conv";
-  if (name.size() > suffix.size() &&
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    conv_only = true;
-    name = name.substr(0, name.size() - suffix.size());
+  const bool conv_only = name.size() > 5 && name.ends_with("-conv");
+  if (conv_only) {
+    name.resize(name.size() - 5);
   }
-  std::optional<nn::NetworkDesc> net;
-  if (name == "lenet5") {
-    net = nn::lenet5();
-  } else if (name == "cifar10") {
-    net = nn::cifar10_cnn();
-  } else if (name == "svhn") {
-    net = nn::svhn_cnn();
-  } else if (name == "alexnet") {
-    net = nn::alexnet();
-  } else if (name == "vgg16") {
-    net = nn::vgg16();
-  } else if (name == "resnet18") {
-    net = nn::resnet18();
-  }
-  if (net && conv_only) {
-    net = net->conv_only();
-  }
-  return net;
-}
-
-std::optional<perf::DramSpec> find_dram(const std::string& name) {
-  for (const perf::DramSpec& spec : perf::figure4_interfaces()) {
-    std::string lowered = spec.name;
-    for (char& c : lowered) {
-      c = static_cast<char>(std::tolower(c));
-    }
-    if (lowered == name) {
-      return spec;
+  for (const auto& [key, build] : kZoo) {
+    if (key == name) {
+      return conv_only ? build().conv_only() : build();
     }
   }
   return std::nullopt;
 }
 
-int cmd_list() {
-  core::Table table({"network", "layers", "MACs", "weights",
-                     "conv MACs", "FC MACs"});
-  for (const auto& net :
-       {nn::lenet5(), nn::cifar10_cnn(), nn::svhn_cnn(), nn::alexnet(),
-        nn::vgg16(), nn::resnet18()}) {
-    table.add_row({net.name, std::to_string(net.layers.size()),
-                   core::format_number(
-                       static_cast<double>(net.total_macs()), 4),
-                   core::format_number(
-                       static_cast<double>(net.total_weights()), 4),
-                   core::format_number(
-                       static_cast<double>(net.conv_macs()), 4),
-                   core::format_number(
-                       static_cast<double>(net.fc_macs()), 4)});
-  }
-  std::printf("%s", table.to_string().c_str());
-  return 0;
+/// NETWORK positional of compile/simulate: resolves the zoo descriptor.
+cli::Positional network_arg(std::optional<nn::NetworkDesc>& net) {
+  return {"NETWORK",
+          "lenet5, cifar10, svhn, alexnet, vgg16 or resnet18; the suffix "
+          "-conv keeps the conv layers only",
+          [&net](const std::string& name) {
+            net = find_network(name);
+            if (!net) {
+              throw cli::UsageError("unknown network '" + name + "'");
+            }
+          }};
 }
 
-/// `acoustic lint`: run the ISA static analyzer over an assembly file, a
+/// --arch: a whole preset. Its row precedes every per-field row, so the
+/// preset is applied first wherever the flag appears.
+cli::Option arch_preset(perf::ArchConfig& arch) {
+  return cli::choice("--arch", "architecture preset (default lp)", arch,
+                     {{"lp", perf::lp()}, {"ulp", perf::ulp()}});
+}
+
+/// --arch and the per-field overrides compile, simulate and breakdown take.
+std::vector<cli::Option> arch_options(perf::ArchConfig& arch) {
+  std::vector<std::pair<std::string, perf::DramSpec>> drams;
+  for (const perf::DramSpec& spec : perf::figure4_interfaces()) {
+    std::string name = spec.name;
+    for (char& c : name) {
+      c = static_cast<char>(std::tolower(c));
+    }
+    drams.emplace_back(name, spec);
+  }
+  return {arch_preset(arch),
+          cli::number("--batch", "N", "inference batch size (default 1)",
+                      arch.batch),
+          cli::number("--clock", "MHZ", "clock frequency (default 200)",
+                      arch.clock_mhz),
+          cli::number("--stream", "N",
+                      "split-unipolar stream length (default 256 on lp, 128 "
+                      "on ulp)",
+                      arch.stream_length),
+          cli::choice("--dram",
+                      "external memory interface (default ddr3-1866 on lp; "
+                      "ulp has no DRAM)",
+                      arch.dram, std::move(drams))};
+}
+
+int cmd_list(cli::Args args) {
+  const cli::OptionTable table{
+      "acoustic list",
+      "Show the model-zoo workloads with their MAC and weight footprints.",
+      {},
+      {}};
+  return cli::run(table, args, [] {
+    core::Table zoo({"network", "layers", "MACs", "weights", "conv MACs",
+                     "FC MACs"});
+    const auto count = [](std::uint64_t n) {
+      return core::format_number(static_cast<double>(n), 4);
+    };
+    for (const auto& entry : kZoo) {
+      const nn::NetworkDesc net = entry.second();
+      zoo.add_row({net.name, std::to_string(net.layers.size()),
+                   count(net.total_macs()), count(net.total_weights()),
+                   count(net.conv_macs()), count(net.fc_macs())});
+    }
+    std::printf("%s", zoo.to_string().c_str());
+    return 0;
+  });
+}
+
+int cmd_compile(cli::Args args) {
+  perf::ArchConfig arch = perf::lp();
+  std::optional<nn::NetworkDesc> net;
+  const cli::OptionTable table{
+      "acoustic compile",
+      "Print the ACOUSTIC assembly codegen emits for a zoo network.",
+      {network_arg(net)},
+      arch_options(arch)};
+  return cli::run(table, args, [&] {
+    const core::Accelerator accel(arch);
+    std::fputs(isa::format(accel.compile(*net)).c_str(), stdout);
+    return 0;
+  });
+}
+
+int cmd_breakdown(cli::Args args) {
+  perf::ArchConfig arch = perf::lp();
+  const cli::OptionTable table{
+      "acoustic breakdown",
+      "Print the Fig. 5 area and power breakdowns of the architecture.",
+      {},
+      arch_options(arch)};
+  return cli::run(table, args, [&] {
+    const core::Accelerator accel(arch);
+    std::printf("%s\n", energy::format_breakdown(
+                            energy::area_breakdown(accel.config())).c_str());
+    std::printf("%s", energy::format_breakdown(
+                          energy::power_breakdown(accel.config())).c_str());
+    return 0;
+  });
+}
+
+/// `acoustic lint`: the ISA static analyzer over an assembly file, a
 /// program read from stdin ('-'), or the program codegen emits for a
 /// model-zoo network, against the bounds of the selected architecture.
-int cmd_lint(const std::string& target, const perf::ArchConfig& arch,
-             bool werror, bool json) {
-  isa::Program program;
-  if (const std::optional<nn::NetworkDesc> net = find_network(target)) {
-    try {
-      program = core::Accelerator(arch).compile(*net);
-    } catch (const std::exception& e) {
-      // Codegen hard-errors on its own lint findings; surface them.
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-  } else {
-    std::string text;
-    if (target == "-") {
-      std::ostringstream buffer;
-      buffer << std::cin.rdbuf();
-      text = buffer.str();
-    } else {
-      std::ifstream file(target);
-      if (!file) {
-        std::fprintf(stderr, "lint: cannot open '%s' (not a file or a "
-                     "known network)\n", target.c_str());
-        return 2;
-      }
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      text = buffer.str();
-    }
-    try {
-      program = isa::parse(text);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", target.c_str(), e.what());
-      return 1;
-    }
-  }
-  const isa::analysis::Report report =
-      isa::analysis::analyze(program, {perf::machine_limits(arch)});
-  if (json) {
-    // Machine-readable mode: stdout carries exactly the shared JSON report
-    // format (the same core::to_json that `acoustic check --json` emits).
-    std::printf("%s\n", core::to_json(report).c_str());
-    return (!report.ok() || (werror && !report.clean())) ? 1 : 0;
-  }
-  for (const auto& diag : report.diagnostics()) {
-    std::fprintf(stderr, "%s: %s\n", target.c_str(),
-                 isa::analysis::to_string(diag, &program).c_str());
-  }
-  std::printf("%s: %zu instruction(s), %zu error(s), %zu warning(s)\n",
-              target.c_str(), program.size(), report.error_count(),
-              report.warning_count());
-  return (!report.ok() || (werror && !report.clean())) ? 1 : 0;
-}
-
-/// Options of `acoustic check` (and the eval/simulate preflights).
-struct CheckCliOptions {
-  std::string target_name;
-  analysis::CheckOptions options;
+int cmd_lint(cli::Args args) {
+  std::string target;
+  perf::ArchConfig arch = perf::lp();
   bool werror = false;
   bool json = false;
-};
+  const cli::OptionTable table{
+      "acoustic lint",
+      "Statically analyze an ACOUSTIC assembly program: loop balance, "
+      "barrier placement, scratchpad and weight-memory bounds, counter "
+      "ordering, dead weight loads. Exits 1 on errors (with --werror, on "
+      "any finding) and 2 on a usage error or an unreadable file.",
+      {{"PROGRAM",
+        "an .acasm file, '-' for stdin, or a zoo network (lints the "
+        "program codegen emits for it)",
+        [&target](const std::string& value) { target = value; }}},
+      {arch_preset(arch),
+       cli::flag("--werror", "fail on warnings too", werror),
+       cli::flag("--json", "print the diagnostics as shared-format JSON",
+                 json)}};
+  return cli::run(table, args, [&] {
+    isa::Program program;
+    if (const std::optional<nn::NetworkDesc> net = find_network(target)) {
+      // Codegen hard-errors on its own lint findings (exit 1).
+      program = core::Accelerator(arch).compile(*net);
+    } else {
+      std::ifstream file(target);
+      if (target != "-" && !file) {
+        throw cli::UsageError("cannot open '" + target +
+                              "' (not a file or a known network)");
+      }
+      std::ostringstream text;
+      text << (target == "-" ? std::cin.rdbuf() : file.rdbuf());
+      try {
+        program = isa::parse(text.str());
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", target.c_str(), e.what());
+        return 1;
+      }
+    }
+    const isa::analysis::Report report =
+        isa::analysis::analyze(program, {perf::machine_limits(arch)});
+    if (json) {
+      // stdout carries exactly the shared JSON report format (the same
+      // core::to_json that `acoustic check --json` emits).
+      std::printf("%s\n", core::to_json(report).c_str());
+    } else {
+      for (const auto& diag : report.diagnostics()) {
+        std::fprintf(stderr, "%s: %s\n", target.c_str(),
+                     isa::analysis::to_string(diag, &program).c_str());
+      }
+      std::printf("%s: %zu instruction(s), %zu error(s), %zu warning(s)\n",
+                  target.c_str(), program.size(), report.error_count(),
+                  report.warning_count());
+    }
+    return (!report.ok() || (werror && !report.clean())) ? 1 : 0;
+  });
+}
 
 /// `acoustic check`: the network-level SC static analyzer over a zoo
 /// descriptor ('zoo' = all of them under one shared config), or a
 /// trainable small model (lenet / cifar / resnet-tiny) with weight scans
 /// and the executed plan-invariant probe.
-int cmd_check(const CheckCliOptions& opt) {
-  core::Report report;
-  const std::string& name = opt.target_name;
-  if (name == "zoo") {
-    // One config, many models: emit the config findings once up front.
-    if (opt.options.target == analysis::CheckTarget::kScSim) {
-      report.merge(analysis::check_config(opt.options.sc));
+int cmd_check(cli::Args args) {
+  std::string name;
+  analysis::CheckOptions options;
+  bool werror = false;
+  bool json = false;
+  const cli::OptionTable table{
+      "acoustic check",
+      "Network-level SC static analyzer: graph and shape inference, SNG "
+      "seed and LFSR period analysis, OR-accumulation saturation bounds "
+      "and quantization range rules; the trainable models add weight scans "
+      "and an executed plan-invariant probe. Exits 1 on errors (with "
+      "--werror, on any warning) and 2 on a usage error.",
+      {{"TARGET",
+        "a zoo network, 'zoo' for all of them under one config, or a "
+        "trainable model: lenet, cifar or resnet-tiny",
+        [&name](const std::string& value) { name = value; }}},
+      {cli::choice("--target",
+                   "simulator to check for; perf keeps only the structural "
+                   "rules the performance simulator needs (default sc)",
+                   options.target,
+                   {{"sc", analysis::CheckTarget::kScSim},
+                    {"perf", analysis::CheckTarget::kPerfSim}}),
+       cli::number("--stream", "N", "SC stream length (default 256)",
+                   options.sc.stream_length),
+       cli::number("--width", "N", "SNG LFSR width in bits (default 8)",
+                   options.sc.sng_width),
+       cli::number("--threshold", "X",
+                   "OR line level that fires or-saturation (default 0.95)",
+                   options.saturation_threshold),
+       cli::flag("--no-probe", "skip the probe forward of trainable models",
+                 options.probe, false),
+       cli::flag("--werror", "fail on warnings too", werror),
+       cli::flag("--json", "print the diagnostics as shared-format JSON",
+                 json)}};
+  return cli::run(table, args, [&] {
+    core::Report report;
+    if (name == "zoo") {
+      // One config, many models: emit the config findings once up front.
+      if (options.target == analysis::CheckTarget::kScSim) {
+        report.merge(analysis::check_config(options.sc));
+      }
+      analysis::CheckOptions per_model = options;
+      per_model.include_config = false;
+      for (const nn::NetworkDesc& net : nn::table3_workloads()) {
+        report.merge(analysis::check_descriptor(net, per_model));
+      }
+    } else if (const std::optional<nn::NetworkDesc> net = find_network(name)) {
+      report = analysis::check_descriptor(*net, options);
+    } else if (name == "lenet" || name == "cifar" || name == "resnet-tiny") {
+      // Trainable models: built in the OR-approximate training mode the SC
+      // backends evaluate, Kaiming-initialized (deterministic seeds).
+      const nn::AccumMode mode = nn::AccumMode::kOrApprox;
+      nn::Network net = name == "lenet"   ? train::build_lenet_small(mode)
+                        : name == "cifar" ? train::build_cifar_small(mode)
+                                          : train::build_resnet_tiny(mode);
+      const nn::Shape input{16, 16, name == "lenet" ? 1 : 3};
+      report = analysis::check_network(net, name, input, options);
+    } else {
+      throw cli::UsageError("unknown target '" + name +
+                            "' (expected a zoo network, 'zoo', or "
+                            "lenet/cifar/resnet-tiny)");
     }
-    analysis::CheckOptions per_model = opt.options;
-    per_model.include_config = false;
-    for (const nn::NetworkDesc& net : nn::table3_workloads()) {
-      report.merge(analysis::check_descriptor(net, per_model));
+    if (json) {
+      std::printf("%s\n", core::to_json(report).c_str());
+    } else {
+      for (const core::Diagnostic& diag : report.diagnostics()) {
+        std::fprintf(stderr, "%s\n", diag.to_string().c_str());
+      }
+      std::printf("%s: %zu error(s), %zu warning(s), %zu note(s)\n",
+                  name.c_str(), report.error_count(), report.warning_count(),
+                  report.note_count());
     }
-  } else if (const std::optional<nn::NetworkDesc> net = find_network(name)) {
-    report = analysis::check_descriptor(*net, opt.options);
-  } else if (name == "lenet" || name == "cifar" || name == "resnet-tiny") {
-    // Trainable models: built in the OR-approximate training mode the SC
-    // backends evaluate, Kaiming-initialized (deterministic seeds).
-    nn::Network net = name == "lenet"
-                          ? train::build_lenet_small(nn::AccumMode::kOrApprox)
-                      : name == "cifar"
-                          ? train::build_cifar_small(nn::AccumMode::kOrApprox)
-                          : train::build_resnet_tiny(nn::AccumMode::kOrApprox);
-    const nn::Shape input{16, 16, name == "lenet" ? 1 : 3};
-    report = analysis::check_network(net, name, input, opt.options);
-  } else {
-    std::fprintf(stderr,
-                 "check: unknown target '%s' (expected a zoo network, "
-                 "'zoo', or lenet/cifar/resnet-tiny)\n", name.c_str());
-    return 2;
-  }
-
-  if (opt.json) {
-    std::printf("%s\n", core::to_json(report).c_str());
-  } else {
-    for (const core::Diagnostic& diag : report.diagnostics()) {
-      std::fprintf(stderr, "%s\n", diag.to_string().c_str());
-    }
-    std::printf("%s: %zu error(s), %zu warning(s), %zu note(s)\n",
-                name.c_str(), report.error_count(), report.warning_count(),
-                report.note_count());
-  }
-  return report.fails(opt.werror) ? 1 : 0;
+    return report.fails(werror) ? 1 : 0;
+  });
 }
 
 /// Warn-level preflight shared by `acoustic eval` and `acoustic simulate`:
@@ -361,13 +326,9 @@ void print_preflight(const core::Report& report, const char* who) {
 struct EvalOptions {
   std::string backend = "sc";
   std::string model = "lenet";
-  unsigned threads = 0;        // 0 = hardware concurrency
-  unsigned intra_threads = 0;  // SC intra-image workers (0 = auto,
-                               // work-gated on the shared pool; 1 = serial)
-  std::string exec = "planned";
-  std::string pool_mode = "exact";  // MaxPool2D execution: exact | sc
+  unsigned threads = 0;  // 0 = hardware concurrency
+  sim::ScConfig sc{.stream_length = 128};
   int side = 16;  // input side for zoo-descriptor models (0 = native)
-  std::size_t stream = 128;
   std::size_t train_count = 300;
   std::size_t test_count = 120;
   int epochs = 3;
@@ -380,16 +341,51 @@ struct EvalOptions {
   std::string trace_json;   ///< Chrome trace-event output path ("" = off)
 };
 
-/// Writes @p content to @p path; reports the failure on stderr.
-bool write_text_file(const std::string& path, const std::string& content) {
+/// Writes @p content to @p path; throws std::runtime_error on failure.
+void write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   out << content;
   out.flush();
   if (!out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-    return false;
+    throw std::runtime_error("cannot write '" + path + "'");
   }
-  return true;
+}
+
+/// Writes a Chrome trace to @p path and reports it on stdout, or on stderr
+/// when stdout carries a machine-readable document; warns when @p dropped
+/// records of @p unit fell past the recording cap.
+void write_trace(const obs::ChromeTraceWriter& writer, const std::string& path,
+                 bool quiet, std::uint64_t dropped, const char* unit) {
+  write_text_file(path, writer.to_string());
+  std::fprintf(quiet ? stderr : stdout, "trace: wrote %zu event(s) to %s\n",
+               writer.event_count(), path.c_str());
+  if (dropped > 0) {
+    std::fprintf(stderr,
+                 "warning: trace truncated — %llu %s dropped after the "
+                 "recording cap\n",
+                 static_cast<unsigned long long>(dropped), unit);
+  }
+}
+
+/// Appends each counter of @p row as a `, "key": value` JSON member.
+void append_counters(std::string& doc, const obs::ProfileRow& row) {
+  for (const auto& [key, value] : row.counters) {
+    doc += ", ";
+    doc += obs::json_quote(key);
+    doc += ": ";
+    doc += obs::json_number(value);
+  }
+}
+
+/// One line of scheduler telemetry after @p label.
+void print_scheduler(std::FILE* out, const char* label,
+                     const sim::SchedulerStats& sched) {
+  std::fprintf(out,
+               "%s%llu task(s), %llu stolen, occupancy %.2f (%u/%u workers "
+               "busy at peak)\n",
+               label, static_cast<unsigned long long>(sched.tasks),
+               static_cast<unsigned long long>(sched.steals),
+               sched.occupancy(), sched.busy_peak, sched.workers);
 }
 
 /// Counters + gauges of @p registry as an aligned two-column table
@@ -407,7 +403,7 @@ core::Table metrics_table(const obs::Registry& registry) {
 
 /// `acoustic eval`: train a small synthetic-dataset network, then run it
 /// through the unified backend layer on the parallel batch evaluator.
-int cmd_eval(const EvalOptions& opt) {
+int run_eval(const EvalOptions& opt) {
   // Bipolar-MUX computes a plain scaled sum, so its native training mode
   // is kSum (with the gentler schedule the unbounded logits need); every
   // other backend runs the OR-approximate-trained network the paper's
@@ -456,10 +452,10 @@ int cmd_eval(const EvalOptions& opt) {
                                            input_shape.h);
       return nn::build_from_descriptor(*desc, zopt);
     }
-    throw std::invalid_argument("eval: unknown model '" + opt.model +
-                                "' (expected lenet, cifar, cifar-max, "
-                                "resnet-tiny, or a zoo network: lenet5/"
-                                "cifar10/svhn/alexnet/vgg16/resnet18)");
+    throw cli::UsageError("unknown model '" + opt.model +
+                          "' (expected lenet, cifar, cifar-max, "
+                          "resnet-tiny, or a zoo network: lenet5/"
+                          "cifar10/svhn/alexnet/vgg16/resnet18)");
   }();
 
   if (zoo) {
@@ -485,29 +481,13 @@ int cmd_eval(const EvalOptions& opt) {
     (void)train::fit(net, tr, cfg);
   }
 
-  sim::ScConfig sc_cfg;
-  sc_cfg.stream_length = opt.stream;
-  sc_cfg.intra_threads = opt.intra_threads;
-  if (opt.exec == "scalar") {
-    sc_cfg.exec = sim::ExecMode::kScalar;
-  } else if (opt.exec != "planned") {
-    throw std::invalid_argument("eval: unknown --exec '" + opt.exec +
-                                "' (expected planned or scalar)");
-  }
-  if (opt.pool_mode == "sc") {
-    sc_cfg.max_pool = sim::MaxPoolMode::kStochastic;
-  } else if (opt.pool_mode != "exact") {
-    throw std::invalid_argument("eval: unknown --pool-mode '" +
-                                opt.pool_mode +
-                                "' (expected exact or sc)");
-  }
   // Warn-level preflight of the trained network under the exact SC config
   // the backend will run: saturation, quantization and stream-geometry
   // findings explain a bad accuracy figure before it is measured. Only the
   // SC backends have stream semantics to check.
   if (opt.preflight && (opt.backend == "sc" || opt.backend == "sc-mux")) {
     analysis::CheckOptions check_opt;
-    check_opt.sc = sc_cfg;
+    check_opt.sc = opt.sc;
     if (opt.backend == "sc-mux") {
       check_opt.sc.pooling = sim::PoolingMode::kMux;
     }
@@ -520,9 +500,9 @@ int cmd_eval(const EvalOptions& opt) {
   }
 
   sim::BipolarConfig bipolar_cfg;
-  bipolar_cfg.stream_length = opt.stream;
+  bipolar_cfg.stream_length = opt.sc.stream_length;
   const std::unique_ptr<sim::InferenceBackend> backend =
-      sim::make_backend(opt.backend, net, sc_cfg, bipolar_cfg);
+      sim::make_backend(opt.backend, net, opt.sc, bipolar_cfg);
 
   // Observability attachments: spans feed both --profile and --trace-json,
   // the registry feeds --metrics and --prometheus. The hardware counter
@@ -581,13 +561,7 @@ int cmd_eval(const EvalOptions& opt) {
     std::fprintf(stderr, "\n");
     // Scheduler telemetry (nondeterministic, so stderr/verbose only —
     // like the progress line above).
-    std::fprintf(stderr,
-                 "scheduler: %llu task(s), %llu stolen, occupancy %.2f "
-                 "(%u/%u workers busy at peak)\n",
-                 static_cast<unsigned long long>(result.sched.tasks),
-                 static_cast<unsigned long long>(result.sched.steals),
-                 result.sched.occupancy(), result.sched.busy_peak,
-                 result.sched.workers);
+    print_scheduler(stderr, "scheduler: ", result.sched);
   }
 
   // Aggregate the spans once; every export below reuses them. The dropped
@@ -642,18 +616,8 @@ int cmd_eval(const EvalOptions& opt) {
     writer.set_metadata("threads", obs::json_number(
                             static_cast<std::uint64_t>(result.threads)));
     writer.set_metadata("dropped_events", obs::json_number(dropped_spans));
-    if (!write_text_file(opt.trace_json, writer.to_string())) {
-      return 1;
-    }
-    std::fprintf(opt.json || opt.prometheus ? stderr : stdout,
-                 "trace: wrote %zu event(s) to %s\n", writer.event_count(),
-                 opt.trace_json.c_str());
-    if (dropped_spans > 0) {
-      std::fprintf(stderr,
-                   "warning: trace truncated — %llu span(s) dropped after "
-                   "the recording cap\n",
-                   static_cast<unsigned long long>(dropped_spans));
-    }
+    write_trace(writer, opt.trace_json, opt.json || opt.prometheus,
+                dropped_spans, "span(s)");
   }
 
   if (opt.prometheus) {
@@ -682,7 +646,8 @@ int cmd_eval(const EvalOptions& opt) {
     doc += ",\n  \"model\": ";
     doc += obs::json_quote(opt.model);
     doc += ",\n  \"stream_length\": ";
-    doc += obs::json_number(static_cast<std::uint64_t>(opt.stream));
+    doc += obs::json_number(
+        static_cast<std::uint64_t>(opt.sc.stream_length));
     doc += ",\n  \"samples\": ";
     doc += obs::json_number(static_cast<std::uint64_t>(result.samples));
     doc += ",\n";
@@ -704,12 +669,7 @@ int cmd_eval(const EvalOptions& opt) {
         doc += obs::json_number(row.calls);
         doc += ", \"wall_ms\": ";
         doc += obs::json_number(row.wall_ms);
-        for (const auto& [key, value] : row.counters) {
-          doc += ", ";
-          doc += obs::json_quote(key);
-          doc += ": ";
-          doc += obs::json_number(value);
-        }
+        append_counters(doc, row);
         doc += "}";
       }
       doc += rows.empty() ? "],\n" : "\n  ],\n";
@@ -765,12 +725,7 @@ int cmd_eval(const EvalOptions& opt) {
         doc += obs::json_quote(row.name);
         doc += ", \"wall_ms\": ";
         doc += obs::json_number(row.wall_ms);
-        for (const auto& [key, value] : row.counters) {
-          doc += ", ";
-          doc += obs::json_quote(key);
-          doc += ": ";
-          doc += obs::json_number(value);
-        }
+        append_counters(doc, row);
         doc += "}";
       }
       doc += "\n    ]";
@@ -836,12 +791,7 @@ int cmd_eval(const EvalOptions& opt) {
     std::printf("  scratch:     %llu bytes steady-state per forward\n",
                 static_cast<unsigned long long>(result.stats.scratch_bytes));
   }
-  std::printf("  scheduler:   %llu task(s), %llu stolen, occupancy %.2f "
-              "(%u/%u workers busy at peak)\n",
-              static_cast<unsigned long long>(result.sched.tasks),
-              static_cast<unsigned long long>(result.sched.steals),
-              result.sched.occupancy(), result.sched.busy_peak,
-              result.sched.workers);
+  print_scheduler(stdout, "  scheduler:   ", result.sched);
 
   if (opt.profile) {
     double layer_total_ms = 0.0;
@@ -905,18 +855,76 @@ int cmd_eval(const EvalOptions& opt) {
   return 0;
 }
 
+int cmd_eval(cli::Args args) {
+  EvalOptions opt;
+  const cli::OptionTable table{
+      "acoustic eval",
+      "Train a small network on a synthetic dataset and evaluate it with "
+      "the selected inference backend on the parallel batch evaluator; "
+      "results are bit-identical for any thread count. A zoo network given "
+      "to --model is built untrained from its shape descriptor at --side "
+      "and run end to end through the graph executor.",
+      {},
+      {cli::choice("--backend", "inference backend (default sc)",
+                   opt.backend, sim::kBackendNames),
+       cli::text("--model", "NAME",
+                 "lenet (default), cifar, cifar-max, resnet-tiny or a zoo "
+                 "network",
+                 opt.model),
+       cli::number("--threads", "N",
+                   "evaluator threads (default 0 = all hardware threads)",
+                   opt.threads),
+       cli::number("--intra-threads", "N",
+                   "SC workers per image: 0 = auto (default), 1 = serial, "
+                   "N = force",
+                   opt.sc.intra_threads),
+       cli::choice("--exec", "SC execution path, same bits (default planned)",
+                   opt.sc.exec,
+                   {{"planned", sim::ExecMode::kPlanned},
+                    {"scalar", sim::ExecMode::kScalar}}),
+       cli::choice("--pool-mode",
+                   "MaxPool2D: exact max (default) or sc, the stochastic "
+                   "max FSM",
+                   opt.sc.max_pool,
+                   {{"exact", sim::MaxPoolMode::kExact},
+                    {"sc", sim::MaxPoolMode::kStochastic}}),
+       cli::number("--side", "N",
+                   "input side of zoo models, 0 = native (default 16)",
+                   opt.side),
+       cli::number("--stream", "N", "stream length (default 128)",
+                   opt.sc.stream_length),
+       cli::number("--train", "N", "training samples (default 300)",
+                   opt.train_count),
+       cli::number("--test", "N", "test samples (default 120)",
+                   opt.test_count),
+       cli::number("--epochs", "N", "training epochs (default 3)",
+                   opt.epochs),
+       cli::flag("--json", "print the EvalResult as JSON", opt.json),
+       cli::flag("--metrics",
+                 "add the run counters; in JSON they are identical for any "
+                 "thread count",
+                 opt.metrics),
+       cli::flag("--profile", "add the per-layer and per-phase timing tables",
+                 opt.profile),
+       cli::flag("--prometheus", "print the metrics in Prometheus format",
+                 opt.prometheus),
+       cli::text("--trace-json", "FILE",
+                 "write the per-worker spans as Chrome trace-event JSON",
+                 opt.trace_json),
+       cli::flag("--verbose", "progress and span accounting on stderr",
+                 opt.verbose),
+       cli::flag("--no-preflight", "skip the warn-level `acoustic check`",
+                 opt.preflight, false)}};
+  return cli::run(table, args, [&] { return run_eval(opt); });
+}
+
 struct BenchCliOptions {
   std::vector<std::string> suites;  ///< empty = every registered suite
-  int iters = -1;                   ///< -1 = default (10, or 5 with --quick)
-  int warmup = -1;                  ///< -1 = default (2, or 1 with --quick)
-  bool quick = false;
-  std::size_t stream = 128;
-  unsigned threads_max = 0;
+  obs::BenchOptions bench = obs::BenchOptions::from_env();
+  tools::BenchSuiteOptions suite;
+  obs::CompareOptions compare;
   std::string json_path;
   std::string compare_path;
-  double noise_mult = 4.0;  ///< --noise: threshold in MADs
-  double rel_floor = 0.10;  ///< --tolerance: relative floor fraction
-  bool counters = true;
   bool strict = false;  ///< gate even on a foreign-machine baseline
   bool list = false;
 };
@@ -924,7 +932,7 @@ struct BenchCliOptions {
 /// `acoustic bench`: run the registered suites under the shared harness
 /// into one bench.v1 document; optionally persist it (--json) and gate
 /// against a previous one (--compare).
-int cmd_bench(const BenchCliOptions& opt) {
+int run_bench(const BenchCliOptions& opt) {
   if (opt.list) {
     core::Table table({"suite", "description"});
     for (const tools::BenchSuite& suite : tools::bench_suites()) {
@@ -935,41 +943,27 @@ int cmd_bench(const BenchCliOptions& opt) {
   }
 
   std::vector<const tools::BenchSuite*> selected;
-  if (opt.suites.empty()) {
+  for (const std::string& name : opt.suites) {
+    selected.push_back(tools::find_bench_suite(name));
+    if (selected.back() == nullptr) {
+      throw cli::UsageError("--suite: unknown suite '" + name +
+                            "' (see `acoustic bench --list`)");
+    }
+  }
+  if (selected.empty()) {
     for (const tools::BenchSuite& suite : tools::bench_suites()) {
       selected.push_back(&suite);
     }
-  } else {
-    for (const std::string& name : opt.suites) {
-      const tools::BenchSuite* suite = tools::find_bench_suite(name);
-      if (suite == nullptr) {
-        std::fprintf(stderr,
-                     "bench: unknown suite '%s' (see `acoustic bench "
-                     "--list`)\n", name.c_str());
-        return 2;
-      }
-      selected.push_back(suite);
-    }
   }
 
-  obs::BenchOptions bopt = obs::BenchOptions::from_env();
-  bopt.iters = opt.iters >= 0 ? opt.iters : (opt.quick ? 5 : bopt.iters);
-  bopt.warmup = opt.warmup >= 0 ? opt.warmup : (opt.quick ? 1 : bopt.warmup);
-  bopt.counters = opt.counters;
-
-  obs::Bench bench("acoustic-bench", bopt);
+  obs::Bench bench("acoustic-bench", opt.bench);
   bench.meta().simd =
       sc::kernels::level_name(sc::kernels::active_level());
 
-  tools::BenchSuiteOptions sopt;
-  sopt.stream = opt.stream;
-  sopt.threads_max = opt.threads_max;
-  sopt.quick = opt.quick;
-
   for (const tools::BenchSuite* suite : selected) {
     std::fprintf(stderr, "bench: suite %s (%d warmup + %d iters)...\n",
-                 suite->name, bopt.warmup, bopt.iters);
-    suite->run(bench, sopt);
+                 suite->name, opt.bench.warmup, opt.bench.iters);
+    suite->run(bench, opt.suite);
   }
 
   const obs::BenchDocument& doc = bench.document();
@@ -1004,9 +998,7 @@ int cmd_bench(const BenchCliOptions& opt) {
   std::printf("%s", table.to_string().c_str());
 
   if (!opt.json_path.empty()) {
-    if (!write_text_file(opt.json_path, obs::to_json(doc))) {
-      return 1;
-    }
+    write_text_file(opt.json_path, obs::to_json(doc));
     std::printf("\nwrote %s\n", opt.json_path.c_str());
   }
 
@@ -1016,25 +1008,13 @@ int cmd_bench(const BenchCliOptions& opt) {
 
   std::ifstream in(opt.compare_path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
-                 opt.compare_path.c_str());
-    return 1;
+    throw std::runtime_error("cannot read baseline '" + opt.compare_path +
+                             "'");
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  obs::BenchDocument baseline;
-  try {
-    baseline = obs::parse_bench_json(buffer.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench: baseline '%s': %s\n",
-                 opt.compare_path.c_str(), e.what());
-    return 1;
-  }
-
-  obs::CompareOptions copt;
-  copt.noise_mult = opt.noise_mult;
-  copt.rel_floor = opt.rel_floor;
-  const obs::CompareResult cmp = obs::compare(doc, baseline, copt);
+  const obs::CompareResult cmp = obs::compare(
+      doc, obs::parse_bench_json(buffer.str()), opt.compare);
 
   core::Table verdicts({"entry", "verdict", "baseline", "current", "ratio",
                         "threshold"});
@@ -1066,197 +1046,56 @@ int cmd_bench(const BenchCliOptions& opt) {
   return 0;
 }
 
-}  // namespace
 
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    return usage();
-  }
-  const std::string cmd = argv[1];
-  if (cmd == "list") {
-    return cmd_list();
-  }
+int cmd_bench(cli::Args args) {
+  BenchCliOptions opt;
+  const cli::OptionTable table{
+      "acoustic bench",
+      "Run the registered benchmark suites under the shared harness "
+      "(warmup, repetitions, median/MAD statistics, hardware counters where "
+      "the host allows them) into one bench.v1 document. --compare gates "
+      "on a previous document with MAD-based noise thresholds and exits 1 "
+      "on a regression; a baseline from other hardware gates only under "
+      "--strict. ACOUSTIC_BENCH_SLOWDOWN=<factor> stretches every timed "
+      "iteration to prove the gate trips.",
+      {},
+      {cli::list("--suite", "NAME", "run this suite (repeatable; default all)",
+                 opt.suites),
+       {"--quick", "",
+        "smaller problems, 1 warmup and 5 timed iterations (--iters and "
+        "--warmup still apply)",
+        [&opt](const std::string&) {
+          opt.suite.quick = true;
+          opt.bench.iters = 5;
+          opt.bench.warmup = 1;
+        }},
+       cli::number("--iters", "N", "timed iterations per entry (default 10)",
+                   opt.bench.iters),
+       cli::number("--warmup", "N", "warmup iterations per entry (default 2)",
+                   opt.bench.warmup),
+       cli::flag("--no-counters", "do not sample hardware counters",
+                 opt.bench.counters, false),
+       cli::number("--stream", "N", "SC stream length (default 128)",
+                   opt.suite.stream),
+       cli::number("--threads-max", "N",
+                   "thread sweep ceiling (default 0 = hardware threads)",
+                   opt.suite.threads_max),
+       cli::text("--json", "FILE", "write the bench.v1 document",
+                 opt.json_path),
+       cli::text("--compare", "BASELINE", "compare against a bench.v1 document",
+                 opt.compare_path),
+       cli::number("--noise", "F", "regression threshold in MADs (default 4)",
+                   opt.compare.noise_mult),
+       cli::number("--tolerance", "F",
+                   "regression floor, a fraction of the median (default 0.1)",
+                   opt.compare.rel_floor),
+       cli::flag("--strict", "gate on a baseline from other hardware too",
+                 opt.strict),
+       cli::flag("--list", "list the suites and exit", opt.list)}};
+  return cli::run(table, args, [&] { return run_bench(opt); });
+}
 
-  if (cmd == "eval") {
-    EvalOptions opt;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> const char* {
-        return i + 1 < argc ? argv[++i] : nullptr;
-      };
-      const char* v = nullptr;
-      if (arg == "--backend" && (v = value()) != nullptr) {
-        opt.backend = v;
-      } else if (arg == "--model" && (v = value()) != nullptr) {
-        opt.model = v;
-      } else if (arg == "--threads" && (v = value()) != nullptr) {
-        opt.threads = static_cast<unsigned>(std::atoi(v));
-      } else if (arg == "--intra-threads" && (v = value()) != nullptr) {
-        opt.intra_threads = static_cast<unsigned>(std::atoi(v));
-      } else if (arg == "--exec" && (v = value()) != nullptr) {
-        opt.exec = v;
-      } else if (arg == "--pool-mode" && (v = value()) != nullptr) {
-        opt.pool_mode = v;
-      } else if (arg == "--side" && (v = value()) != nullptr) {
-        opt.side = std::atoi(v);
-      } else if (arg == "--stream" && (v = value()) != nullptr) {
-        opt.stream = static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--train" && (v = value()) != nullptr) {
-        opt.train_count = static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--test" && (v = value()) != nullptr) {
-        opt.test_count = static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--epochs" && (v = value()) != nullptr) {
-        opt.epochs = std::atoi(v);
-      } else if (arg == "--json") {
-        opt.json = true;
-      } else if (arg == "--metrics") {
-        opt.metrics = true;
-      } else if (arg == "--profile") {
-        opt.profile = true;
-      } else if (arg == "--prometheus") {
-        opt.prometheus = true;
-      } else if (arg == "--verbose") {
-        opt.verbose = true;
-      } else if (arg == "--no-preflight") {
-        opt.preflight = false;
-      } else if (arg == "--trace-json" && (v = value()) != nullptr) {
-        opt.trace_json = v;
-      } else {
-        return usage();
-      }
-    }
-    try {
-      return cmd_eval(opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "eval: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (cmd == "bench") {
-    BenchCliOptions opt;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> const char* {
-        return i + 1 < argc ? argv[++i] : nullptr;
-      };
-      const char* v = nullptr;
-      if (arg == "--suite" && (v = value()) != nullptr) {
-        opt.suites.emplace_back(v);
-      } else if (arg == "--iters" && (v = value()) != nullptr) {
-        opt.iters = std::atoi(v);
-      } else if (arg == "--warmup" && (v = value()) != nullptr) {
-        opt.warmup = std::atoi(v);
-      } else if (arg == "--quick") {
-        opt.quick = true;
-      } else if (arg == "--stream" && (v = value()) != nullptr) {
-        opt.stream = static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--threads-max" && (v = value()) != nullptr) {
-        opt.threads_max = static_cast<unsigned>(std::atoi(v));
-      } else if (arg == "--json" && (v = value()) != nullptr) {
-        opt.json_path = v;
-      } else if (arg == "--compare" && (v = value()) != nullptr) {
-        opt.compare_path = v;
-      } else if (arg == "--noise" && (v = value()) != nullptr) {
-        opt.noise_mult = std::atof(v);
-      } else if (arg == "--tolerance" && (v = value()) != nullptr) {
-        opt.rel_floor = std::atof(v);
-      } else if (arg == "--no-counters") {
-        opt.counters = false;
-      } else if (arg == "--strict") {
-        opt.strict = true;
-      } else if (arg == "--list") {
-        opt.list = true;
-      } else {
-        return usage();
-      }
-    }
-    try {
-      return cmd_bench(opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (cmd == "lint") {
-    perf::ArchConfig arch = perf::lp();
-    std::string target;
-    bool werror = false;
-    bool json = false;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--arch") {
-        if (i + 1 >= argc) {
-          return usage();
-        }
-        const std::string v = argv[++i];
-        if (v == "ulp") {
-          arch = perf::ulp();
-        } else if (v != "lp") {
-          return usage();
-        }
-      } else if (arg == "--werror") {
-        werror = true;
-      } else if (arg == "--json") {
-        json = true;
-      } else if (target.empty()) {
-        target = arg;
-      } else {
-        return usage();
-      }
-    }
-    if (target.empty()) {
-      return usage();
-    }
-    return cmd_lint(target, arch, werror, json);
-  }
-
-  if (cmd == "check") {
-    CheckCliOptions opt;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> const char* {
-        return i + 1 < argc ? argv[++i] : nullptr;
-      };
-      const char* v = nullptr;
-      if (arg == "--target" && (v = value()) != nullptr) {
-        if (std::strcmp(v, "perf") == 0) {
-          opt.options.target = analysis::CheckTarget::kPerfSim;
-        } else if (std::strcmp(v, "sc") != 0) {
-          return usage();
-        }
-      } else if (arg == "--stream" && (v = value()) != nullptr) {
-        opt.options.sc.stream_length =
-            static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--width" && (v = value()) != nullptr) {
-        opt.options.sc.sng_width = static_cast<unsigned>(std::atoi(v));
-      } else if (arg == "--threshold" && (v = value()) != nullptr) {
-        opt.options.saturation_threshold = std::atof(v);
-      } else if (arg == "--no-probe") {
-        opt.options.probe = false;
-      } else if (arg == "--werror") {
-        opt.werror = true;
-      } else if (arg == "--json") {
-        opt.json = true;
-      } else if (opt.target_name.empty()) {
-        opt.target_name = arg;
-      } else {
-        return usage();
-      }
-    }
-    if (opt.target_name.empty()) {
-      return usage();
-    }
-    try {
-      return cmd_check(opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "check: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  // Parse common options.
+int cmd_simulate(cli::Args args) {
   perf::ArchConfig arch = perf::lp();
   std::optional<nn::NetworkDesc> net;
   bool trace = false;
@@ -1266,100 +1105,30 @@ int main(int argc, char** argv) {
   bool prometheus = false;
   bool preflight = true;
   std::string trace_json;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--arch") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      if (std::strcmp(v, "ulp") == 0) {
-        arch = perf::ulp();
-      } else if (std::strcmp(v, "lp") != 0) {
-        return usage();
-      }
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      arch.batch = std::atoi(v);
-    } else if (arg == "--clock") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      arch.clock_mhz = std::atof(v);
-    } else if (arg == "--stream") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      arch.stream_length = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--dram") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      const auto spec = find_dram(v);
-      if (!spec) {
-        return usage();
-      }
-      arch.dram = *spec;
-    } else if (arg == "--trace") {
-      trace = true;
-    } else if (arg == "--layers") {
-      layers = true;
-    } else if (arg == "--metrics") {
-      metrics = true;
-    } else if (arg == "--json") {
-      json_out = true;
-    } else if (arg == "--prometheus") {
-      prometheus = true;
-    } else if (arg == "--no-preflight") {
-      preflight = false;
-    } else if (arg == "--trace-json") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      trace_json = v;
-    } else if (!net) {
-      net = find_network(arg);
-      if (!net) {
-        std::fprintf(stderr, "unknown network '%s'\n", arg.c_str());
-        return usage();
-      }
-    } else {
-      return usage();
-    }
-  }
-
-  if (cmd == "breakdown") {
-    std::printf("%s\n", energy::format_breakdown(
-                            energy::area_breakdown(arch)).c_str());
-    std::printf("%s", energy::format_breakdown(
-                          energy::power_breakdown(arch)).c_str());
-    return 0;
-  }
-
-  if (!net) {
-    std::fprintf(stderr, "%s requires a network\n", cmd.c_str());
-    return usage();
-  }
-
-  if (cmd == "compile") {
+  std::vector<cli::Option> options = arch_options(arch);
+  options.insert(
+      options.end(),
+      {cli::flag("--trace", "add the per-unit Gantt chart", trace),
+       cli::flag("--layers", "add the per-layer bottleneck table", layers),
+       cli::flag("--metrics", "add the cycle, unit, DRAM and energy counters",
+                 metrics),
+       cli::flag("--json", "print one JSON document", json_out),
+       cli::flag("--prometheus", "print the metrics in Prometheus format",
+                 prometheus),
+       cli::text("--trace-json", "FILE",
+                 "write the per-unit instruction trace as Chrome JSON",
+                 trace_json),
+       cli::flag("--no-preflight", "skip the structural preflight check",
+                 preflight, false)});
+  const cli::OptionTable table{
+      "acoustic simulate",
+      "Run the performance and energy simulation of a zoo network: "
+      "per-frame latency, throughput, on-chip and DRAM energy. A warn-level "
+      "structural `acoustic check` runs first.",
+      {network_arg(net)},
+      std::move(options)};
+  return cli::run(table, args, [&] {
     const core::Accelerator accel(arch);
-    std::fputs(isa::format(accel.compile(*net)).c_str(), stdout);
-    return 0;
-  }
-  if (cmd == "simulate") {
     // Warn-level structural preflight: the performance model lowers every
     // zoo descriptor, so only the graph/shape/geometry rules apply here.
     if (preflight) {
@@ -1368,7 +1137,6 @@ int main(int argc, char** argv) {
       print_preflight(analysis::check_descriptor(*net, check_opt),
                       "simulate");
     }
-    const core::Accelerator accel(arch);
     const core::InferenceCost cost = accel.run(*net);
 
     // One traced run serves both the ASCII gantt and the Chrome export.
@@ -1393,19 +1161,8 @@ int main(int argc, char** argv) {
       obs::ChromeTraceWriter writer;
       perf::to_chrome_trace(*traced, arch, writer);
       writer.set_metadata("network", obs::json_quote(net->name));
-      if (!write_text_file(trace_json, writer.to_string())) {
-        return 1;
-      }
-      std::fprintf(json_out || prometheus ? stderr : stdout,
-                   "trace: wrote %zu event(s) to %s\n", writer.event_count(),
-                   trace_json.c_str());
-      if (traced->dropped_events > 0) {
-        std::fprintf(stderr,
-                     "warning: trace truncated — %llu event(s) dropped "
-                     "after the recording cap\n",
-                     static_cast<unsigned long long>(
-                         traced->dropped_events));
-      }
+      write_trace(writer, trace_json, json_out || prometheus,
+                  traced->dropped_events, "event(s)");
     }
 
     if (prometheus) {
@@ -1479,6 +1236,22 @@ int main(int argc, char** argv) {
                   perf::render_utilization(*traced).c_str());
     }
     return 0;
-  }
-  return usage();
+  });
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  return cli::dispatch(
+      "acoustic",
+      {{"list", "the model-zoo workloads and their footprints", cmd_list},
+       {"compile", "ACOUSTIC assembly of a zoo network", cmd_compile},
+       {"simulate", "performance and energy of a zoo network", cmd_simulate},
+       {"breakdown", "Fig. 5 area and power breakdowns", cmd_breakdown},
+       {"lint", "static analysis of an assembly program", cmd_lint},
+       {"check", "network-level SC static analysis", cmd_check},
+       {"eval", "train and evaluate on an inference backend", cmd_eval},
+       {"bench", "benchmark suites and regression gate", cmd_bench}},
+      args);
 }

@@ -4,17 +4,27 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "nn/activation.hpp"
+#include "nn/conv.hpp"
 #include "nn/model_zoo.hpp"
+#include "nn/pool.hpp"
 #include "nn/zoo_build.hpp"
+#include "obs/span.hpp"
+#include "perf/codegen.hpp"
+#include "perf/perf_sim.hpp"
+#include "sc/gates.hpp"
 #include "sc/kernels/kernels.hpp"
 #include "sc/rng.hpp"
+#include "sc/sng.hpp"
 #include "sim/backend.hpp"
 #include "sim/batch_evaluator.hpp"
+#include "sim/sc_mac.hpp"
 #include "sim/sc_network.hpp"
 #include "sim/stream_bank.hpp"
 #include "sim/stream_plan.hpp"
@@ -184,15 +194,28 @@ void run_plan(obs::Bench& bench, const BenchSuiteOptions& options) {
 
 // --- throughput: BatchEvaluator images/s, 1..N worker threads ---
 
+/// One img/s entry "<prefix><threads>" per thread count of @p sweep:
+/// @p data through an SC backend of @p net on that many evaluator workers.
+void sweep_threads(obs::Bench& bench, const std::string& prefix,
+                   nn::Network& net, const train::Dataset& data,
+                   const std::vector<unsigned>& sweep, std::size_t stream) {
+  sim::ScConfig cfg;
+  cfg.stream_length = stream;
+  const std::unique_ptr<sim::InferenceBackend> backend =
+      sim::make_backend("sc", net, cfg);
+  for (const unsigned threads : sweep) {
+    sim::BatchEvaluator evaluator(threads);
+    bench.run_value(prefix + std::to_string(threads), "img/s",
+                    /*lower_is_better=*/false, [&] {
+                      return evaluator.evaluate(*backend, data).throughput_sps;
+                    });
+  }
+}
+
 void run_throughput(obs::Bench& bench, const BenchSuiteOptions& options) {
   nn::Network net = train::build_lenet_small(nn::AccumMode::kOrApprox, 16);
   const train::Dataset data =
       train::make_synth_digits(options.quick ? 16 : 48, 999, 16);
-  sim::ScConfig cfg;
-  cfg.stream_length = options.stream;
-  const std::unique_ptr<sim::InferenceBackend> backend =
-      sim::make_backend("sc", net, cfg);
-
   unsigned max_threads = options.threads_max;
   if (max_threads == 0) {
     max_threads = std::max(1U, std::thread::hardware_concurrency());
@@ -203,16 +226,8 @@ void run_throughput(obs::Bench& bench, const BenchSuiteOptions& options) {
     sweep.push_back(t);
   }
   sweep.push_back(max_threads);
-
-  for (const unsigned threads : sweep) {
-    sim::BatchEvaluator evaluator(threads);
-    bench.run_value("throughput/threads" + std::to_string(threads),
-                    "img/s", /*lower_is_better=*/false, [&] {
-                      const sim::EvalResult result =
-                          evaluator.evaluate(*backend, data);
-                      return result.throughput_sps;
-                    });
-  }
+  sweep_threads(bench, "throughput/threads", net, data, sweep,
+                options.stream);
 }
 
 // --- scaling: the work-stealing scheduler's thread-scaling matrix ---
@@ -271,22 +286,104 @@ void run_scaling(obs::Bench& bench, const BenchSuiteOptions& options) {
   }
 
   for (Workload& workload : workloads) {
-    const train::Dataset data =
-        random_dataset(workload.input, workload.images, 500);
-    sim::ScConfig cfg;
-    cfg.stream_length = options.stream;
-    const std::unique_ptr<sim::InferenceBackend> backend =
-        sim::make_backend("sc", workload.net, cfg);
-    for (const unsigned threads : sweep) {
-      sim::BatchEvaluator evaluator(threads);
-      bench.run_value(
-          "scaling/" + workload.name + "/t" + std::to_string(threads),
-          "img/s", /*lower_is_better=*/false, [&] {
-            const sim::EvalResult result = evaluator.evaluate(*backend, data);
-            return result.throughput_sps;
-          });
-    }
+    sweep_threads(bench, "scaling/" + workload.name + "/t", workload.net,
+                  random_dataset(workload.input, workload.images, 500), sweep,
+                  options.stream);
   }
+}
+
+// --- primitives: the simulators' building blocks ---
+
+void run_primitives(obs::Bench& bench, const BenchSuiteOptions& /*options*/) {
+  // These guard the simulators' own speed: SC is "extremely slow to
+  // accurately simulate in software" (paper IV-A). Each timed call repeats
+  // its primitive for roughly half a millisecond, so neither the timer nor
+  // a short burst of host noise sets the median.
+  const auto repeat = [&bench](const char* name, int reps, const auto& fn) {
+    bench.run(name, [&] {
+      for (int i = 0; i < reps; ++i) {
+        fn();
+      }
+    });
+  };
+
+  // Bit-serial comparator SNG and single-gate arithmetic on BitStreams.
+  sc::Sng sng8(8, 1);
+  repeat("primitives/sng_generate", 8,
+         [&] { sink(sng8.generate(0.37, 8192).size()); });
+  sc::Sng sng(16, 3);
+  const sc::BitStream a = sng.generate(0.5, 65536);
+  const sc::BitStream b = sng.generate(0.3, 65536);
+  repeat("primitives/and_multiply", 1024,
+         [&] { sink(sc::and_multiply(a, b).size()); });
+  // A VGG-class 3x3x256 fan-in OR-accumulated onto one line.
+  const std::vector<sc::BitStream> products(2304, sng.generate(0.01, 1024));
+  repeat("primitives/or_accumulate_wide", 16, [&] {
+    sink(sc::or_accumulate(std::span<const sc::BitStream>(products))
+             .size());
+  });
+  // One 96:1 split-unipolar MAC on alternating-sign weights, streams
+  // generated per call.
+  const std::vector<double> acts(96, 0.4);
+  std::vector<double> weights(96, 0.2);
+  for (std::size_t i = 0; i < weights.size(); i += 2) {
+    weights[i] = -0.2;
+  }
+  repeat("primitives/split_unipolar_mac", 8, [&] {
+    sink(static_cast<std::uint64_t>(
+        sim::split_unipolar_mac(acts, weights, sim::ScConfig{}).count_final));
+  });
+
+  // One conv 5x5 (6 -> 16 channels) + ReLU + fused 2x2 average-pool stage,
+  // the executor's hot shape, on the planned body and the scalar oracle.
+  nn::Network stage;
+  auto& conv = stage.add<nn::Conv2D>(
+      nn::ConvSpec{.in_channels = 6, .out_channels = 16, .kernel = 5,
+                   .mode = nn::AccumMode::kOrApprox});
+  stage.add<nn::ReLU>();
+  stage.add<nn::AvgPool2D>(2);
+  conv.initialize(61);
+  nn::Tensor input(nn::Shape{8, 8, 6});
+  input.fill(0.4f);
+  for (const bool planned : {true, false}) {
+    sim::ScConfig cfg;
+    cfg.stream_length = 128;
+    cfg.exec = planned ? sim::ExecMode::kPlanned : sim::ExecMode::kScalar;
+    sim::ScNetwork executor(stage, cfg);
+    nn::Tensor out;
+    repeat(planned ? "primitives/conv_pool_planned"
+                   : "primitives/conv_pool_scalar",
+           planned ? 8 : 1, [&] {
+      executor.forward_into(input, out);
+      sink(out.size());
+    });
+  }
+
+  // Profiling spans stay compiled into the hot paths: the disabled path
+  // (null profiler) must cost a few pointer writes; enabled adds two clock
+  // reads and one mutex-guarded record.
+  repeat("primitives/span_disabled", 1 << 16, [] {
+    const obs::Span span(nullptr, std::string(), std::string());
+  });
+  obs::Profiler profiler;
+  bench.run("primitives/span_enabled", [&] {
+    for (int i = 0; i < 2048; ++i) {
+      const obs::Span span(&profiler, "bench", "layer");
+    }
+    sink(profiler.take().size());
+  });
+
+  // The performance simulator and the code generator.
+  const perf::ArchConfig arch = perf::lp();
+  const perf::CodegenResult alexnet =
+      perf::generate_program(nn::alexnet(), arch);
+  repeat("primitives/perf_sim_alexnet", 8, [&] {
+    sink(perf::simulate(alexnet.program, arch).total_cycles);
+  });
+  const nn::NetworkDesc vgg16 = nn::vgg16();
+  repeat("primitives/codegen_vgg16", 32, [&] {
+    sink(perf::generate_program(vgg16, arch).program.size());
+  });
 }
 
 }  // namespace
@@ -307,6 +404,10 @@ const std::vector<BenchSuite>& bench_suites() {
        "work-stealing thread scaling: img/s at 1/2/4 threads across "
        "lenet-small, cifar-max, resnet18",
        run_scaling},
+      {"primitives",
+       "SNG, AND/OR gates, split-unipolar MAC, conv+pool stage, spans, "
+       "perf-sim, codegen",
+       run_primitives},
   };
   return suites;
 }

@@ -13,6 +13,10 @@
 //   scaling     work-stealing scheduler thread-scaling matrix: img/s at
 //               1/2/4 threads across lenet-small, cifar-max and resnet18
 //               (the monotone-scaling gate CI checks)
+//   primitives  the simulators' building blocks: SNG generation, AND
+//               multiply, wide OR accumulation, the split-unipolar MAC,
+//               one conv+pool stage planned and scalar, disabled and
+//               enabled profiling spans, perf-sim AlexNet, codegen VGG-16
 //
 // Every suite records into one shared obs::Bench, so the whole run is a
 // single bench.v1 trajectory document `--compare` can gate on. Suites live
