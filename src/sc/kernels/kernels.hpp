@@ -89,15 +89,6 @@ struct KernelTable {
                        std::size_t count, std::uint32_t level,
                        std::uint64_t* out, std::size_t bit0);
 
-  /// acc[i] |= a[i] & b[i] — the split-unipolar product step (AND multiply
-  /// OR-accumulated into the activation counter input).
-  void (*and_or)(std::uint64_t* acc, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t n);
-
-  /// acc[i] |= a[i].
-  void (*or_reduce)(std::uint64_t* acc, const std::uint64_t* a,
-                    std::size_t n);
-
   /// out[i] = a[i] & b[i] (out may alias a).
   void (*and_words)(std::uint64_t* out, const std::uint64_t* a,
                     const std::uint64_t* b, std::size_t n);
@@ -125,13 +116,29 @@ struct KernelTable {
   std::uint64_t (*and_or_popcount)(std::uint64_t* acc, const std::uint64_t* a,
                                    const std::uint64_t* b, std::size_t n);
 
-  /// Bit-serial stochastic maximum FSM over @p n_bits stream bits: with a
-  /// running counter c starting at 0, bit t of @p out is a_t when c > 0
-  /// and b_t otherwise, then c += a_t - b_t. The counter makes the op
-  /// inherently sequential, so every level registers the same scalar body
-  /// — bit-identity across SIMD levels is structural, not tested luck.
+  /// One split-unipolar product group over segments of @p sw words,
+  /// gathered and fused: for w < sw,
+  ///   acc[w] = OR over e < n_ent of act[slot[e] * sw + w] & ww[e * sw + w]
+  /// (acc is overwritten, not accumulated into), returning the popcount of
+  /// acc[0, sw). The OR runs in registers; slot indices may repeat and come
+  /// in any order. This is the planned conv body's wide-segment chain: a
+  /// dead or padded slot holds zero activation words, so it needs no
+  /// branch.
+  std::uint64_t (*gather_and_or_popcount)(std::uint64_t* acc,
+                                          const std::uint64_t* act,
+                                          const std::uint32_t* slot,
+                                          const std::uint64_t* ww,
+                                          std::size_t n_ent, std::size_t sw);
+
+  /// The stochastic maximum FSM over @p n_bits stream bits, as the circuit
+  /// steps it bit-serially: with a running counter c starting at 0, bit t
+  /// of @p out is a_t when c > 0 and b_t otherwise, then c += a_t - b_t.
+  /// The body computes that word at a time: the counter moves only where
+  /// a_t != b_t, so a word whose differing bits cannot flip the sign of c
+  /// is copied whole. Every level registers the same portable body, so
+  /// bit-identity across SIMD levels is structural, not tested luck.
   /// @p out may alias @p a (each word is read before it is written);
-  /// tail bits beyond n_bits are written as zero in the last word.
+  /// input bits beyond n_bits are ignored and written as zero.
   void (*max_stream)(std::uint64_t* out, const std::uint64_t* a,
                      const std::uint64_t* b, std::size_t n_bits);
 };

@@ -1,6 +1,6 @@
 // AVX2 kernel table: 8-wide comparator packing (8 LFSR states scrambled
 // and compared per iteration, movemask into the packed output word) and
-// 256-bit word operations for the multi-word AND/OR product loops.
+// the gathered multi-word AND/OR product group in 256-bit registers.
 #include "sc/kernels/kernels_internal.hpp"
 
 #include <algorithm>
@@ -70,40 +70,6 @@ void avx2_compare_pack(const CompareWiring& w, const std::uint32_t* states,
   }
 }
 
-void avx2_and_or(std::uint64_t* acc, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_or_si256(vc, _mm256_and_si256(va, vb)));
-  }
-  for (; i < n; ++i) {
-    acc[i] |= a[i] & b[i];
-  }
-}
-
-void avx2_or_reduce(std::uint64_t* acc, const std::uint64_t* a,
-                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_or_si256(vc, va));
-  }
-  for (; i < n; ++i) {
-    acc[i] |= a[i];
-  }
-}
-
 std::uint64_t avx2_popcount_words(const std::uint64_t* words,
                                   std::size_t n) {
   std::uint64_t total = 0;
@@ -126,6 +92,52 @@ std::uint64_t avx2_and_or_popcount(std::uint64_t* acc,
   return total;
 }
 
+/// Words [w0, w0 + 4 * kRegs) of a gathered product group, OR-accumulated
+/// in kRegs 256-bit registers.
+template <std::size_t kRegs>
+void avx2_gather_and_or_block(std::uint64_t* acc, const std::uint64_t* act,
+                              const std::uint32_t* slot,
+                              const std::uint64_t* ww, std::size_t n_ent,
+                              std::size_t sw, std::size_t w0) {
+  __m256i r[kRegs];
+  for (std::size_t i = 0; i < kRegs; ++i) {
+    r[i] = _mm256_setzero_si256();
+  }
+  for (std::size_t e = 0; e < n_ent; ++e) {
+    const std::uint64_t* const x = act + slot[e] * sw + w0;
+    const std::uint64_t* const y = ww + e * sw + w0;
+    for (std::size_t i = 0; i < kRegs; ++i) {
+      const __m256i vx =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + 4 * i));
+      const __m256i vy =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + 4 * i));
+      r[i] = _mm256_or_si256(r[i], _mm256_and_si256(vx, vy));
+    }
+  }
+  for (std::size_t i = 0; i < kRegs; ++i) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + w0 + 4 * i), r[i]);
+  }
+}
+
+std::uint64_t avx2_gather_and_or_popcount(std::uint64_t* acc,
+                                          const std::uint64_t* act,
+                                          const std::uint32_t* slot,
+                                          const std::uint64_t* ww,
+                                          std::size_t n_ent, std::size_t sw) {
+  std::size_t w0 = 0;
+  for (; w0 + 8 <= sw; w0 += 8) {
+    avx2_gather_and_or_block<2>(acc, act, slot, ww, n_ent, sw, w0);
+  }
+  if (w0 + 4 <= sw) {
+    avx2_gather_and_or_block<1>(acc, act, slot, ww, n_ent, sw, w0);
+    w0 += 4;
+  }
+  for (; w0 < sw; ++w0) {
+    gather_and_or_block<1>(acc, act, slot, ww, n_ent, sw, w0);
+  }
+  return avx2_popcount_words(acc, sw);
+}
+
 }  // namespace
 
 namespace acoustic::sc::kernels::detail {
@@ -135,14 +147,13 @@ const KernelTable& avx2_table() noexcept {
       "avx2",
       Level::kAvx2,
       &avx2_compare_pack,
-      &avx2_and_or,
-      &avx2_or_reduce,
       &generic_and_words,
       &generic_or_words,
       &generic_xor_words,
       &generic_xnor_words,
       &avx2_popcount_words,
       &avx2_and_or_popcount,
+      &avx2_gather_and_or_popcount,
       &generic_max_stream,
   };
   return table;

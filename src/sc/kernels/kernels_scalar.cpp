@@ -19,14 +19,13 @@ const KernelTable& scalar_table() noexcept {
       "scalar",
       Level::kScalar,
       &generic_compare_pack,
-      &generic_and_or,
-      &generic_or_reduce,
       &generic_and_words,
       &generic_or_words,
       &generic_xor_words,
       &generic_xnor_words,
       &generic_popcount_words,
       &generic_and_or_popcount,
+      &generic_gather_and_or_popcount,
       &generic_max_stream,
   };
   return table;

@@ -102,14 +102,13 @@ const KernelTable& sse42_table() noexcept {
       "sse42",
       Level::kSse42,
       &sse42_compare_pack,
-      &generic_and_or,
-      &generic_or_reduce,
       &generic_and_words,
       &generic_or_words,
       &generic_xor_words,
       &generic_xnor_words,
       &sse42_popcount_words,
       &sse42_and_or_popcount,
+      &generic_gather_and_or_popcount,
       &generic_max_stream,
   };
   return table;

@@ -28,11 +28,12 @@ enum class MaxPoolMode {
   /// exists (streams are regenerated per layer), so an exact max between
   /// conversions models a max unit in the binary datapath. The default.
   kExact,
-  /// Bit-serial stochastic maximum FSM over the regenerated activation
-  /// streams (the counter-based max circuit: output selects the stream
-  /// whose running ones-count leads). ~2x the cost of average pooling in
-  /// hardware (paper II-C) and only approximate — provided so the
-  /// max-vs-avg accuracy observation can be reproduced end to end.
+  /// Stochastic maximum FSM over the regenerated activation streams (the
+  /// bit-serial counter-based max circuit: output selects the stream whose
+  /// running ones-count leads; simulated a word at a time, bit-identical).
+  /// ~2x the cost of average pooling in hardware (paper II-C) and only
+  /// approximate — provided so the max-vs-avg accuracy observation can be
+  /// reproduced end to end.
   kStochastic,
 };
 

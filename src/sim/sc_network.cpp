@@ -816,16 +816,10 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
               }
               ones = std::popcount((a0 | a1) | (a2 | a3));
             } else {
-              // Wide segments: the dispatched kernel per live entry (a
-              // dead entry would OR in zeros, so it is skipped).
-              std::uint64_t* const acc = ws.acc.data();
-              std::fill_n(acc, sw, std::uint64_t{0});
-              for (std::size_t ei = 0; ei < n_ent; ++ei) {
-                if (live_slot(sl[ei])) {
-                  kt.and_or(acc, act_w + sl[ei] * sw, ww + ei * sw, sw);
-                }
-              }
-              ones = static_cast<std::int64_t>(kt.popcount_words(acc, sw));
+              // Wide segments: one fused gather over the whole group,
+              // accumulator in registers; dead slots again OR in zeros.
+              ones = static_cast<std::int64_t>(kt.gather_and_or_popcount(
+                  ws.acc.data(), act_w, sl, ww, n_ent, sw));
             }
             ws.counters[oc] += positive ? ones : -ones;
           }
@@ -888,9 +882,10 @@ void ScNetwork::run_max_pool_sc(const LoweredOp& op, const nn::Tensor& input,
     for (int ox = 0; ox < os.w; ++ox) {
       for (int c = 0; c < os.c; ++c) {
         // Tournament over the window: acc starts as the first candidate's
-        // phase stream, then the bit-serial max FSM folds in the rest.
-        // One scalar FSM serves every exec mode, thread count and SIMD
-        // level, so bit-determinism is structural.
+        // phase stream, then the max FSM folds in the rest. One portable
+        // FSM body (bit-serial semantics, simulated a word at a time)
+        // serves every exec mode, thread count and SIMD level, so
+        // bit-determinism is structural.
         bool first = true;
         for (int ky = 0; ky < p; ++ky) {
           for (int kx = 0; kx < p; ++kx) {

@@ -6,7 +6,8 @@
 // skip-path projection conv) run the stochastic datapath below, residual
 // save/add nodes run counter-preload semantics in the binary domain,
 // max-pool nodes dispatch on ScConfig::max_pool (exact binary max or the
-// bit-serial stochastic max FSM), and a BatchNorm folded into a conv node
+// stochastic max FSM, a bit-serial circuit the simulator steps a word at a
+// time), and a BatchNorm folded into a conv node
 // multiplies into the quantized weight levels with its shift applied
 // post-counter. Skip-connection topologies therefore execute through the
 // ordinary walk — no executor special-casing per network.
@@ -208,11 +209,13 @@ class ScNetwork {
   /// Runs the node's projection conv stochastically over the saved skip
   /// tensor (saved = proj(saved)); the main-path activation is untouched.
   void run_skip_project(const LoweredOp& op, std::size_t op_idx, Stats& run);
-  /// Bit-serial stochastic max pooling (MaxPoolMode::kStochastic): each
-  /// window runs a tournament of the kernel table's max_stream FSM over
-  /// streams regenerated from the activation bank. Deliberately serial —
-  /// the FSM's counter is sequential state — so the result is invariant
-  /// across thread counts, exec modes and SIMD levels by construction.
+  /// Stochastic max pooling (MaxPoolMode::kStochastic): each window runs a
+  /// tournament of the kernel table's max_stream FSM over streams
+  /// regenerated from the activation bank. The modelled circuit is
+  /// bit-serial; max_stream reproduces it word at a time with one portable
+  /// body at every level, and the windows run serially, so the result is
+  /// invariant across thread counts, exec modes and SIMD levels by
+  /// construction.
   void run_max_pool_sc(const LoweredOp& op, const nn::Tensor& input,
                        nn::Tensor& out, Stats& run);
 

@@ -514,6 +514,97 @@ TEST(Figure4Shape, Ddr3FlattensHbmScales) {
 
 class MaxStreamTest : public ::testing::TestWithParam<std::uint32_t> {};
 
+/// The specification max_stream is held to: the FSM stepped one bit at a
+/// time, as the circuit does. With a running counter c starting at 0, out
+/// bit t is a_t when c > 0 and b_t otherwise, then c += a_t - b_t. Bits
+/// beyond n_bits are never read, and come out zero in the last word.
+void bit_serial_max(std::uint64_t* out, const std::uint64_t* a,
+                    const std::uint64_t* b, std::size_t n_bits) {
+  std::int64_t c = 0;
+  std::size_t bit = 0;
+  for (std::size_t w = 0; bit < n_bits; ++w) {
+    const std::uint64_t aw = a[w];
+    const std::uint64_t bw = b[w];
+    const std::size_t chunk = std::min<std::size_t>(64, n_bits - bit);
+    std::uint64_t ow = 0;
+    for (std::size_t t = 0; t < chunk; ++t) {
+      const std::int64_t ab = static_cast<std::int64_t>((aw >> t) & 1u);
+      const std::int64_t bb = static_cast<std::int64_t>((bw >> t) & 1u);
+      ow |= static_cast<std::uint64_t>(c > 0 ? ab : bb) << t;
+      c += ab - bb;
+    }
+    out[w] = ow;
+    bit += chunk;
+  }
+}
+
+/// @p n_words words whose bits are independently set with probability
+/// @p p — including the bits past any stream length the caller picks.
+std::vector<std::uint64_t> bernoulli_words(std::size_t n_words, double p,
+                                           sc::XorShift32& rng) {
+  std::vector<std::uint64_t> words(n_words, 0);
+  for (std::uint64_t& w : words) {
+    for (unsigned t = 0; t < 64; ++t) {
+      if (rng.next_double() < p) {
+        w |= std::uint64_t{1} << t;
+      }
+    }
+  }
+  return words;
+}
+
+TEST_P(MaxStreamTest, EveryLevelMatchesBitSerialSpecification) {
+  // Equal densities keep the counter hovering near zero, so the body must
+  // walk differing bits one by one; an all-zero or strongly skewed input
+  // drives it into whole-word copies. Input bits beyond n_bits are set
+  // at random (and, in the second pass, all set) and must not reach the
+  // output.
+  const std::pair<double, double> densities[] = {
+      {0.5, 0.5}, {0.2, 0.2}, {0.0, 0.6}, {0.6, 0.0},
+      {0.0, 0.0}, {0.02, 0.98}, {0.98, 0.02}, {0.3, 0.7}};
+  sc::XorShift32 rng(GetParam() * 2654435761u + 1u);
+  for (const auto& [pa, pb] : densities) {
+    for (const std::size_t n_bits :
+         {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+          std::size_t{100}, std::size_t{512}, std::size_t{1000},
+          std::size_t{4096}}) {
+      const std::size_t n_words = (n_bits + 63) / 64;
+      std::vector<std::uint64_t> a = bernoulli_words(n_words, pa, rng);
+      std::vector<std::uint64_t> b = bernoulli_words(n_words, pb, rng);
+      for (const bool tail_ones : {false, true}) {
+        if (tail_ones && n_bits % 64 != 0) {
+          a.back() |= ~std::uint64_t{0} << (n_bits % 64);
+          b.back() |= ~std::uint64_t{0} << (n_bits % 64);
+        }
+        std::vector<std::uint64_t> want(n_words);
+        bit_serial_max(want.data(), a.data(), b.data(), n_bits);
+        const std::string label = "pa=" + std::to_string(pa) +
+                                  " pb=" + std::to_string(pb) +
+                                  " n_bits=" + std::to_string(n_bits) +
+                                  " tail_ones=" + std::to_string(tail_ones);
+        for (const auto level :
+             {sc::kernels::Level::kScalar, sc::kernels::Level::kSse42,
+              sc::kernels::Level::kAvx2, sc::kernels::Level::kNeon}) {
+          if (!sc::kernels::level_supported(level)) {
+            continue;
+          }
+          const sc::kernels::KernelTable& kt = sc::kernels::table_for(level);
+          std::vector<std::uint64_t> got(n_words, ~std::uint64_t{0});
+          kt.max_stream(got.data(), a.data(), b.data(), n_bits);
+          EXPECT_EQ(got, want) << kt.name << " " << label;
+          if (n_bits % 64 != 0) {
+            EXPECT_EQ(got.back() >> (n_bits % 64), 0u)
+                << kt.name << " " << label;
+          }
+          std::vector<std::uint64_t> aliased = a;  // out == a
+          kt.max_stream(aliased.data(), aliased.data(), b.data(), n_bits);
+          EXPECT_EQ(aliased, want) << kt.name << " aliased " << label;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(MaxStreamTest, IdempotentOnAnyStream) {
   // a == b keeps the FSM counter pinned at zero, so out bit t = b_t = a_t.
   const sc::BitStream a = random_stream(GetParam() + 211);
@@ -543,8 +634,8 @@ TEST_P(MaxStreamTest, OutputBoundedByAndAndOr) {
 }
 
 TEST_P(MaxStreamTest, EverySimdLevelMatchesScalar) {
-  // The FSM is registered as the same scalar body at every level; pin
-  // that down so a future "vectorized" max cannot silently fork behavior.
+  // The FSM is registered as the same portable body at every level; pin
+  // that down so a per-ISA max cannot silently fork behavior.
   const sc::BitStream a = random_stream(GetParam() + 229);
   const sc::BitStream b = random_stream(GetParam() * 7 + 233);
   std::vector<std::uint64_t> want(a.words().size());

@@ -148,10 +148,6 @@ TEST(Kernels, WordKernelsMatchScalarOnAllLengths) {
     const std::vector<std::uint64_t> b = random_words(n, 99u + n);
     const std::vector<std::uint64_t> acc0 = random_words(n, 1234u + n);
 
-    std::vector<std::uint64_t> want_and_or = acc0;
-    ref.and_or(want_and_or.data(), a.data(), b.data(), n);
-    std::vector<std::uint64_t> want_or_reduce = acc0;
-    ref.or_reduce(want_or_reduce.data(), a.data(), n);
     std::vector<std::uint64_t> want_and(n), want_or(n), want_xor(n),
         want_xnor(n);
     ref.and_words(want_and.data(), a.data(), b.data(), n);
@@ -165,13 +161,7 @@ TEST(Kernels, WordKernelsMatchScalarOnAllLengths) {
 
     for (const kn::Level level : levels) {
       const kn::KernelTable& kt = kn::table_for(level);
-      std::vector<std::uint64_t> out = acc0;
-      kt.and_or(out.data(), a.data(), b.data(), n);
-      EXPECT_EQ(out, want_and_or) << kn::level_name(level) << " n=" << n;
-      out = acc0;
-      kt.or_reduce(out.data(), a.data(), n);
-      EXPECT_EQ(out, want_or_reduce) << kn::level_name(level) << " n=" << n;
-      out.assign(n, 0);
+      std::vector<std::uint64_t> out(n, 0);
       kt.and_words(out.data(), a.data(), b.data(), n);
       EXPECT_EQ(out, want_and) << kn::level_name(level) << " n=" << n;
       out.assign(n, 0);
@@ -201,6 +191,47 @@ TEST(Kernels, WordKernelsMatchScalarOnAllLengths) {
       kt.xnor_words(out.data(), out.data(), b.data(), n);
       EXPECT_EQ(out, want_xnor)
           << kn::level_name(level) << " aliased n=" << n;
+    }
+  }
+}
+
+TEST(Kernels, GatherAndOrPopcountMatchesNaiveLoop) {
+  // The planned conv body's wide-segment group: every level against a
+  // naive word loop, over segment widths on both sides of the 4- and
+  // 8-word register blocks, with repeated and unordered slot indices.
+  constexpr std::size_t kSlots = 7;
+  for (const std::size_t sw : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                               std::size_t{4}, std::size_t{5}, std::size_t{8},
+                               std::size_t{9}, std::size_t{16}}) {
+    const std::vector<std::uint64_t> act = random_words(kSlots * sw, 5u + sw);
+    for (const std::size_t n_ent :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+          std::size_t{31}}) {
+      acoustic::sc::XorShift32 rng(static_cast<std::uint32_t>(97 * sw + n_ent));
+      std::vector<std::uint32_t> slot(n_ent);
+      for (auto& s : slot) {
+        s = rng.next() % kSlots;  // repeats and any order
+      }
+      const std::vector<std::uint64_t> ww =
+          random_words(n_ent * sw, static_cast<std::uint32_t>(31 * sw + n_ent));
+      std::vector<std::uint64_t> want(sw, 0);
+      std::uint64_t want_pop = 0;
+      for (std::size_t w = 0; w < sw; ++w) {
+        for (std::size_t e = 0; e < n_ent; ++e) {
+          want[w] |= act[slot[e] * sw + w] & ww[e * sw + w];
+        }
+        want_pop += static_cast<std::uint64_t>(std::popcount(want[w]));
+      }
+      for (const kn::Level level : supported_levels()) {
+        // Stale contents must not leak into the result: acc is overwritten.
+        std::vector<std::uint64_t> acc = random_words(sw, 77u);
+        const std::uint64_t got = kn::table_for(level).gather_and_or_popcount(
+            acc.data(), act.data(), slot.data(), ww.data(), n_ent, sw);
+        EXPECT_EQ(acc, want) << kn::level_name(level) << " sw=" << sw
+                             << " n_ent=" << n_ent;
+        EXPECT_EQ(got, want_pop) << kn::level_name(level) << " sw=" << sw
+                                 << " n_ent=" << n_ent;
+      }
     }
   }
 }

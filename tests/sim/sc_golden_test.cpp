@@ -171,17 +171,25 @@ TEST(ScGolden, MultiWordSegmentsMatchScalar) {
                                 multi_word_config());
 }
 
-TEST(ScGolden, GroupedConvMatchesScalar) {
-  // groups=2: the plan slot space stays kernel*kernel*in_c wide but every
-  // cross-group (oc, ic) pair must be absent from both sign-phase bitmaps.
+/// A groups=2 conv (+ReLU): the plan slot space stays kernel*kernel*in_c
+/// wide but every cross-group (oc, ic) pair must be absent from both
+/// sign-phase bitmaps.
+nn::Network grouped_conv_net() {
   nn::Network net;
   auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
       .in_channels = 4, .out_channels = 4, .kernel = 3, .padding = 1,
       .groups = 2, .mode = nn::AccumMode::kOrExact});
   net.add<nn::ReLU>();
   conv.initialize(61);
-  expect_planned_matches_scalar(net, random_unit(nn::Shape{8, 8, 4}, 141),
-                                golden_config());
+  return net;
+}
+
+TEST(ScGolden, GroupedConvMatchesScalar) {
+  // At 1-word segments and, unpooled at stream 1024, 8-word segments.
+  nn::Network net = grouped_conv_net();
+  const nn::Tensor input = random_unit(nn::Shape{8, 8, 4}, 141);
+  expect_planned_matches_scalar(net, input, golden_config());
+  expect_planned_matches_scalar(net, input, multi_word_config());
 }
 
 TEST(ScGolden, DepthwiseConvMatchesScalar) {
@@ -192,8 +200,9 @@ TEST(ScGolden, DepthwiseConvMatchesScalar) {
       .in_channels = 4, .out_channels = 4, .kernel = 3, .padding = 1,
       .groups = 4, .mode = nn::AccumMode::kOrExact});
   conv.initialize(63);
-  expect_planned_matches_scalar(net, random_unit(nn::Shape{7, 7, 4}, 143),
-                                golden_config());
+  const nn::Tensor input = random_unit(nn::Shape{7, 7, 4}, 143);
+  expect_planned_matches_scalar(net, input, golden_config());
+  expect_planned_matches_scalar(net, input, multi_word_config());
 }
 
 TEST(ScGolden, BatchNormFoldMatchesScalar) {
@@ -234,9 +243,9 @@ TEST(ScGolden, SkipProjectionBlockMatchesScalar) {
 }
 
 TEST(ScGolden, StochasticMaxPoolMatchesScalar) {
-  // MaxPoolMode::kStochastic: the bit-serial max FSM runs the same scalar
-  // body at every SIMD level and thread count, so planned == scalar holds
-  // for the whole max-pool network too.
+  // MaxPoolMode::kStochastic: the max FSM runs the same portable body at
+  // every SIMD level and thread count, so planned == scalar holds for the
+  // whole max-pool network too.
   nn::Network net = train::build_cifar_small_maxpool(nn::AccumMode::kOrExact);
   ScConfig cfg = golden_config();
   cfg.max_pool = MaxPoolMode::kStochastic;
@@ -316,6 +325,24 @@ TEST(ScGolden, PlanBudgetFallbackMatchesScalar) {
   nn::Network pooled = multi_word_pooled_net();
   expect_fallback_matches_scalar(
       pooled, random_unit(nn::Shape{6, 6, 1}, 127), multi_word_config());
+}
+
+TEST(ScGolden, PartialLastSegmentWordMatchesScalar) {
+  // Stream 600: the unpooled grouped conv runs 300-bit segments, five
+  // words with a 44-bit last word, planned and through the fallback; the
+  // max-pool network adds 300-bit stochastic max streams.
+  ScConfig cfg = multi_word_config();
+  cfg.stream_length = 600;
+  nn::Network grouped = grouped_conv_net();
+  const nn::Tensor input = random_unit(nn::Shape{8, 8, 4}, 193);
+  expect_planned_matches_scalar(grouped, input, cfg);
+  expect_fallback_matches_scalar(grouped, input, cfg);
+
+  nn::Network cifar =
+      train::build_cifar_small_maxpool(nn::AccumMode::kOrExact);
+  cfg.max_pool = MaxPoolMode::kStochastic;
+  expect_fallback_matches_scalar(
+      cifar, random_unit(nn::Shape{16, 16, 3}, 197), cfg);
 }
 
 TEST(ScGolden, ScheduleChangeMatchesScalar) {

@@ -134,16 +134,26 @@ void run_kernels(obs::Bench& bench, const BenchSuiteOptions& options) {
   std::vector<std::uint64_t> acc = random_words(words, 33);
   std::vector<std::uint64_t> out(words, 0);
 
-  bench.run("kernels/and_or", [&] {
-    k.and_or(acc.data(), a.data(), b.data(), words);
-    sink(acc[0]);
-  });
-  bench.run("kernels/or_reduce", [&] {
-    k.or_reduce(acc.data(), a.data(), words);
-    sink(acc[0]);
-  });
   bench.run("kernels/and_or_popcount", [&] {
     sink(k.and_or_popcount(acc.data(), a.data(), b.data(), words));
+  });
+  // The planned conv body's wide-segment group at 8-word segments: groups
+  // of 32 entries gathered from a 64-slot field, `words` weight words in
+  // all (the same AND/OR volume as and_or_popcount above).
+  constexpr std::size_t kSegWords = 8;
+  constexpr std::size_t kGroup = 32;
+  std::vector<std::uint32_t> slot(words / kSegWords);
+  for (std::size_t e = 0; e < slot.size(); ++e) {
+    slot[e] = static_cast<std::uint32_t>((e * 37) % 64);
+  }
+  bench.run("kernels/gather_and_or_popcount", [&] {
+    std::uint64_t ones = 0;
+    for (std::size_t e0 = 0; e0 + kGroup <= slot.size(); e0 += kGroup) {
+      ones += k.gather_and_or_popcount(acc.data(), a.data(), slot.data() + e0,
+                                       b.data() + e0 * kSegWords, kGroup,
+                                       kSegWords);
+    }
+    sink(ones);
   });
   bench.run("kernels/xnor_words", [&] {
     k.xnor_words(out.data(), a.data(), b.data(), words);
