@@ -4,18 +4,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/saturation.hpp"
-#include "nn/conv.hpp"
-#include "nn/dense.hpp"
-#include "nn/pool.hpp"
 #include "nn/residual.hpp"
 #include "sc/rng.hpp"
 #include "sc/sng.hpp"
+#include "sim/op_graph.hpp"
 #include "sim/sc_network.hpp"
 
 namespace acoustic::analysis {
@@ -46,23 +45,19 @@ std::string hex(std::uint32_t v) {
   return buf;
 }
 
-/// Per-layer stream geometry shared by the descriptor and live-network
-/// walks: the pooling-window segment timetable and its resolution rules.
-struct StreamGeom {
-  std::size_t positions = 1;  ///< pool^2 slots per sign phase
-  std::size_t seg = 0;        ///< bits per slot
-  bool ok = false;            ///< seg > 0 (layer is executable)
-};
-
 /// Applies the stream-geometry rules (pool-untiled, stream-too-short,
-/// segment-truncation, stream-resolution) of one layer whose conv output is
-/// out_h x out_w with fused pooling window @p pool (1 = none).
-StreamGeom check_stream_geometry(Report& report, const std::string& path,
-                                 const sim::ScConfig& cfg, int pool, int out_h,
-                                 int out_w) {
-  StreamGeom g;
-  const std::size_t phase = cfg.phase_length();
-  if (pool > 1 && (out_h % pool != 0 || out_w % pool != 0)) {
+/// segment-truncation, stream-resolution) of one node whose conv output is
+/// out_h x out_w with fused pooling window @p pool (1 = none). Returns the
+/// node's slot timetable — sim::window_schedule, the executor's own — with
+/// seg == 0 when the node cannot execute.
+sim::SegmentSchedule check_stream_geometry(Report& report,
+                                           const std::string& path,
+                                           const sim::ScConfig& cfg, int pool,
+                                           int out_h, int out_w) {
+  const sim::WindowSchedule w =
+      sim::window_schedule(cfg.phase_length(), pool, out_h, out_w);
+  const sim::SegmentSchedule& g = w.sched;
+  if (!w.fused) {
     report.add("pool-untiled", Severity::kNote, path,
                "fused " + std::to_string(pool) + "x" + std::to_string(pool) +
                    " pooling window does not tile the " +
@@ -70,32 +65,27 @@ StreamGeom check_stream_geometry(Report& report, const std::string& path,
                    " conv output; the executor falls back to binary-domain "
                    "pooling after the unfused conv (still exact, but the "
                    "computation-skipping benefit is lost)");
-    pool = 1;  // model the fallback: the conv runs over the full phase
   }
-  g.positions = static_cast<std::size_t>(pool > 1 ? pool : 1);
-  g.positions *= g.positions;
-  g.seg = phase / g.positions;
   if (g.seg == 0) {
     report.add("stream-too-short", Severity::kError, path,
-               "phase of " + std::to_string(phase) + " bits cannot cover " +
+               "phase of " + std::to_string(g.phase) + " bits cannot cover " +
                    std::to_string(g.positions) +
                    " pooling-window slots (zero bits per slot); use a "
                    "stream of at least " +
                    std::to_string(2 * g.positions) + " bits");
     return g;
   }
-  g.ok = true;
-  const std::size_t waste = phase - g.seg * g.positions;
+  const std::size_t waste = g.phase - g.counted();
   if (waste > 0) {
     const double frac =
-        static_cast<double>(waste) / static_cast<double>(phase);
+        static_cast<double>(waste) / static_cast<double>(g.phase);
     report.add("segment-truncation",
                frac >= 0.10 ? Severity::kWarning : Severity::kNote, path,
                std::to_string(g.positions) +
                    " slots do not divide the phase of " +
-                   std::to_string(phase) + " bits; " + std::to_string(waste) +
-                   " bits per phase (" + fmt(100.0 * frac) +
-                   "%) are never counted");
+                   std::to_string(g.phase) + " bits; " +
+                   std::to_string(waste) + " bits per phase (" +
+                   fmt(100.0 * frac) + "%) are never counted");
   }
   const std::size_t grid = cfg.sng_width >= 32
                                ? (std::size_t{1} << 31)
@@ -117,9 +107,9 @@ StreamGeom check_stream_geometry(Report& report, const std::string& path,
 /// (sim::plan_table_bytes), so the note fires exactly where the planned
 /// path falls back to regeneration.
 void note_plan_budget(Report& report, const std::string& path,
-                      const sim::ScConfig& cfg, const StreamGeom& g,
-                      std::size_t weights, std::size_t activations) {
-  const sim::SegmentSchedule sched{cfg.phase_length(), g.positions, g.seg};
+                      const sim::ScConfig& cfg,
+                      const sim::SegmentSchedule& sched, std::size_t weights,
+                      std::size_t activations) {
   const std::pair<const char*, std::size_t> tables[] = {
       {"weight table", weights}, {"activation plan", activations}};
   for (const auto& [what, lanes] : tables) {
@@ -394,10 +384,10 @@ core::Report check_descriptor(const nn::NetworkDesc& net,
     if (!geom_ok) {
       continue;
     }
-    const StreamGeom g = check_stream_geometry(
+    const sim::SegmentSchedule g = check_stream_geometry(
         report, path, options.sc, conv && layer.pool > 1 ? layer.pool : 1,
         conv ? layer.out_h() : 1, conv ? layer.out_w() : 1);
-    if (!g.ok) {
+    if (g.seg == 0) {
       continue;
     }
     // Prior-based OR-saturation bound: fan_in identical product lines at
@@ -437,20 +427,21 @@ struct WorstPhase {
 };
 
 WorstPhase worst_saturation(std::span<const float> weights,
-                            std::size_t outputs, std::size_t rf,
-                            const CheckOptions& options, std::size_t seg,
-                            std::size_t positions) {
+                            const sim::WeightLayout& layout,
+                            const CheckOptions& options,
+                            const sim::SegmentSchedule& sched) {
   WorstPhase worst;
   const unsigned width = options.sc.sng_width;
   const double grid =
       width >= 32 ? 4294967296.0 : static_cast<double>(1u << width) * 1.0;
+  const std::size_t rf = layout.w_per_oc;
   SaturationInput in;
-  in.seg_bits = seg;
-  in.positions = positions;
+  in.seg_bits = sched.seg;
+  in.positions = sched.positions;
   in.sng_width = width;
   std::vector<double> pos;
   std::vector<double> neg;
-  for (std::size_t o = 0; o < outputs; ++o) {
+  for (std::size_t o = 0; o < layout.oc_count; ++o) {
     pos.clear();
     neg.clear();
     for (std::size_t s = 0; s < rf; ++s) {
@@ -529,6 +520,38 @@ void check_weights(Report& report, const std::string& path,
   }
 }
 
+/// The weighted-node rules, one function for conv, dense and skip-project
+/// nodes alike: weight scans, stream timetable, OR saturation and plan
+/// budget, all on the executor's own node geometry (sim::conv_geometry)
+/// and the BN-folded weights it quantizes (sim::node_weights). @p in is the
+/// volume the node is fed.
+void check_weighted_node(Report& report, const std::string& path,
+                         const CheckOptions& options, const sim::LoweredOp& op,
+                         nn::Shape in, std::vector<float>& scratch) {
+  const sim::ConvGeometry g =
+      sim::conv_geometry(op, in, options.sc.phase_length());
+  const std::span<const float> weights = sim::node_weights(op, scratch);
+  check_weights(report, path, weights, g.spec.mode);
+  const sim::SegmentSchedule sched =
+      check_stream_geometry(report, path, options.sc, op.pool_window(),
+                            g.conv_out.h, g.conv_out.w);
+  if (sched.seg == 0) {
+    return;
+  }
+  const WorstPhase worst = worst_saturation(weights, g.layout, options, sched);
+  if (worst.any) {
+    report_saturation(
+        report, path, options, worst.est, worst.fan_in,
+        std::string("computed from the quantized weight levels of output ") +
+            (op.dense != nullptr ? "feature " : "channel ") +
+            std::to_string(worst.output) + "'s " +
+            (worst.positive ? "positive" : "negative") +
+            " phase at activation prior " + fmt(options.activation_prior));
+  }
+  note_plan_budget(report, path, options.sc, sched, weights.size(),
+                   in.size());
+}
+
 }  // namespace
 
 core::Report check_network(nn::Network& net, std::string_view name,
@@ -545,28 +568,13 @@ core::Report check_network(nn::Network& net, std::string_view name,
                "network has no layers");
     return report;
   }
-  if (sc) {
-    // Binary-domain ops lower by attaching to the preceding graph node,
-    // so they cannot lead the network. Explicit nodes (skip save/project,
-    // max pool) can, in addition to the weighted openers.
-    const nn::Layer::Kind k0 = net.layer(0).kind();
-    if (k0 == nn::Layer::Kind::kReLU ||
-        k0 == nn::Layer::Kind::kOrSaturation ||
-        k0 == nn::Layer::Kind::kAvgPool2D ||
-        k0 == nn::Layer::Kind::kBatchNorm) {
-      report.add("stage-structure", Severity::kError,
-                 prefix + net.layer(0).name(),
-                 "binary-domain layer " + net.layer(0).name() +
-                     " lowers by attaching to the preceding graph node; "
-                     "the network must start with a layer that opens one "
-                     "(conv, dense, max pool, or a skip save/projection)");
-    }
-  }
-
   nn::Shape shape = input_shape;
   // Shapes riding each skip connection, keyed by the shared SkipState so
   // save / project / add triples pair up exactly like they do at runtime.
   std::map<const nn::SkipState*, nn::Shape> skip_shapes;
+  // The volume each weighted layer is fed (a projection: the saved skip
+  // tensor), keyed by the layer its lowered node carries.
+  std::map<const nn::Layer*, nn::Shape> node_inputs;
   bool shapes_ok =
       input_shape.h > 0 && input_shape.w > 0 && input_shape.c > 0;
   if (!shapes_ok) {
@@ -578,195 +586,63 @@ core::Report check_network(nn::Network& net, std::string_view name,
   for (std::size_t i = 0; i < net.layer_count() && shapes_ok; ++i) {
     nn::Layer& layer = net.layer(i);
     const std::string path = prefix + layer.name();
-    if (layer.kind() == nn::Layer::Kind::kConv2D) {
-      auto& conv = static_cast<nn::Conv2D&>(layer);
-      const nn::ConvSpec& spec = conv.spec();
-      if (spec.in_channels != shape.c) {
-        report.add("shape-mismatch", Severity::kError, path,
-                   "expects " + std::to_string(spec.in_channels) +
-                       " input channels but receives " +
-                       std::to_string(shape.c));
-        shapes_ok = false;
-        break;
-      }
-      const nn::Shape out = conv.output_shape(shape);
-      if (out.h <= 0 || out.w <= 0) {
-        report.add("shape-mismatch", Severity::kError, path,
-                   "kernel " + std::to_string(spec.kernel) + " (stride " +
-                       std::to_string(spec.stride) + ", padding " +
-                       std::to_string(spec.padding) +
-                       ") does not fit the " + std::to_string(shape.h) +
-                       "x" + std::to_string(shape.w) + " input");
-        shapes_ok = false;
-        break;
-      }
-      if (sc) {
-        check_weights(report, path, conv.weights(), spec.mode);
-        // Mirror ScNetwork's stage fusion: an AvgPool2D directly after the
-        // conv is executed by stream slicing under skipping mode.
-        int pool = 1;
-        if (options.sc.pooling == sim::PoolingMode::kSkipping &&
-            i + 1 < net.layer_count() &&
-            net.layer(i + 1).kind() == nn::Layer::Kind::kAvgPool2D) {
-          pool = static_cast<nn::AvgPool2D&>(net.layer(i + 1)).window();
-        }
-        const StreamGeom g = check_stream_geometry(report, path, options.sc,
-                                                   pool, out.h, out.w);
-        // Weights per output channel: a grouped conv sees only its group's
-        // input channels.
-        const std::size_t rf = static_cast<std::size_t>(spec.kernel) *
-                               spec.kernel *
-                               static_cast<std::size_t>(spec.in_channels /
-                                                        spec.groups);
-        if (g.ok && rf > 0) {
-          const WorstPhase worst = worst_saturation(
-              conv.weights(), static_cast<std::size_t>(spec.out_channels),
-              rf, options, g.seg, g.positions);
-          if (worst.any) {
-            report_saturation(
-                report, path, options, worst.est, worst.fan_in,
-                "computed from the quantized weight levels of output "
-                "channel " +
-                    std::to_string(worst.output) + "'s " +
-                    (worst.positive ? "positive" : "negative") +
-                    " phase at activation prior " +
-                    fmt(options.activation_prior));
-          }
-          note_plan_budget(report, path, options.sc, g,
-                           conv.weights().size(), shape.size());
-        }
-      }
-      shape = out;
-      continue;
-    }
-    if (layer.kind() == nn::Layer::Kind::kDense) {
-      auto& dense = static_cast<nn::Dense&>(layer);
-      const nn::DenseSpec& spec = dense.spec();
-      if (static_cast<std::size_t>(spec.in_features) != shape.size()) {
-        report.add("shape-mismatch", Severity::kError, path,
-                   "expects " + std::to_string(spec.in_features) +
-                       " input features but receives " +
-                       std::to_string(shape.size()) + " (" +
-                       std::to_string(shape.h) + "x" +
-                       std::to_string(shape.w) + "x" +
-                       std::to_string(shape.c) + ")");
-        shapes_ok = false;
-        break;
-      }
-      if (sc) {
-        check_weights(report, path, dense.weights(), spec.mode);
-        const StreamGeom g =
-            check_stream_geometry(report, path, options.sc, 1, 1, 1);
-        if (g.ok && spec.in_features > 0) {
-          const WorstPhase worst = worst_saturation(
-              dense.weights(), static_cast<std::size_t>(spec.out_features),
-              static_cast<std::size_t>(spec.in_features), options, g.seg, 1);
-          if (worst.any) {
-            report_saturation(
-                report, path, options, worst.est, worst.fan_in,
-                "computed from the quantized weight levels of output "
-                "feature " +
-                    std::to_string(worst.output) + "'s " +
-                    (worst.positive ? "positive" : "negative") +
-                    " phase at activation prior " +
-                    fmt(options.activation_prior));
-          }
-          note_plan_budget(report, path, options.sc, g,
-                           dense.weights().size(), shape.size());
-        }
-      }
-      shape = nn::Shape{1, 1, spec.out_features};
-      continue;
-    }
-    if (layer.kind() == nn::Layer::Kind::kSkipSave) {
-      skip_shapes[static_cast<nn::SkipSave&>(layer).state().get()] = shape;
-      continue;  // identity on the main path
-    }
-    if (layer.kind() == nn::Layer::Kind::kSkipProject) {
-      auto& proj = static_cast<nn::SkipProject&>(layer);
-      const auto it = skip_shapes.find(proj.state().get());
-      if (it == skip_shapes.end()) {
-        report.add("residual-structure", Severity::kError, path,
-                   "skip projection runs before any paired skip save "
-                   "recorded a tensor");
-        shapes_ok = false;
-        break;
-      }
-      const nn::ConvSpec& pspec = proj.conv().spec();
-      if (pspec.in_channels != it->second.c) {
-        report.add("shape-mismatch", Severity::kError, path,
-                   "projection conv expects " +
-                       std::to_string(pspec.in_channels) +
-                       " input channels but the saved skip tensor has " +
-                       std::to_string(it->second.c));
-        shapes_ok = false;
-        break;
-      }
-      if (sc) {
-        check_weights(report, path, proj.conv().weights(), pspec.mode);
-        const nn::Shape pout = proj.conv().output_shape(it->second);
-        const StreamGeom g = check_stream_geometry(report, path, options.sc,
-                                                   1, pout.h, pout.w);
-        const std::size_t rf = static_cast<std::size_t>(pspec.kernel) *
-                               pspec.kernel *
-                               static_cast<std::size_t>(pspec.in_channels /
-                                                        pspec.groups);
-        if (g.ok && rf > 0) {
-          const WorstPhase worst = worst_saturation(
-              proj.conv().weights(),
-              static_cast<std::size_t>(pspec.out_channels), rf, options,
-              g.seg, g.positions);
-          if (worst.any) {
-            report_saturation(
-                report, path, options, worst.est, worst.fan_in,
-                "computed from the quantized weight levels of output "
-                "channel " +
-                    std::to_string(worst.output) + "'s " +
-                    (worst.positive ? "positive" : "negative") +
-                    " phase at activation prior " +
-                    fmt(options.activation_prior));
-          }
-          note_plan_budget(report, path, options.sc, g,
-                           proj.conv().weights().size(), it->second.size());
-        }
-      }
-      it->second = proj.conv().output_shape(it->second);
-      continue;  // identity on the main path
-    }
-    if (layer.kind() == nn::Layer::Kind::kSkipAdd) {
-      auto& add = static_cast<nn::SkipAdd&>(layer);
-      const auto it = skip_shapes.find(add.state().get());
-      if (it == skip_shapes.end()) {
-        report.add("residual-structure", Severity::kError, path,
-                   "skip add runs before any paired skip save recorded a "
-                   "tensor");
-        shapes_ok = false;
-        break;
-      }
-      if (!(it->second.h == shape.h && it->second.w == shape.w &&
-            it->second.c == shape.c)) {
-        report.add("residual-shape", Severity::kError, path,
-                   "skip tensor " + std::to_string(it->second.h) + "x" +
-                       std::to_string(it->second.w) + "x" +
-                       std::to_string(it->second.c) +
-                       " does not match the block output " +
-                       std::to_string(shape.h) + "x" +
-                       std::to_string(shape.w) + "x" +
-                       std::to_string(shape.c) +
-                       " at the residual add (is the skip-path projection "
-                       "missing or mis-sized?)");
-        shapes_ok = false;
-        break;
-      }
-      continue;
-    }
-    // Structural layers (pooling, ReLU, batch norm): trust their own
-    // shape rule but surface thrown mismatches as diagnostics.
     try {
+      if (layer.kind() == nn::Layer::Kind::kSkipSave) {
+        skip_shapes[static_cast<nn::SkipSave&>(layer).state().get()] = shape;
+        continue;  // identity on the main path
+      }
+      if (layer.kind() == nn::Layer::Kind::kSkipProject) {
+        auto& proj = static_cast<nn::SkipProject&>(layer);
+        const auto it = skip_shapes.find(proj.state().get());
+        if (it == skip_shapes.end()) {
+          report.add("residual-structure", Severity::kError, path,
+                     "skip projection runs before any paired skip save "
+                     "recorded a tensor");
+          shapes_ok = false;
+          break;
+        }
+        node_inputs[&layer] = it->second;
+        it->second = proj.conv().output_shape(it->second);
+        continue;  // identity on the main path
+      }
+      if (layer.kind() == nn::Layer::Kind::kSkipAdd) {
+        auto& add = static_cast<nn::SkipAdd&>(layer);
+        const auto it = skip_shapes.find(add.state().get());
+        if (it == skip_shapes.end()) {
+          report.add("residual-structure", Severity::kError, path,
+                     "skip add runs before any paired skip save recorded "
+                     "a tensor");
+          shapes_ok = false;
+          break;
+        }
+        if (!(it->second == shape)) {
+          report.add("residual-shape", Severity::kError, path,
+                     "skip tensor " + std::to_string(it->second.h) + "x" +
+                         std::to_string(it->second.w) + "x" +
+                         std::to_string(it->second.c) +
+                         " does not match the block output " +
+                         std::to_string(shape.h) + "x" +
+                         std::to_string(shape.w) + "x" +
+                         std::to_string(shape.c) +
+                         " at the residual add (is the skip-path "
+                         "projection missing or mis-sized?)");
+          shapes_ok = false;
+          break;
+        }
+        continue;
+      }
+      if (layer.kind() == nn::Layer::Kind::kConv2D ||
+          layer.kind() == nn::Layer::Kind::kDense) {
+        node_inputs[&layer] = shape;
+      }
+      // Every other layer's own shape rule validates its input (channel
+      // and feature counts, kernel fit); thrown mismatches become
+      // diagnostics.
       shape = layer.output_shape(shape);
     } catch (const std::exception& e) {
       report.add("shape-mismatch", Severity::kError, path, e.what());
       shapes_ok = false;
+      break;
     }
     if (shape.h <= 0 || shape.w <= 0 || shape.c <= 0) {
       report.add("shape-mismatch", Severity::kError, path,
@@ -775,6 +651,27 @@ core::Report check_network(nn::Network& net, std::string_view name,
                      std::to_string(shape.w) + "x" +
                      std::to_string(shape.c));
       shapes_ok = false;
+    }
+  }
+
+  // The SC rules run on exactly the nodes the executor runs: lower_graph
+  // alone decides AvgPool fusion, BatchNorm folding and which layers may
+  // open the network.
+  if (sc) {
+    std::vector<sim::LoweredOp> ops;
+    try {
+      ops = sim::lower_graph(net, sim::sc_lower_options(options.sc),
+                             "check_network");
+    } catch (const std::invalid_argument& e) {
+      report.add("stage-structure", Severity::kError,
+                 prefix + net.layer(0).name(), e.what());
+    }
+    std::vector<float> folded;
+    for (const sim::LoweredOp& op : ops) {
+      if (shapes_ok && op.weighted()) {
+        check_weighted_node(report, prefix + op.layer->name(), options, op,
+                            node_inputs.at(op.layer), folded);
+      }
     }
   }
 

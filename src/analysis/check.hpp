@@ -20,7 +20,12 @@
 //                       above plus weight range/NaN scans, quantized-level
 //                       saturation bounds, activation range probing, plan
 //                       budget estimates, and (optionally) the executed
-//                       plan-invariant validation of sim::ScNetwork.
+//                       plan-invariant validation of sim::ScNetwork. Its SC
+//                       rules walk the weighted nodes of sim::lower_graph —
+//                       lowered exactly as sim::ScNetwork lowers them — at
+//                       the executor's own node geometry and BN-folded
+//                       weights (sim/op_graph.hpp), so findings anchor at
+//                       lowered nodes.
 //
 // Rule IDs are stable kebab-case strings; see DESIGN.md section 14 for
 // each rule's analytic basis.
@@ -85,7 +90,9 @@ struct CheckOptions {
 
 /// Static + probe analysis of a live trainable network. @p name labels the
 /// finding paths; @p input_shape is the activation volume fed to the first
-/// layer (the checker walks Layer::output_shape from there).
+/// layer (the checker walks Layer::output_shape from there). SC findings of
+/// a weighted node anchor at "<name>/<node layer>": the conv, dense or skip
+/// projection that opens the lowered node.
 [[nodiscard]] core::Report check_network(nn::Network& net,
                                          std::string_view name,
                                          nn::Shape input_shape,

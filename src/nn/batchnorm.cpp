@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "sc/rng.hpp"
 
@@ -55,30 +56,24 @@ void BatchNorm::zero_gradients() {
   }
 }
 
+Shape BatchNorm::output_shape(Shape input) const {
+  if (input.c != spec_.channels) {
+    throw std::invalid_argument(
+        name() + ": expects " + std::to_string(spec_.channels) +
+        " channels but receives " + std::to_string(input.c));
+  }
+  return input;
+}
+
 Tensor BatchNorm::forward(const Tensor& input) {
-  if (input.shape().c != spec_.channels) {
-    throw std::invalid_argument("BatchNorm: channel mismatch");
-  }
-  input_ = input;
   Tensor out = input;
-  const Shape s = out.shape();
-  for (int c = 0; c < s.c; ++c) {
-    const float a = scale(c);
-    const float b = shift(c);
-    for (int y = 0; y < s.h; ++y) {
-      for (int x = 0; x < s.w; ++x) {
-        out.at(y, x, c) = a * out.at(y, x, c) + b;
-      }
-    }
-  }
+  (void)forward_in_place(out);
+  input_ = input;
   return out;
 }
 
 bool BatchNorm::forward_in_place(Tensor& x) {
-  if (x.shape().c != spec_.channels) {
-    throw std::invalid_argument("BatchNorm: channel mismatch");
-  }
-  const Shape s = x.shape();
+  const Shape s = output_shape(x.shape());
   for (int c = 0; c < s.c; ++c) {
     const float a = scale(c);
     const float b = shift(c);

@@ -34,9 +34,7 @@ class BatchNorm final : public Layer {
   [[nodiscard]] Kind kind() const noexcept override {
     return Kind::kBatchNorm;
   }
-  [[nodiscard]] Shape output_shape(Shape input) const override {
-    return input;
-  }
+  [[nodiscard]] Shape output_shape(Shape input) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const BatchNormSpec& spec() const noexcept { return spec_; }

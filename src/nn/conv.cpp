@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "sc/rng.hpp"
 
@@ -43,8 +44,20 @@ std::size_t Conv2D::weight_index(int oc, int ky, int kx,
 }
 
 Shape Conv2D::output_shape(Shape input) const {
+  if (input.c != spec_.in_channels) {
+    throw std::invalid_argument(
+        name() + ": expects " + std::to_string(spec_.in_channels) +
+        " input channels but receives " + std::to_string(input.c));
+  }
   const int oh = (input.h + 2 * spec_.padding - spec_.kernel) / spec_.stride + 1;
   const int ow = (input.w + 2 * spec_.padding - spec_.kernel) / spec_.stride + 1;
+  if (oh <= 0 || ow <= 0) {
+    throw std::invalid_argument(
+        name() + ": kernel " + std::to_string(spec_.kernel) + " (stride " +
+        std::to_string(spec_.stride) + ", padding " +
+        std::to_string(spec_.padding) + ") does not fit the " +
+        std::to_string(input.h) + "x" + std::to_string(input.w) + " input");
+  }
   return Shape{oh, ow, spec_.out_channels};
 }
 
@@ -88,9 +101,7 @@ void Conv2D::zero_gradients() {
 }
 
 Tensor Conv2D::forward(const Tensor& input) {
-  if (input.shape().c != spec_.in_channels) {
-    throw std::invalid_argument("Conv2D: channel mismatch");
-  }
+  (void)output_shape(input.shape());  // rejects a mismatched input
   input_ = input;
   switch (spec_.mode) {
     case AccumMode::kSum:

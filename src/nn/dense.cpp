@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "sc/rng.hpp"
 
@@ -29,7 +30,13 @@ Dense::Dense(const DenseSpec& spec)
       bias_grads_(bias_.size()) {}
 
 Shape Dense::output_shape(Shape input) const {
-  (void)input;
+  if (input.size() != static_cast<std::size_t>(spec_.in_features)) {
+    throw std::invalid_argument(
+        name() + ": expects " + std::to_string(spec_.in_features) +
+        " input features but receives " + std::to_string(input.size()) +
+        " (" + std::to_string(input.h) + "x" + std::to_string(input.w) +
+        "x" + std::to_string(input.c) + ")");
+  }
   return Shape{1, 1, spec_.out_features};
 }
 
@@ -69,9 +76,7 @@ void Dense::zero_gradients() {
 }
 
 Tensor Dense::forward(const Tensor& input) {
-  if (static_cast<int>(input.size()) != spec_.in_features) {
-    throw std::invalid_argument("Dense: feature-count mismatch");
-  }
+  (void)output_shape(input.shape());  // rejects a mismatched input
   input_ = input;
   Tensor out = Tensor::vector(spec_.out_features);
   const auto x = input.data();

@@ -75,7 +75,10 @@ class Layer {
   /// This layer's concrete type.
   [[nodiscard]] virtual Kind kind() const noexcept = 0;
 
-  /// Output shape for a given input shape (no allocation; pure).
+  /// Output shape for a given input shape (pure). Throws
+  /// std::invalid_argument naming the layer when it cannot accept @p input
+  /// (conv / batch norm: channel count, dense: feature count, conv: a
+  /// kernel that does not fit).
   [[nodiscard]] virtual Shape output_shape(Shape input) const = 0;
 
   /// Human-readable layer name for reports.

@@ -87,7 +87,10 @@ void lower_skip_project(LowerCtx& ctx) {
 void lower_binary(LowerCtx& ctx) {
   if (ctx.ops->empty()) {
     throw std::invalid_argument(
-        std::string(ctx.who) + ": network must start with a weighted layer");
+        std::string(ctx.who) + ": binary-domain layer " + ctx.peek()->name() +
+        " lowers by attaching to the preceding graph node; the network must "
+        "start with a layer that opens one (conv, dense, max pool, or a skip "
+        "save/projection)");
   }
   ctx.ops->back().post_ops.push_back(ctx.peek());
   ++ctx.i;
@@ -126,6 +129,85 @@ std::vector<LoweredOp> lower_graph(nn::Network& net, const LowerOptions& opt,
     lowering_hook(net.layer(ctx.i).kind())(ctx);
   }
   return ops;
+}
+
+LowerOptions sc_lower_options(const ScConfig& cfg) noexcept {
+  LowerOptions opt;
+  opt.fuse_avg_pool = cfg.pooling == PoolingMode::kSkipping;
+  opt.fold_batch_norm = true;
+  return opt;
+}
+
+WindowSchedule window_schedule(std::size_t phase, int pool, int conv_h,
+                               int conv_w) noexcept {
+  WindowSchedule w;
+  if (pool > 1) {
+    w.fused = conv_h % pool == 0 && conv_w % pool == 0;
+    w.pool = w.fused ? pool : 1;
+  }
+  const auto positions = static_cast<std::size_t>(w.pool) * w.pool;
+  w.sched = SegmentSchedule{phase, positions, phase / positions};
+  return w;
+}
+
+ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape input,
+                           std::size_t phase) {
+  ConvGeometry g;
+  if (op.dense != nullptr) {
+    // Dense runs as a 1x1 conv over its input viewed as 1x1xN: the lane is
+    // the flat input index and weight o*N + i is (output channel o, slot i).
+    const nn::DenseSpec& ds = op.dense->spec();
+    g.conv_out = op.dense->output_shape(input);
+    g.spec = nn::ConvSpec{.in_channels = ds.in_features,
+                          .out_channels = ds.out_features,
+                          .kernel = 1,
+                          .mode = ds.mode};
+    g.in = nn::Shape{1, 1, ds.in_features};
+  } else {
+    g.conv_out = op.conv->output_shape(input);
+    g.spec = op.conv->spec();
+    g.in = input;
+  }
+  if (op.bn != nullptr) {
+    (void)op.bn->output_shape(g.conv_out);
+  }
+  const nn::ConvSpec& spec = g.spec;
+  g.window = window_schedule(phase, op.pool_window(), g.conv_out.h,
+                             g.conv_out.w);
+  const int pool = g.window.pool;
+  g.out_shape =
+      nn::Shape{g.conv_out.h / pool, g.conv_out.w / pool, g.conv_out.c};
+  const auto kk = static_cast<std::size_t>(spec.kernel) * spec.kernel;
+  g.layout.oc_count = static_cast<std::size_t>(spec.out_channels);
+  g.layout.in_c = static_cast<std::size_t>(spec.in_channels);
+  g.layout.rf = kk * g.layout.in_c;
+  g.layout.cpg = static_cast<std::size_t>(spec.in_channels / spec.groups);
+  g.layout.oc_per_group =
+      static_cast<std::size_t>(spec.out_channels / spec.groups);
+  g.layout.w_per_oc = kk * g.layout.cpg;
+  return g;
+}
+
+std::span<const float> node_weights(const LoweredOp& op,
+                                    std::vector<float>& scratch) {
+  if (op.dense != nullptr) {
+    return op.dense->weights();
+  }
+  const std::span<const float> w = op.conv->weights();
+  if (op.bn == nullptr) {
+    return w;
+  }
+  const int oc_count = op.conv->spec().out_channels;
+  const std::size_t per_oc = w.size() / static_cast<std::size_t>(oc_count);
+  scratch.resize(w.size());
+  for (int oc = 0; oc < oc_count; ++oc) {
+    const float s = op.bn->scale(oc);
+    const std::size_t base = static_cast<std::size_t>(oc) * per_oc;
+    for (std::size_t j = base; j < base + per_oc; ++j) {
+      scratch[j] = w[j] * s;
+    }
+  }
+  return scratch;
 }
 
 }  // namespace acoustic::sim

@@ -26,8 +26,16 @@
 // The hook registry is exposed (lowering_hook) so tests can assert the
 // dispatch table is total over nn::OpKind and DESIGN.md's contract stays
 // executable documentation.
+//
+// This module is also the one owner of what a weighted node computes:
+// sc_lower_options (the lowering the SC datapath runs), the fused pool's
+// window timetable, ConvGeometry and node_weights. The executor and
+// `acoustic check` both read them, so the analyzer sees exactly the nodes,
+// slots and BN-folded weights the executor runs.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "nn/batchnorm.hpp"
@@ -37,6 +45,8 @@
 #include "nn/op.hpp"
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
+#include "sim/sc_config.hpp"
+#include "sim/stream_plan.hpp"
 
 namespace acoustic::sim {
 
@@ -56,6 +66,10 @@ struct LoweredOp {
   [[nodiscard]] bool weighted() const noexcept {
     return conv != nullptr || dense != nullptr;
   }
+  /// The fused pool's window, 1 without one.
+  [[nodiscard]] int pool_window() const noexcept {
+    return fused_pool != nullptr ? fused_pool->window() : 1;
+  }
 };
 
 struct LowerOptions {
@@ -67,6 +81,11 @@ struct LowerOptions {
   /// Absorb a BatchNorm directly following a conv into the conv node.
   bool fold_batch_norm = false;
 };
+
+/// The lowering the SC datapath runs under @p cfg: average pools fuse under
+/// computation skipping, and BatchNorm always folds (the scalar oracle
+/// quantizes the same folded weights, so planned == scalar stays exact).
+[[nodiscard]] LowerOptions sc_lower_options(const ScConfig& cfg) noexcept;
 
 /// Cursor state a lowering hook advances: the hook for net.layer(i)'s kind
 /// consumes at least that layer (++i) and may look ahead to absorb more.
@@ -98,5 +117,66 @@ using LowerHook = void (*)(LowerCtx& ctx);
 [[nodiscard]] std::vector<LoweredOp> lower_graph(nn::Network& net,
                                                  const LowerOptions& opt,
                                                  const char* who);
+
+/// How a fused pooling window runs over a conv output (paper II-C): the
+/// window's pool^2 positions each count a phase / pool^2 bit slice
+/// (floored; seg == 0 when the phase is too short). A window that does not
+/// tile the output (e.g. AlexNet's 55x55 -> pool 2) falls back to pool 1:
+/// the conv runs unfused over the full phase and the executor pools in the
+/// binary domain afterwards, where AvgPool2D floor-crops the ragged border
+/// exactly like the descriptor arithmetic does.
+struct WindowSchedule {
+  int pool = 1;       ///< window the stream slicing runs (1 = none)
+  bool fused = true;  ///< false when the requested window did not tile
+  SegmentSchedule sched;
+};
+
+/// The timetable of fused window @p pool (1 = none) over a
+/// @p conv_h x @p conv_w conv output, at @p phase bits per sign phase.
+[[nodiscard]] WindowSchedule window_schedule(std::size_t phase, int pool,
+                                             int conv_h, int conv_w) noexcept;
+
+/// Geometry of one weighted node as the conv it executes: output shapes,
+/// the pooling window's segment timetable, the receptive-field extent and
+/// the grouped weight layout. Shared by the scalar and planned executors
+/// and by `acoustic check`, so none of them can drift.
+struct ConvGeometry {
+  nn::ConvSpec spec;  ///< the conv executed (a dense node's 1x1 view)
+  nn::Shape in;       ///< the input as that conv sees it
+  nn::Shape conv_out;
+  nn::Shape out_shape;
+  WindowSchedule window;
+  /// Receptive-field slots (kernel^2 * in_channels, the full gather extent
+  /// regardless of grouping: cross-group slots map to no weight) and their
+  /// weights per output channel.
+  WeightLayout layout;
+
+  /// Flat input index of channel @p ic at pixel (@p iy, @p ix): the HWC
+  /// tensor layout, which for a dense node's 1x1xN view is just @p ic.
+  [[nodiscard]] std::size_t index(int iy, int ix, int ic) const noexcept {
+    return (static_cast<std::size_t>(iy) * static_cast<std::size_t>(in.w) +
+            static_cast<std::size_t>(ix)) *
+               static_cast<std::size_t>(in.c) +
+           static_cast<std::size_t>(ic);
+  }
+};
+
+/// The geometry of weighted node @p op fed an @p input volume, at @p phase
+/// bits per sign phase. The node's layers validate through their own
+/// output_shape: a std::invalid_argument naming the layer and both counts
+/// when @p input lacks the conv's input channels (dense: features), the
+/// kernel does not fit, or a folded BatchNorm's channels differ from the
+/// conv's output channels.
+[[nodiscard]] ConvGeometry conv_geometry(const LoweredOp& op,
+                                         nn::Shape input, std::size_t phase);
+
+/// The float weights weighted node @p op's stochastic datapath quantizes:
+/// the live dense or conv weights, or, with an absorbed BatchNorm, the
+/// folded copy w * scale(oc) staged in @p scratch (its shift is applied
+/// post-counter instead). The folded floats feed quantization AND sign
+/// classification, so a negative scale flips the product's phase exactly as
+/// the algebra demands. Call conv_geometry first: it validates the fold.
+[[nodiscard]] std::span<const float> node_weights(const LoweredOp& op,
+                                                  std::vector<float>& scratch);
 
 }  // namespace acoustic::sim

@@ -27,131 +27,6 @@ std::int64_t popcount_acc(const std::uint64_t* words, std::size_t count) {
   return static_cast<std::int64_t>(sc::popcount_words({words, count}));
 }
 
-/// Geometry of one weighted node as the conv it executes: output shapes,
-/// the pooling window's segment timetable, the receptive-field extent and
-/// the grouped weight layout. Shared by the scalar and planned executors so
-/// the two paths cannot drift.
-struct ConvGeometry {
-  nn::ConvSpec spec;  ///< the conv executed (a dense node's 1x1 view)
-  nn::Shape in;       ///< the input as that conv sees it
-  nn::Shape conv_out;
-  nn::Shape out_shape;
-  int pool = 1;
-  /// False when the node carries a fused pool whose window does not tile
-  /// this input's conv output: the conv then runs unfused and the caller
-  /// applies the pool in the binary domain (floor-cropping, exactly what
-  /// AvgPool2D::forward computes).
-  bool fused = true;
-  std::size_t window_positions = 1;
-  std::size_t seg = 0;
-  std::size_t seg_words = 0;
-  /// Bits actually counted per phase per pooled output (phase may not
-  /// divide evenly by the window size; hardware rounds the slice down the
-  /// same way).
-  double counted_bits = 0.0;
-  /// Receptive-field slots (kernel^2 * in_channels, the full gather extent
-  /// regardless of grouping: cross-group slots map to no weight) and their
-  /// weights per output channel.
-  WeightLayout layout;
-
-  /// Flat input index of channel @p ic at pixel (@p iy, @p ix): the HWC
-  /// tensor layout, which for a dense node's 1x1xN view is just @p ic.
-  [[nodiscard]] std::size_t index(int iy, int ix, int ic) const noexcept {
-    return (static_cast<std::size_t>(iy) * static_cast<std::size_t>(in.w) +
-            static_cast<std::size_t>(ix)) *
-               static_cast<std::size_t>(in.c) +
-           static_cast<std::size_t>(ic);
-  }
-};
-
-ConvGeometry conv_geometry(const LoweredOp& op, const nn::Tensor& input,
-                           std::size_t phase) {
-  ConvGeometry g;
-  if (op.dense != nullptr) {
-    // Dense runs as a 1x1 conv over its input viewed as 1x1xN: the lane is
-    // the flat input index and weight o*N + i is (output channel o, slot i).
-    const nn::DenseSpec& ds = op.dense->spec();
-    if (static_cast<int>(input.size()) != ds.in_features) {
-      throw std::invalid_argument("ScNetwork: dense feature mismatch");
-    }
-    g.spec = nn::ConvSpec{.in_channels = ds.in_features,
-                          .out_channels = ds.out_features,
-                          .kernel = 1};
-    g.in = nn::Shape{1, 1, ds.in_features};
-  } else {
-    g.spec = op.conv->spec();
-    g.in = input.shape();
-  }
-  const nn::ConvSpec& spec = g.spec;
-  g.conv_out = nn::Shape{
-      (g.in.h + 2 * spec.padding - spec.kernel) / spec.stride + 1,
-      (g.in.w + 2 * spec.padding - spec.kernel) / spec.stride + 1,
-      spec.out_channels};
-  g.pool = op.fused_pool != nullptr ? op.fused_pool->window() : 1;
-  if (g.pool > 1 &&
-      (g.conv_out.h % g.pool != 0 || g.conv_out.w % g.pool != 0)) {
-    // Untiled window (e.g. AlexNet's 55x55 -> pool 2): fall back to
-    // binary-domain cropped pooling instead of refusing the network.
-    g.pool = 1;
-    g.fused = false;
-  }
-  g.window_positions = static_cast<std::size_t>(g.pool) * g.pool;
-  g.seg = phase / g.window_positions;
-  if (g.seg == 0) {
-    throw std::invalid_argument(
-        "ScNetwork: stream too short for the pooling window");
-  }
-  g.seg_words = word_count(g.seg);
-  g.counted_bits = static_cast<double>(g.seg * g.window_positions);
-  g.out_shape =
-      nn::Shape{g.conv_out.h / g.pool, g.conv_out.w / g.pool, g.conv_out.c};
-  const auto kk = static_cast<std::size_t>(spec.kernel) * spec.kernel;
-  g.layout.oc_count = static_cast<std::size_t>(spec.out_channels);
-  g.layout.in_c = static_cast<std::size_t>(spec.in_channels);
-  g.layout.rf = kk * g.layout.in_c;
-  g.layout.cpg = static_cast<std::size_t>(spec.in_channels / spec.groups);
-  g.layout.oc_per_group =
-      static_cast<std::size_t>(spec.out_channels / spec.groups);
-  g.layout.w_per_oc = kk * g.layout.cpg;
-  return g;
-}
-
-/// Folds an absorbed BatchNorm's per-channel scale into the conv weights
-/// (w' = w * scale(oc)); the shift is applied post-counter instead. The
-/// folded floats feed quantization AND sign classification, so a negative
-/// scale flips the product's phase exactly as the algebra demands.
-void fold_bn_weights(const nn::Conv2D& conv, const nn::BatchNorm& bn,
-                     std::vector<float>& out) {
-  const auto w = conv.weights();
-  const auto& spec = conv.spec();
-  const std::size_t per_oc = static_cast<std::size_t>(spec.kernel) *
-                             spec.kernel *
-                             static_cast<std::size_t>(spec.in_channels /
-                                                      spec.groups);
-  out.resize(w.size());
-  for (int oc = 0; oc < spec.out_channels; ++oc) {
-    const float s = bn.scale(oc);
-    const std::size_t base = static_cast<std::size_t>(oc) * per_oc;
-    for (std::size_t j = 0; j < per_oc; ++j) {
-      out[base + j] = w[base + j] * s;
-    }
-  }
-}
-
-/// The float weights a weighted node's stochastic datapath sees: the live
-/// dense or conv weights, or the BN-folded copy staged in @p scratch.
-std::span<const float> node_weights(const LoweredOp& op,
-                                    std::vector<float>& scratch) {
-  if (op.dense != nullptr) {
-    return op.dense->weights();
-  }
-  if (op.bn == nullptr) {
-    return op.conv->weights();
-  }
-  fold_bn_weights(*op.conv, *op.bn, scratch);
-  return scratch;
-}
-
 /// Gathers the receptive field of conv output (oy, ox) in slot order
 /// (ky, kx, ic) — slot s is also the weight offset the layout maps per
 /// output channel. Returns the slot count; dead slots (zero padding or a
@@ -228,12 +103,7 @@ ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg,
   if (cfg_.phase_length() == 0) {
     throw std::invalid_argument("ScNetwork: stream_length must be >= 2");
   }
-  LowerOptions lopt;
-  lopt.fuse_avg_pool = cfg_.pooling == PoolingMode::kSkipping;
-  // Both exec modes fold: the scalar oracle quantizes the same folded
-  // weights, so planned == scalar stays byte-exact with BatchNorm present.
-  lopt.fold_batch_norm = true;
-  ops_ = lower_graph(net, lopt, "ScNetwork");
+  ops_ = lower_graph(net, sc_lower_options(cfg_), "ScNetwork");
   stage_scratch_.resize(ops_.size());
   wgt_plans_ = shared != nullptr
                    ? std::move(shared)
@@ -429,21 +299,21 @@ void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
 void ScNetwork::run_conv(const LoweredOp& op, std::size_t op_idx,
                          const nn::Tensor& input, nn::Tensor& out,
                          Stats& run) {
-  if (cfg_.exec == ExecMode::kScalar) {
-    run_conv_scalar(op, input, out, run);
-  } else {
-    run_conv_planned(op, op_idx, input, out, run);
+  const ConvGeometry g =
+      conv_geometry(op, input.shape(), cfg_.phase_length());
+  if (g.window.sched.seg == 0) {
+    throw std::invalid_argument(
+        "ScNetwork: stream too short for the pooling window");
   }
-  // A fused pool whose window does not tile this conv output ran unfused
-  // (ConvGeometry::fused == false); finish it in the binary domain, where
-  // AvgPool2D floor-crops the ragged border exactly like the descriptor
-  // arithmetic does.
-  if (op.fused_pool != nullptr) {
-    const nn::Shape co = op.conv->output_shape(input.shape());
-    const int p = op.fused_pool->window();
-    if (co.h % p != 0 || co.w % p != 0) {
-      out = op.fused_pool->forward(out);
-    }
+  if (cfg_.exec == ExecMode::kScalar) {
+    run_conv_scalar(op, g, input, out, run);
+  } else {
+    run_conv_planned(op, op_idx, g, input, out, run);
+  }
+  // A fused pool whose window does not tile this conv output ran unfused;
+  // finish it in the binary domain (WindowSchedule's fallback).
+  if (!g.window.fused) {
+    out = op.fused_pool->forward(out);
   }
 }
 
@@ -463,12 +333,16 @@ void ScNetwork::run_skip_project(const LoweredOp& op, std::size_t op_idx,
 // Reference scalar path (the seed implementation): regenerates every
 // stream segment at its point of use. Kept as the equivalence oracle for
 // the planned path below, for conv and dense (as a 1x1 conv) alike.
-void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
-                                nn::Tensor& out, Stats& run) {
+void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
+                                const nn::Tensor& input, nn::Tensor& out,
+                                Stats& run) {
   const std::size_t phase = cfg_.phase_length();
-  const ConvGeometry g = conv_geometry(op, input, phase);
   const std::size_t oc_count = g.layout.oc_count;
   const std::size_t rf = g.layout.rf;
+  const SegmentSchedule& sched = g.window.sched;
+  const std::size_t seg = sched.seg;
+  const std::size_t sw = sched.seg_words();
+  const int win = g.window.pool;
 
   StreamBank act_bank(cfg_.sng_width, cfg_.activation_seed, 2 * phase,
                       cfg_.decorrelate_lanes);
@@ -497,11 +371,11 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
 
   // Receptive-field scratch: activation segment streams for one (output
   // position, window slot, phase), plus reusable weight/OR buffers.
-  std::vector<Words> act_streams(rf, Words(g.seg_words));
+  std::vector<Words> act_streams(rf, Words(sw));
   std::vector<std::size_t> rf_act_index(rf);
   std::vector<char> rf_live(rf);
-  Words wgt_stream(g.seg_words);
-  Words or_acc(g.seg_words);
+  Words wgt_stream(sw);
+  Words or_acc(sw);
   std::vector<std::int64_t> counters(oc_count);
 
   for (int py = 0; py < g.out_shape.h; ++py) {
@@ -509,9 +383,9 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
       for (auto& c : counters) {
         c = 0;
       }
-      for (int k = 0; k < static_cast<int>(g.window_positions); ++k) {
-        const int oy = py * g.pool + k / g.pool;
-        const int ox = px * g.pool + k % g.pool;
+      for (int k = 0; k < static_cast<int>(sched.positions); ++k) {
+        const int oy = py * win + k / win;
+        const int ox = px * win + k % win;
         const std::size_t rf_size = gather_rf(
             g, act_levels.data(), oy, ox, rf_act_index.data(), rf_live.data());
         // Two phases: + (counts up), - (counts down). The activation SNGs
@@ -520,19 +394,17 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
         for (int ph = 0; ph < 2; ++ph) {
           const bool positive = ph == 0;
           const std::size_t offset =
-              (positive ? 0 : phase) + static_cast<std::size_t>(k) * g.seg;
+              sched.offset(positive, static_cast<std::size_t>(k));
           for (std::size_t s = 0; s < rf_size; ++s) {
             if (rf_live[s]) {
               act_bank.fill(act_levels[rf_act_index[s]],
                             static_cast<std::uint32_t>(rf_act_index[s]),
-                            offset, g.seg, act_streams[s]);
-              bits_generated += g.seg;
+                            offset, seg, act_streams[s]);
+              bits_generated += seg;
             }
           }
           for (std::size_t oc = 0; oc < oc_count; ++oc) {
-            for (std::size_t w = 0; w < g.seg_words; ++w) {
-              or_acc[w] = 0;
-            }
+            std::fill(or_acc.begin(), or_acc.end(), std::uint64_t{0});
             bool any = false;
             for (std::size_t s = 0; s < rf_size; ++s) {
               const std::size_t wi = g.layout.weight(oc, s);
@@ -549,17 +421,16 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
                 continue;
               }
               wgt_bank.fill(wgt_levels[wi], static_cast<std::uint32_t>(wi),
-                            offset, g.seg, wgt_stream);
-              bits_generated += g.seg;
-              for (std::size_t w = 0; w < g.seg_words; ++w) {
+                            offset, seg, wgt_stream);
+              bits_generated += seg;
+              for (std::size_t w = 0; w < sw; ++w) {
                 or_acc[w] |= act_streams[s][w] & wgt_stream[w];
               }
               any = true;
-              product_bits += g.seg;
+              product_bits += seg;
             }
             if (any) {
-              const std::int64_t ones =
-                  popcount_acc(or_acc.data(), g.seg_words);
+              const std::int64_t ones = popcount_acc(or_acc.data(), sw);
               counters[oc] += positive ? ones : -ones;
             }
           }
@@ -568,7 +439,7 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
       for (std::size_t oc = 0; oc < oc_count; ++oc) {
         out.at(py, px, static_cast<int>(oc)) =
             static_cast<float>(static_cast<double>(counters[oc]) /
-                               g.counted_bits) +
+                               static_cast<double>(sched.counted())) +
             bias[oc];
       }
     }
@@ -590,15 +461,17 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
 // BEFORE the unit loop — the arena is single-owner), so a steady-state
 // call allocates nothing.
 void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
+                                 const ConvGeometry& g,
                                  const nn::Tensor& input, nn::Tensor& out,
                                  Stats& run) {
-  const std::size_t phase = cfg_.phase_length();
-  const ConvGeometry g = conv_geometry(op, input, phase);
   const nn::ConvSpec& spec = g.spec;
   const sc::kernels::KernelTable& kt = sc::kernels::table();
   const std::size_t oc_count = g.layout.oc_count;
   const std::size_t rf = g.layout.rf;
-  const std::size_t sw = g.seg_words;
+  const SegmentSchedule& sched = g.window.sched;
+  const std::size_t seg = sched.seg;
+  const std::size_t sw = sched.seg_words();
+  const int win = g.window.pool;
 
   StreamBank& act_bank = activation_bank();
   const std::span<std::uint32_t> act_levels =
@@ -618,7 +491,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   // auto-mode gate compares against intra_work_threshold.
   const std::size_t work_words = static_cast<std::size_t>(g.out_shape.h) *
                                  static_cast<std::size_t>(g.out_shape.w) *
-                                 g.window_positions * oc_count * rf * sw;
+                                 sched.positions * oc_count * rf * sw;
   runtime::ThreadPool* pool = intra_pool(work_words);
 
   // Weight table: shared across clones and images, re-fetched only when
@@ -628,7 +501,6 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   // set. Activation plan: rebuilt per image into the stage's retained plan
   // object — its allocation depends only on (lanes, schedule). Building
   // both before the unit loop keeps them read-only while workers run.
-  const SegmentSchedule sched{phase, g.window_positions, g.seg};
   if (stage.table == nullptr ||
       !stage.table->keyed_on(sched, g.layout, weights)) {
     stage.table = wgt_plans_->get(op_idx, sched, g.layout, weights,
@@ -649,6 +521,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   const StreamBank& wgt_bank = wgt_plans_->bank();
 
   out.resize(g.out_shape);
+  const auto counted = static_cast<double>(sched.counted());
   const unsigned workers = pool != nullptr ? pool->size() : 1u;
   const std::size_t bm_words = tbl.bm_words;
   // Parallel unit: one output row x one block of output channels. Rows
@@ -709,9 +582,9 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
     for (int px = 0; px < g.out_shape.w; ++px) {
       std::fill(ws.counters.begin() + static_cast<std::ptrdiff_t>(oc_lo),
                 ws.counters.begin() + static_cast<std::ptrdiff_t>(oc_hi), 0);
-      for (std::size_t k = 0; k < g.window_positions; ++k) {
-        const int oy = py * g.pool + static_cast<int>(k) / g.pool;
-        const int ox = px * g.pool + static_cast<int>(k) % g.pool;
+      for (std::size_t k = 0; k < sched.positions; ++k) {
+        const int oy = py * win + static_cast<int>(k) / win;
+        const int ox = px * win + static_cast<int>(k) % win;
         const std::size_t sp = sched.slot_index(true, k);
         const std::size_t sn = sched.slot_index(false, k);
         std::fill_n(live_bm, bm_words, std::uint64_t{0});
@@ -739,9 +612,9 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
               } else {
                 const auto lane = static_cast<std::uint32_t>(ai);
                 act_bank.fill(act_levels[ai], lane, sched.offset(true, k),
-                              g.seg, {dp, sw});
+                              seg, {dp, sw});
                 act_bank.fill(act_levels[ai], lane, sched.offset(false, k),
-                              g.seg, {dn, sw});
+                              seg, {dn, sw});
               }
               live_bm[slot >> 6] |= std::uint64_t{1} << (slot & 63);
               ++live;
@@ -749,7 +622,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
           }
         }
         if (charge_act) {
-          charge(ws.plan, act_planned, 2 * live, g.seg);
+          charge(ws.plan, act_planned, 2 * live, seg);
         }
         for (int ph = 0; ph < 2; ++ph) {
           const bool positive = ph == 0;
@@ -792,7 +665,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                 wgt_bank.fill(tbl.level_of[off + ei],
                               static_cast<std::uint32_t>(
                                   g.layout.weight(oc, sl[ei])),
-                              sched.offset(positive, k), g.seg, {dst, sw});
+                              sched.offset(positive, k), seg, {dst, sw});
               }
               ww = ws.wgt_w.data();
             }
@@ -823,14 +696,14 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
             }
             ws.counters[oc] += positive ? ones : -ones;
           }
-          ws.product_bits += products_here * g.seg;
-          charge(ws.plan, tbl.planned, products_here, g.seg);
+          ws.product_bits += products_here * seg;
+          charge(ws.plan, tbl.planned, products_here, seg);
         }
       }
       for (std::size_t oc = oc_lo; oc < oc_hi; ++oc) {
         out.at(py, px, static_cast<int>(oc)) =
             static_cast<float>(static_cast<double>(ws.counters[oc]) /
-                               g.counted_bits) +
+                               counted) +
             bias[oc];
       }
     }

@@ -199,13 +199,15 @@ class ScNetwork {
   };
 
   /// Runs a weighted node — conv, dense (as a 1x1 conv) or a skip-path
-  /// projection conv — on the executor the config selects.
+  /// projection conv — on the executor the config selects, at the node's
+  /// one ConvGeometry (sim/op_graph.hpp).
   void run_conv(const LoweredOp& op, std::size_t op_idx,
                 const nn::Tensor& input, nn::Tensor& out, Stats& run);
-  void run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
-                       nn::Tensor& out, Stats& run);
+  void run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
+                       const nn::Tensor& input, nn::Tensor& out, Stats& run);
   void run_conv_planned(const LoweredOp& op, std::size_t op_idx,
-                        const nn::Tensor& input, nn::Tensor& out, Stats& run);
+                        const ConvGeometry& g, const nn::Tensor& input,
+                        nn::Tensor& out, Stats& run);
   /// Runs the node's projection conv stochastically over the saved skip
   /// tensor (saved = proj(saved)); the main-path activation is untouched.
   void run_skip_project(const LoweredOp& op, std::size_t op_idx, Stats& run);

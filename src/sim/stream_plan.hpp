@@ -57,6 +57,9 @@ struct SegmentSchedule {
   [[nodiscard]] std::size_t seg_words() const noexcept {
     return (seg + 63) / 64;
   }
+  /// Bits counted per phase per pooled output: the slice is floored, so
+  /// phase - counted() bits per phase are never counted (as in hardware).
+  [[nodiscard]] std::size_t counted() const noexcept { return seg * positions; }
   /// Slots per lane across both sign phases.
   [[nodiscard]] std::size_t slots() const noexcept { return 2 * positions; }
   /// Packed words a planned lane occupies.

@@ -8,13 +8,16 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "nn/activation.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/network.hpp"
 #include "nn/pool.hpp"
+#include "nn/zoo_build.hpp"
 #include "sim/sc_network.hpp"
 #include "train/models.hpp"
 
@@ -331,6 +334,17 @@ TEST(CheckDescriptor, IncludeConfigOffSuppressesConfigFindings) {
 
 constexpr nn::Shape kLenetInput{16, 16, 1};
 
+/// The message of the first @p rule finding anchored at @p path, or "".
+std::string finding(const core::Report& r, const std::string& rule,
+                    const std::string& path) {
+  for (const core::Diagnostic& d : r.diagnostics()) {
+    if (d.rule == rule && d.path == path) {
+      return d.message;
+    }
+  }
+  return "";
+}
+
 TEST(CheckNetwork, TrainableBuildersPassWithProbe) {
   nn::Network lenet = train::build_lenet_small(nn::AccumMode::kOrApprox);
   const core::Report r = check_network(lenet, "lenet", kLenetInput);
@@ -357,6 +371,29 @@ TEST(CheckNetwork, WeightMagnitudeBeyondOneWarns) {
   const core::Report r = check_network(net, "lenet", kLenetInput);
   EXPECT_TRUE(r.has_rule("weight-range")) << r.to_string();
   EXPECT_TRUE(r.ok()) << r.to_string();
+
+  // Every raw weight within [-1, 1], but the executor quantizes w * scale
+  // with a folded BatchNorm scale of 2.
+  nn::Network folded;
+  auto& conv = folded.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 1, .out_channels = 2, .kernel = 3, .padding = 1,
+      .mode = nn::AccumMode::kOrApprox});
+  auto& bn = folded.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 2});
+  folded.add<nn::ReLU>();
+  for (float& w : conv.weights()) {
+    w = 0.6f;
+  }
+  for (float& g : bn.gamma()) {
+    g = 2.0f;
+  }
+  for (float& v : bn.variance()) {
+    v = 1.0f - bn.spec().epsilon;
+  }
+  const core::Report rf = check_network(folded, "folded", {8, 8, 1});
+  EXPECT_NE(finding(rf, "weight-range", "folded/conv3x3(1->2)")
+                .find("18 of 18 weight magnitudes exceed 1 (max |w| = 1.2)"),
+            std::string::npos)
+      << rf.to_string();
 }
 
 TEST(CheckNetwork, SumModeLayersWarnAgainstTheOrDatapath) {
@@ -370,6 +407,25 @@ TEST(CheckNetwork, WrongInputChannelsAreAShapeMismatch) {
   const core::Report r = check_network(net, "lenet", {16, 16, 3});
   EXPECT_TRUE(r.has_rule("shape-mismatch")) << r.to_string();
   EXPECT_FALSE(r.ok());
+
+  // A 1-channel input fed to a 3-channel conv, probe on or off: reported,
+  // never executed.
+  nn::Network rgb;
+  rgb.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 3, .out_channels = 4,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrApprox})
+      .initialize(1);
+  rgb.add<nn::ReLU>();
+  for (const bool probe : {false, true}) {
+    CheckOptions opt;
+    opt.probe = probe;
+    const core::Report rr = check_network(rgb, "rgb", {8, 8, 1}, opt);
+    EXPECT_NE(finding(rr, "shape-mismatch", "rgb/conv3x3(3->4)")
+                  .find("expects 3 input channels but receives 1"),
+              std::string::npos)
+        << rr.to_string();
+    EXPECT_FALSE(rr.has_rule("sc-lowering-failed")) << rr.to_string();
+  }
 }
 
 TEST(CheckNetwork, EmptyNetworkIsAStructureError) {
@@ -405,38 +461,104 @@ TEST(CheckNetwork, ProbeRunsThePlanInvariantValidator) {
 }
 
 TEST(CheckNetwork, PlanBudgetNoteAgreesWithTheExecutorFallback) {
-  // One footprint rule for both sides: a budget one byte below the dense
-  // node's weight-table footprint — the network's largest table — must
-  // fire the note AND make the executor regenerate (plan misses); at
-  // exactly the footprint neither happens.
-  nn::Network net;
-  auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
-      .in_channels = 1, .out_channels = 2, .kernel = 3, .padding = 1,
-      .mode = nn::AccumMode::kOrApprox});
-  net.add<nn::ReLU>();
-  auto& dense = net.add<nn::Dense>(
-      nn::DenseSpec{8 * 8 * 2, 4, false, nn::AccumMode::kOrApprox});
-  conv.initialize(3);
-  dense.initialize(4);
+  // One footprint rule for both sides: a budget one byte below a network's
+  // largest table must fire the note AND make the executor regenerate
+  // (plan misses); at exactly that footprint neither happens.
+  CheckOptions opt;
+  opt.probe = false;
+  opt.sc.stream_length = 128;
+  const std::size_t phase = opt.sc.phase_length();
   nn::Tensor input(nn::Shape{8, 8, 1});
   for (std::size_t i = 0; i < input.size(); ++i) {
     input[i] = static_cast<float>(i % 7) / 7.0f;
   }
+  const auto expect_agreement = [&](nn::Network& net, std::size_t figure) {
+    for (const std::size_t budget : {figure - 1, figure}) {
+      opt.sc.plan_budget_bytes = budget;
+      const bool over = budget < figure;
+      const core::Report r = check_network(net, "budget", {8, 8, 1}, opt);
+      EXPECT_EQ(r.has_rule("plan-budget-exceeded"), over) << r.to_string();
+      sim::ScNetwork exec(net, opt.sc);
+      (void)exec.forward(input);
+      EXPECT_EQ(exec.stats().plan_misses > 0, over) << "budget " << budget;
+    }
+  };
+
+  // conv -> dense: the largest table is the dense node's weight table.
+  nn::Network plain;
+  auto& conv = plain.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 1, .out_channels = 2, .kernel = 3, .padding = 1,
+      .mode = nn::AccumMode::kOrApprox});
+  plain.add<nn::ReLU>();
+  auto& dense = plain.add<nn::Dense>(
+      nn::DenseSpec{8 * 8 * 2, 4, false, nn::AccumMode::kOrApprox});
+  conv.initialize(3);
+  dense.initialize(4);
+  expect_agreement(plain, sim::plan_table_bytes(sim::SegmentSchedule{
+                                                    phase, 1, phase},
+                                                dense.weights().size()));
+
+  // conv -> BatchNorm -> AvgPool(2): the BN folds and the pool still fuses,
+  // so the largest table is the conv's activation plan over 4 slots of
+  // phase / 4 bits — 4x the unfused figure.
+  nn::Network fused;
+  fused.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 1, .out_channels = 2,
+                                     .kernel = 3, .padding = 1,
+                                     .mode = nn::AccumMode::kOrApprox})
+      .initialize(3);
+  fused.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 2}).initialize(5);
+  fused.add<nn::AvgPool2D>(2);
+  fused.add<nn::ReLU>();
+  fused.add<nn::Dense>(nn::DenseSpec{4 * 4 * 2, 4, false,
+                                     nn::AccumMode::kOrApprox})
+      .initialize(4);
+  expect_agreement(fused, sim::plan_table_bytes(sim::SegmentSchedule{
+                                                    phase, 4, phase / 4},
+                                                input.size()));
+  const core::Report r = check_network(fused, "budget", {8, 8, 1}, opt);
+  EXPECT_NE(finding(r, "stream-resolution", "budget/conv3x3(1->2)")
+                .find("each slot counts 16 bits"),
+            std::string::npos)
+      << r.to_string();
+}
+
+TEST(CheckNetwork, ZooResnet18StemReportsItsFusedSlot) {
+  // The stem conv7x7 is followed by BatchNorm and then AvgPool(2); the
+  // executor folds the BN and fuses the pool, so at stream 128 each of the
+  // 4 window slots counts 64 / 4 = 16 bits.
+  nn::ZooBuildOptions zoo;
+  zoo.side = 16;
+  nn::Network net = nn::build_from_descriptor(nn::resnet18(), zoo);
   CheckOptions opt;
   opt.probe = false;
   opt.sc.stream_length = 128;
-  const sim::SegmentSchedule sched{opt.sc.phase_length(), 1,
-                                   opt.sc.phase_length()};
-  const std::size_t figure =
-      sim::plan_table_bytes(sched, dense.weights().size());
-  for (const std::size_t budget : {figure - 1, figure}) {
-    opt.sc.plan_budget_bytes = budget;
-    const bool over = budget < figure;
-    const core::Report r = check_network(net, "budget", {8, 8, 1}, opt);
-    EXPECT_EQ(r.has_rule("plan-budget-exceeded"), over) << r.to_string();
-    sim::ScNetwork exec(net, opt.sc);
-    (void)exec.forward(input);
-    EXPECT_EQ(exec.stats().plan_misses > 0, over) << "budget " << budget;
+  const core::Report r = check_network(
+      net, "resnet18", nn::zoo_input_shape(nn::resnet18(), zoo), opt);
+  EXPECT_NE(finding(r, "stream-resolution", "resnet18/conv7x7(3->64)")
+                .find("each slot counts 16 bits"),
+            std::string::npos)
+      << r.to_string();
+}
+
+TEST(CheckNetwork, BatchNormChannelMismatchIsAShapeMismatch) {
+  // Conv2D(1 -> 64) followed by BatchNorm(2): reported by the structural
+  // walk with the probe on or off, never executed.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 1, .out_channels = 64,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrApprox})
+      .initialize(1);
+  net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 2});
+  net.add<nn::ReLU>();
+  for (const bool probe : {false, true}) {
+    CheckOptions opt;
+    opt.probe = probe;
+    const core::Report r = check_network(net, "bn", {8, 8, 1}, opt);
+    EXPECT_NE(finding(r, "shape-mismatch", "bn/batch-norm(2)")
+                  .find("expects 2 channels but receives 64"),
+              std::string::npos)
+        << r.to_string();
+    EXPECT_FALSE(r.has_rule("sc-lowering-failed")) << r.to_string();
   }
 }
 

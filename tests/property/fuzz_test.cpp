@@ -2,20 +2,34 @@
 // exercising invariants no example-based test pins down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <memory>
+#include <vector>
 
+#include "analysis/check.hpp"
 #include "core/accelerator.hpp"
 #include "core/cli.hpp"
 #include "isa/analysis/analyzer.hpp"
 #include "isa/assembler.hpp"
 #include "isa/encoding.hpp"
+#include "nn/activation.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv.hpp"
+#include "nn/dense.hpp"
+#include "nn/pool.hpp"
 #include "nn/quantize.hpp"
+#include "nn/residual.hpp"
 #include "perf/codegen.hpp"
 #include "sc/gates.hpp"
 #include "sc/kernels/kernels.hpp"
 #include "sc/rng.hpp"
 #include "sc/sng.hpp"
 #include "sim/backend.hpp"
+#include "sim/op_graph.hpp"
+#include "sim/sc_network.hpp"
 #include "sim/stream_bank.hpp"
 
 namespace acoustic {
@@ -801,6 +815,198 @@ TEST_P(CliFuzzTest, RandomArgvParsesOrThrowsUsageError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CliFuzzTest, ::testing::Range(1u, 9u));
+
+// ---------------------------------------------------------------------
+// Generated graphs the SC executor accepts: `acoustic check` reports no
+// error on any of them, and its plan-budget note fires exactly when the
+// executor falls back to regeneration.
+// ---------------------------------------------------------------------
+
+/// Node shapes a generated graph can contain (bit flags).
+enum GraphFeature : unsigned {
+  kConvWithBn = 1u << 0,
+  kConvWithoutBn = 1u << 1,
+  kTiledAvgPool = 1u << 2,
+  kUntiledAvgPool = 1u << 3,
+  kGroupedConv = 1u << 4,
+  kIdentityBlock = 1u << 5,
+  kProjectionBlock = 1u << 6,
+  kMaxPool = 1u << 7,
+  kFoldedAndFused = 1u << 8,  ///< conv -> BatchNorm -> tiled AvgPool
+  kAllFeatures = (1u << 9) - 1,
+};
+
+/// A small random network ending in a dense layer, with the volume each
+/// weighted layer is fed and the features it contains.
+struct GeneratedGraph {
+  nn::Network net;
+  nn::Shape input;
+  std::map<const nn::Layer*, nn::Shape> fed;
+  unsigned features = 0;
+};
+
+GeneratedGraph random_graph(std::uint32_t seed) {
+  sc::XorShift32 rng(seed * 2654435761u + 1u);
+  const auto pick = [&rng](std::uint32_t n) {
+    return static_cast<int>(rng.next() % n);
+  };
+  std::uint32_t init = seed * 97u;
+  GeneratedGraph g;
+  nn::Shape cur{6 + pick(5), 0, 1 + pick(3)};
+  cur.w = cur.h;
+  g.input = cur;
+  // conv [-> BatchNorm]; returns whether a BatchNorm follows.
+  const auto conv = [&](nn::ConvSpec spec) {
+    spec.in_channels = cur.c;
+    spec.mode = nn::AccumMode::kOrApprox;
+    auto& layer = g.net.add<nn::Conv2D>(spec);
+    layer.initialize(init++);
+    g.fed[&layer] = cur;
+    if (spec.groups > 1) {
+      g.features |= kGroupedConv;
+    }
+    cur = layer.output_shape(cur);
+    if (pick(2) == 0) {
+      g.features |= kConvWithoutBn;
+      return false;
+    }
+    g.net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = spec.out_channels})
+        .initialize(init++);
+    g.features |= kConvWithBn;
+    return true;
+  };
+  const int blocks = 2 + pick(3);
+  for (int b = 0; b < blocks; ++b) {
+    const int kind = pick(4);
+    const int stride = cur.h >= 4 ? 1 + pick(2) : 1;
+    if (kind == 1) {  // identity residual block
+      auto state = std::make_shared<nn::SkipState>();
+      g.net.add<nn::SkipSave>(state);
+      conv(nn::ConvSpec{.out_channels = cur.c, .kernel = 3, .padding = 1});
+      g.net.add<nn::ReLU>();
+      conv(nn::ConvSpec{.out_channels = cur.c, .kernel = 3, .padding = 1});
+      g.net.add<nn::SkipAdd>(state);
+      g.net.add<nn::ReLU>();
+      g.features |= kIdentityBlock;
+    } else if (kind == 2) {  // projection residual block
+      const int out_c = 2 + pick(4);
+      auto state = std::make_shared<nn::SkipState>();
+      g.net.add<nn::SkipSave>(state);
+      auto& proj = g.net.add<nn::SkipProject>(
+          state, nn::ConvSpec{.in_channels = cur.c, .out_channels = out_c,
+                              .kernel = 1, .stride = stride,
+                              .mode = nn::AccumMode::kOrApprox});
+      proj.conv().initialize(init++);
+      g.fed[&proj] = cur;
+      conv(nn::ConvSpec{.out_channels = out_c, .kernel = 3, .stride = stride,
+                        .padding = 1});
+      g.net.add<nn::ReLU>();
+      conv(nn::ConvSpec{.out_channels = out_c, .kernel = 3, .padding = 1});
+      g.net.add<nn::SkipAdd>(state);
+      g.net.add<nn::ReLU>();
+      g.features |= kProjectionBlock;
+    } else if (kind == 3 && cur.h >= 2) {
+      g.net.add<nn::MaxPool2D>(2);
+      cur = nn::Shape{cur.h / 2, cur.w / 2, cur.c};
+      g.features |= kMaxPool;
+    } else {  // conv [-> BatchNorm] [-> AvgPool] -> ReLU
+      const int groups = cur.c % 2 == 0 && pick(2) == 0 ? 2 : 1;
+      const int padding = cur.h >= 3 ? pick(2) : 1;
+      const bool bn =
+          conv(nn::ConvSpec{.out_channels = 2 * (1 + pick(3)),
+                            .kernel = 1 + 2 * pick(2), .stride = stride,
+                            .padding = padding, .groups = groups});
+      const int window = 2 + pick(2);
+      if (cur.h >= window && pick(3) != 0) {
+        g.net.add<nn::AvgPool2D>(window);
+        const bool tiled = cur.h % window == 0 && cur.w % window == 0;
+        g.features |= tiled ? kTiledAvgPool : kUntiledAvgPool;
+        g.features |= tiled && bn ? kFoldedAndFused : 0u;
+        cur = nn::Shape{cur.h / window, cur.w / window, cur.c};
+      }
+      g.net.add<nn::ReLU>();
+    }
+  }
+  auto& dense = g.net.add<nn::Dense>(
+      nn::DenseSpec{.in_features = static_cast<int>(cur.size()),
+                    .out_features = 3 + pick(3),
+                    .mode = nn::AccumMode::kOrApprox});
+  dense.initialize(init++);
+  g.fed[&dense] = cur;
+  return g;
+}
+
+class GeneratedGraphTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(GeneratedGraphTest, CheckIsCleanAndPlanBudgetNoteMatchesTheExecutor) {
+  GeneratedGraph g = random_graph(GetParam());
+  analysis::CheckOptions opt;
+  opt.probe = false;
+  opt.sc.stream_length = 128;
+  const core::Report clean =
+      analysis::check_network(g.net, "generated", g.input, opt);
+  EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+  // Every table a weighted node may build, its weight table and its
+  // activation plan, at the node's own slot timetable.
+  std::vector<std::size_t> tables;
+  for (const sim::LoweredOp& op :
+       sim::lower_graph(g.net, sim::sc_lower_options(opt.sc), "generated")) {
+    if (!op.weighted()) {
+      continue;
+    }
+    const nn::Shape in = g.fed.at(op.layer);
+    const sim::ConvGeometry geo =
+        sim::conv_geometry(op, in, opt.sc.phase_length());
+    for (const std::size_t lanes :
+         {geo.layout.oc_count * geo.layout.w_per_oc, in.size()}) {
+      tables.push_back(sim::plan_table_bytes(geo.window.sched, lanes));
+    }
+  }
+  std::sort(tables.begin(), tables.end());
+  nn::Tensor x(g.input);
+  sc::XorShift32 rng(GetParam());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.next_double());
+  }
+  // One byte below every footprint, and at the largest.
+  std::vector<std::size_t> budgets;
+  for (const std::size_t bytes : tables) {
+    budgets.push_back(bytes - 1);
+  }
+  budgets.push_back(tables.back());
+  for (const std::size_t budget : budgets) {
+    opt.sc.plan_budget_bytes = budget;
+    const auto over = static_cast<std::size_t>(
+        std::count_if(tables.begin(), tables.end(),
+                      [budget](std::size_t bytes) { return bytes > budget; }));
+    const core::Report r =
+        analysis::check_network(g.net, "generated", g.input, opt);
+    EXPECT_EQ(r.count_rule("plan-budget-exceeded"), over)
+        << "budget " << budget << "\n"
+        << r.to_string();
+    if (budget < tables.front() || budget == tables.back()) {
+      // Below the smallest footprint every table is unbuilt and the first
+      // node always reads live inputs; at the largest every table is
+      // built. In between, an unbuilt table misses only if a live product
+      // reads it, so the executor side is pinned at the two ends.
+      sim::ScNetwork exec(g.net, opt.sc);
+      (void)exec.forward(x);
+      EXPECT_EQ(exec.stats().plan_misses > 0, over > 0)
+          << "budget " << budget;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedGraphTest, ::testing::Range(1u, 25u));
+
+TEST(GeneratedGraphs, SeedsCoverEveryNodeShape) {
+  unsigned seen = 0;
+  for (std::uint32_t seed = 1; seed < 25; ++seed) {
+    seen |= random_graph(seed).features;
+  }
+  EXPECT_EQ(seen, kAllFeatures);
+}
 
 }  // namespace
 }  // namespace acoustic

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "nn/activation.hpp"
+#include "nn/batchnorm.hpp"
 #include "sc/rng.hpp"
 
 namespace acoustic::sim {
@@ -181,6 +184,41 @@ TEST(ScNetwork, RejectsTooShortStreams) {
   cfg.stream_length = 16;  // phase 8 < 4*4 window
   ScNetwork executor(net, cfg);
   EXPECT_THROW((void)executor.forward(x), std::invalid_argument);
+}
+
+TEST(ScNetwork, RejectsMalformedNodes) {
+  // A folded BatchNorm(2) after a 64-channel conv would read its
+  // per-channel scale and shift out of bounds; a 1-channel input fed to a
+  // 3-channel conv would gather past the input. Both exec modes reject
+  // them, naming the layer and both counts.
+  nn::Network bn;
+  bn.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 1, .out_channels = 64,
+                                  .kernel = 3, .padding = 1,
+                                  .mode = nn::AccumMode::kOrExact})
+      .initialize(1);
+  bn.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 2});
+  nn::Network rgb;
+  rgb.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 3, .out_channels = 2,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(1);
+  const std::pair<nn::Network*, const char*> cases[] = {
+      {&bn, "batch-norm(2): expects 2 channels but receives 64"},
+      {&rgb, "conv3x3(3->2): expects 3 input channels but receives 1"}};
+  const nn::Tensor x = random_unit(nn::Shape{4, 4, 1}, 2);
+  for (const auto& [net, message] : cases) {
+    for (const ExecMode mode : {ExecMode::kScalar, ExecMode::kPlanned}) {
+      ScConfig cfg;
+      cfg.exec = mode;
+      ScNetwork executor(*net, cfg);
+      try {
+        (void)executor.forward(x);
+        ADD_FAILURE() << "forward accepted: " << message;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), message);
+      }
+    }
+  }
 }
 
 TEST(ScNetwork, RejectsNetworkStartingWithPool) {
