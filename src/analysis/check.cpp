@@ -1,5 +1,6 @@
 #include "analysis/check.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -102,18 +103,20 @@ sim::SegmentSchedule check_stream_geometry(Report& report,
 }
 
 /// Reports rule plan-budget-exceeded for a weighted node whose weight
-/// table (@p weights lanes) or activation plan (@p activations lanes) is
-/// over the configured plan budget — the executor's own footprint rule
-/// (sim::plan_table_bytes), so the note fires exactly where the planned
+/// table (live-tap weights of @p layout) or activation plan
+/// (@p activations lanes) is over the configured plan budget — the
+/// executor's own footprint rules (sim::weight_table_bytes,
+/// sim::plan_table_bytes), so the note fires exactly where the planned
 /// path falls back to regeneration.
 void note_plan_budget(Report& report, const std::string& path,
                       const sim::ScConfig& cfg,
-                      const sim::SegmentSchedule& sched, std::size_t weights,
+                      const sim::SegmentSchedule& sched,
+                      const sim::WeightLayout& layout,
                       std::size_t activations) {
   const std::pair<const char*, std::size_t> tables[] = {
-      {"weight table", weights}, {"activation plan", activations}};
-  for (const auto& [what, lanes] : tables) {
-    const std::size_t bytes = sim::plan_table_bytes(sched, lanes);
+      {"weight table", sim::weight_table_bytes(sched, layout)},
+      {"activation plan", sim::plan_table_bytes(sched, activations)}};
+  for (const auto& [what, bytes] : tables) {
     if (sim::over_plan_budget(bytes, cfg.plan_budget_bytes)) {
       report.add("plan-budget-exceeded", Severity::kNote, path,
                  std::string(what) + " would need " + std::to_string(bytes) +
@@ -390,17 +393,33 @@ core::Report check_descriptor(const nn::NetworkDesc& net,
     if (g.seg == 0) {
       continue;
     }
-    // Prior-based OR-saturation bound: fan_in identical product lines at
-    // the Kaiming |weight| prior scaled by the activation prior.
-    const std::size_t fan_in =
-        conv ? static_cast<std::size_t>(layer.kernel) * layer.kernel *
-                   layer.channels_per_group()
-             : static_cast<std::size_t>(layer.in_c);
+    // Prior-based OR-saturation bound: one identical product line per
+    // weight at a tap one output position reads, at the position reading
+    // the most (sim::position_taps), at the Kaiming |weight| prior of the
+    // full fan-in scaled by the activation prior.
+    std::size_t fan_in = static_cast<std::size_t>(layer.in_c);
+    std::size_t live_lines = fan_in;
+    if (conv) {
+      const nn::ConvSpec spec{.in_channels = layer.in_c,
+                              .out_channels = layer.out_c,
+                              .kernel = layer.kernel,
+                              .stride = layer.stride,
+                              .padding = layer.padding,
+                              .groups = layer.groups};
+      const auto cpg = static_cast<std::size_t>(layer.channels_per_group());
+      fan_in = static_cast<std::size_t>(layer.kernel) * layer.kernel * cpg;
+      std::size_t most_taps = 0;
+      for (const sim::TapRect& r : sim::position_taps(
+               spec, nn::Shape{layer.in_h, layer.in_w, layer.in_c})) {
+        most_taps = std::max(most_taps, r.count());
+      }
+      live_lines = most_taps * cpg;
+    }
     const double mean_p =
         options.activation_prior * kaiming_mean_abs_weight(fan_in);
     const SaturationEstimate est = estimate_saturation_uniform(
-        fan_in, mean_p, g.seg, g.positions, options.sc.sng_width);
-    report_saturation(report, path, options, est, fan_in,
+        live_lines, mean_p, g.seg, g.positions, options.sc.sng_width);
+    report_saturation(report, path, options, est, live_lines,
                       "estimated from the Kaiming prior E|w| = sqrt(1.5/" +
                           std::to_string(fan_in) + ") at activation prior " +
                           fmt(options.activation_prior),
@@ -426,15 +445,19 @@ struct WorstPhase {
   bool any = false;
 };
 
+/// @p windows are the taps single output positions read
+/// (sim::position_taps): each output's OR lines are the weights at one
+/// window's taps, and the worst window counts.
 WorstPhase worst_saturation(std::span<const float> weights,
                             const sim::WeightLayout& layout,
+                            std::span<const sim::TapRect> windows,
                             const CheckOptions& options,
                             const sim::SegmentSchedule& sched) {
   WorstPhase worst;
   const unsigned width = options.sc.sng_width;
   const double grid =
       width >= 32 ? 4294967296.0 : static_cast<double>(1u << width) * 1.0;
-  const std::size_t rf = layout.w_per_oc;
+  const std::size_t rf = layout.w_per_oc;  // weight s sits at tap s / cpg
   SaturationInput in;
   in.seg_bits = sched.seg;
   in.positions = sched.positions;
@@ -442,35 +465,41 @@ WorstPhase worst_saturation(std::span<const float> weights,
   std::vector<double> pos;
   std::vector<double> neg;
   for (std::size_t o = 0; o < layout.oc_count; ++o) {
-    pos.clear();
-    neg.clear();
-    for (std::size_t s = 0; s < rf; ++s) {
-      const float wv = weights[o * rf + s];
-      if (!(wv > 0.0f) && !(wv < 0.0f)) {
-        continue;  // zero / non-finite weights are operand-gated
+    for (const sim::TapRect& window : windows) {
+      pos.clear();
+      neg.clear();
+      for (std::size_t s = 0; s < rf; ++s) {
+        const float wv = weights[o * rf + s];
+        if (!(wv > 0.0f) && !(wv < 0.0f)) {
+          continue;  // zero / non-finite weights are operand-gated
+        }
+        const std::size_t tap = s / layout.cpg;
+        if (!window.contains(tap / layout.kernel, tap % layout.kernel)) {
+          continue;  // padding at every position of this window
+        }
+        const std::uint32_t level =
+            sc::quantize_unipolar(std::fabs(static_cast<double>(wv)), width);
+        if (level == 0) {
+          continue;
+        }
+        const double p =
+            options.activation_prior * static_cast<double>(level) / grid;
+        (wv > 0.0f ? pos : neg).push_back(p);
       }
-      const std::uint32_t level =
-          sc::quantize_unipolar(std::fabs(static_cast<double>(wv)), width);
-      if (level == 0) {
-        continue;
-      }
-      const double p =
-          options.activation_prior * static_cast<double>(level) / grid;
-      (wv > 0.0f ? pos : neg).push_back(p);
-    }
-    for (int sign = 0; sign < 2; ++sign) {
-      const std::vector<double>& lines = sign == 0 ? pos : neg;
-      if (lines.empty()) {
-        continue;
-      }
-      in.product_p = lines;
-      const SaturationEstimate est = estimate_saturation(in);
-      if (!worst.any || est.or_p > worst.est.or_p) {
-        worst.any = true;
-        worst.est = est;
-        worst.fan_in = lines.size();
-        worst.output = o;
-        worst.positive = sign == 0;
+      for (int sign = 0; sign < 2; ++sign) {
+        const std::vector<double>& lines = sign == 0 ? pos : neg;
+        if (lines.empty()) {
+          continue;
+        }
+        in.product_p = lines;
+        const SaturationEstimate est = estimate_saturation(in);
+        if (!worst.any || est.or_p > worst.est.or_p) {
+          worst.any = true;
+          worst.est = est;
+          worst.fan_in = lines.size();
+          worst.output = o;
+          worst.positive = sign == 0;
+        }
       }
     }
   }
@@ -538,7 +567,8 @@ void check_weighted_node(Report& report, const std::string& path,
   if (sched.seg == 0) {
     return;
   }
-  const WorstPhase worst = worst_saturation(weights, g.layout, options, sched);
+  const WorstPhase worst = worst_saturation(
+      weights, g.layout, sim::position_taps(g.spec, g.in), options, sched);
   if (worst.any) {
     report_saturation(
         report, path, options, worst.est, worst.fan_in,
@@ -548,8 +578,7 @@ void check_weighted_node(Report& report, const std::string& path,
             (worst.positive ? "positive" : "negative") +
             " phase at activation prior " + fmt(options.activation_prior));
   }
-  note_plan_budget(report, path, options.sc, sched, weights.size(),
-                   in.size());
+  note_plan_budget(report, path, options.sc, sched, g.layout, in.size());
 }
 
 }  // namespace

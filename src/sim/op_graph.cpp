@@ -1,7 +1,9 @@
 #include "sim/op_graph.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace acoustic::sim {
 
@@ -150,6 +152,85 @@ WindowSchedule window_schedule(std::size_t phase, int pool, int conv_h,
   return w;
 }
 
+namespace {
+
+/// Taps [lo, hi) of one kernel axis that output coordinate @p o reads
+/// inside an input of @p extent: those whose input coordinate
+/// o * stride + t - padding lies in [0, extent). Empty (lo >= hi) where
+/// the output reads only padding along the axis.
+std::pair<int, int> axis_taps(const nn::ConvSpec& spec, int extent, int o) {
+  const int i0 = o * spec.stride - spec.padding;
+  return {std::max(0, -i0), std::min(spec.kernel, extent - i0)};
+}
+
+/// Output coordinates of one axis of extent @p extent.
+int axis_outputs(const nn::ConvSpec& spec, int extent) {
+  return (extent + 2 * spec.padding - spec.kernel) / spec.stride + 1;
+}
+
+/// The per-axis tap ranges of @p extent that no other output's range
+/// contains, in first-output order: the axis factor of position_taps.
+std::vector<std::pair<int, int>> maximal_axis_taps(const nn::ConvSpec& spec,
+                                                   int extent) {
+  std::vector<std::pair<int, int>> ranges;
+  const int outs = axis_outputs(spec, extent);
+  for (int o = 0; o < outs; ++o) {
+    const auto r = axis_taps(spec, extent, o);
+    if (r.first < r.second &&
+        std::find(ranges.begin(), ranges.end(), r) == ranges.end()) {
+      ranges.push_back(r);
+    }
+  }
+  std::vector<std::pair<int, int>> maximal;
+  for (const auto& r : ranges) {
+    const bool inside_another =
+        std::any_of(ranges.begin(), ranges.end(), [&r](const auto& q) {
+          return q != r && q.first <= r.first && r.second <= q.second;
+        });
+    if (!inside_another) {
+      maximal.push_back(r);
+    }
+  }
+  return maximal;
+}
+
+}  // namespace
+
+TapRect live_taps(const nn::ConvSpec& spec, nn::Shape in) noexcept {
+  // Per axis, the span from the first to the last tap any output reads.
+  const auto axis = [&spec](int extent, std::size_t& lo, std::size_t& n) {
+    int first = spec.kernel;
+    int last = 0;
+    const int outs = axis_outputs(spec, extent);
+    for (int o = 0; o < outs; ++o) {
+      const auto [t0, t1] = axis_taps(spec, extent, o);
+      if (t0 < t1) {
+        first = std::min(first, t0);
+        last = std::max(last, t1);
+      }
+    }
+    lo = first < last ? static_cast<std::size_t>(first) : 0;
+    n = first < last ? static_cast<std::size_t>(last - first) : 0;
+  };
+  TapRect r;
+  axis(in.h, r.y0, r.h);
+  axis(in.w, r.x0, r.w);
+  return r;
+}
+
+std::vector<TapRect> position_taps(const nn::ConvSpec& spec, nn::Shape in) {
+  std::vector<TapRect> rects;
+  for (const auto& [y0, y1] : maximal_axis_taps(spec, in.h)) {
+    for (const auto& [x0, x1] : maximal_axis_taps(spec, in.w)) {
+      rects.push_back(TapRect{static_cast<std::size_t>(y0),
+                              static_cast<std::size_t>(x0),
+                              static_cast<std::size_t>(y1 - y0),
+                              static_cast<std::size_t>(x1 - x0)});
+    }
+  }
+  return rects;
+}
+
 ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape input,
                            std::size_t phase) {
   ConvGeometry g;
@@ -185,29 +266,32 @@ ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape input,
   g.layout.oc_per_group =
       static_cast<std::size_t>(spec.out_channels / spec.groups);
   g.layout.w_per_oc = kk * g.layout.cpg;
+  g.layout.kernel = static_cast<std::size_t>(spec.kernel);
+  g.layout.taps = live_taps(spec, g.in);
   return g;
+}
+
+WeightKey node_key(const LoweredOp& op, std::span<float> scale) {
+  if (op.dense != nullptr) {
+    return WeightKey{op.dense->weights(), {}};
+  }
+  if (op.bn == nullptr) {
+    return WeightKey{op.conv->weights(), {}};
+  }
+  const int oc_count = op.conv->spec().out_channels;
+  for (int oc = 0; oc < oc_count; ++oc) {
+    scale[static_cast<std::size_t>(oc)] = op.bn->scale(oc);
+  }
+  return WeightKey{op.conv->weights(),
+                   scale.first(static_cast<std::size_t>(oc_count))};
 }
 
 std::span<const float> node_weights(const LoweredOp& op,
                                     std::vector<float>& scratch) {
-  if (op.dense != nullptr) {
-    return op.dense->weights();
-  }
-  const std::span<const float> w = op.conv->weights();
-  if (op.bn == nullptr) {
-    return w;
-  }
-  const int oc_count = op.conv->spec().out_channels;
-  const std::size_t per_oc = w.size() / static_cast<std::size_t>(oc_count);
-  scratch.resize(w.size());
-  for (int oc = 0; oc < oc_count; ++oc) {
-    const float s = op.bn->scale(oc);
-    const std::size_t base = static_cast<std::size_t>(oc) * per_oc;
-    for (std::size_t j = base; j < base + per_oc; ++j) {
-      scratch[j] = w[j] * s;
-    }
-  }
-  return scratch;
+  std::vector<float> scale(
+      op.bn != nullptr ? static_cast<std::size_t>(op.conv->spec().out_channels)
+                       : 0);
+  return folded_weights(node_key(op, scale), scratch);
 }
 
 }  // namespace acoustic::sim

@@ -29,9 +29,10 @@
 //
 // This module is also the one owner of what a weighted node computes:
 // sc_lower_options (the lowering the SC datapath runs), the fused pool's
-// window timetable, ConvGeometry and node_weights. The executor and
-// `acoustic check` both read them, so the analyzer sees exactly the nodes,
-// slots and BN-folded weights the executor runs.
+// window timetable, ConvGeometry with its live-tap rectangle (live_taps),
+// node_key and node_weights. The executor and `acoustic check` both read
+// them, so the analyzer sees exactly the nodes, slots, live taps and
+// BN-folded weights the executor runs.
 #pragma once
 
 #include <cstddef>
@@ -136,10 +137,31 @@ struct WindowSchedule {
 [[nodiscard]] WindowSchedule window_schedule(std::size_t phase, int pool,
                                              int conv_h, int conv_w) noexcept;
 
+/// The live-tap rectangle of a conv with @p spec over an @p in volume:
+/// per axis, the first to the last tap whose input row (column) lies
+/// inside the input for at least one output row (column). Every tap
+/// outside it reads zero padding at every position. conv_geometry records
+/// it in the node's WeightLayout: it bounds the entries of the node's
+/// ProductTable. Precondition: the kernel fits (at least one output
+/// position per axis).
+[[nodiscard]] TapRect live_taps(const nn::ConvSpec& spec,
+                                nn::Shape in) noexcept;
+
+/// The taps single output positions read, reduced to the maximal sets: a
+/// position reads the rectangle of its in-bounds rows times its in-bounds
+/// columns, and one whose rectangle lies inside another's ORs no line the
+/// other lacks. One rectangle (live_taps) when some position reads every
+/// live tap; on a map smaller than the kernel, several smaller ones (a
+/// 3x3 pad-1 conv on a 2x2 map: four 2x2 corners). `acoustic check` takes
+/// its OR fan-in over these, the most products any one position can OR.
+[[nodiscard]] std::vector<TapRect> position_taps(const nn::ConvSpec& spec,
+                                                 nn::Shape in);
+
 /// Geometry of one weighted node as the conv it executes: output shapes,
 /// the pooling window's segment timetable, the receptive-field extent and
-/// the grouped weight layout. Shared by the scalar and planned executors
-/// and by `acoustic check`, so none of them can drift.
+/// the grouped weight layout with its live-tap rectangle. Shared by the
+/// scalar and planned executors and by `acoustic check`, so none of them
+/// can drift.
 struct ConvGeometry {
   nn::ConvSpec spec;  ///< the conv executed (a dense node's 1x1 view)
   nn::Shape in;       ///< the input as that conv sees it
@@ -147,8 +169,8 @@ struct ConvGeometry {
   nn::Shape out_shape;
   WindowSchedule window;
   /// Receptive-field slots (kernel^2 * in_channels, the full gather extent
-  /// regardless of grouping: cross-group slots map to no weight) and their
-  /// weights per output channel.
+  /// regardless of grouping: cross-group slots map to no weight), their
+  /// weights per output channel, and the live-tap rectangle.
   WeightLayout layout;
 
   /// Flat input index of channel @p ic at pixel (@p iy, @p ix): the HWC
@@ -170,12 +192,19 @@ struct ConvGeometry {
 [[nodiscard]] ConvGeometry conv_geometry(const LoweredOp& op,
                                          nn::Shape input, std::size_t phase);
 
+/// The ProductTable key of weighted node @p op: its raw conv or dense
+/// weights and, with an absorbed BatchNorm, the per-output-channel scale
+/// written into @p scale (which must hold the conv's output channels).
+/// Cheap enough to take every forward: it copies no weight.
+[[nodiscard]] WeightKey node_key(const LoweredOp& op, std::span<float> scale);
+
 /// The float weights weighted node @p op's stochastic datapath quantizes:
-/// the live dense or conv weights, or, with an absorbed BatchNorm, the
-/// folded copy w * scale(oc) staged in @p scratch (its shift is applied
-/// post-counter instead). The folded floats feed quantization AND sign
-/// classification, so a negative scale flips the product's phase exactly as
-/// the algebra demands. Call conv_geometry first: it validates the fold.
+/// folded_weights of node_key — the live dense or conv weights, or, with
+/// an absorbed BatchNorm, the folded copy w * scale(oc) staged in
+/// @p scratch (its shift is applied post-counter instead). The folded
+/// floats feed quantization AND sign classification, so a negative scale
+/// flips the product's phase exactly as the algebra demands. Call
+/// conv_geometry first: it validates the fold.
 [[nodiscard]] std::span<const float> node_weights(const LoweredOp& op,
                                                   std::vector<float>& scratch);
 

@@ -8,11 +8,18 @@
 //   check_schedule — the segment timetable covers every (sign, slot) pair
 //     exactly once, slot windows are disjoint within a phase, and every
 //     packed word offset stays inside the bank window.
+//   check_live_taps — a node's live-tap rectangle is exactly the bounding
+//     box of the taps its output positions read in bounds, re-derived by
+//     brute force over every position.
 //   check_product_table — a weight ProductTable is consistent with the
-//     weights it claims to be built from: group extents and prefix sums,
-//     the (sign phase, output channel) classification and oc-major entry
-//     order, slot bitmaps, gated counts, and sampled entries' stream words
-//     bit-identical to regenerating them from the bank.
+//     node it claims to be built for: its raw-weight + BN-scale key, the
+//     (sign phase, output channel) classification of the key's folded
+//     weights with entries only at live taps in oc-major, tap-major order,
+//     gated counts that include every dead-tap weight, monotone tap
+//     offsets that agree with the entries' slots, slot bitmaps, word
+//     extents (positions x entries x seg_words), and sampled entries'
+//     own-sign stream words bit-identical to regenerating them from the
+//     bank.
 //
 // ScNetwork::validate_plans() composes these over every executed stage.
 #pragma once
@@ -22,6 +29,7 @@
 #include <string_view>
 
 #include "core/diagnostics.hpp"
+#include "sim/op_graph.hpp"
 #include "sim/stream_bank.hpp"
 #include "sim/stream_plan.hpp"
 
@@ -34,14 +42,21 @@ namespace acoustic::sim {
                                           std::size_t bank_length,
                                           std::string_view path);
 
-/// Re-derives @p table from @p weights (the live, BN-folded float weights
-/// of its node) and @p bank (the weight bank it draws from) and reports
-/// every field that disagrees. Stream words are regenerated for up to
-/// @p max_entries sampled entries (every slot); an over-budget table's
+/// Reports when @p g's live-tap rectangle (g.layout.taps) differs from
+/// the bounding box of the taps its conv output positions read inside the
+/// input, scanned position by position. Findings anchor at @p path.
+[[nodiscard]] core::Report check_live_taps(const ConvGeometry& g,
+                                           std::string_view path);
+
+/// Re-derives @p table from its node's live @p key (folded with
+/// folded_weights, as the datapath quantizes it) and @p bank (the weight
+/// bank it draws from) and reports every field that disagrees. Stream
+/// words are regenerated for up to @p max_entries sampled entries (every
+/// window slot of the entry's own sign phase); an over-budget table's
 /// per-entry levels are checked instead. Findings anchor at @p path.
 [[nodiscard]] core::Report check_product_table(const ProductTable& table,
                                                const StreamBank& bank,
-                                               std::span<const float> weights,
+                                               const WeightKey& key,
                                                std::string_view path,
                                                std::size_t max_entries = 8);
 

@@ -98,7 +98,8 @@ struct ScConfig {
 
   /// Byte budget per packed stream table (one shared weight ProductTable
   /// and one per-image activation plan per weighted node), measured by the
-  /// single footprint rule sim::plan_table_bytes. A table over it is left
+  /// footprint rules sim::weight_table_bytes and sim::plan_table_bytes
+  /// (sim/stream_plan.hpp). A table over it is left
   /// unbuilt and the planned row body regenerates those words from the
   /// bank into the same slot layout, counted as plan misses — still
   /// bit-identical. `acoustic check` notes the same nodes

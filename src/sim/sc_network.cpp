@@ -467,18 +467,27 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   const nn::ConvSpec& spec = g.spec;
   const sc::kernels::KernelTable& kt = sc::kernels::table();
   const std::size_t oc_count = g.layout.oc_count;
-  const std::size_t rf = g.layout.rf;
   const SegmentSchedule& sched = g.window.sched;
   const std::size_t seg = sched.seg;
   const std::size_t sw = sched.seg_words();
   const int win = g.window.pool;
+  // The live field: the node's live-tap rectangle x input channels.
+  const TapRect& taps = g.layout.taps;
+  const std::size_t tap_count = taps.count();
+  const std::size_t live_rf = g.layout.live_rf();
+  const int ty0 = static_cast<int>(taps.y0);
+  const int tx0 = static_cast<int>(taps.x0);
+  const int th = static_cast<int>(taps.h);
+  const int tw = static_cast<int>(taps.w);
 
   StreamBank& act_bank = activation_bank();
   const std::span<std::uint32_t> act_levels =
       arena_.alloc<std::uint32_t>(input.size());
   quantize_activations_into(act_bank, input, act_levels);
   StageScratch& stage = stage_scratch_[op_idx];
-  const std::span<const float> weights = node_weights(op, stage.folded);
+  const WeightKey key =
+      node_key(op, op.bn != nullptr ? arena_.alloc<float>(oc_count)
+                                    : std::span<float>{});
   // Folded BatchNorm shift per output channel (zeros without a BN), added
   // after the counter divide.
   const std::span<float> bias = arena_.alloc<float>(oc_count);
@@ -487,23 +496,24 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   }
 
   // Estimated word-level AND/OR work: output positions x window slots x
-  // receptive field x output channels x segment words — the quantity the
+  // live field x output channels x segment words — the quantity the
   // auto-mode gate compares against intra_work_threshold.
   const std::size_t work_words = static_cast<std::size_t>(g.out_shape.h) *
                                  static_cast<std::size_t>(g.out_shape.w) *
-                                 sched.positions * oc_count * rf * sw;
+                                 sched.positions * oc_count * live_rf * sw;
   runtime::ThreadPool* pool = intra_pool(work_words);
 
   // Weight table: shared across clones and images, re-fetched only when
   // its key no longer matches (retraining, or an input size that changes
-  // the schedule). Its build's kernel bits are amortized capital cost,
+  // the schedule or the live taps); only a rebuild folds a BatchNorm into
+  // the weights. Its build's kernel bits are amortized capital cost,
   // excluded from per-run stats so they stay a pure function of the sample
   // set. Activation plan: rebuilt per image into the stage's retained plan
   // object — its allocation depends only on (lanes, schedule). Building
   // both before the unit loop keeps them read-only while workers run.
-  if (stage.table == nullptr ||
-      !stage.table->keyed_on(sched, g.layout, weights)) {
-    stage.table = wgt_plans_->get(op_idx, sched, g.layout, weights,
+  stage.input = input.shape();
+  if (stage.table == nullptr || !stage.table->keyed_on(sched, g.layout, key)) {
+    stage.table = wgt_plans_->get(op_idx, sched, g.layout, key,
                                   cfg_.plan_budget_bytes, pool);
   }
   const ProductTable& tbl = *stage.table;
@@ -549,22 +559,25 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   };
   const std::span<WorkerState> states = arena_.alloc<WorkerState>(workers);
   for (WorkerState& ws : states) {
-    ws.act_w = arena_.alloc<std::uint64_t>(2 * rf * sw);
+    ws.act_w = arena_.alloc<std::uint64_t>(2 * live_rf * sw);
     ws.live_bm = arena_.alloc<std::uint64_t>(bm_words);
     ws.acc = arena_.alloc<std::uint64_t>(sw);
     ws.counters = arena_.alloc<std::int64_t>(oc_count);
     if (!tbl.planned) {
-      ws.wgt_w = arena_.alloc<std::uint64_t>(rf * sw);
+      ws.wgt_w = arena_.alloc<std::uint64_t>(live_rf * sw);
     }
   }
 
-  // The row body. The receptive field is gathered once per window position
-  // as plain activation WORDS in slot order (zero for padding and dead
+  // The row body. The live field is gathered once per window position as
+  // plain activation WORDS in live-slot order (zero for padding and dead
   // activations — OR-ing a zero word is the identity, so gating needs no
   // branch), then every (sign phase, output channel) group of the table
-  // runs as an AND/OR chain over its sequential weight words. Product and
-  // skip counts come from the group x live-slot bitmaps, so the accounting
-  // matches the oracle's per-product scan exactly.
+  // runs as an AND/OR chain over its sequential weight words: the entries
+  // from the position's first to its last live tap, found through the
+  // group's tap offsets — the whole group at an interior position and at
+  // every position of a kernel-1 node. Product and skip counts come from
+  // the group x live-slot bitmaps, so the accounting matches the oracle's
+  // per-product scan exactly.
   const auto run_unit = [&](std::size_t unit, unsigned worker) {
     WorkerState& ws = states[worker];
     const int py = static_cast<int>(unit / oc_blocks);
@@ -574,11 +587,22 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
     // activation fetches: the counters must not scale with the block count.
     const bool charge_act = oc_lo == 0;
     std::uint64_t* const act_pos = ws.act_w.data();
-    std::uint64_t* const act_neg = act_pos + rf * sw;
+    std::uint64_t* const act_neg = act_pos + live_rf * sw;
     std::uint64_t* const live_bm = ws.live_bm.data();
     const auto live_slot = [live_bm](std::uint32_t s) {
       return ((live_bm[s >> 6] >> (s & 63)) & 1u) != 0;
     };
+    // Signed weights of the block's groups per sign phase, the same at
+    // every position: each is a product there or operand-gated, so a
+    // position's skips are this minus its products.
+    std::uint64_t signed_weights[2] = {0, 0};
+    for (std::size_t ph = 0; ph < 2; ++ph) {
+      for (std::size_t oc = oc_lo; oc < oc_hi; ++oc) {
+        const std::size_t group = ph * oc_count + oc;
+        const std::uint32_t* const to = tbl.taps_of(group);
+        signed_weights[ph] += tbl.gated[group] + (to[tap_count] - to[0]);
+      }
+    }
     for (int px = 0; px < g.out_shape.w; ++px) {
       std::fill(ws.counters.begin() + static_cast<std::ptrdiff_t>(oc_lo),
                 ws.counters.begin() + static_cast<std::ptrdiff_t>(oc_hi), 0);
@@ -587,15 +611,26 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
         const int ox = px * win + static_cast<int>(k) % win;
         const std::size_t sp = sched.slot_index(true, k);
         const std::size_t sn = sched.slot_index(false, k);
+        // Input pixel of tap (ky, kx) is (iy0 + ky, ix0 + kx). The taps
+        // this position reads are the rectangle's rows [ky_lo, ky_hi) and
+        // columns [kx_lo, kx_hi) whose pixel lies inside the input.
+        const int iy0 = oy * spec.stride - spec.padding;
+        const int ix0 = ox * spec.stride - spec.padding;
+        const int ky_lo = std::max(ty0, -iy0);
+        const int ky_hi = std::min(ty0 + th, g.in.h - iy0);
+        const int kx_lo = std::max(tx0, -ix0);
+        const int kx_hi = std::min(tx0 + tw, g.in.w - ix0);
+        // Gather the live rows (all rectangle columns: a border position's
+        // tap range spans whole rows between its first and last live tap).
         std::fill_n(live_bm, bm_words, std::uint64_t{0});
         std::uint64_t live = 0;
-        std::size_t slot = 0;
-        for (int ky = 0; ky < spec.kernel; ++ky) {
-          const int iy = oy * spec.stride + ky - spec.padding;
-          for (int kx = 0; kx < spec.kernel; ++kx) {
-            const int ix = ox * spec.stride + kx - spec.padding;
-            const bool inside =
-                iy >= 0 && iy < g.in.h && ix >= 0 && ix < g.in.w;
+        for (int ky = ky_lo; ky < ky_hi; ++ky) {
+          const int iy = iy0 + ky;
+          std::size_t slot = static_cast<std::size_t>((ky - ty0) * tw) *
+                             static_cast<std::size_t>(spec.in_channels);
+          for (int kx = tx0; kx < tx0 + tw; ++kx) {
+            const int ix = ix0 + kx;
+            const bool inside = ix >= 0 && ix < g.in.w;
             for (int ic = 0; ic < spec.in_channels; ++ic, ++slot) {
               std::uint64_t* const dp = act_pos + slot * sw;
               std::uint64_t* const dn = act_neg + slot * sw;
@@ -624,20 +659,24 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
         if (charge_act) {
           charge(ws.plan, act_planned, 2 * live, seg);
         }
+        // The position's taps [tap_lo, tap_hi) in rectangle raster order
+        // (meaningful only when it reads a tap at all: otherwise no group
+        // has a product and none is walked).
+        const std::size_t tap_lo = static_cast<std::size_t>(
+            (ky_lo - ty0) * tw + (kx_lo - tx0));
+        const std::size_t tap_hi = static_cast<std::size_t>(
+            (ky_hi - 1 - ty0) * tw + (kx_hi - 1 - tx0) + 1);
+        // Entries hold their own sign phase only: one slot-k table serves
+        // both phases' groups.
+        const std::uint64_t* const slot_words =
+            tbl.planned ? tbl.words.data() + k * tbl.total * sw : nullptr;
         for (int ph = 0; ph < 2; ++ph) {
           const bool positive = ph == 0;
           const std::uint64_t* const act_w = positive ? act_pos : act_neg;
-          const std::uint64_t* const slot_words =
-              tbl.planned
-                  ? tbl.words.data() + (positive ? sp : sn) * tbl.total * sw
-                  : nullptr;
           std::uint64_t products_here = 0;
           for (std::size_t oc = oc_lo; oc < oc_hi; ++oc) {
             const std::size_t group =
                 static_cast<std::size_t>(ph) * oc_count + oc;
-            const std::size_t off = tbl.group_off[group];
-            const std::size_t n_ent = tbl.group_count[group];
-            const std::uint32_t* const sl = tbl.slot_of.data() + off;
             const std::uint64_t* const gbm =
                 tbl.group_bm.data() + group * bm_words;
             std::uint64_t products = 0;
@@ -645,16 +684,19 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
               products += static_cast<std::uint64_t>(
                   std::popcount(gbm[w] & live_bm[w]));
             }
-            ws.skipped += tbl.gated[group] + (n_ent - products);
             if (products == 0) {
               continue;  // every operand gated: the counter does not move
             }
             products_here += products;
+            const std::uint32_t* const to = tbl.taps_of(group);
+            const std::size_t off = to[tap_lo];
+            const std::size_t n_ent = to[tap_hi] - off;
+            const std::uint32_t* const sl = tbl.slot_of.data() + off;
             const std::uint64_t* ww = nullptr;
             if (slot_words != nullptr) {
               ww = slot_words + off * sw;
             } else {
-              // Over budget: regenerate the group's words in table layout.
+              // Over budget: regenerate the walked words in table layout.
               // A dead slot's product is zero whatever its weight word.
               for (std::size_t ei = 0; ei < n_ent; ++ei) {
                 std::uint64_t* const dst = ws.wgt_w.data() + ei * sw;
@@ -663,8 +705,8 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                   continue;
                 }
                 wgt_bank.fill(tbl.level_of[off + ei],
-                              static_cast<std::uint32_t>(
-                                  g.layout.weight(oc, sl[ei])),
+                              static_cast<std::uint32_t>(g.layout.weight(
+                                  oc, g.layout.full_slot(sl[ei]))),
                               sched.offset(positive, k), seg, {dst, sw});
               }
               ww = ws.wgt_w.data();
@@ -689,13 +731,14 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
               }
               ones = std::popcount((a0 | a1) | (a2 | a3));
             } else {
-              // Wide segments: one fused gather over the whole group,
+              // Wide segments: one fused gather over the walked entries,
               // accumulator in registers; dead slots again OR in zeros.
               ones = static_cast<std::int64_t>(kt.gather_and_or_popcount(
                   ws.acc.data(), act_w, sl, ww, n_ent, sw));
             }
             ws.counters[oc] += positive ? ones : -ones;
           }
+          ws.skipped += signed_weights[ph] - products_here;
           ws.product_bits += products_here * seg;
           charge(ws.plan, tbl.planned, products_here, seg);
         }
@@ -810,13 +853,23 @@ core::Report ScNetwork::validate_plans() {
                  "weight table was built for a different segment schedule "
                  "than the stage last executed");
     }
-    // Re-derive against the live weights — BN-folded, exactly as the
-    // executor sees them. Valid right after a forward; a retrain in between
-    // legitimately invalidates the table (it is re-fetched on the next
-    // forward), so callers validate before mutating weights.
-    std::vector<float> folded;
+    // The table's layout, live taps included, must be the one the stage
+    // last executed, and those taps the ones its positions really read.
+    const ConvGeometry g = conv_geometry(op, scratch.input, phase);
+    if (!(tbl.layout == g.layout)) {
+      report.add("plan-invariant", core::Severity::kError,
+                 name + "/product-table",
+                 "weight table was built for a different weight layout or "
+                 "live-tap rectangle than the stage last executed");
+    }
+    report.merge(check_live_taps(g, name + "/live-taps"));
+    // Re-derive against the live node's key. Valid right after a forward;
+    // a retrain in between legitimately invalidates the table (it is
+    // re-fetched on the next forward), so callers validate before mutating
+    // weights.
+    std::vector<float> scale(tbl.layout.oc_count);
     report.merge(check_product_table(tbl, wgt_plans_->bank(),
-                                     node_weights(op, folded),
+                                     node_key(op, scale),
                                      name + "/product-table"));
   }
   return report;

@@ -152,13 +152,15 @@ class ScNetwork {
 
   /// Plan-invariant verification (rule "plan-invariant"): re-derives the
   /// invariants of every table the stages last executed — segment-schedule
-  /// slot coverage and word-offset bounds, the weight table's schedule
-  /// matching the executed one, and ProductTable consistency with the live
-  /// weights' sign/oc classification (group prefix sums, slot lists,
-  /// bitmap popcounts, extents, sampled stream words bit-identical to
-  /// regeneration; sim/plan_check). Run at least one forward() first so the
-  /// tables exist; stages that have not executed yet are skipped. Findings
-  /// anchor at "<layer name>/...".
+  /// slot coverage and word-offset bounds, the weight table's schedule and
+  /// layout (live-tap rectangle included) matching the executed ones, that
+  /// rectangle re-derived by brute force over every output position, and
+  /// ProductTable consistency with the live node: its raw-weight + BN-scale
+  /// key and the weights' sign/oc classification (live-tap-only slot
+  /// lists, tap offsets, bitmap popcounts, extents, sampled own-sign
+  /// stream words bit-identical to regeneration; sim/plan_check). Run at
+  /// least one forward() first so the tables exist; stages that have not
+  /// executed yet are skipped. Findings anchor at "<layer name>/...".
   [[nodiscard]] core::Report validate_plans();
 
   /// Enables per-stage profiling: every forward() records one
@@ -182,19 +184,21 @@ class ScNetwork {
     /// depends only on (lanes, schedule) — fixed across images of one
     /// evaluation — so the plan object is kept and rebuilt in place
     /// (build() overwrites every lane). sched is the schedule the stage
-    /// last executed.
+    /// last executed, input the volume it was fed (validate_plans
+    /// re-derives the node's geometry from it).
     std::unique_ptr<LayerStreamPlan> act_plan;
     std::size_t lanes = 0;
     SegmentSchedule sched;
-    /// Folded-weight staging buffer (conv nodes with an absorbed
-    /// BatchNorm): recomputed every forward — one multiply per weight —
-    /// into retained capacity, so steady state stays allocation-free.
-    std::vector<float> folded;
+    nn::Shape input;
     /// The stage's ProductTable from the shared store, re-fetched only
-    /// when its key — (schedule, layout, float weights), compared bitwise —
-    /// no longer matches the live weights. That memcmp keeps the "weights
-    /// are read live" contract: retraining between forwards (of the conv,
-    /// or of a folded BatchNorm) is picked up on the next forward.
+    /// when its key — (schedule, layout with its live taps, raw weights,
+    /// folded-BN scale; see node_key), compared bitwise — no longer
+    /// matches the live node. That compare keeps the "weights are read
+    /// live" contract: retraining between forwards (of the conv, or of a
+    /// folded BatchNorm's gamma or variance) is picked up on the next
+    /// forward. The BN fold itself runs only on such a miss, into a
+    /// transient buffer, so a steady-state forward neither folds nor
+    /// copies a weight.
     std::shared_ptr<const ProductTable> table;
   };
 

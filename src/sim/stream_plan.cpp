@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "runtime/thread_pool.hpp"
 
@@ -10,36 +11,54 @@ namespace acoustic::sim {
 
 namespace {
 
-/// Words of the buffer one lane's full 2*phase window is generated into
-/// (plus a zero pad word: the shift-extract below may read past the end).
+/// Bitwise equality of two float spans (a key compare: -0.0 != 0.0 and a
+/// NaN equals itself).
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Words of the buffer a lane's run — at most both sign phases, 2*phase
+/// bits — is generated into (plus a zero pad word: the shift-extract below
+/// may read past the end).
 std::size_t lane_buf_words(const SegmentSchedule& sched) {
   return (2 * sched.phase + 63) / 64 + 1;
 }
 
-/// Generates @p lane's stream once over both sign phases and slices every
-/// slot out of it: slot si's seg_words words land at dst + si * slot_stride.
-/// fill() maps output bit j of (offset, count) to shared sequence position
-/// offset + j, so slicing the [0, 2*phase) run at offset(positive, k) is
+/// The sign phases of an activation lane: both, positive first.
+constexpr bool kBothSigns[] = {true, false};
+
+/// Generates @p lane's stream over the consecutive sign phases @p signs
+/// (kBothSigns for an activation lane, the one sign of a weight entry) and
+/// slices every slot of them out of it: slot j, window slot
+/// k = j % positions of phase signs[j / positions], lands at dst + j *
+/// slot_stride. The run starts at bit0 = sched.offset(signs[0], 0), and
+/// fill() maps output bit t of (offset, count) to shared sequence position
+/// offset + t, so slicing the run at sched.offset(sign, k) - bit0 is
 /// bit-identical to a per-slot fill — at one wiring hoist and one state
 /// sweep per lane instead of one per slot. @p buf holds lane_buf_words().
 void fill_slots(const StreamBank& bank, const SegmentSchedule& sched,
-                std::uint32_t level, std::size_t lane, std::uint64_t* buf,
+                std::uint32_t level, std::size_t lane,
+                std::span<const bool> signs, std::uint64_t* buf,
                 std::uint64_t* dst, std::size_t slot_stride) {
-  const std::size_t buf_words = lane_buf_words(sched);
+  const std::size_t bit0 = sched.offset(signs[0], 0);
+  const std::size_t run = signs.size() * sched.phase;
+  const std::size_t run_words = (run + 63) / 64;
   const std::size_t seg_words = sched.seg_words();
   const unsigned tail = static_cast<unsigned>(sched.seg % 64);
   const std::uint64_t tail_mask =
       tail != 0 ? (std::uint64_t{1} << tail) - 1 : ~std::uint64_t{0};
-  bank.fill(level, static_cast<std::uint32_t>(lane), 0, 2 * sched.phase,
-            {buf, buf_words - 1});
-  buf[buf_words - 1] = 0;
-  for (std::size_t slot = 0; slot < sched.slots(); ++slot) {
-    const bool positive = slot < sched.positions;
-    const std::size_t k = positive ? slot : slot - sched.positions;
-    const std::size_t bit0 = sched.offset(positive, k);
+  bank.fill(level, static_cast<std::uint32_t>(lane), bit0, run,
+            {buf, run_words});
+  buf[run_words] = 0;
+  for (std::size_t slot = 0; slot < signs.size() * sched.positions; ++slot) {
+    const std::size_t start = sched.offset(signs[slot / sched.positions],
+                                           slot % sched.positions) -
+                              bit0;
     std::uint64_t* out = dst + slot * slot_stride;
     for (std::size_t w = 0; w < seg_words; ++w) {
-      const std::size_t bit = bit0 + w * 64;
+      const std::size_t bit = start + w * 64;
       const std::size_t i = bit / 64;
       const unsigned r = static_cast<unsigned>(bit % 64);
       std::uint64_t v = buf[i] >> r;
@@ -103,7 +122,8 @@ void LayerStreamPlan::build(std::span<const std::uint32_t> levels,
                     built_[lane] = 0;  // operand-gated: never read
                     return;
                   }
-                  fill_slots(*bank_, sched_, levels[lane], lane, buf,
+                  fill_slots(*bank_, sched_, levels[lane], lane, kBothSigns,
+                             buf,
                              words_.data() + lane * sched_.words_per_lane(),
                              sched_.seg_words());
                   built_[lane] = 1;
@@ -118,34 +138,50 @@ void LayerStreamPlan::build(std::span<const std::uint32_t> levels,
 }
 
 bool ProductTable::keyed_on(const SegmentSchedule& s, const WeightLayout& l,
-                            std::span<const float> w) const noexcept {
-  return sched == s && layout == l && weights.size() == w.size() &&
-         (w.empty() || std::memcmp(weights.data(), w.data(),
-                                   w.size() * sizeof(float)) == 0);
+                            const WeightKey& key) const noexcept {
+  return sched == s && layout == l && same_bits(weights, key.weights) &&
+         same_bits(scale, key.scale);
+}
+
+std::span<const float> folded_weights(const WeightKey& key,
+                                      std::vector<float>& scratch) {
+  if (key.scale.empty()) {
+    return key.weights;
+  }
+  const std::size_t per_oc = key.weights.size() / key.scale.size();
+  scratch.resize(key.weights.size());
+  for (std::size_t j = 0; j < key.weights.size(); ++j) {
+    scratch[j] = key.weights[j] * key.scale[j / per_oc];
+  }
+  return scratch;
 }
 
 std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched,
-    const WeightLayout& layout, std::span<const float> weights,
+    const WeightLayout& layout, const WeightKey& key,
     std::size_t budget_bytes, runtime::ThreadPool* pool) {
+  std::vector<float> scratch;
+  const std::span<const float> weights = folded_weights(key, scratch);
   auto tbl = std::make_shared<ProductTable>();
   tbl->sched = sched;
   tbl->layout = layout;
-  tbl->weights.assign(weights.begin(), weights.end());
+  tbl->weights.assign(key.weights.begin(), key.weights.end());
+  tbl->scale.assign(key.scale.begin(), key.scale.end());
   const std::size_t oc_count = layout.oc_count;
   const std::size_t groups = 2 * oc_count;  // [phase * oc_count + oc]
-  tbl->bm_words = (layout.rf + 63) / 64;
-  tbl->group_count.assign(groups, 0);
+  const std::size_t taps = layout.taps.count();
+  tbl->bm_words = (layout.live_rf() + 63) / 64;
   tbl->gated.assign(groups, 0);
-  tbl->group_off.assign(groups + 1, 0);
+  tbl->tap_off.assign(groups * taps + 1, 0);
   tbl->group_bm.assign(groups * tbl->bm_words, 0);
   std::vector<std::uint32_t> levels(weights.size());
   for (std::size_t wi = 0; wi < weights.size(); ++wi) {
     levels[wi] = bank.quantize(std::fabs(weights[wi]));
   }
-  // Visits every signed weight in oc-major slot order — the entry order.
-  // Zero (and non-finite) weights are active in neither sign phase,
-  // exactly like the scalar oracle's per-phase sign test.
+  // Visits every signed weight in oc-major slot order with its live-field
+  // slot (kNoSlot at a dead tap). Zero (and non-finite) weights are active
+  // in neither sign phase, exactly like the scalar oracle's per-phase sign
+  // test.
   const auto for_each_signed = [&](const auto& visit) {
     for (std::size_t oc = 0; oc < oc_count; ++oc) {
       for (std::size_t s = 0; s < layout.rf; ++s) {
@@ -157,51 +193,67 @@ std::shared_ptr<const ProductTable> build_product_table(
         if (!(wv > 0.0f) && !(wv < 0.0f)) {
           continue;
         }
-        visit((wv > 0.0f ? 0 : 1) * oc_count + oc, s, wi, levels[wi]);
+        visit((wv > 0.0f ? 0 : 1) * oc_count + oc, layout.live_slot(s), wi,
+              levels[wi]);
       }
     }
   };
-  for_each_signed([&](std::size_t group, std::size_t, std::size_t,
+  // A product gated at every position — a zero level, or a tap that only
+  // ever reads padding — gets no entry, only a count. Every other one is
+  // counted in its (group, tap) cell, one past the cell's offset slot.
+  const auto cell = [&](std::size_t group, std::size_t live) {
+    return group * taps + live / layout.in_c;
+  };
+  const auto usable = [](std::size_t live, std::uint32_t level) {
+    return level != 0 && live != WeightLayout::kNoSlot;
+  };
+  for_each_signed([&](std::size_t group, std::size_t live, std::size_t,
                       std::uint32_t level) {
-    ++(level != 0 ? tbl->group_count : tbl->gated)[group];
+    if (usable(live, level)) {
+      ++tbl->tap_off[cell(group, live) + 1];
+    } else {
+      ++tbl->gated[group];
+    }
   });
-  std::uint32_t total = 0;
-  for (std::size_t gi = 0; gi < groups; ++gi) {
-    tbl->group_off[gi] = total;
-    total += tbl->group_count[gi];
-  }
-  tbl->group_off[groups] = total;
+  std::partial_sum(tbl->tap_off.begin(), tbl->tap_off.end(),
+                   tbl->tap_off.begin());
+  const std::uint32_t total = tbl->tap_off.back();
   tbl->total = total;
   tbl->slot_of.assign(total, 0);
   std::vector<std::uint32_t> lane_of(total);
   std::vector<std::uint32_t> level_of(total);
-  std::vector<std::uint32_t> cursor(tbl->group_off.begin(),
-                                    tbl->group_off.end() - 1);
-  for_each_signed([&](std::size_t group, std::size_t s, std::size_t wi,
+  // Within a cell, entries keep the visiting (input channel) order.
+  std::vector<std::uint32_t> cursor(tbl->tap_off.begin(),
+                                    tbl->tap_off.end() - 1);
+  for_each_signed([&](std::size_t group, std::size_t live, std::size_t wi,
                       std::uint32_t level) {
-    if (level == 0) {
+    if (!usable(live, level)) {
       return;
     }
-    const std::uint32_t ei = cursor[group]++;
-    tbl->slot_of[ei] = static_cast<std::uint32_t>(s);
+    const std::uint32_t ei = cursor[cell(group, live)]++;
+    tbl->slot_of[ei] = static_cast<std::uint32_t>(live);
     lane_of[ei] = static_cast<std::uint32_t>(wi);
     level_of[ei] = level;
-    tbl->group_bm[group * tbl->bm_words + s / 64] |= std::uint64_t{1}
-                                                     << (s % 64);
+    tbl->group_bm[group * tbl->bm_words + live / 64] |= std::uint64_t{1}
+                                                        << (live % 64);
   });
-  tbl->planned = !over_plan_budget(plan_table_bytes(sched, weights.size()),
+  tbl->planned = !over_plan_budget(weight_table_bytes(sched, layout),
                                    budget_bytes);
   if (!tbl->planned) {
     tbl->level_of = std::move(level_of);
     return tbl;
   }
+  // Each entry is read in its own sign phase only: generate that phase's
+  // bits and keep its window slots. Positive groups come first.
   const std::size_t seg_words = sched.seg_words();
-  tbl->words.assign(sched.slots() * total * seg_words, 0);
+  const std::uint32_t positive_entries = tbl->taps_of(oc_count)[0];
+  tbl->words.assign(sched.positions * total * seg_words, 0);
   std::vector<std::uint64_t> serial_buf;
   for_each_lane(total, sched, pool, serial_buf,
                 [&](std::size_t ei, std::uint64_t* buf) {
-                  fill_slots(bank, sched, level_of[ei], lane_of[ei], buf,
-                             tbl->words.data() + ei * seg_words,
+                  const bool sign[] = {ei < positive_entries};
+                  fill_slots(bank, sched, level_of[ei], lane_of[ei], sign,
+                             buf, tbl->words.data() + ei * seg_words,
                              total * seg_words);
                 });
   return tbl;
@@ -218,14 +270,13 @@ WeightPlanStore::WeightPlanStore(const ScConfig& cfg, std::size_t stages)
 
 std::shared_ptr<const ProductTable> WeightPlanStore::get(
     std::size_t stage, const SegmentSchedule& sched,
-    const WeightLayout& layout, std::span<const float> weights,
+    const WeightLayout& layout, const WeightKey& key,
     std::size_t budget_bytes, runtime::ThreadPool* pool) {
   Entry& entry = *entries_[stage];
   const std::lock_guard<std::mutex> lock(entry.mu);
-  if (entry.table == nullptr ||
-      !entry.table->keyed_on(sched, layout, weights)) {
-    entry.table = build_product_table(bank_, sched, layout, weights,
-                                      budget_bytes, pool);
+  if (entry.table == nullptr || !entry.table->keyed_on(sched, layout, key)) {
+    entry.table =
+        build_product_table(bank_, sched, layout, key, budget_bytes, pool);
   }
   return entry.table;
 }

@@ -12,17 +12,21 @@
 // row body degenerates to AND/OR over words it never regenerates:
 //
 //   LayerStreamPlan — a per-image activation plan, lane-major (one lane
-//     per input activation, every slot of the schedule).
+//     per input activation, every slot of both sign phases).
 //   ProductTable — a weighted node's products classified once per weight
-//     set and shared by every executor clone through the WeightPlanStore:
-//     live weights grouped by (sign phase, output channel) with their
-//     stream words transposed per slot.
+//     set and shared by every executor clone through the WeightPlanStore.
+//     It holds only the products some output position can use: entries at
+//     the kernel taps inside the node's live-tap rectangle (a tap outside
+//     it reads padding at every position), grouped by (sign phase, output
+//     channel) in tap-major order with an offset per (group, tap), each
+//     storing the slots of its own sign phase only, transposed per slot.
 //
 // Both are pure functions of (bank, schedule, levels), so serving a table
 // word is bit-identical to regenerating it — the golden equivalence suite
 // (tests/sim/sc_golden_test.cpp) pins that down.
 //
-// Memory is bounded by one footprint rule (plan_table_bytes): a table over
+// Memory is bounded by one footprint rule per table kind (plan_table_bytes
+// for activation plans, weight_table_bytes for weight tables): a table over
 // ScConfig::plan_budget_bytes is left unbuilt and the row body regenerates
 // its words from the bank on the fly (counted as plan misses), into the
 // same slot layout. Both paths produce identical bits.
@@ -81,12 +85,11 @@ struct SegmentSchedule {
   bool operator==(const SegmentSchedule&) const = default;
 };
 
-/// The footprint rule every packed table obeys: @p lanes lanes of
-/// sched.slots() slots of sched.seg_words() words. The executor leaves a
-/// table unbuilt when this exceeds ScConfig::plan_budget_bytes (weight
-/// tables count every weight as a lane, live or not, so the decision is a
-/// function of the geometry alone), and `acoustic check` notes the same
-/// nodes with the same figure.
+/// The footprint rule of an activation plan: @p lanes lanes of
+/// sched.slots() slots (both sign phases) of sched.seg_words() words. The
+/// executor leaves the plan unbuilt when this exceeds
+/// ScConfig::plan_budget_bytes, and `acoustic check` notes the same nodes
+/// with the same figure. Weight tables follow weight_table_bytes.
 [[nodiscard]] inline std::size_t plan_table_bytes(
     const SegmentSchedule& sched, std::size_t lanes) noexcept {
   return lanes * sched.words_per_lane() * sizeof(std::uint64_t);
@@ -162,11 +165,41 @@ class LayerStreamPlan {
   std::vector<std::uint64_t> build_buf_;
 };
 
+/// A rectangle of kernel taps [y0, y0 + h) x [x0, x0 + w). A weighted
+/// node's live-tap rectangle (WeightLayout::taps, from sim::live_taps) is
+/// the smallest one holding every tap some output position reads: a tap
+/// outside it reads zero padding at every position, so each of its
+/// products is operand-gated everywhere. Empty (h or w zero) when every
+/// tap only ever reads padding.
+struct TapRect {
+  std::size_t y0 = 0;
+  std::size_t x0 = 0;
+  std::size_t h = 1;
+  std::size_t w = 1;
+
+  [[nodiscard]] std::size_t count() const noexcept { return h * w; }
+
+  /// True when tap (@p ky, @p kx) lies inside.
+  [[nodiscard]] bool contains(std::size_t ky, std::size_t kx) const noexcept {
+    // Unsigned wrap also catches a tap before the origin.
+    return ky - y0 < h && kx - x0 < w;
+  }
+
+  bool operator==(const TapRect&) const = default;
+};
+
 /// Receptive-field -> weight mapping of one weighted node: the grouped-conv
 /// arithmetic. A dense node is the 1x1, groups == 1 case over its input
 /// viewed as 1x1xN (rf == in_c == N, weight o*N + i).
+///
+/// Two slot spaces index a receptive field. The full field (rf slots,
+/// (ky, kx, ic) order) is what the scalar oracle gathers and what weight()
+/// maps. The live field (live_rf() slots, the same order restricted to the
+/// live-tap rectangle) is what the planned row body gathers and what
+/// ProductTable entries index.
 struct WeightLayout {
   static constexpr std::size_t kNoWeight = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   std::size_t oc_count = 0;      ///< output channels (dense: neurons)
   std::size_t rf = 0;            ///< slots per receptive field: k*k*in_c
@@ -174,6 +207,8 @@ struct WeightLayout {
   std::size_t cpg = 0;           ///< input channels per group
   std::size_t oc_per_group = 0;  ///< output channels per group
   std::size_t w_per_oc = 0;      ///< weights per output channel (k*k*cpg)
+  std::size_t kernel = 1;        ///< kernel side
+  TapRect taps{};                ///< live-tap rectangle
 
   /// Weight index of (output channel, receptive-field slot), or kNoWeight
   /// when the slot's input channel lies outside oc's group (grouped conv:
@@ -189,51 +224,137 @@ struct WeightLayout {
     return oc * w_per_oc + (slot / in_c) * cpg + rel;
   }
 
+  /// Slots of the live field.
+  [[nodiscard]] std::size_t live_rf() const noexcept {
+    return taps.count() * in_c;
+  }
+
+  /// Weights at live taps: the most entries a ProductTable can hold.
+  [[nodiscard]] std::size_t live_weights() const noexcept {
+    return oc_count * taps.count() * cpg;
+  }
+
+  /// True when kernel tap @p tap (ky * kernel + kx) lies in the rectangle.
+  [[nodiscard]] bool tap_live(std::size_t tap) const noexcept {
+    return taps.contains(tap / kernel, tap % kernel);
+  }
+
+  /// Live-field slot of full-field slot @p slot, or kNoSlot at a dead tap.
+  [[nodiscard]] std::size_t live_slot(std::size_t slot) const noexcept {
+    const std::size_t tap = slot / in_c;
+    if (!tap_live(tap)) {
+      return kNoSlot;
+    }
+    return ((tap / kernel - taps.y0) * taps.w + tap % kernel - taps.x0) *
+               in_c +
+           slot % in_c;
+  }
+
+  /// Full-field slot of live-field slot @p live (the inverse of live_slot).
+  [[nodiscard]] std::size_t full_slot(std::size_t live) const noexcept {
+    const std::size_t tap = live / in_c;
+    return ((taps.y0 + tap / taps.w) * kernel + taps.x0 + tap % taps.w) *
+               in_c +
+           live % in_c;
+  }
+
   bool operator==(const WeightLayout&) const = default;
 };
+
+/// What a weighted node's ProductTable depends on besides its geometry and
+/// the weight bank: the raw conv or dense weights (oc-major), and the
+/// per-output-channel scale of a folded BatchNorm (empty without one).
+/// Compared bitwise, so any retraining of either is a miss. The BN fold
+/// itself (folded_weights) runs only on a miss.
+struct WeightKey {
+  std::span<const float> weights;
+  std::span<const float> scale;
+};
+
+/// The float weights the stochastic datapath quantizes for @p key: its raw
+/// weights without a scale, else the BatchNorm fold weights[j] * scale[oc]
+/// (weights.size() / scale.size() weights per output channel) staged in
+/// @p scratch. The one definition of the fold: the table builder, the
+/// table validator, and through sim::node_weights the scalar oracle and
+/// `acoustic check` all call it.
+[[nodiscard]] std::span<const float> folded_weights(
+    const WeightKey& key, std::vector<float>& scratch);
+
+/// The footprint rule of a weight ProductTable: one lane per weight at a
+/// live tap (WeightLayout::live_weights), each holding the
+/// sched.positions slots of its own sign phase. A function of the geometry
+/// alone, so the executor's budget decision, `acoustic check`'s
+/// plan-budget note and the tests all compute it the same way.
+[[nodiscard]] inline std::size_t weight_table_bytes(
+    const SegmentSchedule& sched, const WeightLayout& layout) noexcept {
+  return layout.live_weights() * sched.positions * sched.seg_words() *
+         sizeof(std::uint64_t);
+}
 
 /// A weighted node's products, classified once per weight set. Sign
 /// scheduling is position-invariant: whether weight (oc, slot) joins the
 /// + or the - phase depends only on its sign, and a zero-quantized weight
-/// is operand-gated at every position. So the live weights are grouped by
-/// (sign phase, output channel) — group = phase * oc_count + oc, entries
-/// in oc-major slot order — with each entry's receptive-field slot, its
-/// stream words transposed per slot for sequential loads, and a slot
-/// bitmap per group so live-product counts come from popcounts instead of
-/// per-entry branches. A pure function of its key (schedule, layout,
-/// float weights) and the weight bank.
+/// is operand-gated at every position; so is any weight at a tap outside
+/// the live rectangle. So the usable weights are grouped by (sign phase,
+/// output channel) — group = phase * oc_count + oc, entries group-major
+/// and, within a group, tap-major in live-field slot order — with each
+/// entry's live-field slot, its stream words transposed per slot for
+/// sequential loads, and a slot bitmap per group so live-product counts
+/// come from popcounts instead of per-entry branches. Every other signed
+/// weight (zero level, dead tap) is counted in its group's gated total,
+/// so operand-gating stats stay exact. A pure function of its key
+/// (schedule, layout, WeightKey) and the weight bank.
 struct ProductTable {
   SegmentSchedule sched;
   WeightLayout layout;
-  /// The float weights (BN-folded for a conv with an absorbed BatchNorm)
-  /// the table was built from — the cache key, compared bitwise.
+  /// The WeightKey the table was built from, compared bitwise: the raw
+  /// weights and the folded BatchNorm's per-channel scale (empty without).
   std::vector<float> weights;
-  std::vector<std::uint32_t> group_count;  ///< entries per group
-  std::vector<std::uint32_t> gated;        ///< zero-level weights per group
-  std::vector<std::uint32_t> group_off;    ///< exclusive prefix sums
-  std::vector<std::uint32_t> slot_of;      ///< entry -> receptive-field slot
-  std::vector<std::uint64_t> group_bm;     ///< [group][word] slot bitmap
-  /// Stream words, [slot_index][entry][seg_words]. Empty when the table is
-  /// over its byte budget (planned == false): the row body then
-  /// regenerates each entry's words from the bank with level_of.
+  std::vector<float> scale;
+  /// Signed weights per group without an entry: zero level or dead tap.
+  std::vector<std::uint32_t> gated;
+  /// Entry offsets of the (group, live tap) cells, group-major with taps
+  /// in rectangle raster order — exclusive prefix sums of the cell sizes.
+  /// With T = layout.taps.count(), cell (g, t) holds entries
+  /// [tap_off[g*T + t], tap_off[g*T + t + 1]), group g spans
+  /// [tap_off[g*T], tap_off[(g+1)*T]), and the last offset is total. A
+  /// position that reads taps [lo, hi) walks [taps_of(g)[lo],
+  /// taps_of(g)[hi]) — the whole group when it reads the whole rectangle.
+  std::vector<std::uint32_t> tap_off;
+  std::vector<std::uint32_t> slot_of;   ///< entry -> live-field slot
+  std::vector<std::uint64_t> group_bm;  ///< [group][word] live-slot bitmap
+  /// Stream words of each entry's own sign phase, [k][entry][seg_words]:
+  /// window slot k of a positive-group entry holds its segment at
+  /// sched.offset(true, k), of a negative-group entry at
+  /// sched.offset(false, k). Empty when the table is over its byte budget
+  /// (planned == false): the row body then regenerates each entry's words
+  /// from the bank with level_of.
   std::vector<std::uint64_t> words;
   std::vector<std::uint32_t> level_of;  ///< entry -> level (unplanned only)
   std::size_t total = 0;                ///< entries across all groups
   std::size_t bm_words = 0;             ///< bitmap words per group
   bool planned = false;
 
+  /// Group @p group's tap offsets: layout.taps.count() + 1 of them, the
+  /// last being the group's end.
+  [[nodiscard]] const std::uint32_t* taps_of(std::size_t group) const noexcept {
+    return tap_off.data() + group * layout.taps.count();
+  }
+
   /// True when the table was built for exactly this key.
   [[nodiscard]] bool keyed_on(const SegmentSchedule& s, const WeightLayout& l,
-                              std::span<const float> w) const noexcept;
+                              const WeightKey& key) const noexcept;
 };
 
-/// Builds the ProductTable for (sched, layout, weights) from @p bank; the
-/// stream words are generated only when plan_table_bytes(sched,
-/// weights.size()) fits @p budget_bytes. @p pool, when non-null, shards the
-/// word generation across entries (disjoint writes, deterministic content).
+/// Builds the ProductTable for (sched, layout, key) from @p bank, over the
+/// key's folded_weights (staged in a buffer that lives only for the
+/// build). The stream words are generated only when
+/// weight_table_bytes(sched, layout) fits @p budget_bytes. @p pool, when
+/// non-null, shards the word generation across entries (disjoint writes,
+/// deterministic content).
 [[nodiscard]] std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched,
-    const WeightLayout& layout, std::span<const float> weights,
+    const WeightLayout& layout, const WeightKey& key,
     std::size_t budget_bytes, runtime::ThreadPool* pool);
 
 /// Thread-safe store of per-stage ProductTables, shared by every clone of
@@ -243,10 +364,11 @@ struct ProductTable {
 /// free, and the build's kernel bits stay out of per-run stats. The store
 /// owns the weight SNG bank the tables draw from.
 ///
-/// The cache key is (schedule, layout, float weights): retraining that
-/// changes any weight bit, or an input size that changes the schedule (a
-/// fused pool that stops tiling), triggers a rebuild; the superseded table
-/// stays alive for readers still holding it (shared_ptr swap).
+/// The cache key is (schedule, layout, WeightKey): retraining that changes
+/// any raw weight or folded-BN scale bit, or an input size that changes
+/// the schedule (a fused pool that stops tiling) or the live taps, triggers
+/// a rebuild; the superseded table stays alive for readers still holding
+/// it (shared_ptr swap).
 class WeightPlanStore {
  public:
   /// @param cfg    bank parameters (width, weight seed, phase, wiring).
@@ -258,7 +380,7 @@ class WeightPlanStore {
   /// call runs).
   [[nodiscard]] std::shared_ptr<const ProductTable> get(
       std::size_t stage, const SegmentSchedule& sched,
-      const WeightLayout& layout, std::span<const float> weights,
+      const WeightLayout& layout, const WeightKey& key,
       std::size_t budget_bytes, runtime::ThreadPool* pool);
 
   /// The weight bank every table of this store draws from.

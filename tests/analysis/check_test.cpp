@@ -345,6 +345,34 @@ std::string finding(const core::Report& r, const std::string& rule,
   return "";
 }
 
+TEST(CheckDescriptor, PriorFanInCountsLiveTapsOnly) {
+  // A 3x3 pad-1 conv on a 1x1 map reads only its centre tap: the prior's
+  // OR lines are that tap's 512 input channels, not all 4608 weights,
+  // while the Kaiming magnitude still comes from the full 3x3 fan-in.
+  nn::LayerDesc l = clean_conv();
+  l.in_h = 1;
+  l.in_w = 1;
+  l.in_c = 512;
+  l.out_c = 512;
+  l.padding = 1;
+  l.pool = 0;
+  const core::Report r = check_descriptor(one_layer(l));
+  const std::string note = finding(r, "or-saturation", "fixture/conv1");
+  EXPECT_NE(note.find(" 512 live products"), std::string::npos)
+      << r.to_string();
+  EXPECT_NE(note.find("sqrt(1.5/4608)"), std::string::npos) << note;
+
+  // On a 2x2 map every tap is live at some position, but each position
+  // reads only a 2x2 corner of the kernel: 4 taps' lines, not 9.
+  l.in_h = 2;
+  l.in_w = 2;
+  const core::Report r2 = check_descriptor(one_layer(l));
+  const std::string note2 = finding(r2, "or-saturation", "fixture/conv1");
+  EXPECT_NE(note2.find(" 2048 live products"), std::string::npos)
+      << r2.to_string();
+  EXPECT_NE(note2.find("sqrt(1.5/4608)"), std::string::npos) << note2;
+}
+
 TEST(CheckNetwork, TrainableBuildersPassWithProbe) {
   nn::Network lenet = train::build_lenet_small(nn::AccumMode::kOrApprox);
   const core::Report r = check_network(lenet, "lenet", kLenetInput);
@@ -484,7 +512,8 @@ TEST(CheckNetwork, PlanBudgetNoteAgreesWithTheExecutorFallback) {
     }
   };
 
-  // conv -> dense: the largest table is the dense node's weight table.
+  // conv -> dense: the largest table is the dense node's weight table
+  // (every weight at its one live tap, one sign phase's slot each).
   nn::Network plain;
   auto& conv = plain.add<nn::Conv2D>(nn::ConvSpec{
       .in_channels = 1, .out_channels = 2, .kernel = 3, .padding = 1,
@@ -494,9 +523,13 @@ TEST(CheckNetwork, PlanBudgetNoteAgreesWithTheExecutorFallback) {
       nn::DenseSpec{8 * 8 * 2, 4, false, nn::AccumMode::kOrApprox});
   conv.initialize(3);
   dense.initialize(4);
-  expect_agreement(plain, sim::plan_table_bytes(sim::SegmentSchedule{
-                                                    phase, 1, phase},
-                                                dense.weights().size()));
+  const std::size_t features = 8 * 8 * 2;
+  expect_agreement(
+      plain, sim::weight_table_bytes(
+                 sim::SegmentSchedule{phase, 1, phase},
+                 sim::WeightLayout{.oc_count = 4, .rf = features,
+                                   .in_c = features, .cpg = features,
+                                   .oc_per_group = 4, .w_per_oc = features}));
 
   // conv -> BatchNorm -> AvgPool(2): the BN folds and the pool still fuses,
   // so the largest table is the conv's activation plan over 4 slots of

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/check.hpp"
@@ -818,8 +820,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CliFuzzTest, ::testing::Range(1u, 9u));
 
 // ---------------------------------------------------------------------
 // Generated graphs the SC executor accepts: `acoustic check` reports no
-// error on any of them, and its plan-budget note fires exactly when the
-// executor falls back to regeneration.
+// error on any of them, its plan-budget note fires exactly when the
+// executor falls back to regeneration, and the planned executor matches
+// the scalar oracle bit for bit. Seeds past 24 start from 1x1 or 2x2
+// inputs, where padding decides which kernel taps are live.
 // ---------------------------------------------------------------------
 
 /// Node shapes a generated graph can contain (bit flags).
@@ -833,8 +837,15 @@ enum GraphFeature : unsigned {
   kProjectionBlock = 1u << 6,
   kMaxPool = 1u << 7,
   kFoldedAndFused = 1u << 8,  ///< conv -> BatchNorm -> tiled AvgPool
-  kAllFeatures = (1u << 9) - 1,
+  kConvOn1x1 = 1u << 9,       ///< a conv fed a 1x1 map
+  kConvOn2x2 = 1u << 10,      ///< a conv fed a 2x2 map
+  kAllFeatures = (1u << 11) - 1,
 };
+
+/// Seeds of the tiny-map generator (1x1 / 2x2 inputs) follow the classic
+/// ones, which keep their graphs.
+constexpr std::uint32_t kClassicSeeds = 24;
+constexpr std::uint32_t kSeeds = 32;
 
 /// A small random network ending in a dense layer, with the volume each
 /// weighted layer is fed and the features it contains.
@@ -852,9 +863,13 @@ GeneratedGraph random_graph(std::uint32_t seed) {
   };
   std::uint32_t init = seed * 97u;
   GeneratedGraph g;
-  nn::Shape cur{6 + pick(5), 0, 1 + pick(3)};
+  const bool tiny = seed > kClassicSeeds;
+  nn::Shape cur{tiny ? 1 + pick(2) : 6 + pick(5), 0, 1 + pick(3)};
   cur.w = cur.h;
   g.input = cur;
+  const auto note_map = [&g](nn::Shape fed) {
+    g.features |= fed.h == 1 ? kConvOn1x1 : fed.h == 2 ? kConvOn2x2 : 0u;
+  };
   // conv [-> BatchNorm]; returns whether a BatchNorm follows.
   const auto conv = [&](nn::ConvSpec spec) {
     spec.in_channels = cur.c;
@@ -862,6 +877,7 @@ GeneratedGraph random_graph(std::uint32_t seed) {
     auto& layer = g.net.add<nn::Conv2D>(spec);
     layer.initialize(init++);
     g.fed[&layer] = cur;
+    note_map(cur);
     if (spec.groups > 1) {
       g.features |= kGroupedConv;
     }
@@ -878,7 +894,8 @@ GeneratedGraph random_graph(std::uint32_t seed) {
   const int blocks = 2 + pick(3);
   for (int b = 0; b < blocks; ++b) {
     const int kind = pick(4);
-    const int stride = cur.h >= 4 ? 1 + pick(2) : 1;
+    // Tiny maps may also stride, e.g. a 3x3 from 2x2 to 1x1.
+    const int stride = cur.h >= (tiny ? 2 : 4) ? 1 + pick(2) : 1;
     if (kind == 1) {  // identity residual block
       auto state = std::make_shared<nn::SkipState>();
       g.net.add<nn::SkipSave>(state);
@@ -898,6 +915,7 @@ GeneratedGraph random_graph(std::uint32_t seed) {
                               .mode = nn::AccumMode::kOrApprox});
       proj.conv().initialize(init++);
       g.fed[&proj] = cur;
+      note_map(cur);
       conv(nn::ConvSpec{.out_channels = out_c, .kernel = 3, .stride = stride,
                         .padding = 1});
       g.net.add<nn::ReLU>();
@@ -958,10 +976,8 @@ TEST_P(GeneratedGraphTest, CheckIsCleanAndPlanBudgetNoteMatchesTheExecutor) {
     const nn::Shape in = g.fed.at(op.layer);
     const sim::ConvGeometry geo =
         sim::conv_geometry(op, in, opt.sc.phase_length());
-    for (const std::size_t lanes :
-         {geo.layout.oc_count * geo.layout.w_per_oc, in.size()}) {
-      tables.push_back(sim::plan_table_bytes(geo.window.sched, lanes));
-    }
+    tables.push_back(sim::weight_table_bytes(geo.window.sched, geo.layout));
+    tables.push_back(sim::plan_table_bytes(geo.window.sched, in.size()));
   }
   std::sort(tables.begin(), tables.end());
   nn::Tensor x(g.input);
@@ -998,11 +1014,63 @@ TEST_P(GeneratedGraphTest, CheckIsCleanAndPlanBudgetNoteMatchesTheExecutor) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedGraphTest, ::testing::Range(1u, 25u));
+TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
+  GeneratedGraph g = random_graph(GetParam());
+  nn::Tensor x(g.input);
+  sc::XorShift32 rng(GetParam() + 1000u);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.next_double());
+  }
+  sim::ScConfig cfg;
+  cfg.stream_length = 128;
+  sim::ScConfig scalar_cfg = cfg;
+  scalar_cfg.exec = sim::ExecMode::kScalar;
+  sim::ScNetwork scalar(g.net, scalar_cfg);
+  const nn::Tensor want = scalar.forward(x);
+  const sim::ScNetwork::Stats oracle = scalar.take_stats();
+  // In budget every fetch is served from a table; at a 1-byte budget every
+  // fetch is regenerated. Either way the fetches are exactly the segments
+  // the oracle generates.
+  for (const std::size_t budget : {cfg.plan_budget_bytes, std::size_t{1}}) {
+    for (const unsigned threads : {1u, 3u}) {
+      sim::ScConfig planned_cfg = cfg;
+      planned_cfg.plan_budget_bytes = budget;
+      planned_cfg.intra_threads = threads;
+      sim::ScNetwork planned(g.net, planned_cfg);
+      const nn::Tensor got = planned.forward(x);
+      const sim::ScNetwork::Stats st = planned.take_stats();
+      const std::string label = "budget " + std::to_string(budget) +
+                                " threads " + std::to_string(threads);
+      ASSERT_EQ(got.shape(), want.shape()) << label;
+      EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                            got.size() * sizeof(float)),
+                0)
+          << label;
+      EXPECT_EQ(st.product_bits, oracle.product_bits) << label;
+      EXPECT_EQ(st.skipped_operands, oracle.skipped_operands) << label;
+      EXPECT_EQ(st.layers_run, oracle.layers_run) << label;
+      if (budget == 1) {
+        EXPECT_EQ(st.plan_hits, 0u) << label;
+        EXPECT_EQ(st.stream_bits_reused, 0u) << label;
+        EXPECT_EQ(st.stream_bits_generated, oracle.stream_bits_generated)
+            << label;
+      } else {
+        EXPECT_EQ(st.plan_misses, 0u) << label;
+        EXPECT_EQ(st.stream_bits_reused, oracle.stream_bits_generated)
+            << label;
+      }
+      const core::Report plans = planned.validate_plans();
+      EXPECT_TRUE(plans.clean()) << label << "\n" << plans.to_string();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedGraphTest,
+                         ::testing::Range(1u, kSeeds + 1));
 
 TEST(GeneratedGraphs, SeedsCoverEveryNodeShape) {
   unsigned seen = 0;
-  for (std::uint32_t seed = 1; seed < 25; ++seed) {
+  for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
     seen |= random_graph(seed).features;
   }
   EXPECT_EQ(seen, kAllFeatures);

@@ -10,7 +10,10 @@
 // decorrelation, and with the plan forced over its byte budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/diagnostics.hpp"
 #include "nn/activation.hpp"
@@ -54,7 +57,12 @@ void expect_bytes_equal(const nn::Tensor& got, const nn::Tensor& want,
 }
 
 /// Runs @p net on @p input under every planned configuration and checks
-/// each against the scalar oracle.
+/// each against the scalar oracle: logits byte for byte, the work counters,
+/// and the stream fetch accounting — every segment the planned path
+/// fetches is one the oracle generates, served from a table in budget
+/// (plan hits, reused bits) or regenerated at a 1-byte budget (plan misses,
+/// generated bits; the stochastic max FSM's regenerated streams count on
+/// both sides).
 void expect_planned_matches_scalar(nn::Network& net, const nn::Tensor& input,
                                    ScConfig base) {
   for (const bool decorrelate : {true, false}) {
@@ -91,6 +99,18 @@ void expect_planned_matches_scalar(nn::Network& net, const nn::Tensor& input,
       EXPECT_EQ(got_stats.skipped_operands, want_stats.skipped_operands)
           << label;
       EXPECT_EQ(got_stats.layers_run, want_stats.layers_run) << label;
+      if (base.plan_budget_bytes == 1) {
+        EXPECT_EQ(got_stats.plan_hits, 0u) << label;
+        EXPECT_EQ(got_stats.stream_bits_reused, 0u) << label;
+        EXPECT_EQ(got_stats.stream_bits_generated,
+                  want_stats.stream_bits_generated)
+            << label;
+      } else if (base.max_pool != MaxPoolMode::kStochastic) {
+        EXPECT_EQ(got_stats.plan_misses, 0u) << label;
+        EXPECT_EQ(got_stats.stream_bits_reused,
+                  want_stats.stream_bits_generated)
+            << label;
+      }
     }
   }
 }
@@ -375,6 +395,177 @@ TEST(ScGolden, ScheduleChangeMatchesScalar) {
                                        << plan_report.to_string();
     }
   }
+}
+
+/// conv [-> BatchNorm] -> ReLU, 4 -> 4 channels.
+nn::Network small_map_net(nn::ConvSpec spec, bool bn, std::uint32_t seed) {
+  nn::Network net;
+  spec.in_channels = 4;
+  spec.out_channels = 4;
+  spec.mode = nn::AccumMode::kOrExact;
+  net.add<nn::Conv2D>(spec).initialize(seed);
+  if (bn) {
+    net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4})
+        .initialize(seed + 1);
+  }
+  net.add<nn::ReLU>();
+  return net;
+}
+
+TEST(ScGolden, LiveTapConvsOnSmallMapsMatchScalar) {
+  // Where padding leaves kernel taps dead: the table holds live-tap
+  // entries only, and border positions walk only their live tap range.
+  // At 1-word (stream 128) and, unpooled at stream 1024, 8-word segments,
+  // each in budget and at a 1-byte budget.
+  struct Case {
+    const char* name;
+    int side;
+    int kernel;
+    int stride;
+    int padding;
+  };
+  const Case cases[] = {
+      {"3x3 pad 1 on 1x1", 1, 3, 1, 1},
+      {"3x3 pad 1 on 2x2", 2, 3, 1, 1},
+      {"3x3 stride 2 from 2x2 to 1x1", 2, 3, 2, 1},
+      {"5x5 pad 2 on 3x3", 3, 5, 1, 2},
+  };
+  struct Variant {
+    const char* name;
+    int groups;
+    bool bn;
+  };
+  const Variant variants[] = {{"plain", 1, false},
+                              {"bn-folded", 1, true},
+                              {"grouped", 2, false},
+                              {"depthwise", 4, true}};
+  ScConfig wide = golden_config();
+  wide.stream_length = 1024;
+  std::uint32_t seed = 401;
+  for (const Case& c : cases) {
+    for (const Variant& v : variants) {
+      SCOPED_TRACE(std::string(c.name) + " " + v.name);
+      nn::Network net = small_map_net(
+          nn::ConvSpec{.kernel = c.kernel, .stride = c.stride,
+                       .padding = c.padding, .groups = v.groups},
+          v.bn, seed);
+      const nn::Tensor input =
+          random_unit(nn::Shape{c.side, c.side, 4}, seed + 7);
+      seed += 11;
+      for (const ScConfig& cfg : {golden_config(), wide}) {
+        expect_planned_matches_scalar(net, input, cfg);
+        expect_fallback_matches_scalar(net, input, cfg);
+      }
+    }
+  }
+}
+
+TEST(ScGolden, PaddingOnlyTapsMatchScalar) {
+  // Extreme geometries: output positions that read only padding, a dead
+  // tap inside the live rectangle, and a fused 2x2 pool over a 2x2 map
+  // (every window slot a border position)...
+  nn::Network k1 = small_map_net(nn::ConvSpec{.kernel = 1, .padding = 1},
+                                 true, 501);
+  nn::Network gap = small_map_net(
+      nn::ConvSpec{.kernel = 5, .stride = 2, .padding = 3}, false, 505);
+  nn::Network pooled;
+  pooled.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 4, .out_channels = 4,
+                                      .kernel = 3, .padding = 1,
+                                      .mode = nn::AccumMode::kOrExact})
+      .initialize(513);
+  pooled.add<nn::AvgPool2D>(2);
+  pooled.add<nn::ReLU>();
+  const nn::Tensor one = random_unit(nn::Shape{1, 1, 4}, 503);
+  for (nn::Network* net : {&k1, &gap}) {
+    expect_planned_matches_scalar(*net, one, golden_config());
+    expect_fallback_matches_scalar(*net, one, golden_config());
+  }
+  const nn::Tensor two = random_unit(nn::Shape{2, 2, 4}, 515);
+  expect_planned_matches_scalar(pooled, two, golden_config());
+  expect_fallback_matches_scalar(pooled, two, golden_config());
+  // ...and a node whose every tap is dead: it fetches nothing, so even at
+  // a 1-byte budget there is no plan miss to require.
+  nn::Network none = small_map_net(
+      nn::ConvSpec{.kernel = 3, .stride = 7, .padding = 5}, false, 509);
+  ScConfig tiny = golden_config();
+  tiny.plan_budget_bytes = 1;
+  for (const ScConfig& cfg : {golden_config(), tiny}) {
+    expect_planned_matches_scalar(none, one, cfg);
+  }
+}
+
+/// The scalar oracle's output for @p net on @p input, from a fresh
+/// executor.
+nn::Tensor oracle_forward(nn::Network& net, const nn::Tensor& input,
+                          ScConfig cfg) {
+  cfg.exec = ExecMode::kScalar;
+  ScNetwork scalar(net, cfg);
+  return scalar.forward(input);
+}
+
+TEST(ScGolden, FoldedBatchNormEditsArePickedUp) {
+  // The table key holds the folded BatchNorm's per-channel scale, so an
+  // edit to gamma or variance — which moves the folded weights, and with a
+  // sign flip their phases — must reach the next forward of a warm
+  // executor.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 4,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(521);
+  auto& bn = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4});
+  bn.initialize(523);
+  net.add<nn::ReLU>();
+  const nn::Tensor input = random_unit(nn::Shape{4, 4, 2}, 525);
+  const ScConfig cfg = golden_config();
+  ScNetwork planned(net, cfg);
+  expect_bytes_equal(planned.forward(input), oracle_forward(net, input, cfg),
+                     "before edits");
+  bn.gamma()[1] = -1.5f * bn.gamma()[1];
+  expect_bytes_equal(planned.forward(input), oracle_forward(net, input, cfg),
+                     "gamma edit");
+  bn.variance()[2] *= 4.0f;
+  expect_bytes_equal(planned.forward(input), oracle_forward(net, input, cfg),
+                     "variance edit");
+  const core::Report plans = planned.validate_plans();
+  EXPECT_TRUE(plans.clean()) << plans.to_string();
+}
+
+TEST(ScGolden, ParamViewWriteBackIsPickedUp) {
+  // Writers that hold ParamView spans across forwards (as
+  // train::evaluate_quantized does: quantize in place, evaluate, restore)
+  // bypass any setter, so only comparing the key's bits catches them.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 4,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(531);
+  net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4}).initialize(533);
+  net.add<nn::ReLU>();
+  net.add<nn::Dense>(nn::DenseSpec{.in_features = 4 * 4 * 4,
+                                   .out_features = 5,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(535);
+  const nn::Tensor input = random_unit(nn::Shape{4, 4, 2}, 537);
+  const ScConfig cfg = golden_config();
+  std::vector<nn::ParamView> params = net.parameters();
+  std::vector<std::vector<float>> saved;
+  for (const nn::ParamView& p : params) {
+    saved.emplace_back(p.values.begin(), p.values.end());
+  }
+  ScNetwork planned(net, cfg);
+  const nn::Tensor original = planned.forward(input);
+  for (nn::ParamView& p : params) {
+    for (std::size_t i = 0; i < p.values.size(); i += 3) {
+      p.values[i] = -0.5f * p.values[i];
+    }
+  }
+  expect_bytes_equal(planned.forward(input), oracle_forward(net, input, cfg),
+                     "written back");
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    std::copy(saved[p].begin(), saved[p].end(), params[p].values.begin());
+  }
+  expect_bytes_equal(planned.forward(input), original, "restored");
 }
 
 /// FNV-1a over the logits' float bytes followed by the work counters that

@@ -1,11 +1,15 @@
 // Unit tests for the packed stream tables: slot layout, bit identity of
 // planned segments against direct StreamBank generation, the byte-budget
-// footprint rule, and the shared weight-table store.
+// footprint rules, the shared weight-table store, the live-tap table shape
+// and the table validator's negative cases.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
+#include "sc/rng.hpp"
+#include "sim/op_graph.hpp"
 #include "sim/plan_check.hpp"
 #include "sim/stream_plan.hpp"
 
@@ -149,42 +153,292 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   const WeightLayout layout = dense_layout(2, 3);
   const std::vector<float> weights{0.5f, 0.0f, -0.25f, 0.75f, 1e-6f, -1.0f};
 
-  const auto t1 = store.get(0, sched, layout, weights, 0, nullptr);
+  const WeightKey key{weights, {}};
+
+  const auto t1 = store.get(0, sched, layout, key, 0, nullptr);
   ASSERT_TRUE(t1->planned);
   // 0.0 is in no phase; 1e-6 quantizes to level 0 (gated): 4 entries.
   EXPECT_EQ(t1->total, 4u);
-  EXPECT_TRUE(check_product_table(*t1, store.bank(), weights, "t").clean());
+  EXPECT_TRUE(
+      check_product_table(*t1, store.bank(), key, "t").clean());
 
   // Same key: the cached table is returned and nothing is rebuilt.
-  EXPECT_EQ(store.get(0, sched, layout, weights, 0, nullptr).get(), t1.get());
+  EXPECT_EQ(store.get(0, sched, layout, key, 0, nullptr).get(),
+            t1.get());
 
   // Changed weights (retraining): rebuild, and the old table stays valid
   // for holders of the original shared_ptr.
   std::vector<float> retrained = weights;
   retrained[0] = 0.5625f;
-  const auto t2 = store.get(0, sched, layout, retrained, 0, nullptr);
+  const WeightKey retrained_key{retrained, {}};
+  const auto t2 =
+      store.get(0, sched, layout, retrained_key, 0, nullptr);
   EXPECT_NE(t2.get(), t1.get());
-  EXPECT_TRUE(t1->keyed_on(sched, layout, weights));
+  EXPECT_TRUE(t1->keyed_on(sched, layout, key));
 
   // A changed schedule (a fused pool that stops tiling) is a new key too.
+  // Each entry holds the slots of its own sign phase only.
   const SegmentSchedule unpooled{cfg.phase_length(), 1, cfg.phase_length()};
-  const auto t3 = store.get(0, unpooled, layout, retrained, 0, nullptr);
+  const auto t3 =
+      store.get(0, unpooled, layout, retrained_key, 0, nullptr);
   EXPECT_NE(t3.get(), t2.get());
-  EXPECT_EQ(t3->words.size(), unpooled.slots() * t3->total);
-  EXPECT_TRUE(
-      check_product_table(*t3, store.bank(), retrained, "t").clean());
+  EXPECT_EQ(t3->words.size(), unpooled.positions * t3->total);
+  EXPECT_TRUE(check_product_table(*t3, store.bank(), retrained_key, "t")
+                  .clean());
+
+  // A changed folded-BatchNorm scale is a new key even when the raw
+  // weights are unchanged.
+  const std::vector<float> scale{1.0f, -0.5f};
+  EXPECT_FALSE(t3->keyed_on(unpooled, layout, WeightKey{retrained, scale}));
 
   // Distinct stages are independent slots.
-  EXPECT_NE(store.get(1, sched, layout, weights, 0, nullptr).get(), t1.get());
+  EXPECT_NE(store.get(1, sched, layout, key, 0, nullptr).get(),
+            t1.get());
 
   // Over budget: the structure is built, the words are left out and the
   // per-entry levels kept for regeneration.
   WeightPlanStore tight(cfg, 1);
-  const auto t4 = tight.get(0, sched, layout, weights, 1, nullptr);
+  const auto t4 = tight.get(0, sched, layout, key, 1, nullptr);
   EXPECT_FALSE(t4->planned);
   EXPECT_TRUE(t4->words.empty());
   EXPECT_EQ(t4->level_of.size(), t4->total);
-  EXPECT_TRUE(check_product_table(*t4, tight.bank(), weights, "t").clean());
+  EXPECT_TRUE(
+      check_product_table(*t4, tight.bank(), key, "t").clean());
+}
+
+TEST(WeightPlanStoreTest, FootprintCountsLiveTapsAndOneSignPhase) {
+  // Every weight of a dense node is at its one (live) tap; each lane holds
+  // the positions slots of one sign phase.
+  const SegmentSchedule sched{64, 4, 16};
+  EXPECT_EQ(weight_table_bytes(sched, dense_layout(3, 5)), 15u * 4u * 8u);
+  // A 3x3 conv whose rectangle is the centre tap counts 1 of 9 taps.
+  WeightLayout conv = dense_layout(4, 18);
+  conv.in_c = conv.cpg = 2;
+  conv.w_per_oc = 18;
+  conv.kernel = 3;
+  conv.taps = TapRect{1, 1, 1, 1};
+  EXPECT_EQ(weight_table_bytes(sched, conv), 4u * 2u * 4u * 8u);
+  // Multi-word segments scale the footprint by seg_words.
+  EXPECT_EQ(weight_table_bytes(SegmentSchedule{512, 1, 512}, conv),
+            4u * 2u * 8u * 8u);
+}
+
+/// A 3x3 conv's layout over a @p side x @p side x in_c map with the
+/// node's own live-tap rectangle (sim::live_taps, as conv_geometry takes
+/// it).
+WeightLayout conv3x3_layout(std::size_t oc, std::size_t in_c, int side,
+                            int stride) {
+  const nn::ConvSpec spec{.in_channels = static_cast<int>(in_c),
+                          .out_channels = static_cast<int>(oc),
+                          .kernel = 3,
+                          .stride = stride,
+                          .padding = 1};
+  const nn::Shape in{side, side, static_cast<int>(in_c)};
+  return WeightLayout{.oc_count = oc, .rf = 9 * in_c, .in_c = in_c,
+                      .cpg = in_c, .oc_per_group = oc, .w_per_oc = 9 * in_c,
+                      .kernel = 3, .taps = live_taps(spec, in)};
+}
+
+std::vector<float> signed_weights(std::size_t count, std::uint32_t seed) {
+  std::vector<float> w(count);
+  sc::XorShift32 rng(seed);
+  for (float& v : w) {
+    v = static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  }
+  return w;
+}
+
+TEST(ProductTableShapeTest, OneByOneMapHoldsOnlyCentreTapEntries) {
+  // A 3x3 pad-1 conv on a 1x1 map reads only its centre tap: the table
+  // holds entries there alone, every other signed weight counts as gated,
+  // and each entry stores only its own sign phase's window slots.
+  const WeightLayout layout = conv3x3_layout(3, 4, 1, 1);
+  ASSERT_EQ(layout.taps, (TapRect{1, 1, 1, 1}));
+  const SegmentSchedule sched{64, 4, 16};
+  StreamBank bank(8, 0x5EED, 2 * sched.phase, true);
+  const std::vector<float> weights = signed_weights(3 * 36, 11);
+  const WeightKey key{weights, {}};
+  const auto tbl = build_product_table(bank, sched, layout, key, 0, nullptr);
+  ASSERT_TRUE(tbl->planned);
+  std::size_t centre = 0;
+  std::size_t signed_total = 0;
+  for (std::size_t oc = 0; oc < 3; ++oc) {
+    for (std::size_t s = 0; s < layout.rf; ++s) {
+      const float wv = weights[layout.weight(oc, s)];
+      signed_total += wv != 0.0f ? 1 : 0;
+      const bool at_centre = s / layout.in_c == 4;
+      centre += at_centre && bank.quantize(std::fabs(wv)) != 0 ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(tbl->total, centre);
+  EXPECT_LE(tbl->total, 3u * 4u);
+  for (const std::uint32_t live : tbl->slot_of) {
+    EXPECT_LT(live, layout.live_rf());
+    EXPECT_EQ(layout.full_slot(live) / layout.in_c, 4u);  // the centre tap
+  }
+  std::size_t gated = 0;
+  for (const std::uint32_t g : tbl->gated) {
+    gated += g;
+  }
+  EXPECT_EQ(gated + tbl->total, signed_total);
+  EXPECT_EQ(tbl->words.size(), sched.positions * tbl->total);
+  EXPECT_EQ(tbl->bm_words, 1u);
+  EXPECT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
+
+  // The stride-2 3x3 from a 2x2 map to 1x1 reads taps (1..2, 1..2).
+  EXPECT_EQ(conv3x3_layout(3, 4, 2, 2).taps, (TapRect{1, 1, 2, 2}));
+  // A 2x2 map at stride 1 reads every tap at some position.
+  EXPECT_EQ(conv3x3_layout(3, 4, 2, 1).taps, (TapRect{0, 0, 3, 3}));
+}
+
+TEST(ProductTableShapeTest, OwnSignWordsMatchDirectFills) {
+  // Every entry's window slot k equals a direct fill at the offset of its
+  // group's sign phase; tap offsets split each group at its taps.
+  const WeightLayout layout = conv3x3_layout(2, 3, 2, 1);
+  const SegmentSchedule sched{96, 4, 24};
+  StreamBank bank(9, 0xACE5, 2 * sched.phase, true);
+  const std::vector<float> weights = signed_weights(2 * 27, 13);
+  const auto tbl = build_product_table(bank, sched, layout,
+                                       WeightKey{weights, {}}, 0, nullptr);
+  ASSERT_EQ(layout.taps.count(), 9u);
+  std::vector<std::uint64_t> want(sched.seg_words());
+  for (std::size_t group = 0; group < 4; ++group) {
+    const bool positive = group < 2;
+    const std::uint32_t* const to = tbl->taps_of(group);
+    for (std::uint32_t ei = to[0]; ei < to[9]; ++ei) {
+      const std::size_t tap = tbl->slot_of[ei] / layout.in_c;
+      EXPECT_LE(to[tap], ei);
+      EXPECT_LT(ei, to[tap + 1]);
+      const std::size_t wi =
+          layout.weight(group % 2, layout.full_slot(tbl->slot_of[ei]));
+      EXPECT_EQ(weights[wi] > 0.0f, positive);
+      for (std::size_t k = 0; k < sched.positions; ++k) {
+        bank.fill(bank.quantize(std::fabs(weights[wi])),
+                  static_cast<std::uint32_t>(wi), sched.offset(positive, k),
+                  sched.seg, want);
+        EXPECT_EQ(tbl->words[(k * tbl->total + ei) * sched.seg_words()],
+                  want[0])
+            << "entry " << ei << " k " << k;
+      }
+    }
+  }
+}
+
+TEST(ProductTableShapeTest, ValidatorReportsCorruptedTapOffsetAndSignSlot) {
+  const WeightLayout layout = conv3x3_layout(2, 3, 4, 1);
+  const SegmentSchedule sched{64, 1, 64};
+  StreamBank bank(8, 0x77, 2 * sched.phase, true);
+  const std::vector<float> weights = signed_weights(2 * 27, 17);
+  const WeightKey key{weights, {}};
+  const auto tbl = build_product_table(bank, sched, layout, key, 0, nullptr);
+  ASSERT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
+
+  // A tap offset moved one entry late: the entry it skips lies outside
+  // its tap's run.
+  ProductTable moved = *tbl;
+  std::uint32_t* const to = moved.tap_off.data() + 5;  // group 0, tap 5
+  ASSERT_LT(to[0], moved.tap_off[9]);                   // group 0's end
+  ++to[0];
+  const core::Report r1 = check_product_table(moved, bank, key, "t");
+  EXPECT_TRUE(r1.has_rule("plan-invariant")) << r1.to_string();
+
+  // Entry 0 (positive) holding its negative-phase words, as if its sign
+  // slot were swapped.
+  ProductTable swapped = *tbl;
+  const std::size_t wi =
+      layout.weight(0, layout.full_slot(swapped.slot_of[0]));
+  std::vector<std::uint64_t> other(sched.seg_words());
+  bank.fill(bank.quantize(std::fabs(weights[wi])),
+            static_cast<std::uint32_t>(wi), sched.offset(false, 0), sched.seg,
+            other);
+  ASSERT_NE(swapped.words[0], other[0]);
+  swapped.words[0] = other[0];
+  const core::Report r2 = check_product_table(swapped, bank, key, "t");
+  EXPECT_TRUE(r2.has_rule("plan-invariant")) << r2.to_string();
+
+  // A key that no longer matches the node is reported before anything
+  // else is re-derived.
+  std::vector<float> edited = weights;
+  edited[3] = -edited[3];
+  const core::Report r3 =
+      check_product_table(*tbl, bank, WeightKey{edited, {}}, "t");
+  EXPECT_TRUE(r3.has_rule("plan-invariant")) << r3.to_string();
+}
+
+TEST(ProductTableShapeTest, BatchNormScaleFoldsIntoTheKeyedWeights) {
+  // A table keyed on (raw weights, scale) classifies the folded weights:
+  // a negative scale moves its channel's products to the other phase.
+  const WeightLayout layout = dense_layout(2, 3);
+  const std::vector<float> raw{0.5f, -0.25f, 0.75f, 0.5f, -0.25f, 0.75f};
+  const std::vector<float> scale{1.0f, -1.0f};
+  const SegmentSchedule sched{64, 1, 64};
+  StreamBank bank(8, 0x99, 2 * sched.phase, true);
+  const WeightKey key{raw, scale};
+  std::vector<float> scratch;
+  const std::span<const float> folded = folded_weights(key, scratch);
+  ASSERT_EQ(folded.size(), raw.size());
+  EXPECT_EQ(folded[1], -0.25f);
+  EXPECT_EQ(folded[4], 0.25f);
+  const auto tbl = build_product_table(bank, sched, layout, key, 0, nullptr);
+  EXPECT_TRUE(tbl->keyed_on(sched, layout, key));
+  EXPECT_FALSE(tbl->keyed_on(sched, layout, WeightKey{raw, {}}));
+  // Channel 0 holds two positive weights, channel 1 (scale -1) one.
+  EXPECT_EQ(tbl->taps_of(1)[1] - tbl->taps_of(0)[0], 3u);
+  EXPECT_EQ(tbl->taps_of(1)[1] - tbl->taps_of(1)[0], 1u);
+  EXPECT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
+}
+
+TEST(ProductTableShapeTest, ValidatorReDerivesLiveTaps) {
+  // The stride-2 3x3 pad-1 conv from a 2x2 map to 1x1 reads taps
+  // (1..2, 1..2).
+  ConvGeometry g;
+  g.spec = nn::ConvSpec{.in_channels = 4,
+                        .out_channels = 3,
+                        .kernel = 3,
+                        .stride = 2,
+                        .padding = 1};
+  g.in = nn::Shape{2, 2, 4};
+  g.conv_out = nn::Shape{1, 1, 3};
+  g.layout.kernel = 3;
+  g.layout.taps = live_taps(g.spec, g.in);
+  ASSERT_EQ(g.layout.taps, (TapRect{1, 1, 2, 2}));
+  EXPECT_TRUE(check_live_taps(g, "t").clean());
+  // One column too narrow: live weights would be counted as gated.
+  g.layout.taps.w = 1;
+  const core::Report narrow = check_live_taps(g, "t");
+  EXPECT_TRUE(narrow.has_rule("plan-invariant")) << narrow.to_string();
+  // The full kernel: entries for taps that only ever read padding.
+  g.layout.taps = TapRect{0, 0, 3, 3};
+  EXPECT_TRUE(check_live_taps(g, "t").has_rule("plan-invariant"));
+}
+
+TEST(ProductTableShapeTest, PositionTapsAreTheMaximalPerPositionSets) {
+  const auto spec = [](int stride) {
+    return nn::ConvSpec{.in_channels = 1,
+                        .out_channels = 1,
+                        .kernel = 3,
+                        .stride = stride,
+                        .padding = 1};
+  };
+  // A 1x1 map: only the centre tap, at the one position.
+  EXPECT_EQ(position_taps(spec(1), nn::Shape{1, 1, 1}),
+            (std::vector<TapRect>{{1, 1, 1, 1}}));
+  // A 2x2 map: each position reads a 2x2 corner of the kernel; no position
+  // reads the whole 3x3 live-tap rectangle.
+  EXPECT_EQ(position_taps(spec(1), nn::Shape{2, 2, 1}),
+            (std::vector<TapRect>{
+                {1, 1, 2, 2}, {1, 0, 2, 2}, {0, 1, 2, 2}, {0, 0, 2, 2}}));
+  // A map with an interior position: the whole kernel, once.
+  EXPECT_EQ(position_taps(spec(1), nn::Shape{4, 3, 1}),
+            (std::vector<TapRect>{{0, 0, 3, 3}}));
+  // Stride 2 from 3x3 to 2x2: outputs read rows (1..2) and (0..1), as on
+  // the 2x2 map.
+  EXPECT_EQ(position_taps(spec(2), nn::Shape{3, 3, 1}),
+            position_taps(spec(1), nn::Shape{2, 2, 1}));
+  // Stride 2 from 5x5 to 3x3: the middle output reads every row, and the
+  // border outputs' rows lie inside its.
+  EXPECT_EQ(position_taps(spec(2), nn::Shape{5, 5, 1}),
+            (std::vector<TapRect>{{0, 0, 3, 3}}));
 }
 
 }  // namespace
