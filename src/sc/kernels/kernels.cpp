@@ -5,46 +5,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 namespace acoustic::sc::kernels {
-
-namespace {
-
-/// NEON stub: the scalar bodies behind the kNeon identity, so ARM callers
-/// can already select the level through the same interface; hand-written
-/// NEON kernels slot in here without touching any call site.
-const KernelTable& neon_stub_table() noexcept {
-  static const KernelTable table = [] {
-    KernelTable t = detail::scalar_table();
-    t.name = "neon";
-    t.level = Level::kNeon;
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace
 
 bool level_supported(Level level) noexcept {
   switch (level) {
     case Level::kScalar:
       return true;
-    case Level::kSse42:
-#if ACOUSTIC_KERNELS_X86_TABLES
-      return __builtin_cpu_supports("sse4.2") != 0;
-#else
-      return false;
-#endif
     case Level::kAvx2:
 #if ACOUSTIC_KERNELS_X86_TABLES
       return __builtin_cpu_supports("avx2") != 0 &&
              __builtin_cpu_supports("popcnt") != 0;
-#else
-      return false;
-#endif
-    case Level::kNeon:
-#if defined(__aarch64__) || defined(__ARM_NEON)
-      return true;
 #else
       return false;
 #endif
@@ -53,80 +25,36 @@ bool level_supported(Level level) noexcept {
 }
 
 Level detect_best() noexcept {
-  if (level_supported(Level::kAvx2)) {
-    return Level::kAvx2;
-  }
-  if (level_supported(Level::kSse42)) {
-    return Level::kSse42;
-  }
-  if (level_supported(Level::kNeon)) {
-    return Level::kNeon;
-  }
-  return Level::kScalar;
+  return level_supported(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 }
 
-const KernelTable& table_for(Level level) noexcept {
-  switch (level) {
+const KernelTable& table_for([[maybe_unused]] Level level) noexcept {
 #if ACOUSTIC_KERNELS_X86_TABLES
-    case Level::kSse42:
-      return detail::sse42_table();
-    case Level::kAvx2:
-      return detail::avx2_table();
-#else
-    case Level::kSse42:
-    case Level::kAvx2:
-      return detail::scalar_table();
-#endif
-    case Level::kNeon:
-      return neon_stub_table();
-    case Level::kScalar:
-      return detail::scalar_table();
+  if (level == Level::kAvx2) {
+    return detail::avx2_table();
   }
+#endif
   return detail::scalar_table();
 }
 
 const char* level_name(Level level) noexcept {
-  switch (level) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kSse42:
-      return "sse42";
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kNeon:
-      return "neon";
-  }
-  return "scalar";
+  return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
 Level resolve_level(const char* request) noexcept {
-  if (request == nullptr || *request == '\0' ||
-      std::strcmp(request, "native") == 0) {
-    return detect_best();
+  if (request != nullptr) {
+    for (const Level level : {Level::kScalar, Level::kAvx2}) {
+      if (std::strcmp(request, level_name(level)) == 0) {
+        return level_supported(level) ? level : detect_best();
+      }
+    }
   }
-  Level want = Level::kScalar;
-  if (std::strcmp(request, "scalar") == 0) {
-    want = Level::kScalar;
-  } else if (std::strcmp(request, "sse42") == 0) {
-    want = Level::kSse42;
-  } else if (std::strcmp(request, "avx2") == 0) {
-    want = Level::kAvx2;
-  } else if (std::strcmp(request, "neon") == 0) {
-    want = Level::kNeon;
-  } else {
-    return detect_best();  // unknown name: warn at table() resolution
-  }
-  return level_supported(want) ? want : detect_best();
-}
-
-const char* env_override() noexcept {
-  static const char* value = std::getenv("ACOUSTIC_SIMD");
-  return value;
+  return detect_best();  // unset, "native" or unknown: warn in table()
 }
 
 const KernelTable& table() noexcept {
   static const KernelTable& active = []() -> const KernelTable& {
-    const char* request = env_override();
+    const char* request = std::getenv("ACOUSTIC_SIMD");
     const Level level = resolve_level(request);
     if (request != nullptr && *request != '\0' &&
         std::strcmp(request, "native") != 0 &&

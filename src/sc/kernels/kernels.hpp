@@ -1,25 +1,27 @@
 // Centralized SIMD kernel layer for the packed-bitstream hot path.
 //
-// Every inner loop of the SC functional simulator that touches packed
-// 64-bit stream words — comparator packing in sim::StreamBank::fill, the
-// fused AND/OR product loops of the planned conv/dense executors, the
-// popcount behind BitStream::count_ones and the bipolar baseline's XNOR
-// multiply — goes through the function table defined here instead of
-// open-coding the loop at each call site.
+// The loops of the SC functional simulator that touch packed 64-bit
+// stream words through a shared body go through the function table
+// defined here: comparator packing in sim::StreamBank::fill, the planned
+// conv executor's wide-segment AND/OR product group, the stochastic max
+// FSM of the max-pool node, and sc::BitStream's word ops and popcount
+// (sc::xnor_multiply reaches xnor_words that way). The planned executor's
+// 1-word AND/OR chain is inline in sim/sc_network.cpp, and the bipolar
+// baseline evaluates its XNOR multiply bit by bit; neither calls the
+// table.
 //
-// Dispatch model: one table per instruction-set level (scalar, SSE4.2,
-// AVX2; NEON is stubbed behind the same interface and resolves to the
-// scalar table on non-ARM hosts). The active level is detected once at
-// startup from CPUID and can be overridden with ACOUSTIC_SIMD=
-// scalar|sse42|avx2|neon|native for A/B testing — "native" re-runs the
-// detection. Requesting a level the CPU cannot execute falls back to the
-// best supported one, so the override can never SIGILL.
+// Dispatch model: two levels, the scalar reference and AVX2. The active
+// level is detected once at startup from CPUID and can be overridden with
+// ACOUSTIC_SIMD=scalar|avx2|native for A/B testing — "native" re-runs the
+// detection. Requesting a level the CPU cannot execute, or a name that is
+// not a level, prints one warning and falls back to the best supported
+// level, so the override can never SIGILL.
 //
-// Correctness contract: every level is bit-identical to the scalar
-// reference for every input (tests/sc/kernels_test.cpp sweeps all levels
-// against scalar, including empty/one-bit/word-tail lengths), which is
-// what keeps sc_golden_test and `acoustic eval --metrics` byte-identical
-// across ACOUSTIC_SIMD settings.
+// Correctness contract: the AVX2 level is bit-identical to the scalar
+// reference for every input (tests/sc/kernels_test.cpp sweeps every
+// supported level against scalar, including empty/one-bit/word-tail
+// lengths), which is what keeps sc_golden_test and `acoustic eval
+// --metrics` byte-identical across ACOUSTIC_SIMD settings.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +32,7 @@ namespace acoustic::sc::kernels {
 /// Instruction-set levels the dispatcher can select.
 enum class Level {
   kScalar,
-  kSse42,
   kAvx2,
-  kNeon,  ///< stub: scalar table on non-ARM hosts (same interface)
 };
 
 /// Per-lane SNG scrambler wiring, mirrored from sim::StreamBank: the
@@ -74,7 +74,7 @@ inline constexpr std::uint32_t kScrambleMul = 0x2545F491u;
 /// stream length are the caller's invariant (the kernels are pure word
 /// operations).
 struct KernelTable {
-  /// Human-readable level tag ("scalar", "sse42", "avx2", "neon").
+  /// Human-readable level tag ("scalar", "avx2").
   const char* name;
   Level level;
 
@@ -101,9 +101,9 @@ struct KernelTable {
   void (*xor_words)(std::uint64_t* out, const std::uint64_t* a,
                     const std::uint64_t* b, std::size_t n);
 
-  /// out[i] = ~(a[i] ^ b[i]) — the bipolar XNOR multiply (out may alias
-  /// a). Tail bits come out as 1 and must be cleared by the caller that
-  /// owns the stream-length invariant (sc::BitStream does).
+  /// out[i] = ~(a[i] ^ b[i]) — sc::xnor_multiply's bipolar product (out
+  /// may alias a). Tail bits come out as 1 and must be cleared by the
+  /// caller that owns the stream-length invariant (sc::BitStream does).
   void (*xnor_words)(std::uint64_t* out, const std::uint64_t* a,
                      const std::uint64_t* b, std::size_t n);
 
@@ -112,7 +112,9 @@ struct KernelTable {
 
   /// Fused product + count: acc[i] |= a[i] & b[i], returning the popcount
   /// of the updated acc words — the final product of an OR-accumulation
-  /// chain folds its counter read into the same pass.
+  /// chain folds its counter read into the same pass. No simulator path
+  /// calls it; the kernel microbenches (`acoustic bench --suite kernels`,
+  /// perfbench's sc.kernel.and_or_popcount) time the fused chain with it.
   std::uint64_t (*and_or_popcount)(std::uint64_t* acc, const std::uint64_t* a,
                                    const std::uint64_t* b, std::size_t n);
 
@@ -149,8 +151,7 @@ struct KernelTable {
 [[nodiscard]] const KernelTable& table_for(Level level) noexcept;
 
 /// True when the running CPU can execute @p level. kScalar is always
-/// true; kNeon reports true only on ARM builds (where it currently
-/// resolves to the scalar reference implementation).
+/// true; kAvx2 needs an x86 build on a CPU with AVX2 and POPCNT.
 [[nodiscard]] bool level_supported(Level level) noexcept;
 
 /// Best level the running CPU supports (ignores the env override).
@@ -170,11 +171,7 @@ struct KernelTable {
 /// Level of the active table.
 [[nodiscard]] Level active_level() noexcept;
 
-/// Tag string for @p level ("scalar", "sse42", "avx2", "neon").
+/// Tag string for @p level ("scalar", "avx2").
 [[nodiscard]] const char* level_name(Level level) noexcept;
-
-/// The raw ACOUSTIC_SIMD override value in effect, or nullptr when unset.
-/// Exposed so benchmark baselines can record how they were produced.
-[[nodiscard]] const char* env_override() noexcept;
 
 }  // namespace acoustic::sc::kernels

@@ -1,6 +1,9 @@
 // AVX2 kernel table: 8-wide comparator packing (8 LFSR states scrambled
 // and compared per iteration, movemask into the packed output word) and
-// the gathered multi-word AND/OR product group in 256-bit registers.
+// the gathered multi-word AND/OR product group in 256-bit registers. The
+// other entries are the generic bodies compiled under this TU's
+// -mavx2 -mpopcnt: the word loops auto-vectorize and std::popcount
+// emits the popcnt instruction.
 #include "sc/kernels/kernels_internal.hpp"
 
 #include <algorithm>
@@ -70,28 +73,6 @@ void avx2_compare_pack(const CompareWiring& w, const std::uint32_t* states,
   }
 }
 
-std::uint64_t avx2_popcount_words(const std::uint64_t* words,
-                                  std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(static_cast<unsigned long long>(words[i])));
-  }
-  return total;
-}
-
-std::uint64_t avx2_and_or_popcount(std::uint64_t* acc,
-                                   const std::uint64_t* a,
-                                   const std::uint64_t* b, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc[i] |= a[i] & b[i];
-    total += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(static_cast<unsigned long long>(acc[i])));
-  }
-  return total;
-}
-
 /// Words [w0, w0 + 4 * kRegs) of a gathered product group, OR-accumulated
 /// in kRegs 256-bit registers.
 template <std::size_t kRegs>
@@ -135,7 +116,7 @@ std::uint64_t avx2_gather_and_or_popcount(std::uint64_t* acc,
   for (; w0 < sw; ++w0) {
     gather_and_or_block<1>(acc, act, slot, ww, n_ent, sw, w0);
   }
-  return avx2_popcount_words(acc, sw);
+  return generic_popcount_words(acc, sw);
 }
 
 }  // namespace
@@ -151,8 +132,8 @@ const KernelTable& avx2_table() noexcept {
       &generic_or_words,
       &generic_xor_words,
       &generic_xnor_words,
-      &avx2_popcount_words,
-      &avx2_and_or_popcount,
+      &generic_popcount_words,
+      &generic_and_or_popcount,
       &avx2_gather_and_or_popcount,
       &generic_max_stream,
   };

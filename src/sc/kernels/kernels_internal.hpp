@@ -1,6 +1,6 @@
 // Internal wiring between the per-level kernel translation units and the
 // dispatcher (kernels.cpp). Each level lives in its own TU so CMake can
-// compile it with that level's target flags (-msse4.2 / -mavx2) without
+// compile it with that level's target flags (-mavx2 -mpopcnt) without
 // raising the ISA floor of the rest of the library; the dispatcher only
 // ever calls a table the running CPU supports.
 #pragma once
@@ -20,10 +20,6 @@ namespace acoustic::sc::kernels::detail {
 [[nodiscard]] const KernelTable& scalar_table() noexcept;
 
 #if ACOUSTIC_KERNELS_X86_TABLES
-/// SSE4.2 table: 4-wide comparator packing, hardware popcnt. Only call
-/// through the dispatcher (requires SSE4.2 at runtime).
-[[nodiscard]] const KernelTable& sse42_table() noexcept;
-
 /// AVX2 table: 8-wide comparator packing, 256-bit word ops. Only call
 /// through the dispatcher (requires AVX2 at runtime).
 [[nodiscard]] const KernelTable& avx2_table() noexcept;

@@ -6,7 +6,14 @@
 namespace acoustic::sc {
 
 std::uint32_t quantize_unipolar(double value, unsigned width) {
-  const double clamped = std::clamp(value, 0.0, 1.0);
+  // NaN fails every comparison, so it passes std::clamp and would reach
+  // llround, whose result for NaN is unspecified (LLONG_MIN on x86, which
+  // the cap below turns into the full-on level). Gate it with the
+  // non-positive values instead: level 0 on every platform.
+  if (!(value > 0.0)) {
+    return 0;
+  }
+  const double clamped = std::min(value, 1.0);
   // 2^width as an exact shift for the widths a comparator can have; the
   // ldexp fallback keeps out-of-range widths defined (same value either
   // way, so quantization results are unchanged).

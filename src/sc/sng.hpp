@@ -33,7 +33,9 @@ template <typename Rng>
   return out;
 }
 
-/// Quantizes @p value in [0,1] to a @p width-bit comparison level.
+/// Quantizes @p value in [0,1] to a @p width-bit comparison level. Values
+/// above 1 (+Inf included) saturate at the full level; values at or below
+/// 0, denormals that round to 0 and NaN of either sign give level 0.
 [[nodiscard]] std::uint32_t quantize_unipolar(double value, unsigned width);
 
 /// SNG bound to an LFSR. Successive calls continue the LFSR sequence, so

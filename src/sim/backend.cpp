@@ -104,32 +104,15 @@ class ScBackend final : public InferenceBackend {
   }
 
   [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) override {
-    ++samples_;
     return exec_.forward(input);
   }
 
   void forward_into(const nn::Tensor& input, nn::Tensor& out) override {
-    ++samples_;
     exec_.forward_into(input, out);
   }
 
-  [[nodiscard]] RunStats stats() const override {
-    const ScNetwork::Stats& s = exec_.stats();
-    return RunStats{samples_,         s.layers_run,
-                    s.product_bits,   s.skipped_operands,
-                    s.stream_bits_generated, s.stream_bits_reused,
-                    s.plan_hits,      s.plan_misses,
-                    s.scratch_bytes};
-  }
-
-  [[nodiscard]] RunStats take_stats() override {
-    const ScNetwork::Stats s = exec_.take_stats();
-    return RunStats{std::exchange(samples_, 0), s.layers_run,
-                    s.product_bits,   s.skipped_operands,
-                    s.stream_bits_generated, s.stream_bits_reused,
-                    s.plan_hits,      s.plan_misses,
-                    s.scratch_bytes};
-  }
+  [[nodiscard]] RunStats stats() const override { return exec_.stats(); }
+  [[nodiscard]] RunStats take_stats() override { return exec_.take_stats(); }
 
   void set_profiler(obs::Profiler* profiler, std::uint32_t track) override {
     exec_.set_profiler(profiler, track);
@@ -138,7 +121,6 @@ class ScBackend final : public InferenceBackend {
  private:
   std::unique_ptr<nn::Network> net_;
   ScNetwork exec_;
-  std::uint64_t samples_ = 0;
 };
 
 /// Conventional bipolar-MUX execution via BipolarNetwork.

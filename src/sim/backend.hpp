@@ -30,49 +30,6 @@
 
 namespace acoustic::sim {
 
-/// Statistics accumulated by a backend across forward() calls. All fields
-/// are additive, so merging per-thread stats is order-insensitive.
-struct RunStats {
-  /// forward() calls (samples executed).
-  std::uint64_t samples = 0;
-  /// Weighted layers executed.
-  std::uint64_t layers_run = 0;
-  /// AND-gate product bits evaluated (SC backend only).
-  std::uint64_t product_bits = 0;
-  /// Product candidates skipped by operand gating (SC backend only).
-  std::uint64_t skipped_operands = 0;
-  /// SNG comparator bits actually generated (SC backend only).
-  std::uint64_t stream_bits_generated = 0;
-  /// Stream bits served from a packed per-layer plan instead of being
-  /// regenerated (SC backend only; see sim/stream_plan.hpp).
-  std::uint64_t stream_bits_reused = 0;
-  /// Segment fetches served from a plan / generated on the fly because the
-  /// plan exceeded its byte budget (SC backend only).
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_misses = 0;
-  /// Steady-state per-forward scratch footprint in bytes (SC backend only;
-  /// see ScNetwork::Stats::scratch_bytes). A pure function of (network,
-  /// config, input shape), identical for every clone — merged by max so
-  /// the figure is invariant across thread counts.
-  std::uint64_t scratch_bytes = 0;
-
-  void merge(const RunStats& other) noexcept {
-    samples += other.samples;
-    layers_run += other.layers_run;
-    product_bits += other.product_bits;
-    skipped_operands += other.skipped_operands;
-    stream_bits_generated += other.stream_bits_generated;
-    stream_bits_reused += other.stream_bits_reused;
-    plan_hits += other.plan_hits;
-    plan_misses += other.plan_misses;
-    scratch_bytes =
-        scratch_bytes > other.scratch_bytes ? scratch_bytes
-                                            : other.scratch_bytes;
-  }
-
-  bool operator==(const RunStats&) const = default;
-};
-
 /// One functional execution path for a fixed trained network.
 class InferenceBackend {
  public:

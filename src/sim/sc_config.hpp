@@ -76,9 +76,10 @@ struct ScConfig {
 
   /// Intra-image worker threads for the planned path (conv output rows,
   /// dense output neurons): 0 = auto (the production default — engaged
-  /// per layer only when its estimated word-level work exceeds
-  /// intra_work_threshold; small layers stay serial because the fork/join
-  /// cost dominates them, the recorded LeNet-small regression),
+  /// per layer only when its estimated word-level work exceeds a fixed
+  /// 4M word-ops, ScNetwork's kIntraWorkThreshold; small layers stay
+  /// serial because the fork/join cost dominates them, the recorded
+  /// LeNet-small regression),
   /// 1 = always serial, N >= 2 = force N workers on every layer. Results
   /// are bit-identical for any value. Ignored in scalar mode. When the
   /// forward runs inside a batch-evaluator worker, the row subtasks join
@@ -86,15 +87,6 @@ struct ScConfig {
   /// of spawning a private worker set, so auto is safe to leave on even
   /// when the evaluator already saturates the machine across images.
   unsigned intra_threads = 0;
-
-  /// Auto mode's per-layer gate (intra_threads == 0 only): estimated
-  /// word-level AND/OR operations (output positions x window slots x
-  /// fan-in x output channels x segment words) a layer must exceed before
-  /// the row/output sharding engages. The default is calibrated on the
-  /// forward bench: LeNet-small layers (~1e5..1e6 word-ops, where 4
-  /// threads measured 1.6x SLOWER than serial) stay serial, while
-  /// VGG-scale layers (1e8+) parallelize.
-  std::size_t intra_work_threshold = std::size_t{4} << 20;
 
   /// Byte budget per packed stream table (one shared weight ProductTable
   /// and one per-image activation plan per weighted node), measured by the

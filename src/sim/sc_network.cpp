@@ -110,6 +110,15 @@ ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg,
                    : std::make_shared<WeightPlanStore>(cfg_, ops_.size());
 }
 
+/// Auto mode's per-layer gate (intra_threads == 0 only): estimated
+/// word-level AND/OR operations (output positions x window slots x live
+/// field x output channels x segment words) a layer must exceed before the
+/// row/output sharding engages. Calibrated on the forward bench:
+/// LeNet-small layers (~1e5..1e6 word-ops, where 4 threads measured 1.6x
+/// SLOWER than serial) stay serial, while VGG-scale layers (1e8+)
+/// parallelize.
+constexpr std::size_t kIntraWorkThreshold = std::size_t{4} << 20;
+
 runtime::ThreadPool* ScNetwork::intra_pool(std::size_t work_words) {
   if (cfg_.exec != ExecMode::kPlanned || cfg_.intra_threads == 1) {
     return nullptr;
@@ -119,7 +128,7 @@ runtime::ThreadPool* ScNetwork::intra_pool(std::size_t work_words) {
   // `acoustic bench --suite forward`, measured 330 us at 4 forced threads
   // vs 211 us serial), so small layers stay serial. An explicit thread
   // count always engages the pool.
-  if (cfg_.intra_threads == 0 && work_words < cfg_.intra_work_threshold) {
+  if (cfg_.intra_threads == 0 && work_words < kIntraWorkThreshold) {
     return nullptr;
   }
   // Inside a work-stealing pool worker (a batch-evaluator image task),
@@ -148,7 +157,8 @@ StreamBank& ScNetwork::activation_bank() {
 void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
   // Per-run accounting: the hot loops below write into `run` (and locals),
   // never into stats_, so evaluator clones share nothing mutable.
-  Stats run;
+  RunStats run;
+  run.samples = 1;
   // One scratch epoch per forward: the first call grows the arena to the
   // network's high-water mark, every later call only bumps pointers.
   arena_.reset();
@@ -207,7 +217,7 @@ void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
           break;
       }
     }
-    const Stats before = run;
+    const RunStats before = run;
     switch (op.kind) {
       case nn::OpKind::kConv2D: {
         nn::Tensor& dst = flip();
@@ -298,7 +308,7 @@ void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
 
 void ScNetwork::run_conv(const LoweredOp& op, std::size_t op_idx,
                          const nn::Tensor& input, nn::Tensor& out,
-                         Stats& run) {
+                         RunStats& run) {
   const ConvGeometry g =
       conv_geometry(op, input.shape(), cfg_.phase_length());
   if (g.window.sched.seg == 0) {
@@ -318,7 +328,7 @@ void ScNetwork::run_conv(const LoweredOp& op, std::size_t op_idx,
 }
 
 void ScNetwork::run_skip_project(const LoweredOp& op, std::size_t op_idx,
-                                 Stats& run) {
+                                 RunStats& run) {
   nn::SkipState& state = *op.skip;
   if (state.saved.size() == 0) {
     throw std::logic_error(
@@ -335,7 +345,7 @@ void ScNetwork::run_skip_project(const LoweredOp& op, std::size_t op_idx,
 // the planned path below, for conv and dense (as a 1x1 conv) alike.
 void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
                                 const nn::Tensor& input, nn::Tensor& out,
-                                Stats& run) {
+                                RunStats& run) {
   const std::size_t phase = cfg_.phase_length();
   const std::size_t oc_count = g.layout.oc_count;
   const std::size_t rf = g.layout.rf;
@@ -463,7 +473,7 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
 void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                                  const ConvGeometry& g,
                                  const nn::Tensor& input, nn::Tensor& out,
-                                 Stats& run) {
+                                 RunStats& run) {
   const nn::ConvSpec& spec = g.spec;
   const sc::kernels::KernelTable& kt = sc::kernels::table();
   const std::size_t oc_count = g.layout.oc_count;
@@ -497,7 +507,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
 
   // Estimated word-level AND/OR work: output positions x window slots x
   // live field x output channels x segment words — the quantity the
-  // auto-mode gate compares against intra_work_threshold.
+  // auto-mode gate compares against kIntraWorkThreshold.
   const std::size_t work_words = static_cast<std::size_t>(g.out_shape.h) *
                                  static_cast<std::size_t>(g.out_shape.w) *
                                  sched.positions * oc_count * live_rf * sw;
@@ -773,7 +783,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
 }
 
 void ScNetwork::run_max_pool_sc(const LoweredOp& op, const nn::Tensor& input,
-                                nn::Tensor& out, Stats& run) {
+                                nn::Tensor& out, RunStats& run) {
   const int p = op.max_pool->window();
   const nn::Shape in = input.shape();
   const nn::Shape os = op.max_pool->output_shape(in);

@@ -34,9 +34,11 @@
 // the 4x-9x computation reduction is measurable.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/diagnostics.hpp"
@@ -53,6 +55,56 @@
 #include "sim/stream_plan.hpp"
 
 namespace acoustic::sim {
+
+/// Statistics an executor accumulates across forward() calls. ScNetwork
+/// counts every field; the float and bipolar backends count samples and
+/// layers_run only. Every field is a sum except scratch_bytes, a max, so
+/// merging per-thread stats is order-insensitive.
+struct RunStats {
+  /// forward() calls (samples executed).
+  std::uint64_t samples = 0;
+  /// Weighted layers executed.
+  std::uint64_t layers_run = 0;
+  /// AND-gate product bits evaluated (the unit computation skipping saves).
+  std::uint64_t product_bits = 0;
+  /// Product candidates skipped by operand gating: a zero (or padding)
+  /// activation or a zero-quantized weight in the phase the product was
+  /// scheduled for (paper II-C's "skip computation on zero operands").
+  std::uint64_t skipped_operands = 0;
+  /// Comparator bits the SNG kernel actually produced for this run
+  /// (scalar-path fills, per-image activation-plan builds, fallback
+  /// fills). Shared weight-table builds are amortized across images and
+  /// clones and deliberately excluded, keeping stats a pure function of
+  /// the sample set.
+  std::uint64_t stream_bits_generated = 0;
+  /// Segment bits served from a packed stream plan instead of being
+  /// regenerated — the fast path's reuse headroom.
+  std::uint64_t stream_bits_reused = 0;
+  /// Segment fetches served from a plan / generated on the fly because
+  /// the plan exceeded its byte budget.
+  std::uint64_t plan_hits = 0;
+  std::uint64_t plan_misses = 0;
+  /// High-water mark of the per-forward scratch arena in bytes — the
+  /// steady-state working set one executor needs beyond the plan tables.
+  /// A pure function of (network, config, input shape): identical for
+  /// every clone, so merge() takes the max, not the sum, and the figure
+  /// stays invariant across thread counts and repeated runs.
+  std::uint64_t scratch_bytes = 0;
+
+  void merge(const RunStats& other) noexcept {
+    samples += other.samples;
+    layers_run += other.layers_run;
+    product_bits += other.product_bits;
+    skipped_operands += other.skipped_operands;
+    stream_bits_generated += other.stream_bits_generated;
+    stream_bits_reused += other.stream_bits_reused;
+    plan_hits += other.plan_hits;
+    plan_misses += other.plan_misses;
+    scratch_bytes = std::max(scratch_bytes, other.scratch_bytes);
+  }
+
+  bool operator==(const RunStats&) const = default;
+};
 
 class ScNetwork {
  public:
@@ -91,61 +143,16 @@ class ScNetwork {
   /// (asserted by tests/sim/alloc_test.cpp). Bit-identical to forward().
   void forward_into(const nn::Tensor& input, nn::Tensor& out);
 
-  struct Stats {
-    /// AND-gate product bits evaluated (the unit computation skipping saves).
-    std::uint64_t product_bits = 0;
-    /// Weighted layers executed.
-    std::uint64_t layers_run = 0;
-    /// Product candidates skipped by operand gating: a zero (or padding)
-    /// activation or a zero-quantized weight in the phase the product was
-    /// scheduled for (paper II-C's "skip computation on zero operands").
-    std::uint64_t skipped_operands = 0;
-    /// Comparator bits the SNG kernel actually produced for this run
-    /// (scalar-path fills, per-image activation-plan builds, fallback
-    /// fills). Shared weight-table builds are amortized across images and
-    /// clones and deliberately excluded, keeping stats a pure function of
-    /// the sample set.
-    std::uint64_t stream_bits_generated = 0;
-    /// Segment bits served from a packed stream plan instead of being
-    /// regenerated — the fast path's reuse headroom.
-    std::uint64_t stream_bits_reused = 0;
-    /// Segment fetches served from a plan / generated on the fly because
-    /// the plan exceeded its byte budget.
-    std::uint64_t plan_hits = 0;
-    std::uint64_t plan_misses = 0;
-    /// High-water mark of the per-forward scratch arena in bytes — the
-    /// steady-state working set one executor needs beyond the plan tables.
-    /// A pure function of (network, config, input shape): identical for
-    /// every clone, so merge() takes the max, not the sum, and the figure
-    /// stays invariant across thread counts and repeated runs.
-    std::uint64_t scratch_bytes = 0;
-
-    void merge(const Stats& other) noexcept {
-      product_bits += other.product_bits;
-      layers_run += other.layers_run;
-      skipped_operands += other.skipped_operands;
-      stream_bits_generated += other.stream_bits_generated;
-      stream_bits_reused += other.stream_bits_reused;
-      plan_hits += other.plan_hits;
-      plan_misses += other.plan_misses;
-      scratch_bytes = scratch_bytes > other.scratch_bytes
-                          ? scratch_bytes
-                          : other.scratch_bytes;
-    }
-  };
-
   /// Cumulative statistics since construction (or reset_stats() /
   /// take_stats()). forward() accumulates into per-run locals and folds
   /// them in once per call, so stats_ is never touched on the hot path.
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = Stats{}; }
+  [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
+  void reset_stats() noexcept { stats_ = RunStats{}; }
 
   /// Returns the accumulated statistics and resets them — the per-run
   /// read-out the batch evaluator uses to merge clone stats race-free.
-  [[nodiscard]] Stats take_stats() noexcept {
-    const Stats out = stats_;
-    stats_ = Stats{};
-    return out;
+  [[nodiscard]] RunStats take_stats() noexcept {
+    return std::exchange(stats_, RunStats{});
   }
 
   [[nodiscard]] const ScConfig& config() const noexcept { return cfg_; }
@@ -206,15 +213,17 @@ class ScNetwork {
   /// projection conv — on the executor the config selects, at the node's
   /// one ConvGeometry (sim/op_graph.hpp).
   void run_conv(const LoweredOp& op, std::size_t op_idx,
-                const nn::Tensor& input, nn::Tensor& out, Stats& run);
+                const nn::Tensor& input, nn::Tensor& out, RunStats& run);
   void run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
-                       const nn::Tensor& input, nn::Tensor& out, Stats& run);
+                       const nn::Tensor& input, nn::Tensor& out,
+                       RunStats& run);
   void run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                         const ConvGeometry& g, const nn::Tensor& input,
-                        nn::Tensor& out, Stats& run);
+                        nn::Tensor& out, RunStats& run);
   /// Runs the node's projection conv stochastically over the saved skip
   /// tensor (saved = proj(saved)); the main-path activation is untouched.
-  void run_skip_project(const LoweredOp& op, std::size_t op_idx, Stats& run);
+  void run_skip_project(const LoweredOp& op, std::size_t op_idx,
+                        RunStats& run);
   /// Stochastic max pooling (MaxPoolMode::kStochastic): each window runs a
   /// tournament of the kernel table's max_stream FSM over streams
   /// regenerated from the activation bank. The modelled circuit is
@@ -223,12 +232,12 @@ class ScNetwork {
   /// invariant across thread counts, exec modes and SIMD levels by
   /// construction.
   void run_max_pool_sc(const LoweredOp& op, const nn::Tensor& input,
-                       nn::Tensor& out, Stats& run);
+                       nn::Tensor& out, RunStats& run);
 
   /// The pool that shards this layer's rows/neurons, or nullptr for
   /// serial execution — when the config asks for it, or when auto mode
   /// (intra_threads == 0) gates a layer whose estimated word-level work
-  /// @p work_words falls below ScConfig::intra_work_threshold: forking
+  /// @p work_words falls below kIntraWorkThreshold (4M): forking
   /// workers costs more than small layers save (the recorded LeNet-small
   /// regression). When the forward already runs on a work-stealing pool
   /// worker (a batch-evaluator image task) this returns THAT pool — the
@@ -245,7 +254,7 @@ class ScNetwork {
   nn::Network* net_;
   ScConfig cfg_;
   std::vector<LoweredOp> ops_;
-  Stats stats_;
+  RunStats stats_;
   /// Per-forward bump allocator: reset at the top of forward_into(), grown
   /// to its high-water mark by the warm-up calls, allocation-free after.
   runtime::ScratchArena arena_;

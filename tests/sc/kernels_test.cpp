@@ -8,7 +8,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "sc/kernels/kernels.hpp"
@@ -21,9 +20,7 @@ namespace {
 /// Every level the host can execute (always includes scalar).
 std::vector<kn::Level> supported_levels() {
   std::vector<kn::Level> out;
-  for (const kn::Level level :
-       {kn::Level::kScalar, kn::Level::kSse42, kn::Level::kAvx2,
-        kn::Level::kNeon}) {
+  for (const kn::Level level : {kn::Level::kScalar, kn::Level::kAvx2}) {
     if (kn::level_supported(level)) {
       out.push_back(level);
     }
@@ -73,13 +70,13 @@ TEST(Kernels, ResolveLevelMapsRequestsWithoutEverSigilling) {
   EXPECT_EQ(kn::resolve_level("native"), best);
   EXPECT_EQ(kn::resolve_level("no-such-isa"), best);
   EXPECT_EQ(kn::resolve_level("scalar"), kn::Level::kScalar);
-  for (const char* name : {"sse42", "avx2", "neon"}) {
-    const kn::Level got = kn::resolve_level(name);
-    // Either the named level (when supported) or the safe best fallback.
-    EXPECT_TRUE(kn::level_supported(got));
-    if (std::string(kn::level_name(got)) != name) {
-      EXPECT_EQ(got, best);
-    }
+  // AVX2 exactly when the CPU has it, otherwise the safe best fallback.
+  EXPECT_EQ(kn::resolve_level("avx2"), kn::level_supported(kn::Level::kAvx2)
+                                           ? kn::Level::kAvx2
+                                           : best);
+  // Retired and never-built levels are unknown names.
+  for (const char* name : {"sse42", "neon", "avx512"}) {
+    EXPECT_EQ(kn::resolve_level(name), best) << name;
   }
 }
 

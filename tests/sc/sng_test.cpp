@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace acoustic::sc {
 namespace {
@@ -17,6 +19,30 @@ TEST(QuantizeUnipolar, EndpointsAndClamping) {
 
 TEST(QuantizeUnipolar, Width32Saturates) {
   EXPECT_EQ(quantize_unipolar(1.0, 32), 0xFFFFFFFFu);
+}
+
+TEST(QuantizeUnipolar, NonFiniteAndDenormalInputs) {
+  // NaN of either sign is a gated (level-0) activation on every platform,
+  // not whatever llround makes of it; +Inf saturates like any value above
+  // 1; -Inf and denormals quantize to 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const unsigned width : {3u, 8u, 16u, 32u}) {
+    const std::uint32_t cap =
+        width >= 32 ? 0xFFFFFFFFu : (std::uint32_t{1} << width);
+    EXPECT_EQ(quantize_unipolar(nan, width), 0u) << width;
+    EXPECT_EQ(quantize_unipolar(std::copysign(nan, -1.0), width), 0u)
+        << width;
+    EXPECT_EQ(quantize_unipolar(inf, width), cap) << width;
+    EXPECT_EQ(quantize_unipolar(-inf, width), 0u) << width;
+    EXPECT_EQ(
+        quantize_unipolar(std::numeric_limits<double>::denorm_min(), width),
+        0u)
+        << width;
+    EXPECT_EQ(
+        quantize_unipolar(std::numeric_limits<float>::denorm_min(), width), 0u)
+        << width;
+  }
 }
 
 TEST(Sng, FullLevelGivesAllOnes) {

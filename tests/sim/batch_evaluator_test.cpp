@@ -122,7 +122,7 @@ TEST(BatchEvaluator, MergedStatsMatchSerialExecutor) {
       ++raw_correct;
     }
   }
-  const ScNetwork::Stats raw_stats = raw.take_stats();
+  const RunStats raw_stats = raw.take_stats();
 
   const auto backend = make_sc_backend(net, small_sc());
   const EvalResult result = BatchEvaluator(3).evaluate(*backend, data);
@@ -171,9 +171,10 @@ TEST(BatchEvaluator, SchedulerStatsArePopulated) {
 
 TEST(BatchEvaluator, NestedIntraImageStealingStaysDeterministic) {
   // The unified-scheduler stress case: image tasks AND per-image row
-  // subtasks share one work-stealing pool (intra_threads = 0 with the
-  // work gate forced open makes every conv/dense layer fork row jobs into
-  // the evaluator's pool), while per-chunk jitter scrambles the schedule.
+  // subtasks share one work-stealing pool (an explicit intra_threads
+  // count skips the auto work gate, so every conv/dense layer forks row
+  // jobs into the evaluator's pool), while per-chunk jitter scrambles the
+  // schedule.
   // Accuracy, per-sample correctness and merged stats must still equal
   // the serial single-thread run exactly.
   const unsigned saved = runtime::ThreadPool::task_jitter_us();
@@ -181,8 +182,7 @@ TEST(BatchEvaluator, NestedIntraImageStealingStaysDeterministic) {
   nn::Network net = make_net();
   const train::Dataset data = make_data(8);
   ScConfig cfg = small_sc();
-  cfg.intra_threads = 0;
-  cfg.intra_work_threshold = 0;  // every layer forks row subtasks
+  cfg.intra_threads = 4;  // every layer forks row subtasks
   const auto backend = make_sc_backend(net, cfg);
   BatchEvaluator serial(1);
   BatchEvaluator wide(4);

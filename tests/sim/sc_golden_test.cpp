@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -72,7 +75,7 @@ void expect_planned_matches_scalar(nn::Network& net, const nn::Tensor& input,
     scalar_cfg.exec = ExecMode::kScalar;
     ScNetwork scalar_exec(net, scalar_cfg);
     const nn::Tensor want = scalar_exec.forward(input);
-    const ScNetwork::Stats want_stats = scalar_exec.take_stats();
+    const RunStats want_stats = scalar_exec.take_stats();
 
     for (const unsigned threads : {1u, 2u, 3u}) {
       ScConfig planned_cfg = base;
@@ -80,7 +83,7 @@ void expect_planned_matches_scalar(nn::Network& net, const nn::Tensor& input,
       planned_cfg.intra_threads = threads;
       ScNetwork planned_exec(net, planned_cfg);
       const nn::Tensor got = planned_exec.forward(input);
-      const ScNetwork::Stats got_stats = planned_exec.take_stats();
+      const RunStats got_stats = planned_exec.take_stats();
 
       const std::string label = "decorrelate=" +
                                 std::to_string(decorrelate) +
@@ -296,6 +299,68 @@ TEST(ScGolden, StochasticMaxPoolDiffersFromExactMax) {
   EXPECT_GT(diffs, 0u);
 }
 
+/// conv -> ReLU -> pool -> dense, the pool a fused average or a max pool.
+nn::Network conv_pool_dense_net(bool max_pool) {
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 3,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(161);
+  net.add<nn::ReLU>();
+  if (max_pool) {
+    net.add<nn::MaxPool2D>(2);
+  } else {
+    net.add<nn::AvgPool2D>(2);
+  }
+  net.add<nn::Dense>(nn::DenseSpec{.in_features = 4 * 4 * 3,
+                                   .out_features = 5,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(163);
+  return net;
+}
+
+TEST(ScGolden, NonFiniteInputsQuantizeLikeTheirClampedValues) {
+  // An input holding NaN of both signs, +-Inf, a denormal and values above
+  // 1. Every executor quantizes NaN and -Inf to level 0 and +Inf to the
+  // full level, so planned == scalar on logits and stats, and the logits
+  // and stats equal those of the same input with NaN and -Inf set to 0 and
+  // +Inf set to 1.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan,  std::copysign(nan, -1.0f),
+                            inf,  -inf,
+                            std::numeric_limits<float>::denorm_min(),
+                            1.5f, 7.0f};
+  nn::Tensor input = random_unit(nn::Shape{8, 8, 2}, 165);
+  for (std::size_t i = 0; i < input.size(); i += 3) {
+    input[i] = specials[(i / 3) % std::size(specials)];
+  }
+  nn::Tensor clamped = input;
+  for (std::size_t i = 0; i < clamped.size(); ++i) {
+    if (std::isnan(clamped[i]) || clamped[i] == -inf) {
+      clamped[i] = 0.0f;
+    } else if (clamped[i] == inf) {
+      clamped[i] = 1.0f;
+    }
+  }
+  for (const bool max_pool : {false, true}) {
+    nn::Network net = conv_pool_dense_net(max_pool);
+    ScConfig cfg = golden_config();
+    cfg.max_pool = max_pool ? MaxPoolMode::kStochastic : MaxPoolMode::kExact;
+    expect_planned_matches_scalar(net, input, cfg);
+    for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kPlanned}) {
+      cfg.exec = exec;
+      const std::string label = "max_pool=" + std::to_string(max_pool) +
+                                " scalar=" +
+                                std::to_string(exec == ExecMode::kScalar);
+      ScNetwork raw(net, cfg);
+      ScNetwork ref(net, cfg);
+      expect_bytes_equal(raw.forward(input), ref.forward(clamped), label);
+      EXPECT_EQ(raw.take_stats(), ref.take_stats()) << label;
+    }
+  }
+}
+
 TEST(ScGolden, Resnet18DescriptorMatchesScalar) {
   // The deepest zoo workload end to end: residual blocks, projection
   // downsamples and batch norm, built from the Table III descriptor at a
@@ -320,7 +385,7 @@ void expect_fallback_matches_scalar(nn::Network& net, const nn::Tensor& input,
   expect_planned_matches_scalar(net, input, cfg);
   ScNetwork planned(net, cfg);
   (void)planned.forward(input);
-  const ScNetwork::Stats stats = planned.take_stats();
+  const RunStats stats = planned.take_stats();
   EXPECT_GT(stats.plan_misses, 0u);
   EXPECT_EQ(stats.plan_hits, 0u);
 }
@@ -574,7 +639,7 @@ std::uint64_t forward_digest(nn::Network& net, const nn::Tensor& input,
                              const ScConfig& cfg) {
   ScNetwork exec(net, cfg);
   const nn::Tensor logits = exec.forward(input);
-  const ScNetwork::Stats stats = exec.take_stats();
+  const RunStats stats = exec.take_stats();
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](const void* data, std::size_t bytes) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -645,14 +710,14 @@ void expect_thread_counts_agree(nn::Network& net, const nn::Tensor& input,
   cfg.intra_threads = 1;
   ScNetwork serial(net, cfg);
   const nn::Tensor want = serial.forward(input);
-  const ScNetwork::Stats want_stats = serial.take_stats();
+  const RunStats want_stats = serial.take_stats();
 
   for (const unsigned threads : {2u, 4u}) {
     ScConfig threaded_cfg = cfg;
     threaded_cfg.intra_threads = threads;
     ScNetwork threaded(net, threaded_cfg);
     const nn::Tensor got = threaded.forward(input);
-    const ScNetwork::Stats got_stats = threaded.take_stats();
+    const RunStats got_stats = threaded.take_stats();
     expect_bytes_equal(got, want, "threads=" + std::to_string(threads));
     EXPECT_EQ(got_stats.product_bits, want_stats.product_bits);
     EXPECT_EQ(got_stats.skipped_operands, want_stats.skipped_operands);
@@ -730,14 +795,14 @@ TEST(ScGolden, JitteredThreadCountsAgreeOnAllStats) {
   cfg.intra_threads = 1;
   ScNetwork serial(net, cfg);
   const nn::Tensor want = serial.forward(input);
-  const ScNetwork::Stats want_stats = serial.take_stats();
+  const RunStats want_stats = serial.take_stats();
 
   for (const unsigned threads : {2u, 4u}) {
     ScConfig threaded_cfg = cfg;
     threaded_cfg.intra_threads = threads;
     ScNetwork threaded(net, threaded_cfg);
     const nn::Tensor got = threaded.forward(input);
-    const ScNetwork::Stats got_stats = threaded.take_stats();
+    const RunStats got_stats = threaded.take_stats();
     expect_bytes_equal(got, want,
                        "jitter threads=" + std::to_string(threads));
     EXPECT_EQ(got_stats.product_bits, want_stats.product_bits);
@@ -759,9 +824,9 @@ TEST(ScGolden, RepeatedForwardIsBitStable) {
   cfg.exec = ExecMode::kPlanned;
   ScNetwork exec(net, cfg);
   const nn::Tensor first = exec.forward(input);
-  const ScNetwork::Stats first_stats = exec.take_stats();
+  const RunStats first_stats = exec.take_stats();
   const nn::Tensor second = exec.forward(input);
-  const ScNetwork::Stats second_stats = exec.take_stats();
+  const RunStats second_stats = exec.take_stats();
 
   expect_bytes_equal(second, first, "repeat");
   // Cache-served plans must still validate against the live weights.
