@@ -23,8 +23,6 @@
 // trajectories exactly like latency ones. Accuracies are deterministic
 // (MAD 0 by construction); comparisons fall back to the relative floor.
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -162,14 +160,9 @@ int print_table(unsigned threads, const std::string& json_path) {
       "(78.04 vs 79.9).\n");
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      throw std::runtime_error("cannot write '" + json_path + "'");
-    }
-    const obs::BenchDocument& doc = bench.document();
-    out << obs::to_json(doc);
-    std::printf("\nwrote %zu accuracy entries to %s\n", doc.entries.size(),
-                json_path.c_str());
+    core::write_text_file(json_path, obs::to_json(bench.document()));
+    std::printf("\nwrote %zu accuracy entries to %s\n",
+                bench.document().entries.size(), json_path.c_str());
   }
   return 0;
 }

@@ -7,11 +7,11 @@
 // published 28nm-scaled points, exactly as the paper reproduced them.
 //
 //   table3_performance_lp [--json PATH]
-// --json writes one machine-readable record per workload (the ACOUSTIC
-// InferenceCost plus each baseline's throughput/efficiency point).
+// --json writes the table as a bench.v1 document: one entry per
+// table3/<network>/<system>/<metric> (see core::record_cost and
+// core::record_point; a baseline that does not publish a workload gets
+// no entry).
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +20,7 @@
 #include "core/accelerator.hpp"
 #include "core/cli.hpp"
 #include "core/report.hpp"
+#include "obs/bench_harness.hpp"
 
 using namespace acoustic;
 
@@ -29,7 +30,8 @@ std::string perf_cell(double value, bool available) {
   return available ? core::format_number(value, 4) : "N/A";
 }
 
-/// Prints Table III; a non-empty @p json_path also gets the JSON records.
+/// Prints Table III; a non-empty @p json_path also gets the bench.v1
+/// document.
 int print_table(const std::string& json_path) {
   std::printf("=== Table III: ACOUSTIC LP vs fixed-point and stochastic "
               "accelerators ===\n\n");
@@ -59,26 +61,17 @@ int print_table(const std::string& json_path) {
 
   core::Table table({"Network", "Metric", "Eyeriss Base", "Eyeriss 1k PEs",
                      "SCOPE", "ACOUSTIC LP"});
-  std::vector<std::string> json_records;
+  obs::Bench bench("table3_performance_lp", obs::BenchOptions::from_env());
   for (const nn::NetworkDesc& net : nn::table3_workloads()) {
     const auto eb = baselines::eyeriss_run(base, net);
     const auto e1k = baselines::eyeriss_run(big, net);
     const auto sc = baselines::scope_run(net);
     const core::InferenceCost cost = lp.run(net);
-    if (!json_path.empty()) {
-      std::string rec = "    {\"network\": \"";
-      rec += core::json_escape(net.name);
-      rec += "\",\n     \"acoustic_lp\": ";
-      rec += core::to_json(cost);
-      rec += ",\n     \"eyeriss_base\": ";
-      rec += core::to_json(eb);
-      rec += ",\n     \"eyeriss_1k\": ";
-      rec += core::to_json(e1k);
-      rec += ",\n     \"scope\": ";
-      rec += core::to_json(sc);
-      rec += "}";
-      json_records.push_back(std::move(rec));
-    }
+    const std::string prefix = "table3/" + core::bench_slug(net.name);
+    core::record_cost(bench, prefix + "/acoustic_lp", cost);
+    core::record_point(bench, prefix + "/eyeriss_base", eb);
+    core::record_point(bench, prefix + "/eyeriss_1k", e1k);
+    core::record_point(bench, prefix + "/scope", sc);
     table.add_row({net.name, "Fr/J",
                    perf_cell(eb.frames_per_j, eb.available),
                    perf_cell(e1k.frames_per_j, e1k.available),
@@ -119,18 +112,9 @@ int print_table(const std::string& json_path) {
   std::printf("(paper abstract: 4 ms / 0.4 mJ per AlexNet image)\n");
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      throw std::runtime_error("cannot write '" + json_path + "'");
-    }
-    out << "{\n  \"bench\": \"table3_performance_lp\",\n"
-           "  \"arch\": \"ACOUSTIC-LP\",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < json_records.size(); ++i) {
-      out << json_records[i] << (i + 1 < json_records.size() ? ",\n" : "\n");
-    }
-    out << "  ]\n}\n";
-    std::printf("\nwrote %zu workload records to %s\n", json_records.size(),
-                json_path.c_str());
+    core::write_text_file(json_path, obs::to_json(bench.document()));
+    std::printf("\nwrote %zu entries to %s\n",
+                bench.document().entries.size(), json_path.c_str());
   }
   return 0;
 }
@@ -145,7 +129,7 @@ int main(int argc, char** argv) {
       "on the zoo workloads.",
       {},
       {core::cli::text("--json", "PATH",
-                       "also write one JSON record per workload to PATH",
+                       "also write the table as a bench.v1 document to PATH",
                        json_path)}};
   return core::cli::run(table,
                         std::vector<std::string>(argv + 1, argv + argc),

@@ -3,11 +3,12 @@
 // CIFAR-10 CNN.
 //
 //   table4_performance_ulp [--json PATH]
-// --json writes one machine-readable record per workload (the ACOUSTIC
-// InferenceCost plus each baseline's throughput/efficiency point).
+// --json writes the table as a bench.v1 document: ACOUSTIC's workload
+// power as table4/acoustic_ulp/power_mw, then one entry per
+// table4/<network>/<system>/<metric> (see core::record_cost and
+// core::record_point; a baseline that does not publish a workload gets
+// no entry).
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/accelerator.hpp"
 #include "core/cli.hpp"
 #include "core/report.hpp"
+#include "obs/bench_harness.hpp"
 
 using namespace acoustic;
 
@@ -24,7 +26,8 @@ std::string cell(double v, bool available, int digits = 4) {
   return available ? core::format_number(v, digits) : "N/A";
 }
 
-/// Prints Table IV; a non-empty @p json_path also gets the JSON records.
+/// Prints Table IV; a non-empty @p json_path also gets the bench.v1
+/// document.
 int print_table(const std::string& json_path) {
   std::printf("=== Table IV: ACOUSTIC ULP vs MDL-CNN and Conv-RAM "
               "(conv layers) ===\n\n");
@@ -96,39 +99,26 @@ int print_table(const std::string& json_path) {
               "accuracy cost for them).\n");
 
   if (!json_path.empty()) {
-    std::vector<std::string> records;
+    obs::Bench bench("table4_performance_ulp",
+                     obs::BenchOptions::from_env());
+    bench.record("table4/acoustic_ulp/power_mw", ulp_power_mw, "mW",
+                 /*lower_is_better=*/true);
     const struct {
-      const char* name;
+      const nn::NetworkDesc& net;
       const core::InferenceCost& cost;
       const baselines::Performance& mdl_run;
       const baselines::Performance& cram_run;
-    } rows[] = {{"LeNet-5 (conv)", lenet_cost, mdl_lenet, cram_lenet},
-                {"CIFAR-10 CNN (conv)", cifar_cost, mdl_cifar, cram_cifar}};
+    } rows[] = {{lenet, lenet_cost, mdl_lenet, cram_lenet},
+                {cifar, cifar_cost, mdl_cifar, cram_cifar}};
     for (const auto& row : rows) {
-      std::string rec = "    {\"network\": \"";
-      rec += core::json_escape(row.name);
-      rec += "\",\n     \"acoustic_ulp\": ";
-      rec += core::to_json(row.cost);
-      rec += ",\n     \"mdl_cnn\": ";
-      rec += core::to_json(row.mdl_run);
-      rec += ",\n     \"conv_ram\": ";
-      rec += core::to_json(row.cram_run);
-      rec += "}";
-      records.push_back(std::move(rec));
+      const std::string prefix = "table4/" + core::bench_slug(row.net.name);
+      core::record_cost(bench, prefix + "/acoustic_ulp", row.cost);
+      core::record_point(bench, prefix + "/mdl_cnn", row.mdl_run);
+      core::record_point(bench, prefix + "/conv_ram", row.cram_run);
     }
-    std::ofstream out(json_path);
-    if (!out) {
-      throw std::runtime_error("cannot write '" + json_path + "'");
-    }
-    out << "{\n  \"bench\": \"table4_performance_ulp\",\n"
-           "  \"arch\": \"ACOUSTIC-ULP\",\n  \"power_mw\": "
-        << core::json_number(ulp_power_mw) << ",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      out << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
-    }
-    out << "  ]\n}\n";
-    std::printf("\nwrote %zu workload records to %s\n", records.size(),
-                json_path.c_str());
+    core::write_text_file(json_path, obs::to_json(bench.document()));
+    std::printf("\nwrote %zu entries to %s\n",
+                bench.document().entries.size(), json_path.c_str());
   }
   return 0;
 }
@@ -143,7 +133,7 @@ int main(int argc, char** argv) {
       "layers of LeNet-5 and the small CIFAR-10 CNN.",
       {},
       {core::cli::text("--json", "PATH",
-                       "also write one JSON record per workload to PATH",
+                       "also write the table as a bench.v1 document to PATH",
                        json_path)}};
   return core::cli::run(table,
                         std::vector<std::string>(argv + 1, argv + argc),

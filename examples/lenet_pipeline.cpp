@@ -11,7 +11,8 @@
 
 #include "core/report.hpp"
 #include "nn/serialize.hpp"
-#include "sim/evaluate.hpp"
+#include "sim/backend.hpp"
+#include "sim/batch_evaluator.hpp"
 #include "train/models.hpp"
 #include "train/trainer.hpp"
 
@@ -38,13 +39,14 @@ int main() {
                  core::format_number(
                      100.0 * train::evaluate_quantized(net, test_set, 8),
                      4)});
+  sim::BatchEvaluator evaluator;
   for (std::size_t len : {64u, 128u, 256u}) {
     sim::ScConfig sc_cfg;
     sc_cfg.stream_length = len;
+    const sim::EvalResult sc =
+        evaluator.evaluate(*sim::make_sc_backend(net, sc_cfg), test_set);
     table.add_row({"stochastic, " + std::to_string(len) + "-bit streams",
-                   core::format_number(
-                       100.0 * sim::evaluate_sc(net, sc_cfg, test_set),
-                       4)});
+                   core::format_number(100.0 * sc.accuracy, 4)});
   }
   std::printf("\n%s\n", table.to_string().c_str());
 

@@ -1,14 +1,21 @@
 #include "core/report.hpp"
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 
 #include "baselines/eyeriss.hpp"
 #include "core/accelerator.hpp"
+#include "obs/bench_harness.hpp"
+#include "obs/json.hpp"
 
 namespace acoustic::core {
+
+using obs::json_escape;
+using obs::json_number;
 
 Table::Table(std::vector<std::string> header) {
   rows_.push_back(std::move(header));
@@ -102,33 +109,60 @@ std::string to_json(const sim::EvalResult& r) {
   return out;
 }
 
-std::string to_json(const InferenceCost& cost) {
-  std::string out = "{\"latency_s\": ";
-  out += json_number(cost.latency_s);
-  out += ", \"frames_per_s\": ";
-  out += json_number(cost.frames_per_s);
-  out += ", \"on_chip_energy_j\": ";
-  out += json_number(cost.on_chip_energy_j);
-  out += ", \"frames_per_j\": ";
-  out += json_number(cost.frames_per_j);
-  out += ", \"dram_energy_j\": ";
-  out += json_number(cost.dram_energy_j);
-  out += ", \"total_cycles\": ";
-  out += json_number(cost.perf.total_cycles);
-  out += ", \"instructions_dispatched\": ";
-  out += json_number(cost.perf.instructions_dispatched);
-  out += ", \"dram_bytes\": ";
-  out += json_number(cost.perf.dram_bytes);
-  out += "}";
+std::string bench_slug(const std::string& name) {
+  std::string out;
+  bool gap = false;
+  for (const char c : name) {
+    const char lower = static_cast<char>(
+        std::tolower(static_cast<unsigned char>(c)));
+    if ((lower >= 'a' && lower <= 'z') || (lower >= '0' && lower <= '9')) {
+      out += lower;
+      gap = false;
+    } else if (!gap) {
+      out += '_';
+      gap = true;
+    }
+  }
   return out;
 }
 
-std::string to_json(const baselines::Performance& point) {
+void record_cost(obs::Bench& bench, const std::string& prefix,
+                 const InferenceCost& cost) {
+  const auto record = [&](const char* metric, double value,
+                          const char* unit, bool lower_is_better) {
+    bench.record(prefix + "/" + metric, value, unit, lower_is_better);
+  };
+  record("frames_per_j", cost.frames_per_j, "frames/J", false);
+  record("frames_per_s", cost.frames_per_s, "frames/s", false);
+  record("latency_s", cost.latency_s, "s", true);
+  record("on_chip_energy_j", cost.on_chip_energy_j, "J", true);
+  record("dram_energy_j", cost.dram_energy_j, "J", true);
+  record("total_cycles", static_cast<double>(cost.perf.total_cycles),
+         "cycles", true);
+  record("instructions_dispatched",
+         static_cast<double>(cost.perf.instructions_dispatched),
+         "instructions", true);
+  record("dram_bytes", static_cast<double>(cost.perf.dram_bytes), "B", true);
+}
+
+void record_point(obs::Bench& bench, const std::string& prefix,
+                  const baselines::Performance& point) {
   if (!point.available) {
-    return "null";
+    return;
   }
-  return "{\"frames_per_j\": " + json_number(point.frames_per_j) +
-         ", \"frames_per_s\": " + json_number(point.frames_per_s) + "}";
+  bench.record(prefix + "/frames_per_j", point.frames_per_j, "frames/J",
+               false);
+  bench.record(prefix + "/frames_per_s", point.frames_per_s, "frames/s",
+               false);
+}
+
+void write_text_file(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary);
+  out << content;
+  out.flush();
+  if (!out) {
+    throw std::runtime_error("cannot write '" + path + "'");
+  }
 }
 
 }  // namespace acoustic::core

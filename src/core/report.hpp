@@ -1,20 +1,20 @@
-// Text-table and JSON formatting for the benchmark harnesses and CLI.
-//
-// The low-level JSON primitives live in obs/json.hpp (obs sits below this
-// library in the link order); core re-exports them so the benches keep one
-// include for "format my results".
+// Text-table and JSON formatting for the benchmark harnesses and CLI: the
+// eval result document and the bench.v1 entries of Tables III and IV. The
+// JSON primitives they print with live in obs/json.hpp.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "sim/batch_evaluator.hpp"
 
 namespace acoustic::baselines {
 struct Performance;  // baselines/eyeriss.hpp
 }  // namespace acoustic::baselines
+
+namespace acoustic::obs {
+class Bench;  // obs/bench_harness.hpp
+}  // namespace acoustic::obs
 
 namespace acoustic::core {
 
@@ -35,32 +35,30 @@ class Table {
 /// Formats @p value with @p digits significant digits ("N/A" for NaN).
 [[nodiscard]] std::string format_number(double value, int digits = 4);
 
-/// Escapes @p text for inclusion inside a JSON string literal (quotes,
-/// backslashes and control characters).
-[[nodiscard]] inline std::string json_escape(const std::string& text) {
-  return obs::json_escape(text);
-}
-
-/// Shortest representation that round-trips a double (NaN/Inf -> null).
-[[nodiscard]] inline std::string json_number(double value) {
-  return obs::json_number(value);
-}
-[[nodiscard]] inline std::string json_number(std::uint64_t value) {
-  return obs::json_number(value);
-}
-
 /// Serializes one dataset-evaluation result as a pretty-printed JSON
 /// object (stable key order; numbers round-trip at full precision).
 [[nodiscard]] std::string to_json(const sim::EvalResult& result);
 
 struct InferenceCost;  // core/accelerator.hpp
 
-/// Serializes one performance+energy evaluation as a compact single-line
-/// JSON object, for embedding in the bench harnesses' --json documents.
-[[nodiscard]] std::string to_json(const InferenceCost& cost);
+/// @p name lower-cased, each run of other than [a-z0-9] replaced by one
+/// '_' ("VGG-16" -> "vgg_16"): the network part of a table entry name.
+[[nodiscard]] std::string bench_slug(const std::string& name);
 
-/// One baseline accelerator's throughput/efficiency point as a compact
-/// JSON object, or null when the baseline does not publish the workload.
-[[nodiscard]] std::string to_json(const baselines::Performance& point);
+/// Records one ACOUSTIC performance+energy evaluation as bench.v1 entries
+/// "<prefix>/<metric>": frames_per_j and frames_per_s (higher is better),
+/// then latency_s, on_chip_energy_j, dram_energy_j, total_cycles,
+/// instructions_dispatched and dram_bytes (lower is better).
+void record_cost(obs::Bench& bench, const std::string& prefix,
+                 const InferenceCost& cost);
+
+/// Records a baseline accelerator's frames_per_j and frames_per_s under
+/// "<prefix>/" (higher is better); nothing when the baseline does not
+/// publish the workload.
+void record_point(obs::Bench& bench, const std::string& prefix,
+                  const baselines::Performance& point);
+
+/// Writes @p content to @p path; throws std::runtime_error on failure.
+void write_text_file(const std::string& path, const std::string& content);
 
 }  // namespace acoustic::core

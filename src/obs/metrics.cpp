@@ -1,8 +1,6 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <set>
-#include <stdexcept>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -59,36 +57,9 @@ std::string prometheus_escape_label(const std::string& text) {
   return out;
 }
 
-Registry::Registry(const Registry& other) {
-  std::lock_guard lock(other.mutex_);
-  counters_ = other.counters_;
-  gauges_ = other.gauges_;
-  histograms_ = other.histograms_;
-  descriptions_ = other.descriptions_;
-}
-
-Registry& Registry::operator=(const Registry& other) {
-  if (this == &other) {
-    return *this;
-  }
-  // Lock both sides in a stable order to make self-assignment chains safe.
-  std::scoped_lock lock(mutex_, other.mutex_);
-  counters_ = other.counters_;
-  gauges_ = other.gauges_;
-  histograms_ = other.histograms_;
-  descriptions_ = other.descriptions_;
-  return *this;
-}
-
 void Registry::describe(const std::string& name, std::string help) {
   std::lock_guard lock(mutex_);
   descriptions_[name] = std::move(help);
-}
-
-std::string Registry::description(const std::string& name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = descriptions_.find(name);
-  return it == descriptions_.end() ? std::string() : it->second;
 }
 
 void Registry::add(const std::string& name, std::uint64_t delta) {
@@ -113,113 +84,6 @@ double Registry::gauge(const std::string& name) const {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-void Registry::declare_histogram(const std::string& name,
-                                 std::vector<double> edges) {
-  if (edges.empty()) {
-    throw std::invalid_argument("Registry: histogram '" + name +
-                                "' needs at least one bucket edge");
-  }
-  if (!std::is_sorted(edges.begin(), edges.end()) ||
-      std::adjacent_find(edges.begin(), edges.end()) != edges.end()) {
-    throw std::invalid_argument("Registry: histogram '" + name +
-                                "' edges must be strictly ascending");
-  }
-  std::lock_guard lock(mutex_);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    if (it->second.edges != edges) {
-      throw std::invalid_argument("Registry: histogram '" + name +
-                                  "' re-declared with different edges");
-    }
-    return;
-  }
-  HistogramSnapshot h;
-  h.buckets.assign(edges.size() + 1, 0);
-  h.edges = std::move(edges);
-  histograms_.emplace(name, std::move(h));
-}
-
-void Registry::observe(const std::string& name, double value) {
-  std::lock_guard lock(mutex_);
-  const auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    throw std::invalid_argument("Registry: observe on undeclared histogram '" +
-                                name + "'");
-  }
-  HistogramSnapshot& h = it->second;
-  // First bucket whose upper edge admits the value ("le" semantics);
-  // values past the last edge land in the overflow bucket.
-  const auto edge =
-      std::lower_bound(h.edges.begin(), h.edges.end(), value);
-  ++h.buckets[static_cast<std::size_t>(edge - h.edges.begin())];
-  ++h.count;
-  h.sum += value;
-}
-
-HistogramSnapshot Registry::histogram(const std::string& name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    throw std::invalid_argument("Registry: unknown histogram '" + name + "'");
-  }
-  return it->second;
-}
-
-void Registry::merge(const Registry& other) {
-  // Copy the source under its own lock first; merging a registry into
-  // itself then degenerates to doubling, which is at least well-defined.
-  const auto counters = other.counters();
-  const auto gauges = other.gauges();
-  const auto histograms = other.histograms();
-  const auto descriptions = other.descriptions();
-
-  std::lock_guard lock(mutex_);
-  for (const auto& [name, help] : descriptions) {
-    descriptions_.emplace(name, help);  // first writer wins
-  }
-  for (const auto& [name, value] : counters) {
-    counters_[name] += value;
-  }
-  for (const auto& [name, value] : gauges) {
-    const auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-      gauges_.emplace(name, value);
-    } else {
-      it->second = std::max(it->second, value);
-    }
-  }
-  for (const auto& [name, theirs] : histograms) {
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, theirs);
-      continue;
-    }
-    HistogramSnapshot& ours = it->second;
-    if (ours.edges != theirs.edges) {
-      throw std::invalid_argument("Registry: merge of histogram '" + name +
-                                  "' with mismatched edges");
-    }
-    for (std::size_t i = 0; i < ours.buckets.size(); ++i) {
-      ours.buckets[i] += theirs.buckets[i];
-    }
-    ours.count += theirs.count;
-    ours.sum += theirs.sum;
-  }
-}
-
-void Registry::clear() {
-  std::lock_guard lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  descriptions_.clear();
-}
-
-bool Registry::empty() const {
-  std::lock_guard lock(mutex_);
-  return counters_.empty() && gauges_.empty() && histograms_.empty();
-}
-
 std::map<std::string, std::uint64_t> Registry::counters() const {
   std::lock_guard lock(mutex_);
   return counters_;
@@ -230,80 +94,40 @@ std::map<std::string, double> Registry::gauges() const {
   return gauges_;
 }
 
-std::map<std::string, HistogramSnapshot> Registry::histograms() const {
-  std::lock_guard lock(mutex_);
-  return histograms_;
-}
-
-std::map<std::string, std::string> Registry::descriptions() const {
-  std::lock_guard lock(mutex_);
-  return descriptions_;
-}
-
 std::string Registry::to_json(int indent) const {
-  const auto counters = this->counters();
-  const auto gauges = this->gauges();
-  const auto histograms = this->histograms();
-
+  std::lock_guard lock(mutex_);
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   const std::string p1 = pad + "  ";
   const std::string p2 = pad + "    ";
-  const std::string p3 = pad + "      ";
 
   std::string out = "{\n";
-  out += p1 + "\"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "\n" : ",\n";
-    out += p2 + "\"" + json_escape(name) + "\": " + json_number(value);
-    first = false;
-  }
-  out += counters.empty() ? std::string("},\n") : "\n" + p1 + "},\n";
-
-  out += p1 + "\"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "\n" : ",\n";
-    out += p2 + "\"" + json_escape(name) + "\": " + json_number(value);
-    first = false;
-  }
-  out += gauges.empty() ? std::string("},\n") : "\n" + p1 + "},\n";
-
-  out += p1 + "\"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    out += first ? "\n" : ",\n";
-    out += p2 + "\"" + json_escape(name) + "\": {\n";
-    out += p3 + "\"edges\": [";
-    for (std::size_t i = 0; i < h.edges.size(); ++i) {
-      out += (i != 0U ? ", " : "") + json_number(h.edges[i]);
+  const auto append_section = [&](const char* key, const auto& metrics) {
+    out += p1;
+    out += '"';
+    out += key;
+    out += "\": {";
+    bool first = true;
+    for (const auto& [name, value] : metrics) {
+      out += first ? "\n" : ",\n";
+      out += p2 + "\"" + json_escape(name) + "\": " + json_number(value);
+      first = false;
     }
-    out += "],\n";
-    out += p3 + "\"buckets\": [";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      out += (i != 0U ? ", " : "") + json_number(h.buckets[i]);
-    }
-    out += "],\n";
-    out += p3 + "\"count\": " + json_number(h.count) + ",\n";
-    out += p3 + "\"sum\": " + json_number(h.sum) + "\n";
-    out += p2 + "}";
-    first = false;
-  }
-  out += histograms.empty() ? std::string("}\n") : "\n" + p1 + "}\n";
-  out += pad + "}";
+    out += metrics.empty() ? std::string("}") : "\n" + p1 + "}";
+  };
+  append_section("counters", counters_);
+  out += ",\n";
+  append_section("gauges", gauges_);
+  out += "\n" + pad + "}";
   return out;
 }
 
 std::string Registry::to_prometheus() const {
-  const auto counters = this->counters();
-  const auto gauges = this->gauges();
-  const auto histograms = this->histograms();
-  const auto descriptions = this->descriptions();
+  std::lock_guard lock(mutex_);
 
   // Group registry names by sanitized family name (sorted maps in, sorted
   // groups out — the exposition is deterministic). Within a group the
-  // members are told apart by a name label; a family name that an earlier
-  // kind already claimed gets a kind suffix — the format forbids two
+  // members are told apart by a name label; a gauge family name the
+  // counters already claimed gets a kind suffix — the format forbids two
   // # TYPE lines for one metric name.
   std::set<std::string> claimed;
   const auto claim = [&claimed](std::string family, const char* suffix) {
@@ -317,12 +141,11 @@ std::string Registry::to_prometheus() const {
     return family;
   };
   std::string out;
-  const auto help = [&out, &descriptions](const std::string& family,
-                                          const std::vector<std::string>&
-                                              members) {
+  const auto help = [this, &out](const std::string& family,
+                                const std::vector<std::string>& members) {
     for (const std::string& member : members) {
-      const auto it = descriptions.find(member);
-      if (it != descriptions.end() && !it->second.empty()) {
+      const auto it = descriptions_.find(member);
+      if (it != descriptions_.end() && !it->second.empty()) {
         out += "# HELP ";
         out += family;
         out += ' ';
@@ -356,77 +179,24 @@ std::string Registry::to_prometheus() const {
     out += '\n';
   };
 
-  for (const auto& [san, members] : group_by_family(counters)) {
-    const std::string family = claim(san, "_counter");
-    help(family, members);
-    out += "# TYPE ";
-    out += family;
-    out += " counter\n";
-    for (const std::string& member : members) {
-      append_sample(family, members.size() > 1, member,
-                    json_number(counters.at(member)));
-    }
-  }
-  for (const auto& [san, members] : group_by_family(gauges)) {
-    const std::string family = claim(san, "_gauge");
-    help(family, members);
-    out += "# TYPE ";
-    out += family;
-    out += " gauge\n";
-    for (const std::string& member : members) {
-      append_sample(family, members.size() > 1, member,
-                    json_number(gauges.at(member)));
-    }
-  }
-  for (const auto& [san, members] : group_by_family(histograms)) {
-    const std::string family = claim(san, "_histogram");
-    help(family, members);
-    out += "# TYPE ";
-    out += family;
-    out += " histogram\n";
-    for (const std::string& member : members) {
-      const HistogramSnapshot& h = histograms.at(member);
-      std::string name_label;
-      std::string bare_label;
-      if (members.size() > 1) {
-        name_label += "name=\"";
-        name_label += prometheus_escape_label(member);
-        name_label += "\",";
-        bare_label += "{name=\"";
-        bare_label += prometheus_escape_label(member);
-        bare_label += "\"}";
-      }
-      const auto append_bucket = [&](const std::string& le,
-                                     std::uint64_t value) {
-        out += family;
-        out += "_bucket{";
-        out += name_label;
-        out += "le=\"";
-        out += le;
-        out += "\"} ";
-        out += json_number(value);
-        out += '\n';
-      };
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < h.edges.size(); ++i) {
-        cumulative += h.buckets[i];
-        append_bucket(json_number(h.edges[i]), cumulative);
-      }
-      append_bucket("+Inf", h.count);
+  const auto append_families = [&](const auto& metrics, const char* type,
+                                    const char* suffix) {
+    for (const auto& [san, members] : group_by_family(metrics)) {
+      const std::string family = claim(san, suffix);
+      help(family, members);
+      out += "# TYPE ";
       out += family;
-      out += "_sum";
-      out += bare_label;
       out += ' ';
-      out += json_number(h.sum);
+      out += type;
       out += '\n';
-      out += family;
-      out += "_count";
-      out += bare_label;
-      out += ' ';
-      out += json_number(h.count);
-      out += '\n';
+      for (const std::string& member : members) {
+        append_sample(family, members.size() > 1, member,
+                      json_number(metrics.at(member)));
+      }
     }
-  }
+  };
+  append_families(counters_, "counter", "_counter");
+  append_families(gauges_, "gauge", "_gauge");
   return out;
 }
 

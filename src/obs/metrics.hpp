@@ -1,22 +1,16 @@
 // Metrics registry: the one place every simulator counter ends up.
 //
-// Three metric kinds, mirroring the Prometheus data model the text
+// Two metric kinds, mirroring the Prometheus data model the text
 // exporter targets:
-//   * counters    — monotonically accumulated unsigned integers (product
-//                   bits, DRAM bytes, instructions retired, ...);
-//   * gauges      — last-written doubles (accuracy, area, peak power, ...);
-//   * histograms  — fixed-bucket distributions with caller-declared upper
-//                   edges (Prometheus "le" semantics: a value lands in the
-//                   first bucket whose edge is >= value; one implicit
-//                   overflow bucket past the last edge).
+//   * counters — monotonically accumulated unsigned integers (product
+//                bits, DRAM bytes, instructions retired, ...);
+//   * gauges   — last-written doubles (accuracy, area, peak power, ...).
 //
-// Concurrency / determinism contract: every mutator is thread-safe behind
-// one mutex, but the intended high-throughput pattern is the same sharding
-// scheme sim::BatchEvaluator uses for RunStats — give each worker its own
-// Registry and merge() the shards afterwards. merge() is commutative and
-// associative for counters and histograms (sums) and order-insensitive for
-// gauges (element-wise max), so an N-shard merge is bit-identical to
-// single-threaded accumulation no matter which worker observed what.
+// Every member locks one mutex, so an export reads a consistent snapshot.
+// Each producer (sim::export_metrics, perf/energy/obs export_metrics, the
+// CLI's layer.* counters) fills one registry after its run; parallel
+// evaluation merges its per-worker RunStats first and exports the sum, so
+// registries never merge.
 //
 // Exporters: to_json() (pretty, stable sorted key order — the document
 // `acoustic eval --metrics --json` embeds) and to_prometheus() (text
@@ -26,35 +20,20 @@
 // namespacing makes this easy — "a.b" and "a_b" collide), the exporter
 // emits ONE # TYPE family and distinguishes the members with a
 // name="<original>" label instead of emitting duplicate metric families,
-// which scrapers reject. Cross-kind collisions (a counter and a gauge
-// sanitizing identically) get a kind suffix. describe() attaches # HELP
-// text (escaped per the exposition format: backslash and newline).
+// which scrapers reject. A gauge whose name sanitizes like a counter's
+// gets a kind suffix. describe() attaches # HELP text (escaped per the
+// exposition format: backslash and newline).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace acoustic::obs {
 
-/// Point-in-time copy of one histogram.
-struct HistogramSnapshot {
-  std::vector<double> edges;            ///< ascending upper bounds
-  std::vector<std::uint64_t> buckets;   ///< edges.size() + 1 (overflow last)
-  std::uint64_t count = 0;              ///< total observations
-  double sum = 0.0;                     ///< sum of observed values
-
-  bool operator==(const HistogramSnapshot&) const = default;
-};
-
 class Registry {
  public:
-  Registry() = default;
-  Registry(const Registry& other);
-  Registry& operator=(const Registry& other);
-
   // --- counters ---
   void add(const std::string& name, std::uint64_t delta = 1);
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
@@ -63,54 +42,31 @@ class Registry {
   void set(const std::string& name, double value);
   [[nodiscard]] double gauge(const std::string& name) const;
 
-  // --- histograms ---
-  /// Declares @p name with ascending bucket upper @p edges. Re-declaring
-  /// with identical edges is a no-op; mismatched edges or an empty /
-  /// non-ascending edge list throw std::invalid_argument.
-  void declare_histogram(const std::string& name, std::vector<double> edges);
-  /// Records @p value; throws std::invalid_argument if undeclared.
-  void observe(const std::string& name, double value);
-  [[nodiscard]] HistogramSnapshot histogram(const std::string& name) const;
-
   // --- descriptions ---
-  /// Attaches Prometheus # HELP text to @p name (any kind, set before or
-  /// after the metric exists). Re-describing overwrites. Descriptions are
-  /// exposition-only: to_json() ignores them, keeping the JSON document's
-  /// byte-identical determinism contract untouched.
+  /// Attaches Prometheus # HELP text to @p name (either kind, set before
+  /// or after the metric exists). Re-describing overwrites. Descriptions
+  /// are exposition-only: to_json() ignores them, keeping the JSON
+  /// document's byte-identical determinism contract untouched.
   void describe(const std::string& name, std::string help);
-  [[nodiscard]] std::string description(const std::string& name) const;
 
-  /// Folds @p other in: counters and histogram buckets add, gauges take
-  /// the element-wise max (the only order-insensitive choice), histograms
-  /// present in both must have identical edges. Descriptions merge
-  /// first-writer-wins (ours kept on conflict).
-  void merge(const Registry& other);
-
-  void clear();
-  [[nodiscard]] bool empty() const;
-
-  // Snapshot views for exporters and tests (copies, already sorted —
-  // std::map iteration order).
+  // Snapshot views (copies, already sorted — std::map iteration order).
   [[nodiscard]] std::map<std::string, std::uint64_t> counters() const;
   [[nodiscard]] std::map<std::string, double> gauges() const;
-  [[nodiscard]] std::map<std::string, HistogramSnapshot> histograms() const;
-  [[nodiscard]] std::map<std::string, std::string> descriptions() const;
 
-  /// Pretty JSON object {"counters": {...}, "gauges": {...},
-  /// "histograms": {...}}, keys sorted, indented by @p indent spaces.
+  /// Pretty JSON object {"counters": {...}, "gauges": {...}}, keys
+  /// sorted, indented by @p indent spaces.
   [[nodiscard]] std::string to_json(int indent = 0) const;
 
   /// Prometheus text exposition format: # HELP (when described) and
-  /// # TYPE lines per family, cumulative histogram buckets with le
-  /// labels, +Inf bucket, _sum and _count; sanitized names, collision
-  /// groups disambiguated with a name label (see the header comment).
+  /// # TYPE lines per family, one sample line per metric; sanitized names,
+  /// collision groups disambiguated with a name label (see the header
+  /// comment).
   [[nodiscard]] std::string to_prometheus() const;
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, HistogramSnapshot> histograms_;
   std::map<std::string, std::string> descriptions_;
 };
 

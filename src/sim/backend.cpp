@@ -19,14 +19,12 @@ std::string kind_tag(nn::Layer::Kind kind) {
   }
 }
 
+/// Layers that own streamed weights, skip projections included: the
+/// layers_run ScNetwork counts per image.
 std::uint64_t count_weighted_layers(nn::Network& net) {
   std::uint64_t weighted = 0;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    const nn::Layer::Kind kind = net.layer(i).kind();
-    if (kind == nn::Layer::Kind::kConv2D ||
-        kind == nn::Layer::Kind::kDense) {
-      ++weighted;
-    }
+    weighted += nn::is_weighted(net.layer(i).kind()) ? 1 : 0;
   }
   return weighted;
 }

@@ -7,128 +7,68 @@
 
 namespace acoustic::sim {
 
-namespace {
-
-void lower_conv(LowerCtx& ctx) {
-  auto* conv = static_cast<nn::Conv2D*>(ctx.peek());
-  LoweredOp op;
-  op.kind = nn::OpKind::kConv2D;
-  op.layer = conv;
-  op.conv = conv;
-  ++ctx.i;
-  if (ctx.opt->fold_batch_norm) {
-    nn::Layer* next = ctx.peek();
-    if (next != nullptr && next->kind() == nn::OpKind::kBatchNorm) {
-      op.bn = static_cast<nn::BatchNorm*>(next);
-      ++ctx.i;
-    }
-  }
-  if (ctx.opt->fuse_avg_pool) {
-    nn::Layer* next = ctx.peek();
-    if (next != nullptr && next->kind() == nn::OpKind::kAvgPool2D) {
-      op.fused_pool = static_cast<nn::AvgPool2D*>(next);
-      ++ctx.i;
-    }
-  }
-  ctx.ops->push_back(std::move(op));
-}
-
-void lower_dense(LowerCtx& ctx) {
-  auto* dense = static_cast<nn::Dense*>(ctx.peek());
-  LoweredOp op;
-  op.kind = nn::OpKind::kDense;
-  op.layer = dense;
-  op.dense = dense;
-  ++ctx.i;
-  ctx.ops->push_back(std::move(op));
-}
-
-void lower_max_pool(LowerCtx& ctx) {
-  auto* pool = static_cast<nn::MaxPool2D*>(ctx.peek());
-  LoweredOp op;
-  op.kind = nn::OpKind::kMaxPool2D;
-  op.layer = pool;
-  op.max_pool = pool;
-  ++ctx.i;
-  ctx.ops->push_back(std::move(op));
-}
-
-void lower_skip_save(LowerCtx& ctx) {
-  auto* save = static_cast<nn::SkipSave*>(ctx.peek());
-  LoweredOp op;
-  op.kind = nn::OpKind::kSkipSave;
-  op.layer = save;
-  op.skip = save->state().get();
-  ++ctx.i;
-  ctx.ops->push_back(std::move(op));
-}
-
-void lower_skip_add(LowerCtx& ctx) {
-  auto* add = static_cast<nn::SkipAdd*>(ctx.peek());
-  LoweredOp op;
-  op.kind = nn::OpKind::kSkipAdd;
-  op.layer = add;
-  op.skip = add->state().get();
-  ++ctx.i;
-  ctx.ops->push_back(std::move(op));
-}
-
-void lower_skip_project(LowerCtx& ctx) {
-  auto* proj = static_cast<nn::SkipProject*>(ctx.peek());
-  LoweredOp op;
-  op.kind = nn::OpKind::kSkipProject;
-  op.layer = proj;
-  op.conv = &proj->conv();
-  op.skip = proj->state().get();
-  ++ctx.i;
-  ctx.ops->push_back(std::move(op));
-}
-
-/// Binary-domain layers attach to the previous node; they run after its
-/// stochastic body in plain float arithmetic.
-void lower_binary(LowerCtx& ctx) {
-  if (ctx.ops->empty()) {
-    throw std::invalid_argument(
-        std::string(ctx.who) + ": binary-domain layer " + ctx.peek()->name() +
-        " lowers by attaching to the preceding graph node; the network must "
-        "start with a layer that opens one (conv, dense, max pool, or a skip "
-        "save/projection)");
-  }
-  ctx.ops->back().post_ops.push_back(ctx.peek());
-  ++ctx.i;
-}
-
-}  // namespace
-
-LowerHook lowering_hook(nn::OpKind kind) noexcept {
-  switch (kind) {
-    case nn::OpKind::kConv2D:
-      return &lower_conv;
-    case nn::OpKind::kDense:
-      return &lower_dense;
-    case nn::OpKind::kMaxPool2D:
-      return &lower_max_pool;
-    case nn::OpKind::kSkipSave:
-      return &lower_skip_save;
-    case nn::OpKind::kSkipAdd:
-      return &lower_skip_add;
-    case nn::OpKind::kSkipProject:
-      return &lower_skip_project;
-    case nn::OpKind::kAvgPool2D:
-    case nn::OpKind::kBatchNorm:
-    case nn::OpKind::kReLU:
-    case nn::OpKind::kOrSaturation:
-      return &lower_binary;
-  }
-  return &lower_binary;  // unreachable: the switch is total
-}
-
 std::vector<LoweredOp> lower_graph(nn::Network& net, const LowerOptions& opt,
                                    const char* who) {
   std::vector<LoweredOp> ops;
-  LowerCtx ctx{&net, &opt, who, &ops};
-  while (ctx.i < net.layer_count()) {
-    lowering_hook(net.layer(ctx.i).kind())(ctx);
+  std::size_t i = 0;
+  // Consumes and returns the next layer when @p enabled and it is a
+  // @p kind; nullptr otherwise.
+  const auto absorb = [&net, &i](bool enabled,
+                                 nn::OpKind kind) -> nn::Layer* {
+    if (!enabled || i == net.layer_count() || net.layer(i).kind() != kind) {
+      return nullptr;
+    }
+    return &net.layer(i++);
+  };
+  while (i < net.layer_count()) {
+    nn::Layer& layer = net.layer(i++);
+    LoweredOp op;
+    op.kind = layer.kind();
+    op.layer = &layer;
+    // No default: -Wswitch keeps the lowering total over nn::OpKind.
+    switch (layer.kind()) {
+      case nn::OpKind::kConv2D:
+        op.conv = static_cast<nn::Conv2D*>(&layer);
+        op.bn = static_cast<nn::BatchNorm*>(
+            absorb(opt.fold_batch_norm, nn::OpKind::kBatchNorm));
+        op.fused_pool = static_cast<nn::AvgPool2D*>(
+            absorb(opt.fuse_avg_pool, nn::OpKind::kAvgPool2D));
+        break;
+      case nn::OpKind::kDense:
+        op.dense = static_cast<nn::Dense*>(&layer);
+        break;
+      case nn::OpKind::kMaxPool2D:
+        op.max_pool = static_cast<nn::MaxPool2D*>(&layer);
+        break;
+      case nn::OpKind::kSkipSave:
+        op.skip = static_cast<nn::SkipSave&>(layer).state().get();
+        break;
+      case nn::OpKind::kSkipAdd:
+        op.skip = static_cast<nn::SkipAdd&>(layer).state().get();
+        break;
+      case nn::OpKind::kSkipProject: {
+        auto& proj = static_cast<nn::SkipProject&>(layer);
+        op.conv = &proj.conv();
+        op.skip = proj.state().get();
+        break;
+      }
+      // Binary-domain layers attach to the previous node; they run after
+      // its stochastic body in plain float arithmetic.
+      case nn::OpKind::kAvgPool2D:
+      case nn::OpKind::kBatchNorm:
+      case nn::OpKind::kReLU:
+      case nn::OpKind::kOrSaturation:
+        if (ops.empty()) {
+          throw std::invalid_argument(
+              std::string(who) + ": binary-domain layer " + layer.name() +
+              " lowers by attaching to the preceding graph node; the "
+              "network must start with a layer that opens one (conv, "
+              "dense, max pool, or a skip save/projection)");
+        }
+        ops.back().post_ops.push_back(&layer);
+        continue;
+    }
+    ops.push_back(std::move(op));
   }
   return ops;
 }

@@ -1,9 +1,10 @@
 // Op-graph lowering for the bit-level executors (DESIGN.md section 15).
 //
 // Both ScNetwork and BipolarNetwork execute a network as a sequence of
-// lowered ops. Lowering walks the layer list once and dispatches each
-// nn::OpKind to a per-op lowering hook; a hook consumes one or more layers
-// and appends LoweredOp nodes:
+// lowered ops. lower_graph walks the layer list once and switches on each
+// layer's nn::OpKind (no default case, so -Wswitch flags a kind the
+// lowering forgets); a case consumes one or more layers and appends at
+// most one LoweredOp node:
 //
 //   - kConv2D opens a weighted node. Under LowerOptions::fold_batch_norm a
 //     BatchNorm directly following the conv is absorbed into the node (its
@@ -22,10 +23,6 @@
 //   - Everything else (ReLU, OrSaturation, an unfused AvgPool2D, an
 //     unfolded BatchNorm) attaches to the previous node's binary-domain
 //     post-op list.
-//
-// The hook registry is exposed (lowering_hook) so tests can assert the
-// dispatch table is total over nn::OpKind and DESIGN.md's contract stays
-// executable documentation.
 //
 // This module is also the one owner of what a weighted node computes:
 // sc_lower_options (the lowering the SC datapath runs), the fused pool's
@@ -87,30 +84,6 @@ struct LowerOptions {
 /// computation skipping, and BatchNorm always folds (the scalar oracle
 /// quantizes the same folded weights, so planned == scalar stays exact).
 [[nodiscard]] LowerOptions sc_lower_options(const ScConfig& cfg) noexcept;
-
-/// Cursor state a lowering hook advances: the hook for net.layer(i)'s kind
-/// consumes at least that layer (++i) and may look ahead to absorb more.
-struct LowerCtx {
-  nn::Network* net;
-  const LowerOptions* opt;
-  const char* who;
-  std::vector<LoweredOp>* ops;
-  std::size_t i = 0;
-
-  /// Layer @p ahead positions past the cursor, or nullptr past the end.
-  [[nodiscard]] nn::Layer* peek(std::size_t ahead = 0) const {
-    const std::size_t j = i + ahead;
-    return j < net->layer_count() ? &net->layer(j) : nullptr;
-  }
-};
-
-/// A hook lowers the layer at ctx.i (whose kind() selected it) and leaves
-/// ctx.i on the first unconsumed layer.
-using LowerHook = void (*)(LowerCtx& ctx);
-
-/// The registry entry for @p kind. Total over nn::OpKind — every kind has
-/// a hook, which is what "the zoo runs end to end" means structurally.
-[[nodiscard]] LowerHook lowering_hook(nn::OpKind kind) noexcept;
 
 /// Lowers @p net into the executable op graph. Throws
 /// std::invalid_argument (prefixed with @p who) if a binary-domain layer

@@ -3,12 +3,20 @@
 // reduced budget.
 #include <gtest/gtest.h>
 
-#include "sim/evaluate.hpp"
+#include "sim/backend.hpp"
+#include "sim/batch_evaluator.hpp"
 #include "train/models.hpp"
 #include "train/trainer.hpp"
 
 namespace acoustic {
 namespace {
+
+/// Top-1 accuracy of @p net executed bit-level with @p cfg on @p data.
+float sc_accuracy(nn::Network& net, const sim::ScConfig& cfg,
+                  const train::Dataset& data) {
+  sim::BatchEvaluator evaluator(1);
+  return evaluator.evaluate(*sim::make_sc_backend(net, cfg), data).accuracy;
+}
 
 class PipelineTest : public ::testing::Test {
  protected:
@@ -56,7 +64,7 @@ TEST_F(PipelineTest, StochasticExecutionReachesNearFixedPoint) {
   // execution is close to the 8-bit fixed-point baseline.
   sim::ScConfig cfg;
   cfg.stream_length = 256;
-  const float sc_acc = sim::evaluate_sc(*net_, cfg, *test_set_);
+  const float sc_acc = sc_accuracy(*net_, cfg, *test_set_);
   const float q_acc = train::evaluate_quantized(*net_, *test_set_, 8);
   EXPECT_GT(sc_acc, q_acc - 0.10f);
 }
@@ -66,8 +74,8 @@ TEST_F(PipelineTest, LongerStreamsDoNotDegrade) {
   short_cfg.stream_length = 32;
   sim::ScConfig long_cfg;
   long_cfg.stream_length = 512;
-  const float short_acc = sim::evaluate_sc(*net_, short_cfg, *test_set_);
-  const float long_acc = sim::evaluate_sc(*net_, long_cfg, *test_set_);
+  const float short_acc = sc_accuracy(*net_, short_cfg, *test_set_);
+  const float long_acc = sc_accuracy(*net_, long_cfg, *test_set_);
   EXPECT_GE(long_acc + 0.03f, short_acc);
 }
 
@@ -77,8 +85,8 @@ TEST_F(PipelineTest, SkippingPoolingPreservesAccuracy) {
   sim::ScConfig mux;
   mux.stream_length = 256;
   mux.pooling = sim::PoolingMode::kMux;
-  const float skip_acc = sim::evaluate_sc(*net_, skip, *test_set_);
-  const float mux_acc = sim::evaluate_sc(*net_, mux, *test_set_);
+  const float skip_acc = sc_accuracy(*net_, skip, *test_set_);
+  const float mux_acc = sc_accuracy(*net_, mux, *test_set_);
   EXPECT_NEAR(skip_acc, mux_acc, 0.06f);
 }
 

@@ -1,31 +1,22 @@
-// obs::Registry: counter/gauge/histogram semantics, the shard-merge
-// determinism contract under a real thread pool, and both exporters.
+// obs::Registry: counter and gauge semantics and both exporters.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
 #include <set>
-#include <stdexcept>
 #include <string>
-#include <vector>
-
-#include "runtime/thread_pool.hpp"
 
 namespace acoustic {
 namespace {
 
 TEST(Registry, CountersAccumulate) {
   obs::Registry reg;
-  EXPECT_TRUE(reg.empty());
   reg.add("a");
   reg.add("a", 41);
   reg.add("b", 7);
   EXPECT_EQ(reg.counter("a"), 42u);
   EXPECT_EQ(reg.counter("b"), 7u);
   EXPECT_EQ(reg.counter("missing"), 0u);
-  EXPECT_FALSE(reg.empty());
 }
 
 TEST(Registry, GaugesLastWrite) {
@@ -36,148 +27,41 @@ TEST(Registry, GaugesLastWrite) {
   EXPECT_DOUBLE_EQ(reg.gauge("missing"), 0.0);
 }
 
-TEST(Registry, HistogramBucketEdges) {
-  obs::Registry reg;
-  reg.declare_histogram("h", {1.0, 2.0, 4.0});
-
-  // Prometheus le semantics: a value lands in the first bucket whose
-  // upper edge is >= value, so edge values belong to their own bucket.
-  reg.observe("h", 0.5);   // <= 1  -> bucket 0
-  reg.observe("h", 1.0);   // <= 1  -> bucket 0 (boundary)
-  reg.observe("h", 1.001); // <= 2  -> bucket 1
-  reg.observe("h", 2.0);   // <= 2  -> bucket 1 (boundary)
-  reg.observe("h", 4.0);   // <= 4  -> bucket 2 (boundary)
-  reg.observe("h", 4.5);   // > 4   -> overflow
-
-  const obs::HistogramSnapshot snap = reg.histogram("h");
-  ASSERT_EQ(snap.edges.size(), 3u);
-  ASSERT_EQ(snap.buckets.size(), 4u);
-  EXPECT_EQ(snap.buckets[0], 2u);
-  EXPECT_EQ(snap.buckets[1], 2u);
-  EXPECT_EQ(snap.buckets[2], 1u);
-  EXPECT_EQ(snap.buckets[3], 1u);
-  EXPECT_EQ(snap.count, 6u);
-  EXPECT_DOUBLE_EQ(snap.sum, 0.5 + 1.0 + 1.001 + 2.0 + 4.0 + 4.5);
-}
-
-TEST(Registry, HistogramDeclarationRules) {
-  obs::Registry reg;
-  reg.declare_histogram("h", {1.0, 2.0});
-  // Identical re-declaration is a no-op.
-  EXPECT_NO_THROW(reg.declare_histogram("h", {1.0, 2.0}));
-  // Mismatched edges, empty and non-ascending edge lists all throw.
-  EXPECT_THROW(reg.declare_histogram("h", {1.0, 3.0}),
-               std::invalid_argument);
-  EXPECT_THROW(reg.declare_histogram("bad", {}), std::invalid_argument);
-  EXPECT_THROW(reg.declare_histogram("bad", {2.0, 1.0}),
-               std::invalid_argument);
-  // Observing an undeclared histogram throws instead of inventing edges.
-  EXPECT_THROW(reg.observe("nope", 1.0), std::invalid_argument);
-}
-
-TEST(Registry, MergeSemantics) {
-  obs::Registry a;
-  obs::Registry b;
-  a.add("c", 10);
-  b.add("c", 5);
-  b.add("only_b", 1);
-  a.set("g", 2.0);
-  b.set("g", 3.0);  // max wins: the only order-insensitive combine
-  a.declare_histogram("h", {1.0});
-  b.declare_histogram("h", {1.0});
-  a.observe("h", 0.5);
-  b.observe("h", 9.0);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter("c"), 15u);
-  EXPECT_EQ(a.counter("only_b"), 1u);
-  EXPECT_DOUBLE_EQ(a.gauge("g"), 3.0);
-  const obs::HistogramSnapshot h = a.histogram("h");
-  EXPECT_EQ(h.buckets[0], 1u);
-  EXPECT_EQ(h.buckets[1], 1u);
-  EXPECT_EQ(h.count, 2u);
-
-  obs::Registry bad;
-  bad.declare_histogram("h", {2.0});
-  EXPECT_THROW(a.merge(bad), std::invalid_argument);
-}
-
-// The determinism contract: per-worker shards merged after a pool run are
-// bit-identical to single-threaded accumulation, for any thread count and
-// any scheduling, because every observation is order-insensitive (sums,
-// histogram increments, running max — the work-stealing pool makes NO
-// within-worker ordering promise, so a last-wins set() would not qualify)
-// and merge() is commutative/associative.
-TEST(Registry, ShardedMergeMatchesSingleThread) {
-  constexpr std::size_t kItems = 500;
-  const auto observe_item = [](obs::Registry& reg, std::size_t i) {
-    reg.add("items");
-    reg.add("weighted", i % 7);
-    reg.set("max_index",
-            std::max(reg.gauge("max_index"), static_cast<double>(i)));
-    reg.observe("dist", static_cast<double>(i % 10));
-  };
-
-  obs::Registry expected;
-  expected.declare_histogram("dist", {2.0, 5.0, 8.0});
-  for (std::size_t i = 0; i < kItems; ++i) {
-    observe_item(expected, i);
-  }
-
-  for (const unsigned threads : {1u, 4u}) {
-    runtime::ThreadPool pool(threads);
-    std::vector<obs::Registry> shards(pool.size());
-    for (obs::Registry& shard : shards) {
-      shard.declare_histogram("dist", {2.0, 5.0, 8.0});
-    }
-    pool.parallel_for(kItems, [&](std::size_t i, unsigned worker) {
-      observe_item(shards[worker], i);
-    });
-    obs::Registry merged;
-    merged.declare_histogram("dist", {2.0, 5.0, 8.0});
-    for (const obs::Registry& shard : shards) {
-      merged.merge(shard);
-    }
-    EXPECT_EQ(merged.to_json(), expected.to_json())
-        << "threads=" << threads;
-    EXPECT_EQ(merged.to_prometheus(), expected.to_prometheus());
-  }
-}
-
 TEST(Registry, JsonExportShape) {
   obs::Registry reg;
   reg.add("z.counter", 3);
   reg.add("a.counter", 1);
   reg.set("gauge", 0.25);
-  reg.declare_histogram("h", {1.0});
-  reg.observe("h", 0.5);
   const std::string json = reg.to_json();
   // Stable sorted key order inside each section.
   EXPECT_LT(json.find("\"a.counter\""), json.find("\"z.counter\""));
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"gauge\": 0.25"), std::string::npos);
+  // The object holds exactly two members, "counters" then "gauges".
+  EXPECT_EQ(json,
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"a.counter\": 1,\n"
+            "    \"z.counter\": 3\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"gauge\": 0.25\n"
+            "  }\n"
+            "}");
+  // An empty registry keeps both (empty) members.
+  EXPECT_EQ(obs::Registry().to_json(),
+            "{\n  \"counters\": {},\n  \"gauges\": {}\n}");
 }
 
 TEST(Registry, PrometheusExportShape) {
   obs::Registry reg;
   reg.add("sc.product_bits", 9);
   reg.set("eval.accuracy", 0.5);
-  reg.declare_histogram("latency", {1.0, 2.0});
-  reg.observe("latency", 0.5);
-  reg.observe("latency", 5.0);
   const std::string text = reg.to_prometheus();
   // Names sanitized to [a-zA-Z0-9_:], TYPE lines present.
   EXPECT_NE(text.find("# TYPE sc_product_bits counter"), std::string::npos);
   EXPECT_NE(text.find("sc_product_bits 9"), std::string::npos);
   EXPECT_NE(text.find("# TYPE eval_accuracy gauge"), std::string::npos);
-  // Histogram buckets are cumulative and end with +Inf == _count.
-  EXPECT_NE(text.find("latency_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("latency_bucket{le=\"2\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("latency_bucket{le=\"+Inf\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("latency_count 2"), std::string::npos);
-  EXPECT_NE(text.find("latency_sum 5.5"), std::string::npos);
+  EXPECT_NE(text.find("eval_accuracy 0.5"), std::string::npos);
 }
 
 TEST(Registry, PrometheusHelpLines) {
@@ -242,9 +126,6 @@ TEST(Registry, PrometheusExpositionRoundTrip) {
   reg.describe("layer.conv5x5(1->6).calls", "images through the layer");
   reg.set("eval.accuracy", 0.85);
   reg.set("hw.wall_ns", 123456.0);
-  reg.declare_histogram("latency.us", {100.0, 1000.0});
-  reg.observe("latency.us", 50.0);
-  reg.observe("latency.us", 5000.0);
   const std::string text = reg.to_prometheus();
 
   const auto is_name_char = [](char c, bool first) {
@@ -288,8 +169,8 @@ TEST(Registry, PrometheusExpositionRoundTrip) {
     (void)std::stod(value);  // throws (fails the test) on a bad number
     ++samples;
   }
-  // 2 counters + 2 gauges + (3 buckets + sum + count) = 9 sample lines.
-  EXPECT_EQ(samples, 9u);
+  // 2 counters + 2 gauges = 4 sample lines.
+  EXPECT_EQ(samples, 4u);
   EXPECT_FALSE(typed.empty());
 }
 

@@ -10,6 +10,10 @@
 #include <string>
 #include <string_view>
 
+#include "nn/activation.hpp"
+#include "nn/conv.hpp"
+#include "nn/dense.hpp"
+#include "nn/residual.hpp"
 #include "sim/bipolar_network.hpp"
 #include "sim/sc_network.hpp"
 #include "train/dataset.hpp"
@@ -150,6 +154,44 @@ TEST(Backend, TakeStatsResetsScExecutorToo) {
   EXPECT_EQ(second.layers_run, first.layers_run);
   EXPECT_EQ(second.product_bits, first.product_bits);
   EXPECT_EQ(second.skipped_operands, first.skipped_operands);
+}
+
+TEST(Backend, LayersRunAgreesAcrossBackends) {
+  // One projection block: conv, then a skip path whose 1x1 stride-2
+  // projection conv is a weighted layer too, then a dense head — four
+  // weighted layers per image on every backend.
+  nn::Network net;
+  auto state = std::make_shared<nn::SkipState>();
+  auto& stem = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 1, .out_channels = 2, .kernel = 3, .padding = 1,
+      .mode = nn::AccumMode::kOrApprox});
+  net.add<nn::ReLU>();
+  net.add<nn::SkipSave>(state);
+  auto& proj = net.add<nn::SkipProject>(
+      state, nn::ConvSpec{.in_channels = 2, .out_channels = 4, .kernel = 1,
+                          .stride = 2, .mode = nn::AccumMode::kOrApprox});
+  auto& body = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 2, .out_channels = 4, .kernel = 3, .stride = 2,
+      .padding = 1, .mode = nn::AccumMode::kOrApprox});
+  net.add<nn::SkipAdd>(state);
+  net.add<nn::ReLU>();
+  auto& head = net.add<nn::Dense>(nn::DenseSpec{
+      .in_features = 64, .out_features = 3, .mode = nn::AccumMode::kOrApprox});
+  stem.initialize(71);
+  proj.conv().initialize(72);
+  body.initialize(73);
+  head.initialize(74);
+
+  nn::Tensor image(nn::Shape{8, 8, 1});
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<float>(i % 5) / 4.0f;
+  }
+  for (const char* name : {"float", "sc", "bipolar"}) {
+    const auto backend = make_backend(name, net, small_sc());
+    (void)backend->forward(image);
+    (void)backend->forward(image);
+    EXPECT_EQ(backend->stats().layers_run, 8u) << name;
+  }
 }
 
 TEST(Backend, MakeBackendResolvesAllNames) {

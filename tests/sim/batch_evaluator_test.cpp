@@ -9,7 +9,6 @@
 
 #include "runtime/thread_pool.hpp"
 #include "sim/backend.hpp"
-#include "sim/evaluate.hpp"
 #include "sim/sc_network.hpp"
 #include "train/dataset.hpp"
 #include "train/models.hpp"
@@ -49,7 +48,9 @@ TEST(BatchEvaluator, EmptyDatasetThrows) {
 
 TEST(BatchEvaluator, EvaluateScRejectsEmptyDatasetToo) {
   nn::Network net = make_net();
-  EXPECT_THROW((void)evaluate_sc(net, small_sc(), train::Dataset{}),
+  const auto backend = make_sc_backend(net, small_sc());
+  BatchEvaluator evaluator(1);
+  EXPECT_THROW((void)evaluator.evaluate(*backend, train::Dataset{}),
                std::invalid_argument);
 }
 
@@ -131,14 +132,6 @@ TEST(BatchEvaluator, MergedStatsMatchSerialExecutor) {
   EXPECT_EQ(result.stats.layers_run, raw_stats.layers_run);
   EXPECT_EQ(result.stats.product_bits, raw_stats.product_bits);
   EXPECT_EQ(result.stats.skipped_operands, raw_stats.skipped_operands);
-}
-
-TEST(BatchEvaluator, AccuracyMatchesEvaluateSc) {
-  nn::Network net = make_net();
-  const train::Dataset data = make_data(8);
-  const auto backend = make_sc_backend(net, small_sc());
-  const EvalResult result = BatchEvaluator(4).evaluate(*backend, data);
-  EXPECT_EQ(result.accuracy, evaluate_sc(net, small_sc(), data));
 }
 
 TEST(BatchEvaluator, LatencyPercentilesAreOrdered) {

@@ -1,13 +1,15 @@
-// Unit tests for the op-graph lowering pass (DESIGN.md section 15): the
-// hook registry must be total over nn::OpKind, and the lowering contract
-// (fusion, folding, post-op attachment, explicit skip nodes) must hold
-// structurally — independent of any executor.
+// Unit tests for the op-graph lowering pass (DESIGN.md section 15): every
+// nn::OpKind must lower, and the lowering contract (fusion, folding,
+// post-op attachment, explicit skip nodes) must hold structurally —
+// independent of any executor.
 #include "sim/op_graph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
@@ -20,14 +22,92 @@
 namespace acoustic::sim {
 namespace {
 
-TEST(OpGraph, HookRegistryIsTotalOverOpKind) {
-  for (const nn::OpKind kind :
-       {nn::OpKind::kConv2D, nn::OpKind::kDense, nn::OpKind::kAvgPool2D,
-        nn::OpKind::kMaxPool2D, nn::OpKind::kBatchNorm, nn::OpKind::kReLU,
-        nn::OpKind::kOrSaturation, nn::OpKind::kSkipSave,
-        nn::OpKind::kSkipProject, nn::OpKind::kSkipAdd}) {
-    EXPECT_NE(lowering_hook(kind), nullptr) << nn::to_string(kind);
+TEST(OpGraph, EveryOpKindLowers) {
+  // One network holding all ten kinds: a conv followed by every
+  // binary-domain kind, then a projection block, a max pool and a dense.
+  nn::Network net;
+  auto state = std::make_shared<nn::SkipState>();
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 1, .out_channels = 2,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact});
+  net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 2});
+  net.add<nn::AvgPool2D>(2);
+  net.add<nn::ReLU>();
+  net.add<nn::OrSaturation>();
+  net.add<nn::SkipSave>(state);
+  net.add<nn::SkipProject>(
+      state, nn::ConvSpec{.in_channels = 2, .out_channels = 4, .kernel = 1,
+                          .stride = 2, .mode = nn::AccumMode::kOrExact});
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 4,
+                                   .kernel = 3, .stride = 2, .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact});
+  net.add<nn::SkipAdd>(state);
+  net.add<nn::MaxPool2D>(2);
+  net.add<nn::Dense>(nn::DenseSpec{.in_features = 4, .out_features = 3,
+                                   .mode = nn::AccumMode::kOrExact});
+  std::set<nn::OpKind> kinds;
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    kinds.insert(net.layer(i).kind());
   }
+  ASSERT_EQ(kinds.size(), 10u);
+
+  const std::vector<nn::OpKind> node_kinds = {
+      nn::OpKind::kConv2D,  nn::OpKind::kSkipSave, nn::OpKind::kSkipProject,
+      nn::OpKind::kConv2D,  nn::OpKind::kSkipAdd,  nn::OpKind::kMaxPool2D,
+      nn::OpKind::kDense};
+  const auto post_op_kinds = [](const LoweredOp& op) {
+    std::vector<nn::OpKind> out;
+    for (const nn::Layer* layer : op.post_ops) {
+      out.push_back(layer->kind());
+    }
+    return out;
+  };
+  // Node i's defining layer is layer layer_of[i] of the network.
+  const auto expect_nodes = [&](const std::vector<LoweredOp>& ops,
+                                const std::vector<std::size_t>& layer_of) {
+    ASSERT_EQ(ops.size(), node_kinds.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      EXPECT_EQ(ops[i].kind, node_kinds[i]) << "node " << i;
+      EXPECT_EQ(ops[i].layer, &net.layer(layer_of[i])) << "node " << i;
+      EXPECT_EQ(ops[i].weighted(), nn::is_weighted(node_kinds[i]))
+          << "node " << i;
+      if (i > 0) {
+        EXPECT_TRUE(ops[i].post_ops.empty()) << "node " << i;
+      }
+    }
+    EXPECT_EQ(ops[0].conv, &net.layer(0));
+    EXPECT_EQ(ops[2].conv,
+              &static_cast<nn::SkipProject&>(net.layer(6)).conv());
+    EXPECT_EQ(ops[3].conv, &net.layer(7));
+    EXPECT_EQ(ops[5].max_pool, &net.layer(9));
+    EXPECT_EQ(ops[6].dense, &net.layer(10));
+    EXPECT_EQ(ops[1].skip, state.get());
+    EXPECT_EQ(ops[2].skip, state.get());
+    EXPECT_EQ(ops[4].skip, state.get());
+  };
+  const std::vector<std::size_t> layer_of = {0, 5, 6, 7, 8, 9, 10};
+
+  // The SC lowering absorbs the BatchNorm and fuses the pool into the
+  // first conv; only the ReLU and the OR saturation stay post-ops.
+  const std::vector<LoweredOp> sc =
+      lower_graph(net, sc_lower_options(ScConfig{}), "test");
+  expect_nodes(sc, layer_of);
+  EXPECT_EQ(sc[0].bn, &net.layer(1));
+  EXPECT_EQ(sc[0].fused_pool, &net.layer(2));
+  EXPECT_EQ(post_op_kinds(sc[0]),
+            (std::vector<nn::OpKind>{nn::OpKind::kReLU,
+                                     nn::OpKind::kOrSaturation}));
+
+  // Without options all four binary-domain kinds attach as post-ops.
+  const std::vector<LoweredOp> plain =
+      lower_graph(net, LowerOptions{}, "test");
+  expect_nodes(plain, layer_of);
+  EXPECT_EQ(plain[0].bn, nullptr);
+  EXPECT_EQ(plain[0].fused_pool, nullptr);
+  EXPECT_EQ(post_op_kinds(plain[0]),
+            (std::vector<nn::OpKind>{
+                nn::OpKind::kBatchNorm, nn::OpKind::kAvgPool2D,
+                nn::OpKind::kReLU, nn::OpKind::kOrSaturation}));
 }
 
 TEST(OpGraph, ConvAbsorbsBatchNormAndPoolUnderOptions) {

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/evaluate.hpp"
+#include "sim/backend.hpp"
+#include "sim/batch_evaluator.hpp"
 #include "train/models.hpp"
 
 namespace acoustic::train {
@@ -39,12 +40,15 @@ TEST(StreamTune, ImprovesShortStreamAccuracy) {
 
   sim::ScConfig sc;
   sc.stream_length = 16;
-  const float before = sim::evaluate_sc(net, sc, test_set);
+  sim::BatchEvaluator evaluator(1);
+  const float before =
+      evaluator.evaluate(*sim::make_sc_backend(net, sc), test_set).accuracy;
   TrainConfig tune;
   tune.epochs = 2;
   tune.learning_rate = 0.02f;
   (void)fit_stream_aware(net, train_set, tune, sc);
-  const float after = sim::evaluate_sc(net, sc, test_set);
+  const float after =
+      evaluator.evaluate(*sim::make_sc_backend(net, sc), test_set).accuracy;
   EXPECT_GE(after, before - 0.03f);
 }
 

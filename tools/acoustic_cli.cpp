@@ -28,6 +28,7 @@
 #include "isa/assembler.hpp"
 #include "obs/bench_harness.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "perf/timeline.hpp"
@@ -341,22 +342,12 @@ struct EvalOptions {
   std::string trace_json;   ///< Chrome trace-event output path ("" = off)
 };
 
-/// Writes @p content to @p path; throws std::runtime_error on failure.
-void write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("cannot write '" + path + "'");
-  }
-}
-
 /// Writes a Chrome trace to @p path and reports it on stdout, or on stderr
 /// when stdout carries a machine-readable document; warns when @p dropped
 /// records of @p unit fell past the recording cap.
 void write_trace(const obs::ChromeTraceWriter& writer, const std::string& path,
                  bool quiet, std::uint64_t dropped, const char* unit) {
-  write_text_file(path, writer.to_string());
+  core::write_text_file(path, writer.to_string());
   std::fprintf(quiet ? stderr : stdout, "trace: wrote %zu event(s) to %s\n",
                writer.event_count(), path.c_str());
   if (dropped > 0) {
@@ -388,8 +379,7 @@ void print_scheduler(std::FILE* out, const char* label,
                sched.occupancy(), sched.busy_peak, sched.workers);
 }
 
-/// Counters + gauges of @p registry as an aligned two-column table
-/// (histograms are a JSON/Prometheus-only feature for now).
+/// Counters + gauges of @p registry as an aligned two-column table.
 core::Table metrics_table(const obs::Registry& registry) {
   core::Table table({"metric", "value"});
   for (const auto& [name, value] : registry.counters()) {
@@ -998,7 +988,7 @@ int run_bench(const BenchCliOptions& opt) {
   std::printf("%s", table.to_string().c_str());
 
   if (!opt.json_path.empty()) {
-    write_text_file(opt.json_path, obs::to_json(doc));
+    core::write_text_file(opt.json_path, obs::to_json(doc));
     std::printf("\nwrote %s\n", opt.json_path.c_str());
   }
 
