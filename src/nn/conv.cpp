@@ -1,18 +1,19 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "sc/rng.hpp"
 
 namespace acoustic::nn {
 
 namespace {
-constexpr float kProdEps = 1e-6f;
-}
 
-namespace {
+constexpr float kProdEps = 1e-6f;
+
 const ConvSpec& validate(const ConvSpec& spec) {
   if (spec.in_channels <= 0 || spec.out_channels <= 0 || spec.kernel <= 0 ||
       spec.stride <= 0 || spec.padding < 0 || spec.groups <= 0) {
@@ -25,6 +26,118 @@ const ConvSpec& validate(const ConvSpec& spec) {
   }
   return spec;
 }
+
+/// Calls @p body with @p mode as a compile-time constant, so the product
+/// loops test the mode once per call rather than once per product.
+template <class Body>
+void with_mode(AccumMode mode, Body&& body) {
+  switch (mode) {
+    case AccumMode::kSum:
+      return body(std::integral_constant<AccumMode, AccumMode::kSum>{});
+    case AccumMode::kOrApprox:
+      return body(std::integral_constant<AccumMode, AccumMode::kOrApprox>{});
+    case AccumMode::kOrExact:
+      return body(std::integral_constant<AccumMode, AccumMode::kOrExact>{});
+  }
+  throw std::logic_error("Conv2D: bad mode");
+}
+
+/// Calls @p fn(input index, weight index) for each product that output
+/// (@p oy, @p ox, @p oc) of @p conv accumulates over @p input, in
+/// (ky, kx, ic) order: taps that read zero padding are skipped, and ic
+/// runs over oc's group slice.
+template <class Fn>
+void for_each_product(const Conv2D& conv, const Tensor& input, int oy, int ox,
+                      int oc, Fn&& fn) {
+  const ConvSpec& spec = conv.spec();
+  const Shape in = input.shape();
+  const auto cpg = static_cast<std::size_t>(conv.channels_per_group());
+  const int ic0 = conv.group_base(oc);
+  for (int ky = 0; ky < spec.kernel; ++ky) {
+    const int iy = oy * spec.stride + ky - spec.padding;
+    if (iy < 0 || iy >= in.h) {
+      continue;
+    }
+    for (int kx = 0; kx < spec.kernel; ++kx) {
+      const int ix = ox * spec.stride + kx - spec.padding;
+      if (ix < 0 || ix >= in.w) {
+        continue;
+      }
+      const std::size_t a0 = input.index(iy, ix, ic0);
+      const std::size_t w0 = conv.weight_index(oc, ky, kx, ic0);
+      for (std::size_t i = 0; i < cpg; ++i) {
+        fn(a0 + i, w0 + i);
+      }
+    }
+  }
+}
+
+/// One output's accumulator in mode M (see nn/layer.hpp). kSum is the
+/// float dot product, started from the bias. The OR modes keep each sign
+/// phase of the split-unipolar MAC in double: products with positive
+/// weights feed `pos`, negative weights `neg`, zero weights neither.
+/// kOrApprox sums s = a*|w| per phase and outputs e^{-s_n} - e^{-s_p};
+/// kOrExact multiplies (1 - a*|w|) per phase and outputs prod_n - prod_p.
+template <AccumMode M>
+struct Accumulator {
+  static constexpr bool kExact = M == AccumMode::kOrExact;
+  float sum = 0.0f;
+  double pos = kExact ? 1.0 : 0.0;
+  double neg = kExact ? 1.0 : 0.0;
+
+  void add(float a, float w) noexcept {
+    if constexpr (M == AccumMode::kSum) {
+      sum += a * w;
+    } else {
+      const float term = a * std::fabs(w);
+      if (w > 0.0f) {
+        pos = kExact ? pos * (1.0 - term) : pos + term;
+      } else if (w < 0.0f) {
+        neg = kExact ? neg * (1.0 - term) : neg + term;
+      }
+    }
+  }
+
+  [[nodiscard]] float output() const noexcept {
+    if constexpr (M == AccumMode::kSum) {
+      return sum;
+    }
+    // (1 - e^{-s_p}) - (1 - e^{-s_n}) = e^{-s_n} - e^{-s_p}
+    return static_cast<float>(kExact ? neg - pos
+                                     : std::exp(-neg) - std::exp(-pos));
+  }
+};
+
+/// One output's per-product gradient in mode M, scaled by the output's
+/// gradient g. kSum: d/dw = a, d/da = w. The OR modes differentiate
+/// term = a*|w| (d/dw = a*sign(w), d/da = |w|; w = 0 counts as positive)
+/// through its phase: d out/d term is dpos for a positive weight and
+/// -dneg for a negative one, and kOrExact divides it by the product's own
+/// factor 1 - term (floored at kProdEps).
+template <AccumMode M>
+struct ProductGradient {
+  float g = 0.0f;
+  float dpos = 0.0f;  ///< e^{-s_p} (kOrApprox) or prod_p (kOrExact)
+  float dneg = 0.0f;  ///< e^{-s_n} (kOrApprox) or prod_n (kOrExact)
+
+  /// Adds product (@p a, @p w)'s gradient to @p gw (the weight's) and
+  /// @p ga (the input's).
+  void add(float a, float w, float& gw, float& ga) const noexcept {
+    if constexpr (M == AccumMode::kSum) {
+      gw += g * a;
+      ga += g * w;
+    } else {
+      float dterm = w >= 0.0f ? dpos : -dneg;
+      if constexpr (M == AccumMode::kOrExact) {
+        dterm /= std::max(1.0f - a * std::fabs(w), kProdEps);
+      }
+      const float sign = (w >= 0.0f) ? 1.0f : -1.0f;
+      gw += g * dterm * a * sign;
+      ga += g * dterm * std::fabs(w);
+    }
+  }
+};
+
 }  // namespace
 
 Conv2D::Conv2D(const ConvSpec& spec)
@@ -101,215 +214,66 @@ void Conv2D::zero_gradients() {
 }
 
 Tensor Conv2D::forward(const Tensor& input) {
-  (void)output_shape(input.shape());  // rejects a mismatched input
+  const Shape out_shape = output_shape(input.shape());  // rejects a mismatch
   input_ = input;
-  switch (spec_.mode) {
-    case AccumMode::kSum:
-      return forward_sum(input);
-    case AccumMode::kOrApprox:
-      return forward_or(input, /*exact=*/false);
-    case AccumMode::kOrExact:
-      return forward_or(input, /*exact=*/true);
-  }
-  throw std::logic_error("Conv2D: bad mode");
-}
-
-Tensor Conv2D::forward_sum(const Tensor& input) {
-  const Shape out_shape = output_shape(input.shape());
   Tensor out(out_shape);
-  const Shape in = input.shape();
-  for (int oy = 0; oy < out_shape.h; ++oy) {
-    for (int ox = 0; ox < out_shape.w; ++ox) {
-      for (int oc = 0; oc < out_shape.c; ++oc) {
-        float acc = bias_.empty() ? 0.0f : bias_[oc];
-        const int ic0 = group_base(oc);
-        const int ic1 = ic0 + channels_per_group();
-        for (int ky = 0; ky < spec_.kernel; ++ky) {
-          const int iy = oy * spec_.stride + ky - spec_.padding;
-          if (iy < 0 || iy >= in.h) {
-            continue;
-          }
-          for (int kx = 0; kx < spec_.kernel; ++kx) {
-            const int ix = ox * spec_.stride + kx - spec_.padding;
-            if (ix < 0 || ix >= in.w) {
-              continue;
-            }
-            for (int ic = ic0; ic < ic1; ++ic) {
-              acc += input.at(iy, ix, ic) *
-                     weights_[weight_index(oc, ky, kx, ic)];
-            }
-          }
-        }
-        out.at(oy, ox, oc) = acc;
-      }
+  with_mode(spec_.mode, [&](auto mode) {
+    constexpr AccumMode M = decltype(mode)::value;
+    if constexpr (M != AccumMode::kSum) {
+      sum_pos_ = Tensor(out_shape);
+      sum_neg_ = Tensor(out_shape);
     }
-  }
-  return out;
-}
-
-Tensor Conv2D::forward_or(const Tensor& input, bool exact) {
-  const Shape out_shape = output_shape(input.shape());
-  Tensor out(out_shape);
-  sum_pos_ = Tensor(out_shape);
-  sum_neg_ = Tensor(out_shape);
-  const Shape in = input.shape();
-  for (int oy = 0; oy < out_shape.h; ++oy) {
-    for (int ox = 0; ox < out_shape.w; ++ox) {
-      for (int oc = 0; oc < out_shape.c; ++oc) {
-        // Positive phase accumulates products with positive weights,
-        // negative phase products with negative weights (split-unipolar).
-        double s_pos = 0.0;
-        double s_neg = 0.0;
-        double prod_pos = 1.0;
-        double prod_neg = 1.0;
-        const int ic0 = group_base(oc);
-        const int ic1 = ic0 + channels_per_group();
-        for (int ky = 0; ky < spec_.kernel; ++ky) {
-          const int iy = oy * spec_.stride + ky - spec_.padding;
-          if (iy < 0 || iy >= in.h) {
-            continue;
+    std::size_t o = 0;  // out.index(oy, ox, oc)
+    for (int oy = 0; oy < out_shape.h; ++oy) {
+      for (int ox = 0; ox < out_shape.w; ++ox) {
+        for (int oc = 0; oc < out_shape.c; ++oc, ++o) {
+          Accumulator<M> acc{.sum = bias_.empty() ? 0.0f : bias_[oc]};
+          for_each_product(*this, input, oy, ox, oc,
+                           [&](std::size_t ai, std::size_t wi) {
+                             acc.add(input[ai], weights_[wi]);
+                           });
+          out[o] = acc.output();
+          if constexpr (M != AccumMode::kSum) {
+            sum_pos_[o] = static_cast<float>(acc.pos);
+            sum_neg_[o] = static_cast<float>(acc.neg);
           }
-          for (int kx = 0; kx < spec_.kernel; ++kx) {
-            const int ix = ox * spec_.stride + kx - spec_.padding;
-            if (ix < 0 || ix >= in.w) {
-              continue;
-            }
-            for (int ic = ic0; ic < ic1; ++ic) {
-              const float a = input.at(iy, ix, ic);
-              const float w = weights_[weight_index(oc, ky, kx, ic)];
-              const float term = a * std::fabs(w);
-              if (exact) {
-                if (w > 0.0f) {
-                  prod_pos *= 1.0 - term;
-                } else if (w < 0.0f) {
-                  prod_neg *= 1.0 - term;
-                }
-              } else {
-                if (w > 0.0f) {
-                  s_pos += term;
-                } else if (w < 0.0f) {
-                  s_neg += term;
-                }
-              }
-            }
-          }
-        }
-        if (exact) {
-          sum_pos_.at(oy, ox, oc) = static_cast<float>(prod_pos);
-          sum_neg_.at(oy, ox, oc) = static_cast<float>(prod_neg);
-          out.at(oy, ox, oc) = static_cast<float>(prod_neg - prod_pos);
-        } else {
-          sum_pos_.at(oy, ox, oc) = static_cast<float>(s_pos);
-          sum_neg_.at(oy, ox, oc) = static_cast<float>(s_neg);
-          // (1 - e^{-s_p}) - (1 - e^{-s_n}) = e^{-s_n} - e^{-s_p}
-          out.at(oy, ox, oc) =
-              static_cast<float>(std::exp(-s_neg) - std::exp(-s_pos));
         }
       }
     }
-  }
+  });
   return out;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
-  switch (spec_.mode) {
-    case AccumMode::kSum:
-      return backward_sum(grad_output);
-    case AccumMode::kOrApprox:
-      return backward_or(grad_output, /*exact=*/false);
-    case AccumMode::kOrExact:
-      return backward_or(grad_output, /*exact=*/true);
-  }
-  throw std::logic_error("Conv2D: bad mode");
-}
-
-Tensor Conv2D::backward_sum(const Tensor& grad_output) {
-  const Shape in = input_.shape();
   const Shape out_shape = grad_output.shape();
-  Tensor grad_input(in);
-  for (int oy = 0; oy < out_shape.h; ++oy) {
-    for (int ox = 0; ox < out_shape.w; ++ox) {
-      for (int oc = 0; oc < out_shape.c; ++oc) {
-        const float g = grad_output.at(oy, ox, oc);
-        if (!bias_.empty()) {
-          bias_grads_[oc] += g;
-        }
-        const int ic0 = group_base(oc);
-        const int ic1 = ic0 + channels_per_group();
-        for (int ky = 0; ky < spec_.kernel; ++ky) {
-          const int iy = oy * spec_.stride + ky - spec_.padding;
-          if (iy < 0 || iy >= in.h) {
-            continue;
-          }
-          for (int kx = 0; kx < spec_.kernel; ++kx) {
-            const int ix = ox * spec_.stride + kx - spec_.padding;
-            if (ix < 0 || ix >= in.w) {
-              continue;
+  Tensor grad_input(input_.shape());
+  with_mode(spec_.mode, [&](auto mode) {
+    constexpr AccumMode M = decltype(mode)::value;
+    std::size_t o = 0;  // grad_output.index(oy, ox, oc)
+    for (int oy = 0; oy < out_shape.h; ++oy) {
+      for (int ox = 0; ox < out_shape.w; ++ox) {
+        for (int oc = 0; oc < out_shape.c; ++oc, ++o) {
+          ProductGradient<M> grad{.g = grad_output[o]};
+          if constexpr (M == AccumMode::kSum) {
+            if (!bias_.empty()) {
+              bias_grads_[oc] += grad.g;
             }
-            for (int ic = ic0; ic < ic1; ++ic) {
-              const std::size_t wi = weight_index(oc, ky, kx, ic);
-              weight_grads_[wi] += g * input_.at(iy, ix, ic);
-              grad_input.at(iy, ix, ic) += g * weights_[wi];
-            }
+          } else if constexpr (M == AccumMode::kOrApprox) {
+            grad.dpos = std::exp(-sum_pos_[o]);
+            grad.dneg = std::exp(-sum_neg_[o]);
+          } else {
+            grad.dpos = sum_pos_[o];
+            grad.dneg = sum_neg_[o];
           }
+          for_each_product(*this, input_, oy, ox, oc,
+                           [&](std::size_t ai, std::size_t wi) {
+                             grad.add(input_[ai], weights_[wi],
+                                      weight_grads_[wi], grad_input[ai]);
+                           });
         }
       }
     }
-  }
-  return grad_input;
-}
-
-Tensor Conv2D::backward_or(const Tensor& grad_output, bool exact) {
-  const Shape in = input_.shape();
-  const Shape out_shape = grad_output.shape();
-  Tensor grad_input(in);
-  for (int oy = 0; oy < out_shape.h; ++oy) {
-    for (int ox = 0; ox < out_shape.w; ++ox) {
-      for (int oc = 0; oc < out_shape.c; ++oc) {
-        const float g = grad_output.at(oy, ox, oc);
-        // dOut/dTerm for each phase. OrApprox: out = e^{-s_n} - e^{-s_p},
-        // dOut/ds_p = e^{-s_p}, dOut/ds_n = -e^{-s_n}. OrExact: out =
-        // prod_neg - prod_pos, dOut/dterm_i(pos) = prod_pos / (1 - term_i).
-        const float cached_pos = sum_pos_.at(oy, ox, oc);
-        const float cached_neg = sum_neg_.at(oy, ox, oc);
-        const float dpos =
-            exact ? cached_pos : std::exp(-cached_pos);
-        const float dneg =
-            exact ? cached_neg : std::exp(-cached_neg);
-        const int ic0 = group_base(oc);
-        const int ic1 = ic0 + channels_per_group();
-        for (int ky = 0; ky < spec_.kernel; ++ky) {
-          const int iy = oy * spec_.stride + ky - spec_.padding;
-          if (iy < 0 || iy >= in.h) {
-            continue;
-          }
-          for (int kx = 0; kx < spec_.kernel; ++kx) {
-            const int ix = ox * spec_.stride + kx - spec_.padding;
-            if (ix < 0 || ix >= in.w) {
-              continue;
-            }
-            for (int ic = ic0; ic < ic1; ++ic) {
-              const std::size_t wi = weight_index(oc, ky, kx, ic);
-              const float a = input_.at(iy, ix, ic);
-              const float w = weights_[wi];
-              float dterm;  // dOut/dTerm where term = a * |w|
-              if (w >= 0.0f) {
-                dterm = exact ? dpos / std::max(1.0f - a * w, kProdEps)
-                              : dpos;
-              } else {
-                dterm = exact ? -dneg / std::max(1.0f + a * w, kProdEps)
-                              : -dneg;
-              }
-              // term = a*|w|; dTerm/dw = a*sign(w), dTerm/da = |w|.
-              const float sign = (w >= 0.0f) ? 1.0f : -1.0f;
-              weight_grads_[wi] += g * dterm * a * sign;
-              grad_input.at(iy, ix, ic) += g * dterm * std::fabs(w);
-            }
-          }
-        }
-      }
-    }
-  }
+  });
   return grad_input;
 }
 

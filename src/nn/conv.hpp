@@ -13,6 +13,9 @@
 // the negative phase, each phase saturating independently (the counter then
 // takes the difference). Inputs are expected in [0, 1] (post-ReLU
 // activations), weights in [-1, 1]; kSum mode has no such restriction.
+// forward() and backward() walk each output's receptive field once, with
+// the mode's arithmetic chosen per call; nn::Dense computes as a 1x1
+// Conv2D, so this is the one float MAC of every weighted layer.
 #pragma once
 
 #include <vector>
@@ -77,11 +80,6 @@ class Conv2D final : public Layer {
   }
 
  private:
-  Tensor forward_sum(const Tensor& input);
-  Tensor forward_or(const Tensor& input, bool exact);
-  Tensor backward_sum(const Tensor& grad_output);
-  Tensor backward_or(const Tensor& grad_output, bool exact);
-
   ConvSpec spec_;
   std::vector<float> weights_;
   std::vector<float> weight_grads_;

@@ -1,14 +1,18 @@
 // Fully-connected layer with selectable accumulation semantics.
 //
-// Mirrors Conv2D's three modes (see nn/layer.hpp). ACOUSTIC executes FC
-// layers by spreading one kernel across 6 fabric rows (512 inputs of
-// individual weights, paper section III-B); arithmetically that is the same
-// split-unipolar OR-accumulating MAC, so the training model is identical.
-// Input tensors of any shape are treated as flat vectors.
+// ACOUSTIC executes FC layers by spreading one kernel across 6 fabric rows
+// (512 inputs of individual weights, paper section III-B); arithmetically
+// that is the same split-unipolar OR-accumulating MAC as a convolution, so
+// a Dense layer is a 1x1 Conv2D over its input viewed as 1x1xN: weight
+// (o, i) is the conv's (output channel o, input channel i). conv() is the
+// one definition of that view. This layer computes through it, and the
+// bipolar and SC executors run a dense node as that conv. Input tensors of
+// any shape are treated as flat vectors.
 #pragma once
 
 #include <vector>
 
+#include "nn/conv.hpp"
 #include "nn/layer.hpp"
 
 namespace acoustic::nn {
@@ -26,19 +30,26 @@ class Dense final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<ParamView> parameters() override;
-  void zero_gradients() override;
+  std::vector<ParamView> parameters() override { return conv_.parameters(); }
+  void zero_gradients() override { conv_.zero_gradients(); }
   [[nodiscard]] Kind kind() const noexcept override { return Kind::kDense; }
   [[nodiscard]] Shape output_shape(Shape input) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const DenseSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] std::span<float> weights() noexcept { return weights_; }
+  /// The 1x1 conv this layer computes as: in_features input channels,
+  /// out_features output channels, this layer's bias and mode.
+  [[nodiscard]] const Conv2D& conv() const noexcept { return conv_; }
+  [[nodiscard]] std::span<float> weights() noexcept { return conv_.weights(); }
   [[nodiscard]] std::span<const float> weights() const noexcept {
-    return weights_;
+    return conv_.weights();
   }
-  void set_mode(AccumMode mode) noexcept { spec_.mode = mode; }
-  void initialize(std::uint32_t seed);
+  void set_mode(AccumMode mode) noexcept {
+    spec_.mode = mode;
+    conv_.set_mode(mode);
+  }
+  /// The conv's Kaiming-uniform initialization: fan-in 1 * 1 * N.
+  void initialize(std::uint32_t seed) { conv_.initialize(seed); }
 
   /// Flat index of weight (out_feature o, in_feature i).
   [[nodiscard]] std::size_t weight_index(int o, int i) const noexcept {
@@ -48,14 +59,8 @@ class Dense final : public Layer {
 
  private:
   DenseSpec spec_;
-  std::vector<float> weights_;
-  std::vector<float> weight_grads_;
-  std::vector<float> bias_;
-  std::vector<float> bias_grads_;
-
-  Tensor input_;
-  std::vector<float> cache_pos_;  // s_p or prod_pos per output
-  std::vector<float> cache_neg_;  // s_n or prod_neg per output
+  Conv2D conv_;
+  Shape input_shape_;  // forward's input: the shape backward returns
 };
 
 }  // namespace acoustic::nn

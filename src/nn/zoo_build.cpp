@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
@@ -36,6 +37,10 @@ ConvSpec conv_spec(const LayerDesc& l, const Shape& cur, AccumMode mode) {
 Shape zoo_input_shape(const NetworkDesc& desc, const ZooBuildOptions& opt) {
   if (desc.layers.empty()) {
     throw std::invalid_argument("zoo_build: empty descriptor");
+  }
+  if (opt.side < 0) {
+    throw std::invalid_argument("zoo_build: negative input side " +
+                                std::to_string(opt.side));
   }
   const LayerDesc& first = desc.layers.front();
   const int side = opt.side > 0 ? opt.side : first.in_h;

@@ -34,12 +34,13 @@ struct ZooBuildOptions {
 };
 
 /// Input shape the built network expects (side resolution applied).
+/// Throws std::invalid_argument for an empty descriptor or a negative side.
 [[nodiscard]] Shape zoo_input_shape(const NetworkDesc& desc,
                                     const ZooBuildOptions& opt = {});
 
 /// Builds @p desc as a runnable network. Throws std::invalid_argument on
-/// descriptors the layer vocabulary cannot express (e.g. a residual
-/// closer with no block to close).
+/// a negative side and on descriptors the layer vocabulary cannot express
+/// (e.g. a residual closer with no block to close).
 [[nodiscard]] Network build_from_descriptor(const NetworkDesc& desc,
                                             const ZooBuildOptions& opt = {});
 

@@ -24,17 +24,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 double median_of_sorted(const std::vector<double>& sorted) {
   const std::size_t n = sorted.size();
   if (n == 0) {
@@ -83,6 +72,17 @@ void settle_cpu(int ms) {
 }
 
 }  // namespace
+
+double percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) {
+    return 0.0;
+  }
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
 
 BenchStats summarize(std::vector<double> samples) {
   BenchStats stats;

@@ -61,6 +61,10 @@ struct BenchStats {
 /// Computes the robust summary (sorts a copy of @p samples).
 [[nodiscard]] BenchStats summarize(std::vector<double> samples);
 
+/// The @p q quantile (q in [0, 1]) of ascending @p sorted, interpolated
+/// linearly between its two nearest ranks; 0 when @p sorted is empty.
+[[nodiscard]] double percentile(const std::vector<double>& sorted, double q);
+
 /// One benchmark result.
 struct BenchEntry {
   std::string name;            ///< e.g. "kernels/and_or_popcount"

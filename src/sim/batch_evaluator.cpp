@@ -9,22 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/bench_harness.hpp"
+
 namespace acoustic::sim {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
 
 }  // namespace
 
@@ -138,9 +129,9 @@ EvalResult BatchEvaluator::evaluate(InferenceBackend& prototype,
     sum += v;
   }
   result.latency.mean_us = sum / static_cast<double>(n);
-  result.latency.p50_us = percentile(sorted, 0.50);
-  result.latency.p90_us = percentile(sorted, 0.90);
-  result.latency.p99_us = percentile(sorted, 0.99);
+  result.latency.p50_us = obs::percentile(sorted, 0.50);
+  result.latency.p90_us = obs::percentile(sorted, 0.90);
+  result.latency.p99_us = obs::percentile(sorted, 0.99);
   result.latency.max_us = sorted.back();
   return result;
 }

@@ -45,7 +45,7 @@ nn::Tensor BipolarNetwork::forward(const nn::Tensor& input) {
         break;
       case nn::OpKind::kDense:
         span.kind("dense");
-        x = run_dense(op, x);
+        x = run_conv(op, x);
         break;
       case nn::OpKind::kSkipSave:
         span.kind("skip-save");
@@ -86,10 +86,13 @@ nn::Tensor BipolarNetwork::forward(const nn::Tensor& input) {
 
 nn::Tensor BipolarNetwork::run_conv(const LoweredOp& op,
                                     const nn::Tensor& input) {
-  const nn::Conv2D& conv = *op.conv;
-  const auto& spec = conv.spec();
-  const nn::Shape in = input.shape();
-  const nn::Shape out_shape = conv.output_shape(in);
+  // A dense node runs as its 1x1 conv over the input viewed as 1x1xN; this
+  // lowering folds no BatchNorm, so node_weights are the live weights.
+  const ConvGeometry geo =
+      conv_geometry(op, input.shape(), cfg_.stream_length);
+  const nn::ConvSpec& spec = geo.spec;
+  const nn::Shape in = geo.in;
+  const nn::Shape out_shape = geo.conv_out;
   const std::size_t len = cfg_.stream_length;
 
   StreamBank act_bank(cfg_.sng_width, cfg_.activation_seed, len);
@@ -105,7 +108,8 @@ nn::Tensor BipolarNetwork::run_conv(const LoweredOp& op,
   for (std::size_t i = 0; i < input.size(); ++i) {
     act_levels[i] = bipolar_level(act_bank, input[i] / act_scale);
   }
-  const auto weights = conv.weights();
+  std::vector<float> scratch;
+  const std::span<const float> weights = node_weights(op, scratch);
   std::vector<std::uint32_t> wgt_levels(weights.size());
   for (std::size_t i = 0; i < weights.size(); ++i) {
     wgt_levels[i] = bipolar_level(wgt_bank, weights[i]);
@@ -115,19 +119,19 @@ nn::Tensor BipolarNetwork::run_conv(const LoweredOp& op,
   // group's input channels, and the weight tensor is packed per group.
   // groups == 1 degenerates to the classic dense receptive field.
   const std::size_t n_groups = static_cast<std::size_t>(spec.groups);
-  const std::size_t cpg = static_cast<std::size_t>(spec.in_channels) / n_groups;
-  const std::size_t oc_per_group =
-      static_cast<std::size_t>(spec.out_channels) / n_groups;
-  const std::size_t w_per_oc =
-      static_cast<std::size_t>(spec.kernel) * spec.kernel * cpg;
+  const std::size_t cpg = geo.layout.cpg;
+  const std::size_t oc_per_group = geo.layout.oc_per_group;
+  const std::size_t w_per_oc = geo.layout.w_per_oc;
   nn::Tensor out(out_shape);
 
   // Gather RF membership once per output position (per group); the MUX
   // picks one live product per cycle (scaled addition), XNOR computes
   // bipolar products. rf_wgt holds the within-output-channel weight slot.
+  // Dense nodes draw their selects from their own seed.
   std::vector<std::vector<std::size_t>> rf_act(n_groups);
   std::vector<std::vector<std::size_t>> rf_wgt(n_groups);
-  sc::XorShift32 select(cfg_.select_seed);
+  sc::XorShift32 select(op.dense != nullptr ? cfg_.select_seed ^ 0x5A5A5A5Au
+                                            : cfg_.select_seed);
 
   for (int oy = 0; oy < out_shape.h; ++oy) {
     for (int ox = 0; ox < out_shape.w; ++ox) {
@@ -146,7 +150,7 @@ nn::Tensor BipolarNetwork::run_conv(const LoweredOp& op,
               continue;
             }
             const std::size_t g = static_cast<std::size_t>(ic) / cpg;
-            rf_act[g].push_back(input.index(iy, ix, ic));
+            rf_act[g].push_back(geo.index(iy, ix, ic));
             rf_wgt[g].push_back(
                 (static_cast<std::size_t>(ky) * spec.kernel + kx) * cpg +
                 (static_cast<std::size_t>(ic) - g * cpg));
@@ -182,49 +186,6 @@ nn::Tensor BipolarNetwork::run_conv(const LoweredOp& op,
             value * static_cast<double>(rf_size) * act_scale);
       }
     }
-  }
-  return out;
-}
-
-nn::Tensor BipolarNetwork::run_dense(const LoweredOp& op,
-                                     const nn::Tensor& input) {
-  const nn::Dense& dense = *op.dense;
-  const auto& spec = dense.spec();
-  if (static_cast<int>(input.size()) != spec.in_features) {
-    throw std::invalid_argument("BipolarNetwork: dense feature mismatch");
-  }
-  const std::size_t len = cfg_.stream_length;
-  StreamBank act_bank(cfg_.sng_width, cfg_.activation_seed, len);
-  StreamBank wgt_bank(cfg_.sng_width, cfg_.weight_seed, len);
-
-  const auto n_in = static_cast<std::size_t>(spec.in_features);
-  const double act_scale =
-      input.abs_max() > 0.0f ? static_cast<double>(input.abs_max()) : 1.0;
-  std::vector<std::uint32_t> act_levels(n_in);
-  for (std::size_t i = 0; i < n_in; ++i) {
-    act_levels[i] = bipolar_level(act_bank, input[i] / act_scale);
-  }
-  const auto weights = dense.weights();
-  nn::Tensor out = nn::Tensor::vector(spec.out_features);
-  sc::XorShift32 select(cfg_.select_seed ^ 0x5A5A5A5Au);
-  for (int o = 0; o < spec.out_features; ++o) {
-    std::int64_t ones = 0;
-    for (std::size_t t = 0; t < len; ++t) {
-      const std::size_t pick =
-          static_cast<std::size_t>(select.next()) % n_in;
-      const std::size_t wi = dense.weight_index(o, static_cast<int>(pick));
-      const bool a_bit =
-          act_bank.scramble(act_bank.state_at(t, pick), pick) <
-          act_levels[pick];
-      const bool w_bit =
-          wgt_bank.scramble(wgt_bank.state_at(t, wi), wi) <
-          bipolar_level(wgt_bank, weights[wi]);
-      ones += (a_bit == w_bit) ? 1 : 0;
-    }
-    const double value =
-        2.0 * static_cast<double>(ones) / static_cast<double>(len) - 1.0;
-    out[static_cast<std::size_t>(o)] =
-        static_cast<float>(value * static_cast<double>(n_in) * act_scale);
   }
   return out;
 }

@@ -58,10 +58,10 @@ class BipolarNetwork {
   }
 
  private:
+  /// Runs a weighted node — conv, dense (as its 1x1 conv) or a skip-path
+  /// projection — as XNOR products summed by a MUX tree.
   [[nodiscard]] nn::Tensor run_conv(const LoweredOp& op,
                                     const nn::Tensor& input);
-  [[nodiscard]] nn::Tensor run_dense(const LoweredOp& op,
-                                     const nn::Tensor& input);
 
   nn::Network* net_;
   BipolarConfig cfg_;

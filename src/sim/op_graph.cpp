@@ -175,15 +175,11 @@ ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape input,
                            std::size_t phase) {
   ConvGeometry g;
   if (op.dense != nullptr) {
-    // Dense runs as a 1x1 conv over its input viewed as 1x1xN: the lane is
-    // the flat input index and weight o*N + i is (output channel o, slot i).
-    const nn::DenseSpec& ds = op.dense->spec();
+    // Dense runs as its 1x1 conv (nn::Dense::conv) over the input viewed
+    // as 1x1xN: the lane is the flat input index.
     g.conv_out = op.dense->output_shape(input);
-    g.spec = nn::ConvSpec{.in_channels = ds.in_features,
-                          .out_channels = ds.out_features,
-                          .kernel = 1,
-                          .mode = ds.mode};
-    g.in = nn::Shape{1, 1, ds.in_features};
+    g.spec = op.dense->conv().spec();
+    g.in = nn::Shape{1, 1, g.spec.in_channels};
   } else {
     g.conv_out = op.conv->output_shape(input);
     g.spec = op.conv->spec();

@@ -219,14 +219,7 @@ void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
     }
     const RunStats before = run;
     switch (op.kind) {
-      case nn::OpKind::kConv2D: {
-        nn::Tensor& dst = flip();
-        run_conv(op, s, *cur, dst, run);
-        cur_buf = &dst;
-        cur = cur_buf;
-        ++run.layers_run;
-        break;
-      }
+      case nn::OpKind::kConv2D:
       case nn::OpKind::kDense: {
         nn::Tensor& dst = flip();
         run_conv(op, s, *cur, dst, run);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "sc/rng.hpp"
 
@@ -244,6 +246,45 @@ TEST(Conv2D, ChannelMismatchThrows) {
   Conv2D conv(ConvSpec{.in_channels = 2, .out_channels = 1, .kernel = 1});
   Tensor x(Shape{2, 2, 3});
   EXPECT_THROW((void)conv.forward(x), std::invalid_argument);
+}
+
+/// FNV-1a over the float bytes of @p values, continuing from @p h.
+std::uint64_t fnv1a(std::span<const float> values,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  const auto* p = reinterpret_cast<const unsigned char*>(values.data());
+  for (std::size_t i = 0; i < values.size_bytes(); ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Conv2D, GroupedStridedDigestUnchanged) {
+  // Absolute pins of the float arithmetic on the paths the trainable
+  // models never take (groups, stride, a kSum bias): the forward output,
+  // the input gradient and every parameter gradient, in each mode.
+  const struct {
+    AccumMode mode;
+    std::uint64_t digest;
+  } cases[] = {{AccumMode::kSum, 0x9a0c7cba59f03f42ull},
+               {AccumMode::kOrApprox, 0x4dd32230cb0f1615ull},
+               {AccumMode::kOrExact, 0xc04eaf857afcc7c7ull}};
+  for (const auto& c : cases) {
+    Conv2D conv(ConvSpec{.in_channels = 4, .out_channels = 6, .kernel = 3,
+                         .stride = 2, .padding = 1, .groups = 2,
+                         .bias = true, .mode = c.mode});
+    conv.initialize(61);
+    for (std::size_t oc = 0; oc < conv.bias().size(); ++oc) {
+      conv.bias()[oc] = 0.05f * static_cast<float>(oc) - 0.1f;
+    }
+    const Tensor y = conv.forward(random_input(Shape{7, 7, 4}, 63));
+    const Tensor grad_in =
+        conv.backward(random_input(y.shape(), 65, -1.0f, 1.0f));
+    std::uint64_t h = fnv1a(grad_in.data(), fnv1a(y.data()));
+    for (const ParamView& p : conv.parameters()) {
+      h = fnv1a(p.gradients, h);
+    }
+    EXPECT_EQ(h, c.digest) << "mode " << static_cast<int>(c.mode);
+  }
 }
 
 TEST(Conv2D, InitializeIsDeterministicAndClipped) {

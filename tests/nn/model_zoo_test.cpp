@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/zoo_build.hpp"
+
 namespace acoustic::nn {
 namespace {
 
@@ -112,6 +114,17 @@ TEST(ModelZoo, MaxActivationFitsLpMemoryForSmallNets) {
   // without spilling (paper III-D).
   EXPECT_LT(cifar10_cnn().max_layer_activation_elems(), 600u * 1024);
   EXPECT_LT(lenet5().max_layer_activation_elems(), 600u * 1024);
+}
+
+TEST(ZooBuild, RejectsNegativeSide) {
+  // Only side 0 selects the descriptor's native input size.
+  ZooBuildOptions opt;
+  opt.side = -3;
+  EXPECT_THROW((void)zoo_input_shape(lenet5(), opt), std::invalid_argument);
+  EXPECT_THROW((void)build_from_descriptor(lenet5(), opt),
+               std::invalid_argument);
+  opt.side = 0;
+  EXPECT_EQ(zoo_input_shape(lenet5(), opt).h, lenet5().layers.front().in_h);
 }
 
 }  // namespace

@@ -25,6 +25,14 @@ TEST(BenchStats, RobustSummary) {
   EXPECT_GT(s.mean, 70.0);
   EXPECT_GT(s.p95, 12.0);  // interpolated toward the outlier
   EXPECT_LE(s.p95, 500.0);
+  // The percentile behind p95 (and the evaluator's latency p50/p90/p99)
+  // interpolates linearly between the two nearest ranks.
+  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0, 5.0,
+                                      6.0, 7.0, 8.0, 9.0, 10.0, 11.0};
+  EXPECT_DOUBLE_EQ(obs::percentile(sorted, 0.50), 6.0);
+  EXPECT_DOUBLE_EQ(obs::percentile(sorted, 0.90), 10.0);
+  EXPECT_DOUBLE_EQ(obs::percentile(sorted, 0.99), 10.9);
+  EXPECT_DOUBLE_EQ(obs::percentile({}, 0.5), 0.0);
 }
 
 TEST(BenchStats, EmptyAndSingle) {

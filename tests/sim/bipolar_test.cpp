@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "nn/activation.hpp"
+#include "nn/residual.hpp"
 #include "sc/rng.hpp"
 #include "sim/sc_network.hpp"
 
@@ -136,6 +139,49 @@ TEST(BipolarNetwork, MuxNoiseExceedsSplitUnipolarOrAtEqualLength) {
     }
   }
   EXPECT_GT(bipolar_err, 2.0 * split_err);
+}
+
+TEST(BipolarNetwork, DigestUnchanged) {
+  // Absolute pin of the MUX datapath: FNV-1a over the logits' float bytes
+  // of a padded conv, a grouped strided conv, a projection skip block and
+  // a dense head that reads a spatial volume.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 4,
+                                   .kernel = 3, .padding = 1})
+      .initialize(71);
+  net.add<nn::ReLU>();
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 4, .out_channels = 6,
+                                   .kernel = 3, .stride = 2, .padding = 1,
+                                   .groups = 2})
+      .initialize(73);
+  net.add<nn::ReLU>();
+  const auto skip = std::make_shared<nn::SkipState>();
+  net.add<nn::SkipSave>(skip);
+  net.add<nn::SkipProject>(skip, nn::ConvSpec{.in_channels = 6,
+                                              .out_channels = 4,
+                                              .kernel = 1})
+      .conv()
+      .initialize(75);
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 6, .out_channels = 4,
+                                   .kernel = 3, .padding = 1})
+      .initialize(77);
+  net.add<nn::SkipAdd>(skip);
+  net.add<nn::ReLU>();
+  net.add<nn::Dense>(nn::DenseSpec{.in_features = 3 * 3 * 4,
+                                   .out_features = 5})
+      .initialize(79);
+  BipolarConfig cfg;
+  cfg.stream_length = 64;
+  BipolarNetwork exec(net, cfg);
+  const nn::Tensor logits = exec.forward(random_unit(nn::Shape{6, 6, 2}, 81));
+  ASSERT_EQ(logits.shape(), (nn::Shape{1, 1, 5}));
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* bytes =
+      reinterpret_cast<const unsigned char*>(logits.data().data());
+  for (std::size_t i = 0; i < logits.size() * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(h, 0x0eecf87123b48c1full);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "nn/pool.hpp"
 #include "train/models.hpp"
@@ -54,6 +55,47 @@ TEST(Trainer, DeterministicGivenSeeds) {
   const TrainStats sa = fit(a, data, quick_config(2));
   const TrainStats sb = fit(b, data, quick_config(2));
   EXPECT_EQ(sa.epoch_loss, sb.epoch_loss);
+}
+
+/// FNV-1a over the float bytes of every parameter of @p net, in order.
+std::uint64_t parameter_digest(nn::Network& net) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const nn::ParamView& p : net.parameters()) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p.values.data());
+    for (std::size_t i = 0; i < p.values.size_bytes(); ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(Trainer, ParameterDigestUnchanged) {
+  // Absolute pins of the float training arithmetic: DeterministicGivenSeeds
+  // compares two runs of the same code, so only fixed digests see a change
+  // that moves every run alike. One epoch per AccumMode on the trainable
+  // LeNet (conv, pooling, dense) and the residual net (skip blocks).
+  const struct {
+    nn::AccumMode mode;
+    std::uint64_t lenet;
+    std::uint64_t resnet;
+  } cases[] = {{nn::AccumMode::kSum, 0xc7cbb53fc0eb0665ull,
+                0x121705bd11a18e0dull},
+               {nn::AccumMode::kOrApprox, 0x47fb22cbd816e56full,
+                0xa6eda640d6b6db91ull},
+               {nn::AccumMode::kOrExact, 0x31b9a07b09ca01caull,
+                0xbcad965139dda271ull}};
+  const Dataset digits = make_synth_digits(64, 41, 16);
+  const Dataset objects = make_synth_objects(64, 43, 16);
+  for (const auto& c : cases) {
+    nn::Network lenet = build_lenet_small(c.mode, 16);
+    (void)fit(lenet, digits, quick_config(1));
+    EXPECT_EQ(parameter_digest(lenet), c.lenet)
+        << "lenet mode " << static_cast<int>(c.mode);
+    nn::Network resnet = build_resnet_tiny(c.mode, 16);
+    (void)fit(resnet, objects, quick_config(1));
+    EXPECT_EQ(parameter_digest(resnet), c.resnet)
+        << "resnet-tiny mode " << static_cast<int>(c.mode);
+  }
 }
 
 TEST(Evaluate, UntrainedIsNearChance) {

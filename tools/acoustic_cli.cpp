@@ -878,9 +878,14 @@ int cmd_eval(cli::Args args) {
                    opt.sc.max_pool,
                    {{"exact", sim::MaxPoolMode::kExact},
                     {"sc", sim::MaxPoolMode::kStochastic}}),
-       cli::number("--side", "N",
-                   "input side of zoo models, 0 = native (default 16)",
-                   opt.side),
+       {"--side", "N", "input side of zoo models, 0 = native (default 16)",
+        [&opt](const std::string& v) {
+          opt.side = cli::parse_number<int>(v);
+          if (opt.side < 0) {
+            throw cli::UsageError("expected a non-negative integer, got '" +
+                                  v + "'");
+          }
+        }},
        cli::number("--stream", "N", "stream length (default 128)",
                    opt.sc.stream_length),
        cli::number("--train", "N", "training samples (default 300)",
