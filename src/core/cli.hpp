@@ -116,6 +116,21 @@ Option number(std::string flag, std::string value, std::string help,
           [&target](const std::string& v) { target = parse_number<T>(v); }};
 }
 
+/// Strict number no larger than @p max (see parse_number).
+template <class T>
+Option number(std::string flag, std::string value, std::string help,
+              T& target, T max) {
+  return {std::move(flag), std::move(value), std::move(help),
+          [&target, max](const std::string& v) {
+            const T n = parse_number<T>(v);
+            if (n > max) {
+              throw UsageError("value '" + v + "' is above the limit " +
+                               std::to_string(max));
+            }
+            target = n;
+          }};
+}
+
 /// One of a fixed set of named values; the placeholder lists the names.
 template <class T>
 Option choice(std::string flag, std::string help, T& target,

@@ -12,8 +12,14 @@ SkipSave::SkipSave(std::shared_ptr<SkipState> state)
 }
 
 Tensor SkipSave::forward(const Tensor& input) {
-  state_->saved = input;
-  return input;
+  Tensor out = input;
+  (void)forward_in_place(out);
+  return out;
+}
+
+bool SkipSave::forward_in_place(Tensor& x) {
+  state_->saved = x;
+  return true;
 }
 
 Tensor SkipSave::backward(const Tensor& grad_output) {
@@ -64,15 +70,22 @@ SkipAdd::SkipAdd(std::shared_ptr<SkipState> state)
 }
 
 Tensor SkipAdd::forward(const Tensor& input) {
-  if (state_->saved.shape() != input.shape()) {
-    throw std::invalid_argument(
-        "SkipAdd: skip tensor shape does not match block output");
-  }
   Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] += state_->saved[i];
-  }
+  (void)forward_in_place(out);
   return out;
+}
+
+bool SkipAdd::forward_in_place(Tensor& x) {
+  const Tensor& saved = state_->saved;
+  if (saved.shape() != x.shape()) {
+    throw std::invalid_argument(
+        "SkipAdd: skip tensor shape does not match block output (is the "
+        "skip-path projection missing?)");
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] += saved[i];
+  }
+  return true;
 }
 
 Tensor SkipAdd::backward(const Tensor& grad_output) {

@@ -11,8 +11,9 @@
 //   ... block layers ...
 //   net.add<SkipAdd>(state);    // end of block: adds the recorded tensor
 // Both behave as ordinary layers for forward/backward, so training and the
-// bit-level simulators (which run them in the binary domain, matching the
-// counter-preload hardware) need no special cases.
+// bit-level simulators (which run their in-place forms in the binary
+// domain, matching the counter-preload hardware) need no special cases:
+// the save and add arithmetic is defined here once, for every executor.
 #pragma once
 
 #include <memory>
@@ -35,6 +36,8 @@ class SkipSave final : public Layer {
   explicit SkipSave(std::shared_ptr<SkipState> state);
 
   Tensor forward(const Tensor& input) override;
+  /// Records @p x; @p x itself is left as is.
+  bool forward_in_place(Tensor& x) override;
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] Kind kind() const noexcept override {
     return Kind::kSkipSave;
@@ -94,6 +97,9 @@ class SkipAdd final : public Layer {
   explicit SkipAdd(std::shared_ptr<SkipState> state);
 
   Tensor forward(const Tensor& input) override;
+  /// Adds the recorded tensor into @p x; throws std::invalid_argument when
+  /// its shape differs from @p x's.
+  bool forward_in_place(Tensor& x) override;
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] Kind kind() const noexcept override {
     return Kind::kSkipAdd;

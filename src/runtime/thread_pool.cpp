@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace acoustic::runtime {
 
@@ -101,13 +103,17 @@ struct ThreadPool::Worker {
 };
 
 ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned n =
-      threads != 0 ? threads
-                   : std::max(1U, std::thread::hardware_concurrency());
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("ThreadPool: " + std::to_string(threads) +
+                                " workers requested, at most " +
+                                std::to_string(kMaxThreads));
+  }
+  const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
+  const unsigned n = threads != 0 ? threads : std::min(hw, kMaxThreads);
   // Execution-slot cap (see the header): more workers than cores still
   // give callers their per-worker scratch shards, but never more than
   // `cores` of them run at once.
-  slots_ = std::min(n, std::max(1U, std::thread::hardware_concurrency()));
+  slots_ = std::min(n, hw);
   slots_free_ = slots_;
   workers_.reserve(n);
   for (unsigned id = 0; id < n; ++id) {
@@ -115,18 +121,29 @@ ThreadPool::ThreadPool(unsigned threads) {
   }
   // Spawn only after workers_ is fully built: the loops index every slot.
   for (unsigned id = 0; id < n; ++id) {
-    workers_[id]->thread = std::thread([this, id] { worker_loop(id); });
+    try {
+      workers_[id]->thread = std::thread([this, id] { worker_loop(id); });
+    } catch (...) {
+      // A joinable std::thread must not be destroyed: stop and join the
+      // workers already running before the exception leaves.
+      stop_and_join();
+      throw;
+    }
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     const std::lock_guard<std::mutex> lock(sleep_mu_);
     stop_.store(true, std::memory_order_release);
   }
   sleep_cv_.notify_all();
   for (auto& worker : workers_) {
-    worker->thread.join();
+    if (worker->thread.joinable()) {
+      worker->thread.join();
+    }
   }
 }
 

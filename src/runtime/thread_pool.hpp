@@ -50,8 +50,15 @@ namespace acoustic::runtime {
 
 class ThreadPool {
  public:
+  /// Most workers one pool may have. A fixed ceiling, not an option: the
+  /// CLI's thread-count flags reject larger values at parse time.
+  static constexpr unsigned kMaxThreads = 1024;
+
   /// Starts @p threads workers (0 = std::thread::hardware_concurrency,
-  /// itself clamped to at least 1).
+  /// itself clamped to [1, kMaxThreads]). Throws std::invalid_argument
+  /// for @p threads above kMaxThreads before starting any worker. If a
+  /// worker fails to start, stops and joins the ones already running and
+  /// rethrows (a std::system_error).
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -113,6 +120,8 @@ class ThreadPool {
   };
   struct Worker;
 
+  /// Wakes every worker to exit and joins the running ones.
+  void stop_and_join();
   void worker_loop(unsigned id);
   void acquire_slot();
   void release_slot();

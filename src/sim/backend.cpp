@@ -7,100 +7,11 @@ namespace acoustic::sim {
 
 namespace {
 
-/// Lowercase tag for the float backend's per-layer span kinds.
-std::string kind_tag(nn::Layer::Kind kind) {
-  switch (kind) {
-    case nn::Layer::Kind::kConv2D:
-      return "conv";
-    case nn::Layer::Kind::kDense:
-      return "dense";
-    default:
-      return "post";
-  }
-}
-
-/// Layers that own streamed weights, skip projections included: the
-/// layers_run ScNetwork counts per image.
-std::uint64_t count_weighted_layers(nn::Network& net) {
-  std::uint64_t weighted = 0;
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    weighted += nn::is_weighted(net.layer(i).kind()) ? 1 : 0;
-  }
-  return weighted;
-}
-
-/// Float reference: the network's own (binary-arithmetic) forward pass.
-class FloatBackend final : public InferenceBackend {
+/// The InferenceBackend of a GraphExecutor run on the backend's own
+/// network snapshot: every call goes to the executor's walk.
+template <class Exec>
+class GraphBackend : public InferenceBackend {
  public:
-  explicit FloatBackend(nn::Network& net)
-      : net_(std::make_unique<nn::Network>(net.clone())),
-        weighted_layers_(count_weighted_layers(*net_)) {}
-
-  [[nodiscard]] std::string name() const override { return "float"; }
-
-  [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
-    return std::make_unique<FloatBackend>(*net_);
-  }
-
-  [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) override {
-    ++stats_.samples;
-    stats_.layers_run += weighted_layers_;
-    if (profiler_ == nullptr) {
-      return net_->forward(input);
-    }
-    // Profiled path: run layer by layer so every layer (weighted and
-    // post-op alike) gets its own span.
-    nn::Tensor x = input;
-    for (std::size_t i = 0; i < net_->layer_count(); ++i) {
-      nn::Layer& layer = net_->layer(i);
-      obs::Span span(profiler_, layer.name(), "layer", track_,
-                     static_cast<std::uint32_t>(i));
-      span.kind(kind_tag(layer.kind()));
-      x = layer.forward(x);
-    }
-    return x;
-  }
-
-  [[nodiscard]] RunStats stats() const override { return stats_; }
-  [[nodiscard]] RunStats take_stats() override {
-    return std::exchange(stats_, RunStats{});
-  }
-
-  void set_profiler(obs::Profiler* profiler, std::uint32_t track) override {
-    profiler_ = profiler;
-    track_ = track;
-  }
-
- private:
-  std::unique_ptr<nn::Network> net_;
-  std::uint64_t weighted_layers_;
-  RunStats stats_;
-  obs::Profiler* profiler_ = nullptr;
-  std::uint32_t track_ = 0;
-};
-
-/// Bit-level split-unipolar execution via ScNetwork.
-class ScBackend final : public InferenceBackend {
- public:
-  ScBackend(nn::Network& net, const ScConfig& cfg,
-            std::shared_ptr<WeightPlanStore> shared_plans = nullptr)
-      : net_(std::make_unique<nn::Network>(net.clone())),
-        exec_(*net_, cfg, std::move(shared_plans)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return exec_.config().pooling == PoolingMode::kSkipping ? "sc"
-                                                            : "sc-mux";
-  }
-
-  [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
-    // Clones share the weight-table store: the per-stage ProductTables are
-    // pure functions of (config, schedule, weights), so N workers build
-    // each table once between them and the merged stats stay thread-count
-    // invariant.
-    return std::make_unique<ScBackend>(*net_, exec_.config(),
-                                       exec_.shared_plans());
-  }
-
   [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) override {
     return exec_.forward(input);
   }
@@ -116,45 +27,79 @@ class ScBackend final : public InferenceBackend {
     exec_.set_profiler(profiler, track);
   }
 
- private:
+ protected:
+  template <class... Args>
+  explicit GraphBackend(nn::Network& net, Args&&... args)
+      : net_(std::make_unique<nn::Network>(net.clone())),
+        exec_(*net_, std::forward<Args>(args)...) {}
+
   std::unique_ptr<nn::Network> net_;
-  ScNetwork exec_;
+  Exec exec_;
+};
+
+/// Float reference: the walk over the unfused, unfolded lowering, every
+/// weighted node running its layer's own (binary-arithmetic) forward, so
+/// the logits are nn::Network::forward's bit for bit.
+class FloatNetwork final : public GraphExecutor {
+ public:
+  explicit FloatNetwork(nn::Network& net)
+      : GraphExecutor(net, LowerOptions{}, "FloatBackend") {}
+
+ private:
+  void run_weighted(const LoweredOp& op, std::size_t node,
+                    const nn::Tensor& input, nn::Tensor& out,
+                    RunStats& run) override {
+    (void)node;
+    (void)run;
+    out = op.dense != nullptr ? op.dense->forward(input)
+                              : op.conv->forward(input);
+  }
+};
+
+class FloatBackend final : public GraphBackend<FloatNetwork> {
+ public:
+  explicit FloatBackend(nn::Network& net) : GraphBackend(net) {}
+
+  [[nodiscard]] std::string name() const override { return "float"; }
+
+  [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
+    return std::make_unique<FloatBackend>(*net_);
+  }
+};
+
+/// Bit-level split-unipolar execution via ScNetwork.
+class ScBackend final : public GraphBackend<ScNetwork> {
+ public:
+  ScBackend(nn::Network& net, const ScConfig& cfg,
+            std::shared_ptr<WeightPlanStore> shared_plans = nullptr)
+      : GraphBackend(net, cfg, std::move(shared_plans)) {}
+
+  [[nodiscard]] std::string name() const override {
+    return exec_.config().pooling == PoolingMode::kSkipping ? "sc"
+                                                            : "sc-mux";
+  }
+
+  [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
+    // Clones share the weight-table store: the per-stage ProductTables are
+    // pure functions of (config, schedule, weights), so N workers build
+    // each table once between them and the merged stats stay thread-count
+    // invariant.
+    return std::make_unique<ScBackend>(*net_, exec_.config(),
+                                       exec_.shared_plans());
+  }
 };
 
 /// Conventional bipolar-MUX execution via BipolarNetwork.
-class BipolarBackend final : public InferenceBackend {
+class BipolarBackend final : public GraphBackend<BipolarNetwork> {
  public:
   BipolarBackend(nn::Network& net, const BipolarConfig& cfg)
-      : net_(std::make_unique<nn::Network>(net.clone())),
-        exec_(*net_, cfg),
-        weighted_layers_(count_weighted_layers(*net_)) {}
+      : GraphBackend(net, cfg) {}
 
   [[nodiscard]] std::string name() const override { return "bipolar"; }
 
   [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
     return std::make_unique<BipolarBackend>(*net_, exec_.config());
   }
-
-  [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) override {
-    ++stats_.samples;
-    stats_.layers_run += weighted_layers_;
-    return exec_.forward(input);
-  }
-
-  [[nodiscard]] RunStats stats() const override { return stats_; }
-  [[nodiscard]] RunStats take_stats() override {
-    return std::exchange(stats_, RunStats{});
-  }
-
-  void set_profiler(obs::Profiler* profiler, std::uint32_t track) override {
-    exec_.set_profiler(profiler, track);
-  }
-
- private:
-  std::unique_ptr<nn::Network> net_;
-  BipolarNetwork exec_;
-  std::uint64_t weighted_layers_;
-  RunStats stats_;
 };
 
 }  // namespace

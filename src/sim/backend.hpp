@@ -51,9 +51,9 @@ class InferenceBackend {
   [[nodiscard]] virtual nn::Tensor forward(const nn::Tensor& input) = 0;
 
   /// Runs one sample into a caller-owned output tensor, reusing its
-  /// capacity. Backends with an allocation-free executor (the SC backend)
-  /// override this; the default simply wraps forward(). Same bits as
-  /// forward() in every backend.
+  /// capacity. The built-in backends run their executor's forward_into
+  /// (allocation-free on the SC backend); the default simply wraps
+  /// forward(). Same bits as forward() in every backend.
   virtual void forward_into(const nn::Tensor& input, nn::Tensor& out) {
     out = forward(input);
   }
@@ -76,7 +76,13 @@ class InferenceBackend {
   }
 };
 
-/// Float (binary-arithmetic) reference execution of @p net.
+/// Float (binary-arithmetic) reference execution of @p net: the graph
+/// walk over the unfused, unfolded lowering with each weighted node
+/// running its layer's own forward, so the logits are
+/// nn::Network::forward's bit for bit and the nodes (spans, layers_run)
+/// line up with the other backends'. Like them, throws
+/// std::invalid_argument for a network that opens with a binary-domain
+/// layer.
 [[nodiscard]] std::unique_ptr<InferenceBackend> make_float_backend(
     nn::Network& net);
 

@@ -19,73 +19,18 @@ std::uint32_t bipolar_level(const StreamBank& bank, double v) {
 }  // namespace
 
 BipolarNetwork::BipolarNetwork(nn::Network& net, BipolarConfig cfg)
-    : net_(&net), cfg_(cfg) {
+    // No fusion/folding: the MUX baseline runs them binary.
+    : GraphExecutor(net, LowerOptions{}, "BipolarNetwork"), cfg_(cfg) {
   if (cfg_.stream_length == 0) {
     throw std::invalid_argument("BipolarNetwork: stream_length must be > 0");
   }
-  LowerOptions lopt;  // no fusion/folding: the MUX baseline runs them binary
-  ops_ = lower_graph(net, lopt, "BipolarNetwork");
 }
 
-nn::Tensor BipolarNetwork::forward(const nn::Tensor& input) {
-  nn::Tensor x = input;
-  for (std::size_t s = 0; s < ops_.size(); ++s) {
-    const LoweredOp& op = ops_[s];
-    // Name only when profiling — the copy would otherwise allocate on
-    // every layer of every image (see the obs::Span disabled-path
-    // contract).
-    obs::Span span(profiler_,
-                   profiler_ != nullptr ? op.layer->name() : std::string(),
-                   profiler_ != nullptr ? std::string("layer") : std::string(),
-                   track_, static_cast<std::uint32_t>(s));
-    switch (op.kind) {
-      case nn::OpKind::kConv2D:
-        span.kind("conv");
-        x = run_conv(op, x);
-        break;
-      case nn::OpKind::kDense:
-        span.kind("dense");
-        x = run_conv(op, x);
-        break;
-      case nn::OpKind::kSkipSave:
-        span.kind("skip-save");
-        op.skip->saved = x;
-        break;
-      case nn::OpKind::kSkipProject:
-        span.kind("skip-project");
-        if (op.skip->saved.size() == 0) {
-          throw std::logic_error(
-              "BipolarNetwork: skip projection before any skip save");
-        }
-        op.skip->saved = run_conv(op, op.skip->saved);
-        break;
-      case nn::OpKind::kSkipAdd: {
-        span.kind("skip-add");
-        const nn::Tensor& saved = op.skip->saved;
-        if (!(saved.shape() == x.shape())) {
-          throw std::invalid_argument(
-              "BipolarNetwork: skip-add shape mismatch (is the skip-path "
-              "projection missing?)");
-        }
-        for (std::size_t i = 0; i < x.size(); ++i) {
-          x[i] += saved[i];
-        }
-        break;
-      }
-      default:
-        span.kind("binary");
-        x = op.layer->forward(x);
-        break;
-    }
-    for (nn::Layer* post : op.post_ops) {
-      x = post->forward(x);
-    }
-  }
-  return x;
-}
-
-nn::Tensor BipolarNetwork::run_conv(const LoweredOp& op,
-                                    const nn::Tensor& input) {
+void BipolarNetwork::run_weighted(const LoweredOp& op, std::size_t node,
+                                  const nn::Tensor& input, nn::Tensor& out,
+                                  RunStats& run) {
+  (void)node;
+  (void)run;
   // A dense node runs as its 1x1 conv over the input viewed as 1x1xN; this
   // lowering folds no BatchNorm, so node_weights are the live weights.
   const ConvGeometry geo =
@@ -122,7 +67,7 @@ nn::Tensor BipolarNetwork::run_conv(const LoweredOp& op,
   const std::size_t cpg = geo.layout.cpg;
   const std::size_t oc_per_group = geo.layout.oc_per_group;
   const std::size_t w_per_oc = geo.layout.w_per_oc;
-  nn::Tensor out(out_shape);
+  out.resize(out_shape);
 
   // Gather RF membership once per output position (per group); the MUX
   // picks one live product per cycle (scaled addition), XNOR computes
@@ -187,7 +132,6 @@ nn::Tensor BipolarNetwork::run_conv(const LoweredOp& op,
       }
     }
   }
-  return out;
 }
 
 }  // namespace acoustic::sim

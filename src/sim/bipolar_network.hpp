@@ -12,20 +12,18 @@
 //
 // Per-layer binary conversion and stream regeneration are kept identical
 // to ScNetwork so the comparison isolates the representation+accumulation
-// choice. The network is lowered through the same op-graph registry
-// (sim/op_graph.hpp) with folding/fusion disabled: BatchNorm and average
-// pooling run as binary post-ops, max pooling and residual skips execute
-// as explicit graph nodes.
+// choice: both run the same graph walk (sim/op_graph.hpp), this one over
+// the lowering with folding/fusion disabled, so BatchNorm and average
+// pooling run as binary post-ops and max pooling (exact) and residual
+// skips execute as explicit graph nodes. The executor supplies only its
+// weighted-node body.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
-#include "nn/conv.hpp"
-#include "nn/dense.hpp"
 #include "nn/network.hpp"
-#include "obs/span.hpp"
 #include "sim/op_graph.hpp"
-#include "sim/sc_config.hpp"
 
 namespace acoustic::sim {
 
@@ -38,36 +36,26 @@ struct BipolarConfig {
   std::uint32_t select_seed = 0x5e1ec7;
 };
 
-/// Bit-level bipolar-MUX execution of a trained network. The network's
-/// weighted layers should be in kSum mode conceptually (the MUX computes a
-/// plain scaled sum) — weights are read live like ScNetwork does.
-class BipolarNetwork {
+/// Bit-level bipolar-MUX execution of a trained network through the
+/// inherited forward(); input values in [0, 1] (encoded bipolar). The
+/// network's weighted layers should be in kSum mode conceptually (the MUX
+/// computes a plain scaled sum) — weights are read live like ScNetwork
+/// does.
+class BipolarNetwork final : public GraphExecutor {
  public:
   BipolarNetwork(nn::Network& net, BipolarConfig cfg);
 
-  /// Bit-level inference; input values in [0, 1] (encoded bipolar).
-  [[nodiscard]] nn::Tensor forward(const nn::Tensor& input);
-
   [[nodiscard]] const BipolarConfig& config() const noexcept { return cfg_; }
-
-  /// Per-stage profiling spans (see ScNetwork::set_profiler; the bipolar
-  /// datapath has no skip counters, so spans carry wall time only).
-  void set_profiler(obs::Profiler* profiler, std::uint32_t track = 0) noexcept {
-    profiler_ = profiler;
-    track_ = track;
-  }
 
  private:
   /// Runs a weighted node — conv, dense (as its 1x1 conv) or a skip-path
-  /// projection — as XNOR products summed by a MUX tree.
-  [[nodiscard]] nn::Tensor run_conv(const LoweredOp& op,
-                                    const nn::Tensor& input);
+  /// projection — as XNOR products summed by a MUX tree. The datapath has
+  /// no skip or stream counters, so @p run gains nothing.
+  void run_weighted(const LoweredOp& op, std::size_t node,
+                    const nn::Tensor& input, nn::Tensor& out,
+                    RunStats& run) override;
 
-  nn::Network* net_;
   BipolarConfig cfg_;
-  std::vector<LoweredOp> ops_;
-  obs::Profiler* profiler_ = nullptr;
-  std::uint32_t track_ = 0;
 };
 
 }  // namespace acoustic::sim

@@ -73,6 +73,133 @@ std::vector<LoweredOp> lower_graph(nn::Network& net, const LowerOptions& opt,
   return ops;
 }
 
+const char* node_kind(const LoweredOp& op) noexcept {
+  if (op.kind == nn::OpKind::kConv2D) {
+    return op.fused_pool != nullptr ? "conv+pool" : "conv";
+  }
+  return nn::to_string(op.kind);
+}
+
+GraphExecutor::GraphExecutor(nn::Network& net, const LowerOptions& opt,
+                             const char* who)
+    : ops_(lower_graph(net, opt, who)), who_(who) {}
+
+void GraphExecutor::run_max_pool(const LoweredOp& op, const nn::Tensor& input,
+                                 nn::Tensor& out, RunStats& run) {
+  (void)run;
+  out = op.max_pool->forward(input);
+}
+
+void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
+  // Per-run accounting: the bodies write into `run`, never into stats_, so
+  // evaluator clones share nothing mutable.
+  RunStats run;
+  run.samples = 1;
+  // One scratch epoch per forward: the first call grows the arena to the
+  // network's high-water mark, every later call only bumps pointers.
+  arena_.reset();
+  // Nodes ping-pong between the two member buffers; the external input is
+  // read-only, so the first node writes buf_a_.
+  const nn::Tensor* cur = &input;
+  nn::Tensor* cur_buf = nullptr;
+  const auto flip = [&]() -> nn::Tensor& {
+    return cur_buf == &buf_a_ ? buf_b_ : buf_a_;
+  };
+  const auto land = [&](nn::Tensor& dst) {
+    cur_buf = &dst;
+    cur = cur_buf;
+  };
+  // A node that works in place (skip save/add, a post-op) needs a writable
+  // buffer: copy-on-first-write of the external input.
+  const auto writable = [&]() -> nn::Tensor& {
+    if (cur_buf == nullptr) {
+      nn::Tensor& dst = flip();
+      dst = *cur;
+      land(dst);
+    }
+    return *cur_buf;
+  };
+  const bool profiled = profiler_ != nullptr;
+  for (std::size_t s = 0; s < ops_.size(); ++s) {
+    const LoweredOp& op = ops_[s];
+    // Name strings are only built when a profiler is attached — the
+    // unprofiled path must not allocate.
+    obs::Span span(profiler_, profiled ? op.layer->name() : std::string(),
+                   profiled ? std::string("layer") : std::string(), track_,
+                   static_cast<std::uint32_t>(s));
+    if (profiled) {
+      span.kind(node_kind(op));
+    }
+    const RunStats before = run;
+    // No default: -Wswitch keeps the walk total over nn::OpKind.
+    switch (op.kind) {
+      case nn::OpKind::kConv2D:
+      case nn::OpKind::kDense: {
+        nn::Tensor& dst = flip();
+        run_weighted(op, s, *cur, dst, run);
+        land(dst);
+        break;
+      }
+      case nn::OpKind::kSkipProject: {
+        // Transforms the saved skip tensor; the main path passes through.
+        // Swap rather than copy: saved takes the projected tensor,
+        // skip_buf_ keeps the old capacity for the next block.
+        nn::SkipState& skip = *op.skip;
+        if (skip.saved.size() == 0) {
+          throw std::logic_error(std::string(who_) +
+                                 ": skip-project before any skip-save "
+                                 "recorded a tensor");
+        }
+        run_weighted(op, s, skip.saved, skip_buf_, run);
+        std::swap(skip.saved, skip_buf_);
+        break;
+      }
+      case nn::OpKind::kMaxPool2D: {
+        nn::Tensor& dst = flip();
+        run_max_pool(op, *cur, dst, run);
+        land(dst);
+        break;
+      }
+      case nn::OpKind::kSkipSave:
+      case nn::OpKind::kSkipAdd:
+        // Binary-domain arithmetic (counter preload), defined by the layer.
+        (void)op.layer->forward_in_place(writable());
+        break;
+      // lower_graph attaches binary-domain layers to the preceding node's
+      // post_ops; they never form a node of their own.
+      case nn::OpKind::kAvgPool2D:
+      case nn::OpKind::kBatchNorm:
+      case nn::OpKind::kReLU:
+      case nn::OpKind::kOrSaturation:
+        break;
+    }
+    run.layers_run += op.weighted() ? 1 : 0;
+    for (nn::Layer* post : op.post_ops) {
+      // Shape-preserving post-ops (ReLU, BatchNorm) run in place; the rest
+      // (e.g. an unfused pooling layer) take the allocating forward.
+      nn::Tensor& acc = writable();
+      if (post->forward_in_place(acc)) {
+        continue;
+      }
+      nn::Tensor& next = flip();
+      next = post->forward(acc);
+      land(next);
+    }
+    if (profiled) {
+      span.counter("product_bits", run.product_bits - before.product_bits);
+      span.counter("skipped_operands",
+                   run.skipped_operands - before.skipped_operands);
+      span.counter("stream_bits_generated",
+                   run.stream_bits_generated - before.stream_bits_generated);
+      span.counter("stream_bits_reused",
+                   run.stream_bits_reused - before.stream_bits_reused);
+    }
+  }
+  run.scratch_bytes = arena_.high_water_bytes();
+  stats_.merge(run);
+  out = *cur;
+}
+
 LowerOptions sc_lower_options(const ScConfig& cfg) noexcept {
   LowerOptions opt;
   opt.fuse_avg_pool = cfg.pooling == PoolingMode::kSkipping;

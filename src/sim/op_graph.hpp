@@ -1,10 +1,11 @@
-// Op-graph lowering for the bit-level executors (DESIGN.md section 15).
+// Op-graph lowering and the one graph walk of every executor (DESIGN.md
+// section 15).
 //
-// Both ScNetwork and BipolarNetwork execute a network as a sequence of
-// lowered ops. lower_graph walks the layer list once and switches on each
-// layer's nn::OpKind (no default case, so -Wswitch flags a kind the
-// lowering forgets); a case consumes one or more layers and appends at
-// most one LoweredOp node:
+// ScNetwork, BipolarNetwork and the float backend execute a network as a
+// sequence of lowered ops. lower_graph walks the layer list once and
+// switches on each layer's nn::OpKind (no default case, so -Wswitch flags
+// a kind the lowering forgets); a case consumes one or more layers and
+// appends at most one LoweredOp node:
 //
 //   - kConv2D opens a weighted node. Under LowerOptions::fold_batch_norm a
 //     BatchNorm directly following the conv is absorbed into the node (its
@@ -24,6 +25,11 @@
 //     unfolded BatchNorm) attaches to the previous node's binary-domain
 //     post-op list.
 //
+// GraphExecutor runs that node list: one walk owns the activation
+// buffers, the skip nodes, the post-ops, the per-node spans and the
+// stats, and asks its executor for two bodies only, the weighted node and
+// the max pool. Node i is therefore the same node on every backend.
+//
 // This module is also the one owner of what a weighted node computes:
 // sc_lower_options (the lowering the SC datapath runs), the fused pool's
 // window timetable, ConvGeometry with its live-tap rectangle (live_taps),
@@ -32,8 +38,11 @@
 // BN-folded weights the executor runs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "nn/batchnorm.hpp"
@@ -43,6 +52,8 @@
 #include "nn/op.hpp"
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
+#include "obs/span.hpp"
+#include "runtime/scratch_arena.hpp"
 #include "sim/sc_config.hpp"
 #include "sim/stream_plan.hpp"
 
@@ -50,8 +61,8 @@ namespace acoustic::sim {
 
 /// One executable node of the lowered graph.
 struct LoweredOp {
-  nn::OpKind kind = nn::OpKind::kConv2D;  ///< executor dispatch key
-  nn::Layer* layer = nullptr;  ///< defining layer (names, binary fallback)
+  nn::OpKind kind = nn::OpKind::kConv2D;  ///< the walk's dispatch key
+  nn::Layer* layer = nullptr;  ///< defining layer (names, skip save/add)
   nn::Conv2D* conv = nullptr;  ///< kConv2D, or kSkipProject's projection
   nn::Dense* dense = nullptr;  ///< kDense
   nn::BatchNorm* bn = nullptr;  ///< folded into the conv's weight levels
@@ -91,6 +102,154 @@ struct LowerOptions {
 [[nodiscard]] std::vector<LoweredOp> lower_graph(nn::Network& net,
                                                  const LowerOptions& opt,
                                                  const char* who);
+
+/// Statistics an executor accumulates across forward() calls. The walk
+/// counts samples, layers_run and scratch_bytes on every executor; the SC
+/// bodies add the datapath counters, the float and bipolar bodies none.
+/// Every field is a sum except scratch_bytes, a max, so merging
+/// per-thread stats is order-insensitive.
+struct RunStats {
+  /// forward() calls (samples executed).
+  std::uint64_t samples = 0;
+  /// Weighted nodes executed (conv, dense, skip projection).
+  std::uint64_t layers_run = 0;
+  /// AND-gate product bits evaluated (the unit computation skipping saves).
+  std::uint64_t product_bits = 0;
+  /// Product candidates skipped by operand gating: a zero (or padding)
+  /// activation or a zero-quantized weight in the phase the product was
+  /// scheduled for (paper II-C's "skip computation on zero operands").
+  std::uint64_t skipped_operands = 0;
+  /// Comparator bits the SNG kernel actually produced for this run
+  /// (scalar-path fills, per-image activation-plan builds, fallback
+  /// fills). Shared weight-table builds are amortized across images and
+  /// clones and deliberately excluded, keeping stats a pure function of
+  /// the sample set.
+  std::uint64_t stream_bits_generated = 0;
+  /// Segment bits served from a packed stream plan instead of being
+  /// regenerated — the fast path's reuse headroom.
+  std::uint64_t stream_bits_reused = 0;
+  /// Segment fetches served from a plan / generated on the fly because
+  /// the plan exceeded its byte budget.
+  std::uint64_t plan_hits = 0;
+  std::uint64_t plan_misses = 0;
+  /// High-water mark of the per-forward scratch arena in bytes — the
+  /// steady-state working set one executor needs beyond the plan tables.
+  /// A pure function of (network, config, input shape): identical for
+  /// every clone, so merge() takes the max, not the sum, and the figure
+  /// stays invariant across thread counts and repeated runs.
+  std::uint64_t scratch_bytes = 0;
+
+  void merge(const RunStats& other) noexcept {
+    samples += other.samples;
+    layers_run += other.layers_run;
+    product_bits += other.product_bits;
+    skipped_operands += other.skipped_operands;
+    stream_bits_generated += other.stream_bits_generated;
+    stream_bits_reused += other.stream_bits_reused;
+    plan_hits += other.plan_hits;
+    plan_misses += other.plan_misses;
+    scratch_bytes = std::max(scratch_bytes, other.scratch_bytes);
+  }
+
+  bool operator==(const RunStats&) const = default;
+};
+
+/// The span kind of node @p op: "conv", "conv+pool" (a conv with a fused
+/// average pool), "dense", "skip-save", "skip-project", "skip-add" or
+/// "max-pool".
+[[nodiscard]] const char* node_kind(const LoweredOp& op) noexcept;
+
+/// The one walk over a lowered graph that every executor runs. It owns
+/// what all backends share: the ping-pong activation buffers (the external
+/// input is read-only), the skip nodes (save and add run nn::SkipSave and
+/// nn::SkipAdd in place; a projection runs the weighted body on the saved
+/// tensor into a staging buffer), the binary-domain post-ops, the node
+/// spans, the per-forward scratch arena and the stats. An executor derives
+/// from it and supplies two bodies: run_weighted and run_max_pool (exact
+/// binary max unless overridden). Dispatch is one virtual call per node;
+/// nothing on the per-node path allocates once the buffers and the arena
+/// have grown to the network's high-water mark.
+class GraphExecutor {
+ public:
+  virtual ~GraphExecutor() = default;
+  GraphExecutor(const GraphExecutor&) = delete;
+  GraphExecutor& operator=(const GraphExecutor&) = delete;
+
+  /// Runs one sample.
+  [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) {
+    nn::Tensor out;
+    forward_into(input, out);
+    return out;
+  }
+
+  /// Runs one sample into @p out, reusing its capacity: the walk writes
+  /// every node into its member buffers and copies the last into @p out.
+  /// Per-run stats accumulate in locals and merge into stats() once.
+  void forward_into(const nn::Tensor& input, nn::Tensor& out);
+
+  /// Cumulative statistics since construction (or reset_stats() /
+  /// take_stats()).
+  [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
+  void reset_stats() noexcept { stats_ = RunStats{}; }
+  /// Returns the accumulated statistics and resets them — the per-run
+  /// read-out the batch evaluator uses to merge clone stats race-free.
+  [[nodiscard]] RunStats take_stats() noexcept {
+    return std::exchange(stats_, RunStats{});
+  }
+
+  /// Enables per-node profiling: every forward records one category-
+  /// "layer" span per node (name = the node's layer, kind = node_kind,
+  /// seq = node index, counters = the node's product_bits,
+  /// skipped_operands, stream_bits_generated and stream_bits_reused
+  /// deltas) on timeline lane @p track. The span covers the node's
+  /// post-ops too, so the nodes sum to the forward's wall time. Pass
+  /// nullptr to disable. The profiler must outlive this object; it may be
+  /// shared across clones on different threads (obs::Profiler::record is
+  /// thread-safe).
+  void set_profiler(obs::Profiler* profiler, std::uint32_t track = 0) noexcept {
+    profiler_ = profiler;
+    track_ = track;
+  }
+
+ protected:
+  /// Lowers @p net under @p opt (see lower_graph; @p who, a string
+  /// literal, prefixes its errors and the walk's). @p net must outlive
+  /// this object: layers and weights are read live.
+  GraphExecutor(nn::Network& net, const LowerOptions& opt, const char* who);
+
+  /// The lowered nodes, in execution order.
+  [[nodiscard]] const std::vector<LoweredOp>& ops() const noexcept {
+    return ops_;
+  }
+
+  /// Runs weighted node @p op (index @p node) on @p input into @p out,
+  /// adding its datapath counters to @p run.
+  virtual void run_weighted(const LoweredOp& op, std::size_t node,
+                            const nn::Tensor& input, nn::Tensor& out,
+                            RunStats& run) = 0;
+  /// Runs max-pool node @p op on @p input into @p out. Default: the
+  /// layer's exact binary max.
+  virtual void run_max_pool(const LoweredOp& op, const nn::Tensor& input,
+                            nn::Tensor& out, RunStats& run);
+
+  /// Per-forward bump allocator for the bodies: reset at the top of every
+  /// forward, grown to its high-water mark by the warm-up calls (reported
+  /// as RunStats::scratch_bytes), allocation-free after.
+  runtime::ScratchArena arena_;
+
+ private:
+  std::vector<LoweredOp> ops_;
+  const char* who_;
+  RunStats stats_;
+  /// Ping-pong activation buffers the nodes alternate between.
+  nn::Tensor buf_a_;
+  nn::Tensor buf_b_;
+  /// Skip-projection output, swapped into SkipState::saved, kept out of
+  /// the ping-pong so a projection cannot clobber the live activation.
+  nn::Tensor skip_buf_;
+  obs::Profiler* profiler_ = nullptr;
+  std::uint32_t track_ = 0;
+};
 
 /// How a fused pooling window runs over a conv output (paper II-C): the
 /// window's pool^2 positions each count a phase / pool^2 bit slice

@@ -99,15 +99,14 @@ void charge(StreamPlanCounters& c, bool planned, std::uint64_t fetches,
 
 ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg,
                      std::shared_ptr<WeightPlanStore> shared)
-    : net_(&net), cfg_(cfg) {
+    : GraphExecutor(net, sc_lower_options(cfg), "ScNetwork"), cfg_(cfg) {
   if (cfg_.phase_length() == 0) {
     throw std::invalid_argument("ScNetwork: stream_length must be >= 2");
   }
-  ops_ = lower_graph(net, sc_lower_options(cfg_), "ScNetwork");
-  stage_scratch_.resize(ops_.size());
+  stage_scratch_.resize(ops().size());
   wgt_plans_ = shared != nullptr
                    ? std::move(shared)
-                   : std::make_shared<WeightPlanStore>(cfg_, ops_.size());
+                   : std::make_shared<WeightPlanStore>(cfg_, ops().size());
 }
 
 /// Auto mode's per-layer gate (intra_threads == 0 only): estimated
@@ -154,154 +153,9 @@ StreamBank& ScNetwork::activation_bank() {
   return *act_bank_;
 }
 
-void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
-  // Per-run accounting: the hot loops below write into `run` (and locals),
-  // never into stats_, so evaluator clones share nothing mutable.
-  RunStats run;
-  run.samples = 1;
-  // One scratch epoch per forward: the first call grows the arena to the
-  // network's high-water mark, every later call only bumps pointers.
-  arena_.reset();
-  // Stages ping-pong between the two member buffers; the external input is
-  // read-only, so the first stage writes buf_a_.
-  const nn::Tensor* cur = &input;
-  nn::Tensor* cur_buf = nullptr;
-  const auto flip = [&]() -> nn::Tensor& {
-    return cur_buf == &buf_a_ ? buf_b_ : buf_a_;
-  };
-  // A node that mutates the activation in place (skip-add) needs a
-  // writable buffer; the external input is read-only, so copy-on-first-
-  // write into the ping-pong pair.
-  const auto writable = [&]() -> nn::Tensor& {
-    if (cur_buf == nullptr) {
-      nn::Tensor& dst = flip();
-      dst = *cur;
-      cur_buf = &dst;
-      cur = cur_buf;
-    }
-    return *cur_buf;
-  };
-  const bool profiled = profiler_ != nullptr;
-  for (std::size_t s = 0; s < ops_.size(); ++s) {
-    const LoweredOp& op = ops_[s];
-    // The span covers the node AND its binary-domain post-ops, so the
-    // per-layer profile sums to (almost exactly) the forward wall time;
-    // counters carry the node's contribution alone. Name/counter strings
-    // are only built when a profiler is attached — the unprofiled hot
-    // path must not allocate.
-    obs::Span span(profiler_, profiled ? op.layer->name() : std::string(),
-                   profiled ? std::string("layer") : std::string(), track_,
-                   static_cast<std::uint32_t>(s));
-    if (profiled) {
-      switch (op.kind) {
-        case nn::OpKind::kConv2D:
-          span.kind(op.fused_pool != nullptr ? "conv+pool" : "conv");
-          break;
-        case nn::OpKind::kDense:
-          span.kind("dense");
-          break;
-        case nn::OpKind::kSkipProject:
-          span.kind("skip-project");
-          break;
-        case nn::OpKind::kSkipSave:
-          span.kind("skip-save");
-          break;
-        case nn::OpKind::kSkipAdd:
-          span.kind("skip-add");
-          break;
-        case nn::OpKind::kMaxPool2D:
-          span.kind("max-pool");
-          break;
-        default:
-          span.kind(::acoustic::nn::to_string(op.kind));
-          break;
-      }
-    }
-    const RunStats before = run;
-    switch (op.kind) {
-      case nn::OpKind::kConv2D:
-      case nn::OpKind::kDense: {
-        nn::Tensor& dst = flip();
-        run_conv(op, s, *cur, dst, run);
-        cur_buf = &dst;
-        cur = cur_buf;
-        ++run.layers_run;
-        break;
-      }
-      case nn::OpKind::kSkipProject:
-        // Transforms the saved skip tensor; the main path passes through.
-        run_skip_project(op, s, run);
-        ++run.layers_run;
-        break;
-      case nn::OpKind::kSkipSave:
-        op.skip->saved = *cur;
-        break;
-      case nn::OpKind::kSkipAdd: {
-        nn::Tensor& acc = writable();
-        const nn::Tensor& saved = op.skip->saved;
-        if (!(saved.shape() == acc.shape())) {
-          throw std::invalid_argument(
-              "ScNetwork: skip-add shape mismatch (is the skip-path "
-              "projection missing?)");
-        }
-        // Counter-preload semantics in the binary domain: out = block + x.
-        for (std::size_t i = 0; i < acc.size(); ++i) {
-          acc[i] += saved[i];
-        }
-        break;
-      }
-      case nn::OpKind::kMaxPool2D: {
-        nn::Tensor& dst = flip();
-        if (cfg_.max_pool == MaxPoolMode::kStochastic) {
-          run_max_pool_sc(op, *cur, dst, run);
-        } else {
-          dst = op.max_pool->forward(*cur);
-        }
-        cur_buf = &dst;
-        cur = cur_buf;
-        break;
-      }
-      default:
-        // Lowering emits no other node kinds (binary-domain layers become
-        // post-ops); run the layer as a defensive fallback.
-        {
-          nn::Tensor& dst = flip();
-          dst = op.layer->forward(*cur);
-          cur_buf = &dst;
-          cur = cur_buf;
-        }
-        break;
-    }
-    for (nn::Layer* post : op.post_ops) {
-      // Shape-preserving post-ops (ReLU) run in place; the rest (e.g. a
-      // non-fused pooling layer) take the allocating fallback.
-      nn::Tensor& acc = writable();
-      if (post->forward_in_place(acc)) {
-        continue;
-      }
-      nn::Tensor& next = flip();
-      next = post->forward(acc);
-      cur_buf = &next;
-      cur = cur_buf;
-    }
-    if (profiled) {
-      span.counter("product_bits", run.product_bits - before.product_bits);
-      span.counter("skipped_operands",
-                   run.skipped_operands - before.skipped_operands);
-      span.counter("stream_bits_generated",
-                   run.stream_bits_generated - before.stream_bits_generated);
-      span.counter("stream_bits_reused",
-                   run.stream_bits_reused - before.stream_bits_reused);
-    }
-  }
-  run.scratch_bytes = arena_.high_water_bytes();
-  stats_.merge(run);
-  out = *cur;
-}
-
-void ScNetwork::run_conv(const LoweredOp& op, std::size_t op_idx,
-                         const nn::Tensor& input, nn::Tensor& out,
-                         RunStats& run) {
+void ScNetwork::run_weighted(const LoweredOp& op, std::size_t node,
+                             const nn::Tensor& input, nn::Tensor& out,
+                             RunStats& run) {
   const ConvGeometry g =
       conv_geometry(op, input.shape(), cfg_.phase_length());
   if (g.window.sched.seg == 0) {
@@ -311,26 +165,13 @@ void ScNetwork::run_conv(const LoweredOp& op, std::size_t op_idx,
   if (cfg_.exec == ExecMode::kScalar) {
     run_conv_scalar(op, g, input, out, run);
   } else {
-    run_conv_planned(op, op_idx, g, input, out, run);
+    run_conv_planned(op, node, g, input, out, run);
   }
   // A fused pool whose window does not tile this conv output ran unfused;
   // finish it in the binary domain (WindowSchedule's fallback).
   if (!g.window.fused) {
     out = op.fused_pool->forward(out);
   }
-}
-
-void ScNetwork::run_skip_project(const LoweredOp& op, std::size_t op_idx,
-                                 RunStats& run) {
-  nn::SkipState& state = *op.skip;
-  if (state.saved.size() == 0) {
-    throw std::logic_error(
-        "ScNetwork: skip-project before any skip-save recorded a tensor");
-  }
-  run_conv(op, op_idx, state.saved, skip_buf_, run);
-  // Swap rather than copy: saved takes the projected tensor, skip_buf_
-  // keeps the old capacity for the next block.
-  std::swap(state.saved, skip_buf_);
 }
 
 // Reference scalar path (the seed implementation): regenerates every
@@ -463,7 +304,7 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
 // (plan misses). All per-forward scratch comes from the arena (carved
 // BEFORE the unit loop — the arena is single-owner), so a steady-state
 // call allocates nothing.
-void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
+void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
                                  const ConvGeometry& g,
                                  const nn::Tensor& input, nn::Tensor& out,
                                  RunStats& run) {
@@ -487,7 +328,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   const std::span<std::uint32_t> act_levels =
       arena_.alloc<std::uint32_t>(input.size());
   quantize_activations_into(act_bank, input, act_levels);
-  StageScratch& stage = stage_scratch_[op_idx];
+  StageScratch& stage = stage_scratch_[node];
   const WeightKey key =
       node_key(op, op.bn != nullptr ? arena_.alloc<float>(oc_count)
                                     : std::span<float>{});
@@ -516,7 +357,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   // both before the unit loop keeps them read-only while workers run.
   stage.input = input.shape();
   if (stage.table == nullptr || !stage.table->keyed_on(sched, g.layout, key)) {
-    stage.table = wgt_plans_->get(op_idx, sched, g.layout, key,
+    stage.table = wgt_plans_->get(node, sched, g.layout, key,
                                   cfg_.plan_budget_bytes, pool);
   }
   const ProductTable& tbl = *stage.table;
@@ -775,8 +616,12 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   }
 }
 
-void ScNetwork::run_max_pool_sc(const LoweredOp& op, const nn::Tensor& input,
-                                nn::Tensor& out, RunStats& run) {
+void ScNetwork::run_max_pool(const LoweredOp& op, const nn::Tensor& input,
+                             nn::Tensor& out, RunStats& run) {
+  if (cfg_.max_pool == MaxPoolMode::kExact) {
+    GraphExecutor::run_max_pool(op, input, out, run);
+    return;
+  }
   const int p = op.max_pool->window();
   const nn::Shape in = input.shape();
   const nn::Shape os = op.max_pool->output_shape(in);
@@ -838,8 +683,8 @@ core::Report ScNetwork::validate_plans() {
     return report;  // scalar mode builds no tables; nothing to validate
   }
   const std::size_t phase = cfg_.phase_length();
-  for (std::size_t s = 0; s < ops_.size(); ++s) {
-    const LoweredOp& op = ops_[s];
+  for (std::size_t s = 0; s < ops().size(); ++s) {
+    const LoweredOp& op = ops()[s];
     const StageScratch& scratch = stage_scratch_[s];
     // Nodes that are unweighted or never executed hold no table; skip them
     // rather than force a build the run never exercised.

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/check.hpp"
@@ -24,6 +25,7 @@
 #include "nn/pool.hpp"
 #include "nn/quantize.hpp"
 #include "nn/residual.hpp"
+#include "obs/span.hpp"
 #include "perf/codegen.hpp"
 #include "sc/gates.hpp"
 #include "sc/kernels/kernels.hpp"
@@ -1057,6 +1059,58 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
       const core::Report plans = planned.validate_plans();
       EXPECT_TRUE(plans.clean()) << label << "\n" << plans.to_string();
     }
+  }
+}
+
+TEST_P(GeneratedGraphTest, EveryDatapathWalksOneNodeList) {
+  // Every backend runs the one graph walk, so float, sc-mux and bipolar
+  // report the same (seq, name, kind) node spans and layers_run; sc
+  // differs only in naming a conv with a fused average pool "conv+pool".
+  // The float backend's logits are nn::Network::forward's byte for byte.
+  GeneratedGraph g = random_graph(GetParam());
+  nn::Tensor x(g.input);
+  sc::XorShift32 rng(GetParam() + 2000u);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.next_double());
+  }
+  sim::ScConfig cfg;
+  cfg.stream_length = 64;
+  sim::BipolarConfig bipolar_cfg;
+  bipolar_cfg.stream_length = 64;
+  using Node = std::tuple<std::uint32_t, std::string, std::string>;
+  struct Run {
+    nn::Tensor logits;
+    std::vector<Node> nodes;
+    std::uint64_t layers_run = 0;
+  };
+  const auto run = [&](const std::string& name) {
+    const auto backend = sim::make_backend(name, g.net, cfg, bipolar_cfg);
+    obs::Profiler profiler;
+    backend->set_profiler(&profiler, 0);
+    Run r;
+    r.logits = backend->forward(x);
+    for (const obs::SpanRecord& span : profiler.take()) {
+      r.nodes.emplace_back(span.seq, span.name, span.kind);
+    }
+    r.layers_run = backend->stats().layers_run;
+    return r;
+  };
+  const Run ref = run("float");
+  const nn::Tensor want = g.net.forward(x);
+  ASSERT_EQ(ref.logits.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(ref.logits.data().data(), want.data().data(),
+                        want.size() * sizeof(float)),
+            0);
+  EXPECT_FALSE(ref.nodes.empty());
+  for (const std::string name : {"sc", "sc-mux", "bipolar"}) {
+    Run r = run(name);
+    for (Node& node : r.nodes) {
+      if (std::get<2>(node) == "conv+pool") {
+        std::get<2>(node) = "conv";
+      }
+    }
+    EXPECT_EQ(r.nodes, ref.nodes) << name;
+    EXPECT_EQ(r.layers_run, ref.layers_run) << name;
   }
 }
 

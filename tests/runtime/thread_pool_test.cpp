@@ -24,6 +24,14 @@ TEST(ThreadPool, ExplicitWorkerCount) {
   EXPECT_EQ(pool.size(), 3u);
 }
 
+TEST(ThreadPool, RejectsWorkerCountAboveCeiling) {
+  // Rejected before any worker starts: none of these creates a thread.
+  for (const unsigned threads :
+       {ThreadPool::kMaxThreads + 1, 100000u, ~0u}) {
+    EXPECT_THROW(ThreadPool{threads}, std::invalid_argument) << threads;
+  }
+}
+
 TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kCount = 1000;

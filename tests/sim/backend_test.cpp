@@ -156,6 +156,20 @@ TEST(Backend, TakeStatsResetsScExecutorToo) {
   EXPECT_EQ(second.skipped_operands, first.skipped_operands);
 }
 
+TEST(Backend, EveryBackendRejectsABinaryDomainFirstLayer) {
+  // Every backend lowers the network into the same node list, and a
+  // binary-domain layer has no node to attach to before the first one.
+  nn::Network net;
+  net.add<nn::ReLU>();
+  net.add<nn::Dense>(nn::DenseSpec{.in_features = 4, .out_features = 2})
+      .initialize(3);
+  for (const std::string_view name : kBackendNames) {
+    EXPECT_THROW((void)make_backend(std::string(name), net, small_sc()),
+                 std::invalid_argument)
+        << name;
+  }
+}
+
 TEST(Backend, LayersRunAgreesAcrossBackends) {
   // One projection block: conv, then a skip path whose 1x1 stride-2
   // projection conv is a weighted layer too, then a dense head — four

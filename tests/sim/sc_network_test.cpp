@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
+#include "obs/span.hpp"
 #include "sc/rng.hpp"
+#include "train/models.hpp"
 
 namespace acoustic::sim {
 namespace {
@@ -255,6 +261,84 @@ TEST(ScNetwork, LongerStreamsReduceError) {
     }
   }
   EXPECT_LT(err_long, err_short);
+}
+
+/// What perfbench's node ledger reads of one "layer" span.
+struct NodeSpan {
+  std::uint32_t seq = 0;
+  std::string name;
+  std::string kind;
+  std::uint64_t product_bits = 0;
+  std::uint64_t skipped_operands = 0;
+  std::uint64_t stream_bits_generated = 0;
+  std::uint64_t stream_bits_reused = 0;
+
+  bool operator==(const NodeSpan&) const = default;
+};
+
+std::vector<NodeSpan> node_spans(nn::Network& net, const nn::Tensor& x) {
+  ScConfig cfg;
+  cfg.stream_length = 128;
+  cfg.max_pool = MaxPoolMode::kStochastic;
+  ScNetwork exec(net, cfg);
+  obs::Profiler profiler;
+  exec.set_profiler(&profiler);
+  (void)exec.forward(x);
+  std::vector<NodeSpan> spans;
+  for (const obs::SpanRecord& rec : profiler.take()) {
+    EXPECT_EQ(rec.category, "layer");
+    NodeSpan span{rec.seq, rec.name, rec.kind};
+    for (const auto& [key, value] : rec.counters) {
+      std::uint64_t* const field =
+          key == "product_bits"            ? &span.product_bits
+          : key == "skipped_operands"      ? &span.skipped_operands
+          : key == "stream_bits_generated" ? &span.stream_bits_generated
+          : key == "stream_bits_reused"    ? &span.stream_bits_reused
+                                           : nullptr;
+      if (field == nullptr) {
+        ADD_FAILURE() << "unexpected counter " << key;
+        continue;
+      }
+      *field = value;
+    }
+    spans.push_back(span);
+  }
+  return spans;
+}
+
+/// Prints a span as the initializer the test compares against.
+void PrintTo(const NodeSpan& s, std::ostream* os) {
+  *os << "{" << s.seq << ", \"" << s.name << "\", \"" << s.kind << "\", "
+      << s.product_bits << ", " << s.skipped_operands << ", "
+      << s.stream_bits_generated << ", " << s.stream_bits_reused << "}";
+}
+
+TEST(ScNetwork, NodeSpansUnchanged) {
+  // Absolute pin of the SC node spans: one per lowered node with its
+  // counter deltas, the node list and per-node work the perfbench ledger
+  // keys on. The stochastic max puts cifar-max's max-pool nodes on the SC
+  // datapath.
+  nn::Network resnet = train::build_resnet_tiny(nn::AccumMode::kOrApprox);
+  nn::Network cifar =
+      train::build_cifar_small_maxpool(nn::AccumMode::kOrApprox);
+  const nn::Tensor x = random_unit(nn::Shape{16, 16, 3}, 5);
+  const std::vector<NodeSpan> want_resnet = {
+      {0, "conv3x3(3->8)", "conv+pool", 807664, 4817, 98048, 1010480},
+      {1, "skip-save", "skip-save", 0, 0, 0, 0},
+      {2, "conv3x3(8->8)", "conv", 1274496, 16950, 41984, 1593600},
+      {3, "conv3x3(8->8)", "conv", 1068864, 20163, 35712, 1337152},
+      {4, "skip-add", "skip-add", 0, 0, 0, 0},
+      {5, "dense(512->10)", "dense", 233536, 1471, 47616, 281152},
+  };
+  const std::vector<NodeSpan> want_cifar = {
+      {0, "conv5x5(3->8)", "conv", 8371968, 22788, 98048, 10471680},
+      {1, "maxpool2x2", "max-pool", 0, 0, 77376, 0},
+      {2, "conv5x5(8->16)", "conv", 7593408, 86153, 53248, 8551616},
+      {3, "maxpool2x2", "max-pool", 0, 0, 33344, 0},
+      {4, "dense(256->10)", "dense", 126144, 589, 25600, 151744},
+  };
+  EXPECT_EQ(node_spans(resnet, x), want_resnet);
+  EXPECT_EQ(node_spans(cifar, x), want_cifar);
 }
 
 }  // namespace

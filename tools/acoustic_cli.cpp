@@ -34,6 +34,7 @@
 #include "perf/timeline.hpp"
 #include "perf/trace_export.hpp"
 #include "nn/zoo_build.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sc/kernels/kernels.hpp"
 #include "sim/backend.hpp"
 #include "sim/batch_evaluator.hpp"
@@ -863,11 +864,11 @@ int cmd_eval(cli::Args args) {
                  opt.model),
        cli::number("--threads", "N",
                    "evaluator threads (default 0 = all hardware threads)",
-                   opt.threads),
+                   opt.threads, runtime::ThreadPool::kMaxThreads),
        cli::number("--intra-threads", "N",
                    "SC workers per image: 0 = auto (default), 1 = serial, "
                    "N = force",
-                   opt.sc.intra_threads),
+                   opt.sc.intra_threads, runtime::ThreadPool::kMaxThreads),
        cli::choice("--exec", "SC execution path, same bits (default planned)",
                    opt.sc.exec,
                    {{"planned", sim::ExecMode::kPlanned},
@@ -1074,7 +1075,7 @@ int cmd_bench(cli::Args args) {
                    opt.suite.stream),
        cli::number("--threads-max", "N",
                    "thread sweep ceiling (default 0 = hardware threads)",
-                   opt.suite.threads_max),
+                   opt.suite.threads_max, runtime::ThreadPool::kMaxThreads),
        cli::text("--json", "FILE", "write the bench.v1 document",
                  opt.json_path),
        cli::text("--compare", "BASELINE", "compare against a bench.v1 document",
