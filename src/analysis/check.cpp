@@ -573,7 +573,7 @@ void check_weighted_node(Report& report, const std::string& path,
     report_saturation(
         report, path, options, worst.est, worst.fan_in,
         std::string("computed from the quantized weight levels of output ") +
-            (op.dense != nullptr ? "feature " : "channel ") +
+            (op.kind == nn::OpKind::kDense ? "feature " : "channel ") +
             std::to_string(worst.output) + "'s " +
             (worst.positive ? "positive" : "negative") +
             " phase at activation prior " + fmt(options.activation_prior));

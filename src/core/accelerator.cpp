@@ -18,6 +18,11 @@ Accelerator::Accelerator(perf::ArchConfig config)
     throw std::invalid_argument("clock_mhz must be finite and > 0, got " +
                                 format_number(config_.clock_mhz, 6));
   }
+  // The split-unipolar minimum: one bit for each sign phase.
+  if (config_.stream_length < 2) {
+    throw std::invalid_argument("stream_length must be >= 2, got " +
+                                std::to_string(config_.stream_length));
+  }
 }
 
 InferenceCost Accelerator::run(const nn::NetworkDesc& net) const {

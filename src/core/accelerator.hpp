@@ -43,8 +43,9 @@ struct LayerCost {
 
 class Accelerator {
  public:
-  /// Throws std::invalid_argument, naming the field, unless batch >= 1 and
-  /// clock_mhz is finite and > 0.
+  /// Throws std::invalid_argument, naming the field, unless batch >= 1,
+  /// clock_mhz is finite and > 0, and stream_length >= 2 (one bit per
+  /// split-unipolar sign phase).
   explicit Accelerator(perf::ArchConfig config);
 
   /// Compiles @p net to an ACOUSTIC program.

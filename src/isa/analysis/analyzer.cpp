@@ -3,28 +3,11 @@
 #include <string>
 #include <vector>
 
+#include "isa/encoding.hpp"
+
 namespace acoustic::isa::analysis {
 
 namespace {
-
-// Mirrors the operand format of isa/encoding.cpp: 24-bit mantissa with a
-// 2-bit byte-shift exponent, value = mantissa << (8 * exp).
-constexpr std::uint64_t kMantissaMax = (1ull << 24) - 1;
-constexpr std::uint64_t kCountMax = (1ull << 24) - 1;
-constexpr std::uint64_t kOperandMax = kMantissaMax << 24;
-
-enum class OperandFit { kExact, kRounded, kOverflow };
-
-OperandFit operand_fit(std::uint64_t value) {
-  for (unsigned exp = 0; exp < 4; ++exp) {
-    const unsigned shift = 8 * exp;
-    if ((value >> shift) <= kMantissaMax &&
-        ((value >> shift) << shift) == value) {
-      return OperandFit::kExact;
-    }
-  }
-  return value > kOperandMax ? OperandFit::kOverflow : OperandFit::kRounded;
-}
 
 std::size_t npos() { return static_cast<std::size_t>(-1); }
 
@@ -83,10 +66,7 @@ Report analyze(const Program& program, const AnalyzerOptions& options) {
     // Operand representability in the 64-bit instruction word.
     if (instr.op != Opcode::kFor && instr.op != Opcode::kEnd &&
         instr.op != Opcode::kBarr) {
-      const std::uint64_t operand =
-          (instr.op == Opcode::kMac || instr.op == Opcode::kWgtShift)
-              ? instr.cycles
-              : instr.bytes;
+      const std::uint64_t operand = operand_of(instr);
       switch (operand_fit(operand)) {
         case OperandFit::kExact:
           break;
@@ -111,7 +91,7 @@ Report analyze(const Program& program, const AnalyzerOptions& options) {
                      "FOR with zero trip count (the dispatcher has no "
                      "zero-iteration path)");
         }
-        if (instr.count > kCountMax) {
+        if (instr.count > kMaxTripCount) {
           report.add("loop-trip-range", Severity::kError, i,
                      "trip count " + std::to_string(instr.count) +
                          " exceeds the encoding's 24-bit count field");

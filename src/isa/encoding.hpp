@@ -10,10 +10,10 @@
 //   [5:4]   loop kind              (FOR/END)
 //   [13:6]  barrier mask           (BARR)
 //   [37:14] count                  (FOR trip count, 24 bits)
-//   [63:38] operand                (bytes or cycles, 26-bit mantissa with
-//                                   2-bit shift exponent: value =
-//                                   mantissa << (8 * exp), covering byte
-//                                   counts into the hundreds of GB)
+//   [39:38] operand exponent       (2 bits)
+//   [63:40] operand mantissa       (24 bits; the operand, bytes or cycles,
+//                                   is mantissa << (8 * exp), covering byte
+//                                   counts up to about 2^48)
 //
 // Notes are not encoded (they are comments, not architecture).
 #pragma once
@@ -26,8 +26,24 @@
 
 namespace acoustic::isa {
 
+/// The largest FOR trip count the 24-bit count field holds.
+inline constexpr std::uint64_t kMaxTripCount = (std::uint64_t{1} << 24) - 1;
+
+/// How a bytes/cycles operand fits the mantissa/exponent operand field.
+enum class OperandFit {
+  kExact,     ///< some exponent represents it exactly
+  kRounded,   ///< encode() rounds it up to the largest exponent's grid
+  kOverflow,  ///< beyond the largest representable value: encode() throws
+};
+[[nodiscard]] OperandFit operand_fit(std::uint64_t value) noexcept;
+
+/// The operand @p instr encodes: cycles for MAC and WGTSHIFT, bytes for
+/// every other opcode.
+[[nodiscard]] std::uint64_t operand_of(const Instruction& instr) noexcept;
+
 /// Encodes one instruction. Throws std::invalid_argument when a field
-/// exceeds the format (trip count >= 2^24 or operand not representable).
+/// exceeds the format (trip count above kMaxTripCount, or an operand
+/// whose operand_fit is kOverflow).
 [[nodiscard]] std::uint64_t encode(const Instruction& instr);
 
 /// Decodes one word (note comes back empty).

@@ -39,6 +39,7 @@ class Dense final : public Layer {
   [[nodiscard]] const DenseSpec& spec() const noexcept { return spec_; }
   /// The 1x1 conv this layer computes as: in_features input channels,
   /// out_features output channels, this layer's bias and mode.
+  [[nodiscard]] Conv2D& conv() noexcept { return conv_; }
   [[nodiscard]] const Conv2D& conv() const noexcept { return conv_; }
   [[nodiscard]] std::span<float> weights() noexcept { return conv_.weights(); }
   [[nodiscard]] std::span<const float> weights() const noexcept {

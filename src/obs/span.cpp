@@ -112,53 +112,35 @@ std::uint64_t ProfileRow::counter(const std::string& key) const {
 
 std::vector<ProfileRow> aggregate_profile(
     const std::vector<SpanRecord>& spans, const std::string& category) {
-  struct Accum {
-    ProfileRow row;
-    std::uint32_t min_seq = 0;
-  };
-  std::map<std::string, Accum> by_name;
+  // Keyed by (seq, name): the map's order is the row order.
+  std::map<std::pair<std::uint32_t, std::string>, ProfileRow> by_node;
   for (const SpanRecord& span : spans) {
     if (span.category != category) {
       continue;
     }
-    auto [it, inserted] = by_name.try_emplace(span.name);
-    Accum& acc = it->second;
+    auto [it, inserted] = by_node.try_emplace({span.seq, span.name});
+    ProfileRow& row = it->second;
     if (inserted) {
-      acc.row.name = span.name;
-      acc.row.kind = span.kind;
-      acc.min_seq = span.seq;
-    } else {
-      acc.min_seq = std::min(acc.min_seq, span.seq);
+      row.name = span.name;
+      row.kind = span.kind;
     }
-    ++acc.row.calls;
-    acc.row.wall_ms += static_cast<double>(span.dur_ns) * 1e-6;
+    ++row.calls;
+    row.wall_ms += static_cast<double>(span.dur_ns) * 1e-6;
     for (const auto& [key, value] : span.counters) {
       auto slot = std::find_if(
-          acc.row.counters.begin(), acc.row.counters.end(),
+          row.counters.begin(), row.counters.end(),
           [&](const auto& kv) { return kv.first == key; });
-      if (slot == acc.row.counters.end()) {
-        acc.row.counters.emplace_back(key, value);
+      if (slot == row.counters.end()) {
+        row.counters.emplace_back(key, value);
       } else {
         slot->second += value;
       }
     }
   }
-
-  std::vector<Accum> accums;
-  accums.reserve(by_name.size());
-  for (auto& [name, acc] : by_name) {
-    accums.push_back(std::move(acc));
-  }
-  std::sort(accums.begin(), accums.end(), [](const Accum& a, const Accum& b) {
-    if (a.min_seq != b.min_seq) {
-      return a.min_seq < b.min_seq;
-    }
-    return a.row.name < b.row.name;
-  });
   std::vector<ProfileRow> rows;
-  rows.reserve(accums.size());
-  for (Accum& acc : accums) {
-    rows.push_back(std::move(acc.row));
+  rows.reserve(by_node.size());
+  for (auto& [key, row] : by_node) {
+    rows.push_back(std::move(row));
   }
   return rows;
 }

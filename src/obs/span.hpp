@@ -122,8 +122,8 @@ class Span {
   SpanRecord rec_;
 };
 
-/// One row of the per-layer profile: spans of one (category, name)
-/// aggregated across all tracks and calls.
+/// One row of the per-layer profile: the spans of one (category, seq,
+/// name) — one graph node — aggregated across all tracks and calls.
 struct ProfileRow {
   std::string name;
   std::string kind;
@@ -135,8 +135,9 @@ struct ProfileRow {
   [[nodiscard]] std::uint64_t counter(const std::string& key) const;
 };
 
-/// Aggregates @p spans of @p category by name, ordered by (min seq, name)
-/// — deterministic for any thread interleaving because seq is structural.
+/// Aggregates @p spans of @p category by (seq, name), in that order, so
+/// two nodes with the same name keep a row each — deterministic for any
+/// thread interleaving because seq is structural.
 [[nodiscard]] std::vector<ProfileRow> aggregate_profile(
     const std::vector<SpanRecord>& spans, const std::string& category);
 

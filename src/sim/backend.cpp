@@ -51,8 +51,9 @@ class FloatNetwork final : public GraphExecutor {
                     RunStats& run) override {
     (void)node;
     (void)run;
-    out = op.dense != nullptr ? op.dense->forward(input)
-                              : op.conv->forward(input);
+    // A dense layer's forward flattens its input for the 1x1 conv.
+    out = op.kind == nn::OpKind::kDense ? op.layer->forward(input)
+                                        : op.conv->forward(input);
   }
 };
 

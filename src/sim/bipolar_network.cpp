@@ -75,8 +75,9 @@ void BipolarNetwork::run_weighted(const LoweredOp& op, std::size_t node,
   // Dense nodes draw their selects from their own seed.
   std::vector<std::vector<std::size_t>> rf_act(n_groups);
   std::vector<std::vector<std::size_t>> rf_wgt(n_groups);
-  sc::XorShift32 select(op.dense != nullptr ? cfg_.select_seed ^ 0x5A5A5A5Au
-                                            : cfg_.select_seed);
+  sc::XorShift32 select(op.kind == nn::OpKind::kDense
+                            ? cfg_.select_seed ^ 0x5A5A5A5Au
+                            : cfg_.select_seed);
 
   for (int oy = 0; oy < out_shape.h; ++oy) {
     for (int ox = 0; ox < out_shape.w; ++ox) {

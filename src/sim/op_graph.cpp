@@ -35,7 +35,7 @@ std::vector<LoweredOp> lower_graph(nn::Network& net, const LowerOptions& opt,
             absorb(opt.fuse_avg_pool, nn::OpKind::kAvgPool2D));
         break;
       case nn::OpKind::kDense:
-        op.dense = static_cast<nn::Dense*>(&layer);
+        op.conv = &static_cast<nn::Dense&>(layer).conv();
         break;
       case nn::OpKind::kMaxPool2D:
         op.max_pool = static_cast<nn::MaxPool2D*>(&layer);
@@ -301,15 +301,14 @@ std::vector<TapRect> position_taps(const nn::ConvSpec& spec, nn::Shape in) {
 ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape input,
                            std::size_t phase) {
   ConvGeometry g;
-  if (op.dense != nullptr) {
-    // Dense runs as its 1x1 conv (nn::Dense::conv) over the input viewed
-    // as 1x1xN: the lane is the flat input index.
-    g.conv_out = op.dense->output_shape(input);
-    g.spec = op.dense->conv().spec();
+  g.spec = op.conv->spec();
+  if (op.kind == nn::OpKind::kDense) {
+    // Dense runs as its 1x1 conv over the input viewed as 1x1xN: the lane
+    // is the flat input index. The layer checks the feature count.
+    g.conv_out = op.layer->output_shape(input);
     g.in = nn::Shape{1, 1, g.spec.in_channels};
   } else {
     g.conv_out = op.conv->output_shape(input);
-    g.spec = op.conv->spec();
     g.in = input;
   }
   if (op.bn != nullptr) {
@@ -335,9 +334,6 @@ ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape input,
 }
 
 WeightKey node_key(const LoweredOp& op, std::span<float> scale) {
-  if (op.dense != nullptr) {
-    return WeightKey{op.dense->weights(), {}};
-  }
   if (op.bn == nullptr) {
     return WeightKey{op.conv->weights(), {}};
   }

@@ -13,7 +13,8 @@
 //     shift is applied post-counter in the binary domain). Under
 //     fuse_avg_pool an AvgPool2D directly following is recorded as the
 //     node's computation-skipping fused pool (paper II-C).
-//   - kDense opens a weighted node.
+//   - kDense opens a weighted node whose conv is the layer's 1x1 view
+//     (nn::Dense::conv), run over its input viewed as 1x1xN.
 //   - kSkipSave / kSkipAdd / kSkipProject become explicit nodes carrying
 //     their shared SkipState, so residual topologies (identity blocks and
 //     projection downsamples) execute through the ordinary walk without
@@ -63,8 +64,9 @@ namespace acoustic::sim {
 struct LoweredOp {
   nn::OpKind kind = nn::OpKind::kConv2D;  ///< the walk's dispatch key
   nn::Layer* layer = nullptr;  ///< defining layer (names, skip save/add)
-  nn::Conv2D* conv = nullptr;  ///< kConv2D, or kSkipProject's projection
-  nn::Dense* dense = nullptr;  ///< kDense
+  /// The weights every weighted node runs as a conv: kConv2D's layer,
+  /// kSkipProject's projection, or kDense's 1x1 view (nn::Dense::conv).
+  nn::Conv2D* conv = nullptr;
   nn::BatchNorm* bn = nullptr;  ///< folded into the conv's weight levels
   nn::AvgPool2D* fused_pool = nullptr;  ///< skipping-fused average pool
   nn::MaxPool2D* max_pool = nullptr;    ///< kMaxPool2D
@@ -72,9 +74,7 @@ struct LoweredOp {
   std::vector<nn::Layer*> post_ops;  ///< run in the binary domain
 
   /// Weighted nodes run the stochastic datapath and own per-stage plans.
-  [[nodiscard]] bool weighted() const noexcept {
-    return conv != nullptr || dense != nullptr;
-  }
+  [[nodiscard]] bool weighted() const noexcept { return conv != nullptr; }
   /// The fused pool's window, 1 without one.
   [[nodiscard]] int pool_window() const noexcept {
     return fused_pool != nullptr ? fused_pool->window() : 1;
@@ -324,14 +324,14 @@ struct ConvGeometry {
 [[nodiscard]] ConvGeometry conv_geometry(const LoweredOp& op,
                                          nn::Shape input, std::size_t phase);
 
-/// The ProductTable key of weighted node @p op: its raw conv or dense
-/// weights and, with an absorbed BatchNorm, the per-output-channel scale
+/// The ProductTable key of weighted node @p op: its raw conv weights and,
+/// with an absorbed BatchNorm, the per-output-channel scale
 /// written into @p scale (which must hold the conv's output channels).
 /// Cheap enough to take every forward: it copies no weight.
 [[nodiscard]] WeightKey node_key(const LoweredOp& op, std::span<float> scale);
 
 /// The float weights weighted node @p op's stochastic datapath quantizes:
-/// folded_weights of node_key — the live dense or conv weights, or, with
+/// folded_weights of node_key — the live conv weights, or, with
 /// an absorbed BatchNorm, the folded copy w * scale(oc) staged in
 /// @p scratch (its shift is applied post-counter instead). The folded
 /// floats feed quantization AND sign classification, so a negative scale

@@ -63,13 +63,6 @@ void quantize_activations_into(const StreamBank& bank, const nn::Tensor& input,
   }
 }
 
-std::vector<std::uint32_t> quantize_activations(const StreamBank& bank,
-                                                const nn::Tensor& input) {
-  std::vector<std::uint32_t> levels(input.size());
-  quantize_activations_into(bank, input, levels);
-  return levels;
-}
-
 /// Quantizes all weight magnitudes once per layer (the sign schedules the
 /// product into the + or - phase instead).
 std::vector<std::uint32_t> quantize_weights(const StreamBank& bank,
@@ -84,14 +77,14 @@ std::vector<std::uint32_t> quantize_weights(const StreamBank& bank,
 /// Books @p fetches segment fetches of @p seg bits each: served from a
 /// table (plan hits, reused bits) or regenerated from the bank (plan
 /// misses, generated bits).
-void charge(StreamPlanCounters& c, bool planned, std::uint64_t fetches,
+void charge(RunStats& run, bool planned, std::uint64_t fetches,
             std::size_t seg) {
   if (planned) {
-    c.plan_hits += fetches;
-    c.bits_reused += fetches * seg;
+    run.plan_hits += fetches;
+    run.stream_bits_reused += fetches * seg;
   } else {
-    c.plan_misses += fetches;
-    c.bits_generated += fetches * seg;
+    run.plan_misses += fetches;
+    run.stream_bits_generated += fetches * seg;
   }
 }
 
@@ -99,7 +92,10 @@ void charge(StreamPlanCounters& c, bool planned, std::uint64_t fetches,
 
 ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg,
                      std::shared_ptr<WeightPlanStore> shared)
-    : GraphExecutor(net, sc_lower_options(cfg), "ScNetwork"), cfg_(cfg) {
+    : GraphExecutor(net, sc_lower_options(cfg), "ScNetwork"),
+      cfg_(cfg),
+      act_bank_(cfg_.sng_width, cfg_.activation_seed, 2 * cfg_.phase_length(),
+                cfg_.decorrelate_lanes) {
   if (cfg_.phase_length() == 0) {
     throw std::invalid_argument("ScNetwork: stream_length must be >= 2");
   }
@@ -144,15 +140,6 @@ runtime::ThreadPool* ScNetwork::intra_pool(std::size_t work_words) {
   return pool_.get();
 }
 
-StreamBank& ScNetwork::activation_bank() {
-  if (act_bank_ == nullptr) {
-    act_bank_ = std::make_unique<StreamBank>(
-        cfg_.sng_width, cfg_.activation_seed, 2 * cfg_.phase_length(),
-        cfg_.decorrelate_lanes);
-  }
-  return *act_bank_;
-}
-
 void ScNetwork::run_weighted(const LoweredOp& op, std::size_t node,
                              const nn::Tensor& input, nn::Tensor& out,
                              RunStats& run) {
@@ -180,21 +167,15 @@ void ScNetwork::run_weighted(const LoweredOp& op, std::size_t node,
 void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
                                 const nn::Tensor& input, nn::Tensor& out,
                                 RunStats& run) {
-  const std::size_t phase = cfg_.phase_length();
   const std::size_t oc_count = g.layout.oc_count;
   const std::size_t rf = g.layout.rf;
   const SegmentSchedule& sched = g.window.sched;
   const std::size_t seg = sched.seg;
   const std::size_t sw = sched.seg_words();
   const int win = g.window.pool;
-
-  StreamBank act_bank(cfg_.sng_width, cfg_.activation_seed, 2 * phase,
-                      cfg_.decorrelate_lanes);
-  StreamBank wgt_bank(cfg_.sng_width, cfg_.weight_seed, 2 * phase,
-                      cfg_.decorrelate_lanes);
-
-  const std::vector<std::uint32_t> act_levels =
-      quantize_activations(act_bank, input);
+  const StreamBank& wgt_bank = wgt_plans_->bank();
+  std::vector<std::uint32_t> act_levels(input.size());
+  quantize_activations_into(act_bank_, input, act_levels);
   std::vector<float> folded;
   const std::span<const float> weights = node_weights(op, folded);
   const std::vector<std::uint32_t> wgt_levels =
@@ -241,9 +222,9 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
               sched.offset(positive, static_cast<std::size_t>(k));
           for (std::size_t s = 0; s < rf_size; ++s) {
             if (rf_live[s]) {
-              act_bank.fill(act_levels[rf_act_index[s]],
-                            static_cast<std::uint32_t>(rf_act_index[s]),
-                            offset, seg, act_streams[s]);
+              act_bank_.fill(act_levels[rf_act_index[s]],
+                             static_cast<std::uint32_t>(rf_act_index[s]),
+                             offset, seg, act_streams[s]);
               bits_generated += seg;
             }
           }
@@ -324,10 +305,9 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
   const int th = static_cast<int>(taps.h);
   const int tw = static_cast<int>(taps.w);
 
-  StreamBank& act_bank = activation_bank();
   const std::span<std::uint32_t> act_levels =
       arena_.alloc<std::uint32_t>(input.size());
-  quantize_activations_into(act_bank, input, act_levels);
+  quantize_activations_into(act_bank_, input, act_levels);
   StageScratch& stage = stage_scratch_[node];
   const WeightKey key =
       node_key(op, op.bn != nullptr ? arena_.alloc<float>(oc_count)
@@ -361,16 +341,13 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
                                   cfg_.plan_budget_bytes, pool);
   }
   const ProductTable& tbl = *stage.table;
-  if (stage.act_plan == nullptr || stage.lanes != input.size() ||
-      !(stage.sched == sched)) {
+  if (stage.act_plan == nullptr || stage.act_plan->lanes() != input.size() ||
+      !(stage.act_plan->sched() == sched)) {
     stage.act_plan = std::make_unique<LayerStreamPlan>(
-        act_bank, sched, input.size(), cfg_.plan_budget_bytes);
-    stage.lanes = input.size();
-    stage.sched = sched;
+        act_bank_, sched, input.size(), cfg_.plan_budget_bytes);
   }
   LayerStreamPlan& act_plan = *stage.act_plan;
-  StreamPlanCounters build_counters;
-  act_plan.build(act_levels, build_counters, pool);
+  run.stream_bits_generated += act_plan.build(act_levels, pool);
   const bool act_planned = act_plan.enabled();
   const StreamBank& wgt_bank = wgt_plans_->bank();
 
@@ -389,26 +366,25 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
   const std::size_t oc_per_block = (oc_count + oc_blocks - 1) / oc_blocks;
   oc_blocks = (oc_count + oc_per_block - 1) / oc_per_block;
 
-  // Per-worker scratch and accounting: disjoint outputs, additive counters
-  // merged after the loop (order-insensitive sums).
-  struct WorkerState {
-    std::span<std::uint64_t> act_w;    ///< [sign][slot][word] field words
-    std::span<std::uint64_t> live_bm;  ///< live-slot bitmap of the field
-    std::span<std::uint64_t> wgt_w;    ///< regenerated group words (unplanned)
-    std::span<std::uint64_t> acc;      ///< multi-word OR accumulator
-    std::span<std::int64_t> counters;
-    std::uint64_t product_bits = 0;
-    std::uint64_t skipped = 0;
-    StreamPlanCounters plan;
+  // Per-worker scratch and accounting: disjoint outputs, and counters
+  // merged into `run` after the loop (order-insensitive sums). Each state
+  // fills whole cache lines, so workers never share one.
+  struct alignas(64) WorkerState {
+    std::uint64_t* act_w;    ///< [sign][slot][word] field words
+    std::uint64_t* live_bm;  ///< live-slot bitmap of the field
+    std::uint64_t* wgt_w;    ///< regenerated group words (unplanned)
+    std::uint64_t* acc;      ///< multi-word OR accumulator
+    std::int64_t* counters;
+    RunStats stats;
   };
   const std::span<WorkerState> states = arena_.alloc<WorkerState>(workers);
   for (WorkerState& ws : states) {
-    ws.act_w = arena_.alloc<std::uint64_t>(2 * live_rf * sw);
-    ws.live_bm = arena_.alloc<std::uint64_t>(bm_words);
-    ws.acc = arena_.alloc<std::uint64_t>(sw);
-    ws.counters = arena_.alloc<std::int64_t>(oc_count);
+    ws.act_w = arena_.alloc<std::uint64_t>(2 * live_rf * sw).data();
+    ws.live_bm = arena_.alloc<std::uint64_t>(bm_words).data();
+    ws.acc = arena_.alloc<std::uint64_t>(sw).data();
+    ws.counters = arena_.alloc<std::int64_t>(oc_count).data();
     if (!tbl.planned) {
-      ws.wgt_w = arena_.alloc<std::uint64_t>(live_rf * sw);
+      ws.wgt_w = arena_.alloc<std::uint64_t>(live_rf * sw).data();
     }
   }
 
@@ -430,9 +406,9 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
     // Every block gathers the field, but only the first charges its
     // activation fetches: the counters must not scale with the block count.
     const bool charge_act = oc_lo == 0;
-    std::uint64_t* const act_pos = ws.act_w.data();
+    std::uint64_t* const act_pos = ws.act_w;
     std::uint64_t* const act_neg = act_pos + live_rf * sw;
-    std::uint64_t* const live_bm = ws.live_bm.data();
+    std::uint64_t* const live_bm = ws.live_bm;
     const auto live_slot = [live_bm](std::uint32_t s) {
       return ((live_bm[s >> 6] >> (s & 63)) & 1u) != 0;
     };
@@ -448,8 +424,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
       }
     }
     for (int px = 0; px < g.out_shape.w; ++px) {
-      std::fill(ws.counters.begin() + static_cast<std::ptrdiff_t>(oc_lo),
-                ws.counters.begin() + static_cast<std::ptrdiff_t>(oc_hi), 0);
+      std::fill(ws.counters + oc_lo, ws.counters + oc_hi, 0);
       for (std::size_t k = 0; k < sched.positions; ++k) {
         const int oy = py * win + static_cast<int>(k) / win;
         const int ox = px * win + static_cast<int>(k) % win;
@@ -490,10 +465,10 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
                 std::copy_n(lane + sn * sw, sw, dn);
               } else {
                 const auto lane = static_cast<std::uint32_t>(ai);
-                act_bank.fill(act_levels[ai], lane, sched.offset(true, k),
-                              seg, {dp, sw});
-                act_bank.fill(act_levels[ai], lane, sched.offset(false, k),
-                              seg, {dn, sw});
+                act_bank_.fill(act_levels[ai], lane, sched.offset(true, k),
+                               seg, {dp, sw});
+                act_bank_.fill(act_levels[ai], lane, sched.offset(false, k),
+                               seg, {dn, sw});
               }
               live_bm[slot >> 6] |= std::uint64_t{1} << (slot & 63);
               ++live;
@@ -501,7 +476,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
           }
         }
         if (charge_act) {
-          charge(ws.plan, act_planned, 2 * live, seg);
+          charge(ws.stats, act_planned, 2 * live, seg);
         }
         // The position's taps [tap_lo, tap_hi) in rectangle raster order
         // (meaningful only when it reads a tap at all: otherwise no group
@@ -543,7 +518,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
               // Over budget: regenerate the walked words in table layout.
               // A dead slot's product is zero whatever its weight word.
               for (std::size_t ei = 0; ei < n_ent; ++ei) {
-                std::uint64_t* const dst = ws.wgt_w.data() + ei * sw;
+                std::uint64_t* const dst = ws.wgt_w + ei * sw;
                 if (!live_slot(sl[ei])) {
                   std::fill_n(dst, sw, std::uint64_t{0});
                   continue;
@@ -553,7 +528,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
                                   oc, g.layout.full_slot(sl[ei]))),
                               sched.offset(positive, k), seg, {dst, sw});
               }
-              ww = ws.wgt_w.data();
+              ww = ws.wgt_w;
             }
             std::int64_t ones = 0;
             if (sw == 1) {
@@ -578,13 +553,13 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
               // Wide segments: one fused gather over the walked entries,
               // accumulator in registers; dead slots again OR in zeros.
               ones = static_cast<std::int64_t>(kt.gather_and_or_popcount(
-                  ws.acc.data(), act_w, sl, ww, n_ent, sw));
+                  ws.acc, act_w, sl, ww, n_ent, sw));
             }
             ws.counters[oc] += positive ? ones : -ones;
           }
-          ws.skipped += signed_weights[ph] - products_here;
-          ws.product_bits += products_here * seg;
-          charge(ws.plan, tbl.planned, products_here, seg);
+          ws.stats.skipped_operands += signed_weights[ph] - products_here;
+          ws.stats.product_bits += products_here * seg;
+          charge(ws.stats, tbl.planned, products_here, seg);
         }
       }
       for (std::size_t oc = oc_lo; oc < oc_hi; ++oc) {
@@ -604,15 +579,8 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
       run_unit(unit, 0);
     }
   }
-
-  run.stream_bits_generated += build_counters.bits_generated;
   for (const WorkerState& ws : states) {
-    run.product_bits += ws.product_bits;
-    run.skipped_operands += ws.skipped;
-    run.stream_bits_generated += ws.plan.bits_generated;
-    run.stream_bits_reused += ws.plan.bits_reused;
-    run.plan_hits += ws.plan.plan_hits;
-    run.plan_misses += ws.plan.plan_misses;
+    run.merge(ws.stats);
   }
 }
 
@@ -628,7 +596,6 @@ void ScNetwork::run_max_pool(const LoweredOp& op, const nn::Tensor& input,
   const std::size_t phase = cfg_.phase_length();
   const std::size_t words = word_count(phase);
   const sc::kernels::KernelTable& kt = sc::kernels::table();
-  StreamBank& bank = activation_bank();
 
   // Quantize once per layer; negative inputs clamp to level 0 (a unipolar
   // stream cannot go below zero, and the following ReLU would discard the
@@ -636,7 +603,7 @@ void ScNetwork::run_max_pool(const LoweredOp& op, const nn::Tensor& input,
   // windows.
   const std::span<std::uint32_t> levels =
       arena_.alloc<std::uint32_t>(input.size());
-  quantize_activations_into(bank, input, levels);
+  quantize_activations_into(act_bank_, input, levels);
   const std::span<std::uint64_t> acc = arena_.alloc<std::uint64_t>(words);
   const std::span<std::uint64_t> cand = arena_.alloc<std::uint64_t>(words);
 
@@ -658,8 +625,8 @@ void ScNetwork::run_max_pool(const LoweredOp& op, const nn::Tensor& input,
             std::uint64_t* dst = first ? acc.data() : cand.data();
             std::fill_n(dst, words, std::uint64_t{0});
             if (levels[ai] != 0) {
-              bank.fill(levels[ai], static_cast<std::uint32_t>(ai), 0,
-                        phase, {dst, words});
+              act_bank_.fill(levels[ai], static_cast<std::uint32_t>(ai), 0,
+                             phase, {dst, words});
               bits_generated += phase;
             }
             if (!first) {
@@ -695,7 +662,7 @@ core::Report ScNetwork::validate_plans() {
     const ProductTable& tbl = *scratch.table;
     report.merge(check_schedule(tbl.sched, phase, 2 * phase,
                                 name + "/schedule"));
-    if (!(tbl.sched == scratch.sched)) {
+    if (!(tbl.sched == scratch.act_plan->sched())) {
       report.add("plan-invariant", core::Severity::kError,
                  name + "/product-table",
                  "weight table was built for a different segment schedule "

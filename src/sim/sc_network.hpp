@@ -101,13 +101,12 @@ class ScNetwork final : public GraphExecutor {
   struct StageScratch {
     /// The activation stream plan is a per-image table, but its allocation
     /// depends only on (lanes, schedule) — fixed across images of one
-    /// evaluation — so the plan object is kept and rebuilt in place
-    /// (build() overwrites every lane). sched is the schedule the stage
-    /// last executed, input the volume it was fed (validate_plans
-    /// re-derives the node's geometry from it).
+    /// evaluation — so the plan object is kept and rebuilt in place, and
+    /// replaced only when the stage runs on another lane count or
+    /// schedule. It is the stage's record of both. input is the volume the
+    /// stage was last fed (validate_plans re-derives the node's geometry
+    /// from it).
     std::unique_ptr<LayerStreamPlan> act_plan;
-    std::size_t lanes = 0;
-    SegmentSchedule sched;
     nn::Shape input;
     /// The stage's ProductTable from the shared store, re-fetched only
     /// when its key — (schedule, layout with its live taps, raw weights,
@@ -154,19 +153,17 @@ class ScNetwork final : public GraphExecutor {
   /// private pool_ below is only created for direct forward() callers.
   [[nodiscard]] runtime::ThreadPool* intra_pool(std::size_t work_words);
 
-  /// Shared activation SNG bank for the planned path. A bank's content is
-  /// a pure function of the config, so one bank serves every stage (the
-  /// weight bank lives in the shared WeightPlanStore; the scalar oracle
-  /// keeps constructing per-layer banks with identical content).
-  [[nodiscard]] StreamBank& activation_bank();
-
   ScConfig cfg_;
+  /// The activation SNG bank, built once here: its content is a pure
+  /// function of the config, so the planned body, the scalar oracle and
+  /// the stochastic max of every stage read this one bank (the weight bank
+  /// lives in the shared WeightPlanStore).
+  StreamBank act_bank_;
   std::vector<StageScratch> stage_scratch_;
   /// Fallback intra-image pool for forwards NOT running inside an
   /// enclosing work-stealing pool (direct forward() calls, latency
   /// benches); see intra_pool().
   std::unique_ptr<runtime::ThreadPool> pool_;
-  std::unique_ptr<StreamBank> act_bank_;
   std::shared_ptr<WeightPlanStore> wgt_plans_;
 };
 

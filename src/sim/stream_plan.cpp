@@ -99,42 +99,37 @@ void for_each_lane(std::size_t count, const SegmentSchedule& sched,
 LayerStreamPlan::LayerStreamPlan(const StreamBank& bank,
                                  const SegmentSchedule& sched,
                                  std::size_t lanes, std::size_t budget_bytes)
-    : bank_(&bank), sched_(sched), lanes_(lanes), enabled_(true) {
-  if (over_plan_budget(plan_table_bytes(sched, lanes), budget_bytes)) {
-    enabled_ = false;
-    return;
+    : bank_(&bank),
+      sched_(sched),
+      lanes_(lanes),
+      enabled_(!over_plan_budget(plan_table_bytes(sched, lanes),
+                                 budget_bytes)) {
+  if (enabled_) {
+    words_.resize(lanes * sched.words_per_lane());
   }
-  words_.resize(lanes * sched.words_per_lane());
-  built_.assign(lanes, 0);
 }
 
-void LayerStreamPlan::build(std::span<const std::uint32_t> levels,
-                            StreamPlanCounters& counters,
-                            runtime::ThreadPool* pool) {
+std::uint64_t LayerStreamPlan::build(std::span<const std::uint32_t> levels,
+                                     runtime::ThreadPool* pool) {
   if (!enabled_) {
-    return;
+    return 0;
   }
   // Disjoint writes per lane and pure per-lane content: the sharded build
   // is bit-identical to the serial one for any worker count.
   for_each_lane(lanes_, sched_, pool, build_buf_,
                 [&](std::size_t lane, std::uint64_t* buf) {
-                  if (levels[lane] == 0) {
-                    built_[lane] = 0;  // operand-gated: never read
-                    return;
+                  if (levels[lane] != 0) {
+                    fill_slots(*bank_, sched_, levels[lane], lane, kBothSigns,
+                               buf,
+                               words_.data() + lane * sched_.words_per_lane(),
+                               sched_.seg_words());
                   }
-                  fill_slots(*bank_, sched_, levels[lane], lane, kBothSigns,
-                             buf,
-                             words_.data() + lane * sched_.words_per_lane(),
-                             sched_.seg_words());
-                  built_[lane] = 1;
                 });
-  std::uint64_t built = 0;
-  for (const char b : built_) {
-    built += static_cast<std::uint64_t>(b);
-  }
+  const auto built = static_cast<std::uint64_t>(std::ranges::count_if(
+      levels.first(lanes_), [](std::uint32_t level) { return level != 0; }));
   // Honest accounting: the kernel swept the full 2*phase window per built
   // lane (>= slots * seg when phase does not divide evenly).
-  counters.bits_generated += built * static_cast<std::uint64_t>(2 * sched_.phase);
+  return built * static_cast<std::uint64_t>(2 * sched_.phase);
 }
 
 bool ProductTable::keyed_on(const SegmentSchedule& s, const WeightLayout& l,

@@ -101,18 +101,11 @@ struct SegmentSchedule {
   return budget_bytes != 0 && bytes > budget_bytes;
 }
 
-/// Counters a plan reports into ScNetwork's per-run stats. All additive.
-struct StreamPlanCounters {
-  std::uint64_t bits_generated = 0;  ///< comparator bits the SNG kernel ran
-  std::uint64_t bits_reused = 0;     ///< segment bits served from a table
-  std::uint64_t plan_hits = 0;       ///< segment fetches served from a table
-  std::uint64_t plan_misses = 0;     ///< fetches regenerated on the fly
-};
-
 /// Per-image activation plan: precomputed stream segments for a dense
-/// lane id space (the input activation index). Thread-safety: build() must
-/// complete before concurrent segment()/lane_words() calls; after that the
-/// plan is read-only and safe to share across row workers.
+/// lane id space (the input activation index), on one segment schedule.
+/// Thread-safety: build() must complete before concurrent lane_words()
+/// calls; after that the plan is read-only and safe to share across row
+/// workers.
 class LayerStreamPlan {
  public:
   /// @param bank   the SNG bank the lanes draw from; must outlive the plan.
@@ -124,31 +117,26 @@ class LayerStreamPlan {
                   std::size_t lanes, std::size_t budget_bytes);
 
   /// Generates all slots of every lane with levels[lane] != 0 (a zero
-  /// level is operand-gated — dead — and never read). No-op when the
-  /// plan is disabled. @p pool, when non-null, shards the build across
-  /// lanes (disjoint writes, deterministic content).
-  void build(std::span<const std::uint32_t> levels,
-             StreamPlanCounters& counters,
-             runtime::ThreadPool* pool = nullptr);
+  /// level is operand-gated — dead — and never read, so its words are
+  /// left as they are). Returns the comparator bits the SNG kernel ran:
+  /// the full 2*phase window per generated lane, 0 when the plan is
+  /// disabled. @p pool, when non-null, shards the build across lanes
+  /// (disjoint writes, deterministic content).
+  std::uint64_t build(std::span<const std::uint32_t> levels,
+                      runtime::ThreadPool* pool = nullptr);
 
   /// True when the table fits the budget and build() will populate it.
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// True when @p lane was built with a nonzero level.
-  [[nodiscard]] bool planned(std::size_t lane) const noexcept {
-    return enabled_ && built_[lane] != 0;
-  }
-
-  /// Planned-entry accessor. Precondition: planned(lane).
-  [[nodiscard]] const std::uint64_t* segment(std::size_t lane, bool positive,
-                                             std::size_t k) const noexcept {
-    return lane_words(lane) + sched_.slot_index(positive, k) * sched_.seg_words();
-  }
+  /// The schedule and lane count the plan was made for.
+  [[nodiscard]] const SegmentSchedule& sched() const noexcept { return sched_; }
+  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
 
   /// First packed word of @p lane's slot table — the hot-loop entry point:
   /// callers hoist this base pointer and index slots as
   /// `lane_words(lane)[slot_index * seg_words() + w]`.
-  /// Precondition: planned(lane).
+  /// Precondition: enabled() and the last build() gave @p lane a nonzero
+  /// level.
   [[nodiscard]] const std::uint64_t* lane_words(std::size_t lane) const noexcept {
     return words_.data() + lane * sched_.words_per_lane();
   }
@@ -159,7 +147,6 @@ class LayerStreamPlan {
   std::size_t lanes_;
   bool enabled_;
   std::vector<std::uint64_t> words_;
-  std::vector<char> built_;
   /// Serial build()'s lane buffer, retained so a rebuilt plan allocates
   /// nothing after its first build.
   std::vector<std::uint64_t> build_buf_;

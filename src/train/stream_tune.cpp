@@ -1,72 +1,21 @@
 #include "train/stream_tune.hpp"
 
-#include <cstdio>
-#include <numeric>
-
-#include "sc/rng.hpp"
 #include "sim/sc_network.hpp"
-#include "train/loss.hpp"
 
 namespace acoustic::train {
 
 TrainStats fit_stream_aware(nn::Network& net, const Dataset& data,
                             const TrainConfig& config,
                             const sim::ScConfig& sc_cfg) {
-  TrainStats stats;
-  Sgd sgd(SgdConfig{config.learning_rate, config.momentum,
-                    config.weight_clip});
   sim::ScNetwork executor(net, sc_cfg);
-
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  sc::XorShift32 rng(config.shuffle_seed);
-
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    for (std::size_t i = order.size(); i > 1; --i) {
-      const std::size_t j = rng.next() % i;
-      std::swap(order[i - 1], order[j]);
-    }
-    double loss_sum = 0.0;
-    std::size_t correct = 0;
-    int in_batch = 0;
-    net.zero_gradients();
-    for (std::size_t idx : order) {
-      const Sample& sample = data.samples[idx];
-      // Bit-exact forward: this is what the hardware would produce.
-      const nn::Tensor sc_logits = executor.forward(sample.image);
-      if (static_cast<int>(sc_logits.argmax()) == sample.label) {
-        ++correct;
-      }
-      const LossResult loss = softmax_cross_entropy(sc_logits, sample.label);
-      loss_sum += loss.loss;
-      // Straight-through: populate the float path's caches, then push the
-      // stochastic-forward loss gradient through them.
-      (void)net.forward(sample.image);
-      (void)net.backward(loss.grad);
-      if (++in_batch == config.batch_size) {
-        auto params = net.parameters();
-        sgd.step(params);
-        net.zero_gradients();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      auto params = net.parameters();
-      sgd.step(params);
-      net.zero_gradients();
-    }
-    stats.epoch_loss.push_back(
-        static_cast<float>(loss_sum / static_cast<double>(data.size())));
-    stats.epoch_accuracy.push_back(static_cast<float>(correct) /
-                                   static_cast<float>(data.size()));
-    sgd.set_learning_rate(sgd.config().learning_rate * config.lr_decay);
-    if (config.verbose) {
-      std::printf("stream-tune epoch %2d  loss %.4f  acc %.2f%%\n",
-                  epoch + 1, stats.epoch_loss.back(),
-                  100.0f * stats.epoch_accuracy.back());
-    }
-  }
-  return stats;
+  return fit(net, data, config, [&](const nn::Tensor& image) {
+    // Bit-exact forward: this is what the hardware would produce.
+    nn::Tensor sc_logits = executor.forward(image);
+    // Straight-through: populate the float path's caches, which the loop
+    // then pushes the stochastic-forward loss gradient through.
+    (void)net.forward(image);
+    return sc_logits;
+  });
 }
 
 }  // namespace acoustic::train

@@ -11,6 +11,12 @@ namespace acoustic::train {
 
 TrainStats fit(nn::Network& net, const Dataset& data,
                const TrainConfig& config) {
+  return fit(net, data, config,
+             [&net](const nn::Tensor& image) { return net.forward(image); });
+}
+
+TrainStats fit(nn::Network& net, const Dataset& data,
+               const TrainConfig& config, const LogitsFn& logits_of) {
   TrainStats stats;
   Sgd sgd(SgdConfig{config.learning_rate, config.momentum,
                     config.weight_clip});
@@ -30,7 +36,7 @@ TrainStats fit(nn::Network& net, const Dataset& data,
     net.zero_gradients();
     for (std::size_t idx : order) {
       const Sample& sample = data.samples[idx];
-      const nn::Tensor logits = net.forward(sample.image);
+      const nn::Tensor logits = logits_of(sample.image);
       if (static_cast<int>(logits.argmax()) == sample.label) {
         ++correct;
       }

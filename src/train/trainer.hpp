@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "nn/network.hpp"
@@ -29,6 +30,17 @@ struct TrainStats {
 /// Trains @p net on @p data with softmax cross-entropy.
 TrainStats fit(nn::Network& net, const Dataset& data,
                const TrainConfig& config);
+
+/// The logits the loss of one training image sees. It must leave the
+/// network's backward caches filled for that image: its last forward of
+/// the network is the float forward of that image.
+using LogitsFn = std::function<nn::Tensor(const nn::Tensor& image)>;
+
+/// fit's loop (shuffle, batches, SGD steps, learning-rate decay) with the
+/// loss taken on @p logits_of instead of the network's own forward; the
+/// gradient still flows back through the network's float path.
+TrainStats fit(nn::Network& net, const Dataset& data,
+               const TrainConfig& config, const LogitsFn& logits_of);
 
 /// Top-1 accuracy of @p net on @p data.
 [[nodiscard]] float evaluate(nn::Network& net, const Dataset& data);

@@ -46,6 +46,25 @@ TEST(Accelerator, RejectsNonPositiveBatchOrClock) {
   EXPECT_EQ(what(fine), "");
 }
 
+TEST(Accelerator, RejectsStreamTooShortToSplit) {
+  // Below 2 bits there is no bit left for one of the two sign phases.
+  for (const std::uint64_t stream : {0u, 1u}) {
+    perf::ArchConfig arch = perf::lp();
+    arch.stream_length = stream;
+    try {
+      (void)Accelerator(arch);
+      ADD_FAILURE() << "stream " << stream << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("stream_length"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  perf::ArchConfig fine = perf::ulp();
+  fine.stream_length = 2;
+  EXPECT_NO_THROW((void)Accelerator(fine));
+}
+
 TEST(Accelerator, RunProducesConsistentCost) {
   Accelerator lp(perf::lp());
   const InferenceCost cost = lp.run(nn::cifar10_cnn());

@@ -13,6 +13,7 @@
 #include "obs/span.hpp"
 #include "sim/backend.hpp"
 #include "sim/batch_evaluator.hpp"
+#include "sim/op_graph.hpp"
 #include "train/dataset.hpp"
 #include "train/models.hpp"
 
@@ -81,6 +82,31 @@ TEST(Profile, GoldenLayerRowsOnLenetSmall) {
     image_calls += row.calls;
   }
   EXPECT_EQ(image_calls, kSamples);
+}
+
+TEST(Profile, EveryLoweredNodeHasItsOwnRow) {
+  // resnet-tiny's residual block holds two nodes named conv3x3(8->8): the
+  // rows follow the nodes, not the names.
+  nn::Network net = train::build_resnet_tiny(nn::AccumMode::kOrApprox, 16);
+  const train::Dataset data = train::make_synth_objects(kSamples, 777, 16);
+  sim::ScConfig sc_cfg;
+  sc_cfg.stream_length = 32;
+  const std::vector<sim::LoweredOp> nodes =
+      sim::lower_graph(net, sim::sc_lower_options(sc_cfg), "test");
+  obs::Profiler profiler;
+  sim::BatchEvaluator evaluator(2);
+  sim::EvalHooks hooks;
+  hooks.profiler = &profiler;
+  (void)evaluator.evaluate(*sim::make_sc_backend(net, sc_cfg), data, hooks);
+
+  const std::vector<obs::ProfileRow> rows =
+      obs::aggregate_profile(profiler.snapshot(), "layer");
+  ASSERT_EQ(rows.size(), nodes.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].name, nodes[i].layer->name()) << "node " << i;
+    EXPECT_EQ(rows[i].kind, sim::node_kind(nodes[i])) << "node " << i;
+    EXPECT_EQ(rows[i].calls, kSamples) << "node " << i;
+  }
 }
 
 TEST(Profile, LayerWallTimeCoversComputeTime) {

@@ -80,7 +80,7 @@ TEST(OpGraph, EveryOpKindLowers) {
               &static_cast<nn::SkipProject&>(net.layer(6)).conv());
     EXPECT_EQ(ops[3].conv, &net.layer(7));
     EXPECT_EQ(ops[5].max_pool, &net.layer(9));
-    EXPECT_EQ(ops[6].dense, &net.layer(10));
+    EXPECT_EQ(ops[6].conv, &static_cast<nn::Dense&>(net.layer(10)).conv());
     EXPECT_EQ(ops[1].skip, state.get());
     EXPECT_EQ(ops[2].skip, state.get());
     EXPECT_EQ(ops[4].skip, state.get());

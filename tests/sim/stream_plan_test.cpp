@@ -50,28 +50,32 @@ void expect_plan_matches_fill(const SegmentSchedule& sched, unsigned width,
 
   LayerStreamPlan plan(bank, sched, lanes, 0);
   ASSERT_TRUE(plan.enabled());
-  StreamPlanCounters counters;
-  plan.build(levels, counters, nullptr);
+  EXPECT_EQ(plan.sched(), sched);
+  EXPECT_EQ(plan.lanes(), lanes);
+  // Only lanes with a nonzero level are generated, each over both phases.
+  std::uint64_t live = 0;
+  for (const std::uint32_t level : levels) {
+    live += level != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(plan.build(levels, nullptr), live * 2 * sched.phase);
 
   std::vector<std::uint64_t> want(sched.seg_words());
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     if (levels[lane] == 0) {
-      EXPECT_FALSE(plan.planned(lane));
-      continue;
+      continue;  // operand-gated: never read
     }
-    ASSERT_TRUE(plan.planned(lane));
     for (const bool positive : {true, false}) {
       for (std::size_t k = 0; k < sched.positions; ++k) {
         bank.fill(levels[lane], static_cast<std::uint32_t>(lane),
                   sched.offset(positive, k), sched.seg, want);
-        const std::uint64_t* got = plan.segment(lane, positive, k);
+        const std::uint64_t* got =
+            plan.lane_words(lane) +
+            sched.slot_index(positive, k) * sched.seg_words();
         for (std::size_t w = 0; w < sched.seg_words(); ++w) {
           ASSERT_EQ(got[w], want[w])
               << "lane " << lane << " positive " << positive << " k " << k
               << " word " << w << " decorrelate " << decorrelate;
         }
-        EXPECT_EQ(got, plan.lane_words(lane) +
-                           sched.slot_index(positive, k) * sched.seg_words());
       }
     }
   }
@@ -98,16 +102,12 @@ TEST(LayerStreamPlanTest, PooledBuildIsIdenticalToSerial) {
 
   LayerStreamPlan serial(bank, sched, lanes, 0);
   LayerStreamPlan pooled(bank, sched, lanes, 0);
-  StreamPlanCounters sc1;
-  StreamPlanCounters sc2;
-  serial.build(levels, sc1, nullptr);
+  const std::uint64_t serial_bits = serial.build(levels, nullptr);
   runtime::ThreadPool pool(3);
-  pooled.build(levels, sc2, &pool);
+  EXPECT_EQ(pooled.build(levels, &pool), serial_bits);
 
-  EXPECT_EQ(sc1.bits_generated, sc2.bits_generated);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    ASSERT_EQ(serial.planned(lane), pooled.planned(lane));
-    if (!serial.planned(lane)) {
+    if (levels[lane] == 0) {
       continue;
     }
     for (std::size_t w = 0; w < sched.words_per_lane(); ++w) {
@@ -129,10 +129,7 @@ TEST(LayerStreamPlanTest, OverBudgetPlanDisablesItself) {
   EXPECT_TRUE(fits.enabled());
   LayerStreamPlan over(bank, sched, levels.size(), bytes - 1);
   EXPECT_FALSE(over.enabled());
-  StreamPlanCounters counters;
-  over.build(levels, counters, nullptr);  // no-op
-  EXPECT_EQ(counters.bits_generated, 0u);
-  EXPECT_FALSE(over.planned(1));
+  EXPECT_EQ(over.build(levels, nullptr), 0u);  // no-op
 }
 
 /// A dense layer's layout: @p outputs neurons over @p inputs slots,

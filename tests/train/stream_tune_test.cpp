@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/backend.hpp"
 #include "sim/batch_evaluator.hpp"
 #include "train/models.hpp"
@@ -62,6 +64,33 @@ TEST(StreamTune, AccuracyMetricComesFromStochasticForward) {
   const TrainStats stats = fit_stream_aware(net, data, tune, sc);
   // An untrained network under bit-level forward is near chance.
   EXPECT_LT(stats.epoch_accuracy.front(), 0.5f);
+}
+
+/// FNV-1a over the float bytes of every parameter of @p net, in order.
+std::uint64_t parameter_digest(nn::Network& net) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const nn::ParamView& p : net.parameters()) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p.values.data());
+    for (std::size_t i = 0; i < p.values.size_bytes(); ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(StreamTune, ParameterDigestUnchanged) {
+  // Absolute pin of the stream-aware loop: the SC forward's logits drive
+  // the loss, the float forward fills the backward caches (MaxPool's
+  // argmax among them), then the gradient steps. One epoch on the
+  // trainable LeNet at a 32-bit stream.
+  const Dataset data = make_synth_digits(64, 41, 16);
+  nn::Network net = build_lenet_small(nn::AccumMode::kOrApprox, 16);
+  sim::ScConfig sc;
+  sc.stream_length = 32;
+  TrainConfig tune;
+  tune.epochs = 1;
+  (void)fit_stream_aware(net, data, tune, sc);
+  EXPECT_EQ(parameter_digest(net), 0x85376561ef4e5417ull);
 }
 
 }  // namespace

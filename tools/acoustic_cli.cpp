@@ -54,6 +54,42 @@ constexpr std::pair<std::string_view, nn::NetworkDesc (*)()> kZoo[] = {
     {"svhn", nn::svhn_cnn}, {"alexnet", nn::alexnet},
     {"vgg16", nn::vgg16},   {"resnet18", nn::resnet18}};
 
+/// The trainable small models by command-line name: `eval --model` trains
+/// one, `check` analyzes one. Each is built in the given accumulation mode
+/// for a 16x16 input of `channels` channels (1: SynthDigits, 3:
+/// SynthObjects), from a fixed Kaiming seed.
+struct TrainableModel {
+  std::string_view name;
+  nn::Network (*build)(nn::AccumMode mode);
+  int channels;
+};
+constexpr TrainableModel kTrainable[] = {
+    {"lenet", [](nn::AccumMode m) { return train::build_lenet_small(m); }, 1},
+    {"cifar", [](nn::AccumMode m) { return train::build_cifar_small(m); }, 3},
+    {"cifar-max",
+     [](nn::AccumMode m) { return train::build_cifar_small_maxpool(m); }, 3},
+    {"resnet-tiny",
+     [](nn::AccumMode m) { return train::build_resnet_tiny(m); }, 3}};
+
+/// A trainable model by name, or nullptr.
+const TrainableModel* find_trainable(std::string_view name) {
+  for (const TrainableModel& model : kTrainable) {
+    if (model.name == name) {
+      return &model;
+    }
+  }
+  return nullptr;
+}
+
+/// The trainable models' names, joined by @p sep.
+std::string trainable_names(std::string_view sep) {
+  std::string names;
+  for (const TrainableModel& model : kTrainable) {
+    names += (names.empty() ? "" : std::string(sep)) + std::string(model.name);
+  }
+  return names;
+}
+
 /// A zoo network by name; the suffix "-conv" keeps its conv layers only.
 std::optional<nn::NetworkDesc> find_network(std::string name) {
   const bool conv_only = name.size() > 5 && name.ends_with("-conv");
@@ -231,8 +267,8 @@ int cmd_lint(cli::Args args) {
 
 /// `acoustic check`: the network-level SC static analyzer over a zoo
 /// descriptor ('zoo' = all of them under one shared config), or a
-/// trainable small model (lenet / cifar / resnet-tiny) with weight scans
-/// and the executed plan-invariant probe.
+/// trainable small model (kTrainable) with weight scans and the executed
+/// plan-invariant probe.
 int cmd_check(cli::Args args) {
   std::string name;
   analysis::CheckOptions options;
@@ -247,7 +283,7 @@ int cmd_check(cli::Args args) {
       "--werror, on any warning) and 2 on a usage error.",
       {{"TARGET",
         "a zoo network, 'zoo' for all of them under one config, or a "
-        "trainable model: lenet, cifar or resnet-tiny",
+        "trainable model: " + trainable_names(", "),
         [&name](const std::string& value) { name = value; }}},
       {cli::choice("--target",
                    "simulator to check for; perf keeps only the structural "
@@ -281,19 +317,15 @@ int cmd_check(cli::Args args) {
       }
     } else if (const std::optional<nn::NetworkDesc> net = find_network(name)) {
       report = analysis::check_descriptor(*net, options);
-    } else if (name == "lenet" || name == "cifar" || name == "resnet-tiny") {
-      // Trainable models: built in the OR-approximate training mode the SC
-      // backends evaluate, Kaiming-initialized (deterministic seeds).
-      const nn::AccumMode mode = nn::AccumMode::kOrApprox;
-      nn::Network net = name == "lenet"   ? train::build_lenet_small(mode)
-                        : name == "cifar" ? train::build_cifar_small(mode)
-                                          : train::build_resnet_tiny(mode);
-      const nn::Shape input{16, 16, name == "lenet" ? 1 : 3};
-      report = analysis::check_network(net, name, input, options);
+    } else if (const TrainableModel* model = find_trainable(name)) {
+      // Built in the OR-approximate training mode the SC backends evaluate.
+      nn::Network net = model->build(nn::AccumMode::kOrApprox);
+      report = analysis::check_network(
+          net, name, nn::Shape{16, 16, model->channels}, options);
     } else {
       throw cli::UsageError("unknown target '" + name +
-                            "' (expected a zoo network, 'zoo', or "
-                            "lenet/cifar/resnet-tiny)");
+                            "' (expected a zoo network, 'zoo', or " +
+                            trainable_names("/") + ")");
     }
     if (json) {
       std::printf("%s\n", core::to_json(report).c_str());
@@ -408,24 +440,15 @@ int run_eval(const EvalOptions& opt) {
   bool zoo = false;  // zoo-descriptor model: untrained, evaluated as-built
   nn::Shape input_shape{16, 16, 1};
   nn::Network net = [&] {
-    if (opt.model == "lenet") {
-      tr = train::make_synth_digits(opt.train_count, 42, 16);
-      te = train::make_synth_digits(opt.test_count, 999, 16);
-      input_shape = nn::Shape{16, 16, 1};
-      return train::build_lenet_small(mode, 16);
-    }
-    if (opt.model == "cifar" || opt.model == "cifar-max" ||
-        opt.model == "resnet-tiny") {
-      tr = train::make_synth_objects(opt.train_count, 11, 16);
-      te = train::make_synth_objects(opt.test_count, 777, 16);
-      input_shape = nn::Shape{16, 16, 3};
-      if (opt.model == "cifar-max") {
-        return train::build_cifar_small_maxpool(mode, 16);
-      }
-      if (opt.model == "resnet-tiny") {
-        return train::build_resnet_tiny(mode, 16);
-      }
-      return train::build_cifar_small(mode, 16);
+    if (const TrainableModel* model = find_trainable(opt.model)) {
+      // One-channel models learn SynthDigits, three-channel SynthObjects.
+      const bool digits = model->channels == 1;
+      tr = digits ? train::make_synth_digits(opt.train_count, 42, 16)
+                  : train::make_synth_objects(opt.train_count, 11, 16);
+      te = digits ? train::make_synth_digits(opt.test_count, 999, 16)
+                  : train::make_synth_objects(opt.test_count, 777, 16);
+      input_shape = nn::Shape{16, 16, model->channels};
+      return model->build(mode);
     }
     if (const std::optional<nn::NetworkDesc> desc = find_network(opt.model)) {
       // Full zoo workload built from its shape descriptor at a reduced
@@ -443,10 +466,10 @@ int run_eval(const EvalOptions& opt) {
                                            input_shape.h);
       return nn::build_from_descriptor(*desc, zopt);
     }
-    throw cli::UsageError("unknown model '" + opt.model +
-                          "' (expected lenet, cifar, cifar-max, "
-                          "resnet-tiny, or a zoo network: lenet5/"
-                          "cifar10/svhn/alexnet/vgg16/resnet18)");
+    throw cli::UsageError("unknown model '" + opt.model + "' (expected " +
+                          trainable_names(", ") +
+                          ", or a zoo network: lenet5/cifar10/svhn/alexnet/"
+                          "vgg16/resnet18)");
   }();
 
   if (zoo) {
@@ -859,8 +882,8 @@ int cmd_eval(cli::Args args) {
       {cli::choice("--backend", "inference backend (default sc)",
                    opt.backend, sim::kBackendNames),
        cli::text("--model", "NAME",
-                 "lenet (default), cifar, cifar-max, resnet-tiny or a zoo "
-                 "network",
+                 "a trainable model (" + trainable_names(", ") +
+                     "; default lenet) or a zoo network",
                  opt.model),
        cli::number("--threads", "N",
                    "evaluator threads (default 0 = all hardware threads)",

@@ -196,9 +196,7 @@ void run_plan(obs::Bench& bench, const BenchSuiteOptions& options) {
   bench.run("plan/build", [&] {
     // Construction + build is the real per-layer cost a network pays.
     sim::LayerStreamPlan plan(bank, sched, lanes, /*budget_bytes=*/0);
-    sim::StreamPlanCounters counters;
-    plan.build(levels, counters);
-    sink(counters.bits_generated);
+    sink(plan.build(levels));
   });
 }
 
