@@ -1,6 +1,8 @@
 #include "perf/mapping.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace acoustic::perf {
 
@@ -10,6 +12,18 @@ LayerMapping map_conv(const nn::LayerDesc& l, const ArchConfig& a) {
   LayerMapping m;
   const std::uint64_t pool = l.pool > 1 ? static_cast<std::uint64_t>(l.pool) : 1;
   const std::uint64_t pool_sq = pool * pool;
+  // A window that tiles the conv output splits each sign phase of
+  // stream_length / 2 bits into pool^2 slots, as the SC executor's
+  // timetable does (sim::window_schedule); a shorter phase leaves a slot
+  // without a bit, and the executor refuses to run it.
+  if (pool > 1 && l.out_h() % l.pool == 0 && l.out_w() % l.pool == 0 &&
+      a.stream_length / 2 < pool_sq) {
+    const std::string window = std::to_string(pool) + "x" + std::to_string(pool);
+    throw std::invalid_argument(
+        "layer " + l.label + ": stream " + std::to_string(a.stream_length) +
+        " is too short for its " + window + " pooling window (each sign "
+        "phase needs at least " + std::to_string(pool_sq) + " bits)");
+  }
   const int keff = std::min(l.kernel, 3);
   const std::uint64_t kchunk = ceil_div(static_cast<std::uint64_t>(l.kernel), 3);
   const int cpm = a.channels_per_mac(keff);

@@ -14,7 +14,8 @@
 // sizes, never on timing or thread interleaving (each worker owns its own
 // arena), so high_water_bytes() is a pure function of the work done — the
 // property that keeps the sc.scratch_bytes gauge byte-identical across
-// thread counts, SIMD levels and reruns.
+// SIMD levels and reruns, and across thread counts while no layer shards
+// (a sharded layer requests one scratch state per pool worker).
 #pragma once
 
 #include <cstddef>

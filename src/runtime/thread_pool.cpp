@@ -10,14 +10,16 @@ namespace acoustic::runtime {
 
 namespace {
 
-/// Which pool (and which worker slot) the calling thread belongs to.
+/// Which pool (and which worker slot) the calling thread belongs to, and
+/// how many tasks it is running nested one inside another.
 struct TlsBinding {
   ThreadPool* pool = nullptr;
-  int worker = -1;
+  unsigned worker = 0;
+  unsigned depth = 0;
 };
 thread_local TlsBinding tl_binding;  // NOLINT(misc-use-internal-linkage)
 
-/// splitmix64 finalizer: the deterministic (job, chunk) -> duration map
+/// splitmix64 finalizer: the deterministic (job, index) -> duration map
 /// behind the jitter hook.
 std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
@@ -39,24 +41,24 @@ std::atomic<unsigned> g_jitter_us{jitter_from_env()};
 
 }  // namespace
 
-/// One parallel_for() call. Lives on the caller's stack; every chunk holds
+/// One parallel_for() call. Lives on the caller's stack; every task holds
 /// a pointer, and the join cannot return before remaining reaches zero, so
 /// the lifetime is covered.
 struct ThreadPool::Job {
   const std::function<void(std::size_t, unsigned)>* fn = nullptr;
-  std::atomic<std::size_t> remaining{0};  ///< chunks not yet completed
+  std::atomic<std::size_t> remaining{0};  ///< tasks not yet completed
   std::atomic<bool> cancelled{false};     ///< set on first exception: drain
   std::exception_ptr error;               ///< first thrown; guarded by done_mu_
   std::uint64_t serial = 0;               ///< jitter-hash salt
 };
 
-/// Per-worker state: a mutex-guarded ring deque of chunks plus the thread.
+/// Per-worker state: a mutex-guarded ring deque of tasks plus the thread.
 /// head/tail are ABSOLUTE positions (element p lives at p & (capacity-1),
 /// capacity a power of two), which keeps resizing a pure re-hash. All ring
 /// operations require mu to be held by the caller.
 struct ThreadPool::Worker {
   std::mutex mu;
-  std::vector<Chunk> ring;
+  std::vector<Task> ring;
   std::uint64_t head = 0;  ///< steal side (FIFO)
   std::uint64_t tail = 0;  ///< local side (LIFO)
   std::thread thread;
@@ -65,7 +67,7 @@ struct ThreadPool::Worker {
     return static_cast<std::size_t>(tail - head);
   }
 
-  /// Grows the ring so @p extra more chunks fit: at most ONE allocation
+  /// Grows the ring so @p extra more tasks fit: at most ONE allocation
   /// per call regardless of extra, which keeps the evaluator's per-run
   /// allocation count independent of the image count (alloc_test).
   void reserve(std::size_t extra) {
@@ -77,27 +79,27 @@ struct ThreadPool::Worker {
     while (cap < need) {
       cap *= 2;
     }
-    std::vector<Chunk> next(cap);
+    std::vector<Task> next(cap);
     for (std::uint64_t p = head; p != tail; ++p) {
       next[p & (cap - 1)] = ring[p & (ring.size() - 1)];
     }
     ring.swap(next);
   }
 
-  void push_back(const Chunk& chunk) noexcept {
-    ring[tail & (ring.size() - 1)] = chunk;
+  void push_back(const Task& task) noexcept {
+    ring[tail & (ring.size() - 1)] = task;
     ++tail;
   }
-  [[nodiscard]] Chunk pop_back() noexcept {
+  [[nodiscard]] Task pop_back() noexcept {
     --tail;
     return ring[tail & (ring.size() - 1)];
   }
-  [[nodiscard]] Chunk pop_front() noexcept {
-    const Chunk chunk = ring[head & (ring.size() - 1)];
+  [[nodiscard]] Task pop_front() noexcept {
+    const Task task = ring[head & (ring.size() - 1)];
     ++head;
-    return chunk;
+    return task;
   }
-  [[nodiscard]] const Chunk& back() const noexcept {
+  [[nodiscard]] const Task& back() const noexcept {
     return ring[(tail - 1) & (ring.size() - 1)];
   }
 };
@@ -149,8 +151,6 @@ void ThreadPool::stop_and_join() {
 
 ThreadPool* ThreadPool::current() noexcept { return tl_binding.pool; }
 
-int ThreadPool::current_worker() noexcept { return tl_binding.worker; }
-
 void ThreadPool::set_task_jitter_us(unsigned max_us) noexcept {
   g_jitter_us.store(max_us, std::memory_order_relaxed);
 }
@@ -173,7 +173,7 @@ void ThreadPool::wake_workers() {
   sleep_cv_.notify_all();
 }
 
-bool ThreadPool::try_pop_local(unsigned id, Chunk& out) {
+bool ThreadPool::try_pop_local(unsigned id, Task& out) {
   Worker& worker = *workers_[id];
   const std::lock_guard<std::mutex> lock(worker.mu);
   if (worker.queued() == 0) {
@@ -184,9 +184,9 @@ bool ThreadPool::try_pop_local(unsigned id, Chunk& out) {
   return true;
 }
 
-bool ThreadPool::try_pop_local_job(unsigned id, const Job* job, Chunk& out) {
-  // Join discipline: ONLY chunks of the joining job may run here. The
-  // job's chunks form a contiguous segment at the back of the own deque
+bool ThreadPool::try_pop_local_job(unsigned id, const Job* job, Task& out) {
+  // Join discipline: ONLY tasks of the joining job may run here. The
+  // job's tasks form a contiguous segment at the back of the own deque
   // (pushed last; thieves consume from the front), so one back test
   // suffices — and it is what prevents a joining worker from re-entering
   // an unrelated outer task (e.g. a second image on the same clone).
@@ -200,7 +200,7 @@ bool ThreadPool::try_pop_local_job(unsigned id, const Job* job, Chunk& out) {
   return true;
 }
 
-bool ThreadPool::try_steal(unsigned id, Chunk& out) {
+bool ThreadPool::try_steal(unsigned id, Task& out) {
   const unsigned n = size();
   for (unsigned k = 1; k < n; ++k) {
     Worker& victim = *workers_[(id + k) % n];
@@ -215,23 +215,29 @@ bool ThreadPool::try_steal(unsigned id, Chunk& out) {
   return false;
 }
 
-void ThreadPool::execute(const Chunk& chunk, unsigned worker, bool stolen) {
-  Job& job = *chunk.job;
+void ThreadPool::execute(const Task& task, unsigned worker, bool stolen) {
+  Job& job = *task.job;
   if (stolen) {
     steals_.fetch_add(1, std::memory_order_relaxed);
   }
-  const unsigned now_active = active_.fetch_add(1, std::memory_order_relaxed) + 1;
-  unsigned peak = busy_peak_.load(std::memory_order_relaxed);
-  while (now_active > peak &&
-         !busy_peak_.compare_exchange_weak(peak, now_active,
-                                           std::memory_order_relaxed)) {
+  // A worker is busy once however deeply it nests: the tasks it runs
+  // inside its own task (a nested join) do not count it again.
+  const bool outermost = tl_binding.depth++ == 0;
+  if (outermost) {
+    const unsigned now_active =
+        active_.fetch_add(1, std::memory_order_relaxed) + 1;
+    unsigned peak = busy_peak_.load(std::memory_order_relaxed);
+    while (now_active > peak &&
+           !busy_peak_.compare_exchange_weak(peak, now_active,
+                                             std::memory_order_relaxed)) {
+    }
   }
   const unsigned jitter = g_jitter_us.load(std::memory_order_relaxed);
   if (jitter != 0) {
-    // Deterministic per-(job, chunk) busy-wait: perturbs which worker
-    // reaches which chunk first (forcing steals) while the chunk results
+    // Deterministic per-(job, index) busy-wait: perturbs which worker
+    // reaches which task first (forcing steals) while the task results
     // stay a pure function of the indices.
-    const std::uint64_t hash = mix64(job.serial ^ mix64(chunk.begin));
+    const std::uint64_t hash = mix64(job.serial ^ mix64(task.index));
     const auto wait = std::chrono::microseconds(hash % (jitter + 1U));
     const auto until = std::chrono::steady_clock::now() + wait;
     while (std::chrono::steady_clock::now() < until) {
@@ -239,9 +245,7 @@ void ThreadPool::execute(const Chunk& chunk, unsigned worker, bool stolen) {
   }
   if (!job.cancelled.load(std::memory_order_acquire)) {
     try {
-      for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-        (*job.fn)(i, worker);
-      }
+      (*job.fn)(task.index, worker);
       tasks_.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
       {
@@ -250,11 +254,14 @@ void ThreadPool::execute(const Chunk& chunk, unsigned worker, bool stolen) {
           job.error = std::current_exception();
         }
       }
-      // Drain: later chunks of this job complete without running.
+      // Drain: later tasks of this job complete without running.
       job.cancelled.store(true, std::memory_order_release);
     }
   }
-  active_.fetch_sub(1, std::memory_order_relaxed);
+  if (outermost) {
+    active_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  --tl_binding.depth;
   if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     const std::lock_guard<std::mutex> lock(done_mu_);
     done_cv_.notify_all();
@@ -276,8 +283,8 @@ void ThreadPool::release_slot() {
 }
 
 void ThreadPool::worker_loop(unsigned id) {
-  tl_binding = {this, static_cast<int>(id)};
-  Chunk chunk;
+  tl_binding = {this, id, 0};
+  Task task;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(sleep_mu_);
@@ -291,14 +298,14 @@ void ThreadPool::worker_loop(unsigned id) {
       }
       --slots_free_;
     }
-    // Slot held: drain every chunk in reach. Keeping the slot across
-    // chunks is what makes oversubscribed big tasks run back-to-back
+    // Slot held: drain every task in reach. Keeping the slot across
+    // tasks is what makes oversubscribed big tasks run back-to-back
     // cache-warm instead of timeslicing against each other.
     for (;;) {
-      if (try_pop_local(id, chunk)) {
-        execute(chunk, id, /*stolen=*/false);
-      } else if (try_steal(id, chunk)) {
-        execute(chunk, id, /*stolen=*/true);
+      if (try_pop_local(id, task)) {
+        execute(task, id, /*stolen=*/false);
+      } else if (try_steal(id, task)) {
+        execute(task, id, /*stolen=*/true);
       } else {
         break;
       }
@@ -308,58 +315,50 @@ void ThreadPool::worker_loop(unsigned id) {
 }
 
 void ThreadPool::parallel_for(
-    std::size_t count, const std::function<void(std::size_t, unsigned)>& fn,
-    std::size_t grain) {
+    std::size_t count, const std::function<void(std::size_t, unsigned)>& fn) {
   if (count == 0) {
     return;
   }
-  if (grain == 0) {
-    grain = 1;
-  }
   const unsigned n = size();
-  const std::size_t chunks = (count + grain - 1) / grain;
 
   Job job;
   job.fn = &fn;
   job.serial = job_serial_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.remaining.store(chunks, std::memory_order_relaxed);
+  job.remaining.store(count, std::memory_order_relaxed);
 
-  const TlsBinding binding = tl_binding;
-  const bool nested = binding.pool == this;
-  if (nested) {
-    // Nested job: all chunks go onto the calling worker's own deque, in
+  if (tl_binding.pool == this) {
+    // Nested job: all tasks go onto the calling worker's own deque, in
     // REVERSE index order — its back-pops then run 0, 1, 2, ... while
     // thieves (front side) start from the high end after clearing any
-    // older outer chunks queued below.
-    const auto home = static_cast<unsigned>(binding.worker);
+    // older outer tasks queued below.
+    const unsigned home = tl_binding.worker;
     Worker& worker = *workers_[home];
     {
       const std::lock_guard<std::mutex> lock(worker.mu);
-      worker.reserve(chunks);
-      for (std::size_t c = chunks; c-- > 0;) {
-        const std::size_t begin = c * grain;
-        worker.push_back(Chunk{&job, begin, std::min(count, begin + grain)});
+      worker.reserve(count);
+      for (std::size_t i = count; i-- > 0;) {
+        worker.push_back(Task{&job, i});
       }
     }
-    pending_.fetch_add(chunks, std::memory_order_release);
+    pending_.fetch_add(count, std::memory_order_release);
     wake_workers();
-    // Help-first join: run own-job chunks until none are left, then BLOCK
-    // until the thieves' in-flight chunks complete. Executing anything
+    // Help-first join: run own-job tasks until none are left, then BLOCK
+    // until the thieves' in-flight tasks complete. Executing anything
     // else here would nest an unrelated task under this frame, and own
-    // chunks can never reappear once the local segment is drained (only
+    // tasks can never reappear once the local segment is drained (only
     // the owner pushes, thieves only remove), so there is nothing to poll
     // for — spinning here burned whole scheduler quanta on oversubscribed
     // hosts (measured 3.3x throughput loss at 4 threads on 1 CPU).
-    Chunk chunk;
-    while (try_pop_local_job(home, &job, chunk)) {
-      execute(chunk, home, /*stolen=*/false);
+    Task task;
+    while (try_pop_local_job(home, &job, task)) {
+      execute(task, home, /*stolen=*/false);
     }
     if (job.remaining.load(std::memory_order_acquire) != 0) {
-      // Hand the execution slot back while blocked: the in-flight chunks
+      // Hand the execution slot back while blocked: the in-flight tasks
       // are with thieves — or still buried in our deque under a
       // concurrent external job's pushes — and on a fully subscribed
       // host those workers need our slot to finish them. Reacquire
-      // before resuming the enclosing chunk.
+      // before resuming the enclosing task.
       release_slot();
       {
         std::unique_lock<std::mutex> lock(done_mu_);
@@ -370,22 +369,21 @@ void ThreadPool::parallel_for(
       acquire_slot();
     }
   } else {
-    // External job: round-robin the chunks across every worker deque and
+    // External job: round-robin the tasks across every worker deque and
     // block; stealing rebalances whatever the static spread got wrong.
     for (unsigned w = 0; w < n; ++w) {
-      const std::size_t mine = chunks / n + (w < chunks % n ? 1 : 0);
+      const std::size_t mine = count / n + (w < count % n ? 1 : 0);
       if (mine == 0) {
         continue;
       }
       Worker& worker = *workers_[w];
       const std::lock_guard<std::mutex> lock(worker.mu);
       worker.reserve(mine);
-      for (std::size_t c = w; c < chunks; c += n) {
-        const std::size_t begin = c * grain;
-        worker.push_back(Chunk{&job, begin, std::min(count, begin + grain)});
+      for (std::size_t i = w; i < count; i += n) {
+        worker.push_back(Task{&job, i});
       }
     }
-    pending_.fetch_add(chunks, std::memory_order_release);
+    pending_.fetch_add(count, std::memory_order_release);
     wake_workers();
     std::unique_lock<std::mutex> lock(done_mu_);
     done_cv_.wait(lock, [&] {

@@ -1,29 +1,30 @@
 // Work-stealing scheduler shared by batch (image-level) and intra-image
 // (row/neuron-level) SC execution.
 //
-// Every worker owns a deque of index-range chunks: local pops come from
-// the back (LIFO — the chunk it pushed last, still cache-warm), steals
-// come from the front (FIFO — the oldest work, which a stalled owner is
-// furthest from reaching). parallel_for() may be called from ANY thread:
+// Every index of a parallel_for() is one task. Every worker owns a deque
+// of tasks: local pops come from the back (LIFO — the task it pushed
+// last, still cache-warm), steals come from the front (FIFO — the oldest
+// work, which a stalled owner is furthest from reaching). parallel_for()
+// may be called from ANY thread:
 //
-//   - an external thread distributes the chunks round-robin across the
+//   - an external thread distributes the tasks round-robin across the
 //     worker deques and blocks until the job completes;
-//   - a pool worker pushes the chunks onto its OWN deque and executes
+//   - a pool worker pushes the tasks onto its OWN deque and executes
 //     them in place, so nested parallelism (a batch-evaluator image task
 //     sharding its conv rows) joins the same pool instead of spawning a
 //     second worker set that fights it for cores. While joining, a worker
-//     only executes chunks of the job it is joining — never an unrelated
+//     only executes tasks of the job it is joining — never an unrelated
 //     outer task — which bounds the stack depth and keeps single-owner
 //     state (e.g. a backend clone mid-forward) single-owner.
 //
-// Scheduling is dynamic (which worker runs which chunk depends on timing),
+// Scheduling is dynamic (which worker runs which task depends on timing),
 // so callers that need deterministic RESULTS must make every index a pure
 // function of its value, give each index a disjoint output slot, and
 // reduce per-worker scratch with order-insensitive sums — the contract
 // sim::BatchEvaluator and sim::ScNetwork build on. The golden suites pin
 // that contract down under forced-stealing jitter (see set_task_jitter_us
 // and the ACOUSTIC_SCHED_JITTER environment hook). No within-worker
-// ordering is promised either: a worker may run its chunks in any order.
+// ordering is promised either: a worker may run its tasks in any order.
 //
 // Oversubscription guard: a pool may have more workers than the host has
 // cores (worker count doubles as the per-thread-scratch shard count, so
@@ -70,40 +71,38 @@ class ThreadPool {
   }
 
   /// Runs fn(index, worker) for every index in [0, count) across the pool
-  /// and blocks until all indices have completed. worker is in [0, size())
-  /// and identifies which pool thread ran the index — callers use it to
-  /// select per-thread scratch (e.g. a backend clone). Indices are grouped
-  /// into chunks of @p grain consecutive values (0 is treated as 1); a
-  /// chunk is the unit of scheduling and stealing.
+  /// and blocks until all indices have completed. Each index is one task,
+  /// the unit of scheduling and stealing. worker is in [0, size()) and
+  /// identifies which pool thread ran the index — callers use it to
+  /// select per-thread scratch (e.g. a backend clone).
   ///
   /// If fn throws, the FIRST exception is rethrown here at the join and
-  /// the remaining chunks are drained (counted complete without running),
+  /// the remaining tasks are drained (counted complete without running),
   /// so the pool stays usable. Concurrent callers are allowed; a call
   /// from inside a pool worker runs as a nested job on the same workers.
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t, unsigned)>& fn,
-                    std::size_t grain = 1);
+                    const std::function<void(std::size_t, unsigned)>& fn);
 
   /// Lifetime scheduler telemetry (monotone counters; snapshot before and
   /// after a run and subtract for per-run deltas).
   struct Stats {
-    std::uint64_t tasks = 0;   ///< chunks executed to completion
-    std::uint64_t steals = 0;  ///< chunks executed off another worker's deque
-    /// Max concurrently executing workers seen; capped by the execution
-    /// slots, so it reads min(size, cores) on an oversubscribed host.
+    std::uint64_t tasks = 0;   ///< tasks executed to completion
+    std::uint64_t steals = 0;  ///< tasks executed off another worker's deque
+    /// Max workers seen with a task in progress at once, at most size(). A
+    /// worker running nested tasks inside its own counts once; one blocked
+    /// in a nested join still counts while it lends its execution slot, so
+    /// on an oversubscribed host this can exceed the core count.
     unsigned busy_peak = 0;
   };
   [[nodiscard]] Stats stats() const noexcept;
 
   /// The pool whose worker thread is calling, or nullptr from any other
   /// thread. Lets nested code (ScNetwork row sharding inside an evaluator
-  /// image task) reuse the enclosing pool instead of creating its own.
+  /// image task) shard on the pool it already runs on.
   [[nodiscard]] static ThreadPool* current() noexcept;
-  /// Worker id within current(), or -1 when current() is nullptr.
-  [[nodiscard]] static int current_worker() noexcept;
 
-  /// Test hook: busy-wait up to @p max_us microseconds before each chunk,
-  /// for a duration that is a deterministic hash of (job, chunk) — it
+  /// Test hook: busy-wait up to @p max_us microseconds before each task,
+  /// for a duration that is a deterministic hash of (job, index) — it
   /// perturbs SCHEDULING (forcing heavy stealing) without perturbing any
   /// result, which is exactly what the stealing-determinism suites need.
   /// Also settable via the ACOUSTIC_SCHED_JITTER environment variable
@@ -113,10 +112,9 @@ class ThreadPool {
 
  private:
   struct Job;
-  struct Chunk {
+  struct Task {
     Job* job = nullptr;
-    std::size_t begin = 0;
-    std::size_t end = 0;
+    std::size_t index = 0;
   };
   struct Worker;
 
@@ -125,10 +123,10 @@ class ThreadPool {
   void worker_loop(unsigned id);
   void acquire_slot();
   void release_slot();
-  bool try_pop_local(unsigned id, Chunk& out);
-  bool try_pop_local_job(unsigned id, const Job* job, Chunk& out);
-  bool try_steal(unsigned id, Chunk& out);
-  void execute(const Chunk& chunk, unsigned worker, bool stolen);
+  bool try_pop_local(unsigned id, Task& out);
+  bool try_pop_local_job(unsigned id, const Job* job, Task& out);
+  bool try_steal(unsigned id, Task& out);
+  void execute(const Task& task, unsigned worker, bool stolen);
   void wake_workers();
 
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -141,13 +139,13 @@ class ThreadPool {
   unsigned slots_ = 1;       ///< execution-slot cap: min(size, hw cores)
   unsigned slots_free_ = 1;  ///< guarded by sleep_mu_
 
-  std::atomic<std::size_t> pending_{0};  ///< chunks queued, not yet popped
+  std::atomic<std::size_t> pending_{0};  ///< tasks queued, not yet popped
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> job_serial_{0};
 
   std::atomic<std::uint64_t> tasks_{0};
   std::atomic<std::uint64_t> steals_{0};
-  std::atomic<unsigned> active_{0};     ///< workers inside execute()
+  std::atomic<unsigned> active_{0};  ///< workers inside an outermost execute()
   std::atomic<unsigned> busy_peak_{0};
 };
 

@@ -94,8 +94,8 @@ EvalResult BatchEvaluator::evaluate(InferenceBackend& prototype,
   const double wall =
       std::chrono::duration<double>(Clock::now() - run_start).count();
   // Per-run scheduler deltas: tasks/steals are lifetime counters, so the
-  // difference isolates this run. Image tasks plus any stolen intra-image
-  // row subtasks (ScNetwork nests its row jobs into this same pool).
+  // difference isolates this run. Image tasks plus the intra-image row
+  // units of sharded layers (ScNetwork nests its row jobs into this pool).
   const runtime::ThreadPool::Stats sched_after = pool_.stats();
 
   obs::Span reduce_span(hooks.profiler, phases ? "reduce" : "",
@@ -161,7 +161,9 @@ void export_metrics(const EvalResult& result, obs::Registry& registry) {
   registry.add("sc.plan_hits", result.stats.plan_hits);
   registry.add("sc.plan_misses", result.stats.plan_misses);
   // Gauge, not a counter: the steady-state per-forward scratch footprint
-  // (max across clones — identical for each, so thread-count invariant).
+  // (max across clones, identical for each). Thread-count invariant only
+  // while no layer shards: a sharded layer carves one scratch state per
+  // pool worker, so the gauge then grows with the thread count.
   registry.set("sc.scratch_bytes",
                static_cast<double>(result.stats.scratch_bytes));
   registry.describe("sc.scratch_bytes",
@@ -172,11 +174,11 @@ void export_scheduler_metrics(const EvalResult& result,
                               obs::Registry& registry) {
   registry.add("sc.task_count", result.sched.tasks);
   registry.describe("sc.task_count",
-                    "Scheduler chunks (image tasks + stolen row subtasks) "
-                    "the evaluation pool executed");
+                    "Scheduler tasks the evaluation pool executed: one per "
+                    "image, plus one per row unit of a sharded layer");
   registry.add("sc.steal_count", result.sched.steals);
   registry.describe("sc.steal_count",
-                    "Chunks executed off another worker's deque — the "
+                    "Tasks executed off another worker's deque — the "
                     "work-stealing load-rebalance count");
   registry.set("sc.pool_occupancy", result.sched.occupancy());
   registry.describe("sc.pool_occupancy",

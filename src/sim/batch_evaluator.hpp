@@ -33,14 +33,14 @@ struct LatencyStats {
 };
 
 /// Work-stealing scheduler telemetry for one evaluate() run. Wall-clock
-/// flavored: which worker stole which chunk depends on OS scheduling, so
+/// flavored: which worker stole which task depends on OS scheduling, so
 /// NONE of this is covered by the determinism contract — it is exported
 /// next to the timing fields (eval JSON "timing" section, --verbose,
 /// Prometheus scrapes), never into the deterministic "metrics" section.
 struct SchedulerStats {
   unsigned workers = 0;       ///< pool size the run used
-  std::uint64_t tasks = 0;    ///< chunks the pool executed during the run
-  std::uint64_t steals = 0;   ///< chunks run off another worker's deque
+  std::uint64_t tasks = 0;    ///< tasks the pool executed during the run
+  std::uint64_t steals = 0;   ///< tasks run off another worker's deque
   unsigned busy_peak = 0;     ///< max concurrently busy workers observed
   /// Pool occupancy in [0, 1]: peak concurrently busy workers / pool size.
   [[nodiscard]] double occupancy() const noexcept {

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "sc/rng.hpp"
-#include "sim/stream_bank.hpp"
 
 namespace acoustic::sim {
 
@@ -20,7 +19,10 @@ std::uint32_t bipolar_level(const StreamBank& bank, double v) {
 
 BipolarNetwork::BipolarNetwork(nn::Network& net, BipolarConfig cfg)
     // No fusion/folding: the MUX baseline runs them binary.
-    : GraphExecutor(net, LowerOptions{}, "BipolarNetwork"), cfg_(cfg) {
+    : GraphExecutor(net, LowerOptions{}, "BipolarNetwork"),
+      cfg_(cfg),
+      act_bank_(cfg_.sng_width, cfg_.activation_seed, cfg_.stream_length),
+      wgt_bank_(cfg_.sng_width, cfg_.weight_seed, cfg_.stream_length) {
   if (cfg_.stream_length == 0) {
     throw std::invalid_argument("BipolarNetwork: stream_length must be > 0");
   }
@@ -40,9 +42,6 @@ void BipolarNetwork::run_weighted(const LoweredOp& op, std::size_t node,
   const nn::Shape out_shape = geo.conv_out;
   const std::size_t len = cfg_.stream_length;
 
-  StreamBank act_bank(cfg_.sng_width, cfg_.activation_seed, len);
-  StreamBank wgt_bank(cfg_.sng_width, cfg_.weight_seed, len);
-
   // Static per-layer activation scaling (standard bipolar-SC practice):
   // values are normalized into [-1, 1] before encoding and the recovered
   // dot product is scaled back — exact up to quantization, since the MUX
@@ -51,13 +50,13 @@ void BipolarNetwork::run_weighted(const LoweredOp& op, std::size_t node,
       input.abs_max() > 0.0f ? static_cast<double>(input.abs_max()) : 1.0;
   std::vector<std::uint32_t> act_levels(input.size());
   for (std::size_t i = 0; i < input.size(); ++i) {
-    act_levels[i] = bipolar_level(act_bank, input[i] / act_scale);
+    act_levels[i] = bipolar_level(act_bank_, input[i] / act_scale);
   }
   std::vector<float> scratch;
   const std::span<const float> weights = node_weights(op, scratch);
   std::vector<std::uint32_t> wgt_levels(weights.size());
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    wgt_levels[i] = bipolar_level(wgt_bank, weights[i]);
+    wgt_levels[i] = bipolar_level(wgt_bank_, weights[i]);
   }
 
   // Grouped geometry: each output channel's MUX fan-in covers only its
@@ -118,10 +117,10 @@ void BipolarNetwork::run_weighted(const LoweredOp& op, std::size_t node,
           const std::size_t wi =
               static_cast<std::size_t>(oc) * w_per_oc + rf_wgt[g][pick];
           const bool a_bit =
-              act_bank.scramble(act_bank.state_at(t, ai), ai) <
+              act_bank_.scramble(act_bank_.state_at(t, ai), ai) <
               act_levels[ai];
           const bool w_bit =
-              wgt_bank.scramble(wgt_bank.state_at(t, wi), wi) <
+              wgt_bank_.scramble(wgt_bank_.state_at(t, wi), wi) <
               wgt_levels[wi];
           ones += (a_bit == w_bit) ? 1 : 0;  // XNOR
         }

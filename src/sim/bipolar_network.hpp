@@ -24,6 +24,7 @@
 
 #include "nn/network.hpp"
 #include "sim/op_graph.hpp"
+#include "sim/stream_bank.hpp"
 
 namespace acoustic::sim {
 
@@ -56,6 +57,11 @@ class BipolarNetwork final : public GraphExecutor {
                     RunStats& run) override;
 
   BipolarConfig cfg_;
+  /// The activation and weight SNG banks, built once here: their content
+  /// is a pure function of the config, so every node of every forward
+  /// reads these two.
+  StreamBank act_bank_;
+  StreamBank wgt_bank_;
 };
 
 }  // namespace acoustic::sim

@@ -134,9 +134,12 @@ struct RunStats {
   std::uint64_t plan_misses = 0;
   /// High-water mark of the per-forward scratch arena in bytes — the
   /// steady-state working set one executor needs beyond the plan tables.
-  /// A pure function of (network, config, input shape): identical for
-  /// every clone, so merge() takes the max, not the sum, and the figure
-  /// stays invariant across thread counts and repeated runs.
+  /// A pure function of (network, config, input shape) and, once a layer
+  /// shards, of the worker count of the pool it shards on: each worker
+  /// gets its own row-unit scratch state, so the figure grows with the
+  /// evaluator's thread count then and is invariant across thread counts
+  /// otherwise. Identical for every clone of one run and across repeated
+  /// runs, so merge() takes the max, not the sum.
   std::uint64_t scratch_bytes = 0;
 
   void merge(const RunStats& other) noexcept {

@@ -74,18 +74,17 @@ struct ScConfig {
 
   ExecMode exec = ExecMode::kPlanned;
 
-  /// Intra-image worker threads for the planned path (conv output rows,
-  /// dense output neurons): 0 = auto (the production default — engaged
-  /// per layer only when its estimated word-level work exceeds a fixed
-  /// 4M word-ops, ScNetwork's kIntraWorkThreshold; small layers stay
-  /// serial because the fork/join cost dominates them, the recorded
-  /// LeNet-small regression),
-  /// 1 = always serial, N >= 2 = force N workers on every layer. Results
-  /// are bit-identical for any value. Ignored in scalar mode. When the
-  /// forward runs inside a batch-evaluator worker, the row subtasks join
-  /// the SAME work-stealing pool (runtime::ThreadPool::current()) instead
-  /// of spawning a private worker set, so auto is safe to leave on even
-  /// when the evaluator already saturates the machine across images.
+  /// Intra-image sharding policy of the planned path (a weighted node's
+  /// output rows x output-channel blocks): 0 = auto (the production
+  /// default — a layer shards only when its estimated word-level work
+  /// reaches a fixed 4M word-ops, ScNetwork's kIntraWorkThreshold; small
+  /// layers stay serial because the fork/join cost dominates them, the
+  /// recorded LeNet-small regression), 1 = always serial, 2 or more =
+  /// shard every layer. The value sizes nothing: units run as nested jobs
+  /// of the runtime::ThreadPool the forward already runs on (a
+  /// batch-evaluator image task), on that pool's workers, so a forward
+  /// called from outside any pool, or on a one-worker pool, runs serial.
+  /// Results are bit-identical for any value. Ignored in scalar mode.
   unsigned intra_threads = 0;
 
   /// Byte budget per packed stream table (one shared weight ProductTable

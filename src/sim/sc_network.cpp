@@ -10,6 +10,7 @@
 
 #include "nn/activation.hpp"
 #include "nn/pool.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sc/bitstream.hpp"
 #include "sc/kernels/kernels.hpp"
 #include "sim/plan_check.hpp"
@@ -88,6 +89,32 @@ void charge(RunStats& run, bool planned, std::uint64_t fetches,
   }
 }
 
+/// Auto mode's per-layer gate (intra_threads == 0 only): estimated
+/// word-level AND/OR operations (output positions x window slots x live
+/// field x output channels x segment words) a layer must exceed before the
+/// row/output sharding engages. Calibrated on the forward bench:
+/// LeNet-small layers (~1e5..1e6 word-ops, where 4 threads measured 1.6x
+/// SLOWER than serial) stay serial, while VGG-scale layers (1e8+)
+/// parallelize.
+constexpr std::size_t kIntraWorkThreshold = std::size_t{4} << 20;
+
+/// The pool that shards a layer's row units, or nullptr for serial
+/// execution: the pool the forward already runs on (idle workers steal
+/// the units as nested jobs) when it has more than one worker and
+/// ScConfig::intra_threads asks for sharding. Auto (0) asks only for a
+/// layer whose estimated word-level work @p work_words reaches
+/// kIntraWorkThreshold: below it the fork/join overhead exceeds the
+/// sharding win (the LeNet-small forward bench, `acoustic bench --suite
+/// forward`, measured 330 us at 4 forced threads vs 211 us serial).
+runtime::ThreadPool* intra_pool(const ScConfig& cfg, std::size_t work_words) {
+  if (cfg.intra_threads == 1 ||
+      (cfg.intra_threads == 0 && work_words < kIntraWorkThreshold)) {
+    return nullptr;
+  }
+  runtime::ThreadPool* pool = runtime::ThreadPool::current();
+  return pool != nullptr && pool->size() > 1 ? pool : nullptr;
+}
+
 }  // namespace
 
 ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg,
@@ -103,41 +130,6 @@ ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg,
   wgt_plans_ = shared != nullptr
                    ? std::move(shared)
                    : std::make_shared<WeightPlanStore>(cfg_, ops().size());
-}
-
-/// Auto mode's per-layer gate (intra_threads == 0 only): estimated
-/// word-level AND/OR operations (output positions x window slots x live
-/// field x output channels x segment words) a layer must exceed before the
-/// row/output sharding engages. Calibrated on the forward bench:
-/// LeNet-small layers (~1e5..1e6 word-ops, where 4 threads measured 1.6x
-/// SLOWER than serial) stay serial, while VGG-scale layers (1e8+)
-/// parallelize.
-constexpr std::size_t kIntraWorkThreshold = std::size_t{4} << 20;
-
-runtime::ThreadPool* ScNetwork::intra_pool(std::size_t work_words) {
-  if (cfg_.exec != ExecMode::kPlanned || cfg_.intra_threads == 1) {
-    return nullptr;
-  }
-  // Auto mode (0) gates per layer: below the work threshold the fork/join
-  // overhead exceeds the sharding win (the LeNet-small forward bench,
-  // `acoustic bench --suite forward`, measured 330 us at 4 forced threads
-  // vs 211 us serial), so small layers stay serial. An explicit thread
-  // count always engages the pool.
-  if (cfg_.intra_threads == 0 && work_words < kIntraWorkThreshold) {
-    return nullptr;
-  }
-  // Inside a work-stealing pool worker (a batch-evaluator image task),
-  // row subtasks join the SAME pool as nested jobs: idle workers steal
-  // them, busy workers keep their own images. Spawning a private pool per
-  // clone here — the pre-unified-scheduler behavior — oversubscribed the
-  // machine with threads x intra_threads workers fighting for cores.
-  if (runtime::ThreadPool* enclosing = runtime::ThreadPool::current()) {
-    return enclosing->size() > 1 ? enclosing : nullptr;
-  }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<runtime::ThreadPool>(cfg_.intra_threads);
-  }
-  return pool_.get();
 }
 
 void ScNetwork::run_weighted(const LoweredOp& op, std::size_t node,
@@ -325,7 +317,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
   const std::size_t work_words = static_cast<std::size_t>(g.out_shape.h) *
                                  static_cast<std::size_t>(g.out_shape.w) *
                                  sched.positions * oc_count * live_rf * sw;
-  runtime::ThreadPool* pool = intra_pool(work_words);
+  runtime::ThreadPool* pool = intra_pool(cfg_, work_words);
 
   // Weight table: shared across clones and images, re-fetched only when
   // its key no longer matches (retraining, or an input size that changes
@@ -337,8 +329,8 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
   // both before the unit loop keeps them read-only while workers run.
   stage.input = input.shape();
   if (stage.table == nullptr || !stage.table->keyed_on(sched, g.layout, key)) {
-    stage.table = wgt_plans_->get(node, sched, g.layout, key,
-                                  cfg_.plan_budget_bytes, pool);
+    stage.table =
+        wgt_plans_->get(node, sched, g.layout, key, cfg_.plan_budget_bytes);
   }
   const ProductTable& tbl = *stage.table;
   if (stage.act_plan == nullptr || stage.act_plan->lanes() != input.size() ||
@@ -347,7 +339,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
         act_bank_, sched, input.size(), cfg_.plan_budget_bytes);
   }
   LayerStreamPlan& act_plan = *stage.act_plan;
-  run.stream_bits_generated += act_plan.build(act_levels, pool);
+  run.stream_bits_generated += act_plan.build(act_levels);
   const bool act_planned = act_plan.enabled();
   const StreamBank& wgt_bank = wgt_plans_->bank();
 

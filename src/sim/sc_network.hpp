@@ -41,7 +41,6 @@
 
 #include "core/diagnostics.hpp"
 #include "nn/network.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/op_graph.hpp"
 #include "sim/sc_config.hpp"
 #include "sim/stream_bank.hpp"
@@ -142,17 +141,6 @@ class ScNetwork final : public GraphExecutor {
   void run_max_pool(const LoweredOp& op, const nn::Tensor& input,
                     nn::Tensor& out, RunStats& run) override;
 
-  /// The pool that shards this layer's rows/neurons, or nullptr for
-  /// serial execution — when the config asks for it, or when auto mode
-  /// (intra_threads == 0) gates a layer whose estimated word-level work
-  /// @p work_words falls below kIntraWorkThreshold (4M): forking
-  /// workers costs more than small layers save (the recorded LeNet-small
-  /// regression). When the forward already runs on a work-stealing pool
-  /// worker (a batch-evaluator image task) this returns THAT pool — the
-  /// row subtasks become nested jobs idle workers can steal — and the
-  /// private pool_ below is only created for direct forward() callers.
-  [[nodiscard]] runtime::ThreadPool* intra_pool(std::size_t work_words);
-
   ScConfig cfg_;
   /// The activation SNG bank, built once here: its content is a pure
   /// function of the config, so the planned body, the scalar oracle and
@@ -160,10 +148,6 @@ class ScNetwork final : public GraphExecutor {
   /// lives in the shared WeightPlanStore).
   StreamBank act_bank_;
   std::vector<StageScratch> stage_scratch_;
-  /// Fallback intra-image pool for forwards NOT running inside an
-  /// enclosing work-stealing pool (direct forward() calls, latency
-  /// benches); see intra_pool().
-  std::unique_ptr<runtime::ThreadPool> pool_;
   std::shared_ptr<WeightPlanStore> wgt_plans_;
 };
 

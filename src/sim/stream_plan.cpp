@@ -1,11 +1,8 @@
 #include "sim/stream_plan.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
-
-#include "runtime/thread_pool.hpp"
 
 namespace acoustic::sim {
 
@@ -72,28 +69,6 @@ void fill_slots(const StreamBank& bank, const SegmentSchedule& sched,
   }
 }
 
-/// Runs body(item, buf) for every item in [0, count), sharded across
-/// @p pool when given (one lane buffer per worker) or serially over
-/// @p serial_buf. Items must write disjoint outputs.
-template <typename Body>
-void for_each_lane(std::size_t count, const SegmentSchedule& sched,
-                   runtime::ThreadPool* pool,
-                   std::vector<std::uint64_t>& serial_buf, const Body& body) {
-  const std::size_t buf_words = lane_buf_words(sched);
-  if (pool != nullptr && count > 1) {
-    std::vector<std::vector<std::uint64_t>> bufs(
-        pool->size(), std::vector<std::uint64_t>(buf_words));
-    pool->parallel_for(count, [&](std::size_t item, unsigned worker) {
-      body(item, bufs[worker].data());
-    });
-    return;
-  }
-  serial_buf.resize(buf_words);
-  for (std::size_t item = 0; item < count; ++item) {
-    body(item, serial_buf.data());
-  }
-}
-
 }  // namespace
 
 LayerStreamPlan::LayerStreamPlan(const StreamBank& bank,
@@ -109,24 +84,21 @@ LayerStreamPlan::LayerStreamPlan(const StreamBank& bank,
   }
 }
 
-std::uint64_t LayerStreamPlan::build(std::span<const std::uint32_t> levels,
-                                     runtime::ThreadPool* pool) {
+std::uint64_t LayerStreamPlan::build(std::span<const std::uint32_t> levels) {
   if (!enabled_) {
     return 0;
   }
-  // Disjoint writes per lane and pure per-lane content: the sharded build
-  // is bit-identical to the serial one for any worker count.
-  for_each_lane(lanes_, sched_, pool, build_buf_,
-                [&](std::size_t lane, std::uint64_t* buf) {
-                  if (levels[lane] != 0) {
-                    fill_slots(*bank_, sched_, levels[lane], lane, kBothSigns,
-                               buf,
-                               words_.data() + lane * sched_.words_per_lane(),
-                               sched_.seg_words());
-                  }
-                });
-  const auto built = static_cast<std::uint64_t>(std::ranges::count_if(
-      levels.first(lanes_), [](std::uint32_t level) { return level != 0; }));
+  build_buf_.resize(lane_buf_words(sched_));
+  std::uint64_t built = 0;
+  for (std::size_t lane = 0; lane < lanes_; ++lane) {
+    if (levels[lane] != 0) {
+      fill_slots(*bank_, sched_, levels[lane], lane, kBothSigns,
+                 build_buf_.data(),
+                 words_.data() + lane * sched_.words_per_lane(),
+                 sched_.seg_words());
+      ++built;
+    }
+  }
   // Honest accounting: the kernel swept the full 2*phase window per built
   // lane (>= slots * seg when phase does not divide evenly).
   return built * static_cast<std::uint64_t>(2 * sched_.phase);
@@ -154,7 +126,7 @@ std::span<const float> folded_weights(const WeightKey& key,
 std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched,
     const WeightLayout& layout, const WeightKey& key,
-    std::size_t budget_bytes, runtime::ThreadPool* pool) {
+    std::size_t budget_bytes) {
   std::vector<float> scratch;
   const std::span<const float> weights = folded_weights(key, scratch);
   auto tbl = std::make_shared<ProductTable>();
@@ -243,14 +215,12 @@ std::shared_ptr<const ProductTable> build_product_table(
   const std::size_t seg_words = sched.seg_words();
   const std::uint32_t positive_entries = tbl->taps_of(oc_count)[0];
   tbl->words.assign(sched.positions * total * seg_words, 0);
-  std::vector<std::uint64_t> serial_buf;
-  for_each_lane(total, sched, pool, serial_buf,
-                [&](std::size_t ei, std::uint64_t* buf) {
-                  const bool sign[] = {ei < positive_entries};
-                  fill_slots(bank, sched, level_of[ei], lane_of[ei], sign,
-                             buf, tbl->words.data() + ei * seg_words,
-                             total * seg_words);
-                });
+  std::vector<std::uint64_t> buf(lane_buf_words(sched));
+  for (std::uint32_t ei = 0; ei < total; ++ei) {
+    const bool sign[] = {ei < positive_entries};
+    fill_slots(bank, sched, level_of[ei], lane_of[ei], sign, buf.data(),
+               tbl->words.data() + ei * seg_words, total * seg_words);
+  }
   return tbl;
 }
 
@@ -266,12 +236,11 @@ WeightPlanStore::WeightPlanStore(const ScConfig& cfg, std::size_t stages)
 std::shared_ptr<const ProductTable> WeightPlanStore::get(
     std::size_t stage, const SegmentSchedule& sched,
     const WeightLayout& layout, const WeightKey& key,
-    std::size_t budget_bytes, runtime::ThreadPool* pool) {
+    std::size_t budget_bytes) {
   Entry& entry = *entries_[stage];
   const std::lock_guard<std::mutex> lock(entry.mu);
   if (entry.table == nullptr || !entry.table->keyed_on(sched, layout, key)) {
-    entry.table =
-        build_product_table(bank_, sched, layout, key, budget_bytes, pool);
+    entry.table = build_product_table(bank_, sched, layout, key, budget_bytes);
   }
   return entry.table;
 }

@@ -42,10 +42,6 @@
 #include "sim/sc_config.hpp"
 #include "sim/stream_bank.hpp"
 
-namespace acoustic::runtime {
-class ThreadPool;
-}
-
 namespace acoustic::sim {
 
 /// The segment timetable one weighted layer runs on: two sign phases
@@ -103,9 +99,9 @@ struct SegmentSchedule {
 
 /// Per-image activation plan: precomputed stream segments for a dense
 /// lane id space (the input activation index), on one segment schedule.
-/// Thread-safety: build() must complete before concurrent lane_words()
-/// calls; after that the plan is read-only and safe to share across row
-/// workers.
+/// Thread-safety: build() runs on the calling thread and must complete
+/// before concurrent lane_words() calls; after that the plan is read-only
+/// and safe to share across row workers.
 class LayerStreamPlan {
  public:
   /// @param bank   the SNG bank the lanes draw from; must outlive the plan.
@@ -120,10 +116,8 @@ class LayerStreamPlan {
   /// level is operand-gated — dead — and never read, so its words are
   /// left as they are). Returns the comparator bits the SNG kernel ran:
   /// the full 2*phase window per generated lane, 0 when the plan is
-  /// disabled. @p pool, when non-null, shards the build across lanes
-  /// (disjoint writes, deterministic content).
-  std::uint64_t build(std::span<const std::uint32_t> levels,
-                      runtime::ThreadPool* pool = nullptr);
+  /// disabled.
+  std::uint64_t build(std::span<const std::uint32_t> levels);
 
   /// True when the table fits the budget and build() will populate it.
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
@@ -147,8 +141,8 @@ class LayerStreamPlan {
   std::size_t lanes_;
   bool enabled_;
   std::vector<std::uint64_t> words_;
-  /// Serial build()'s lane buffer, retained so a rebuilt plan allocates
-  /// nothing after its first build.
+  /// build()'s lane buffer, retained so a rebuilt plan allocates nothing
+  /// after its first build.
   std::vector<std::uint64_t> build_buf_;
 };
 
@@ -333,16 +327,14 @@ struct ProductTable {
                               const WeightKey& key) const noexcept;
 };
 
-/// Builds the ProductTable for (sched, layout, key) from @p bank, over the
-/// key's folded_weights (staged in a buffer that lives only for the
-/// build). The stream words are generated only when
-/// weight_table_bytes(sched, layout) fits @p budget_bytes. @p pool, when
-/// non-null, shards the word generation across entries (disjoint writes,
-/// deterministic content).
+/// Builds the ProductTable for (sched, layout, key) from @p bank on the
+/// calling thread, over the key's folded_weights (staged in a buffer that
+/// lives only for the build). The stream words are generated only when
+/// weight_table_bytes(sched, layout) fits @p budget_bytes.
 [[nodiscard]] std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched,
     const WeightLayout& layout, const WeightKey& key,
-    std::size_t budget_bytes, runtime::ThreadPool* pool);
+    std::size_t budget_bytes);
 
 /// Thread-safe store of per-stage ProductTables, shared by every clone of
 /// an ScNetwork. Weight streams depend only on the weights — identical for
@@ -362,13 +354,12 @@ class WeightPlanStore {
   /// @param stages number of lowered nodes (one table slot each).
   WeightPlanStore(const ScConfig& cfg, std::size_t stages);
 
-  /// The table for @p stage under the given key, building it if absent or
-  /// stale. @p pool, when non-null, shards the build (held only while this
-  /// call runs).
+  /// The table for @p stage under the given key, building it on the
+  /// calling thread if absent or stale.
   [[nodiscard]] std::shared_ptr<const ProductTable> get(
       std::size_t stage, const SegmentSchedule& sched,
       const WeightLayout& layout, const WeightKey& key,
-      std::size_t budget_bytes, runtime::ThreadPool* pool);
+      std::size_t budget_bytes);
 
   /// The weight bank every table of this store draws from.
   [[nodiscard]] const StreamBank& bank() const noexcept { return bank_; }

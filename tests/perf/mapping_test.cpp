@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace acoustic::perf {
 namespace {
 
@@ -61,6 +64,33 @@ TEST(Mapping, ThreeByThreePoolingGivesNineX) {
   EXPECT_NEAR(static_cast<double>(no_pool.mac_cycles) /
                   static_cast<double>(pooled.mac_cycles),
               9.0, 0.5);
+}
+
+TEST(Mapping, RejectsStreamTooShortForPoolWindow) {
+  // Each sign phase (stream / 2 bits) must give every slot of a window
+  // that tiles the conv output at least one bit, as the SC executor
+  // requires: a 2x2 window needs stream 8.
+  ArchConfig arch = lp();
+  arch.stream_length = 8;
+  EXPECT_EQ(map_layer(conv_layer(8, 8, 1, 3, 4, 2), arch).cycles_per_pass,
+            2u);
+  for (const std::uint64_t stream : {4u, 6u}) {
+    arch.stream_length = stream;
+    try {
+      (void)map_layer(conv_layer(8, 8, 1, 3, 4, 2), arch);
+      FAIL() << "stream " << stream << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("conv"), std::string::npos) << what;
+      EXPECT_NE(what.find("2x2"), std::string::npos) << what;
+      EXPECT_NE(what.find("stream " + std::to_string(stream)),
+                std::string::npos)
+          << what;
+    }
+  }
+  // A window that does not tile the 5x5 output runs unfused: no slots.
+  arch.stream_length = 4;
+  EXPECT_NO_THROW((void)map_layer(conv_layer(7, 7, 1, 3, 4, 2), arch));
 }
 
 TEST(Mapping, PackedModeForTinyReceptiveFields) {

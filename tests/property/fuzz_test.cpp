@@ -27,6 +27,7 @@
 #include "nn/residual.hpp"
 #include "obs/span.hpp"
 #include "perf/codegen.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sc/gates.hpp"
 #include "sc/kernels/kernels.hpp"
 #include "sc/rng.hpp"
@@ -1034,7 +1035,13 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
       planned_cfg.plan_budget_bytes = budget;
       planned_cfg.intra_threads = threads;
       sim::ScNetwork planned(g.net, planned_cfg);
-      const nn::Tensor got = planned.forward(x);
+      // As a task of a pool with that many workers, the way the batch
+      // evaluator runs a forward: rows shard only on the enclosing pool.
+      runtime::ThreadPool pool(threads);
+      nn::Tensor got;
+      pool.parallel_for(1, [&](std::size_t, unsigned) {
+        got = planned.forward(x);
+      });
       const sim::RunStats st = planned.take_stats();
       const std::string label = "budget " + std::to_string(budget) +
                                 " threads " + std::to_string(threads);

@@ -164,11 +164,9 @@ TEST(ThreadPool, NestedParallelForOnSingleWorkerPool) {
 TEST(ThreadPool, CurrentIsBoundInsideWorkersOnly) {
   ThreadPool pool(2);
   EXPECT_EQ(ThreadPool::current(), nullptr);
-  EXPECT_EQ(ThreadPool::current_worker(), -1);
   std::atomic<bool> bound{true};
-  pool.parallel_for(64, [&](std::size_t, unsigned worker) {
-    if (ThreadPool::current() != &pool ||
-        ThreadPool::current_worker() != static_cast<int>(worker)) {
+  pool.parallel_for(64, [&](std::size_t, unsigned) {
+    if (ThreadPool::current() != &pool) {
       bound.store(false);
     }
   });
@@ -177,8 +175,8 @@ TEST(ThreadPool, CurrentIsBoundInsideWorkersOnly) {
 }
 
 TEST(ThreadPool, StealingRebalancesImbalancedLoad) {
-  // Round-robin seeding gives each worker half the chunks. Parking the
-  // FIRST chunk that runs — while its worker still holds its whole deque
+  // Round-robin seeding gives each worker half the tasks. Parking the
+  // FIRST task that runs — while its worker still holds its whole deque
   // share — forces the other worker to drain its own deque and then steal
   // the sleeper's backlog: the steal counter must move.
   ThreadPool pool(2);
@@ -210,9 +208,23 @@ TEST(ThreadPool, StatsCountTasksAndBoundBusyPeak) {
   EXPECT_LE(after.busy_peak, pool.size());
 }
 
+TEST(ThreadPool, NestedTasksCountTheirWorkerOnce) {
+  // A worker that runs nested tasks inside its own task is one busy
+  // worker, not one per stack frame: a lone worker peaks at 1, and a
+  // pool never reads more busy workers than it has.
+  for (const unsigned threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    pool.parallel_for(8, [&](std::size_t, unsigned) {
+      pool.parallel_for(8, [](std::size_t, unsigned) {});
+    });
+    EXPECT_GE(pool.stats().busy_peak, 1u) << threads;
+    EXPECT_LE(pool.stats().busy_peak, threads) << threads;
+  }
+}
+
 TEST(ThreadPool, FirstExceptionWinsAndTheRestDrain) {
-  // Every chunk throws; exactly one exception may surface at the join and
-  // the pool must come back clean. Cancellation means some chunks never
+  // Every task throws; exactly one exception may surface at the join and
+  // the pool must come back clean. Cancellation means some tasks never
   // run their body — but none may run after the join returns.
   ThreadPool pool(4);
   std::atomic<std::size_t> ran{0};
@@ -236,7 +248,7 @@ TEST(ThreadPool, FirstExceptionWinsAndTheRestDrain) {
     done.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(done.load(), 40u);
-  EXPECT_EQ(ran.load(), ran_at_join) << "late chunk ran after the join";
+  EXPECT_EQ(ran.load(), ran_at_join) << "late task ran after the join";
 }
 
 TEST(ThreadPool, ExceptionInsideNestedJobPropagates) {
@@ -282,7 +294,7 @@ TEST(ThreadPool, ConcurrentExternalSubmittersShareOnePool) {
 }
 
 TEST(ThreadPool, JitterHookDelaysButNeverChangesResults) {
-  // The CI stealing-stress hook: per-chunk busy-wait jitter shuffles the
+  // The CI stealing-stress hook: per-task busy-wait jitter shuffles the
   // schedule, the computed results must not move.
   const unsigned saved = ThreadPool::task_jitter_us();
   ThreadPool::set_task_jitter_us(200);
@@ -294,24 +306,6 @@ TEST(ThreadPool, JitterHookDelaysButNeverChangesResults) {
   ThreadPool::set_task_jitter_us(saved);
   for (std::size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], static_cast<std::uint64_t>(i) * i);
-  }
-}
-
-TEST(ThreadPool, GrainBatchesChunksButRunsEveryIndex) {
-  ThreadPool pool(2);
-  const ThreadPool::Stats before = pool.stats();
-  constexpr std::size_t kCount = 103;
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.parallel_for(
-      kCount,
-      [&](std::size_t i, unsigned) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      },
-      /*grain=*/8);
-  const ThreadPool::Stats after = pool.stats();
-  EXPECT_EQ(after.tasks - before.tasks, (kCount + 7) / 8);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 

@@ -59,6 +59,19 @@ void expect_bytes_equal(const nn::Tensor& got, const nn::Tensor& want,
   }
 }
 
+/// @p exec's forward on @p input, run as a task of a @p threads-worker
+/// pool the way the batch evaluator runs it: rows shard only on the pool
+/// the forward runs on, so intra_threads >= 2 shards on these workers.
+nn::Tensor forward_on_pool(ScNetwork& exec, const nn::Tensor& input,
+                           unsigned threads) {
+  runtime::ThreadPool pool(threads);
+  nn::Tensor out;
+  pool.parallel_for(1, [&](std::size_t, unsigned) {
+    out = exec.forward(input);
+  });
+  return out;
+}
+
 /// Runs @p net on @p input under every planned configuration and checks
 /// each against the scalar oracle: logits byte for byte, the work counters,
 /// and the stream fetch accounting — every segment the planned path
@@ -82,7 +95,7 @@ void expect_planned_matches_scalar(nn::Network& net, const nn::Tensor& input,
       planned_cfg.exec = ExecMode::kPlanned;
       planned_cfg.intra_threads = threads;
       ScNetwork planned_exec(net, planned_cfg);
-      const nn::Tensor got = planned_exec.forward(input);
+      const nn::Tensor got = forward_on_pool(planned_exec, input, threads);
       const RunStats got_stats = planned_exec.take_stats();
 
       const std::string label = "decorrelate=" +
@@ -716,7 +729,7 @@ void expect_thread_counts_agree(nn::Network& net, const nn::Tensor& input,
     ScConfig threaded_cfg = cfg;
     threaded_cfg.intra_threads = threads;
     ScNetwork threaded(net, threaded_cfg);
-    const nn::Tensor got = threaded.forward(input);
+    const nn::Tensor got = forward_on_pool(threaded, input, threads);
     const RunStats got_stats = threaded.take_stats();
     expect_bytes_equal(got, want, "threads=" + std::to_string(threads));
     EXPECT_EQ(got_stats.product_bits, want_stats.product_bits);
@@ -801,7 +814,7 @@ TEST(ScGolden, JitteredThreadCountsAgreeOnAllStats) {
     ScConfig threaded_cfg = cfg;
     threaded_cfg.intra_threads = threads;
     ScNetwork threaded(net, threaded_cfg);
-    const nn::Tensor got = threaded.forward(input);
+    const nn::Tensor got = forward_on_pool(threaded, input, threads);
     const RunStats got_stats = threaded.take_stats();
     expect_bytes_equal(got, want,
                        "jitter threads=" + std::to_string(threads));

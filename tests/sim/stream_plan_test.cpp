@@ -7,7 +7,6 @@
 #include <cmath>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
 #include "sc/rng.hpp"
 #include "sim/op_graph.hpp"
 #include "sim/plan_check.hpp"
@@ -57,7 +56,7 @@ void expect_plan_matches_fill(const SegmentSchedule& sched, unsigned width,
   for (const std::uint32_t level : levels) {
     live += level != 0 ? 1 : 0;
   }
-  EXPECT_EQ(plan.build(levels, nullptr), live * 2 * sched.phase);
+  EXPECT_EQ(plan.build(levels), live * 2 * sched.phase);
 
   std::vector<std::uint64_t> want(sched.seg_words());
   for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -94,29 +93,6 @@ TEST(LayerStreamPlanTest, SegmentsMatchDirectFillUnevenAndMultiWord) {
   expect_plan_matches_fill(SegmentSchedule{300, 2, 150}, 9, true);
 }
 
-TEST(LayerStreamPlanTest, PooledBuildIsIdenticalToSerial) {
-  const SegmentSchedule sched{96, 4, 24};
-  StreamBank bank(9, 0xACE5, 2 * sched.phase, true);
-  const std::size_t lanes = 41;
-  const auto levels = ramp_levels(lanes, 511);
-
-  LayerStreamPlan serial(bank, sched, lanes, 0);
-  LayerStreamPlan pooled(bank, sched, lanes, 0);
-  const std::uint64_t serial_bits = serial.build(levels, nullptr);
-  runtime::ThreadPool pool(3);
-  EXPECT_EQ(pooled.build(levels, &pool), serial_bits);
-
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    if (levels[lane] == 0) {
-      continue;
-    }
-    for (std::size_t w = 0; w < sched.words_per_lane(); ++w) {
-      ASSERT_EQ(serial.lane_words(lane)[w], pooled.lane_words(lane)[w])
-          << "lane " << lane << " word " << w;
-    }
-  }
-}
-
 TEST(LayerStreamPlanTest, OverBudgetPlanDisablesItself) {
   const SegmentSchedule sched{64, 4, 16};
   StreamBank bank(8, 0x77, 2 * sched.phase, true);
@@ -129,7 +105,7 @@ TEST(LayerStreamPlanTest, OverBudgetPlanDisablesItself) {
   EXPECT_TRUE(fits.enabled());
   LayerStreamPlan over(bank, sched, levels.size(), bytes - 1);
   EXPECT_FALSE(over.enabled());
-  EXPECT_EQ(over.build(levels, nullptr), 0u);  // no-op
+  EXPECT_EQ(over.build(levels), 0u);  // no-op
 }
 
 /// A dense layer's layout: @p outputs neurons over @p inputs slots,
@@ -152,7 +128,7 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
 
   const WeightKey key{weights, {}};
 
-  const auto t1 = store.get(0, sched, layout, key, 0, nullptr);
+  const auto t1 = store.get(0, sched, layout, key, 0);
   ASSERT_TRUE(t1->planned);
   // 0.0 is in no phase; 1e-6 quantizes to level 0 (gated): 4 entries.
   EXPECT_EQ(t1->total, 4u);
@@ -160,7 +136,7 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
       check_product_table(*t1, store.bank(), key, "t").clean());
 
   // Same key: the cached table is returned and nothing is rebuilt.
-  EXPECT_EQ(store.get(0, sched, layout, key, 0, nullptr).get(),
+  EXPECT_EQ(store.get(0, sched, layout, key, 0).get(),
             t1.get());
 
   // Changed weights (retraining): rebuild, and the old table stays valid
@@ -169,7 +145,7 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   retrained[0] = 0.5625f;
   const WeightKey retrained_key{retrained, {}};
   const auto t2 =
-      store.get(0, sched, layout, retrained_key, 0, nullptr);
+      store.get(0, sched, layout, retrained_key, 0);
   EXPECT_NE(t2.get(), t1.get());
   EXPECT_TRUE(t1->keyed_on(sched, layout, key));
 
@@ -177,7 +153,7 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   // Each entry holds the slots of its own sign phase only.
   const SegmentSchedule unpooled{cfg.phase_length(), 1, cfg.phase_length()};
   const auto t3 =
-      store.get(0, unpooled, layout, retrained_key, 0, nullptr);
+      store.get(0, unpooled, layout, retrained_key, 0);
   EXPECT_NE(t3.get(), t2.get());
   EXPECT_EQ(t3->words.size(), unpooled.positions * t3->total);
   EXPECT_TRUE(check_product_table(*t3, store.bank(), retrained_key, "t")
@@ -189,13 +165,13 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   EXPECT_FALSE(t3->keyed_on(unpooled, layout, WeightKey{retrained, scale}));
 
   // Distinct stages are independent slots.
-  EXPECT_NE(store.get(1, sched, layout, key, 0, nullptr).get(),
+  EXPECT_NE(store.get(1, sched, layout, key, 0).get(),
             t1.get());
 
   // Over budget: the structure is built, the words are left out and the
   // per-entry levels kept for regeneration.
   WeightPlanStore tight(cfg, 1);
-  const auto t4 = tight.get(0, sched, layout, key, 1, nullptr);
+  const auto t4 = tight.get(0, sched, layout, key, 1);
   EXPECT_FALSE(t4->planned);
   EXPECT_TRUE(t4->words.empty());
   EXPECT_EQ(t4->level_of.size(), t4->total);
@@ -255,7 +231,7 @@ TEST(ProductTableShapeTest, OneByOneMapHoldsOnlyCentreTapEntries) {
   StreamBank bank(8, 0x5EED, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(3 * 36, 11);
   const WeightKey key{weights, {}};
-  const auto tbl = build_product_table(bank, sched, layout, key, 0, nullptr);
+  const auto tbl = build_product_table(bank, sched, layout, key, 0);
   ASSERT_TRUE(tbl->planned);
   std::size_t centre = 0;
   std::size_t signed_total = 0;
@@ -296,7 +272,7 @@ TEST(ProductTableShapeTest, OwnSignWordsMatchDirectFills) {
   StreamBank bank(9, 0xACE5, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(2 * 27, 13);
   const auto tbl = build_product_table(bank, sched, layout,
-                                       WeightKey{weights, {}}, 0, nullptr);
+                                       WeightKey{weights, {}}, 0);
   ASSERT_EQ(layout.taps.count(), 9u);
   std::vector<std::uint64_t> want(sched.seg_words());
   for (std::size_t group = 0; group < 4; ++group) {
@@ -327,7 +303,7 @@ TEST(ProductTableShapeTest, ValidatorReportsCorruptedTapOffsetAndSignSlot) {
   StreamBank bank(8, 0x77, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(2 * 27, 17);
   const WeightKey key{weights, {}};
-  const auto tbl = build_product_table(bank, sched, layout, key, 0, nullptr);
+  const auto tbl = build_product_table(bank, sched, layout, key, 0);
   ASSERT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
 
   // A tap offset moved one entry late: the entry it skips lies outside
@@ -376,7 +352,7 @@ TEST(ProductTableShapeTest, BatchNormScaleFoldsIntoTheKeyedWeights) {
   ASSERT_EQ(folded.size(), raw.size());
   EXPECT_EQ(folded[1], -0.25f);
   EXPECT_EQ(folded[4], 0.25f);
-  const auto tbl = build_product_table(bank, sched, layout, key, 0, nullptr);
+  const auto tbl = build_product_table(bank, sched, layout, key, 0);
   EXPECT_TRUE(tbl->keyed_on(sched, layout, key));
   EXPECT_FALSE(tbl->keyed_on(sched, layout, WeightKey{raw, {}}));
   // Channel 0 holds two positive weights, channel 1 (scale -1) one.

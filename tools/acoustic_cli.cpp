@@ -889,8 +889,8 @@ int cmd_eval(cli::Args args) {
                    "evaluator threads (default 0 = all hardware threads)",
                    opt.threads, runtime::ThreadPool::kMaxThreads),
        cli::number("--intra-threads", "N",
-                   "SC workers per image: 0 = auto (default), 1 = serial, "
-                   "N = force",
+                   "SC row sharding on the evaluator threads: 0 = auto "
+                   "(default), 1 = serial, 2 or more = every layer",
                    opt.sc.intra_threads, runtime::ThreadPool::kMaxThreads),
        cli::choice("--exec", "SC execution path, same bits (default planned)",
                    opt.sc.exec,
@@ -921,7 +921,8 @@ int cmd_eval(cli::Args args) {
        cli::flag("--json", "print the EvalResult as JSON", opt.json),
        cli::flag("--metrics",
                  "add the run counters; in JSON they are identical for any "
-                 "thread count",
+                 "thread count, except that the sc.scratch_bytes gauge "
+                 "grows with --threads when layers shard",
                  opt.metrics),
        cli::flag("--profile", "add the per-layer and per-phase timing tables",
                  opt.profile),

@@ -18,6 +18,7 @@
 #include "obs/span.hpp"
 #include "perf/codegen.hpp"
 #include "perf/perf_sim.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sc/gates.hpp"
 #include "sc/kernels/kernels.hpp"
 #include "sc/rng.hpp"
@@ -76,7 +77,9 @@ void run_forward(obs::Bench& bench, const BenchSuiteOptions& options) {
   // Bit-exactness gate before anything is timed: a latency for a path that
   // changed the bits would be meaningless, so the suite fails (throws) when
   // a planned configuration — serial, forced 4-way row sharding, or auto —
-  // differs from the scalar oracle by a single output byte.
+  // differs from the scalar oracle by a single output byte. Each forward
+  // runs as a task of a pool with that many workers (0 = all hardware
+  // threads), since rows shard only on the pool the forward runs on.
   {
     sim::ScConfig scalar_cfg = base;
     scalar_cfg.exec = sim::ExecMode::kScalar;
@@ -86,7 +89,12 @@ void run_forward(obs::Bench& bench, const BenchSuiteOptions& options) {
       sim::ScConfig cfg = base;
       cfg.intra_threads = threads;
       sim::ScNetwork planned_exec(net, cfg);
-      if (!bytes_equal(planned_exec.forward(input), want)) {
+      runtime::ThreadPool pool(threads);
+      nn::Tensor got;
+      pool.parallel_for(1, [&](std::size_t, unsigned) {
+        got = planned_exec.forward(input);
+      });
+      if (!bytes_equal(got, want)) {
         throw std::runtime_error(
             "forward: planned output (intra_threads=" +
             std::to_string(threads) +
