@@ -25,6 +25,10 @@ namespace {
 using core::Report;
 using core::Severity;
 
+/// Prior for the mean post-ReLU activation value feeding a layer, used
+/// where real activations are unavailable (descriptors, untrained nets).
+constexpr double kActivationPrior = 0.5;
+
 std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3g", v);
@@ -106,25 +110,31 @@ sim::SegmentSchedule check_stream_geometry(Report& report,
 /// table (live-tap weights of @p layout) or activation plan
 /// (@p activations lanes) is over the configured plan budget — the
 /// executor's own footprint rules (sim::weight_table_bytes,
-/// sim::plan_table_bytes), so the note fires exactly where the planned
-/// path falls back to regeneration.
+/// sim::plan_table_bytes), so the note fires exactly where the executor
+/// runs the node on the scalar oracle (weight table) or regenerates its
+/// activation words in place (activation plan).
 void note_plan_budget(Report& report, const std::string& path,
                       const sim::ScConfig& cfg,
                       const sim::SegmentSchedule& sched,
                       const sim::WeightLayout& layout,
                       std::size_t activations) {
-  const std::pair<const char*, std::size_t> tables[] = {
-      {"weight table", sim::weight_table_bytes(sched, layout)},
-      {"activation plan", sim::plan_table_bytes(sched, activations)}};
-  for (const auto& [what, bytes] : tables) {
+  const struct {
+    const char* what;
+    std::size_t bytes;
+    const char* route;
+  } tables[] = {
+      {"weight table", sim::weight_table_bytes(sched, layout),
+       "the layer runs the scalar oracle instead of the planned body"},
+      {"activation plan", sim::plan_table_bytes(sched, activations),
+       "the layer regenerates those stream words on the fly"}};
+  for (const auto& [what, bytes, route] : tables) {
     if (sim::over_plan_budget(bytes, cfg.plan_budget_bytes)) {
       report.add("plan-budget-exceeded", Severity::kNote, path,
                  std::string(what) + " would need " + std::to_string(bytes) +
                      " bytes (~" + std::to_string(bytes >> 20) +
                      " MiB) against a budget of " +
-                     std::to_string(cfg.plan_budget_bytes) +
-                     " bytes; the layer regenerates those stream words on "
-                     "the fly (bit-identical, slower)");
+                     std::to_string(cfg.plan_budget_bytes) + " bytes; " +
+                     route + " (bit-identical, slower)");
     }
   }
 }
@@ -416,13 +426,13 @@ core::Report check_descriptor(const nn::NetworkDesc& net,
       live_lines = most_taps * cpg;
     }
     const double mean_p =
-        options.activation_prior * kaiming_mean_abs_weight(fan_in);
+        kActivationPrior * kaiming_mean_abs_weight(fan_in);
     const SaturationEstimate est = estimate_saturation_uniform(
         live_lines, mean_p, g.seg, g.positions, options.sc.sng_width);
     report_saturation(report, path, options, est, live_lines,
                       "estimated from the Kaiming prior E|w| = sqrt(1.5/" +
                           std::to_string(fan_in) + ") at activation prior " +
-                          fmt(options.activation_prior),
+                          fmt(kActivationPrior),
                       Severity::kNote);
   }
   if (skip.open) {
@@ -483,7 +493,7 @@ WorstPhase worst_saturation(std::span<const float> weights,
           continue;
         }
         const double p =
-            options.activation_prior * static_cast<double>(level) / grid;
+            kActivationPrior * static_cast<double>(level) / grid;
         (wv > 0.0f ? pos : neg).push_back(p);
       }
       for (int sign = 0; sign < 2; ++sign) {
@@ -576,7 +586,7 @@ void check_weighted_node(Report& report, const std::string& path,
             (op.kind == nn::OpKind::kDense ? "feature " : "channel ") +
             std::to_string(worst.output) + "'s " +
             (worst.positive ? "positive" : "negative") +
-            " phase at activation prior " + fmt(options.activation_prior));
+            " phase at activation prior " + fmt(kActivationPrior));
   }
   note_plan_budget(report, path, options.sc, sched, g.layout, in.size());
 }

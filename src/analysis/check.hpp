@@ -61,10 +61,6 @@ struct CheckOptions {
   /// and stops discriminating.
   double saturation_threshold = 0.95;
 
-  /// Prior for the mean post-ReLU activation value feeding a layer, used
-  /// where real activations are unavailable (descriptors, untrained nets).
-  double activation_prior = 0.5;
-
   /// check_network only: run a deterministic probe forward through the
   /// float network to scan intermediate activations for range violations,
   /// and through sim::ScNetwork to execute the plan-invariant validator.

@@ -50,6 +50,21 @@ std::vector<ParamView> Network::parameters() {
   return out;
 }
 
+std::vector<std::span<float>> Network::state() {
+  std::vector<std::span<float>> out;
+  for (ParamView& p : parameters()) {
+    out.push_back(p.values);
+  }
+  for (auto& layer : layers_) {
+    if (layer->kind() == Layer::Kind::kBatchNorm) {
+      auto& bn = static_cast<BatchNorm&>(*layer);
+      out.push_back(bn.mean());
+      out.push_back(bn.variance());
+    }
+  }
+  return out;
+}
+
 void Network::zero_gradients() {
   for (auto& layer : layers_) {
     layer->zero_gradients();
@@ -110,27 +125,18 @@ Network Network::clone() {
                               proj.conv().spec());
         break;
       }
-      case Layer::Kind::kBatchNorm: {
-        auto& bn = static_cast<BatchNorm&>(*layer);
-        auto& bn_copy = copy.add<BatchNorm>(bn.spec());
-        // mean/var are buffers, not parameters — the view copy below
-        // covers only gamma/beta.
-        std::copy(bn.mean().begin(), bn.mean().end(),
-                  bn_copy.mean().begin());
-        std::copy(bn.variance().begin(), bn.variance().end(),
-                  bn_copy.variance().begin());
+      case Layer::Kind::kBatchNorm:
+        copy.add<BatchNorm>(static_cast<const BatchNorm&>(*layer).spec());
         break;
-      }
     }
   }
-  const std::vector<ParamView> src = parameters();
-  const std::vector<ParamView> dst = copy.parameters();
+  const std::vector<std::span<float>> src = state();
+  const std::vector<std::span<float>> dst = copy.state();
   if (src.size() != dst.size()) {
-    throw std::logic_error("Network::clone: parameter view mismatch");
+    throw std::logic_error("Network::clone: state array mismatch");
   }
-  for (std::size_t p = 0; p < src.size(); ++p) {
-    std::copy(src[p].values.begin(), src[p].values.end(),
-              dst[p].values.begin());
+  for (std::size_t a = 0; a < src.size(); ++a) {
+    std::copy(src[a].begin(), src[a].end(), dst[a].begin());
   }
   return copy;
 }

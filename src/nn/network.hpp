@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -42,6 +43,12 @@ class Network {
   /// All trainable parameter views across layers.
   [[nodiscard]] std::vector<ParamView> parameters();
 
+  /// Every float array a forward reads, in a fixed order: the values of
+  /// parameters(), then each BatchNorm's running mean and variance in layer
+  /// order (buffers, not parameters). What clone() copies and
+  /// nn::save_parameters writes.
+  [[nodiscard]] std::vector<std::span<float>> state();
+
   void zero_gradients();
 
   [[nodiscard]] std::size_t layer_count() const noexcept {
@@ -56,7 +63,7 @@ class Network {
   [[nodiscard]] std::size_t parameter_count();
 
   /// Deep copy: rebuilds every layer with identical configuration (via
-  /// Layer::kind() dispatch), copies all parameter values, and re-pairs
+  /// Layer::kind() dispatch), copies every state() array, and re-pairs
   /// skip connections on fresh SkipState objects. The clone shares no
   /// mutable state with this network, so it can run on another thread —
   /// the foundation of the per-thread backend clones in

@@ -1,6 +1,7 @@
 // Trained-parameter serialization.
 //
-// Stores every parameter group of a network (in layer order) as a small
+// Stores a network's Network::state() — every parameter group in layer
+// order, then each BatchNorm's running mean and variance — as a small
 // binary blob, so trained models survive across processes — e.g. train
 // once with examples/lenet_pipeline, then re-evaluate under different SC
 // configurations without retraining. The format is structure-agnostic:
@@ -9,9 +10,10 @@
 //
 // Layout (little-endian):
 //   magic   "ACST"            4 bytes
-//   version u32               currently 1
+//   version u32               currently 2 (version 1 lacked the BatchNorm
+//                             statistics and is refused)
 //   groups  u32
-//   per group: count u64, then count * float32
+//   per state() array: count u64, then count * float32
 #pragma once
 
 #include <iosfwd>
@@ -21,7 +23,7 @@
 
 namespace acoustic::nn {
 
-/// Writes all parameters of @p net to @p out. Throws std::runtime_error on
+/// Writes @p net's state() to @p out. Throws std::runtime_error on
 /// stream failure.
 void save_parameters(Network& net, std::ostream& out);
 

@@ -165,6 +165,11 @@ ThreadPool::Stats ThreadPool::stats() const noexcept {
           busy_peak_.load(std::memory_order_relaxed)};
 }
 
+void ThreadPool::reset_busy_peak() noexcept {
+  busy_peak_.store(active_.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+}
+
 void ThreadPool::wake_workers() {
   // Empty critical section: a parking worker either already saw pending_
   // (checked under sleep_mu_) or is inside wait() and gets the notify —

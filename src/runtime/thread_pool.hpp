@@ -83,18 +83,21 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t, unsigned)>& fn);
 
-  /// Lifetime scheduler telemetry (monotone counters; snapshot before and
-  /// after a run and subtract for per-run deltas).
+  /// Scheduler telemetry: lifetime counters (snapshot before and after a
+  /// run and subtract for per-run deltas) and a resettable peak.
   struct Stats {
     std::uint64_t tasks = 0;   ///< tasks executed to completion
     std::uint64_t steals = 0;  ///< tasks executed off another worker's deque
-    /// Max workers seen with a task in progress at once, at most size(). A
-    /// worker running nested tasks inside its own counts once; one blocked
-    /// in a nested join still counts while it lends its execution slot, so
-    /// on an oversubscribed host this can exceed the core count.
+    /// Max workers seen with a task in progress at once since the last
+    /// reset_busy_peak(), at most size(). A worker running nested tasks
+    /// inside its own counts once; one blocked in a nested join still
+    /// counts while it lends its execution slot, so on an oversubscribed
+    /// host this can exceed the core count.
     unsigned busy_peak = 0;
   };
   [[nodiscard]] Stats stats() const noexcept;
+  /// Restarts busy_peak from the workers busy now, for a per-run peak.
+  void reset_busy_peak() noexcept;
 
   /// The pool whose worker thread is calling, or nullptr from any other
   /// thread. Lets nested code (ScNetwork row sharding inside an evaluator

@@ -66,6 +66,7 @@ EvalResult BatchEvaluator::evaluate(InferenceBackend& prototype,
   std::vector<nn::Tensor> logits(workers);
 
   const Clock::time_point run_start = Clock::now();
+  pool_.reset_busy_peak();
   const runtime::ThreadPool::Stats sched_before = pool_.stats();
   obs::Span run_span(hooks.profiler, phases ? "run" : "",
                      phases ? "phase" : "", 0, 1);
@@ -93,9 +94,10 @@ EvalResult BatchEvaluator::evaluate(InferenceBackend& prototype,
   run_span.close();
   const double wall =
       std::chrono::duration<double>(Clock::now() - run_start).count();
-  // Per-run scheduler deltas: tasks/steals are lifetime counters, so the
-  // difference isolates this run. Image tasks plus the intra-image row
-  // units of sharded layers (ScNetwork nests its row jobs into this pool).
+  // Per-run scheduler figures: tasks/steals are lifetime counters, so the
+  // difference isolates this run, and the peak restarted before it. Image
+  // tasks plus the intra-image row units of sharded layers (ScNetwork
+  // nests its row jobs into this pool).
   const runtime::ThreadPool::Stats sched_after = pool_.stats();
 
   obs::Span reduce_span(hooks.profiler, phases ? "reduce" : "",

@@ -41,7 +41,7 @@ struct SchedulerStats {
   unsigned workers = 0;       ///< pool size the run used
   std::uint64_t tasks = 0;    ///< tasks the pool executed during the run
   std::uint64_t steals = 0;   ///< tasks run off another worker's deque
-  unsigned busy_peak = 0;     ///< max concurrently busy workers observed
+  unsigned busy_peak = 0;     ///< max concurrently busy workers in the run
   /// Pool occupancy in [0, 1]: peak concurrently busy workers / pool size.
   [[nodiscard]] double occupancy() const noexcept {
     return workers > 0 ? static_cast<double>(busy_peak) /

@@ -120,16 +120,18 @@ struct RunStats {
   /// scheduled for (paper II-C's "skip computation on zero operands").
   std::uint64_t skipped_operands = 0;
   /// Comparator bits the SNG kernel actually produced for this run
-  /// (scalar-path fills, per-image activation-plan builds, fallback
-  /// fills). Shared weight-table builds are amortized across images and
-  /// clones and deliberately excluded, keeping stats a pure function of
-  /// the sample set.
+  /// (scalar-oracle fills, per-image activation-plan builds, in-place
+  /// activation fills, stochastic-max fills). Shared weight-table builds
+  /// are amortized across images and clones and deliberately excluded,
+  /// keeping stats a pure function of the sample set.
   std::uint64_t stream_bits_generated = 0;
   /// Segment bits served from a packed stream plan instead of being
   /// regenerated — the fast path's reuse headroom.
   std::uint64_t stream_bits_reused = 0;
-  /// Segment fetches served from a plan / generated on the fly because
-  /// the plan exceeded its byte budget.
+  /// Segment fetches served from a packed table / generated from a bank:
+  /// every fetch of the scalar oracle (ExecMode::kScalar, or a node whose
+  /// weight table is over the plan budget) and of an over-budget activation
+  /// plan is a miss, so hits + misses is the fetch count on every route.
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
   /// High-water mark of the per-forward scratch arena in bytes — the

@@ -166,9 +166,7 @@ core::Report check_product_table(const ProductTable& table,
       table.slot_of.size() != table.total ||
       table.bm_words != (layout.live_rf() + 63) / 64 ||
       table.group_bm.size() != groups * table.bm_words ||
-      table.words.size() !=
-          (table.planned ? sched.positions * table.total * seg_words : 0) ||
-      table.level_of.size() != (table.planned ? 0 : table.total)) {
+      table.words.size() != sched.positions * table.total * seg_words) {
     report.add("plan-invariant", Severity::kError, at(path),
                "table extents are inconsistent with the layer geometry (" +
                    std::to_string(groups) + " groups, live field " +
@@ -266,15 +264,6 @@ core::Report check_product_table(const ProductTable& table,
              std::to_string(tap) + " lies outside its group's tap offsets [" +
              std::to_string(to[tap]) + ", " + std::to_string(to[tap + 1]) +
              ")");
-      }
-      if (!table.planned) {
-        if (table.level_of[ei] != level) {
-          flag("entry " + std::to_string(ei) + " level " +
-               std::to_string(table.level_of[ei]) +
-               " differs from the quantized weight level " +
-               std::to_string(level));
-        }
-        continue;
       }
       if (ei % stride != 0 || sampled >= max_entries) {
         continue;

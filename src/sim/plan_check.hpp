@@ -52,8 +52,7 @@ namespace acoustic::sim {
 /// folded_weights, as the datapath quantizes it) and @p bank (the weight
 /// bank it draws from) and reports every field that disagrees. Stream
 /// words are regenerated for up to @p max_entries sampled entries (every
-/// window slot of the entry's own sign phase); an over-budget table's
-/// per-entry levels are checked instead. Findings anchor at @p path.
+/// window slot of the entry's own sign phase). Findings anchor at @p path.
 [[nodiscard]] core::Report check_product_table(const ProductTable& table,
                                                const StreamBank& bank,
                                                const WeightKey& key,

@@ -84,16 +84,18 @@ struct ScConfig {
   /// of the runtime::ThreadPool the forward already runs on (a
   /// batch-evaluator image task), on that pool's workers, so a forward
   /// called from outside any pool, or on a one-worker pool, runs serial.
-  /// Results are bit-identical for any value. Ignored in scalar mode.
+  /// Results are bit-identical for any value. Ignored in scalar mode and
+  /// by a node whose weight table is over plan_budget_bytes: the scalar
+  /// oracle it runs never shards.
   unsigned intra_threads = 0;
 
   /// Byte budget per packed stream table (one shared weight ProductTable
   /// and one per-image activation plan per weighted node), measured by the
   /// footprint rules sim::weight_table_bytes and sim::plan_table_bytes
-  /// (sim/stream_plan.hpp). A table over it is left
-  /// unbuilt and the planned row body regenerates those words from the
-  /// bank into the same slot layout, counted as plan misses — still
-  /// bit-identical. `acoustic check` notes the same nodes
+  /// (sim/stream_plan.hpp). A node whose weight table is over it builds
+  /// none and runs the scalar oracle; an activation plan over it is left
+  /// unbuilt and the planned body regenerates its words in place. Bits
+  /// never change. `acoustic check` notes the same nodes
   /// (plan-budget-exceeded). 0 = unlimited.
   std::size_t plan_budget_bytes = std::size_t{256} << 20;
 

@@ -141,7 +141,9 @@ void ScNetwork::run_weighted(const LoweredOp& op, std::size_t node,
     throw std::invalid_argument(
         "ScNetwork: stream too short for the pooling window");
   }
-  if (cfg_.exec == ExecMode::kScalar) {
+  if (cfg_.exec == ExecMode::kScalar ||
+      over_plan_budget(weight_table_bytes(g.window.sched, g.layout),
+                       cfg_.plan_budget_bytes)) {
     run_conv_scalar(op, g, input, out, run);
   } else {
     run_conv_planned(op, node, g, input, out, run);
@@ -154,8 +156,9 @@ void ScNetwork::run_weighted(const LoweredOp& op, std::size_t node,
 }
 
 // Reference scalar path (the seed implementation): regenerates every
-// stream segment at its point of use. Kept as the equivalence oracle for
-// the planned path below, for conv and dense (as a 1x1 conv) alike.
+// stream segment at its point of use, each a plan miss. The equivalence
+// oracle of the planned path below, for conv and dense (as a 1x1 conv)
+// alike, and the route of a node whose weight table is over budget.
 void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
                                 const nn::Tensor& input, nn::Tensor& out,
                                 RunStats& run) {
@@ -184,7 +187,7 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
   out.resize(g.out_shape);
   std::uint64_t product_bits = 0;
   std::uint64_t skipped = 0;
-  std::uint64_t bits_generated = 0;
+  std::uint64_t fetches = 0;
 
   // Receptive-field scratch: activation segment streams for one (output
   // position, window slot, phase), plus reusable weight/OR buffers.
@@ -217,7 +220,7 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
               act_bank_.fill(act_levels[rf_act_index[s]],
                              static_cast<std::uint32_t>(rf_act_index[s]),
                              offset, seg, act_streams[s]);
-              bits_generated += seg;
+              ++fetches;
             }
           }
           for (std::size_t oc = 0; oc < oc_count; ++oc) {
@@ -239,7 +242,7 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
               }
               wgt_bank.fill(wgt_levels[wi], static_cast<std::uint32_t>(wi),
                             offset, seg, wgt_stream);
-              bits_generated += seg;
+              ++fetches;
               for (std::size_t w = 0; w < sw; ++w) {
                 or_acc[w] |= act_streams[s][w] & wgt_stream[w];
               }
@@ -263,7 +266,7 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
   }
   run.product_bits += product_bits;
   run.skipped_operands += skipped;
-  run.stream_bits_generated += bits_generated;
+  charge(run, false, fetches, seg);
 }
 
 // Planned path: ONE row body for conv and dense, driven by the stage's
@@ -271,12 +274,11 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const ConvGeometry& g,
 // run_conv_scalar — every word it reads is the same pure function of
 // (bank, lane, level, offset) the oracle regenerates, counter accumulation
 // stays integer-exact, and parallel units write disjoint outputs, so the
-// merge is independent of worker count and scheduling order. A table over
-// its byte budget does not change the body: the missing words are
-// regenerated from the bank into per-worker scratch in the same layout
-// (plan misses). All per-forward scratch comes from the arena (carved
-// BEFORE the unit loop — the arena is single-owner), so a steady-state
-// call allocates nothing.
+// merge is independent of worker count and scheduling order. The weight
+// table is always whole (see run_weighted); an activation plan over its
+// budget regenerates the field's words in place (plan misses). All
+// per-forward scratch comes from the arena (carved BEFORE the unit loop —
+// the arena is single-owner), so a steady-state call allocates nothing.
 void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
                                  const ConvGeometry& g,
                                  const nn::Tensor& input, nn::Tensor& out,
@@ -329,8 +331,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
   // both before the unit loop keeps them read-only while workers run.
   stage.input = input.shape();
   if (stage.table == nullptr || !stage.table->keyed_on(sched, g.layout, key)) {
-    stage.table =
-        wgt_plans_->get(node, sched, g.layout, key, cfg_.plan_budget_bytes);
+    stage.table = wgt_plans_->get(node, sched, g.layout, key);
   }
   const ProductTable& tbl = *stage.table;
   if (stage.act_plan == nullptr || stage.act_plan->lanes() != input.size() ||
@@ -341,7 +342,6 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
   LayerStreamPlan& act_plan = *stage.act_plan;
   run.stream_bits_generated += act_plan.build(act_levels);
   const bool act_planned = act_plan.enabled();
-  const StreamBank& wgt_bank = wgt_plans_->bank();
 
   out.resize(g.out_shape);
   const auto counted = static_cast<double>(sched.counted());
@@ -364,7 +364,6 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
   struct alignas(64) WorkerState {
     std::uint64_t* act_w;    ///< [sign][slot][word] field words
     std::uint64_t* live_bm;  ///< live-slot bitmap of the field
-    std::uint64_t* wgt_w;    ///< regenerated group words (unplanned)
     std::uint64_t* acc;      ///< multi-word OR accumulator
     std::int64_t* counters;
     RunStats stats;
@@ -375,9 +374,6 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
     ws.live_bm = arena_.alloc<std::uint64_t>(bm_words).data();
     ws.acc = arena_.alloc<std::uint64_t>(sw).data();
     ws.counters = arena_.alloc<std::int64_t>(oc_count).data();
-    if (!tbl.planned) {
-      ws.wgt_w = arena_.alloc<std::uint64_t>(live_rf * sw).data();
-    }
   }
 
   // The row body. The live field is gathered once per window position as
@@ -401,9 +397,6 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
     std::uint64_t* const act_pos = ws.act_w;
     std::uint64_t* const act_neg = act_pos + live_rf * sw;
     std::uint64_t* const live_bm = ws.live_bm;
-    const auto live_slot = [live_bm](std::uint32_t s) {
-      return ((live_bm[s >> 6] >> (s & 63)) & 1u) != 0;
-    };
     // Signed weights of the block's groups per sign phase, the same at
     // every position: each is a product there or operand-gated, so a
     // position's skips are this minus its products.
@@ -480,7 +473,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
         // Entries hold their own sign phase only: one slot-k table serves
         // both phases' groups.
         const std::uint64_t* const slot_words =
-            tbl.planned ? tbl.words.data() + k * tbl.total * sw : nullptr;
+            tbl.words.data() + k * tbl.total * sw;
         for (int ph = 0; ph < 2; ++ph) {
           const bool positive = ph == 0;
           const std::uint64_t* const act_w = positive ? act_pos : act_neg;
@@ -503,25 +496,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
             const std::size_t off = to[tap_lo];
             const std::size_t n_ent = to[tap_hi] - off;
             const std::uint32_t* const sl = tbl.slot_of.data() + off;
-            const std::uint64_t* ww = nullptr;
-            if (slot_words != nullptr) {
-              ww = slot_words + off * sw;
-            } else {
-              // Over budget: regenerate the walked words in table layout.
-              // A dead slot's product is zero whatever its weight word.
-              for (std::size_t ei = 0; ei < n_ent; ++ei) {
-                std::uint64_t* const dst = ws.wgt_w + ei * sw;
-                if (!live_slot(sl[ei])) {
-                  std::fill_n(dst, sw, std::uint64_t{0});
-                  continue;
-                }
-                wgt_bank.fill(tbl.level_of[off + ei],
-                              static_cast<std::uint32_t>(g.layout.weight(
-                                  oc, g.layout.full_slot(sl[ei]))),
-                              sched.offset(positive, k), seg, {dst, sw});
-              }
-              ww = ws.wgt_w;
-            }
+            const std::uint64_t* const ww = slot_words + off * sw;
             std::int64_t ones = 0;
             if (sw == 1) {
               // Four independent accumulators break the OR dependency
@@ -551,7 +526,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
           }
           ws.stats.skipped_operands += signed_weights[ph] - products_here;
           ws.stats.product_bits += products_here * seg;
-          charge(ws.stats, tbl.planned, products_here, seg);
+          charge(ws.stats, true, products_here, seg);
         }
       }
       for (std::size_t oc = oc_lo; oc < oc_hi; ++oc) {
@@ -645,8 +620,8 @@ core::Report ScNetwork::validate_plans() {
   for (std::size_t s = 0; s < ops().size(); ++s) {
     const LoweredOp& op = ops()[s];
     const StageScratch& scratch = stage_scratch_[s];
-    // Nodes that are unweighted or never executed hold no table; skip them
-    // rather than force a build the run never exercised.
+    // Nodes that are unweighted or never ran the planned body hold no
+    // table; skip them rather than force a build the run never exercised.
     if (!op.weighted() || scratch.table == nullptr) {
       continue;
     }

@@ -51,10 +51,11 @@ namespace acoustic::sim {
 /// The split-unipolar executor: the graph walk (GraphExecutor) with the
 /// scalar oracle or the planned body for weighted nodes and the exact max
 /// or the stochastic max FSM for max-pool nodes. Input values must lie in
-/// [0, 1]. The bodies take all per-forward scratch from the walk's arena,
-/// so once it and the activation buffers have grown to the network's
-/// high-water mark, a steady-state planned forward_into() performs no
-/// heap allocation at all (asserted by tests/sim/alloc_test.cpp) and is
+/// [0, 1]. The planned body takes all per-forward scratch from the walk's
+/// arena, so once it and the activation buffers have grown to the
+/// network's high-water mark, a steady-state planned forward_into() whose
+/// weight tables all fit the plan budget performs no heap allocation at
+/// all (asserted by tests/sim/alloc_test.cpp). Any forward_into() is
 /// bit-identical to forward().
 class ScNetwork final : public GraphExecutor {
  public:
@@ -90,7 +91,7 @@ class ScNetwork final : public GraphExecutor {
   /// lists, tap offsets, bitmap popcounts, extents, sampled own-sign
   /// stream words bit-identical to regeneration; sim/plan_check). Run at
   /// least one forward() first so the tables exist; stages that have not
-  /// executed yet are skipped. Findings anchor at "<layer name>/...".
+  /// run the planned body are skipped. Findings anchor at "<layer name>/...".
   [[nodiscard]] core::Report validate_plans();
 
  private:
@@ -120,8 +121,9 @@ class ScNetwork final : public GraphExecutor {
   };
 
   /// Runs a weighted node — conv, dense (as a 1x1 conv) or a skip-path
-  /// projection conv — on the executor the config selects, at the node's
-  /// one ConvGeometry (sim/op_graph.hpp).
+  /// projection conv — at the node's one ConvGeometry (sim/op_graph.hpp).
+  /// The one route choice: the planned body when ExecMode::kPlanned and
+  /// the node's weight table fits the plan budget, else the scalar oracle.
   void run_weighted(const LoweredOp& op, std::size_t node,
                     const nn::Tensor& input, nn::Tensor& out,
                     RunStats& run) override;

@@ -125,8 +125,7 @@ std::span<const float> folded_weights(const WeightKey& key,
 
 std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched,
-    const WeightLayout& layout, const WeightKey& key,
-    std::size_t budget_bytes) {
+    const WeightLayout& layout, const WeightKey& key) {
   std::vector<float> scratch;
   const std::span<const float> weights = folded_weights(key, scratch);
   auto tbl = std::make_shared<ProductTable>();
@@ -204,12 +203,6 @@ std::shared_ptr<const ProductTable> build_product_table(
     tbl->group_bm[group * tbl->bm_words + live / 64] |= std::uint64_t{1}
                                                         << (live % 64);
   });
-  tbl->planned = !over_plan_budget(weight_table_bytes(sched, layout),
-                                   budget_bytes);
-  if (!tbl->planned) {
-    tbl->level_of = std::move(level_of);
-    return tbl;
-  }
   // Each entry is read in its own sign phase only: generate that phase's
   // bits and keep its window slots. Positive groups come first.
   const std::size_t seg_words = sched.seg_words();
@@ -235,12 +228,11 @@ WeightPlanStore::WeightPlanStore(const ScConfig& cfg, std::size_t stages)
 
 std::shared_ptr<const ProductTable> WeightPlanStore::get(
     std::size_t stage, const SegmentSchedule& sched,
-    const WeightLayout& layout, const WeightKey& key,
-    std::size_t budget_bytes) {
+    const WeightLayout& layout, const WeightKey& key) {
   Entry& entry = *entries_[stage];
   const std::lock_guard<std::mutex> lock(entry.mu);
   if (entry.table == nullptr || !entry.table->keyed_on(sched, layout, key)) {
-    entry.table = build_product_table(bank_, sched, layout, key, budget_bytes);
+    entry.table = build_product_table(bank_, sched, layout, key);
   }
   return entry.table;
 }

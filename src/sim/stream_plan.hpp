@@ -25,11 +25,11 @@
 // word is bit-identical to regenerating it — the golden equivalence suite
 // (tests/sim/sc_golden_test.cpp) pins that down.
 //
-// Memory is bounded by one footprint rule per table kind (plan_table_bytes
-// for activation plans, weight_table_bytes for weight tables): a table over
-// ScConfig::plan_budget_bytes is left unbuilt and the row body regenerates
-// its words from the bank on the fly (counted as plan misses), into the
-// same slot layout. Both paths produce identical bits.
+// Memory is bounded by one footprint rule per table kind against
+// ScConfig::plan_budget_bytes: a node whose weight table (weight_table_bytes)
+// is over it builds none and runs the scalar oracle, and an activation plan
+// (plan_table_bytes) over it is left unbuilt while the row body regenerates
+// its words in place (plan misses). Both routes produce identical bits.
 #pragma once
 
 #include <cstddef>
@@ -231,14 +231,6 @@ struct WeightLayout {
            slot % in_c;
   }
 
-  /// Full-field slot of live-field slot @p live (the inverse of live_slot).
-  [[nodiscard]] std::size_t full_slot(std::size_t live) const noexcept {
-    const std::size_t tap = live / in_c;
-    return ((taps.y0 + tap / taps.w) * kernel + taps.x0 + tap % taps.w) *
-               in_c +
-           live % in_c;
-  }
-
   bool operator==(const WeightLayout&) const = default;
 };
 
@@ -307,14 +299,10 @@ struct ProductTable {
   /// Stream words of each entry's own sign phase, [k][entry][seg_words]:
   /// window slot k of a positive-group entry holds its segment at
   /// sched.offset(true, k), of a negative-group entry at
-  /// sched.offset(false, k). Empty when the table is over its byte budget
-  /// (planned == false): the row body then regenerates each entry's words
-  /// from the bank with level_of.
+  /// sched.offset(false, k).
   std::vector<std::uint64_t> words;
-  std::vector<std::uint32_t> level_of;  ///< entry -> level (unplanned only)
-  std::size_t total = 0;                ///< entries across all groups
-  std::size_t bm_words = 0;             ///< bitmap words per group
-  bool planned = false;
+  std::size_t total = 0;     ///< entries across all groups
+  std::size_t bm_words = 0;  ///< bitmap words per group
 
   /// Group @p group's tap offsets: layout.taps.count() + 1 of them, the
   /// last being the group's end.
@@ -329,12 +317,11 @@ struct ProductTable {
 
 /// Builds the ProductTable for (sched, layout, key) from @p bank on the
 /// calling thread, over the key's folded_weights (staged in a buffer that
-/// lives only for the build). The stream words are generated only when
-/// weight_table_bytes(sched, layout) fits @p budget_bytes.
+/// lives only for the build). The caller decides whether the table fits:
+/// the build always generates every entry's words.
 [[nodiscard]] std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched,
-    const WeightLayout& layout, const WeightKey& key,
-    std::size_t budget_bytes);
+    const WeightLayout& layout, const WeightKey& key);
 
 /// Thread-safe store of per-stage ProductTables, shared by every clone of
 /// an ScNetwork. Weight streams depend only on the weights — identical for
@@ -358,8 +345,7 @@ class WeightPlanStore {
   /// calling thread if absent or stale.
   [[nodiscard]] std::shared_ptr<const ProductTable> get(
       std::size_t stage, const SegmentSchedule& sched,
-      const WeightLayout& layout, const WeightKey& key,
-      std::size_t budget_bytes);
+      const WeightLayout& layout, const WeightKey& key);
 
   /// The weight bank every table of this store draws from.
   [[nodiscard]] const StreamBank& bank() const noexcept { return bank_; }

@@ -115,6 +115,30 @@ TEST(NetworkClone, ResidualSkipWiringIsRepaired) {
   expect_same_tensor(copy.forward(input), net.forward(input));
 }
 
+TEST(NetworkClone, CopiesBatchNormStatistics) {
+  // Running mean and variance are BatchNorm state outside parameters();
+  // the clone copies them with the rest of state().
+  Network net;
+  net.add<Conv2D>(ConvSpec{.in_channels = 2, .out_channels = 3,
+                           .kernel = 3, .padding = 1})
+      .initialize(531);
+  net.add<BatchNorm>(BatchNormSpec{.channels = 3}).initialize(533);
+  net.add<ReLU>();
+  Network copy = net.clone();
+  auto& bn = static_cast<BatchNorm&>(net.layer(1));
+  auto& bn_copy = static_cast<BatchNorm&>(copy.layer(1));
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(bn_copy.mean()[c], bn.mean()[c]) << "channel " << c;
+    EXPECT_EQ(bn_copy.variance()[c], bn.variance()[c]) << "channel " << c;
+  }
+  EXPECT_NE(bn_copy.mean().data(), bn.mean().data());
+  Tensor x(Shape{4, 4, 2});
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(i % 5) / 5.0f;
+  }
+  expect_same_tensor(copy.forward(x), net.forward(x));
+}
+
 TEST(NetworkClone, IsADeepCopy) {
   Network net = train::build_lenet_small(AccumMode::kOrApprox, 16);
   Network copy = net.clone();

@@ -4,6 +4,9 @@
 
 #include <sstream>
 
+#include "nn/activation.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv.hpp"
 #include "train/models.hpp"
 
 namespace acoustic::nn {
@@ -40,6 +43,42 @@ TEST(Serialize, LoadedNetworkPredictsIdentically) {
   const Tensor yb = b.forward(x);
   for (std::size_t i = 0; i < ya.size(); ++i) {
     EXPECT_EQ(ya[i], yb[i]);
+  }
+}
+
+TEST(Serialize, RoundTripCarriesBatchNormStatistics) {
+  // Running mean and variance are BatchNorm state outside parameters():
+  // the blob carries them too, so the loaded network's forward is the
+  // saved one's.
+  const auto build = [](std::uint32_t seed) {
+    Network net;
+    net.add<Conv2D>(ConvSpec{.in_channels = 2, .out_channels = 3,
+                             .kernel = 3, .padding = 1})
+        .initialize(seed);
+    net.add<BatchNorm>(BatchNormSpec{.channels = 3}).initialize(seed + 2);
+    net.add<ReLU>();
+    return net;
+  };
+  Network a = build(521);
+  Network b = build(975);
+  std::stringstream buffer;
+  save_parameters(a, buffer);
+  load_parameters(b, buffer);
+  auto& bn_a = static_cast<BatchNorm&>(a.layer(1));
+  auto& bn_b = static_cast<BatchNorm&>(b.layer(1));
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(bn_b.mean()[c], bn_a.mean()[c]) << "channel " << c;
+    EXPECT_EQ(bn_b.variance()[c], bn_a.variance()[c]) << "channel " << c;
+  }
+  Tensor x(Shape{4, 4, 2});
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(i % 5) / 5.0f;
+  }
+  const Tensor ya = a.forward(x);
+  const Tensor yb = b.forward(x);
+  ASSERT_EQ(ya.size(), yb.size());
+  for (std::size_t i = 0; i < ya.size(); ++i) {
+    EXPECT_EQ(ya[i], yb[i]) << "output " << i;
   }
 }
 

@@ -818,9 +818,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CliFuzzTest, ::testing::Range(1u, 9u));
 
 // ---------------------------------------------------------------------
 // Generated graphs the SC executor accepts: `acoustic check` reports no
-// error on any of them, its plan-budget note fires exactly when the
-// executor falls back to regeneration, and the planned executor matches
-// the scalar oracle bit for bit. Seeds past 24 start from 1x1 or 2x2
+// error on any of them, its plan-budget note fires exactly where the
+// executor leaves a table unbuilt, and the planned executor matches the
+// scalar oracle bit for bit. Seeds past 24 start from 1x1 or 2x2
 // inputs, where padding decides which kernel taps are live.
 // ---------------------------------------------------------------------
 
@@ -1027,8 +1027,8 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
   const nn::Tensor want = scalar.forward(x);
   const sim::RunStats oracle = scalar.take_stats();
   // In budget every fetch is served from a table; at a 1-byte budget every
-  // fetch is regenerated. Either way the fetches are exactly the segments
-  // the oracle generates.
+  // node runs the oracle and every fetch is regenerated. Either way the
+  // fetches are exactly the segments the oracle generates.
   for (const std::size_t budget : {cfg.plan_budget_bytes, std::size_t{1}}) {
     for (const unsigned threads : {1u, 3u}) {
       sim::ScConfig planned_cfg = cfg;
@@ -1053,6 +1053,10 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
       EXPECT_EQ(st.product_bits, oracle.product_bits) << label;
       EXPECT_EQ(st.skipped_operands, oracle.skipped_operands) << label;
       EXPECT_EQ(st.layers_run, oracle.layers_run) << label;
+      // Every route counts each segment fetch once, as a hit or a miss;
+      // the oracle serves none from a table.
+      EXPECT_EQ(st.plan_hits + st.plan_misses, oracle.plan_misses) << label;
+      EXPECT_EQ(oracle.plan_hits, 0u) << label;
       if (budget == 1) {
         EXPECT_EQ(st.plan_hits, 0u) << label;
         EXPECT_EQ(st.stream_bits_reused, 0u) << label;

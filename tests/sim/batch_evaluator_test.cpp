@@ -162,6 +162,24 @@ TEST(BatchEvaluator, SchedulerStatsArePopulated) {
   EXPECT_LE(result.sched.occupancy(), 1.0);
 }
 
+TEST(BatchEvaluator, SchedulerStatsArePerRun) {
+  // A one-image run on serial layers is one task on one worker, whatever
+  // peak an earlier run of the same evaluator reached.
+  nn::Network net = make_net();
+  ScConfig cfg = small_sc();
+  cfg.intra_threads = 1;
+  const auto backend = make_sc_backend(net, cfg);
+  BatchEvaluator evaluator(4);
+  (void)evaluator.evaluate(*backend, make_data(1));
+  const EvalResult wide = evaluator.evaluate(*backend, make_data(16));
+  EXPECT_EQ(wide.sched.tasks, 16u);
+  EXPECT_LE(wide.sched.busy_peak, 4u);
+  const EvalResult last = evaluator.evaluate(*backend, make_data(1));
+  EXPECT_EQ(last.sched.tasks, 1u);
+  EXPECT_EQ(last.sched.busy_peak, 1u);
+  EXPECT_EQ(last.sched.occupancy(), 0.25);
+}
+
 TEST(BatchEvaluator, NestedIntraImageStealingStaysDeterministic) {
   // The unified-scheduler stress case: image tasks AND per-image row
   // subtasks share one work-stealing pool (an explicit intra_threads

@@ -1,13 +1,14 @@
 // Golden bit-exactness suite for the planned (fast-path) executor.
 //
-// The stream-plan fast path, the plan-budget fallback and intra-image row
-// parallelism are pure refactorings of the scalar reference executor:
-// every stream segment they serve is the same pure function of
-// (bank, lane, level, offset), counter accumulation is integer-exact and
-// output shards are disjoint. These tests pin that down: for every zoo
-// model and hand-built stage the planned output must be BYTE-identical to
-// the scalar oracle — for 1..N intra threads, with and without per-lane
-// decorrelation, and with the plan forced over its byte budget.
+// The stream-plan fast path, the in-place regeneration of an activation
+// plan over its byte budget and intra-image row parallelism are pure
+// refactorings of the scalar reference executor: every stream segment
+// they serve is the same pure function of (bank, lane, level, offset),
+// counter accumulation is integer-exact and output shards are disjoint.
+// These tests pin that down: for every zoo model and hand-built stage the
+// planned output must be BYTE-identical to the scalar oracle — for 1..N
+// intra threads, with and without per-lane decorrelation, and with a plan
+// forced over its byte budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "core/diagnostics.hpp"
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
+#include "nn/dense.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
@@ -76,9 +78,9 @@ nn::Tensor forward_on_pool(ScNetwork& exec, const nn::Tensor& input,
 /// each against the scalar oracle: logits byte for byte, the work counters,
 /// and the stream fetch accounting — every segment the planned path
 /// fetches is one the oracle generates, served from a table in budget
-/// (plan hits, reused bits) or regenerated at a 1-byte budget (plan misses,
-/// generated bits; the stochastic max FSM's regenerated streams count on
-/// both sides).
+/// (plan hits, reused bits) or, at a 1-byte budget, generated by the
+/// oracle route itself (plan misses, generated bits; the stochastic max
+/// FSM's regenerated streams count on both sides).
 void expect_planned_matches_scalar(nn::Network& net, const nn::Tensor& input,
                                    ScConfig base) {
   for (const bool decorrelate : {true, false}) {
@@ -389,9 +391,9 @@ TEST(ScGolden, Resnet18DescriptorMatchesScalar) {
   expect_planned_matches_scalar(net, random_unit(in, 153), cfg);
 }
 
-/// Runs @p net at a 1-byte plan budget — every weight table and activation
-/// plan over budget — and checks the regenerating fallback against the
-/// scalar oracle; the fallback must actually have run (plan misses).
+/// Runs @p net at a 1-byte plan budget — every weight table over budget, so
+/// every weighted node runs the scalar oracle — and checks the route
+/// against an ExecMode::kScalar run; every fetch must be a plan miss.
 void expect_fallback_matches_scalar(nn::Network& net, const nn::Tensor& input,
                                     ScConfig cfg) {
   cfg.plan_budget_bytes = 1;
@@ -404,8 +406,8 @@ void expect_fallback_matches_scalar(nn::Network& net, const nn::Tensor& input,
 }
 
 TEST(ScGolden, PlanBudgetFallbackMatchesScalar) {
-  // A 1-byte budget disables every plan: the row body must regenerate
-  // exactly the bits the tables would have served.
+  // A 1-byte budget sends every weighted node to the scalar oracle: the
+  // same bits and stats as ExecMode::kScalar, and no plan hit.
   nn::Network lenet = train::build_lenet_small(nn::AccumMode::kOrExact);
   expect_fallback_matches_scalar(
       lenet, random_unit(nn::Shape{16, 16, 1}, 131), golden_config());
@@ -423,6 +425,47 @@ TEST(ScGolden, PlanBudgetFallbackMatchesScalar) {
   nn::Network pooled = multi_word_pooled_net();
   expect_fallback_matches_scalar(
       pooled, random_unit(nn::Shape{6, 6, 1}, 127), multi_word_config());
+}
+
+TEST(ScGolden, WeightTableOverBudgetRunsTheOracle) {
+  // A budget between a dense node's two footprints: its activation plan
+  // would fit, its weight table would not. The node builds no table and
+  // runs the oracle whole, so not even an activation fetch is a plan hit.
+  nn::Network net;
+  net.add<nn::Dense>(nn::DenseSpec{.in_features = 24, .out_features = 5,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(541);
+  const nn::Tensor input = random_unit(nn::Shape{2, 3, 4}, 543);
+  ScConfig cfg = golden_config();
+  const std::vector<LoweredOp> ops =
+      lower_graph(net, sc_lower_options(cfg), "test");
+  ASSERT_EQ(ops.size(), 1u);
+  const ConvGeometry g =
+      conv_geometry(ops[0], input.shape(), cfg.phase_length());
+  cfg.plan_budget_bytes = weight_table_bytes(g.window.sched, g.layout) - 1;
+  ASSERT_GE(cfg.plan_budget_bytes,
+            plan_table_bytes(g.window.sched, input.size()));
+
+  ScConfig scalar_cfg = cfg;
+  scalar_cfg.exec = ExecMode::kScalar;
+  ScNetwork oracle(net, scalar_cfg);
+  const nn::Tensor want = oracle.forward(input);
+  const RunStats want_stats = oracle.take_stats();
+  for (const unsigned threads : {1u, 3u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    ScConfig planned_cfg = cfg;
+    planned_cfg.intra_threads = threads;
+    ScNetwork planned(net, planned_cfg);
+    expect_bytes_equal(forward_on_pool(planned, input, threads), want, label);
+    const RunStats stats = planned.take_stats();
+    EXPECT_EQ(stats.plan_hits, 0u) << label;
+    EXPECT_GT(stats.plan_misses, 0u) << label;
+    EXPECT_EQ(stats.plan_misses, want_stats.plan_misses) << label;
+    EXPECT_EQ(stats.product_bits, want_stats.product_bits) << label;
+    EXPECT_EQ(stats.skipped_operands, want_stats.skipped_operands) << label;
+    const core::Report plans = planned.validate_plans();
+    EXPECT_TRUE(plans.clean()) << label << ":\n" << plans.to_string();
+  }
 }
 
 TEST(ScGolden, PartialLastSegmentWordMatchesScalar) {
@@ -569,6 +612,83 @@ TEST(ScGolden, PaddingOnlyTapsMatchScalar) {
   tiny.plan_budget_bytes = 1;
   for (const ScConfig& cfg : {golden_config(), tiny}) {
     expect_planned_matches_scalar(none, one, cfg);
+  }
+}
+
+/// Runs @p net, whose first node is its only weighted one, at a budget one
+/// byte below that node's activation-plan footprint and at or above its
+/// weight-table footprint: the planned body serves weights from the table
+/// (plan hits) and regenerates the activation field in place (plan
+/// misses). Checked against the scalar oracle byte for byte, sharded and
+/// not.
+void expect_activation_regeneration_matches_scalar(nn::Network& net,
+                                                   const nn::Tensor& input,
+                                                   ScConfig cfg) {
+  const std::vector<LoweredOp> ops =
+      lower_graph(net, sc_lower_options(cfg), "test");
+  ASSERT_TRUE(ops[0].weighted());
+  const ConvGeometry g =
+      conv_geometry(ops[0], input.shape(), cfg.phase_length());
+  cfg.plan_budget_bytes = plan_table_bytes(g.window.sched, input.size()) - 1;
+  ASSERT_GE(cfg.plan_budget_bytes,
+            weight_table_bytes(g.window.sched, g.layout));
+
+  ScConfig scalar_cfg = cfg;
+  scalar_cfg.exec = ExecMode::kScalar;
+  ScNetwork oracle(net, scalar_cfg);
+  const nn::Tensor want = oracle.forward(input);
+  const RunStats want_stats = oracle.take_stats();
+  for (const unsigned threads : {1u, 3u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    ScConfig planned_cfg = cfg;
+    planned_cfg.intra_threads = threads;
+    ScNetwork planned(net, planned_cfg);
+    expect_bytes_equal(forward_on_pool(planned, input, threads), want, label);
+    const RunStats stats = planned.take_stats();
+    EXPECT_GT(stats.plan_hits, 0u) << label;
+    EXPECT_GT(stats.plan_misses, 0u) << label;
+    EXPECT_EQ(stats.plan_hits + stats.plan_misses, want_stats.plan_misses)
+        << label;
+    EXPECT_EQ(stats.product_bits, want_stats.product_bits) << label;
+    EXPECT_EQ(stats.skipped_operands, want_stats.skipped_operands) << label;
+    const core::Report plans = planned.validate_plans();
+    EXPECT_TRUE(plans.clean()) << label << ":\n" << plans.to_string();
+  }
+}
+
+TEST(ScGolden, ActivationPlanOverBudgetRegeneratesInPlace) {
+  // The opposite mix: few weights on a 16x16 map, so the activation plan
+  // outgrows the weight table. 1-word segments...
+  nn::Network plain = small_map_net(nn::ConvSpec{.kernel = 3, .padding = 1},
+                                    false, 551);
+  const nn::Tensor map4 = random_unit(nn::Shape{16, 16, 4}, 553);
+  {
+    SCOPED_TRACE("plain");
+    expect_activation_regeneration_matches_scalar(plain, map4,
+                                                  golden_config());
+  }
+  // ...8-word segments...
+  ScConfig wide = golden_config();
+  wide.stream_length = 1024;
+  {
+    SCOPED_TRACE("plain, 8-word segments");
+    expect_activation_regeneration_matches_scalar(plain, map4, wide);
+  }
+  // ...a strided depthwise conv with a folded BatchNorm...
+  nn::Network depthwise = small_map_net(
+      nn::ConvSpec{.kernel = 3, .stride = 2, .padding = 1, .groups = 4},
+      true, 555);
+  {
+    SCOPED_TRACE("depthwise");
+    expect_activation_regeneration_matches_scalar(depthwise, map4,
+                                                  golden_config());
+  }
+  // ...and 2-word segments under a fused 2x2 pool.
+  nn::Network pooled = multi_word_pooled_net();
+  {
+    SCOPED_TRACE("fused pool, 2-word segments");
+    expect_activation_regeneration_matches_scalar(
+        pooled, random_unit(nn::Shape{16, 16, 1}, 557), multi_word_config());
   }
 }
 

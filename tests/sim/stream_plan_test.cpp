@@ -128,32 +128,28 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
 
   const WeightKey key{weights, {}};
 
-  const auto t1 = store.get(0, sched, layout, key, 0);
-  ASSERT_TRUE(t1->planned);
+  const auto t1 = store.get(0, sched, layout, key);
   // 0.0 is in no phase; 1e-6 quantizes to level 0 (gated): 4 entries.
   EXPECT_EQ(t1->total, 4u);
   EXPECT_TRUE(
       check_product_table(*t1, store.bank(), key, "t").clean());
 
   // Same key: the cached table is returned and nothing is rebuilt.
-  EXPECT_EQ(store.get(0, sched, layout, key, 0).get(),
-            t1.get());
+  EXPECT_EQ(store.get(0, sched, layout, key).get(), t1.get());
 
   // Changed weights (retraining): rebuild, and the old table stays valid
   // for holders of the original shared_ptr.
   std::vector<float> retrained = weights;
   retrained[0] = 0.5625f;
   const WeightKey retrained_key{retrained, {}};
-  const auto t2 =
-      store.get(0, sched, layout, retrained_key, 0);
+  const auto t2 = store.get(0, sched, layout, retrained_key);
   EXPECT_NE(t2.get(), t1.get());
   EXPECT_TRUE(t1->keyed_on(sched, layout, key));
 
   // A changed schedule (a fused pool that stops tiling) is a new key too.
   // Each entry holds the slots of its own sign phase only.
   const SegmentSchedule unpooled{cfg.phase_length(), 1, cfg.phase_length()};
-  const auto t3 =
-      store.get(0, unpooled, layout, retrained_key, 0);
+  const auto t3 = store.get(0, unpooled, layout, retrained_key);
   EXPECT_NE(t3.get(), t2.get());
   EXPECT_EQ(t3->words.size(), unpooled.positions * t3->total);
   EXPECT_TRUE(check_product_table(*t3, store.bank(), retrained_key, "t")
@@ -165,18 +161,7 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   EXPECT_FALSE(t3->keyed_on(unpooled, layout, WeightKey{retrained, scale}));
 
   // Distinct stages are independent slots.
-  EXPECT_NE(store.get(1, sched, layout, key, 0).get(),
-            t1.get());
-
-  // Over budget: the structure is built, the words are left out and the
-  // per-entry levels kept for regeneration.
-  WeightPlanStore tight(cfg, 1);
-  const auto t4 = tight.get(0, sched, layout, key, 1);
-  EXPECT_FALSE(t4->planned);
-  EXPECT_TRUE(t4->words.empty());
-  EXPECT_EQ(t4->level_of.size(), t4->total);
-  EXPECT_TRUE(
-      check_product_table(*t4, tight.bank(), key, "t").clean());
+  EXPECT_NE(store.get(1, sched, layout, key).get(), t1.get());
 }
 
 TEST(WeightPlanStoreTest, FootprintCountsLiveTapsAndOneSignPhase) {
@@ -212,6 +197,17 @@ WeightLayout conv3x3_layout(std::size_t oc, std::size_t in_c, int side,
                       .kernel = 3, .taps = live_taps(spec, in)};
 }
 
+/// The full-field slot that @p layout maps to live-field slot @p live.
+std::size_t full_slot(const WeightLayout& layout, std::size_t live) {
+  for (std::size_t slot = 0; slot < layout.rf; ++slot) {
+    if (layout.live_slot(slot) == live) {
+      return slot;
+    }
+  }
+  ADD_FAILURE() << "no full slot maps to live slot " << live;
+  return WeightLayout::kNoSlot;
+}
+
 std::vector<float> signed_weights(std::size_t count, std::uint32_t seed) {
   std::vector<float> w(count);
   sc::XorShift32 rng(seed);
@@ -231,8 +227,7 @@ TEST(ProductTableShapeTest, OneByOneMapHoldsOnlyCentreTapEntries) {
   StreamBank bank(8, 0x5EED, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(3 * 36, 11);
   const WeightKey key{weights, {}};
-  const auto tbl = build_product_table(bank, sched, layout, key, 0);
-  ASSERT_TRUE(tbl->planned);
+  const auto tbl = build_product_table(bank, sched, layout, key);
   std::size_t centre = 0;
   std::size_t signed_total = 0;
   for (std::size_t oc = 0; oc < 3; ++oc) {
@@ -247,7 +242,7 @@ TEST(ProductTableShapeTest, OneByOneMapHoldsOnlyCentreTapEntries) {
   EXPECT_LE(tbl->total, 3u * 4u);
   for (const std::uint32_t live : tbl->slot_of) {
     EXPECT_LT(live, layout.live_rf());
-    EXPECT_EQ(layout.full_slot(live) / layout.in_c, 4u);  // the centre tap
+    EXPECT_EQ(full_slot(layout, live) / layout.in_c, 4u);  // the centre tap
   }
   std::size_t gated = 0;
   for (const std::uint32_t g : tbl->gated) {
@@ -271,8 +266,8 @@ TEST(ProductTableShapeTest, OwnSignWordsMatchDirectFills) {
   const SegmentSchedule sched{96, 4, 24};
   StreamBank bank(9, 0xACE5, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(2 * 27, 13);
-  const auto tbl = build_product_table(bank, sched, layout,
-                                       WeightKey{weights, {}}, 0);
+  const auto tbl =
+      build_product_table(bank, sched, layout, WeightKey{weights, {}});
   ASSERT_EQ(layout.taps.count(), 9u);
   std::vector<std::uint64_t> want(sched.seg_words());
   for (std::size_t group = 0; group < 4; ++group) {
@@ -283,7 +278,7 @@ TEST(ProductTableShapeTest, OwnSignWordsMatchDirectFills) {
       EXPECT_LE(to[tap], ei);
       EXPECT_LT(ei, to[tap + 1]);
       const std::size_t wi =
-          layout.weight(group % 2, layout.full_slot(tbl->slot_of[ei]));
+          layout.weight(group % 2, full_slot(layout, tbl->slot_of[ei]));
       EXPECT_EQ(weights[wi] > 0.0f, positive);
       for (std::size_t k = 0; k < sched.positions; ++k) {
         bank.fill(bank.quantize(std::fabs(weights[wi])),
@@ -303,7 +298,7 @@ TEST(ProductTableShapeTest, ValidatorReportsCorruptedTapOffsetAndSignSlot) {
   StreamBank bank(8, 0x77, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(2 * 27, 17);
   const WeightKey key{weights, {}};
-  const auto tbl = build_product_table(bank, sched, layout, key, 0);
+  const auto tbl = build_product_table(bank, sched, layout, key);
   ASSERT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
 
   // A tap offset moved one entry late: the entry it skips lies outside
@@ -319,7 +314,7 @@ TEST(ProductTableShapeTest, ValidatorReportsCorruptedTapOffsetAndSignSlot) {
   // slot were swapped.
   ProductTable swapped = *tbl;
   const std::size_t wi =
-      layout.weight(0, layout.full_slot(swapped.slot_of[0]));
+      layout.weight(0, full_slot(layout, swapped.slot_of[0]));
   std::vector<std::uint64_t> other(sched.seg_words());
   bank.fill(bank.quantize(std::fabs(weights[wi])),
             static_cast<std::uint32_t>(wi), sched.offset(false, 0), sched.seg,
@@ -352,7 +347,7 @@ TEST(ProductTableShapeTest, BatchNormScaleFoldsIntoTheKeyedWeights) {
   ASSERT_EQ(folded.size(), raw.size());
   EXPECT_EQ(folded[1], -0.25f);
   EXPECT_EQ(folded[4], 0.25f);
-  const auto tbl = build_product_table(bank, sched, layout, key, 0);
+  const auto tbl = build_product_table(bank, sched, layout, key);
   EXPECT_TRUE(tbl->keyed_on(sched, layout, key));
   EXPECT_FALSE(tbl->keyed_on(sched, layout, WeightKey{raw, {}}));
   // Channel 0 holds two positive weights, channel 1 (scale -1) one.

@@ -103,23 +103,18 @@ void run_forward(obs::Bench& bench, const BenchSuiteOptions& options) {
     }
   }
 
+  // Timed outside any pool, where every layer runs serial.
   struct Variant {
     const char* name;
     sim::ExecMode exec;
-    unsigned intra_threads;
   };
-  std::vector<Variant> variants = {
-      {"forward/scalar", sim::ExecMode::kScalar, 1},
-      {"forward/planned", sim::ExecMode::kPlanned, 1},
-      {"forward/planned_auto", sim::ExecMode::kPlanned, 0},
+  const Variant variants[] = {
+      {"forward/scalar", sim::ExecMode::kScalar},
+      {"forward/planned", sim::ExecMode::kPlanned},
   };
-  if (options.quick) {
-    variants.resize(2);  // scalar + planned cover both code paths
-  }
   for (const Variant& variant : variants) {
     sim::ScConfig cfg = base;
     cfg.exec = variant.exec;
-    cfg.intra_threads = variant.intra_threads;
     sim::ScNetwork exec(net, cfg);
     nn::Tensor out;
     // Prime the weight tables + scratch arena outside the measurement so
