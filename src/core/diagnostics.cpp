@@ -129,16 +129,14 @@ std::string Report::to_string(const AnchorFormatter& anchor) const {
   return out.str();
 }
 
-std::string to_json(const Report& report, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
+std::string to_json(const Report& report) {
   std::ostringstream out;
-  out << pad << "{\n";
-  out << pad << "  \"diagnostics\": [";
+  out << "{\n  \"diagnostics\": [";
   bool first = true;
   for (const Diagnostic& d : report.diagnostics()) {
     out << (first ? "\n" : ",\n");
     first = false;
-    out << pad << "    {\"rule\": " << obs::json_quote(d.rule)
+    out << "    {\"rule\": " << obs::json_quote(d.rule)
         << ", \"severity\": " << obs::json_quote(severity_name(d.severity))
         << ", \"index\": "
         << (d.index == kNoIndex
@@ -149,19 +147,19 @@ std::string to_json(const Report& report, int indent) {
         << ", \"message\": " << obs::json_quote(d.message) << "}";
   }
   if (!first) {
-    out << "\n" << pad << "  ";
+    out << "\n  ";
   }
   out << "],\n";
-  out << pad << "  \"errors\": "
+  out << "  \"errors\": "
       << obs::json_number(static_cast<std::uint64_t>(report.error_count()))
       << ",\n";
-  out << pad << "  \"warnings\": "
+  out << "  \"warnings\": "
       << obs::json_number(static_cast<std::uint64_t>(report.warning_count()))
       << ",\n";
-  out << pad << "  \"notes\": "
+  out << "  \"notes\": "
       << obs::json_number(static_cast<std::uint64_t>(report.note_count()))
       << "\n";
-  out << pad << "}";
+  out << "}";
   return out.str();
 }
 

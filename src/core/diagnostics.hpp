@@ -111,8 +111,6 @@ class Report {
 ///   {"diagnostics": [{"rule": ..., "severity": ..., "index": ...|null,
 ///     "path": ...|null, "message": ...}, ...],
 ///    "errors": N, "warnings": N, "notes": N}
-/// @p indent is the number of spaces the whole object is indented by
-/// (for embedding in a larger document).
-[[nodiscard]] std::string to_json(const Report& report, int indent = 0);
+[[nodiscard]] std::string to_json(const Report& report);
 
 }  // namespace acoustic::core

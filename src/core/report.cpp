@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -10,12 +9,8 @@
 #include "baselines/eyeriss.hpp"
 #include "core/accelerator.hpp"
 #include "obs/bench_harness.hpp"
-#include "obs/json.hpp"
 
 namespace acoustic::core {
-
-using obs::json_escape;
-using obs::json_number;
 
 Table::Table(std::vector<std::string> header) {
   rows_.push_back(std::move(header));
@@ -65,48 +60,6 @@ std::string format_number(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
   return buf;
-}
-
-std::string to_json(const sim::EvalResult& r) {
-  std::string out = "{\n";
-  out += "  \"backend\": \"" + json_escape(r.backend) + "\",\n";
-  out += "  \"threads\": " + std::to_string(r.threads) + ",\n";
-  out += "  \"samples\": " + std::to_string(r.samples) + ",\n";
-  out += "  \"correct\": " + std::to_string(r.correct) + ",\n";
-  // Recompute in double so the JSON value is the exact ratio rather than
-  // the float-rounded EvalResult field widened to double.
-  out += "  \"accuracy\": " +
-         json_number(r.samples > 0 ? static_cast<double>(r.correct) /
-                                         static_cast<double>(r.samples)
-                                   : 0.0) +
-         ",\n";
-  out += "  \"stats\": {\n";
-  out += "    \"samples\": " + json_number(r.stats.samples) + ",\n";
-  out += "    \"layers_run\": " + json_number(r.stats.layers_run) + ",\n";
-  out += "    \"product_bits\": " + json_number(r.stats.product_bits) +
-         ",\n";
-  out += "    \"skipped_operands\": " +
-         json_number(r.stats.skipped_operands) + ",\n";
-  out += "    \"stream_bits_generated\": " +
-         json_number(r.stats.stream_bits_generated) + ",\n";
-  out += "    \"stream_bits_reused\": " +
-         json_number(r.stats.stream_bits_reused) + ",\n";
-  out += "    \"plan_hits\": " + json_number(r.stats.plan_hits) + ",\n";
-  out += "    \"plan_misses\": " + json_number(r.stats.plan_misses) + ",\n";
-  out += "    \"scratch_bytes\": " + json_number(r.stats.scratch_bytes) +
-         "\n";
-  out += "  },\n";
-  out += "  \"wall_seconds\": " + json_number(r.wall_seconds) + ",\n";
-  out += "  \"throughput_sps\": " + json_number(r.throughput_sps) + ",\n";
-  out += "  \"latency_us\": {\n";
-  out += "    \"mean\": " + json_number(r.latency.mean_us) + ",\n";
-  out += "    \"p50\": " + json_number(r.latency.p50_us) + ",\n";
-  out += "    \"p90\": " + json_number(r.latency.p90_us) + ",\n";
-  out += "    \"p99\": " + json_number(r.latency.p99_us) + ",\n";
-  out += "    \"max\": " + json_number(r.latency.max_us) + "\n";
-  out += "  }\n";
-  out += "}\n";
-  return out;
 }
 
 std::string bench_slug(const std::string& name) {

@@ -1,12 +1,9 @@
-// Text-table and JSON formatting for the benchmark harnesses and CLI: the
-// eval result document and the bench.v1 entries of Tables III and IV. The
-// JSON primitives they print with live in obs/json.hpp.
+// Text-table formatting for the benchmark harnesses and CLI, and the
+// bench.v1 entries of Tables III and IV.
 #pragma once
 
 #include <string>
 #include <vector>
-
-#include "sim/batch_evaluator.hpp"
 
 namespace acoustic::baselines {
 struct Performance;  // baselines/eyeriss.hpp
@@ -34,10 +31,6 @@ class Table {
 
 /// Formats @p value with @p digits significant digits ("N/A" for NaN).
 [[nodiscard]] std::string format_number(double value, int digits = 4);
-
-/// Serializes one dataset-evaluation result as a pretty-printed JSON
-/// object (stable key order; numbers round-trip at full precision).
-[[nodiscard]] std::string to_json(const sim::EvalResult& result);
 
 struct InferenceCost;  // core/accelerator.hpp
 

@@ -1,10 +1,11 @@
 // Minimal JSON emission helpers shared by every telemetry exporter.
 //
 // obs sits below core (which links the simulators), so the low-level
-// escaping / number formatting lives here; core::report re-exports these
-// for the benches so there is exactly one implementation of "how this repo
-// prints JSON": stable key order, shortest round-tripping doubles, no
-// NaN/Inf (they degrade to null, which every strict parser accepts).
+// escaping / number formatting lives here and every emitter, from the CLI
+// documents to the bench.v1 writer, calls it directly: exactly one
+// implementation of "how this repo prints JSON": stable key order,
+// shortest round-tripping doubles, no NaN/Inf (they degrade to null, which
+// every strict parser accepts).
 #pragma once
 
 #include <cstdint>

@@ -50,8 +50,9 @@ struct SchedulerStats {
   }
 };
 
-/// Structured result of one dataset evaluation (JSON-serializable via
-/// core::to_json).
+/// Structured result of one dataset evaluation. export_metrics writes its
+/// deterministic part; `acoustic eval --json` prints the rest under
+/// "timing".
 struct EvalResult {
   std::string backend;        ///< InferenceBackend::name()
   unsigned threads = 1;       ///< worker threads used

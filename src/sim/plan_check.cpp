@@ -17,81 +17,6 @@ std::string at(std::string_view path) { return std::string(path); }
 
 }  // namespace
 
-core::Report check_schedule(const SegmentSchedule& sched,
-                            std::size_t phase_length, std::size_t bank_length,
-                            std::string_view path) {
-  core::Report report;
-  if (sched.positions == 0 || sched.seg == 0) {
-    report.add("plan-invariant", Severity::kError, at(path),
-               "degenerate segment schedule: positions=" +
-                   std::to_string(sched.positions) +
-                   " seg=" + std::to_string(sched.seg));
-    return report;
-  }
-  if (sched.phase != phase_length) {
-    report.add("plan-invariant", Severity::kError, at(path),
-               "schedule phase " + std::to_string(sched.phase) +
-                   " does not match the configured phase length " +
-                   std::to_string(phase_length));
-  }
-  if (sched.seg != sched.phase / sched.positions) {
-    report.add("plan-invariant", Severity::kError, at(path),
-               "segment length " + std::to_string(sched.seg) +
-                   " is not phase/positions = " +
-                   std::to_string(sched.phase / sched.positions));
-  }
-  // Slot coverage: every (sign, k) must map to a distinct dense index in
-  // [0, slots()), and its bank window must stay inside the bank.
-  std::vector<char> seen(sched.slots(), 0);
-  for (int sign = 0; sign < 2; ++sign) {
-    const bool positive = sign == 0;
-    for (std::size_t k = 0; k < sched.positions; ++k) {
-      const std::size_t idx = sched.slot_index(positive, k);
-      if (idx >= sched.slots()) {
-        report.add("plan-invariant", Severity::kError, at(path),
-                   "slot index " + std::to_string(idx) + " for (sign=" +
-                       (positive ? std::string("+") : std::string("-")) +
-                       ", k=" + std::to_string(k) + ") exceeds " +
-                       std::to_string(sched.slots()) + " slots");
-        continue;
-      }
-      if (seen[idx] != 0) {
-        report.add("plan-invariant", Severity::kError, at(path),
-                   "slot index " + std::to_string(idx) +
-                       " is covered more than once");
-      }
-      seen[idx] = 1;
-      const std::size_t offset = sched.offset(positive, k);
-      if (offset + sched.seg > bank_length) {
-        report.add("plan-invariant", Severity::kError, at(path),
-                   "slot (sign=" +
-                       (positive ? std::string("+") : std::string("-")) +
-                       ", k=" + std::to_string(k) + ") window [" +
-                       std::to_string(offset) + ", " +
-                       std::to_string(offset + sched.seg) +
-                       ") exceeds the bank length " +
-                       std::to_string(bank_length));
-      }
-      // Within one sign phase, slot windows must not overlap (phase- is
-      // the same layout shifted by a full phase, so checking the k-extent
-      // covers both signs).
-      if (positive && offset + sched.seg > phase_length &&
-          sched.positions > 1) {
-        report.add("plan-invariant", Severity::kError, at(path),
-                   "positive-phase slot k=" + std::to_string(k) +
-                       " spills past the phase boundary");
-      }
-    }
-  }
-  for (std::size_t idx = 0; idx < seen.size(); ++idx) {
-    if (seen[idx] == 0) {
-      report.add("plan-invariant", Severity::kError, at(path),
-                 "slot index " + std::to_string(idx) + " is never covered");
-    }
-  }
-  return report;
-}
-
 core::Report check_live_taps(const ConvGeometry& g, std::string_view path) {
   // The bounding box of every tap an output position reads in bounds,
   // scanned position by position — independent of live_taps' per-axis
@@ -162,11 +87,9 @@ core::Report check_product_table(const ProductTable& table,
       layout.taps.x0 + layout.taps.w > layout.kernel ||
       table.gated.size() != groups ||
       table.tap_off.size() != groups * taps + 1 ||
-      table.tap_off.front() != 0 || table.tap_off.back() != table.total ||
-      table.slot_of.size() != table.total ||
-      table.bm_words != (layout.live_rf() + 63) / 64 ||
-      table.group_bm.size() != groups * table.bm_words ||
-      table.words.size() != sched.positions * table.total * seg_words) {
+      table.tap_off.front() != 0 || table.slot_of.size() != table.total() ||
+      table.group_bm.size() != groups * table.bm_words() ||
+      table.words.size() != sched.positions * table.total() * seg_words) {
     report.add("plan-invariant", Severity::kError, at(path),
                "table extents are inconsistent with the layer geometry (" +
                    std::to_string(groups) + " groups, live field " +
@@ -189,7 +112,7 @@ core::Report check_product_table(const ProductTable& table,
     }
   };
   const auto in_bm = [&](std::size_t group, std::size_t live) {
-    return ((table.group_bm[group * table.bm_words + live / 64] >>
+    return ((table.group_bm[group * table.bm_words() + live / 64] >>
              (live % 64)) &
             1u) != 0;
   };
@@ -207,8 +130,9 @@ core::Report check_product_table(const ProductTable& table,
   // Sample entries evenly so both ends of the weight lane space are
   // exercised against regeneration.
   const std::size_t stride =
-      max_entries != 0 && table.total > max_entries ? table.total / max_entries
-                                                    : 1;
+      max_entries != 0 && table.total() > max_entries
+          ? table.total() / max_entries
+          : 1;
   std::vector<std::uint64_t> fresh(seg_words);
   std::size_t sampled = 0;
   for (std::size_t oc = 0; oc < oc_count; ++oc) {
@@ -250,7 +174,7 @@ core::Report check_product_table(const ProductTable& table,
       }
       const std::uint32_t ei = cursor[group]++;
       // ei < total guards the reads below when the offsets are corrupt.
-      if (ei >= table.taps_of(group)[taps] || ei >= table.total ||
+      if (ei >= table.taps_of(group)[taps] || ei >= table.total() ||
           table.slot_of[ei] != live) {
         flag("entry order for output channel " + std::to_string(oc) +
              " slot " + std::to_string(slot) +
@@ -274,7 +198,7 @@ core::Report check_product_table(const ProductTable& table,
         bank.fill(level, static_cast<std::uint32_t>(wi),
                   sched.offset(positive, k), sched.seg, fresh);
         const std::uint64_t* served =
-            table.words.data() + (k * table.total + ei) * seg_words;
+            table.words.data() + (k * table.total() + ei) * seg_words;
         if (std::memcmp(served, fresh.data(),
                         seg_words * sizeof(std::uint64_t)) != 0) {
           flag("stream words of weight " + std::to_string(wi) +

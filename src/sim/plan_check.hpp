@@ -3,11 +3,11 @@
 // The planned fast path is only trustworthy because its tables are pure
 // functions of (bank, schedule, levels); these validators re-derive the
 // invariants independently and report violations through the shared
-// diagnostics engine (rule "plan-invariant"):
+// diagnostics engine (rule "plan-invariant"). The slot timetable itself
+// needs no validator: sim::window_schedule is its one definition, and
+// WindowSchedule.TimetableCoversBothPhasesInsideTheBank pins its
+// invariants.
 //
-//   check_schedule — the segment timetable covers every (sign, slot) pair
-//     exactly once, slot windows are disjoint within a phase, and every
-//     packed word offset stays inside the bank window.
 //   check_live_taps — a node's live-tap rectangle is exactly the bounding
 //     box of the taps its output positions read in bounds, re-derived by
 //     brute force over every position.
@@ -34,13 +34,6 @@
 #include "sim/stream_plan.hpp"
 
 namespace acoustic::sim {
-
-/// Validates @p sched against a bank window of @p bank_length bits with
-/// sign phases of @p phase_length bits. Findings anchor at @p path.
-[[nodiscard]] core::Report check_schedule(const SegmentSchedule& sched,
-                                          std::size_t phase_length,
-                                          std::size_t bank_length,
-                                          std::string_view path);
 
 /// Reports when @p g's live-tap rectangle (g.layout.taps) differs from
 /// the bounding box of the taps its conv output positions read inside the

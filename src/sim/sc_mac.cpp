@@ -19,8 +19,10 @@ SplitMacTrace split_unipolar_mac(std::span<const double> activations,
 
   // Activation SNGs run across both phases; weight SNGs are loaded per
   // phase (sign-gated), so their streams occupy the phase they fire in.
-  StreamBank act_bank(cfg.sng_width, cfg.activation_seed, 2 * phase);
-  StreamBank wgt_bank(cfg.sng_width, cfg.weight_seed, 2 * phase);
+  StreamBank act_bank(cfg.sng_width, cfg.activation_seed, 2 * phase,
+                      cfg.decorrelate_lanes);
+  StreamBank wgt_bank(cfg.sng_width, cfg.weight_seed, 2 * phase,
+                      cfg.decorrelate_lanes);
 
   SplitMacTrace trace;
   trace.act_pos.reserve(n);

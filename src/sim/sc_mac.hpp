@@ -44,8 +44,9 @@ struct SplitMacTrace {
 
 /// Runs one split-unipolar MAC over @p activations (in [0,1]) and
 /// @p weights (in [-1,1]) with the given SC configuration. Activation and
-/// weight banks use cfg.activation_seed / cfg.weight_seed; lane i uses the
-/// bank lane i.
+/// weight banks use cfg.activation_seed / cfg.weight_seed and
+/// cfg.decorrelate_lanes; lane i uses the bank lane i, so the result is
+/// the one ScNetwork computes for a dense(n->1) node.
 [[nodiscard]] SplitMacTrace split_unipolar_mac(
     std::span<const double> activations, std::span<const double> weights,
     const ScConfig& cfg);

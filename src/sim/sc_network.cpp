@@ -346,7 +346,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
   out.resize(g.out_shape);
   const auto counted = static_cast<double>(sched.counted());
   const unsigned workers = pool != nullptr ? pool->size() : 1u;
-  const std::size_t bm_words = tbl.bm_words;
+  const std::size_t bm_words = tbl.bm_words();
   // Parallel unit: one output row x one block of output channels. Rows
   // alone would leave a 1x1 map (every dense node) serial, so when a pool
   // runs with fewer rows than workers the channels split into blocks.
@@ -473,7 +473,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
         // Entries hold their own sign phase only: one slot-k table serves
         // both phases' groups.
         const std::uint64_t* const slot_words =
-            tbl.words.data() + k * tbl.total * sw;
+            tbl.words.data() + k * tbl.total() * sw;
         for (int ph = 0; ph < 2; ++ph) {
           const bool positive = ph == 0;
           const std::uint64_t* const act_w = positive ? act_pos : act_neg;
@@ -627,8 +627,6 @@ core::Report ScNetwork::validate_plans() {
     }
     const std::string name = op.layer->name();
     const ProductTable& tbl = *scratch.table;
-    report.merge(check_schedule(tbl.sched, phase, 2 * phase,
-                                name + "/schedule"));
     if (!(tbl.sched == scratch.act_plan->sched())) {
       report.add("plan-invariant", core::Severity::kError,
                  name + "/product-table",

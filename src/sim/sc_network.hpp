@@ -82,9 +82,10 @@ class ScNetwork final : public GraphExecutor {
   [[nodiscard]] const ScConfig& config() const noexcept { return cfg_; }
 
   /// Plan-invariant verification (rule "plan-invariant"): re-derives the
-  /// invariants of every table the stages last executed — segment-schedule
-  /// slot coverage and word-offset bounds, the weight table's schedule and
-  /// layout (live-tap rectangle included) matching the executed ones, that
+  /// invariants of every table the stages last executed — the weight
+  /// table's schedule and layout (live-tap rectangle included) matching
+  /// the executed ones (the schedule is sim::window_schedule's, which
+  /// needs no re-derivation), that
   /// rectangle re-derived by brute force over every output position, and
   /// ProductTable consistency with the live node: its raw-weight + BN-scale
   /// key and the weights' sign/oc classification (live-tap-only slot

@@ -136,10 +136,10 @@ std::shared_ptr<const ProductTable> build_product_table(
   const std::size_t oc_count = layout.oc_count;
   const std::size_t groups = 2 * oc_count;  // [phase * oc_count + oc]
   const std::size_t taps = layout.taps.count();
-  tbl->bm_words = (layout.live_rf() + 63) / 64;
+  const std::size_t bm_words = tbl->bm_words();
   tbl->gated.assign(groups, 0);
   tbl->tap_off.assign(groups * taps + 1, 0);
-  tbl->group_bm.assign(groups * tbl->bm_words, 0);
+  tbl->group_bm.assign(groups * bm_words, 0);
   std::vector<std::uint32_t> levels(weights.size());
   for (std::size_t wi = 0; wi < weights.size(); ++wi) {
     levels[wi] = bank.quantize(std::fabs(weights[wi]));
@@ -184,7 +184,6 @@ std::shared_ptr<const ProductTable> build_product_table(
   std::partial_sum(tbl->tap_off.begin(), tbl->tap_off.end(),
                    tbl->tap_off.begin());
   const std::uint32_t total = tbl->tap_off.back();
-  tbl->total = total;
   tbl->slot_of.assign(total, 0);
   std::vector<std::uint32_t> lane_of(total);
   std::vector<std::uint32_t> level_of(total);
@@ -200,8 +199,8 @@ std::shared_ptr<const ProductTable> build_product_table(
     tbl->slot_of[ei] = static_cast<std::uint32_t>(live);
     lane_of[ei] = static_cast<std::uint32_t>(wi);
     level_of[ei] = level;
-    tbl->group_bm[group * tbl->bm_words + live / 64] |= std::uint64_t{1}
-                                                        << (live % 64);
+    tbl->group_bm[group * bm_words + live / 64] |= std::uint64_t{1}
+                                                   << (live % 64);
   });
   // Each entry is read in its own sign phase only: generate that phase's
   // bits and keep its window slots. Positive groups come first.

@@ -257,7 +257,11 @@ struct WeightKey {
 /// live tap (WeightLayout::live_weights), each holding the
 /// sched.positions slots of its own sign phase. A function of the geometry
 /// alone, so the executor's budget decision, `acoustic check`'s
-/// plan-budget note and the tests all compute it the same way.
+/// plan-budget note and the tests all compute it the same way. It counts
+/// the stream words only: a table also keeps its raw-weight key (every
+/// weight, dead taps included), a 4-byte slot index per entry, tap
+/// offsets and bitmaps. On ResNet-18 at side 16, stream 128, the words are
+/// 27-31% of what the tables hold.
 [[nodiscard]] inline std::size_t weight_table_bytes(
     const SegmentSchedule& sched, const WeightLayout& layout) noexcept {
   return layout.live_weights() * sched.positions * sched.seg_words() *
@@ -290,7 +294,7 @@ struct ProductTable {
   /// in rectangle raster order — exclusive prefix sums of the cell sizes.
   /// With T = layout.taps.count(), cell (g, t) holds entries
   /// [tap_off[g*T + t], tap_off[g*T + t + 1]), group g spans
-  /// [tap_off[g*T], tap_off[(g+1)*T]), and the last offset is total. A
+  /// [tap_off[g*T], tap_off[(g+1)*T]), and the last offset is total(). A
   /// position that reads taps [lo, hi) walks [taps_of(g)[lo],
   /// taps_of(g)[hi]) — the whole group when it reads the whole rectangle.
   std::vector<std::uint32_t> tap_off;
@@ -301,8 +305,13 @@ struct ProductTable {
   /// sched.offset(true, k), of a negative-group entry at
   /// sched.offset(false, k).
   std::vector<std::uint64_t> words;
-  std::size_t total = 0;     ///< entries across all groups
-  std::size_t bm_words = 0;  ///< bitmap words per group
+
+  /// Entries across all groups.
+  [[nodiscard]] std::size_t total() const noexcept { return tap_off.back(); }
+  /// Bitmap words per group.
+  [[nodiscard]] std::size_t bm_words() const noexcept {
+    return (layout.live_rf() + 63) / 64;
+  }
 
   /// Group @p group's tap offsets: layout.taps.count() + 1 of them, the
   /// last being the group's end.

@@ -1027,9 +1027,30 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
   const nn::Tensor want = scalar.forward(x);
   const sim::RunStats oracle = scalar.take_stats();
   // In budget every fetch is served from a table; at a 1-byte budget every
-  // node runs the oracle and every fetch is regenerated. Either way the
-  // fetches are exactly the segments the oracle generates.
-  for (const std::size_t budget : {cfg.plan_budget_bytes, std::size_t{1}}) {
+  // node runs the oracle and every fetch is regenerated. One byte below
+  // the activation plan of a node whose weight table is smaller, that node
+  // serves weights from its table and regenerates activations in place,
+  // while nodes with larger tables run the oracle, so one forward can mix
+  // all three routes. On every route the fetches are exactly the segments
+  // the oracle generates.
+  std::vector<std::size_t> budgets{cfg.plan_budget_bytes, 1};
+  const std::size_t in_place_from = budgets.size();
+  for (const sim::LoweredOp& op :
+       sim::lower_graph(g.net, sim::sc_lower_options(cfg), "generated")) {
+    if (!op.weighted()) {
+      continue;
+    }
+    const nn::Shape in = g.fed.at(op.layer);
+    const sim::ConvGeometry geo =
+        sim::conv_geometry(op, in, cfg.phase_length());
+    const std::size_t plan =
+        sim::plan_table_bytes(geo.window.sched, in.size());
+    if (sim::weight_table_bytes(geo.window.sched, geo.layout) < plan) {
+      budgets.push_back(plan - 1);
+    }
+  }
+  for (std::size_t b = 0; b < budgets.size(); ++b) {
+    const std::size_t budget = budgets[b];
     for (const unsigned threads : {1u, 3u}) {
       sim::ScConfig planned_cfg = cfg;
       planned_cfg.plan_budget_bytes = budget;
@@ -1057,7 +1078,10 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
       // the oracle serves none from a table.
       EXPECT_EQ(st.plan_hits + st.plan_misses, oracle.plan_misses) << label;
       EXPECT_EQ(oracle.plan_hits, 0u) << label;
-      if (budget == 1) {
+      if (b >= in_place_from) {
+        EXPECT_GT(st.plan_hits, 0u) << label;
+        EXPECT_GT(st.plan_misses, 0u) << label;
+      } else if (budget == 1) {
         EXPECT_EQ(st.plan_hits, 0u) << label;
         EXPECT_EQ(st.stream_bits_reused, 0u) << label;
         EXPECT_EQ(st.stream_bits_generated, oracle.stream_bits_generated)

@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -192,6 +193,56 @@ TEST(OpGraph, BinaryDomainFirstLayerThrows) {
   net.add<nn::ReLU>();
   EXPECT_THROW((void)lower_graph(net, LowerOptions{}, "test"),
                std::invalid_argument);
+}
+
+TEST(WindowSchedule, TimetableCoversBothPhasesInsideTheBank) {
+  // window_schedule is the one definition of a weighted node's slot
+  // timetable. A window that does not tile the conv output falls back to
+  // pool 1, and each of the pool^2 positions counts phase / pool^2 bits.
+  // Every timetable the executor runs (seg > 0; a shorter phase throws
+  // before any table is built) gives each (sign, k) its own slot, and
+  // lays each sign phase's windows out in order inside that phase: the +
+  // phase in [0, phase), the - phase in [phase, 2 * phase), which is the
+  // length of the activation and weight banks.
+  for (std::size_t phase = 1; phase <= 200; ++phase) {
+    for (int pool = 1; pool <= 4; ++pool) {
+      for (int h = 1; h <= 9; ++h) {
+        for (int w = 1; w <= 9; ++w) {
+          const auto where = [&] {
+            return "phase " + std::to_string(phase) + " pool " +
+                   std::to_string(pool) + " map " + std::to_string(h) + "x" +
+                   std::to_string(w);
+          };
+          const WindowSchedule ws = window_schedule(phase, pool, h, w);
+          const bool tiles = h % pool == 0 && w % pool == 0;
+          ASSERT_EQ(ws.fused, tiles) << where();
+          ASSERT_EQ(ws.pool, tiles ? pool : 1) << where();
+          const SegmentSchedule& s = ws.sched;
+          const auto positions = static_cast<std::size_t>(ws.pool * ws.pool);
+          ASSERT_EQ(s.phase, phase) << where();
+          ASSERT_EQ(s.positions, positions) << where();
+          ASSERT_EQ(s.seg, phase / positions) << where();
+          if (s.seg == 0) {
+            continue;
+          }
+          std::vector<bool> seen(s.slots(), false);
+          for (const bool positive : {true, false}) {
+            std::size_t end = positive ? 0 : phase;  // last window's end
+            for (std::size_t k = 0; k < s.positions; ++k) {
+              const std::size_t idx = s.slot_index(positive, k);
+              ASSERT_LT(idx, s.slots()) << where();
+              ASSERT_FALSE(seen[idx]) << where() << " slot " << idx;
+              seen[idx] = true;
+              const std::size_t begin = s.offset(positive, k);
+              ASSERT_GE(begin, end) << where() << " k " << k;
+              end = begin + s.seg;
+            }
+            ASSERT_LE(end, positive ? phase : 2 * phase) << where();
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
+
+#include "nn/dense.hpp"
+#include "nn/network.hpp"
+#include "sc/rng.hpp"
+#include "sim/sc_network.hpp"
 
 namespace acoustic::sim {
 namespace {
@@ -81,6 +88,52 @@ TEST(SplitMac, LaneCountMismatchThrows) {
   const std::vector<double> wgts{0.5, 0.5};
   EXPECT_THROW((void)split_unipolar_mac(acts, wgts, long_config()),
                std::invalid_argument);
+}
+
+TEST(SplitMac, MatchesTheExecutorsDenseNode) {
+  // The trace MAC counts the bits ScNetwork counts for a dense(n->1)
+  // node, whose activation and weight lanes are both the input index i:
+  // through the scalar oracle and the planned body, with the lanes
+  // decorrelated and with naive RNG sharing.
+  for (const bool decorrelate : {true, false}) {
+    for (const std::size_t length : {16u, 128u, 256u, 1000u}) {
+      for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+        sc::XorShift32 rng(seed * 31u + static_cast<std::uint32_t>(length));
+        const int n = 1 + static_cast<int>(rng.next() % 48);
+        nn::Network net;
+        auto& dense = net.add<nn::Dense>(nn::DenseSpec{
+            .in_features = n, .out_features = 1,
+            .mode = nn::AccumMode::kOrExact});
+        nn::Tensor x(nn::Shape{1, 1, n});
+        std::vector<double> acts;
+        std::vector<double> wgts;
+        for (int i = 0; i < n; ++i) {
+          x[static_cast<std::size_t>(i)] =
+              static_cast<float>(rng.next_double());
+          const auto w = static_cast<float>(2.0 * rng.next_double() - 1.0);
+          dense.weights()[dense.weight_index(0, i)] = w;
+          acts.push_back(x[static_cast<std::size_t>(i)]);
+          wgts.push_back(w);
+        }
+        ScConfig cfg;
+        cfg.stream_length = length;
+        cfg.activation_seed = seed;
+        cfg.weight_seed = seed * 7919u;
+        cfg.decorrelate_lanes = decorrelate;
+        const SplitMacTrace trace = split_unipolar_mac(acts, wgts, cfg);
+        for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kPlanned}) {
+          cfg.exec = exec;
+          ScNetwork executor(net, cfg);
+          const nn::Tensor got = executor.forward(x);
+          ASSERT_EQ(got.size(), 1u);
+          EXPECT_EQ(got[0], static_cast<float>(trace.result))
+              << "decorrelate " << decorrelate << " length " << length
+              << " seed " << seed << " n " << n
+              << (exec == ExecMode::kScalar ? " scalar" : " planned");
+        }
+      }
+    }
+  }
 }
 
 /// Accuracy improves with stream length (the paper's core trade-off).

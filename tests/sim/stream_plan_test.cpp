@@ -130,7 +130,7 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
 
   const auto t1 = store.get(0, sched, layout, key);
   // 0.0 is in no phase; 1e-6 quantizes to level 0 (gated): 4 entries.
-  EXPECT_EQ(t1->total, 4u);
+  EXPECT_EQ(t1->total(), 4u);
   EXPECT_TRUE(
       check_product_table(*t1, store.bank(), key, "t").clean());
 
@@ -151,7 +151,7 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   const SegmentSchedule unpooled{cfg.phase_length(), 1, cfg.phase_length()};
   const auto t3 = store.get(0, unpooled, layout, retrained_key);
   EXPECT_NE(t3.get(), t2.get());
-  EXPECT_EQ(t3->words.size(), unpooled.positions * t3->total);
+  EXPECT_EQ(t3->words.size(), unpooled.positions * t3->total());
   EXPECT_TRUE(check_product_table(*t3, store.bank(), retrained_key, "t")
                   .clean());
 
@@ -238,8 +238,8 @@ TEST(ProductTableShapeTest, OneByOneMapHoldsOnlyCentreTapEntries) {
       centre += at_centre && bank.quantize(std::fabs(wv)) != 0 ? 1 : 0;
     }
   }
-  EXPECT_EQ(tbl->total, centre);
-  EXPECT_LE(tbl->total, 3u * 4u);
+  EXPECT_EQ(tbl->total(), centre);
+  EXPECT_LE(tbl->total(), 3u * 4u);
   for (const std::uint32_t live : tbl->slot_of) {
     EXPECT_LT(live, layout.live_rf());
     EXPECT_EQ(full_slot(layout, live) / layout.in_c, 4u);  // the centre tap
@@ -248,9 +248,9 @@ TEST(ProductTableShapeTest, OneByOneMapHoldsOnlyCentreTapEntries) {
   for (const std::uint32_t g : tbl->gated) {
     gated += g;
   }
-  EXPECT_EQ(gated + tbl->total, signed_total);
-  EXPECT_EQ(tbl->words.size(), sched.positions * tbl->total);
-  EXPECT_EQ(tbl->bm_words, 1u);
+  EXPECT_EQ(gated + tbl->total(), signed_total);
+  EXPECT_EQ(tbl->words.size(), sched.positions * tbl->total());
+  EXPECT_EQ(tbl->bm_words(), 1u);
   EXPECT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
 
   // The stride-2 3x3 from a 2x2 map to 1x1 reads taps (1..2, 1..2).
@@ -284,7 +284,7 @@ TEST(ProductTableShapeTest, OwnSignWordsMatchDirectFills) {
         bank.fill(bank.quantize(std::fabs(weights[wi])),
                   static_cast<std::uint32_t>(wi), sched.offset(positive, k),
                   sched.seg, want);
-        EXPECT_EQ(tbl->words[(k * tbl->total + ei) * sched.seg_words()],
+        EXPECT_EQ(tbl->words[(k * tbl->total() + ei) * sched.seg_words()],
                   want[0])
             << "entry " << ei << " k " << k;
       }

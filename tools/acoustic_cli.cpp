@@ -367,7 +367,7 @@ struct EvalOptions {
   std::size_t test_count = 120;
   int epochs = 3;
   bool json = false;
-  bool metrics = false;     ///< route counters through obs::Registry
+  bool metrics = false;     ///< run-counter table in the text output
   bool profile = false;     ///< per-layer wall-time/counter table
   bool prometheus = false;  ///< registry in Prometheus text format
   bool verbose = false;     ///< training log + eval progress on stderr
@@ -519,12 +519,12 @@ int run_eval(const EvalOptions& opt) {
       sim::make_backend(opt.backend, net, opt.sc, bipolar_cfg);
 
   // Observability attachments: spans feed both --profile and --trace-json,
-  // the registry feeds --metrics and --prometheus. The hardware counter
+  // the registry feeds --json, --metrics and --prometheus. The hardware counter
   // group must be constructed *before* the BatchEvaluator: with
   // Options::inherit the kernel only follows threads created after the
   // event fds open, and the evaluator spawns its pool at construction.
   const bool want_profiler = opt.profile || !opt.trace_json.empty();
-  const bool want_metrics = opt.metrics || opt.prometheus;
+  const bool want_metrics = opt.metrics || opt.json || opt.prometheus;
   std::optional<obs::PerfCounterGroup> hw;
   if (want_profiler || want_metrics) {
     obs::PerfCounterGroup::Options perf_opt;
@@ -647,14 +647,9 @@ int run_eval(const EvalOptions& opt) {
   }
 
   if (opt.json) {
-    if (!opt.metrics && !opt.profile) {
-      // Classic shape, kept stable for existing consumers.
-      std::fputs(core::to_json(result).c_str(), stdout);
-      return 0;
-    }
-    // Unified telemetry document. Everything outside "timing" is
-    // byte-identical for any --threads value (see BatchEvaluator's
-    // determinism contract); all wall-clock data lives under "timing".
+    // The eval document. Everything outside "timing" is byte-identical for
+    // any --threads value (see BatchEvaluator's determinism contract); all
+    // wall-clock and scheduling data lives under "timing".
     std::string doc = "{\n  \"command\": \"eval\",\n  \"backend\": ";
     doc += obs::json_quote(result.backend);
     doc += ",\n  \"model\": ";
@@ -664,12 +659,9 @@ int run_eval(const EvalOptions& opt) {
         static_cast<std::uint64_t>(opt.sc.stream_length));
     doc += ",\n  \"samples\": ";
     doc += obs::json_number(static_cast<std::uint64_t>(result.samples));
+    doc += ",\n  \"metrics\": ";
+    doc += registry.to_json(2);
     doc += ",\n";
-    if (opt.metrics) {
-      doc += "  \"metrics\": ";
-      doc += registry.to_json(2);
-      doc += ",\n";
-    }
     if (opt.profile) {
       doc += "  \"profile\": [";
       for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -918,11 +910,15 @@ int cmd_eval(cli::Args args) {
                    opt.test_count),
        cli::number("--epochs", "N", "training epochs (default 3)",
                    opt.epochs),
-       cli::flag("--json", "print the EvalResult as JSON", opt.json),
+       cli::flag("--json",
+                 "print one JSON document: the run counters under "
+                 "\"metrics\", identical for any thread count except that "
+                 "the sc.scratch_bytes gauge grows with --threads when "
+                 "layers shard, and wall-clock data under \"timing\"",
+                 opt.json),
        cli::flag("--metrics",
-                 "add the run counters; in JSON they are identical for any "
-                 "thread count, except that the sc.scratch_bytes gauge "
-                 "grows with --threads when layers shard",
+                 "add the run counters as a text table (--json always "
+                 "carries them)",
                  opt.metrics),
        cli::flag("--profile", "add the per-layer and per-phase timing tables",
                  opt.profile),
