@@ -2,9 +2,11 @@
 // (paper section II-C).
 //
 // A conv layer followed by 2x2 average pooling is executed twice on the
-// functional simulator: once conventionally (full-length streams, MUX-
-// style pooling) and once with computation skipping (each pooled window
-// position computed on a quarter-length time slice, counter never reset).
+// functional simulator: once conventionally (the conv unfused on full-
+// length streams at every window position, then the exact binary average
+// pool; no MUX select is modelled) and once with computation skipping
+// (each pooled window position computed on a quarter-length time slice,
+// counter never reset).
 // The outputs agree statistically while the skipped version evaluates 4x
 // fewer product bits — the source of the paper's 4x-9x conv-layer saving.
 //

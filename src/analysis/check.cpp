@@ -398,7 +398,7 @@ core::Report check_descriptor(const nn::NetworkDesc& net,
       continue;
     }
     const sim::SegmentSchedule g = check_stream_geometry(
-        report, path, options.sc, conv && layer.pool > 1 ? layer.pool : 1,
+        report, path, options.sc, layer.fused_pool(),
         conv ? layer.out_h() : 1, conv ? layer.out_w() : 1);
     if (g.seg == 0) {
       continue;
@@ -708,7 +708,7 @@ core::Report check_network(nn::Network& net, std::string_view name,
     std::vector<float> folded;
     for (const sim::LoweredOp& op : ops) {
       if (shapes_ok && op.weighted()) {
-        check_weighted_node(report, prefix + op.layer->name(), options, op,
+        check_weighted_node(report, prefix + op.name, options, op,
                             node_inputs.at(op.layer), folded);
       }
     }

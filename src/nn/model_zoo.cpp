@@ -4,6 +4,12 @@
 
 namespace acoustic::nn {
 
+int LayerDesc::fused_pool() const noexcept {
+  return kind == OpKind::kConv2D && !residual && !residual_proj && pool > 1
+             ? pool
+             : 1;
+}
+
 int LayerDesc::out_h() const noexcept {
   if (kind == OpKind::kDense) {
     return 1;

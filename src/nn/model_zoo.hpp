@@ -63,6 +63,13 @@ struct LayerDesc {
   // supports.
   int pool = 0;
 
+  /// The pooling window computation skipping fuses into this conv's
+  /// stream, 1 for none. A pool fuses only where it directly follows its
+  /// conv: a residual closer pools after the skip add and the ReLU, and a
+  /// skip projection has no pool. build_from_descriptor places a layer's
+  /// pool by it, and `acoustic check` runs its stream rules on it.
+  [[nodiscard]] int fused_pool() const noexcept;
+
   /// Output spatial dims before pooling.
   [[nodiscard]] int out_h() const noexcept;
   [[nodiscard]] int out_w() const noexcept;

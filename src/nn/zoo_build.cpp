@@ -98,24 +98,23 @@ Network build_from_descriptor(const NetworkDesc& desc,
               "zoo_build: residual closer without an open block (" +
               l.label + ")");
         }
+        // Block closes before activation and pooling.
         net.add<SkipAdd>(open_skip);
         open_skip.reset();
-        // Block closes before activation and pooling (ResNet ordering:
-        // add, relu, then any pool).
+      }
+      // A fused pool directly follows its conv, where the computation-
+      // skipping fusion consumes it (conv -> pool -> relu); any other
+      // pool runs after the ReLU (ResNet ordering: add, relu, pool).
+      const bool fused = l.fused_pool() > 1;
+      if (!fused) {
         net.add<ReLU>();
-        const int pool = std::min({l.pool, cur.h, cur.w});
-        if (pool > 1) {
-          net.add<AvgPool2D>(pool);
-          cur = Shape{cur.h / pool, cur.w / pool, cur.c};
-        }
-      } else {
-        // conv -> pool -> relu: pooling directly after the conv is what
-        // the computation-skipping fusion consumes.
-        const int pool = std::min({l.pool, cur.h, cur.w});
-        if (pool > 1) {
-          net.add<AvgPool2D>(pool);
-          cur = Shape{cur.h / pool, cur.w / pool, cur.c};
-        }
+      }
+      const int pool = std::min({l.pool, cur.h, cur.w});
+      if (pool > 1) {
+        net.add<AvgPool2D>(pool);
+        cur = Shape{cur.h / pool, cur.w / pool, cur.c};
+      }
+      if (fused) {
         net.add<ReLU>();
       }
       continue;

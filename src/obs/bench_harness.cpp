@@ -212,19 +212,7 @@ Bench::Bench(std::string suite, BenchOptions options)
 
 BenchEntry& Bench::run(const std::string& name,
                        const std::function<void()>& fn) {
-  settle_cpu(options_.settle_ms);
-  for (int i = 0; i < options_.warmup; ++i) {
-    fn();
-  }
-  const int iters = std::max(1, options_.iters);
-  std::vector<double> times_us;
-  times_us.reserve(static_cast<std::size_t>(iters));
-
-  PerfCounterGroup counters({.inherit = true});
-  if (options_.counters) {
-    counters.start();
-  }
-  for (int i = 0; i < iters; ++i) {
+  return run_value(name, "us", /*lower_is_better=*/true, [&] {
     const Clock::time_point t0 = Clock::now();
     fn();
     if (options_.slowdown > 1.0) {
@@ -238,19 +226,9 @@ BenchEntry& Bench::run(const std::string& name,
       while (Clock::now() < target) {
       }
     }
-    const Clock::time_point t1 = Clock::now();
-    times_us.push_back(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  const PerfSample total =
-      options_.counters ? counters.stop() : PerfSample{};
-
-  BenchEntry entry;
-  entry.name = name;
-  entry.stats = summarize(std::move(times_us));
-  attach_counters(entry, total, static_cast<std::size_t>(iters));
-  doc_.entries.push_back(std::move(entry));
-  return doc_.entries.back();
+    return std::chrono::duration<double, std::micro>(Clock::now() - t0)
+        .count();
+  });
 }
 
 BenchEntry& Bench::run_value(const std::string& name, std::string unit,

@@ -147,12 +147,15 @@ class Bench {
   }
   [[nodiscard]] BenchMeta& meta() noexcept { return doc_.meta; }
 
-  /// Times @p fn: warmup calls, then iters timed calls (microseconds per
-  /// call, lower is better), counters sampled around the timed loop.
+  /// Times @p fn: run_value over one timed call per iteration
+  /// (microseconds per call, lower is better), stretched by the slowdown
+  /// hook.
   BenchEntry& run(const std::string& name, const std::function<void()>& fn);
 
-  /// Like run() but each iteration *measures its own value* via @p fn
-  /// (e.g. an images/s throughput); the slowdown hook does not apply.
+  /// The measurement loop: settle, warmup calls, then iters calls that
+  /// each *measure their own value* via @p fn (e.g. an images/s
+  /// throughput), counters sampled around the timed loop. The slowdown
+  /// hook applies only through run().
   BenchEntry& run_value(const std::string& name, std::string unit,
                         bool lower_is_better,
                         const std::function<double()>& fn);

@@ -45,60 +45,58 @@ std::vector<SpanRecord> Profiler::take() {
   return out;
 }
 
-Span::Span(Profiler* profiler, std::string name, std::string category,
-           std::uint32_t track, std::uint32_t seq)
-    : profiler_(profiler) {
-  if (profiler_ == nullptr) {
+Span::Span(Profiler* profiler, std::string_view name,
+           std::string_view category, std::uint32_t track, std::uint32_t seq) {
+  if (profiler == nullptr) {
     return;
   }
-  rec_.name = std::move(name);
-  rec_.category = std::move(category);
-  rec_.track = track;
-  rec_.seq = seq;
-  rec_.start_ns = Profiler::now_ns();
+  Open& open = open_.emplace();
+  open.profiler = profiler;
+  open.rec.name = name;
+  open.rec.category = category;
+  open.rec.track = track;
+  open.rec.seq = seq;
+  open.rec.start_ns = Profiler::now_ns();
 }
 
-void Span::counter(std::string key, std::uint64_t value) {
-  if (profiler_ == nullptr) {
-    return;
+void Span::counter(std::string_view key, std::uint64_t value) {
+  if (open_) {
+    open_->rec.counters.emplace_back(key, value);
   }
-  rec_.counters.emplace_back(std::move(key), value);
 }
 
-void Span::kind(std::string kind) {
-  if (profiler_ == nullptr) {
-    return;
+void Span::kind(std::string_view kind) {
+  if (open_) {
+    open_->rec.kind = kind;
   }
-  rec_.kind = std::move(kind);
 }
 
 void Span::attach(PerfCounterGroup* group) {
-  if (profiler_ == nullptr || group == nullptr) {
-    return;
+  if (open_ && group != nullptr) {
+    open_->perf = group;
+    open_->perf_begin = group->sample();
   }
-  perf_ = group;
-  perf_begin_ = group->sample();
 }
 
 void Span::close() {
-  if (profiler_ == nullptr) {
+  if (!open_) {
     return;
   }
-  rec_.dur_ns = Profiler::now_ns() - rec_.start_ns;
-  if (perf_ != nullptr) {
-    const PerfSample end = perf_->sample();
+  SpanRecord& rec = open_->rec;
+  rec.dur_ns = Profiler::now_ns() - rec.start_ns;
+  if (open_->perf != nullptr) {
+    const PerfSample end = open_->perf->sample();
+    const PerfSample& begin = open_->perf_begin;
     for (unsigned i = 0; i < kPerfEventCount; ++i) {
       const auto event = static_cast<PerfEvent>(i);
-      if (end.has(event) && perf_begin_.has(event) &&
-          end[event] >= perf_begin_[event]) {
-        rec_.counters.emplace_back(perf_event_name(event),
-                                   end[event] - perf_begin_[event]);
+      if (end.has(event) && begin.has(event) && end[event] >= begin[event]) {
+        rec.counters.emplace_back(perf_event_name(event),
+                                  end[event] - begin[event]);
       }
     }
-    perf_ = nullptr;
   }
-  profiler_->record(std::move(rec_));
-  profiler_ = nullptr;
+  open_->profiler->record(std::move(rec));
+  open_.reset();
 }
 
 std::uint64_t ProfileRow::counter(const std::string& key) const {

@@ -4,12 +4,11 @@
 // forward pass) on the monotonic clock and records itself into a Profiler
 // on destruction. Instrumented code takes a nullable Profiler* — a null
 // profiler makes Span construction a few pointer writes with NO clock
-// reads, no counter syscalls and no string work, so the hooks can stay
-// compiled into the hot paths permanently (the disabled-path budget is
-// asserted by tests/obs/profile_test.cpp and tracked by the
-// primitives/span_disabled bench entry). Callers must uphold their half
-// of the contract: never build a span name eagerly — pass an empty string
-// when the profiler is null (see sim::BatchEvaluator for the idiom).
+// reads, no counter syscalls and no string work (the name, category, kind
+// and counter keys are views, copied only into the record a profiled span
+// holds), so the hooks can stay compiled into the hot paths permanently
+// (the disabled-path budget is asserted by tests/obs/profile_test.cpp and
+// tracked by the primitives/span_disabled bench entry).
 //
 // Hardware counters: attach() samples a PerfCounterGroup at the attach
 // point and appends the deltas (cycles, instructions, ...) as span
@@ -33,7 +32,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -90,11 +91,11 @@ class Profiler {
 };
 
 /// RAII span: starts timing at construction, records into the profiler at
-/// destruction (or close()). With a null profiler every operation is a
-/// no-op.
+/// destruction (or close()). With a null profiler it holds no record and
+/// every operation is a no-op.
 class Span {
  public:
-  Span(Profiler* profiler, std::string name, std::string category,
+  Span(Profiler* profiler, std::string_view name, std::string_view category,
        std::uint32_t track = 0, std::uint32_t seq = 0);
   ~Span() { close(); }
 
@@ -102,9 +103,9 @@ class Span {
   Span& operator=(const Span&) = delete;
 
   /// Attaches a named counter (kept in attach order).
-  void counter(std::string key, std::uint64_t value);
+  void counter(std::string_view key, std::uint64_t value);
   /// Overrides the span kind ("conv", "dense", ...).
-  void kind(std::string kind);
+  void kind(std::string_view kind);
 
   /// Samples @p group now and appends the counter deltas (cycles,
   /// instructions, ... — whatever the host provides) when the span
@@ -116,10 +117,15 @@ class Span {
   void close();
 
  private:
-  Profiler* profiler_;
-  PerfCounterGroup* perf_ = nullptr;
-  PerfSample perf_begin_;
-  SpanRecord rec_;
+  /// What a span with a profiler carries until it closes.
+  struct Open {
+    Profiler* profiler = nullptr;
+    SpanRecord rec;
+    PerfCounterGroup* perf = nullptr;
+    PerfSample perf_begin;  ///< attach()'s hardware-counter baseline
+  };
+
+  std::optional<Open> open_;  ///< engaged only with a profiler
 };
 
 /// One row of the per-layer profile: the spans of one (category, seq,

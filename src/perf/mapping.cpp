@@ -12,10 +12,15 @@ LayerMapping map_conv(const nn::LayerDesc& l, const ArchConfig& a) {
   LayerMapping m;
   const std::uint64_t pool = l.pool > 1 ? static_cast<std::uint64_t>(l.pool) : 1;
   const std::uint64_t pool_sq = pool * pool;
-  // A window that tiles the conv output splits each sign phase of
-  // stream_length / 2 bits into pool^2 slots, as the SC executor's
-  // timetable does (sim::window_schedule); a shorter phase leaves a slot
-  // without a bit, and the executor refuses to run it.
+  // Only this refusal follows the SC executor's timetable
+  // (sim::window_schedule): a window that tiles the conv output splits
+  // each sign phase of stream_length / 2 bits into pool^2 slots, and a
+  // shorter phase leaves a slot without a bit, which the executor refuses
+  // to run. The cycle charge below does not follow it: every pooled conv
+  // runs stream_length / pool^2 cycles, also where the executor runs the
+  // conv unfused over the whole phase, because the window does not tile
+  // the output (AlexNet conv1, conv2, conv5) or the pool follows a
+  // residual add and its ReLU (ResNet-18 conv5_2b; LayerDesc::fused_pool).
   if (pool > 1 && l.out_h() % l.pool == 0 && l.out_w() % l.pool == 0 &&
       a.stream_length / 2 < pool_sq) {
     const std::string window = std::to_string(pool) + "x" + std::to_string(pool);

@@ -87,7 +87,8 @@ class InferenceBackend {
     nn::Network& net);
 
 /// Bit-level split-unipolar execution (named "sc" for kSkipping pooling,
-/// "sc-mux" for kMux).
+/// "sc-mux" for kMux: the conv unfused, then the exact binary average
+/// pool; no MUX select is modelled).
 [[nodiscard]] std::unique_ptr<InferenceBackend> make_sc_backend(
     nn::Network& net, const ScConfig& cfg);
 

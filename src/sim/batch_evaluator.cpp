@@ -33,13 +33,9 @@ EvalResult BatchEvaluator::evaluate(InferenceBackend& prototype,
 
   // Phase spans carry the hooks' hardware counters (when given), so the
   // profile attributes cycles/instructions to setup vs run vs reduce.
-  // Track 0 is fine: phases are sequential on the calling thread. The
-  // null-profiler branches keep the disabled path free of string work.
-  const bool phases = hooks.profiler != nullptr;
-
+  // Track 0 is fine: phases are sequential on the calling thread.
   // One clone per worker; the prototype only serves as the template.
-  obs::Span setup_span(hooks.profiler, phases ? "setup" : "",
-                       phases ? "phase" : "", 0, 0);
+  obs::Span setup_span(hooks.profiler, "setup", "phase", 0, 0);
   setup_span.attach(hooks.counters);
   std::vector<std::unique_ptr<InferenceBackend>> clones;
   clones.reserve(workers);
@@ -68,17 +64,14 @@ EvalResult BatchEvaluator::evaluate(InferenceBackend& prototype,
   const Clock::time_point run_start = Clock::now();
   pool_.reset_busy_peak();
   const runtime::ThreadPool::Stats sched_before = pool_.stats();
-  obs::Span run_span(hooks.profiler, phases ? "run" : "",
-                     phases ? "phase" : "", 0, 1);
+  obs::Span run_span(hooks.profiler, "run", "phase", 0, 1);
   run_span.attach(hooks.counters);
   pool_.parallel_for(n, [&](std::size_t i, unsigned worker) {
     const train::Sample& sample = data.samples[i];
     obs::Span span(hooks.profiler,
                    hooks.profiler != nullptr ? "image " + std::to_string(i)
                                              : std::string(),
-                   hooks.profiler != nullptr ? std::string("image")
-                                             : std::string(),
-                   worker, static_cast<std::uint32_t>(i));
+                   "image", worker, static_cast<std::uint32_t>(i));
     const Clock::time_point t0 = Clock::now();
     clones[worker]->forward_into(sample.image, logits[worker]);
     const Clock::time_point t1 = Clock::now();
@@ -100,8 +93,7 @@ EvalResult BatchEvaluator::evaluate(InferenceBackend& prototype,
   // nests its row jobs into this pool).
   const runtime::ThreadPool::Stats sched_after = pool_.stats();
 
-  obs::Span reduce_span(hooks.profiler, phases ? "reduce" : "",
-                        phases ? "phase" : "", 0, 2);
+  obs::Span reduce_span(hooks.profiler, "reduce", "phase", 0, 2);
   reduce_span.attach(hooks.counters);
   EvalResult result;
   result.backend = prototype.name();

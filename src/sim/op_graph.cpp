@@ -25,6 +25,7 @@ std::vector<LoweredOp> lower_graph(nn::Network& net, const LowerOptions& opt,
     LoweredOp op;
     op.kind = layer.kind();
     op.layer = &layer;
+    op.name = layer.name();
     // No default: -Wswitch keeps the lowering total over nn::OpKind.
     switch (layer.kind()) {
       case nn::OpKind::kConv2D:
@@ -119,17 +120,11 @@ void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
     }
     return *cur_buf;
   };
-  const bool profiled = profiler_ != nullptr;
   for (std::size_t s = 0; s < ops_.size(); ++s) {
     const LoweredOp& op = ops_[s];
-    // Name strings are only built when a profiler is attached — the
-    // unprofiled path must not allocate.
-    obs::Span span(profiler_, profiled ? op.layer->name() : std::string(),
-                   profiled ? std::string("layer") : std::string(), track_,
+    obs::Span span(profiler_, op.name, "layer", track_,
                    static_cast<std::uint32_t>(s));
-    if (profiled) {
-      span.kind(node_kind(op));
-    }
+    span.kind(node_kind(op));
     const RunStats before = run;
     // No default: -Wswitch keeps the walk total over nn::OpKind.
     switch (op.kind) {
@@ -185,15 +180,13 @@ void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
       next = post->forward(acc);
       land(next);
     }
-    if (profiled) {
-      span.counter("product_bits", run.product_bits - before.product_bits);
-      span.counter("skipped_operands",
-                   run.skipped_operands - before.skipped_operands);
-      span.counter("stream_bits_generated",
-                   run.stream_bits_generated - before.stream_bits_generated);
-      span.counter("stream_bits_reused",
-                   run.stream_bits_reused - before.stream_bits_reused);
-    }
+    span.counter("product_bits", run.product_bits - before.product_bits);
+    span.counter("skipped_operands",
+                 run.skipped_operands - before.skipped_operands);
+    span.counter("stream_bits_generated",
+                 run.stream_bits_generated - before.stream_bits_generated);
+    span.counter("stream_bits_reused",
+                 run.stream_bits_reused - before.stream_bits_reused);
   }
   run.scratch_bytes = arena_.high_water_bytes();
   stats_.merge(run);

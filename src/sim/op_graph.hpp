@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -63,7 +64,10 @@ namespace acoustic::sim {
 /// One executable node of the lowered graph.
 struct LoweredOp {
   nn::OpKind kind = nn::OpKind::kConv2D;  ///< the walk's dispatch key
-  nn::Layer* layer = nullptr;  ///< defining layer (names, skip save/add)
+  nn::Layer* layer = nullptr;  ///< defining layer (skip save/add)
+  /// The defining layer's name, taken once at lowering: the node's span,
+  /// `acoustic check` finding paths and validate_plans anchors read it.
+  std::string name;
   /// The weights every weighted node runs as a conv: kConv2D's layer,
   /// kSkipProject's projection, or kDense's 1x1 view (nn::Dense::conv).
   nn::Conv2D* conv = nullptr;
@@ -203,7 +207,7 @@ class GraphExecutor {
   }
 
   /// Enables per-node profiling: every forward records one category-
-  /// "layer" span per node (name = the node's layer, kind = node_kind,
+  /// "layer" span per node (name = LoweredOp::name, kind = node_kind,
   /// seq = node index, counters = the node's product_bits,
   /// skipped_operands, stream_bits_generated and stream_bits_reused
   /// deltas) on timeline lane @p track. The span covers the node's

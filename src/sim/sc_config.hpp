@@ -43,9 +43,10 @@ enum class PoolingMode {
   /// computed over a stream_length/p^2 segment and the window's counter is
   /// never reset, so concatenation performs the scaled addition for free.
   kSkipping,
-  /// Conventional MUX average pooling: every window position computed over
-  /// the full stream, then multiplexed. p^2 times more conv work; baseline
-  /// for the II-C experiment.
+  /// Pooling without skipping (the "sc-mux" backend): the conv runs
+  /// unfused over the full stream at every window position, then the
+  /// exact binary AvgPool2D averages each window. No MUX select is
+  /// modelled. p^2 times more conv work; baseline for the II-C experiment.
   kMux,
 };
 

@@ -625,32 +625,20 @@ core::Report ScNetwork::validate_plans() {
     if (!op.weighted() || scratch.table == nullptr) {
       continue;
     }
-    const std::string name = op.layer->name();
-    const ProductTable& tbl = *scratch.table;
-    if (!(tbl.sched == scratch.act_plan->sched())) {
-      report.add("plan-invariant", core::Severity::kError,
-                 name + "/product-table",
-                 "weight table was built for a different segment schedule "
-                 "than the stage last executed");
-    }
-    // The table's layout, live taps included, must be the one the stage
-    // last executed, and those taps the ones its positions really read.
-    const ConvGeometry g = conv_geometry(op, scratch.input, phase);
-    if (!(tbl.layout == g.layout)) {
-      report.add("plan-invariant", core::Severity::kError,
-                 name + "/product-table",
-                 "weight table was built for a different weight layout or "
-                 "live-tap rectangle than the stage last executed");
-    }
-    report.merge(check_live_taps(g, name + "/live-taps"));
-    // Re-derive against the live node's key. Valid right after a forward;
+    // The table's schedule and layout need no comparison: the forward
+    // re-fetches the table unless it is keyed on the ones it executes.
+    // Re-derived: the live taps of the input the stage last ran on, and
+    // the table against the live node's key. Valid right after a forward;
     // a retrain in between legitimately invalidates the table (it is
     // re-fetched on the next forward), so callers validate before mutating
     // weights.
+    const ProductTable& tbl = *scratch.table;
+    report.merge(check_live_taps(conv_geometry(op, scratch.input, phase),
+                                 op.name + "/live-taps"));
     std::vector<float> scale(tbl.layout.oc_count);
     report.merge(check_product_table(tbl, wgt_plans_->bank(),
                                      node_key(op, scale),
-                                     name + "/product-table"));
+                                     op.name + "/product-table"));
   }
   return report;
 }

@@ -82,17 +82,16 @@ class ScNetwork final : public GraphExecutor {
   [[nodiscard]] const ScConfig& config() const noexcept { return cfg_; }
 
   /// Plan-invariant verification (rule "plan-invariant"): re-derives the
-  /// invariants of every table the stages last executed — the weight
-  /// table's schedule and layout (live-tap rectangle included) matching
-  /// the executed ones (the schedule is sim::window_schedule's, which
-  /// needs no re-derivation), that
-  /// rectangle re-derived by brute force over every output position, and
+  /// invariants of every table the stages last executed — the live-tap
+  /// rectangle by brute force over every output position, and
   /// ProductTable consistency with the live node: its raw-weight + BN-scale
   /// key and the weights' sign/oc classification (live-tap-only slot
   /// lists, tap offsets, bitmap popcounts, extents, sampled own-sign
-  /// stream words bit-identical to regeneration; sim/plan_check). Run at
-  /// least one forward() first so the tables exist; stages that have not
-  /// run the planned body are skipped. Findings anchor at "<layer name>/...".
+  /// stream words bit-identical to regeneration; sim/plan_check). The
+  /// table's schedule and layout are the executed ones by construction
+  /// (a forward re-fetches a table keyed on anything else). Run at least
+  /// one forward() first so the tables exist; stages that have not run the
+  /// planned body are skipped. Findings anchor at "<LoweredOp::name>/...".
   [[nodiscard]] core::Report validate_plans();
 
  private:
@@ -104,9 +103,8 @@ class ScNetwork final : public GraphExecutor {
     /// depends only on (lanes, schedule) — fixed across images of one
     /// evaluation — so the plan object is kept and rebuilt in place, and
     /// replaced only when the stage runs on another lane count or
-    /// schedule. It is the stage's record of both. input is the volume the
-    /// stage was last fed (validate_plans re-derives the node's geometry
-    /// from it).
+    /// schedule. input is the volume the stage was last fed
+    /// (validate_plans re-derives the node's live taps from it).
     std::unique_ptr<LayerStreamPlan> act_plan;
     nn::Shape input;
     /// The stage's ProductTable from the shared store, re-fetched only

@@ -72,6 +72,22 @@ TEST(ZooCheck, ResNet18ResidualBlocksCheckClean) {
   EXPECT_FALSE(r.has_rule("residual-structure")) << r.to_string();
 }
 
+TEST(ZooCheck, ResidualCloserPoolIsNotFused) {
+  // conv5_2b closes a residual block and pools 7x7 after the skip add and
+  // the ReLU, so the executor runs it unfused: its 128-bit phase is one
+  // slot, which nothing truncates (a fused window would leave 49 slots of
+  // 2 bits and drop 30 bits per phase).
+  CheckOptions opt;
+  opt.sc.stream_length = 256;
+  const core::Report r = check_descriptor(nn::resnet18(), opt);
+  for (const core::Diagnostic& d : r.diagnostics()) {
+    EXPECT_FALSE(d.path == "ResNet-18/conv5_2b" &&
+                 d.rule == "segment-truncation")
+        << d.to_string();
+  }
+  EXPECT_EQ(r.warning_count(), 0u) << r.to_string();
+}
+
 // Broken-descriptor fixtures: the residual rules must actually fire.
 
 TEST(ZooCheck, MissingProjectionIsAResidualShapeError) {

@@ -182,7 +182,7 @@ TEST(Profile, DisabledSpanStaysWithinBudget) {
   constexpr int kIters = 1'000'000;
   const std::uint64_t begin = obs::Profiler::now_ns();
   for (int i = 0; i < kIters; ++i) {
-    obs::Span span(nullptr, std::string(), std::string());
+    obs::Span span(nullptr, {}, {});
   }
   const std::uint64_t elapsed = obs::Profiler::now_ns() - begin;
   EXPECT_LT(elapsed, 250'000'000u)

@@ -374,7 +374,7 @@ void run_primitives(obs::Bench& bench, const BenchSuiteOptions& /*options*/) {
   // (null profiler) must cost a few pointer writes; enabled adds two clock
   // reads and one mutex-guarded record.
   repeat("primitives/span_disabled", 1 << 16, [] {
-    const obs::Span span(nullptr, std::string(), std::string());
+    const obs::Span span(nullptr, {}, {});
   });
   obs::Profiler profiler;
   bench.run("primitives/span_enabled", [&] {
