@@ -608,9 +608,9 @@ core::Report check_network(nn::Network& net, std::string_view name,
     return report;
   }
   nn::Shape shape = input_shape;
-  // Shapes riding each skip connection, keyed by the shared SkipState so
-  // save / project / add triples pair up exactly like they do at runtime.
-  std::map<const nn::SkipState*, nn::Shape> skip_shapes;
+  // Shapes riding each skip connection, keyed by its identity so save /
+  // project / add triples pair up exactly like they do at runtime.
+  std::map<const void*, nn::Shape> skip_shapes;
   // The volume each weighted layer is fed (a projection: the saved skip
   // tensor), keyed by the layer its lowered node carries.
   std::map<const nn::Layer*, nn::Shape> node_inputs;
@@ -627,12 +627,12 @@ core::Report check_network(nn::Network& net, std::string_view name,
     const std::string path = prefix + layer.name();
     try {
       if (layer.kind() == nn::Layer::Kind::kSkipSave) {
-        skip_shapes[static_cast<nn::SkipSave&>(layer).state().get()] = shape;
+        skip_shapes[static_cast<nn::SkipSave&>(layer).connection()] = shape;
         continue;  // identity on the main path
       }
       if (layer.kind() == nn::Layer::Kind::kSkipProject) {
         auto& proj = static_cast<nn::SkipProject&>(layer);
-        const auto it = skip_shapes.find(proj.state().get());
+        const auto it = skip_shapes.find(proj.connection());
         if (it == skip_shapes.end()) {
           report.add("residual-structure", Severity::kError, path,
                      "skip projection runs before any paired skip save "
@@ -645,8 +645,8 @@ core::Report check_network(nn::Network& net, std::string_view name,
         continue;  // identity on the main path
       }
       if (layer.kind() == nn::Layer::Kind::kSkipAdd) {
-        auto& add = static_cast<nn::SkipAdd&>(layer);
-        const auto it = skip_shapes.find(add.state().get());
+        const auto it = skip_shapes.find(
+            static_cast<nn::SkipAdd&>(layer).connection());
         if (it == skip_shapes.end()) {
           report.add("residual-structure", Severity::kError, path,
                      "skip add runs before any paired skip save recorded "

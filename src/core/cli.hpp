@@ -24,6 +24,7 @@
 #include <charconv>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -108,21 +109,18 @@ T parse_number(const std::string& text) {
   return value;
 }
 
-/// Strict number (see parse_number).
+/// Strict number in [@p min, @p max] (see parse_number).
 template <class T>
 Option number(std::string flag, std::string value, std::string help,
-              T& target) {
+              T& target, T min = std::numeric_limits<T>::lowest(),
+              T max = std::numeric_limits<T>::max()) {
   return {std::move(flag), std::move(value), std::move(help),
-          [&target](const std::string& v) { target = parse_number<T>(v); }};
-}
-
-/// Strict number no larger than @p max (see parse_number).
-template <class T>
-Option number(std::string flag, std::string value, std::string help,
-              T& target, T max) {
-  return {std::move(flag), std::move(value), std::move(help),
-          [&target, max](const std::string& v) {
+          [&target, min, max](const std::string& v) {
             const T n = parse_number<T>(v);
+            if (n < min) {
+              throw UsageError("value '" + v + "' is below the minimum " +
+                               std::to_string(min));
+            }
             if (n > max) {
               throw UsageError("value '" + v + "' is above the limit " +
                                std::to_string(max));

@@ -6,20 +6,14 @@ namespace acoustic::nn {
 
 Tensor ReLU::forward(const Tensor& input) {
   input_ = input;
-  Tensor out(input.shape());
+  return inferred(input, nullptr);
+}
+
+void ReLU::infer(const Tensor& input, Tensor& out, Tensor*) const {
+  out.resize(input.shape());
   for (std::size_t i = 0; i < input.size(); ++i) {
     out[i] = input[i] > 0.0f ? input[i] : 0.0f;
   }
-  return out;
-}
-
-bool ReLU::forward_in_place(Tensor& x) {
-  // Same elementwise clamp as forward(); skips the backward() input cache,
-  // so inference callers pay no copy and no allocation.
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  }
-  return true;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
@@ -32,13 +26,16 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 Tensor OrSaturation::forward(const Tensor& input) {
   input_ = input;
-  Tensor out(input.shape());
+  return inferred(input, nullptr);
+}
+
+void OrSaturation::infer(const Tensor& input, Tensor& out, Tensor*) const {
+  out.resize(input.shape());
   for (std::size_t i = 0; i < input.size(); ++i) {
     const float s = input[i];
     const float mag = 1.0f - std::exp(-std::fabs(s));
     out[i] = s >= 0.0f ? mag : -mag;
   }
-  return out;
 }
 
 Tensor OrSaturation::backward(const Tensor& grad_output) {

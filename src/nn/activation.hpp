@@ -22,7 +22,7 @@ namespace acoustic::nn {
 class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& input) override;
-  bool forward_in_place(Tensor& x) override;
+  void infer(const Tensor& input, Tensor& out, Tensor* skip) const override;
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] Kind kind() const noexcept override { return Kind::kReLU; }
   [[nodiscard]] Shape output_shape(Shape input) const override {
@@ -38,6 +38,7 @@ class ReLU final : public Layer {
 class OrSaturation final : public Layer {
  public:
   Tensor forward(const Tensor& input) override;
+  void infer(const Tensor& input, Tensor& out, Tensor* skip) const override;
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] Kind kind() const noexcept override {
     return Kind::kOrSaturation;

@@ -66,24 +66,22 @@ Shape BatchNorm::output_shape(Shape input) const {
 }
 
 Tensor BatchNorm::forward(const Tensor& input) {
-  Tensor out = input;
-  (void)forward_in_place(out);
   input_ = input;
-  return out;
+  return inferred(input, nullptr);
 }
 
-bool BatchNorm::forward_in_place(Tensor& x) {
-  const Shape s = output_shape(x.shape());
+void BatchNorm::infer(const Tensor& input, Tensor& out, Tensor*) const {
+  const Shape s = output_shape(input.shape());
+  out.resize(s);
   for (int c = 0; c < s.c; ++c) {
     const float a = scale(c);
     const float b = shift(c);
     for (int y = 0; y < s.h; ++y) {
       for (int xx = 0; xx < s.w; ++xx) {
-        x.at(y, xx, c) = a * x.at(y, xx, c) + b;
+        out.at(y, xx, c) = a * input.at(y, xx, c) + b;
       }
     }
   }
-  return true;
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_output) {

@@ -27,7 +27,7 @@ class BatchNorm final : public Layer {
   explicit BatchNorm(const BatchNormSpec& spec);
 
   Tensor forward(const Tensor& input) override;
-  bool forward_in_place(Tensor& x) override;
+  void infer(const Tensor& input, Tensor& out, Tensor* skip) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<ParamView> parameters() override;
   void zero_gradients() override;

@@ -214,14 +214,26 @@ void Conv2D::zero_gradients() {
 }
 
 Tensor Conv2D::forward(const Tensor& input) {
-  const Shape out_shape = output_shape(input.shape());  // rejects a mismatch
+  Tensor out;
+  compute(input, out, &sum_pos_, &sum_neg_);
   input_ = input;
-  Tensor out(out_shape);
+  return out;
+}
+
+void Conv2D::infer(const Tensor& input, Tensor& out, Tensor*) const {
+  compute(input, out, nullptr, nullptr);
+}
+
+void Conv2D::compute(const Tensor& input, Tensor& out, Tensor* pos,
+                     Tensor* neg) const {
+  const Shape out_shape = output_shape(input.shape());  // rejects a mismatch
+  out.resize(out_shape);
   with_mode(spec_.mode, [&](auto mode) {
     constexpr AccumMode M = decltype(mode)::value;
-    if constexpr (M != AccumMode::kSum) {
-      sum_pos_ = Tensor(out_shape);
-      sum_neg_ = Tensor(out_shape);
+    const bool record = M != AccumMode::kSum && pos != nullptr;
+    if (record) {
+      pos->resize(out_shape);
+      neg->resize(out_shape);
     }
     std::size_t o = 0;  // out.index(oy, ox, oc)
     for (int oy = 0; oy < out_shape.h; ++oy) {
@@ -233,15 +245,14 @@ Tensor Conv2D::forward(const Tensor& input) {
                              acc.add(input[ai], weights_[wi]);
                            });
           out[o] = acc.output();
-          if constexpr (M != AccumMode::kSum) {
-            sum_pos_[o] = static_cast<float>(acc.pos);
-            sum_neg_[o] = static_cast<float>(acc.neg);
+          if (record) {
+            (*pos)[o] = static_cast<float>(acc.pos);
+            (*neg)[o] = static_cast<float>(acc.neg);
           }
         }
       }
     }
   });
-  return out;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {

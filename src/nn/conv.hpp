@@ -41,6 +41,7 @@ class Conv2D final : public Layer {
   explicit Conv2D(const ConvSpec& spec);
 
   Tensor forward(const Tensor& input) override;
+  void infer(const Tensor& input, Tensor& out, Tensor* skip) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<ParamView> parameters() override;
   void zero_gradients() override;
@@ -80,6 +81,11 @@ class Conv2D final : public Layer {
   }
 
  private:
+  /// infer()'s body; forward() also records each output's two sign-phase
+  /// accumulators in @p pos and @p neg (the OR modes only).
+  void compute(const Tensor& input, Tensor& out, Tensor* pos,
+               Tensor* neg) const;
+
   ConvSpec spec_;
   std::vector<float> weights_;
   std::vector<float> weight_grads_;

@@ -39,12 +39,20 @@ std::string Dense::name() const {
          std::to_string(spec_.out_features) + ")";
 }
 
-Tensor Dense::forward(const Tensor& input) {
+Tensor Dense::flatten(const Tensor& input) const {
   (void)output_shape(input.shape());  // rejects a mismatched input
-  input_shape_ = input.shape();
   Tensor flat = Tensor::vector(spec_.in_features);
   std::ranges::copy(input.data(), flat.data().begin());
-  return conv_.forward(flat);
+  return flat;
+}
+
+Tensor Dense::forward(const Tensor& input) {
+  input_shape_ = input.shape();
+  return conv_.forward(flatten(input));
+}
+
+void Dense::infer(const Tensor& input, Tensor& out, Tensor*) const {
+  conv_.infer(flatten(input), out, nullptr);
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {

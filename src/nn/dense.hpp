@@ -29,6 +29,7 @@ class Dense final : public Layer {
   explicit Dense(const DenseSpec& spec);
 
   Tensor forward(const Tensor& input) override;
+  void infer(const Tensor& input, Tensor& out, Tensor* skip) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<ParamView> parameters() override { return conv_.parameters(); }
   void zero_gradients() override { conv_.zero_gradients(); }
@@ -59,6 +60,9 @@ class Dense final : public Layer {
   }
 
  private:
+  /// @p input as the conv's 1x1xN input (rejects a wrong feature count).
+  [[nodiscard]] Tensor flatten(const Tensor& input) const;
+
   DenseSpec spec_;
   Conv2D conv_;
   Shape input_shape_;  // forward's input: the shape backward returns

@@ -1,8 +1,10 @@
 // Layer interface for the CNN substrate.
 //
-// Layers own their parameters and parameter gradients and cache whatever
-// they need from forward() to run backward(). The weighted layers (conv,
-// dense) support three accumulation modes:
+// Layers own their parameters and parameter gradients. infer() runs a
+// layer for inference: const, it caches nothing, so one network serves any
+// number of concurrent executors. forward() is the same arithmetic plus
+// the caches backward() reads. The weighted layers (conv, dense) support
+// three accumulation modes:
 //
 //   kSum      — conventional dot-product accumulation (the fixed-point /
 //               float baseline arithmetic).
@@ -50,17 +52,13 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Computes the layer output for @p input, caching activations needed by
-  /// backward().
+  /// backward(). Same bits as infer().
   virtual Tensor forward(const Tensor& input) = 0;
 
-  /// Inference-only in-place variant: overwrites @p x with forward(x) and
-  /// returns true when the layer supports it (same bits as forward(), but
-  /// no allocation and no backward() caching). Default: unsupported —
-  /// callers fall back to forward(). Shape-preserving layers only.
-  virtual bool forward_in_place(Tensor& x) {
-    (void)x;
-    return false;
-  }
+  /// Writes the output for @p input into @p out (another tensor), reusing
+  /// its capacity. A skip layer (nn/residual.hpp) also uses @p skip, its
+  /// connection's tensor, which the caller owns; other layers ignore it.
+  virtual void infer(const Tensor& input, Tensor& out, Tensor* skip) const = 0;
 
   /// Propagates @p grad_output (dLoss/dOutput) to dLoss/dInput, adding
   /// parameter gradients along the way.
@@ -83,6 +81,14 @@ class Layer {
 
   /// Human-readable layer name for reports.
   [[nodiscard]] virtual std::string name() const = 0;
+
+ protected:
+  /// infer() into a fresh tensor: what forward() returns.
+  [[nodiscard]] Tensor inferred(const Tensor& input, Tensor* skip) const {
+    Tensor out;
+    infer(input, out, skip);
+    return out;
+  }
 };
 
 }  // namespace acoustic::nn

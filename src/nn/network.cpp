@@ -83,9 +83,10 @@ Network Network::clone() {
   Network copy;
   // Skip pairs in the clone must share a *new* state object, mirroring the
   // original pairing.
-  std::unordered_map<SkipState*, std::shared_ptr<SkipState>> skip_states;
-  const auto cloned_state = [&](const std::shared_ptr<SkipState>& state) {
-    auto& mapped = skip_states[state.get()];
+  std::unordered_map<const void*, std::shared_ptr<SkipState>> skip_states;
+  const auto cloned_state = [&](const Layer& skip) {
+    auto& mapped =
+        skip_states[static_cast<const SkipLayer&>(skip).connection()];
     if (mapped == nullptr) {
       mapped = std::make_shared<SkipState>();
     }
@@ -112,19 +113,16 @@ Network Network::clone() {
         copy.add<OrSaturation>();
         break;
       case Layer::Kind::kSkipSave:
-        copy.add<SkipSave>(
-            cloned_state(static_cast<const SkipSave&>(*layer).state()));
+        copy.add<SkipSave>(cloned_state(*layer));
         break;
       case Layer::Kind::kSkipAdd:
-        copy.add<SkipAdd>(
-            cloned_state(static_cast<const SkipAdd&>(*layer).state()));
+        copy.add<SkipAdd>(cloned_state(*layer));
         break;
-      case Layer::Kind::kSkipProject: {
-        const auto& proj = static_cast<const SkipProject&>(*layer);
-        copy.add<SkipProject>(cloned_state(proj.state()),
-                              proj.conv().spec());
+      case Layer::Kind::kSkipProject:
+        copy.add<SkipProject>(
+            cloned_state(*layer),
+            static_cast<const SkipProject&>(*layer).conv().spec());
         break;
-      }
       case Layer::Kind::kBatchNorm:
         copy.add<BatchNorm>(static_cast<const BatchNorm&>(*layer).spec());
         break;

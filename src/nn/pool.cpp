@@ -20,8 +20,12 @@ std::string AvgPool2D::name() const {
 
 Tensor AvgPool2D::forward(const Tensor& input) {
   input_shape_ = input.shape();
-  const Shape out_shape = output_shape(input_shape_);
-  Tensor out(out_shape);
+  return inferred(input, nullptr);
+}
+
+void AvgPool2D::infer(const Tensor& input, Tensor& out, Tensor*) const {
+  const Shape out_shape = output_shape(input.shape());
+  out.resize(out_shape);
   const float inv = 1.0f / static_cast<float>(window_ * window_);
   for (int oy = 0; oy < out_shape.h; ++oy) {
     for (int ox = 0; ox < out_shape.w; ++ox) {
@@ -36,7 +40,6 @@ Tensor AvgPool2D::forward(const Tensor& input) {
       }
     }
   }
-  return out;
 }
 
 Tensor AvgPool2D::backward(const Tensor& grad_output) {
@@ -72,34 +75,52 @@ std::string MaxPool2D::name() const {
   return "maxpool" + std::to_string(window_) + "x" + std::to_string(window_);
 }
 
-Tensor MaxPool2D::forward(const Tensor& input) {
-  input_shape_ = input.shape();
-  const Shape out_shape = output_shape(input_shape_);
-  Tensor out(out_shape);
-  argmax_.assign(out_shape.size(), 0);
+namespace {
+
+/// MaxPool2D's body over @p window x @p window tiles into an @p out_shape
+/// output; forward() also records each output's winning input index in
+/// @p argmax.
+void max_pool(int window, Shape out_shape, const Tensor& input, Tensor& out,
+              std::vector<std::size_t>* argmax) {
+  out.resize(out_shape);
+  if (argmax != nullptr) {
+    argmax->assign(out_shape.size(), 0);
+  }
   std::size_t oi = 0;
   for (int oy = 0; oy < out_shape.h; ++oy) {
     for (int ox = 0; ox < out_shape.w; ++ox) {
       for (int c = 0; c < out_shape.c; ++c, ++oi) {
-        float best = input.at(oy * window_, ox * window_, c);
-        std::size_t best_idx = input.index(oy * window_, ox * window_, c);
-        for (int dy = 0; dy < window_; ++dy) {
-          for (int dx = 0; dx < window_; ++dx) {
-            const float v =
-                input.at(oy * window_ + dy, ox * window_ + dx, c);
+        float best = input.at(oy * window, ox * window, c);
+        std::size_t best_idx = input.index(oy * window, ox * window, c);
+        for (int dy = 0; dy < window; ++dy) {
+          for (int dx = 0; dx < window; ++dx) {
+            const float v = input.at(oy * window + dy, ox * window + dx, c);
             if (v > best) {
               best = v;
-              best_idx =
-                  input.index(oy * window_ + dy, ox * window_ + dx, c);
+              best_idx = input.index(oy * window + dy, ox * window + dx, c);
             }
           }
         }
         out.at(oy, ox, c) = best;
-        argmax_[oi] = best_idx;
+        if (argmax != nullptr) {
+          (*argmax)[oi] = best_idx;
+        }
       }
     }
   }
+}
+
+}  // namespace
+
+Tensor MaxPool2D::forward(const Tensor& input) {
+  input_shape_ = input.shape();
+  Tensor out;
+  max_pool(window_, output_shape(input_shape_), input, out, &argmax_);
   return out;
+}
+
+void MaxPool2D::infer(const Tensor& input, Tensor& out, Tensor*) const {
+  max_pool(window_, output_shape(input.shape()), input, out, nullptr);
 }
 
 Tensor MaxPool2D::backward(const Tensor& grad_output) {

@@ -20,6 +20,7 @@ class AvgPool2D final : public Layer {
   explicit AvgPool2D(int window);
 
   Tensor forward(const Tensor& input) override;
+  void infer(const Tensor& input, Tensor& out, Tensor* skip) const override;
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] Kind kind() const noexcept override {
     return Kind::kAvgPool2D;
@@ -40,6 +41,7 @@ class MaxPool2D final : public Layer {
   explicit MaxPool2D(int window);
 
   Tensor forward(const Tensor& input) override;
+  void infer(const Tensor& input, Tensor& out, Tensor* skip) const override;
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] Kind kind() const noexcept override {
     return Kind::kMaxPool2D;

@@ -1,25 +1,24 @@
 #include "nn/residual.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace acoustic::nn {
 
-SkipSave::SkipSave(std::shared_ptr<SkipState> state)
+SkipLayer::SkipLayer(std::shared_ptr<SkipState> state, const char* who)
     : state_(std::move(state)) {
   if (state_ == nullptr) {
-    throw std::invalid_argument("SkipSave: null state");
+    throw std::invalid_argument(std::string(who) + ": null state");
   }
 }
 
 Tensor SkipSave::forward(const Tensor& input) {
-  Tensor out = input;
-  (void)forward_in_place(out);
-  return out;
+  return inferred(input, &state_->saved);
 }
 
-bool SkipSave::forward_in_place(Tensor& x) {
-  state_->saved = x;
-  return true;
+void SkipSave::infer(const Tensor& input, Tensor& out, Tensor* skip) const {
+  *skip = input;
+  out = input;
 }
 
 Tensor SkipSave::backward(const Tensor& grad_output) {
@@ -35,14 +34,6 @@ Tensor SkipSave::backward(const Tensor& grad_output) {
   return combined;
 }
 
-SkipProject::SkipProject(std::shared_ptr<SkipState> state,
-                         const ConvSpec& spec)
-    : state_(std::move(state)), proj_(spec) {
-  if (state_ == nullptr) {
-    throw std::invalid_argument("SkipProject: null state");
-  }
-}
-
 Tensor SkipProject::forward(const Tensor& input) {
   if (state_->saved.size() == 0) {
     throw std::logic_error(
@@ -50,6 +41,14 @@ Tensor SkipProject::forward(const Tensor& input) {
   }
   state_->saved = proj_.forward(state_->saved);
   return input;
+}
+
+void SkipProject::infer(const Tensor& input, Tensor& out,
+                        Tensor* skip) const {
+  Tensor projected;
+  proj_.infer(*skip, projected, nullptr);
+  *skip = std::move(projected);
+  out = input;
 }
 
 Tensor SkipProject::backward(const Tensor& grad_output) {
@@ -62,30 +61,20 @@ Tensor SkipProject::backward(const Tensor& grad_output) {
   return grad_output;
 }
 
-SkipAdd::SkipAdd(std::shared_ptr<SkipState> state)
-    : state_(std::move(state)) {
-  if (state_ == nullptr) {
-    throw std::invalid_argument("SkipAdd: null state");
-  }
-}
-
 Tensor SkipAdd::forward(const Tensor& input) {
-  Tensor out = input;
-  (void)forward_in_place(out);
-  return out;
+  return inferred(input, &state_->saved);
 }
 
-bool SkipAdd::forward_in_place(Tensor& x) {
-  const Tensor& saved = state_->saved;
-  if (saved.shape() != x.shape()) {
+void SkipAdd::infer(const Tensor& input, Tensor& out, Tensor* skip) const {
+  if (skip->shape() != input.shape()) {
     throw std::invalid_argument(
         "SkipAdd: skip tensor shape does not match block output (is the "
         "skip-path projection missing?)");
   }
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] += saved[i];
+  out = input;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] += (*skip)[i];
   }
-  return true;
 }
 
 Tensor SkipAdd::backward(const Tensor& grad_output) {

@@ -21,6 +21,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <string>
 
 #include "nn/network.hpp"
 #include "sim/op_graph.hpp"
@@ -44,9 +46,16 @@ struct BipolarConfig {
 /// does.
 class BipolarNetwork final : public GraphExecutor {
  public:
-  BipolarNetwork(nn::Network& net, BipolarConfig cfg);
+  /// Reads @p net live; it must outlive this object and its clones.
+  BipolarNetwork(const nn::Network& net, BipolarConfig cfg)
+      : BipolarNetwork(live(net), cfg) {}
+  /// Runs on @p net, which clone() shares.
+  BipolarNetwork(std::shared_ptr<const nn::Network> net, BipolarConfig cfg);
 
-  [[nodiscard]] const BipolarConfig& config() const noexcept { return cfg_; }
+  [[nodiscard]] std::string name() const override { return "bipolar"; }
+  [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
+    return std::make_unique<BipolarNetwork>(net_, cfg_);
+  }
 
  private:
   /// Runs a weighted node — conv, dense (as its 1x1 conv) or a skip-path

@@ -7,21 +7,36 @@
 
 namespace acoustic::sim {
 
-std::vector<LoweredOp> lower_graph(nn::Network& net, const LowerOptions& opt,
-                                   const char* who) {
+std::vector<LoweredOp> lower_graph(const nn::Network& net,
+                                   const LowerOptions& opt, const char* who) {
   std::vector<LoweredOp> ops;
   std::size_t i = 0;
   // Consumes and returns the next layer when @p enabled and it is a
   // @p kind; nullptr otherwise.
   const auto absorb = [&net, &i](bool enabled,
-                                 nn::OpKind kind) -> nn::Layer* {
+                                 nn::OpKind kind) -> const nn::Layer* {
     if (!enabled || i == net.layer_count() || net.layer(i).kind() != kind) {
       return nullptr;
     }
     return &net.layer(i++);
   };
+  // Skip connections in save order: a projection or an add finds its open.
+  std::vector<const void*> connections;
+  const auto connection_of = [&](const nn::Layer& skip) {
+    const void* id = static_cast<const nn::SkipLayer&>(skip).connection();
+    const auto it = std::find(connections.begin(), connections.end(), id);
+    if (it != connections.end()) {
+      return static_cast<std::size_t>(it - connections.begin());
+    }
+    if (skip.kind() != nn::OpKind::kSkipSave) {
+      throw std::invalid_argument(std::string(who) + ": " + skip.name() +
+                                  " comes before its connection's skip-save");
+    }
+    connections.push_back(id);
+    return connections.size() - 1;
+  };
   while (i < net.layer_count()) {
-    nn::Layer& layer = net.layer(i++);
+    const nn::Layer& layer = net.layer(i++);
     LoweredOp op;
     op.kind = layer.kind();
     op.layer = &layer;
@@ -29,30 +44,25 @@ std::vector<LoweredOp> lower_graph(nn::Network& net, const LowerOptions& opt,
     // No default: -Wswitch keeps the lowering total over nn::OpKind.
     switch (layer.kind()) {
       case nn::OpKind::kConv2D:
-        op.conv = static_cast<nn::Conv2D*>(&layer);
-        op.bn = static_cast<nn::BatchNorm*>(
+        op.conv = static_cast<const nn::Conv2D*>(&layer);
+        op.bn = static_cast<const nn::BatchNorm*>(
             absorb(opt.fold_batch_norm, nn::OpKind::kBatchNorm));
-        op.fused_pool = static_cast<nn::AvgPool2D*>(
+        op.fused_pool = static_cast<const nn::AvgPool2D*>(
             absorb(opt.fuse_avg_pool, nn::OpKind::kAvgPool2D));
         break;
       case nn::OpKind::kDense:
-        op.conv = &static_cast<nn::Dense&>(layer).conv();
+        op.conv = &static_cast<const nn::Dense&>(layer).conv();
         break;
       case nn::OpKind::kMaxPool2D:
-        op.max_pool = static_cast<nn::MaxPool2D*>(&layer);
+        op.max_pool = static_cast<const nn::MaxPool2D*>(&layer);
         break;
+      case nn::OpKind::kSkipProject:
+        op.conv = &static_cast<const nn::SkipProject&>(layer).conv();
+        [[fallthrough]];
       case nn::OpKind::kSkipSave:
-        op.skip = static_cast<nn::SkipSave&>(layer).state().get();
-        break;
       case nn::OpKind::kSkipAdd:
-        op.skip = static_cast<nn::SkipAdd&>(layer).state().get();
+        op.skip = connection_of(layer);
         break;
-      case nn::OpKind::kSkipProject: {
-        auto& proj = static_cast<nn::SkipProject&>(layer);
-        op.conv = &proj.conv();
-        op.skip = proj.state().get();
-        break;
-      }
       // Binary-domain layers attach to the previous node; they run after
       // its stochastic body in plain float arithmetic.
       case nn::OpKind::kAvgPool2D:
@@ -81,14 +91,20 @@ const char* node_kind(const LoweredOp& op) noexcept {
   return nn::to_string(op.kind);
 }
 
-GraphExecutor::GraphExecutor(nn::Network& net, const LowerOptions& opt,
-                             const char* who)
-    : ops_(lower_graph(net, opt, who)), who_(who) {}
+GraphExecutor::GraphExecutor(std::shared_ptr<const nn::Network> net,
+                             const LowerOptions& opt, const char* who)
+    : net_(std::move(net)), ops_(lower_graph(*net_, opt, who)) {
+  for (const LoweredOp& op : ops_) {
+    if (op.kind == nn::OpKind::kSkipSave) {
+      skips_.resize(std::max(skips_.size(), op.skip + 1));
+    }
+  }
+}
 
 void GraphExecutor::run_max_pool(const LoweredOp& op, const nn::Tensor& input,
                                  nn::Tensor& out, RunStats& run) {
   (void)run;
-  out = op.max_pool->forward(input);
+  op.max_pool->infer(input, out, nullptr);
 }
 
 void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
@@ -99,8 +115,9 @@ void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
   // One scratch epoch per forward: the first call grows the arena to the
   // network's high-water mark, every later call only bumps pointers.
   arena_.reset();
-  // Nodes ping-pong between the two member buffers; the external input is
-  // read-only, so the first node writes buf_a_.
+  // Nodes ping-pong between the two member buffers, each writing the one
+  // the current activation is not in; the external input is read-only, so
+  // the first node writes buf_a_.
   const nn::Tensor* cur = &input;
   nn::Tensor* cur_buf = nullptr;
   const auto flip = [&]() -> nn::Tensor& {
@@ -110,15 +127,11 @@ void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
     cur_buf = &dst;
     cur = cur_buf;
   };
-  // A node that works in place (skip save/add, a post-op) needs a writable
-  // buffer: copy-on-first-write of the external input.
-  const auto writable = [&]() -> nn::Tensor& {
-    if (cur_buf == nullptr) {
-      nn::Tensor& dst = flip();
-      dst = *cur;
-      land(dst);
-    }
-    return *cur_buf;
+  // Binary-domain arithmetic, defined by the layer.
+  const auto apply = [&](const nn::Layer& layer, nn::Tensor* skip) {
+    nn::Tensor& dst = flip();
+    layer.infer(*cur, dst, skip);
+    land(dst);
   };
   for (std::size_t s = 0; s < ops_.size(); ++s) {
     const LoweredOp& op = ops_[s];
@@ -136,17 +149,13 @@ void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
         break;
       }
       case nn::OpKind::kSkipProject: {
-        // Transforms the saved skip tensor; the main path passes through.
-        // Swap rather than copy: saved takes the projected tensor,
-        // skip_buf_ keeps the old capacity for the next block.
-        nn::SkipState& skip = *op.skip;
-        if (skip.saved.size() == 0) {
-          throw std::logic_error(std::string(who_) +
-                                 ": skip-project before any skip-save "
-                                 "recorded a tensor");
-        }
-        run_weighted(op, s, skip.saved, skip_buf_, run);
-        std::swap(skip.saved, skip_buf_);
+        // Transforms the connection's skip tensor; the main path passes
+        // through. Swap rather than copy: the skip tensor takes the
+        // projected one, skip_buf_ keeps the old capacity for the next
+        // block.
+        nn::Tensor& skip = skips_[op.skip];
+        run_weighted(op, s, skip, skip_buf_, run);
+        std::swap(skip, skip_buf_);
         break;
       }
       case nn::OpKind::kMaxPool2D: {
@@ -156,9 +165,8 @@ void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
         break;
       }
       case nn::OpKind::kSkipSave:
-      case nn::OpKind::kSkipAdd:
-        // Binary-domain arithmetic (counter preload), defined by the layer.
-        (void)op.layer->forward_in_place(writable());
+      case nn::OpKind::kSkipAdd:  // counter preload
+        apply(*op.layer, &skips_[op.skip]);
         break;
       // lower_graph attaches binary-domain layers to the preceding node's
       // post_ops; they never form a node of their own.
@@ -169,16 +177,8 @@ void GraphExecutor::forward_into(const nn::Tensor& input, nn::Tensor& out) {
         break;
     }
     run.layers_run += op.weighted() ? 1 : 0;
-    for (nn::Layer* post : op.post_ops) {
-      // Shape-preserving post-ops (ReLU, BatchNorm) run in place; the rest
-      // (e.g. an unfused pooling layer) take the allocating forward.
-      nn::Tensor& acc = writable();
-      if (post->forward_in_place(acc)) {
-        continue;
-      }
-      nn::Tensor& next = flip();
-      next = post->forward(acc);
-      land(next);
+    for (const nn::Layer* post : op.post_ops) {
+      apply(*post, nullptr);
     }
     span.counter("product_bits", run.product_bits - before.product_bits);
     span.counter("skipped_operands",

@@ -16,20 +16,22 @@
 //   - kDense opens a weighted node whose conv is the layer's 1x1 view
 //     (nn::Dense::conv), run over its input viewed as 1x1xN.
 //   - kSkipSave / kSkipAdd / kSkipProject become explicit nodes carrying
-//     their shared SkipState, so residual topologies (identity blocks and
-//     projection downsamples) execute through the ordinary walk without
-//     executor special-casing. kSkipProject is a weighted node: its
-//     projection conv runs on the saved skip tensor.
+//     the index of their skip connection, so residual topologies (identity
+//     blocks and projection downsamples) execute through the ordinary walk
+//     without executor special-casing. kSkipProject is a weighted node: its
+//     projection conv runs on the connection's skip tensor.
 //   - kMaxPool2D becomes its own node; the executor picks exact binary max
 //     or the stochastic max FSM per its MaxPoolMode policy.
 //   - Everything else (ReLU, OrSaturation, an unfused AvgPool2D, an
 //     unfolded BatchNorm) attaches to the previous node's binary-domain
 //     post-op list.
 //
-// GraphExecutor runs that node list: one walk owns the activation
-// buffers, the skip nodes, the post-ops, the per-node spans and the
-// stats, and asks its executor for two bodies only, the weighted node and
-// the max pool. Node i is therefore the same node on every backend.
+// GraphExecutor, the InferenceBackend of every datapath, runs that node
+// list: one walk owns the activation buffers, one skip tensor per
+// connection, the post-ops, the per-node spans and the stats, and asks its
+// executor for two bodies only, the weighted node and the max pool. Node i
+// is therefore the same node on every backend. The walk reads the network
+// through const nodes and nn::Layer::infer only, so executors share it.
 //
 // This module is also the one owner of what a weighted node computes:
 // sc_lower_options (the lowering the SC datapath runs), the fused pool's
@@ -42,6 +44,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -64,18 +67,18 @@ namespace acoustic::sim {
 /// One executable node of the lowered graph.
 struct LoweredOp {
   nn::OpKind kind = nn::OpKind::kConv2D;  ///< the walk's dispatch key
-  nn::Layer* layer = nullptr;  ///< defining layer (skip save/add)
+  const nn::Layer* layer = nullptr;  ///< defining layer (skip save/add)
   /// The defining layer's name, taken once at lowering: the node's span,
   /// `acoustic check` finding paths and validate_plans anchors read it.
   std::string name;
   /// The weights every weighted node runs as a conv: kConv2D's layer,
   /// kSkipProject's projection, or kDense's 1x1 view (nn::Dense::conv).
-  nn::Conv2D* conv = nullptr;
-  nn::BatchNorm* bn = nullptr;  ///< folded into the conv's weight levels
-  nn::AvgPool2D* fused_pool = nullptr;  ///< skipping-fused average pool
-  nn::MaxPool2D* max_pool = nullptr;    ///< kMaxPool2D
-  nn::SkipState* skip = nullptr;  ///< kSkipSave / kSkipAdd / kSkipProject
-  std::vector<nn::Layer*> post_ops;  ///< run in the binary domain
+  const nn::Conv2D* conv = nullptr;
+  const nn::BatchNorm* bn = nullptr;  ///< folded into the weight levels
+  const nn::AvgPool2D* fused_pool = nullptr;  ///< skipping-fused avg pool
+  const nn::MaxPool2D* max_pool = nullptr;    ///< kMaxPool2D
+  std::size_t skip = 0;  ///< skip nodes: their connection, in save order
+  std::vector<const nn::Layer*> post_ops;  ///< run in the binary domain
 
   /// Weighted nodes run the stochastic datapath and own per-stage plans.
   [[nodiscard]] bool weighted() const noexcept { return conv != nullptr; }
@@ -102,8 +105,9 @@ struct LowerOptions {
 
 /// Lowers @p net into the executable op graph. Throws
 /// std::invalid_argument (prefixed with @p who) if a binary-domain layer
-/// appears before any node exists to attach it to.
-[[nodiscard]] std::vector<LoweredOp> lower_graph(nn::Network& net,
+/// appears before any node exists to attach it to, or a skip layer before
+/// its connection's save.
+[[nodiscard]] std::vector<LoweredOp> lower_graph(const nn::Network& net,
                                                  const LowerOptions& opt,
                                                  const char* who);
 
@@ -168,24 +172,67 @@ struct RunStats {
 /// "max-pool".
 [[nodiscard]] const char* node_kind(const LoweredOp& op) noexcept;
 
-/// The one walk over a lowered graph that every executor runs. It owns
-/// what all backends share: the ping-pong activation buffers (the external
-/// input is read-only), the skip nodes (save and add run nn::SkipSave and
-/// nn::SkipAdd in place; a projection runs the weighted body on the saved
-/// tensor into a staging buffer), the binary-domain post-ops, the node
-/// spans, the per-forward scratch arena and the stats. An executor derives
-/// from it and supplies two bodies: run_weighted and run_max_pool (exact
-/// binary max unless overridden). Dispatch is one virtual call per node;
-/// nothing on the per-node path allocates once the buffers and the arena
-/// have grown to the network's high-water mark.
-class GraphExecutor {
+/// One functional execution path for a fixed trained network;
+/// GraphExecutor implements it for every built-in datapath.
+class InferenceBackend {
  public:
-  virtual ~GraphExecutor() = default;
-  GraphExecutor(const GraphExecutor&) = delete;
-  GraphExecutor& operator=(const GraphExecutor&) = delete;
+  virtual ~InferenceBackend() = default;
 
+  InferenceBackend() = default;
+  InferenceBackend(const InferenceBackend&) = delete;
+  InferenceBackend& operator=(const InferenceBackend&) = delete;
+
+  /// Stable identifier ("float", "sc", "sc-mux", "bipolar").
+  [[nodiscard]] virtual std::string name() const = 0;
+
+  /// Independent twin: same weights and configuration, fresh scratch,
+  /// zeroed stats. Safe to run concurrently with this backend.
+  [[nodiscard]] virtual std::unique_ptr<InferenceBackend> clone() const = 0;
+
+  /// Runs one sample. Not thread-safe per instance — use clone() for
+  /// concurrency.
+  [[nodiscard]] virtual nn::Tensor forward(const nn::Tensor& input) = 0;
+
+  /// Runs one sample into a caller-owned output tensor, reusing its
+  /// capacity (allocation-free on the SC executor once warm); the default
+  /// simply wraps forward(). Same bits as forward() in every backend.
+  virtual void forward_into(const nn::Tensor& input, nn::Tensor& out) {
+    out = forward(input);
+  }
+
+  /// Stats accumulated since construction / the last take_stats().
+  [[nodiscard]] virtual RunStats stats() const = 0;
+
+  /// Returns the accumulated stats and resets them.
+  [[nodiscard]] virtual RunStats take_stats() = 0;
+
+  /// Enables per-layer profiling spans on timeline lane @p track (worker
+  /// index under the batch evaluator). The profiler must outlive the
+  /// backend and may be shared across clones — it is thread-safe. A
+  /// clone() does NOT inherit the profiler (the evaluator re-attaches
+  /// per worker with the worker's own track). Default: no-op, so
+  /// third-party backends keep working unprofiled.
+  virtual void set_profiler(obs::Profiler* profiler, std::uint32_t track) {
+    (void)profiler;
+    (void)track;
+  }
+};
+
+/// The one walk over a lowered graph that every executor runs, and the
+/// InferenceBackend of every built-in datapath. It owns what all backends
+/// share: the ping-pong activation buffers (the external input is
+/// read-only), one skip tensor per skip connection (save and add run
+/// their layer's infer on it; a projection runs the weighted body on it
+/// into a staging buffer), the binary-domain post-ops, the node spans, the
+/// per-forward scratch arena and the stats. An executor derives from it
+/// and supplies name(), clone() and two bodies: run_weighted and
+/// run_max_pool (exact binary max unless overridden). Dispatch is one
+/// virtual call per node; nothing on the per-node path allocates once the
+/// buffers and the arena have grown to the network's high-water mark.
+class GraphExecutor : public InferenceBackend {
+ public:
   /// Runs one sample.
-  [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) {
+  [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) override {
     nn::Tensor out;
     forward_into(input, out);
     return out;
@@ -194,15 +241,13 @@ class GraphExecutor {
   /// Runs one sample into @p out, reusing its capacity: the walk writes
   /// every node into its member buffers and copies the last into @p out.
   /// Per-run stats accumulate in locals and merge into stats() once.
-  void forward_into(const nn::Tensor& input, nn::Tensor& out);
+  void forward_into(const nn::Tensor& input, nn::Tensor& out) override;
 
-  /// Cumulative statistics since construction (or reset_stats() /
-  /// take_stats()).
-  [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = RunStats{}; }
+  /// Cumulative statistics since construction (or take_stats()).
+  [[nodiscard]] RunStats stats() const override { return stats_; }
   /// Returns the accumulated statistics and resets them — the per-run
   /// read-out the batch evaluator uses to merge clone stats race-free.
-  [[nodiscard]] RunStats take_stats() noexcept {
+  [[nodiscard]] RunStats take_stats() override {
     return std::exchange(stats_, RunStats{});
   }
 
@@ -215,16 +260,27 @@ class GraphExecutor {
   /// nullptr to disable. The profiler must outlive this object; it may be
   /// shared across clones on different threads (obs::Profiler::record is
   /// thread-safe).
-  void set_profiler(obs::Profiler* profiler, std::uint32_t track = 0) noexcept {
+  void set_profiler(obs::Profiler* profiler,
+                    std::uint32_t track = 0) noexcept override {
     profiler_ = profiler;
     track_ = track;
   }
 
+  /// The network this executor and its clones read.
+  [[nodiscard]] const nn::Network& network() const noexcept { return *net_; }
+
  protected:
-  /// Lowers @p net under @p opt (see lower_graph; @p who, a string
-  /// literal, prefixes its errors and the walk's). @p net must outlive
-  /// this object: layers and weights are read live.
-  GraphExecutor(nn::Network& net, const LowerOptions& opt, const char* who);
+  /// Lowers *@p net under @p opt (see lower_graph; @p who prefixes its
+  /// errors).
+  GraphExecutor(std::shared_ptr<const nn::Network> net,
+                const LowerOptions& opt, const char* who);
+
+  /// A non-owning pointer to @p net, for constructors that read a caller's
+  /// network live (the caller may edit its weights between forwards).
+  [[nodiscard]] static std::shared_ptr<const nn::Network> live(
+      const nn::Network& net) noexcept {
+    return {std::shared_ptr<const nn::Network>(), &net};
+  }
 
   /// The lowered nodes, in execution order.
   [[nodiscard]] const std::vector<LoweredOp>& ops() const noexcept {
@@ -241,6 +297,9 @@ class GraphExecutor {
   virtual void run_max_pool(const LoweredOp& op, const nn::Tensor& input,
                             nn::Tensor& out, RunStats& run);
 
+  /// The network, shared with every clone: make_backend's snapshot, which
+  /// nothing else can reach, or a caller's network read live (live()).
+  const std::shared_ptr<const nn::Network> net_;
   /// Per-forward bump allocator for the bodies: reset at the top of every
   /// forward, grown to its high-water mark by the warm-up calls (reported
   /// as RunStats::scratch_bytes), allocation-free after.
@@ -248,13 +307,15 @@ class GraphExecutor {
 
  private:
   std::vector<LoweredOp> ops_;
-  const char* who_;
   RunStats stats_;
   /// Ping-pong activation buffers the nodes alternate between.
   nn::Tensor buf_a_;
   nn::Tensor buf_b_;
-  /// Skip-projection output, swapped into SkipState::saved, kept out of
-  /// the ping-pong so a projection cannot clobber the live activation.
+  /// The skip tensor of each connection (LoweredOp::skip).
+  std::vector<nn::Tensor> skips_;
+  /// Skip-projection output, swapped into the connection's skip tensor,
+  /// kept out of the ping-pong so a projection cannot clobber the live
+  /// activation.
   nn::Tensor skip_buf_;
   obs::Profiler* profiler_ = nullptr;
   std::uint32_t track_ = 0;

@@ -117,9 +117,9 @@ runtime::ThreadPool* intra_pool(const ScConfig& cfg, std::size_t work_words) {
 
 }  // namespace
 
-ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg,
+ScNetwork::ScNetwork(std::shared_ptr<const nn::Network> net, ScConfig cfg,
                      std::shared_ptr<WeightPlanStore> shared)
-    : GraphExecutor(net, sc_lower_options(cfg), "ScNetwork"),
+    : GraphExecutor(std::move(net), sc_lower_options(cfg), "ScNetwork"),
       cfg_(cfg),
       act_bank_(cfg_.sng_width, cfg_.activation_seed, 2 * cfg_.phase_length(),
                 cfg_.decorrelate_lanes) {
@@ -151,7 +151,9 @@ void ScNetwork::run_weighted(const LoweredOp& op, std::size_t node,
   // A fused pool whose window does not tile this conv output ran unfused;
   // finish it in the binary domain (WindowSchedule's fallback).
   if (!g.window.fused) {
-    out = op.fused_pool->forward(out);
+    nn::Tensor pooled;
+    op.fused_pool->infer(out, pooled, nullptr);
+    out = std::move(pooled);
   }
 }
 

@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/diagnostics.hpp"
@@ -59,27 +60,27 @@ namespace acoustic::sim {
 /// bit-identical to forward().
 class ScNetwork final : public GraphExecutor {
  public:
-  /// @param net trained network; must outlive this object. Weighted layers
-  ///            are located with their surrounding ReLU / pooling layers
-  ///            and executed stochastically; weights are read live, so
-  ///            retraining between forward() calls is allowed.
-  /// @param shared weight-table store to share with sibling clones (see
-  ///            shared_plans()); nullptr creates a fresh one.
-  ScNetwork(nn::Network& net, ScConfig cfg,
+  /// @param net trained network; must outlive this object and its
+  ///            clones. Weights are read live, so retraining between
+  ///            forward() calls is allowed.
+  ScNetwork(const nn::Network& net, ScConfig cfg)
+      : ScNetwork(live(net), cfg) {}
+  /// Runs on @p net, which clone() shares, drawing weight tables from
+  /// @p shared (nullptr: a fresh store).
+  ScNetwork(std::shared_ptr<const nn::Network> net, ScConfig cfg,
             std::shared_ptr<WeightPlanStore> shared = nullptr);
 
-  /// The weight-table store this executor draws from. Pass it to the
-  /// ScNetwork of a clone so each stage's ProductTable — the weights'
-  /// sign/channel classification plus their transposed stream words — is
-  /// built once across all workers instead of once per clone (the store is
-  /// thread-safe; table content is a pure function of config, schedule and
-  /// weights, so sharing cannot change bits).
-  [[nodiscard]] const std::shared_ptr<WeightPlanStore>& shared_plans()
-      const noexcept {
-    return wgt_plans_;
+  /// "sc" under PoolingMode::kSkipping, "sc-mux" under kMux.
+  [[nodiscard]] std::string name() const override {
+    return cfg_.pooling == PoolingMode::kSkipping ? "sc" : "sc-mux";
   }
-
-  [[nodiscard]] const ScConfig& config() const noexcept { return cfg_; }
+  /// A twin on the same network and weight-table store: each stage's
+  /// ProductTable is built once across all workers (the store is
+  /// thread-safe, and a table is a pure function of config, schedule and
+  /// weights, so sharing cannot change bits).
+  [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
+    return std::make_unique<ScNetwork>(net_, cfg_, wgt_plans_);
+  }
 
   /// Plan-invariant verification (rule "plan-invariant"): re-derives the
   /// invariants of every table the stages last executed — the live-tap

@@ -108,8 +108,8 @@ TEST(NetworkClone, ResidualSkipWiringIsRepaired) {
   ASSERT_NE(save_copy, nullptr);
   ASSERT_NE(add_copy, nullptr);
   // Fresh state, but still shared between the clone's own save/add pair.
-  EXPECT_NE(save_copy->state().get(), save->state().get());
-  EXPECT_EQ(save_copy->state().get(), add_copy->state().get());
+  EXPECT_NE(save_copy->connection(), save->connection());
+  EXPECT_EQ(save_copy->connection(), add_copy->connection());
 
   const Tensor input = make_input(7);
   expect_same_tensor(copy.forward(input), net.forward(input));

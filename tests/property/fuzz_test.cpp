@@ -837,7 +837,8 @@ enum GraphFeature : unsigned {
   kFoldedAndFused = 1u << 8,  ///< conv -> BatchNorm -> tiled AvgPool
   kConvOn1x1 = 1u << 9,       ///< a conv fed a 1x1 map
   kConvOn2x2 = 1u << 10,      ///< a conv fed a 2x2 map
-  kAllFeatures = (1u << 11) - 1,
+  kDepthwiseConv = 1u << 11,  ///< groups = channels, more than 2 of them
+  kAllFeatures = (1u << 12) - 1,
 };
 
 /// Seeds of the tiny-map generator (1x1 / 2x2 inputs) follow the classic
@@ -876,9 +877,9 @@ GeneratedGraph random_graph(std::uint32_t seed) {
     layer.initialize(init++);
     g.fed[&layer] = cur;
     note_map(cur);
-    if (spec.groups > 1) {
-      g.features |= kGroupedConv;
-    }
+    g.features |= spec.groups == 2  ? kGroupedConv
+                  : spec.groups > 2 ? kDepthwiseConv
+                                    : 0u;
     cur = layer.output_shape(cur);
     if (pick(2) == 0) {
       g.features |= kConvWithoutBn;
@@ -926,12 +927,17 @@ GeneratedGraph random_graph(std::uint32_t seed) {
       cur = nn::Shape{cur.h / 2, cur.w / 2, cur.c};
       g.features |= kMaxPool;
     } else {  // conv [-> BatchNorm] [-> AvgPool] -> ReLU
-      const int groups = cur.c % 2 == 0 && pick(2) == 0 ? 2 : 1;
+      const bool split = cur.c % 2 == 0 && pick(2) == 0;
       const int padding = cur.h >= 3 ? pick(2) : 1;
-      const bool bn =
-          conv(nn::ConvSpec{.out_channels = 2 * (1 + pick(3)),
-                            .kernel = 1 + 2 * pick(2), .stride = stride,
-                            .padding = padding, .groups = groups});
+      const int out_c = 2 * (1 + pick(3));
+      // A split conv is depthwise (one group per channel) when more than
+      // two channels divide its output channels, else it has two groups.
+      const int groups = !split                           ? 1
+                         : cur.c > 2 && out_c % cur.c == 0 ? cur.c
+                                                           : 2;
+      const bool bn = conv(nn::ConvSpec{
+          .out_channels = out_c, .kernel = 1 + 2 * pick(2), .stride = stride,
+          .padding = padding, .groups = groups});
       const int window = 2 + pick(2);
       if (cur.h >= window && pick(3) != 0) {
         g.net.add<nn::AvgPool2D>(window);
@@ -1012,6 +1018,12 @@ TEST_P(GeneratedGraphTest, CheckIsCleanAndPlanBudgetNoteMatchesTheExecutor) {
   }
 }
 
+/// The streams the planned executor is held to the oracle at: 1-word
+/// segments at 128; at 200 an unfused node's 100-bit segment spans two
+/// words, the last one partial; at 1024 segments are 8 words and a fused
+/// 2x2 window's slots 2 words (WideStreamsReachMultiWordSegments).
+constexpr std::size_t kOracleStreams[] = {128, 200, 1024};
+
 TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
   GeneratedGraph g = random_graph(GetParam());
   nn::Tensor x(g.input);
@@ -1019,80 +1031,84 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = static_cast<float>(rng.next_double());
   }
-  sim::ScConfig cfg;
-  cfg.stream_length = 128;
-  sim::ScConfig scalar_cfg = cfg;
-  scalar_cfg.exec = sim::ExecMode::kScalar;
-  sim::ScNetwork scalar(g.net, scalar_cfg);
-  const nn::Tensor want = scalar.forward(x);
-  const sim::RunStats oracle = scalar.take_stats();
-  // In budget every fetch is served from a table; at a 1-byte budget every
-  // node runs the oracle and every fetch is regenerated. One byte below
-  // the activation plan of a node whose weight table is smaller, that node
-  // serves weights from its table and regenerates activations in place,
-  // while nodes with larger tables run the oracle, so one forward can mix
-  // all three routes. On every route the fetches are exactly the segments
-  // the oracle generates.
-  std::vector<std::size_t> budgets{cfg.plan_budget_bytes, 1};
-  const std::size_t in_place_from = budgets.size();
-  for (const sim::LoweredOp& op :
-       sim::lower_graph(g.net, sim::sc_lower_options(cfg), "generated")) {
-    if (!op.weighted()) {
-      continue;
-    }
-    const nn::Shape in = g.fed.at(op.layer);
-    const sim::ConvGeometry geo =
-        sim::conv_geometry(op, in, cfg.phase_length());
-    const std::size_t plan =
-        sim::plan_table_bytes(geo.window.sched, in.size());
-    if (sim::weight_table_bytes(geo.window.sched, geo.layout) < plan) {
-      budgets.push_back(plan - 1);
-    }
-  }
-  for (std::size_t b = 0; b < budgets.size(); ++b) {
-    const std::size_t budget = budgets[b];
-    for (const unsigned threads : {1u, 3u}) {
-      sim::ScConfig planned_cfg = cfg;
-      planned_cfg.plan_budget_bytes = budget;
-      planned_cfg.intra_threads = threads;
-      sim::ScNetwork planned(g.net, planned_cfg);
-      // As a task of a pool with that many workers, the way the batch
-      // evaluator runs a forward: rows shard only on the enclosing pool.
-      runtime::ThreadPool pool(threads);
-      nn::Tensor got;
-      pool.parallel_for(1, [&](std::size_t, unsigned) {
-        got = planned.forward(x);
-      });
-      const sim::RunStats st = planned.take_stats();
-      const std::string label = "budget " + std::to_string(budget) +
-                                " threads " + std::to_string(threads);
-      ASSERT_EQ(got.shape(), want.shape()) << label;
-      EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
-                            got.size() * sizeof(float)),
-                0)
-          << label;
-      EXPECT_EQ(st.product_bits, oracle.product_bits) << label;
-      EXPECT_EQ(st.skipped_operands, oracle.skipped_operands) << label;
-      EXPECT_EQ(st.layers_run, oracle.layers_run) << label;
-      // Every route counts each segment fetch once, as a hit or a miss;
-      // the oracle serves none from a table.
-      EXPECT_EQ(st.plan_hits + st.plan_misses, oracle.plan_misses) << label;
-      EXPECT_EQ(oracle.plan_hits, 0u) << label;
-      if (b >= in_place_from) {
-        EXPECT_GT(st.plan_hits, 0u) << label;
-        EXPECT_GT(st.plan_misses, 0u) << label;
-      } else if (budget == 1) {
-        EXPECT_EQ(st.plan_hits, 0u) << label;
-        EXPECT_EQ(st.stream_bits_reused, 0u) << label;
-        EXPECT_EQ(st.stream_bits_generated, oracle.stream_bits_generated)
-            << label;
-      } else {
-        EXPECT_EQ(st.plan_misses, 0u) << label;
-        EXPECT_EQ(st.stream_bits_reused, oracle.stream_bits_generated)
-            << label;
+  for (const std::size_t stream : kOracleStreams) {
+    sim::ScConfig cfg;
+    cfg.stream_length = stream;
+    sim::ScConfig scalar_cfg = cfg;
+    scalar_cfg.exec = sim::ExecMode::kScalar;
+    sim::ScNetwork scalar(g.net, scalar_cfg);
+    const nn::Tensor want = scalar.forward(x);
+    const sim::RunStats oracle = scalar.take_stats();
+    // In budget every fetch is served from a table; at a 1-byte budget
+    // every node runs the oracle and every fetch is regenerated. One byte
+    // below the activation plan of a node whose weight table is smaller,
+    // that node serves weights from its table and regenerates activations
+    // in place, while nodes with larger tables run the oracle, so one
+    // forward can mix all three routes. On every route the fetches are
+    // exactly the segments the oracle generates.
+    std::vector<std::size_t> budgets{cfg.plan_budget_bytes, 1};
+    const std::size_t in_place_from = budgets.size();
+    for (const sim::LoweredOp& op :
+         sim::lower_graph(g.net, sim::sc_lower_options(cfg), "generated")) {
+      if (!op.weighted()) {
+        continue;
       }
-      const core::Report plans = planned.validate_plans();
-      EXPECT_TRUE(plans.clean()) << label << "\n" << plans.to_string();
+      const nn::Shape in = g.fed.at(op.layer);
+      const sim::ConvGeometry geo =
+          sim::conv_geometry(op, in, cfg.phase_length());
+      const std::size_t plan =
+          sim::plan_table_bytes(geo.window.sched, in.size());
+      if (sim::weight_table_bytes(geo.window.sched, geo.layout) < plan) {
+        budgets.push_back(plan - 1);
+      }
+    }
+    for (std::size_t b = 0; b < budgets.size(); ++b) {
+      const std::size_t budget = budgets[b];
+      for (const unsigned threads : {1u, 3u}) {
+        sim::ScConfig planned_cfg = cfg;
+        planned_cfg.plan_budget_bytes = budget;
+        planned_cfg.intra_threads = threads;
+        sim::ScNetwork planned(g.net, planned_cfg);
+        // As a task of a pool with that many workers, the way the batch
+        // evaluator runs a forward: rows shard only on the enclosing pool.
+        runtime::ThreadPool pool(threads);
+        nn::Tensor got;
+        pool.parallel_for(1, [&](std::size_t, unsigned) {
+          got = planned.forward(x);
+        });
+        const sim::RunStats st = planned.take_stats();
+        const std::string label = "stream " + std::to_string(stream) +
+                                  " budget " + std::to_string(budget) +
+                                  " threads " + std::to_string(threads);
+        ASSERT_EQ(got.shape(), want.shape()) << label;
+        EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << label;
+        EXPECT_EQ(st.product_bits, oracle.product_bits) << label;
+        EXPECT_EQ(st.skipped_operands, oracle.skipped_operands) << label;
+        EXPECT_EQ(st.layers_run, oracle.layers_run) << label;
+        // Every route counts each segment fetch once, as a hit or a miss;
+        // the oracle serves none from a table.
+        EXPECT_EQ(st.plan_hits + st.plan_misses, oracle.plan_misses)
+            << label;
+        EXPECT_EQ(oracle.plan_hits, 0u) << label;
+        if (b >= in_place_from) {
+          EXPECT_GT(st.plan_hits, 0u) << label;
+          EXPECT_GT(st.plan_misses, 0u) << label;
+        } else if (budget == 1) {
+          EXPECT_EQ(st.plan_hits, 0u) << label;
+          EXPECT_EQ(st.stream_bits_reused, 0u) << label;
+          EXPECT_EQ(st.stream_bits_generated, oracle.stream_bits_generated)
+              << label;
+        } else {
+          EXPECT_EQ(st.plan_misses, 0u) << label;
+          EXPECT_EQ(st.stream_bits_reused, oracle.stream_bits_generated)
+              << label;
+        }
+        const core::Report plans = planned.validate_plans();
+        EXPECT_TRUE(plans.clean()) << label << "\n" << plans.to_string();
+      }
     }
   }
 }
@@ -1158,6 +1174,34 @@ TEST(GeneratedGraphs, SeedsCoverEveryNodeShape) {
     seen |= random_graph(seed).features;
   }
   EXPECT_EQ(seen, kAllFeatures);
+}
+
+TEST(GeneratedGraphs, WideStreamsReachMultiWordSegments) {
+  // The planned body's multi-word chain (gather_and_or_popcount) and the
+  // masked partial last word run only where a segment outgrows one word:
+  // the seeds must reach both at the streams of kOracleStreams.
+  bool partial = false;     // >= 2 words, the last one partial
+  bool fused_wide = false;  // a fused window whose slots are >= 2 words
+  for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
+    GeneratedGraph g = random_graph(seed);
+    for (const std::size_t stream : kOracleStreams) {
+      sim::ScConfig cfg;
+      cfg.stream_length = stream;
+      for (const sim::LoweredOp& op : sim::lower_graph(
+               g.net, sim::sc_lower_options(cfg), "generated")) {
+        if (!op.weighted()) {
+          continue;
+        }
+        const sim::ConvGeometry geo =
+            sim::conv_geometry(op, g.fed.at(op.layer), cfg.phase_length());
+        const sim::SegmentSchedule& sched = geo.window.sched;
+        partial |= sched.seg_words() >= 2 && sched.seg % 64 != 0;
+        fused_wide |= geo.window.pool > 1 && sched.seg_words() >= 2;
+      }
+    }
+  }
+  EXPECT_TRUE(partial);
+  EXPECT_TRUE(fused_wide);
 }
 
 }  // namespace

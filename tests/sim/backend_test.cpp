@@ -1,14 +1,18 @@
-// The InferenceBackend adapters must behave exactly like the executors
-// they wrap, snapshot weights at construction, and support independent
-// clones — the contract sim::BatchEvaluator builds on.
+// The backends are the executors: each must behave exactly like the
+// executor built on the caller's network, snapshot weights at
+// construction, and support independent clones that share that one
+// snapshot — the contract sim::BatchEvaluator builds on.
 #include "sim/backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
@@ -84,9 +88,9 @@ TEST(Backend, BipolarMatchesRawBipolarNetwork) {
 }
 
 TEST(Backend, SnapshotsWeightsAtConstruction) {
-  // The raw executors read weights live; the backend adapters instead
-  // clone the network, so later mutation of the source must not change
-  // the backend's outputs.
+  // An executor built on a network reads its weights live; a backend
+  // runs on a snapshot instead, so later mutation of the source must not
+  // change the backend's outputs.
   nn::Network net = make_net();
   const train::Sample sample = make_data(1).samples.front();
   const auto backend = make_float_backend(net);
@@ -107,6 +111,91 @@ TEST(Backend, CloneProducesIdenticalOutputs) {
   for (const train::Sample& s : make_data(2).samples) {
     expect_same_tensor(clone->forward(s.image),
                        backend->forward(s.image));
+  }
+}
+
+TEST(Backend, ClonesShareTheirPrototypesNetwork) {
+  // One deep copy per make_backend call, none per clone(): a clone (and a
+  // clone of a clone) reads the very nn::Network object its prototype
+  // reads, a snapshot distinct from the caller's network.
+  nn::Network net = make_net();
+  BipolarConfig bipolar_cfg;
+  bipolar_cfg.stream_length = 32;
+  for (const std::string_view name : kBackendNames) {
+    const auto backend =
+        make_backend(std::string(name), net, small_sc(), bipolar_cfg);
+    const auto clone = backend->clone();
+    const auto grandchild = clone->clone();
+    const nn::Network& snapshot =
+        dynamic_cast<const GraphExecutor&>(*backend).network();
+    EXPECT_NE(&snapshot, &net) << name;
+    EXPECT_EQ(&dynamic_cast<const GraphExecutor&>(*clone).network(),
+              &snapshot)
+        << name;
+    EXPECT_EQ(&dynamic_cast<const GraphExecutor&>(*grandchild).network(),
+              &snapshot)
+        << name;
+    EXPECT_EQ(clone->name(), name);
+  }
+}
+
+TEST(Backend, ConcurrentClonesMatchASerialRun) {
+  // Four clones of each backend run at once on one shared snapshot, each
+  // starting at another image: skip nodes (resnet-tiny) and max pools
+  // (cifar-max) keep their state in the walk, not in the network, so every
+  // clone's logits equal a serial run's byte for byte.
+  const train::Dataset data = train::make_synth_objects(3, 4321, 16);
+  BipolarConfig bipolar_cfg;
+  bipolar_cfg.stream_length = 32;
+  for (const bool residual : {true, false}) {
+    nn::Network net =
+        residual ? train::build_resnet_tiny(nn::AccumMode::kOrApprox, 16)
+                 : train::build_cifar_small_maxpool(nn::AccumMode::kOrApprox,
+                                                    16);
+    for (const std::string_view name : kBackendNames) {
+      const auto backend =
+          make_backend(std::string(name), net, small_sc(), bipolar_cfg);
+      std::vector<nn::Tensor> serial;
+      for (const train::Sample& s : data.samples) {
+        serial.push_back(backend->forward(s.image));
+      }
+      constexpr std::size_t kClones = 4;
+      std::vector<std::unique_ptr<InferenceBackend>> clones;
+      std::vector<std::vector<nn::Tensor>> got(
+          kClones, std::vector<nn::Tensor>(serial.size()));
+      std::vector<std::string> errors(kClones);
+      for (std::size_t c = 0; c < kClones; ++c) {
+        clones.push_back(backend->clone());
+      }
+      std::vector<std::thread> threads;
+      for (std::size_t c = 0; c < kClones; ++c) {
+        threads.emplace_back([&, c] {
+          try {
+            for (std::size_t k = 0; k < serial.size(); ++k) {
+              const std::size_t i = (k + c) % serial.size();
+              got[c][i] = clones[c]->forward(data.samples[i].image);
+            }
+          } catch (const std::exception& e) {
+            errors[c] = e.what();
+          }
+        });
+      }
+      for (std::thread& t : threads) {
+        t.join();
+      }
+      for (std::size_t c = 0; c < kClones; ++c) {
+        ASSERT_EQ(errors[c], "") << name << " clone " << c;
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+          ASSERT_EQ(got[c][i].shape(), serial[i].shape());
+          EXPECT_EQ(std::memcmp(got[c][i].data().data(),
+                                serial[i].data().data(),
+                                serial[i].size() * sizeof(float)),
+                    0)
+              << name << (residual ? " resnet-tiny" : " cifar-max")
+              << " clone " << c << " image " << i;
+        }
+      }
+    }
   }
 }
 

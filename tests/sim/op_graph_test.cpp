@@ -82,9 +82,10 @@ TEST(OpGraph, EveryOpKindLowers) {
     EXPECT_EQ(ops[3].conv, &net.layer(7));
     EXPECT_EQ(ops[5].max_pool, &net.layer(9));
     EXPECT_EQ(ops[6].conv, &static_cast<nn::Dense&>(net.layer(10)).conv());
-    EXPECT_EQ(ops[1].skip, state.get());
-    EXPECT_EQ(ops[2].skip, state.get());
-    EXPECT_EQ(ops[4].skip, state.get());
+    // The network's one skip connection is connection 0.
+    EXPECT_EQ(ops[1].skip, 0u);
+    EXPECT_EQ(ops[2].skip, 0u);
+    EXPECT_EQ(ops[4].skip, 0u);
   };
   const std::vector<std::size_t> layer_of = {0, 5, 6, 7, 8, 9, 10};
 
@@ -168,9 +169,49 @@ TEST(OpGraph, SkipTripleBecomesExplicitNodes) {
   EXPECT_TRUE(ops[1].weighted());
   EXPECT_EQ(ops[2].kind, nn::OpKind::kConv2D);
   EXPECT_EQ(ops[3].kind, nn::OpKind::kSkipAdd);
-  // All three skip nodes share the one SkipState.
+  // All three skip nodes share the one connection.
   EXPECT_EQ(ops[0].skip, ops[1].skip);
   EXPECT_EQ(ops[0].skip, ops[3].skip);
+}
+
+TEST(OpGraph, SkipConnectionsAreNumberedInSaveOrder) {
+  // Two connections, the second nested in the first: each node carries
+  // its own connection's index, whatever the order of the adds.
+  nn::Network net;
+  auto outer = std::make_shared<nn::SkipState>();
+  auto inner = std::make_shared<nn::SkipState>();
+  net.add<nn::SkipSave>(outer);
+  net.add<nn::SkipSave>(inner);
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 2,
+                                   .kernel = 3, .padding = 1});
+  net.add<nn::SkipAdd>(inner);
+  net.add<nn::SkipAdd>(outer);
+  const std::vector<LoweredOp> ops = lower_graph(net, LowerOptions{}, "test");
+  ASSERT_EQ(ops.size(), 5u);
+  EXPECT_EQ(ops[0].skip, 0u);
+  EXPECT_EQ(ops[1].skip, 1u);
+  EXPECT_EQ(ops[3].skip, 1u);
+  EXPECT_EQ(ops[4].skip, 0u);
+}
+
+TEST(OpGraph, SkipAddOrProjectionBeforeItsSaveThrows) {
+  for (const bool project : {false, true}) {
+    nn::Network net;
+    auto state = std::make_shared<nn::SkipState>();
+    net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 2,
+                                     .kernel = 1});
+    if (project) {
+      net.add<nn::SkipProject>(
+          state, nn::ConvSpec{.in_channels = 2, .out_channels = 2,
+                              .kernel = 1});
+    } else {
+      net.add<nn::SkipAdd>(state);
+    }
+    net.add<nn::SkipSave>(state);
+    EXPECT_THROW((void)lower_graph(net, LowerOptions{}, "test"),
+                 std::invalid_argument)
+        << (project ? "projection" : "add");
+  }
 }
 
 TEST(OpGraph, MaxPoolIsItsOwnNode) {

@@ -879,11 +879,12 @@ int cmd_eval(cli::Args args) {
                  opt.model),
        cli::number("--threads", "N",
                    "evaluator threads (default 0 = all hardware threads)",
-                   opt.threads, runtime::ThreadPool::kMaxThreads),
+                   opt.threads, 0u, runtime::ThreadPool::kMaxThreads),
        cli::number("--intra-threads", "N",
                    "SC row sharding on the evaluator threads: 0 = auto "
                    "(default), 1 = serial, 2 or more = every layer",
-                   opt.sc.intra_threads, runtime::ThreadPool::kMaxThreads),
+                   opt.sc.intra_threads, 0u,
+                   runtime::ThreadPool::kMaxThreads),
        cli::choice("--exec", "SC execution path, same bits (default planned)",
                    opt.sc.exec,
                    {{"planned", sim::ExecMode::kPlanned},
@@ -894,22 +895,17 @@ int cmd_eval(cli::Args args) {
                    opt.sc.max_pool,
                    {{"exact", sim::MaxPoolMode::kExact},
                     {"sc", sim::MaxPoolMode::kStochastic}}),
-       {"--side", "N", "input side of zoo models, 0 = native (default 16)",
-        [&opt](const std::string& v) {
-          opt.side = cli::parse_number<int>(v);
-          if (opt.side < 0) {
-            throw cli::UsageError("expected a non-negative integer, got '" +
-                                  v + "'");
-          }
-        }},
+       cli::number("--side", "N",
+                   "input side of zoo models, 0 = native (default 16)",
+                   opt.side, 0),
        cli::number("--stream", "N", "stream length (default 128)",
                    opt.sc.stream_length),
        cli::number("--train", "N", "training samples (default 300)",
                    opt.train_count),
-       cli::number("--test", "N", "test samples (default 120)",
-                   opt.test_count),
+       cli::number("--test", "N", "test samples, at least 1 (default 120)",
+                   opt.test_count, std::size_t{1}),
        cli::number("--epochs", "N", "training epochs (default 3)",
-                   opt.epochs),
+                   opt.epochs, 0),
        cli::flag("--json",
                  "print one JSON document: the run counters under "
                  "\"metrics\", identical for any thread count except that "
@@ -1095,7 +1091,8 @@ int cmd_bench(cli::Args args) {
                    opt.suite.stream),
        cli::number("--threads-max", "N",
                    "thread sweep ceiling (default 0 = hardware threads)",
-                   opt.suite.threads_max, runtime::ThreadPool::kMaxThreads),
+                   opt.suite.threads_max, 0u,
+                   runtime::ThreadPool::kMaxThreads),
        cli::text("--json", "FILE", "write the bench.v1 document",
                  opt.json_path),
        cli::text("--compare", "BASELINE", "compare against a bench.v1 document",
