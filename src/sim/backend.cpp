@@ -44,12 +44,13 @@ std::unique_ptr<InferenceBackend> make_float_backend(nn::Network& net) {
 
 std::unique_ptr<InferenceBackend> make_sc_backend(nn::Network& net,
                                                   const ScConfig& cfg) {
-  return std::make_unique<ScNetwork>(snapshot(net), cfg);
+  return std::unique_ptr<ScNetwork>(new ScNetwork(snapshot(net), cfg));
 }
 
 std::unique_ptr<InferenceBackend> make_bipolar_backend(
     nn::Network& net, const BipolarConfig& cfg) {
-  return std::make_unique<BipolarNetwork>(snapshot(net), cfg);
+  return std::unique_ptr<BipolarNetwork>(
+      new BipolarNetwork(snapshot(net), cfg));
 }
 
 std::unique_ptr<InferenceBackend> make_backend(

@@ -49,15 +49,19 @@ class BipolarNetwork final : public GraphExecutor {
   /// Reads @p net live; it must outlive this object and its clones.
   BipolarNetwork(const nn::Network& net, BipolarConfig cfg)
       : BipolarNetwork(live(net), cfg) {}
-  /// Runs on @p net, which clone() shares.
-  BipolarNetwork(std::shared_ptr<const nn::Network> net, BipolarConfig cfg);
 
   [[nodiscard]] std::string name() const override { return "bipolar"; }
   [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
-    return std::make_unique<BipolarNetwork>(net_, cfg_);
+    return std::unique_ptr<BipolarNetwork>(new BipolarNetwork(net_, cfg_));
   }
 
  private:
+  /// Runs on @p net, which clone() shares. Private, as ScNetwork's: an
+  /// owning @p net comes only from make_bipolar_backend's snapshot.
+  BipolarNetwork(std::shared_ptr<const nn::Network> net, BipolarConfig cfg);
+  friend std::unique_ptr<InferenceBackend> make_bipolar_backend(
+      nn::Network& net, const BipolarConfig& cfg);
+
   /// Runs a weighted node — conv, dense (as its 1x1 conv) or a skip-path
   /// projection — as XNOR products summed by a MUX tree. The datapath has
   /// no skip or stream counters, so @p run gains nothing.

@@ -282,6 +282,14 @@ class GraphExecutor : public InferenceBackend {
     return {std::shared_ptr<const nn::Network>(), &net};
   }
 
+  /// True when net_ owns its network: a make_backend snapshot, which no
+  /// caller can write (the owning constructors are reachable only from the
+  /// factories and clone()). False on a live() reference, which owns
+  /// nothing.
+  [[nodiscard]] bool owns_network() const noexcept {
+    return net_.use_count() != 0;
+  }
+
   /// The lowered nodes, in execution order.
   [[nodiscard]] const std::vector<LoweredOp>& ops() const noexcept {
     return ops_;
@@ -298,7 +306,9 @@ class GraphExecutor : public InferenceBackend {
                             nn::Tensor& out, RunStats& run);
 
   /// The network, shared with every clone: make_backend's snapshot, which
-  /// nothing else can reach, or a caller's network read live (live()).
+  /// nothing else can reach and nothing writes (owns_network()), or a
+  /// caller's network read live (live()), which the caller may write
+  /// between forwards.
   const std::shared_ptr<const nn::Network> net_;
   /// Per-forward bump allocator for the bodies: reset at the top of every
   /// forward, grown to its high-water mark by the warm-up calls (reported

@@ -305,9 +305,11 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
       arena_.alloc<std::uint32_t>(input.size());
   quantize_activations_into(act_bank_, input, act_levels);
   StageScratch& stage = stage_scratch_[node];
-  const WeightKey key =
-      node_key(op, op.bn != nullptr ? arena_.alloc<float>(oc_count)
-                                    : std::span<float>{});
+  // The folded-BN scale buffer of node_key, carved every forward although
+  // only a key compare fills it, so the arena's high-water mark
+  // (RunStats::scratch_bytes) does not depend on which forward compared.
+  const std::span<float> scale =
+      op.bn != nullptr ? arena_.alloc<float>(oc_count) : std::span<float>{};
   // Folded BatchNorm shift per output channel (zeros without a BN), added
   // after the counter divide.
   const std::span<float> bias = arena_.alloc<float>(oc_count);
@@ -323,17 +325,25 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
                                  sched.positions * oc_count * live_rf * sw;
   runtime::ThreadPool* pool = intra_pool(cfg_, work_words);
 
-  // Weight table: shared across clones and images, re-fetched only when
-  // its key no longer matches (retraining, or an input size that changes
-  // the schedule or the live taps); only a rebuild folds a BatchNorm into
-  // the weights. Its build's kernel bits are amortized capital cost,
+  // Weight table: shared across clones and images, re-fetched when an
+  // input size changes the schedule or the live taps, and on a caller's
+  // network also when a bitwise compare of the node's key finds retrained
+  // weights (StageScratch::table); a snapshot's weights never change, so
+  // its warm stages take no key at all. Only a rebuild folds a BatchNorm
+  // into the weights. Its build's kernel bits are amortized capital cost,
   // excluded from per-run stats so they stay a pure function of the sample
   // set. Activation plan: rebuilt per image into the stage's retained plan
   // object — its allocation depends only on (lanes, schedule). Building
   // both before the unit loop keeps them read-only while workers run.
   stage.input = input.shape();
-  if (stage.table == nullptr || !stage.table->keyed_on(sched, g.layout, key)) {
-    stage.table = wgt_plans_->get(node, sched, g.layout, key);
+  const bool same_geometry = stage.table != nullptr &&
+                             stage.table->sched == sched &&
+                             stage.table->layout == g.layout;
+  if (!same_geometry || !owns_network()) {
+    const WeightKey key = node_key(op, scale);
+    if (!same_geometry || !stage.table->keyed_on(sched, g.layout, key)) {
+      stage.table = wgt_plans_->get(node, sched, g.layout, key);
+    }
   }
   const ProductTable& tbl = *stage.table;
   if (stage.act_plan == nullptr || stage.act_plan->lanes() != input.size() ||

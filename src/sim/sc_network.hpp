@@ -58,6 +58,13 @@ namespace acoustic::sim {
 /// weight tables all fit the plan budget performs no heap allocation at
 /// all (asserted by tests/sim/alloc_test.cpp). Any forward_into() is
 /// bit-identical to forward().
+///
+/// How a warm stage knows its weight table is current depends on how the
+/// executor was built. One built by make_sc_backend (or cloned from one)
+/// runs on a const snapshot nothing writes, so it compares no weight once
+/// a stage holds its table. One built on a caller's network compares the
+/// node's raw weights and folded-BatchNorm scale bitwise every forward
+/// (see StageScratch::table).
 class ScNetwork final : public GraphExecutor {
  public:
   /// @param net trained network; must outlive this object and its
@@ -65,10 +72,6 @@ class ScNetwork final : public GraphExecutor {
   ///            forward() calls is allowed.
   ScNetwork(const nn::Network& net, ScConfig cfg)
       : ScNetwork(live(net), cfg) {}
-  /// Runs on @p net, which clone() shares, drawing weight tables from
-  /// @p shared (nullptr: a fresh store).
-  ScNetwork(std::shared_ptr<const nn::Network> net, ScConfig cfg,
-            std::shared_ptr<WeightPlanStore> shared = nullptr);
 
   /// "sc" under PoolingMode::kSkipping, "sc-mux" under kMux.
   [[nodiscard]] std::string name() const override {
@@ -79,7 +82,7 @@ class ScNetwork final : public GraphExecutor {
   /// thread-safe, and a table is a pure function of config, schedule and
   /// weights, so sharing cannot change bits).
   [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
-    return std::make_unique<ScNetwork>(net_, cfg_, wgt_plans_);
+    return std::unique_ptr<ScNetwork>(new ScNetwork(net_, cfg_, wgt_plans_));
   }
 
   /// Plan-invariant verification (rule "plan-invariant"): re-derives the
@@ -96,6 +99,16 @@ class ScNetwork final : public GraphExecutor {
   [[nodiscard]] core::Report validate_plans();
 
  private:
+  /// Runs on @p net, which clone() shares, drawing weight tables from
+  /// @p shared (nullptr: a fresh store). Private, so an owning @p net
+  /// comes only from make_sc_backend's snapshot or a clone of it: an
+  /// executor owns its network (owns_network()) exactly when nothing can
+  /// write it.
+  ScNetwork(std::shared_ptr<const nn::Network> net, ScConfig cfg,
+            std::shared_ptr<WeightPlanStore> shared = nullptr);
+  friend std::unique_ptr<InferenceBackend> make_sc_backend(
+      nn::Network& net, const ScConfig& cfg);
+
   /// Per-stage reusable executor state of a weighted node. Nothing here
   /// is per-clone weight data: the weight table is shared with every clone
   /// through the WeightPlanStore, the clone only holds a reference to it.
@@ -108,13 +121,20 @@ class ScNetwork final : public GraphExecutor {
     /// (validate_plans re-derives the node's live taps from it).
     std::unique_ptr<LayerStreamPlan> act_plan;
     nn::Shape input;
-    /// The stage's ProductTable from the shared store, re-fetched only
-    /// when its key — (schedule, layout with its live taps, raw weights,
-    /// folded-BN scale; see node_key), compared bitwise — no longer
-    /// matches the live node. That compare keeps the "weights are read
-    /// live" contract: retraining between forwards (of the conv, or of a
-    /// folded BatchNorm's gamma or variance) is picked up on the next
-    /// forward. The BN fold itself runs only on such a miss, into a
+    /// The stage's ProductTable from the shared store. Every fetch goes
+    /// through WeightPlanStore::get, which compares the whole key —
+    /// (schedule, layout with its live taps, raw weights, folded-BN scale;
+    /// see node_key) — bitwise. Between fetches:
+    ///   - on a snapshot (owns_network()) the weights cannot change, so
+    ///     the stage re-fetches only when the schedule or the layout
+    ///     differs from the table's, and a steady-state forward takes no
+    ///     node_key and compares no weight;
+    ///   - on a caller's network the stage compares the live node's key
+    ///     with the table's every forward, which keeps the "weights are
+    ///     read live" contract: retraining between forwards (of the conv,
+    ///     or of a folded BatchNorm's gamma or variance) is picked up on
+    ///     the next forward.
+    /// The BN fold itself runs only when a table is built, into a
     /// transient buffer, so a steady-state forward neither folds nor
     /// copies a weight.
     std::shared_ptr<const ProductTable> table;

@@ -1037,8 +1037,23 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
     sim::ScConfig scalar_cfg = cfg;
     scalar_cfg.exec = sim::ExecMode::kScalar;
     sim::ScNetwork scalar(g.net, scalar_cfg);
+    obs::Profiler profiler;
+    scalar.set_profiler(&profiler);
     const nn::Tensor want = scalar.forward(x);
     const sim::RunStats oracle = scalar.take_stats();
+    // Per node of the oracle run: whether it fetched a live activation (it
+    // generates bits exactly then) and whether it computed a product.
+    std::map<std::uint32_t, bool> fetched;
+    std::map<std::uint32_t, bool> computed;
+    for (const obs::SpanRecord& span : profiler.take()) {
+      for (const auto& [counter, value] : span.counters) {
+        if (counter == "stream_bits_generated") {
+          fetched[span.seq] = value > 0;
+        } else if (counter == "product_bits") {
+          computed[span.seq] = value > 0;
+        }
+      }
+    }
     // In budget every fetch is served from a table; at a 1-byte budget
     // every node runs the oracle and every fetch is regenerated. One byte
     // below the activation plan of a node whose weight table is smaller,
@@ -1048,22 +1063,46 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
     // exactly the segments the oracle generates.
     std::vector<std::size_t> budgets{cfg.plan_budget_bytes, 1};
     const std::size_t in_place_from = budgets.size();
-    for (const sim::LoweredOp& op :
-         sim::lower_graph(g.net, sim::sc_lower_options(cfg), "generated")) {
-      if (!op.weighted()) {
+    struct NodeTables {
+      std::uint32_t seq;
+      std::size_t weight;  ///< weight ProductTable bytes
+      std::size_t plan;    ///< activation plan bytes
+    };
+    std::vector<NodeTables> nodes;
+    const std::vector<sim::LoweredOp> ops =
+        sim::lower_graph(g.net, sim::sc_lower_options(cfg), "generated");
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (!ops[i].weighted()) {
         continue;
       }
-      const nn::Shape in = g.fed.at(op.layer);
+      const nn::Shape in = g.fed.at(ops[i].layer);
       const sim::ConvGeometry geo =
-          sim::conv_geometry(op, in, cfg.phase_length());
-      const std::size_t plan =
-          sim::plan_table_bytes(geo.window.sched, in.size());
-      if (sim::weight_table_bytes(geo.window.sched, geo.layout) < plan) {
-        budgets.push_back(plan - 1);
+          sim::conv_geometry(ops[i], in, cfg.phase_length());
+      const NodeTables node{
+          static_cast<std::uint32_t>(i),
+          sim::weight_table_bytes(geo.window.sched, geo.layout),
+          sim::plan_table_bytes(geo.window.sched, in.size())};
+      nodes.push_back(node);
+      if (node.weight < node.plan) {
+        budgets.push_back(node.plan - 1);
       }
     }
     for (std::size_t b = 0; b < budgets.size(); ++b) {
       const std::size_t budget = budgets[b];
+      // A node regenerates (plan misses) where the budget sends it to the
+      // oracle or its activations in place, and only if it reads a live
+      // activation. It is served from tables (plan hits) where its weight
+      // table fits: its products, and with its activation plan in budget
+      // its activation fetches too. A graph whose activations die after
+      // its first node can so read no miss at an in-place budget.
+      bool misses = false;
+      bool hits = false;
+      for (const NodeTables& node : nodes) {
+        const bool table = !sim::over_plan_budget(node.weight, budget);
+        const bool plan = !sim::over_plan_budget(node.plan, budget);
+        misses |= (!table || !plan) && fetched[node.seq];
+        hits |= table && (plan ? fetched[node.seq] : computed[node.seq]);
+      }
       for (const unsigned threads : {1u, 3u}) {
         sim::ScConfig planned_cfg = cfg;
         planned_cfg.plan_budget_bytes = budget;
@@ -1093,15 +1132,14 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
         EXPECT_EQ(st.plan_hits + st.plan_misses, oracle.plan_misses)
             << label;
         EXPECT_EQ(oracle.plan_hits, 0u) << label;
-        if (b >= in_place_from) {
-          EXPECT_GT(st.plan_hits, 0u) << label;
-          EXPECT_GT(st.plan_misses, 0u) << label;
-        } else if (budget == 1) {
+        EXPECT_EQ(st.plan_misses > 0, misses) << label;
+        EXPECT_EQ(st.plan_hits > 0, hits) << label;
+        if (budget == 1) {
           EXPECT_EQ(st.plan_hits, 0u) << label;
           EXPECT_EQ(st.stream_bits_reused, 0u) << label;
           EXPECT_EQ(st.stream_bits_generated, oracle.stream_bits_generated)
               << label;
-        } else {
+        } else if (b < in_place_from) {
           EXPECT_EQ(st.plan_misses, 0u) << label;
           EXPECT_EQ(st.stream_bits_reused, oracle.stream_bits_generated)
               << label;
@@ -1109,6 +1147,63 @@ TEST_P(GeneratedGraphTest, PlannedMatchesScalarOnEveryStat) {
         const core::Report plans = planned.validate_plans();
         EXPECT_TRUE(plans.clean()) << label << "\n" << plans.to_string();
       }
+    }
+  }
+}
+
+TEST_P(GeneratedGraphTest, SnapshotBackendAndCloneMatchScalar) {
+  // The executor `acoustic eval` and perfbench run: make_sc_backend's, on
+  // a const snapshot, whose warm stages compare no weight. It runs two
+  // images (every stage's first fetch, then a steady hit), then a clone of
+  // it runs them in the other order (first fetches the store already
+  // serves, then hits). Each forward must equal the oracle's.
+  GeneratedGraph g = random_graph(GetParam());
+  std::vector<nn::Tensor> images;
+  for (const std::uint32_t salt : {3000u, 4000u}) {
+    nn::Tensor x(g.input);
+    sc::XorShift32 rng(GetParam() + salt);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<float>(rng.next_double());
+    }
+    images.push_back(std::move(x));
+  }
+  for (const std::size_t stream : kOracleStreams) {
+    sim::ScConfig cfg;
+    cfg.stream_length = stream;
+    sim::ScConfig scalar_cfg = cfg;
+    scalar_cfg.exec = sim::ExecMode::kScalar;
+    sim::ScNetwork scalar(g.net, scalar_cfg);
+    std::vector<nn::Tensor> want;
+    std::vector<sim::RunStats> oracle;
+    for (const nn::Tensor& x : images) {
+      want.push_back(scalar.forward(x));
+      oracle.push_back(scalar.take_stats());
+    }
+    const auto backend = sim::make_sc_backend(g.net, cfg);
+    for (const bool cloned : {false, true}) {
+      const auto clone = cloned ? backend->clone() : nullptr;
+      sim::InferenceBackend& exec = cloned ? *clone : *backend;
+      for (std::size_t k = 0; k < images.size(); ++k) {
+        const std::size_t i = cloned ? images.size() - 1 - k : k;
+        const nn::Tensor got = exec.forward(images[i]);
+        const sim::RunStats st = exec.take_stats();
+        const std::string label = "stream " + std::to_string(stream) +
+                                  (cloned ? " clone" : " backend") +
+                                  " image " + std::to_string(i);
+        ASSERT_EQ(got.shape(), want[i].shape()) << label;
+        EXPECT_EQ(std::memcmp(got.data().data(), want[i].data().data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << label;
+        EXPECT_EQ(st.product_bits, oracle[i].product_bits) << label;
+        EXPECT_EQ(st.skipped_operands, oracle[i].skipped_operands) << label;
+        EXPECT_EQ(st.layers_run, oracle[i].layers_run) << label;
+        EXPECT_EQ(st.plan_hits + st.plan_misses, oracle[i].plan_misses)
+            << label;
+      }
+      const core::Report plans =
+          dynamic_cast<sim::ScNetwork&>(exec).validate_plans();
+      EXPECT_TRUE(plans.clean()) << plans.to_string();
     }
   }
 }
@@ -1167,6 +1262,11 @@ TEST_P(GeneratedGraphTest, EveryDatapathWalksOneNodeList) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedGraphTest,
                          ::testing::Range(1u, kSeeds + 1));
+// Seed 68, the first of 13 seeds in 1-400 that do: at an in-place budget
+// no node routed in place or to the oracle reads a live activation, so
+// the planned run reads no plan miss (PlannedMatchesScalarOnEveryStat).
+INSTANTIATE_TEST_SUITE_P(NoMissInPlace, GeneratedGraphTest,
+                         ::testing::Values(68u));
 
 TEST(GeneratedGraphs, SeedsCoverEveryNodeShape) {
   unsigned seen = 0;

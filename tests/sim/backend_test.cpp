@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "nn/activation.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
+#include "nn/pool.hpp"
 #include "nn/residual.hpp"
 #include "sim/bipolar_network.hpp"
 #include "sim/sc_network.hpp"
@@ -90,17 +92,61 @@ TEST(Backend, BipolarMatchesRawBipolarNetwork) {
 TEST(Backend, SnapshotsWeightsAtConstruction) {
   // An executor built on a network reads its weights live; a backend
   // runs on a snapshot instead, so later mutation of the source must not
-  // change the backend's outputs.
-  nn::Network net = make_net();
+  // change the backend's outputs, nor its clones'. The backend is warm
+  // first (two forwards), so an SC backend's stages already hold their
+  // tables and compare no weight. The edits go through ParamView and a
+  // folded BatchNorm's gamma and running variance; an executor freshly
+  // built on the edited network does see them.
   const train::Sample sample = make_data(1).samples.front();
-  const auto backend = make_float_backend(net);
-  const nn::Tensor before = backend->forward(sample.image);
-  for (nn::ParamView view : net.parameters()) {
-    for (float& v : view.values) {
-      v += 1.0f;
+  BipolarConfig bipolar_cfg;
+  bipolar_cfg.stream_length = 32;
+  for (const std::string_view name : kBackendNames) {
+    SCOPED_TRACE(std::string(name));
+    // conv -> BatchNorm -> 2x2 average pool -> ReLU -> dense: sc folds the
+    // BatchNorm into the conv node and fuses the pool, sc-mux only folds.
+    nn::Network net;
+    net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 1, .out_channels = 4,
+                                     .kernel = 3, .padding = 1,
+                                     .mode = nn::AccumMode::kOrApprox})
+        .initialize(91);
+    auto& bn = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4});
+    bn.initialize(93);
+    net.add<nn::AvgPool2D>(2);
+    net.add<nn::ReLU>();
+    net.add<nn::Dense>(nn::DenseSpec{.in_features = 8 * 8 * 4,
+                                     .out_features = 5,
+                                     .mode = nn::AccumMode::kOrApprox})
+        .initialize(95);
+    const auto backend =
+        make_backend(std::string(name), net, small_sc(), bipolar_cfg);
+    const nn::Tensor before = backend->forward(sample.image);
+    expect_same_tensor(backend->forward(sample.image), before);
+
+    for (nn::ParamView view : net.parameters()) {
+      for (std::size_t i = 0; i < view.values.size(); i += 3) {
+        view.values[i] = -0.5f * view.values[i];
+      }
     }
+    bn.gamma()[1] = -1.5f * bn.gamma()[1];
+    bn.variance()[2] *= 4.0f;
+    expect_same_tensor(backend->forward(sample.image), before);
+    expect_same_tensor(backend->clone()->forward(sample.image), before);
+
+    nn::Tensor edited;
+    if (name == "float") {
+      edited = net.forward(sample.image);
+    } else if (name == "bipolar") {
+      edited = BipolarNetwork(net, bipolar_cfg).forward(sample.image);
+    } else {
+      ScConfig cfg = small_sc();
+      cfg.pooling = name == "sc" ? PoolingMode::kSkipping : PoolingMode::kMux;
+      edited = ScNetwork(net, cfg).forward(sample.image);
+    }
+    ASSERT_EQ(edited.shape(), before.shape());
+    EXPECT_NE(std::memcmp(edited.data().data(), before.data().data(),
+                          before.size() * sizeof(float)),
+              0);
   }
-  expect_same_tensor(backend->forward(sample.image), before);
 }
 
 TEST(Backend, CloneProducesIdenticalOutputs) {

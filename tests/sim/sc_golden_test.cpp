@@ -29,6 +29,7 @@
 #include "nn/zoo_build.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sc/rng.hpp"
+#include "sim/backend.hpp"
 #include "sim/sc_network.hpp"
 #include "train/models.hpp"
 
@@ -515,6 +516,52 @@ TEST(ScGolden, ScheduleChangeMatchesScalar) {
       EXPECT_TRUE(plan_report.clean()) << label << ":\n"
                                        << plan_report.to_string();
     }
+  }
+}
+
+TEST(ScGolden, SnapshotRefetchesWhenTheGeometryChanges) {
+  // A make_sc_backend executor runs on a snapshot, so once a stage holds
+  // its table only the schedule and the layout decide a re-fetch. One such
+  // executor on a 5x5 pad-2 conv with a fused 2x2 pool is fed side 8 (the
+  // pool tiles the conv output and fuses), 7 (it stops tiling: one unfused
+  // slot), 2 (the same fused schedule, but only a 3x3 rectangle of taps
+  // reads the 2x2 map) and 8 again. Every forward must match the oracle.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 3,
+                                   .kernel = 5, .padding = 2,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(181);
+  net.add<nn::AvgPool2D>(2);
+  const ScConfig cfg = golden_config();
+  const std::vector<LoweredOp> ops =
+      lower_graph(net, sc_lower_options(cfg), "test");
+  ASSERT_EQ(ops.size(), 1u);
+  const auto backend = make_sc_backend(net, cfg);
+  auto& planned = dynamic_cast<ScNetwork&>(*backend);
+  ScConfig scalar_cfg = cfg;
+  scalar_cfg.exec = ExecMode::kScalar;
+  for (const int side : {8, 7, 2, 8}) {
+    const nn::Shape shape{side, side, 2};
+    const std::string label = "side=" + std::to_string(side);
+    const ConvGeometry g = conv_geometry(ops[0], shape, cfg.phase_length());
+    EXPECT_EQ(g.window.pool, side == 7 ? 1 : 2) << label;
+    EXPECT_EQ(g.layout.taps.count(), side == 2 ? 9u : 25u) << label;
+
+    const nn::Tensor input =
+        random_unit(shape, 191 + static_cast<std::uint32_t>(side));
+    ScNetwork scalar(net, scalar_cfg);
+    const nn::Tensor want = scalar.forward(input);
+    const RunStats want_stats = scalar.take_stats();
+    expect_bytes_equal(planned.forward(input), want, label);
+    const RunStats got = planned.take_stats();
+    EXPECT_EQ(got.product_bits, want_stats.product_bits) << label;
+    EXPECT_EQ(got.skipped_operands, want_stats.skipped_operands) << label;
+    EXPECT_EQ(got.layers_run, want_stats.layers_run) << label;
+    EXPECT_EQ(got.plan_hits + got.plan_misses, want_stats.plan_misses)
+        << label;
+    const core::Report plan_report = planned.validate_plans();
+    EXPECT_TRUE(plan_report.clean()) << label << ":\n"
+                                     << plan_report.to_string();
   }
 }
 
