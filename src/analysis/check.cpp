@@ -714,59 +714,68 @@ core::Report check_network(nn::Network& net, std::string_view name,
     }
   }
 
-  // Probe pass: a deterministic forward through a clone — first the float
-  // network (activation scans), then the bit-level executor, whose built
-  // plans the plan-invariant validator re-derives. Only attempted when the
-  // static rules found no errors: probing a structurally broken model
-  // would just throw the error the walk already reported.
+  // Probe pass: a deterministic forward through the bit-level executor's
+  // snapshot, the probe's one copy of the network — first each layer's
+  // const infer (activation scans; one skip tensor per connection, as the
+  // graph walk keeps), then the executor, whose built plans the
+  // plan-invariant validator re-derives. Only attempted when the static
+  // rules found no errors: probing a structurally broken model would just
+  // throw the error the walk already reported.
   if (sc && options.probe && report.ok() && shapes_ok) {
-    nn::Network probe = net.clone();
     nn::Tensor input(input_shape);
     sc::XorShift32 rng(0x2f6e2b1u);
     for (std::size_t i = 0; i < input.size(); ++i) {
       input[i] = static_cast<float>(rng.next_double());
     }
     try {
-      (void)probe.forward_with_hook(
-          input, [&](nn::Tensor& t, std::size_t li) {
-            std::size_t nonfinite = 0;
-            float lo = 0.0f;
-            float hi = 0.0f;
-            for (const float v : t.data()) {
-              if (!std::isfinite(v)) {
-                ++nonfinite;
-              } else {
-                lo = v < lo ? v : lo;
-                hi = v > hi ? v : hi;
-              }
+      sim::ScNetwork exec(net, options.sc);
+      const nn::Network& probe = exec.network();
+      try {
+        std::map<const void*, nn::Tensor> skips;
+        nn::Tensor t = input;
+        nn::Tensor next;
+        for (std::size_t li = 0; li < probe.layer_count(); ++li) {
+          const nn::Layer& layer = probe.layer(li);
+          const auto* skip = dynamic_cast<const nn::SkipLayer*>(&layer);
+          layer.infer(t, next,
+                      skip != nullptr ? &skips[skip->connection()] : nullptr);
+          std::swap(t, next);
+          std::size_t nonfinite = 0;
+          float lo = 0.0f;
+          float hi = 0.0f;
+          for (const float v : t.data()) {
+            if (!std::isfinite(v)) {
+              ++nonfinite;
+            } else {
+              lo = v < lo ? v : lo;
+              hi = v > hi ? v : hi;
             }
-            const std::string lpath = prefix + probe.layer(li).name();
-            if (nonfinite > 0) {
-              report.add("nonfinite-activation", Severity::kError, lpath,
-                         std::to_string(nonfinite) +
-                             " activations are NaN/Inf on the probe input");
-            }
-            // Only activations that directly feed a weighted layer reach
-            // an SNG; intermediate conv/pool outputs still pass through
-            // ReLU first, and the final logits are read in binary.
-            const bool feeds_sng =
-                li + 1 < probe.layer_count() &&
-                (probe.layer(li + 1).kind() == nn::Layer::Kind::kConv2D ||
-                 probe.layer(li + 1).kind() == nn::Layer::Kind::kDense);
-            if (feeds_sng && (lo < 0.0f || hi > 1.0f)) {
-              report.add("activation-range", Severity::kWarning, lpath,
-                         "probe activations span [" + fmt(lo) + ", " +
-                             fmt(hi) +
-                             "]; the unipolar SNG clamps its input to "
-                             "[0, 1], so values outside are distorted");
-            }
-          });
-    } catch (const std::exception& e) {
-      report.add("sc-lowering-failed", Severity::kError, std::string(name),
-                 std::string("float probe forward threw: ") + e.what());
-    }
-    try {
-      sim::ScNetwork exec(probe, options.sc);
+          }
+          const std::string lpath = prefix + layer.name();
+          if (nonfinite > 0) {
+            report.add("nonfinite-activation", Severity::kError, lpath,
+                       std::to_string(nonfinite) +
+                           " activations are NaN/Inf on the probe input");
+          }
+          // Only activations that directly feed a weighted layer reach an
+          // SNG; intermediate conv/pool outputs still pass through ReLU
+          // first, and the final logits are read in binary.
+          const bool feeds_sng =
+              li + 1 < probe.layer_count() &&
+              (probe.layer(li + 1).kind() == nn::Layer::Kind::kConv2D ||
+               probe.layer(li + 1).kind() == nn::Layer::Kind::kDense);
+          if (feeds_sng && (lo < 0.0f || hi > 1.0f)) {
+            report.add("activation-range", Severity::kWarning, lpath,
+                       "probe activations span [" + fmt(lo) + ", " +
+                           fmt(hi) +
+                           "]; the unipolar SNG clamps its input to "
+                           "[0, 1], so values outside are distorted");
+          }
+        }
+      } catch (const std::exception& e) {
+        report.add("sc-lowering-failed", Severity::kError, std::string(name),
+                   std::string("float probe forward threw: ") + e.what());
+      }
       (void)exec.forward(input);
       report.merge(exec.validate_plans(), name);
     } catch (const std::exception& e) {

@@ -65,8 +65,8 @@ class Network {
   /// Deep copy: rebuilds every layer with identical configuration (via
   /// Layer::kind() dispatch), copies every state() array, and re-pairs
   /// skip connections on fresh SkipState objects. The clone shares no
-  /// mutable state with this network: the snapshot sim::make_backend
-  /// takes.
+  /// mutable state with this network: the snapshot every
+  /// sim::GraphExecutor takes.
   [[nodiscard]] Network clone();
 
  private:

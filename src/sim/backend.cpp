@@ -8,22 +8,17 @@ namespace acoustic::sim {
 
 namespace {
 
-/// The one deep copy a backend makes, shared by all its clones.
-std::shared_ptr<const nn::Network> snapshot(nn::Network& net) {
-  return std::make_shared<const nn::Network>(net.clone());
-}
-
 /// Float reference: every weighted node runs its layer's own infer (see
 /// make_float_backend).
 class FloatNetwork final : public GraphExecutor {
  public:
-  explicit FloatNetwork(std::shared_ptr<const nn::Network> net)
-      : GraphExecutor(std::move(net), LowerOptions{}, "FloatNetwork") {}
+  explicit FloatNetwork(nn::Network& net)
+      : GraphExecutor(net, LowerOptions{}, "FloatNetwork") {}
 
   [[nodiscard]] std::string name() const override { return "float"; }
 
   [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
-    return std::make_unique<FloatNetwork>(net_);
+    return std::make_unique<FloatNetwork>(*this);
   }
 
  private:
@@ -39,18 +34,17 @@ class FloatNetwork final : public GraphExecutor {
 }  // namespace
 
 std::unique_ptr<InferenceBackend> make_float_backend(nn::Network& net) {
-  return std::make_unique<FloatNetwork>(snapshot(net));
+  return std::make_unique<FloatNetwork>(net);
 }
 
 std::unique_ptr<InferenceBackend> make_sc_backend(nn::Network& net,
                                                   const ScConfig& cfg) {
-  return std::unique_ptr<ScNetwork>(new ScNetwork(snapshot(net), cfg));
+  return std::make_unique<ScNetwork>(net, cfg);
 }
 
 std::unique_ptr<InferenceBackend> make_bipolar_backend(
     nn::Network& net, const BipolarConfig& cfg) {
-  return std::unique_ptr<BipolarNetwork>(
-      new BipolarNetwork(snapshot(net), cfg));
+  return std::make_unique<BipolarNetwork>(net, cfg);
 }
 
 std::unique_ptr<InferenceBackend> make_backend(

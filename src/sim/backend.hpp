@@ -7,13 +7,14 @@
 // so dataset evaluation, the CLI and the paper benches are written once
 // against that interface instead of hand-rolling a loop per executor.
 //
-// Concurrency model: a factory deep-copies the source network once into a
-// const snapshot, which nothing else can reach. clone() produces a twin
-// with fresh scratch and zeroed stats on the same snapshot: inference never
-// writes the network, so no clone copies a weight. sim::BatchEvaluator
-// gives each worker thread its own clone, which is what makes N-thread
-// evaluation bit-identical to 1-thread evaluation — forward() is a pure
-// function of (weights, config, input), and stats merge commutatively.
+// Concurrency model: every executor deep-copies the network it is built on
+// once into a const snapshot, which nothing else can reach; a factory only
+// constructs. clone() produces a twin with fresh scratch and zeroed stats
+// on the same snapshot: inference never writes the network, so no clone
+// copies a weight. sim::BatchEvaluator gives each worker thread its own
+// clone, which is what makes N-thread evaluation bit-identical to 1-thread
+// evaluation — forward() is a pure function of (weights, config, input),
+// and stats merge commutatively.
 #pragma once
 
 #include <array>

@@ -17,10 +17,9 @@ std::uint32_t bipolar_level(const StreamBank& bank, double v) {
 
 }  // namespace
 
-BipolarNetwork::BipolarNetwork(std::shared_ptr<const nn::Network> net,
-                               BipolarConfig cfg)
+BipolarNetwork::BipolarNetwork(nn::Network& net, BipolarConfig cfg)
     // No fusion/folding: the MUX baseline runs them binary.
-    : GraphExecutor(std::move(net), LowerOptions{}, "BipolarNetwork"),
+    : GraphExecutor(net, LowerOptions{}, "BipolarNetwork"),
       cfg_(cfg),
       act_bank_(cfg_.sng_width, cfg_.activation_seed, cfg_.stream_length),
       wgt_bank_(cfg_.sng_width, cfg_.weight_seed, cfg_.stream_length) {

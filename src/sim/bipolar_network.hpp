@@ -42,25 +42,20 @@ struct BipolarConfig {
 /// Bit-level bipolar-MUX execution of a trained network through the
 /// inherited forward(); input values in [0, 1] (encoded bipolar). The
 /// network's weighted layers should be in kSum mode conceptually (the MUX
-/// computes a plain scaled sum) — weights are read live like ScNetwork
-/// does.
+/// computes a plain scaled sum).
 class BipolarNetwork final : public GraphExecutor {
  public:
-  /// Reads @p net live; it must outlive this object and its clones.
-  BipolarNetwork(const nn::Network& net, BipolarConfig cfg)
-      : BipolarNetwork(live(net), cfg) {}
+  /// Runs a snapshot of @p net (GraphExecutor's), as ScNetwork does.
+  BipolarNetwork(nn::Network& net, BipolarConfig cfg);
 
   [[nodiscard]] std::string name() const override { return "bipolar"; }
   [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
-    return std::unique_ptr<BipolarNetwork>(new BipolarNetwork(net_, cfg_));
+    return std::unique_ptr<BipolarNetwork>(new BipolarNetwork(*this));
   }
 
  private:
-  /// Runs on @p net, which clone() shares. Private, as ScNetwork's: an
-  /// owning @p net comes only from make_bipolar_backend's snapshot.
-  BipolarNetwork(std::shared_ptr<const nn::Network> net, BipolarConfig cfg);
-  friend std::unique_ptr<InferenceBackend> make_bipolar_backend(
-      nn::Network& net, const BipolarConfig& cfg);
+  /// clone()'s twin of @p proto: its snapshot, config and banks.
+  BipolarNetwork(const BipolarNetwork& proto) = default;
 
   /// Runs a weighted node — conv, dense (as its 1x1 conv) or a skip-path
   /// projection — as XNOR products summed by a MUX tree. The datapath has

@@ -91,15 +91,22 @@ const char* node_kind(const LoweredOp& op) noexcept {
   return nn::to_string(op.kind);
 }
 
-GraphExecutor::GraphExecutor(std::shared_ptr<const nn::Network> net,
-                             const LowerOptions& opt, const char* who)
-    : net_(std::move(net)), ops_(lower_graph(*net_, opt, who)) {
+GraphExecutor::GraphExecutor(nn::Network& net, const LowerOptions& opt,
+                             const char* who)
+    : net_(std::make_shared<const nn::Network>(net.clone())),
+      ops_(lower_graph(*net_, opt, who)) {
   for (const LoweredOp& op : ops_) {
     if (op.kind == nn::OpKind::kSkipSave) {
       skips_.resize(std::max(skips_.size(), op.skip + 1));
     }
   }
 }
+
+GraphExecutor::GraphExecutor(const GraphExecutor& proto)
+    : InferenceBackend(),
+      net_(proto.net_),
+      ops_(proto.ops_),
+      skips_(proto.skips_.size()) {}
 
 void GraphExecutor::run_max_pool(const LoweredOp& op, const nn::Tensor& input,
                                  nn::Tensor& out, RunStats& run) {
@@ -326,24 +333,24 @@ ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape input,
   return g;
 }
 
-WeightKey node_key(const LoweredOp& op, std::span<float> scale) {
-  if (op.bn == nullptr) {
-    return WeightKey{op.conv->weights(), {}};
-  }
-  const int oc_count = op.conv->spec().out_channels;
-  for (int oc = 0; oc < oc_count; ++oc) {
-    scale[static_cast<std::size_t>(oc)] = op.bn->scale(oc);
-  }
-  return WeightKey{op.conv->weights(),
-                   scale.first(static_cast<std::size_t>(oc_count))};
-}
-
 std::span<const float> node_weights(const LoweredOp& op,
                                     std::vector<float>& scratch) {
-  std::vector<float> scale(
-      op.bn != nullptr ? static_cast<std::size_t>(op.conv->spec().out_channels)
-                       : 0);
-  return folded_weights(node_key(op, scale), scratch);
+  const std::span<const float> weights = op.conv->weights();
+  if (op.bn == nullptr) {
+    return weights;
+  }
+  const int oc_count = op.conv->spec().out_channels;
+  const std::size_t per_oc =
+      weights.size() / static_cast<std::size_t>(oc_count);
+  scratch.resize(weights.size());
+  for (int oc = 0; oc < oc_count; ++oc) {
+    const float scale = op.bn->scale(oc);
+    const std::size_t base = static_cast<std::size_t>(oc) * per_oc;
+    for (std::size_t j = base; j < base + per_oc; ++j) {
+      scratch[j] = weights[j] * scale;
+    }
+  }
+  return scratch;
 }
 
 }  // namespace acoustic::sim

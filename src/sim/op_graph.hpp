@@ -35,10 +35,10 @@
 //
 // This module is also the one owner of what a weighted node computes:
 // sc_lower_options (the lowering the SC datapath runs), the fused pool's
-// window timetable, ConvGeometry with its live-tap rectangle (live_taps),
-// node_key and node_weights. The executor and `acoustic check` both read
-// them, so the analyzer sees exactly the nodes, slots, live taps and
-// BN-folded weights the executor runs.
+// window timetable, ConvGeometry with its live-tap rectangle (live_taps)
+// and node_weights. The executor and `acoustic check` both read them, so
+// the analyzer sees exactly the nodes, slots, live taps and BN-folded
+// weights the executor runs.
 #pragma once
 
 #include <algorithm>
@@ -266,29 +266,18 @@ class GraphExecutor : public InferenceBackend {
     track_ = track;
   }
 
-  /// The network this executor and its clones read.
+  /// The snapshot this executor and its clones read.
   [[nodiscard]] const nn::Network& network() const noexcept { return *net_; }
 
  protected:
-  /// Lowers *@p net under @p opt (see lower_graph; @p who prefixes its
-  /// errors).
-  GraphExecutor(std::shared_ptr<const nn::Network> net,
-                const LowerOptions& opt, const char* who);
+  /// Takes a snapshot of @p net (nn::Network::clone, a deep copy) and
+  /// lowers it under @p opt (see lower_graph; @p who prefixes its errors).
+  /// Later edits to @p net reach neither this executor nor its clones.
+  GraphExecutor(nn::Network& net, const LowerOptions& opt, const char* who);
 
-  /// A non-owning pointer to @p net, for constructors that read a caller's
-  /// network live (the caller may edit its weights between forwards).
-  [[nodiscard]] static std::shared_ptr<const nn::Network> live(
-      const nn::Network& net) noexcept {
-    return {std::shared_ptr<const nn::Network>(), &net};
-  }
-
-  /// True when net_ owns its network: a make_backend snapshot, which no
-  /// caller can write (the owning constructors are reachable only from the
-  /// factories and clone()). False on a live() reference, which owns
-  /// nothing.
-  [[nodiscard]] bool owns_network() const noexcept {
-    return net_.use_count() != 0;
-  }
+  /// clone()'s twin of @p proto: the same snapshot and nodes, fresh
+  /// buffers, zeroed stats and no profiler.
+  GraphExecutor(const GraphExecutor& proto);
 
   /// The lowered nodes, in execution order.
   [[nodiscard]] const std::vector<LoweredOp>& ops() const noexcept {
@@ -305,10 +294,8 @@ class GraphExecutor : public InferenceBackend {
   virtual void run_max_pool(const LoweredOp& op, const nn::Tensor& input,
                             nn::Tensor& out, RunStats& run);
 
-  /// The network, shared with every clone: make_backend's snapshot, which
-  /// nothing else can reach and nothing writes (owns_network()), or a
-  /// caller's network read live (live()), which the caller may write
-  /// between forwards.
+  /// The snapshot, shared with every clone: nothing else can reach it and
+  /// nothing writes it.
   const std::shared_ptr<const nn::Network> net_;
   /// Per-forward bump allocator for the bodies: reset at the top of every
   /// forward, grown to its high-water mark by the warm-up calls (reported
@@ -404,19 +391,15 @@ struct ConvGeometry {
 [[nodiscard]] ConvGeometry conv_geometry(const LoweredOp& op,
                                          nn::Shape input, std::size_t phase);
 
-/// The ProductTable key of weighted node @p op: its raw conv weights and,
-/// with an absorbed BatchNorm, the per-output-channel scale
-/// written into @p scale (which must hold the conv's output channels).
-/// Cheap enough to take every forward: it copies no weight.
-[[nodiscard]] WeightKey node_key(const LoweredOp& op, std::span<float> scale);
-
 /// The float weights weighted node @p op's stochastic datapath quantizes:
-/// folded_weights of node_key — the live conv weights, or, with
-/// an absorbed BatchNorm, the folded copy w * scale(oc) staged in
-/// @p scratch (its shift is applied post-counter instead). The folded
-/// floats feed quantization AND sign classification, so a negative scale
-/// flips the product's phase exactly as the algebra demands. Call
-/// conv_geometry first: it validates the fold.
+/// the conv's weights, or, with an absorbed BatchNorm, the folded copy
+/// w * scale(oc) staged in @p scratch (its shift is applied post-counter
+/// instead). The one definition of the BN fold: the table builder's
+/// caller, the table validator, the scalar oracle and `acoustic check`
+/// all take it. The folded floats feed quantization AND sign
+/// classification, so a negative scale flips the product's phase exactly
+/// as the algebra demands. Call conv_geometry first: it validates the
+/// fold.
 [[nodiscard]] std::span<const float> node_weights(const LoweredOp& op,
                                                   std::vector<float>& scratch);
 

@@ -65,7 +65,8 @@ core::Report check_live_taps(const ConvGeometry& g, std::string_view path) {
 }
 
 core::Report check_product_table(const ProductTable& table,
-                                 const StreamBank& bank, const WeightKey& key,
+                                 const StreamBank& bank,
+                                 std::span<const float> weights,
                                  std::string_view path,
                                  std::size_t max_entries) {
   core::Report report;
@@ -75,14 +76,7 @@ core::Report check_product_table(const ProductTable& table,
   const std::size_t groups = 2 * oc_count;
   const std::size_t taps = layout.taps.count();
   const std::size_t seg_words = sched.seg_words();
-  if (!table.keyed_on(sched, layout, key)) {
-    report.add("plan-invariant", Severity::kError, at(path),
-               "table key (raw weights and folded BatchNorm scale) differs "
-               "from the node's live weights");
-    return report;
-  }
-  if (table.weights.size() != oc_count * layout.w_per_oc ||
-      (!table.scale.empty() && table.scale.size() != oc_count) ||
+  if (weights.size() != oc_count * layout.w_per_oc ||
       layout.taps.y0 + layout.taps.h > layout.kernel ||
       layout.taps.x0 + layout.taps.w > layout.kernel ||
       table.gated.size() != groups ||
@@ -95,11 +89,9 @@ core::Report check_product_table(const ProductTable& table,
                    std::to_string(groups) + " groups, live field " +
                    std::to_string(layout.live_rf()) + " of rf " +
                    std::to_string(layout.rf) + ", " +
-                   std::to_string(table.weights.size()) + " weights)");
+                   std::to_string(weights.size()) + " weights)");
     return report;
   }
-  std::vector<float> scratch;
-  const std::span<const float> weights = folded_weights(key, scratch);
   std::vector<std::uint32_t> cursor(groups);
   for (std::size_t gi = 0; gi < groups; ++gi) {
     cursor[gi] = table.taps_of(gi)[0];
@@ -216,20 +208,20 @@ core::Report check_product_table(const ProductTable& table,
     if (cursor[gi] != to[taps]) {
       flag("group " + std::to_string(gi) + " holds " +
            std::to_string(to[taps] - to[0]) +
-           " entries but the live weights produce " +
+           " entries but the node's weights produce " +
            std::to_string(cursor[gi] - to[0]));
     }
     if (gated[gi] != table.gated[gi]) {
       flag("group " + std::to_string(gi) + " counts " +
            std::to_string(table.gated[gi]) +
-           " gated weights but the live weights have " +
+           " gated weights but the node's weights have " +
            std::to_string(gated[gi]));
     }
   }
   if (mismatches > 4) {
     report.add("plan-invariant", Severity::kError, at(path),
                std::to_string(mismatches) +
-                   " total mismatches against the live weights (first 4 "
+                   " total mismatches against the node's weights (first 4 "
                    "shown)");
   }
   return report;

@@ -12,9 +12,9 @@
 //     box of the taps its output positions read in bounds, re-derived by
 //     brute force over every position.
 //   check_product_table — a weight ProductTable is consistent with the
-//     node it claims to be built for: its raw-weight + BN-scale key, the
-//     (sign phase, output channel) classification of the key's folded
-//     weights with entries only at live taps in oc-major, tap-major order,
+//     node it claims to be built for: the (sign phase, output channel)
+//     classification of the node's folded weights with entries only at
+//     live taps in oc-major, tap-major order,
 //     gated counts that include every dead-tap weight, monotone tap
 //     offsets that agree with the entries' slots, slot bitmaps, word
 //     extents (positions x entries x seg_words), and sampled entries'
@@ -41,15 +41,14 @@ namespace acoustic::sim {
 [[nodiscard]] core::Report check_live_taps(const ConvGeometry& g,
                                            std::string_view path);
 
-/// Re-derives @p table from its node's live @p key (folded with
-/// folded_weights, as the datapath quantizes it) and @p bank (the weight
+/// Re-derives @p table from its node's folded @p weights (sim::
+/// node_weights, as the datapath quantizes them) and @p bank (the weight
 /// bank it draws from) and reports every field that disagrees. Stream
 /// words are regenerated for up to @p max_entries sampled entries (every
 /// window slot of the entry's own sign phase). Findings anchor at @p path.
-[[nodiscard]] core::Report check_product_table(const ProductTable& table,
-                                               const StreamBank& bank,
-                                               const WeightKey& key,
-                                               std::string_view path,
-                                               std::size_t max_entries = 8);
+[[nodiscard]] core::Report check_product_table(
+    const ProductTable& table, const StreamBank& bank,
+    std::span<const float> weights, std::string_view path,
+    std::size_t max_entries = 8);
 
 }  // namespace acoustic::sim

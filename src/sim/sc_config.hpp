@@ -94,9 +94,9 @@ struct ScConfig {
   /// and one per-image activation plan per weighted node), measured by the
   /// footprint rules sim::weight_table_bytes and sim::plan_table_bytes
   /// (sim/stream_plan.hpp). Those count stream words only, so a weight
-  /// table holds more than the budget measures: its raw-weight key and
-  /// slot index too (the words are 27-31% of ResNet-18's tables at side
-  /// 16, stream 128). A node whose weight table is over it builds
+  /// table holds more than the budget measures: its slot index, tap
+  /// offsets and bitmaps too (the words are 65% of ResNet-18's tables at
+  /// side 16, stream 128). A node whose weight table is over it builds
   /// none and runs the scalar oracle; an activation plan over it is left
   /// unbuilt and the planned body regenerates its words in place. Bits
   /// never change. `acoustic check` notes the same nodes

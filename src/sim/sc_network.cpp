@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -117,20 +116,24 @@ runtime::ThreadPool* intra_pool(const ScConfig& cfg, std::size_t work_words) {
 
 }  // namespace
 
-ScNetwork::ScNetwork(std::shared_ptr<const nn::Network> net, ScConfig cfg,
-                     std::shared_ptr<WeightPlanStore> shared)
-    : GraphExecutor(std::move(net), sc_lower_options(cfg), "ScNetwork"),
+ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg)
+    : GraphExecutor(net, sc_lower_options(cfg), "ScNetwork"),
       cfg_(cfg),
       act_bank_(cfg_.sng_width, cfg_.activation_seed, 2 * cfg_.phase_length(),
-                cfg_.decorrelate_lanes) {
+                cfg_.decorrelate_lanes),
+      stage_scratch_(ops().size()) {
   if (cfg_.phase_length() == 0) {
     throw std::invalid_argument("ScNetwork: stream_length must be >= 2");
   }
-  stage_scratch_.resize(ops().size());
-  wgt_plans_ = shared != nullptr
-                   ? std::move(shared)
-                   : std::make_shared<WeightPlanStore>(cfg_, ops().size());
+  wgt_plans_ = std::make_shared<WeightPlanStore>(cfg_, ops().size());
 }
+
+ScNetwork::ScNetwork(const ScNetwork& proto)
+    : GraphExecutor(proto),
+      cfg_(proto.cfg_),
+      act_bank_(proto.act_bank_),
+      stage_scratch_(ops().size()),
+      wgt_plans_(proto.wgt_plans_) {}
 
 void ScNetwork::run_weighted(const LoweredOp& op, std::size_t node,
                              const nn::Tensor& input, nn::Tensor& out,
@@ -305,11 +308,6 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
       arena_.alloc<std::uint32_t>(input.size());
   quantize_activations_into(act_bank_, input, act_levels);
   StageScratch& stage = stage_scratch_[node];
-  // The folded-BN scale buffer of node_key, carved every forward although
-  // only a key compare fills it, so the arena's high-water mark
-  // (RunStats::scratch_bytes) does not depend on which forward compared.
-  const std::span<float> scale =
-      op.bn != nullptr ? arena_.alloc<float>(oc_count) : std::span<float>{};
   // Folded BatchNorm shift per output channel (zeros without a BN), added
   // after the counter divide.
   const std::span<float> bias = arena_.alloc<float>(oc_count);
@@ -325,25 +323,19 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
                                  sched.positions * oc_count * live_rf * sw;
   runtime::ThreadPool* pool = intra_pool(cfg_, work_words);
 
-  // Weight table: shared across clones and images, re-fetched when an
-  // input size changes the schedule or the live taps, and on a caller's
-  // network also when a bitwise compare of the node's key finds retrained
-  // weights (StageScratch::table); a snapshot's weights never change, so
-  // its warm stages take no key at all. Only a rebuild folds a BatchNorm
-  // into the weights. Its build's kernel bits are amortized capital cost,
-  // excluded from per-run stats so they stay a pure function of the sample
-  // set. Activation plan: rebuilt per image into the stage's retained plan
-  // object — its allocation depends only on (lanes, schedule). Building
-  // both before the unit loop keeps them read-only while workers run.
+  // Weight table: shared across clones and images, fetched when the stage
+  // holds none or an input size changes the schedule or the live taps
+  // (StageScratch::table); only a fetch folds the node's weights. Its
+  // build's kernel bits are amortized capital cost, excluded from per-run
+  // stats so they stay a pure function of the sample set. Activation plan:
+  // rebuilt per image into the stage's retained plan object — its
+  // allocation depends only on (lanes, schedule). Building both before the
+  // unit loop keeps them read-only while workers run.
   stage.input = input.shape();
-  const bool same_geometry = stage.table != nullptr &&
-                             stage.table->sched == sched &&
-                             stage.table->layout == g.layout;
-  if (!same_geometry || !owns_network()) {
-    const WeightKey key = node_key(op, scale);
-    if (!same_geometry || !stage.table->keyed_on(sched, g.layout, key)) {
-      stage.table = wgt_plans_->get(node, sched, g.layout, key);
-    }
+  if (stage.table == nullptr || !stage.table->keyed_on(sched, g.layout)) {
+    std::vector<float> folded;
+    stage.table =
+        wgt_plans_->get(node, sched, g.layout, node_weights(op, folded));
   }
   const ProductTable& tbl = *stage.table;
   if (stage.act_plan == nullptr || stage.act_plan->lanes() != input.size() ||
@@ -640,16 +632,12 @@ core::Report ScNetwork::validate_plans() {
     // The table's schedule and layout need no comparison: the forward
     // re-fetches the table unless it is keyed on the ones it executes.
     // Re-derived: the live taps of the input the stage last ran on, and
-    // the table against the live node's key. Valid right after a forward;
-    // a retrain in between legitimately invalidates the table (it is
-    // re-fetched on the next forward), so callers validate before mutating
-    // weights.
-    const ProductTable& tbl = *scratch.table;
+    // the table against the node's folded weights.
     report.merge(check_live_taps(conv_geometry(op, scratch.input, phase),
                                  op.name + "/live-taps"));
-    std::vector<float> scale(tbl.layout.oc_count);
-    report.merge(check_product_table(tbl, wgt_plans_->bank(),
-                                     node_key(op, scale),
+    std::vector<float> folded;
+    report.merge(check_product_table(*scratch.table, wgt_plans_->bank(),
+                                     node_weights(op, folded),
                                      op.name + "/product-table"));
   }
   return report;

@@ -58,56 +58,41 @@ namespace acoustic::sim {
 /// weight tables all fit the plan budget performs no heap allocation at
 /// all (asserted by tests/sim/alloc_test.cpp). Any forward_into() is
 /// bit-identical to forward().
-///
-/// How a warm stage knows its weight table is current depends on how the
-/// executor was built. One built by make_sc_backend (or cloned from one)
-/// runs on a const snapshot nothing writes, so it compares no weight once
-/// a stage holds its table. One built on a caller's network compares the
-/// node's raw weights and folded-BatchNorm scale bitwise every forward
-/// (see StageScratch::table).
 class ScNetwork final : public GraphExecutor {
  public:
-  /// @param net trained network; must outlive this object and its
-  ///            clones. Weights are read live, so retraining between
-  ///            forward() calls is allowed.
-  ScNetwork(const nn::Network& net, ScConfig cfg)
-      : ScNetwork(live(net), cfg) {}
+  /// Runs a snapshot of the trained @p net (GraphExecutor's): edits to
+  /// @p net after construction reach neither this executor nor its clones.
+  ScNetwork(nn::Network& net, ScConfig cfg);
 
   /// "sc" under PoolingMode::kSkipping, "sc-mux" under kMux.
   [[nodiscard]] std::string name() const override {
     return cfg_.pooling == PoolingMode::kSkipping ? "sc" : "sc-mux";
   }
-  /// A twin on the same network and weight-table store: each stage's
+  /// A twin on the same snapshot and weight-table store: each stage's
   /// ProductTable is built once across all workers (the store is
-  /// thread-safe, and a table is a pure function of config, schedule and
+  /// thread-safe, and a table is a pure function of config, geometry and
   /// weights, so sharing cannot change bits).
   [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
-    return std::unique_ptr<ScNetwork>(new ScNetwork(net_, cfg_, wgt_plans_));
+    return std::unique_ptr<ScNetwork>(new ScNetwork(*this));
   }
 
   /// Plan-invariant verification (rule "plan-invariant"): re-derives the
   /// invariants of every table the stages last executed — the live-tap
   /// rectangle by brute force over every output position, and
-  /// ProductTable consistency with the live node: its raw-weight + BN-scale
-  /// key and the weights' sign/oc classification (live-tap-only slot
-  /// lists, tap offsets, bitmap popcounts, extents, sampled own-sign
-  /// stream words bit-identical to regeneration; sim/plan_check). The
-  /// table's schedule and layout are the executed ones by construction
-  /// (a forward re-fetches a table keyed on anything else). Run at least
-  /// one forward() first so the tables exist; stages that have not run the
-  /// planned body are skipped. Findings anchor at "<LoweredOp::name>/...".
+  /// ProductTable consistency with the node's folded weights (node_weights):
+  /// their sign/oc classification (live-tap-only slot lists, tap offsets,
+  /// bitmap popcounts, extents, sampled own-sign stream words
+  /// bit-identical to regeneration; sim/plan_check). The table's schedule
+  /// and layout are the executed ones by construction (a forward
+  /// re-fetches a table keyed on any other). Run at least one forward()
+  /// first so the tables exist; stages that have not run the planned body
+  /// are skipped. Findings anchor at "<LoweredOp::name>/...".
   [[nodiscard]] core::Report validate_plans();
 
  private:
-  /// Runs on @p net, which clone() shares, drawing weight tables from
-  /// @p shared (nullptr: a fresh store). Private, so an owning @p net
-  /// comes only from make_sc_backend's snapshot or a clone of it: an
-  /// executor owns its network (owns_network()) exactly when nothing can
-  /// write it.
-  ScNetwork(std::shared_ptr<const nn::Network> net, ScConfig cfg,
-            std::shared_ptr<WeightPlanStore> shared = nullptr);
-  friend std::unique_ptr<InferenceBackend> make_sc_backend(
-      nn::Network& net, const ScConfig& cfg);
+  /// clone()'s twin of @p proto: its snapshot, config, activation bank and
+  /// weight-table store; fresh stage scratch and stats.
+  ScNetwork(const ScNetwork& proto);
 
   /// Per-stage reusable executor state of a weighted node. Nothing here
   /// is per-clone weight data: the weight table is shared with every clone
@@ -121,22 +106,12 @@ class ScNetwork final : public GraphExecutor {
     /// (validate_plans re-derives the node's live taps from it).
     std::unique_ptr<LayerStreamPlan> act_plan;
     nn::Shape input;
-    /// The stage's ProductTable from the shared store. Every fetch goes
-    /// through WeightPlanStore::get, which compares the whole key —
-    /// (schedule, layout with its live taps, raw weights, folded-BN scale;
-    /// see node_key) — bitwise. Between fetches:
-    ///   - on a snapshot (owns_network()) the weights cannot change, so
-    ///     the stage re-fetches only when the schedule or the layout
-    ///     differs from the table's, and a steady-state forward takes no
-    ///     node_key and compares no weight;
-    ///   - on a caller's network the stage compares the live node's key
-    ///     with the table's every forward, which keeps the "weights are
-    ///     read live" contract: retraining between forwards (of the conv,
-    ///     or of a folded BatchNorm's gamma or variance) is picked up on
-    ///     the next forward.
-    /// The BN fold itself runs only when a table is built, into a
-    /// transient buffer, so a steady-state forward neither folds nor
-    /// copies a weight.
+    /// The stage's ProductTable from the shared store, keyed on the
+    /// geometry (schedule, layout with its live taps) alone: the snapshot's
+    /// weights cannot change. The stage re-fetches it only when the
+    /// schedule or the layout differs from the table's, and only a fetch
+    /// folds the node's weights (node_weights, into a transient buffer),
+    /// so a steady-state forward neither folds nor compares a weight.
     std::shared_ptr<const ProductTable> table;
   };
 

@@ -1,20 +1,11 @@
 #include "sim/stream_plan.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 namespace acoustic::sim {
 
 namespace {
-
-/// Bitwise equality of two float spans (a key compare: -0.0 != 0.0 and a
-/// NaN equals itself).
-bool same_bits(std::span<const float> a, std::span<const float> b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
 
 /// Words of the buffer a lane's run — at most both sign phases, 2*phase
 /// bits — is generated into (plus a zero pad word: the shift-extract below
@@ -104,35 +95,12 @@ std::uint64_t LayerStreamPlan::build(std::span<const std::uint32_t> levels) {
   return built * static_cast<std::uint64_t>(2 * sched_.phase);
 }
 
-bool ProductTable::keyed_on(const SegmentSchedule& s, const WeightLayout& l,
-                            const WeightKey& key) const noexcept {
-  return sched == s && layout == l && same_bits(weights, key.weights) &&
-         same_bits(scale, key.scale);
-}
-
-std::span<const float> folded_weights(const WeightKey& key,
-                                      std::vector<float>& scratch) {
-  if (key.scale.empty()) {
-    return key.weights;
-  }
-  const std::size_t per_oc = key.weights.size() / key.scale.size();
-  scratch.resize(key.weights.size());
-  for (std::size_t j = 0; j < key.weights.size(); ++j) {
-    scratch[j] = key.weights[j] * key.scale[j / per_oc];
-  }
-  return scratch;
-}
-
 std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched,
-    const WeightLayout& layout, const WeightKey& key) {
-  std::vector<float> scratch;
-  const std::span<const float> weights = folded_weights(key, scratch);
+    const WeightLayout& layout, std::span<const float> weights) {
   auto tbl = std::make_shared<ProductTable>();
   tbl->sched = sched;
   tbl->layout = layout;
-  tbl->weights.assign(key.weights.begin(), key.weights.end());
-  tbl->scale.assign(key.scale.begin(), key.scale.end());
   const std::size_t oc_count = layout.oc_count;
   const std::size_t groups = 2 * oc_count;  // [phase * oc_count + oc]
   const std::size_t taps = layout.taps.count();
@@ -227,11 +195,11 @@ WeightPlanStore::WeightPlanStore(const ScConfig& cfg, std::size_t stages)
 
 std::shared_ptr<const ProductTable> WeightPlanStore::get(
     std::size_t stage, const SegmentSchedule& sched,
-    const WeightLayout& layout, const WeightKey& key) {
+    const WeightLayout& layout, std::span<const float> weights) {
   Entry& entry = *entries_[stage];
   const std::lock_guard<std::mutex> lock(entry.mu);
-  if (entry.table == nullptr || !entry.table->keyed_on(sched, layout, key)) {
-    entry.table = build_product_table(bank_, sched, layout, key);
+  if (entry.table == nullptr || !entry.table->keyed_on(sched, layout)) {
+    entry.table = build_product_table(bank_, sched, layout, weights);
   }
   return entry.table;
 }

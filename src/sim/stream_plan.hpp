@@ -13,8 +13,9 @@
 //
 //   LayerStreamPlan — a per-image activation plan, lane-major (one lane
 //     per input activation, every slot of both sign phases).
-//   ProductTable — a weighted node's products classified once per weight
-//     set and shared by every executor clone through the WeightPlanStore.
+//   ProductTable — a weighted node's products classified once per
+//     geometry and shared by every executor clone through the
+//     WeightPlanStore.
 //     It holds only the products some output position can use: entries at
 //     the kernel taps inside the node's live-tap rectangle (a tap outside
 //     it reads padding at every position), grouped by (sign phase, output
@@ -234,34 +235,14 @@ struct WeightLayout {
   bool operator==(const WeightLayout&) const = default;
 };
 
-/// What a weighted node's ProductTable depends on besides its geometry and
-/// the weight bank: the raw conv or dense weights (oc-major), and the
-/// per-output-channel scale of a folded BatchNorm (empty without one).
-/// Compared bitwise, so any retraining of either is a miss. The BN fold
-/// itself (folded_weights) runs only on a miss.
-struct WeightKey {
-  std::span<const float> weights;
-  std::span<const float> scale;
-};
-
-/// The float weights the stochastic datapath quantizes for @p key: its raw
-/// weights without a scale, else the BatchNorm fold weights[j] * scale[oc]
-/// (weights.size() / scale.size() weights per output channel) staged in
-/// @p scratch. The one definition of the fold: the table builder, the
-/// table validator, and through sim::node_weights the scalar oracle and
-/// `acoustic check` all call it.
-[[nodiscard]] std::span<const float> folded_weights(
-    const WeightKey& key, std::vector<float>& scratch);
-
 /// The footprint rule of a weight ProductTable: one lane per weight at a
 /// live tap (WeightLayout::live_weights), each holding the
 /// sched.positions slots of its own sign phase. A function of the geometry
 /// alone, so the executor's budget decision, `acoustic check`'s
 /// plan-budget note and the tests all compute it the same way. It counts
-/// the stream words only: a table also keeps its raw-weight key (every
-/// weight, dead taps included), a 4-byte slot index per entry, tap
-/// offsets and bitmaps. On ResNet-18 at side 16, stream 128, the words are
-/// 27-31% of what the tables hold.
+/// the stream words only: a table also keeps a 4-byte slot index per
+/// entry, tap offsets and bitmaps. On ResNet-18 at side 16, stream 128,
+/// the words are 65% of what the tables hold (20.3 of 31.2 MB).
 [[nodiscard]] inline std::size_t weight_table_bytes(
     const SegmentSchedule& sched, const WeightLayout& layout) noexcept {
   return layout.live_weights() * sched.positions * sched.seg_words() *
@@ -279,15 +260,11 @@ struct WeightKey {
 /// sequential loads, and a slot bitmap per group so live-product counts
 /// come from popcounts instead of per-entry branches. Every other signed
 /// weight (zero level, dead tap) is counted in its group's gated total,
-/// so operand-gating stats stay exact. A pure function of its key
-/// (schedule, layout, WeightKey) and the weight bank.
+/// so operand-gating stats stay exact. A pure function of its geometry
+/// (schedule, layout), the node's folded weights and the weight bank.
 struct ProductTable {
   SegmentSchedule sched;
   WeightLayout layout;
-  /// The WeightKey the table was built from, compared bitwise: the raw
-  /// weights and the folded BatchNorm's per-channel scale (empty without).
-  std::vector<float> weights;
-  std::vector<float> scale;
   /// Signed weights per group without an entry: zero level or dead tap.
   std::vector<std::uint32_t> gated;
   /// Entry offsets of the (group, live tap) cells, group-major with taps
@@ -319,18 +296,20 @@ struct ProductTable {
     return tap_off.data() + group * layout.taps.count();
   }
 
-  /// True when the table was built for exactly this key.
-  [[nodiscard]] bool keyed_on(const SegmentSchedule& s, const WeightLayout& l,
-                              const WeightKey& key) const noexcept;
+  /// True when the table was built on this geometry.
+  [[nodiscard]] bool keyed_on(const SegmentSchedule& s,
+                              const WeightLayout& l) const noexcept {
+    return sched == s && layout == l;
+  }
 };
 
-/// Builds the ProductTable for (sched, layout, key) from @p bank on the
-/// calling thread, over the key's folded_weights (staged in a buffer that
-/// lives only for the build). The caller decides whether the table fits:
-/// the build always generates every entry's words.
+/// Builds the ProductTable of @p weights (a node's folded weights,
+/// sim::node_weights) on (sched, layout) from @p bank on the calling
+/// thread. The caller decides whether the table fits: the build always
+/// generates every entry's words.
 [[nodiscard]] std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched,
-    const WeightLayout& layout, const WeightKey& key);
+    const WeightLayout& layout, std::span<const float> weights);
 
 /// Thread-safe store of per-stage ProductTables, shared by every clone of
 /// an ScNetwork. Weight streams depend only on the weights — identical for
@@ -339,22 +318,23 @@ struct ProductTable {
 /// free, and the build's kernel bits stay out of per-run stats. The store
 /// owns the weight SNG bank the tables draw from.
 ///
-/// The cache key is (schedule, layout, WeightKey): retraining that changes
-/// any raw weight or folded-BN scale bit, or an input size that changes
-/// the schedule (a fused pool that stops tiling) or the live taps, triggers
-/// a rebuild; the superseded table stays alive for readers still holding
-/// it (shared_ptr swap).
+/// The cache key is the geometry (schedule, layout): every executor that
+/// shares a store runs one const snapshot, whose weights cannot change.
+/// An input size that changes the schedule (a fused pool that stops
+/// tiling) or the live taps triggers a rebuild; the superseded table stays
+/// alive for readers still holding it (shared_ptr swap).
 class WeightPlanStore {
  public:
   /// @param cfg    bank parameters (width, weight seed, phase, wiring).
   /// @param stages number of lowered nodes (one table slot each).
   WeightPlanStore(const ScConfig& cfg, std::size_t stages);
 
-  /// The table for @p stage under the given key, building it on the
-  /// calling thread if absent or stale.
+  /// The table for @p stage on (sched, layout), built on the calling
+  /// thread from the node's folded @p weights when the stage holds none
+  /// or one on another geometry.
   [[nodiscard]] std::shared_ptr<const ProductTable> get(
       std::size_t stage, const SegmentSchedule& sched,
-      const WeightLayout& layout, const WeightKey& key);
+      const WeightLayout& layout, std::span<const float> weights);
 
   /// The weight bank every table of this store draws from.
   [[nodiscard]] const StreamBank& bank() const noexcept { return bank_; }

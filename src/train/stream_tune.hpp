@@ -12,7 +12,8 @@
 //   backward: gradients through the float kOrApprox path, evaluated at the
 //             same input (the STE surrogate for the non-differentiable
 //             bitstream computation)
-// Weights update between samples; the executor reads them live.
+// Weights change only at SGD steps, so the executor is a fresh snapshot of
+// the network after each step.
 #pragma once
 
 #include "sim/sc_config.hpp"

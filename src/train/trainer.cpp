@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <numeric>
+#include <stdexcept>
 
 #include "nn/quantize.hpp"
 #include "sc/rng.hpp"
@@ -12,17 +13,23 @@ namespace acoustic::train {
 TrainStats fit(nn::Network& net, const Dataset& data,
                const TrainConfig& config) {
   return fit(net, data, config,
-             [&net](const nn::Tensor& image) { return net.forward(image); });
+             [&net](const nn::Tensor& image, std::size_t /*steps*/) {
+               return net.forward(image);
+             });
 }
 
 TrainStats fit(nn::Network& net, const Dataset& data,
                const TrainConfig& config, const LogitsFn& logits_of) {
+  if (data.size() == 0 && config.epochs > 0) {
+    throw std::invalid_argument("fit: the training set is empty");
+  }
   TrainStats stats;
   Sgd sgd(SgdConfig{config.learning_rate, config.momentum,
                     config.weight_clip});
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
   sc::XorShift32 rng(config.shuffle_seed);
+  std::size_t steps = 0;
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     // Fisher-Yates shuffle with the deterministic session RNG.
@@ -36,7 +43,7 @@ TrainStats fit(nn::Network& net, const Dataset& data,
     net.zero_gradients();
     for (std::size_t idx : order) {
       const Sample& sample = data.samples[idx];
-      const nn::Tensor logits = logits_of(sample.image);
+      const nn::Tensor logits = logits_of(sample.image, steps);
       if (static_cast<int>(logits.argmax()) == sample.label) {
         ++correct;
       }
@@ -46,6 +53,7 @@ TrainStats fit(nn::Network& net, const Dataset& data,
       if (++in_batch == config.batch_size) {
         auto params = net.parameters();
         sgd.step(params);
+        ++steps;
         net.zero_gradients();
         in_batch = 0;
       }
@@ -53,6 +61,7 @@ TrainStats fit(nn::Network& net, const Dataset& data,
     if (in_batch > 0) {
       auto params = net.parameters();
       sgd.step(params);
+      ++steps;
       net.zero_gradients();
     }
     stats.epoch_loss.push_back(

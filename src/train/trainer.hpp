@@ -1,6 +1,7 @@
 // Training loop and evaluation helpers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -27,14 +28,17 @@ struct TrainStats {
   std::vector<float> epoch_accuracy;  ///< training accuracy per epoch
 };
 
-/// Trains @p net on @p data with softmax cross-entropy.
+/// Trains @p net on @p data with softmax cross-entropy. Throws
+/// std::invalid_argument when @p data is empty and config.epochs > 0.
 TrainStats fit(nn::Network& net, const Dataset& data,
                const TrainConfig& config);
 
-/// The logits the loss of one training image sees. It must leave the
-/// network's backward caches filled for that image: its last forward of
-/// the network is the float forward of that image.
-using LogitsFn = std::function<nn::Tensor(const nn::Tensor& image)>;
+/// The logits the loss of one training image sees, given the SGD steps
+/// fit has taken so far (the weights change only when that count does).
+/// It must leave the network's backward caches filled for that image: its
+/// last forward of the network is the float forward of that image.
+using LogitsFn =
+    std::function<nn::Tensor(const nn::Tensor& image, std::size_t steps)>;
 
 /// fit's loop (shuffle, batches, SGD steps, learning-rate decay) with the
 /// loss taken on @p logits_of instead of the network's own forward; the

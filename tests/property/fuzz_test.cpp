@@ -8,6 +8,8 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -1204,6 +1206,126 @@ TEST_P(GeneratedGraphTest, SnapshotBackendAndCloneMatchScalar) {
       const core::Report plans =
           dynamic_cast<sim::ScNetwork&>(exec).validate_plans();
       EXPECT_TRUE(plans.clean()) << plans.to_string();
+    }
+  }
+}
+
+TEST_P(GeneratedGraphTest, NonFiniteAndSaturatedValuesMatchScalar) {
+  // The generated graph, poisoned after random_graph builds it by the
+  // case's own RNG (so every case sees the same graph per seed): about 1 in
+  // 16 values of the input, of every weighted layer's weights and of every
+  // BatchNorm parameter and running statistic (Network::state) becomes NaN,
+  // -NaN, +-Inf or a float denormal, or saturates (+-1.5 for a weight, 7.0
+  // for an input). `acoustic check` flags exactly the nodes whose folded
+  // weights hold a NaN or an Inf, every node given one among them, and the
+  // planned executor matches the scalar oracle bit for bit.
+  GeneratedGraph g = random_graph(GetParam());
+  sc::XorShift32 rng(GetParam() * 40503u + 7u);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const float weight_values[] = {nan,      std::copysign(nan, -1.0f),
+                                 inf,      -inf,
+                                 denormal, 1.5f,
+                                 -1.5f};
+  const float input_values[] = {nan,  std::copysign(nan, -1.0f), inf, -inf,
+                                denormal, 7.0f};
+  const auto poison = [&rng](std::span<float> values,
+                             std::span<const float> specials) {
+    for (float& v : values) {
+      if (rng.next() % 16 == 0) {
+        v = specials[rng.next() % specials.size()];
+      }
+    }
+  };
+  for (const std::span<float> values : g.net.state()) {
+    poison(values, weight_values);
+  }
+  nn::Tensor x(g.input);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.next_double());
+  }
+  poison(x.data(), input_values);
+
+  const auto nonfinite = [](std::span<const float> values) {
+    return std::any_of(values.begin(), values.end(),
+                       [](float v) { return !std::isfinite(v); });
+  };
+  analysis::CheckOptions opt;
+  opt.probe = false;
+  opt.sc.stream_length = 128;
+  const core::Report report =
+      analysis::check_network(g.net, "generated", g.input, opt);
+  std::multiset<std::string> flagged;
+  for (const core::Diagnostic& d : report.diagnostics()) {
+    if (d.rule == "nonfinite-weight") {
+      flagged.insert(d.path);
+    }
+  }
+  std::multiset<std::string> expected;
+  for (const sim::LoweredOp& op :
+       sim::lower_graph(g.net, sim::sc_lower_options(opt.sc), "generated")) {
+    if (!op.weighted()) {
+      continue;
+    }
+    std::vector<float> folded;
+    const bool folded_nonfinite = nonfinite(sim::node_weights(op, folded));
+    if (nonfinite(op.conv->weights())) {
+      EXPECT_TRUE(folded_nonfinite) << op.name;
+    }
+    if (folded_nonfinite) {
+      expected.insert("generated/" + op.name);
+    }
+  }
+  EXPECT_EQ(flagged, expected) << report.to_string();
+
+  for (const std::size_t stream : {std::size_t{128}, std::size_t{1024}}) {
+    sim::ScConfig cfg;
+    cfg.stream_length = stream;
+    sim::ScConfig scalar_cfg = cfg;
+    scalar_cfg.exec = sim::ExecMode::kScalar;
+    sim::ScNetwork scalar(g.net, scalar_cfg);
+    const nn::Tensor want = scalar.forward(x);
+    const sim::RunStats oracle = scalar.take_stats();
+    for (const std::size_t budget : {cfg.plan_budget_bytes, std::size_t{1}}) {
+      for (const unsigned threads : {1u, 3u}) {
+        sim::ScConfig planned_cfg = cfg;
+        planned_cfg.plan_budget_bytes = budget;
+        planned_cfg.intra_threads = threads;
+        sim::ScNetwork planned(g.net, planned_cfg);
+        runtime::ThreadPool pool(threads);
+        nn::Tensor got;
+        pool.parallel_for(1, [&](std::size_t, unsigned) {
+          got = planned.forward(x);
+        });
+        const sim::RunStats st = planned.take_stats();
+        const std::string label = "stream " + std::to_string(stream) +
+                                  " budget " + std::to_string(budget) +
+                                  " threads " + std::to_string(threads);
+        ASSERT_EQ(got.shape(), want.shape()) << label;
+        EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << label;
+        if (budget == 1) {
+          // Every weighted node runs the oracle: every stat is its own.
+          EXPECT_EQ(st, oracle) << label;
+        } else {
+          // Every fetch is served from a table: the oracle's work and
+          // fetches, as hits of reused bits. The generated bits (plan
+          // builds) and the scratch high-water mark are the route's own.
+          EXPECT_EQ(st.samples, oracle.samples) << label;
+          EXPECT_EQ(st.layers_run, oracle.layers_run) << label;
+          EXPECT_EQ(st.product_bits, oracle.product_bits) << label;
+          EXPECT_EQ(st.skipped_operands, oracle.skipped_operands) << label;
+          EXPECT_EQ(st.plan_hits, oracle.plan_misses) << label;
+          EXPECT_EQ(st.plan_misses, 0u) << label;
+          EXPECT_EQ(st.stream_bits_reused, oracle.stream_bits_generated)
+              << label;
+        }
+        const core::Report plans = planned.validate_plans();
+        EXPECT_TRUE(plans.clean()) << label << "\n" << plans.to_string();
+      }
     }
   }
 }

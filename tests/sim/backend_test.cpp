@@ -1,12 +1,15 @@
-// The backends are the executors: each must behave exactly like the
-// executor built on the caller's network, snapshot weights at
-// construction, and support independent clones that share that one
+// The backends are the executors: each factory must build exactly what
+// the executor's constructor builds, every executor snapshots the weights
+// at construction, and clones are independent twins that share that one
 // snapshot — the contract sim::BatchEvaluator builds on.
 #include "sim/backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -14,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/diagnostics.hpp"
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -89,63 +93,132 @@ TEST(Backend, BipolarMatchesRawBipolarNetwork) {
   }
 }
 
-TEST(Backend, SnapshotsWeightsAtConstruction) {
-  // An executor built on a network reads its weights live; a backend
-  // runs on a snapshot instead, so later mutation of the source must not
-  // change the backend's outputs, nor its clones'. The backend is warm
-  // first (two forwards), so an SC backend's stages already hold their
-  // tables and compare no weight. The edits go through ParamView and a
-  // folded BatchNorm's gamma and running variance; an executor freshly
-  // built on the edited network does see them.
-  const train::Sample sample = make_data(1).samples.front();
-  BipolarConfig bipolar_cfg;
-  bipolar_cfg.stream_length = 32;
-  for (const std::string_view name : kBackendNames) {
-    SCOPED_TRACE(std::string(name));
-    // conv -> BatchNorm -> 2x2 average pool -> ReLU -> dense: sc folds the
-    // BatchNorm into the conv node and fuses the pool, sc-mux only folds.
-    nn::Network net;
-    net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 1, .out_channels = 4,
-                                     .kernel = 3, .padding = 1,
-                                     .mode = nn::AccumMode::kOrApprox})
-        .initialize(91);
-    auto& bn = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4});
-    bn.initialize(93);
-    net.add<nn::AvgPool2D>(2);
-    net.add<nn::ReLU>();
-    net.add<nn::Dense>(nn::DenseSpec{.in_features = 8 * 8 * 4,
-                                     .out_features = 5,
-                                     .mode = nn::AccumMode::kOrApprox})
-        .initialize(95);
-    const auto backend =
-        make_backend(std::string(name), net, small_sc(), bipolar_cfg);
-    const nn::Tensor before = backend->forward(sample.image);
-    expect_same_tensor(backend->forward(sample.image), before);
+bool same_bytes(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
 
-    for (nn::ParamView view : net.parameters()) {
-      for (std::size_t i = 0; i < view.values.size(); i += 3) {
-        view.values[i] = -0.5f * view.values[i];
+TEST(Backend, SnapshotsWeightsAtConstruction) {
+  // Every executor runs a snapshot of the network it is given, taken at
+  // construction. So an edit to the caller's network reaches neither an
+  // executor built before it (warm: two forwards, so the SC stages already
+  // hold their tables) nor that executor's clone, while one built after it
+  // runs the edited weights: the SC datapath then matches the scalar
+  // oracle on the edited network with clean plans. The edits are the
+  // writes a caller can make: a ParamView write-back (every third value of
+  // every parameter halved and negated, as train::evaluate_quantized
+  // writes in place) and its restore, a dense weight, a sign flip of a
+  // folded BatchNorm's gamma (its channel's products change phase) and
+  // its running variance.
+  const train::Sample sample = make_data(1).samples.front();
+  // Long enough that the MUX selects the edited dense weight's product.
+  BipolarConfig bipolar_cfg;
+  bipolar_cfg.stream_length = 1024;
+  const auto build = [&](std::string_view name, nn::Network& source)
+      -> std::unique_ptr<InferenceBackend> {
+    if (name == "float") {
+      return make_float_backend(source);
+    }
+    if (name == "bipolar") {
+      return std::make_unique<BipolarNetwork>(source, bipolar_cfg);
+    }
+    ScConfig cfg = small_sc();
+    cfg.pooling = name == "sc" ? PoolingMode::kSkipping : PoolingMode::kMux;
+    return std::make_unique<ScNetwork>(source, cfg);
+  };
+  // conv -> BatchNorm -> 2x2 average pool -> ReLU -> dense: sc folds the
+  // BatchNorm into the conv node and fuses the pool, sc-mux only folds.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 1, .out_channels = 4,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrApprox})
+      .initialize(91);
+  auto& bn = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4});
+  bn.initialize(93);
+  net.add<nn::AvgPool2D>(2);
+  net.add<nn::ReLU>();
+  auto& dense = net.add<nn::Dense>(nn::DenseSpec{
+      .in_features = 8 * 8 * 4, .out_features = 5,
+      .mode = nn::AccumMode::kOrApprox});
+  dense.initialize(95);
+  // The dense edit flips output 0's weight from the most active dense
+  // input to full magnitude, so every datapath's logits move.
+  std::size_t hottest = 0;
+  (void)net.forward_with_hook(sample.image, [&](nn::Tensor& t,
+                                                std::size_t layer) {
+    if (layer == 3) {
+      hottest = t.argmax();
+    }
+  });
+  std::vector<nn::ParamView> params = net.parameters();
+  std::vector<std::vector<float>> saved;
+  for (const nn::ParamView& p : params) {
+    saved.emplace_back(p.values.begin(), p.values.end());
+  }
+  struct Edit {
+    const char* name;
+    std::function<void()> apply;
+  };
+  const Edit edits[] = {
+      {"ParamView write-back",
+       [&] {
+         for (nn::ParamView& p : params) {
+           for (std::size_t i = 0; i < p.values.size(); i += 3) {
+             p.values[i] = -0.5f * p.values[i];
+           }
+         }
+       }},
+      {"ParamView restore",
+       [&] {
+         for (std::size_t p = 0; p < params.size(); ++p) {
+           std::copy(saved[p].begin(), saved[p].end(),
+                     params[p].values.begin());
+         }
+       }},
+      {"dense weight",
+       [&] {
+         float& w = dense.weights()[hottest];
+         w = w > 0.0f ? -1.0f : 1.0f;
+       }},
+      {"gamma sign flip", [&] { bn.gamma()[1] = -1.5f * bn.gamma()[1]; }},
+      {"variance", [&] { bn.variance()[2] *= 4.0f; }},
+  };
+  std::map<std::string_view, nn::Tensor> original;
+  for (const Edit& edit : edits) {
+    SCOPED_TRACE(edit.name);
+    std::map<std::string_view, std::unique_ptr<InferenceBackend>> built;
+    std::map<std::string_view, nn::Tensor> before;
+    for (const std::string_view name : kBackendNames) {
+      built[name] = build(name, net);
+      before[name] = built[name]->forward(sample.image);
+      expect_same_tensor(built[name]->forward(sample.image), before[name]);
+      original.emplace(name, before[name]);
+    }
+    edit.apply();
+    for (const std::string_view name : kBackendNames) {
+      SCOPED_TRACE(std::string(name));
+      expect_same_tensor(built[name]->forward(sample.image), before[name]);
+      expect_same_tensor(built[name]->clone()->forward(sample.image),
+                         before[name]);
+      const nn::Tensor after = build(name, net)->forward(sample.image);
+      EXPECT_FALSE(same_bytes(after, before[name]));
+      if (std::string_view(edit.name) == "ParamView restore") {
+        expect_same_tensor(after, original[name]);
       }
     }
-    bn.gamma()[1] = -1.5f * bn.gamma()[1];
-    bn.variance()[2] *= 4.0f;
-    expect_same_tensor(backend->forward(sample.image), before);
-    expect_same_tensor(backend->clone()->forward(sample.image), before);
-
-    nn::Tensor edited;
-    if (name == "float") {
-      edited = net.forward(sample.image);
-    } else if (name == "bipolar") {
-      edited = BipolarNetwork(net, bipolar_cfg).forward(sample.image);
-    } else {
+    for (const PoolingMode pooling :
+         {PoolingMode::kSkipping, PoolingMode::kMux}) {
       ScConfig cfg = small_sc();
-      cfg.pooling = name == "sc" ? PoolingMode::kSkipping : PoolingMode::kMux;
-      edited = ScNetwork(net, cfg).forward(sample.image);
+      cfg.pooling = pooling;
+      ScNetwork planned(net, cfg);
+      cfg.exec = ExecMode::kScalar;
+      ScNetwork oracle(net, cfg);
+      EXPECT_TRUE(same_bytes(planned.forward(sample.image),
+                             oracle.forward(sample.image)));
+      const core::Report plans = planned.validate_plans();
+      EXPECT_TRUE(plans.clean()) << plans.to_string();
     }
-    ASSERT_EQ(edited.shape(), before.shape());
-    EXPECT_NE(std::memcmp(edited.data().data(), before.data().data(),
-                          before.size() * sizeof(float)),
-              0);
   }
 }
 

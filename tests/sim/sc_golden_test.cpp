@@ -739,80 +739,6 @@ TEST(ScGolden, ActivationPlanOverBudgetRegeneratesInPlace) {
   }
 }
 
-/// The scalar oracle's output for @p net on @p input, from a fresh
-/// executor.
-nn::Tensor oracle_forward(nn::Network& net, const nn::Tensor& input,
-                          ScConfig cfg) {
-  cfg.exec = ExecMode::kScalar;
-  ScNetwork scalar(net, cfg);
-  return scalar.forward(input);
-}
-
-TEST(ScGolden, FoldedBatchNormEditsArePickedUp) {
-  // The table key holds the folded BatchNorm's per-channel scale, so an
-  // edit to gamma or variance — which moves the folded weights, and with a
-  // sign flip their phases — must reach the next forward of a warm
-  // executor.
-  nn::Network net;
-  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 4,
-                                   .kernel = 3, .padding = 1,
-                                   .mode = nn::AccumMode::kOrExact})
-      .initialize(521);
-  auto& bn = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4});
-  bn.initialize(523);
-  net.add<nn::ReLU>();
-  const nn::Tensor input = random_unit(nn::Shape{4, 4, 2}, 525);
-  const ScConfig cfg = golden_config();
-  ScNetwork planned(net, cfg);
-  expect_bytes_equal(planned.forward(input), oracle_forward(net, input, cfg),
-                     "before edits");
-  bn.gamma()[1] = -1.5f * bn.gamma()[1];
-  expect_bytes_equal(planned.forward(input), oracle_forward(net, input, cfg),
-                     "gamma edit");
-  bn.variance()[2] *= 4.0f;
-  expect_bytes_equal(planned.forward(input), oracle_forward(net, input, cfg),
-                     "variance edit");
-  const core::Report plans = planned.validate_plans();
-  EXPECT_TRUE(plans.clean()) << plans.to_string();
-}
-
-TEST(ScGolden, ParamViewWriteBackIsPickedUp) {
-  // Writers that hold ParamView spans across forwards (as
-  // train::evaluate_quantized does: quantize in place, evaluate, restore)
-  // bypass any setter, so only comparing the key's bits catches them.
-  nn::Network net;
-  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 4,
-                                   .kernel = 3, .padding = 1,
-                                   .mode = nn::AccumMode::kOrExact})
-      .initialize(531);
-  net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4}).initialize(533);
-  net.add<nn::ReLU>();
-  net.add<nn::Dense>(nn::DenseSpec{.in_features = 4 * 4 * 4,
-                                   .out_features = 5,
-                                   .mode = nn::AccumMode::kOrExact})
-      .initialize(535);
-  const nn::Tensor input = random_unit(nn::Shape{4, 4, 2}, 537);
-  const ScConfig cfg = golden_config();
-  std::vector<nn::ParamView> params = net.parameters();
-  std::vector<std::vector<float>> saved;
-  for (const nn::ParamView& p : params) {
-    saved.emplace_back(p.values.begin(), p.values.end());
-  }
-  ScNetwork planned(net, cfg);
-  const nn::Tensor original = planned.forward(input);
-  for (nn::ParamView& p : params) {
-    for (std::size_t i = 0; i < p.values.size(); i += 3) {
-      p.values[i] = -0.5f * p.values[i];
-    }
-  }
-  expect_bytes_equal(planned.forward(input), oracle_forward(net, input, cfg),
-                     "written back");
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    std::copy(saved[p].begin(), saved[p].end(), params[p].values.begin());
-  }
-  expect_bytes_equal(planned.forward(input), original, "restored");
-}
-
 /// FNV-1a over the logits' float bytes followed by the work counters that
 /// must not drift when the executor is restructured.
 std::uint64_t forward_digest(nn::Network& net, const nn::Tensor& input,

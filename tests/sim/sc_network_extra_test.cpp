@@ -120,26 +120,5 @@ TEST(ScNetworkExtra, DifferentSeedsDifferentNoise) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(ScNetworkExtra, WeightsReadLiveBetweenForwards) {
-  // The executor reads layer weights at forward() time, so retraining (or
-  // direct edits) between calls takes effect — required by stream-aware
-  // fine-tuning.
-  nn::Network net;
-  auto& dense = net.add<nn::Dense>(nn::DenseSpec{
-      .in_features = 1, .out_features = 1, .mode = nn::AccumMode::kOrExact});
-  dense.weights()[0] = 0.9f;
-  nn::Tensor x = nn::Tensor::vector(1);
-  x[0] = 1.0f;
-  ScConfig cfg;
-  cfg.stream_length = 4096;
-  cfg.sng_width = 12;
-  ScNetwork executor(net, cfg);
-  const float before = executor.forward(x)[0];
-  dense.weights()[0] = 0.1f;
-  const float after = executor.forward(x)[0];
-  EXPECT_GT(before, 0.7f);
-  EXPECT_LT(after, 0.3f);
-}
-
 }  // namespace
 }  // namespace acoustic::sim

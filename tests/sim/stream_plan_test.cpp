@@ -4,9 +4,13 @@
 // and the table validator's negative cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "nn/batchnorm.hpp"
+#include "nn/conv.hpp"
+#include "nn/network.hpp"
 #include "sc/rng.hpp"
 #include "sim/op_graph.hpp"
 #include "sim/plan_check.hpp"
@@ -126,42 +130,28 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   const WeightLayout layout = dense_layout(2, 3);
   const std::vector<float> weights{0.5f, 0.0f, -0.25f, 0.75f, 1e-6f, -1.0f};
 
-  const WeightKey key{weights, {}};
-
-  const auto t1 = store.get(0, sched, layout, key);
+  const auto t1 = store.get(0, sched, layout, weights);
   // 0.0 is in no phase; 1e-6 quantizes to level 0 (gated): 4 entries.
   EXPECT_EQ(t1->total(), 4u);
   EXPECT_TRUE(
-      check_product_table(*t1, store.bank(), key, "t").clean());
+      check_product_table(*t1, store.bank(), weights, "t").clean());
 
-  // Same key: the cached table is returned and nothing is rebuilt.
-  EXPECT_EQ(store.get(0, sched, layout, key).get(), t1.get());
+  // Same geometry: the cached table is returned and nothing is rebuilt.
+  EXPECT_EQ(store.get(0, sched, layout, weights).get(), t1.get());
 
-  // Changed weights (retraining): rebuild, and the old table stays valid
-  // for holders of the original shared_ptr.
-  std::vector<float> retrained = weights;
-  retrained[0] = 0.5625f;
-  const WeightKey retrained_key{retrained, {}};
-  const auto t2 = store.get(0, sched, layout, retrained_key);
-  EXPECT_NE(t2.get(), t1.get());
-  EXPECT_TRUE(t1->keyed_on(sched, layout, key));
-
-  // A changed schedule (a fused pool that stops tiling) is a new key too.
-  // Each entry holds the slots of its own sign phase only.
+  // A changed schedule (a fused pool that stops tiling) is a new key: a
+  // rebuild, while the old table stays valid for holders of the original
+  // shared_ptr. Each entry holds the slots of its own sign phase only.
   const SegmentSchedule unpooled{cfg.phase_length(), 1, cfg.phase_length()};
-  const auto t3 = store.get(0, unpooled, layout, retrained_key);
-  EXPECT_NE(t3.get(), t2.get());
+  const auto t3 = store.get(0, unpooled, layout, weights);
+  EXPECT_NE(t3.get(), t1.get());
+  EXPECT_TRUE(t1->keyed_on(sched, layout));
   EXPECT_EQ(t3->words.size(), unpooled.positions * t3->total());
-  EXPECT_TRUE(check_product_table(*t3, store.bank(), retrained_key, "t")
-                  .clean());
-
-  // A changed folded-BatchNorm scale is a new key even when the raw
-  // weights are unchanged.
-  const std::vector<float> scale{1.0f, -0.5f};
-  EXPECT_FALSE(t3->keyed_on(unpooled, layout, WeightKey{retrained, scale}));
+  EXPECT_TRUE(
+      check_product_table(*t3, store.bank(), weights, "t").clean());
 
   // Distinct stages are independent slots.
-  EXPECT_NE(store.get(1, sched, layout, key).get(), t1.get());
+  EXPECT_NE(store.get(1, sched, layout, weights).get(), t1.get());
 }
 
 TEST(WeightPlanStoreTest, FootprintCountsLiveTapsAndOneSignPhase) {
@@ -226,8 +216,7 @@ TEST(ProductTableShapeTest, OneByOneMapHoldsOnlyCentreTapEntries) {
   const SegmentSchedule sched{64, 4, 16};
   StreamBank bank(8, 0x5EED, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(3 * 36, 11);
-  const WeightKey key{weights, {}};
-  const auto tbl = build_product_table(bank, sched, layout, key);
+  const auto tbl = build_product_table(bank, sched, layout, weights);
   std::size_t centre = 0;
   std::size_t signed_total = 0;
   for (std::size_t oc = 0; oc < 3; ++oc) {
@@ -251,7 +240,7 @@ TEST(ProductTableShapeTest, OneByOneMapHoldsOnlyCentreTapEntries) {
   EXPECT_EQ(gated + tbl->total(), signed_total);
   EXPECT_EQ(tbl->words.size(), sched.positions * tbl->total());
   EXPECT_EQ(tbl->bm_words(), 1u);
-  EXPECT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
+  EXPECT_TRUE(check_product_table(*tbl, bank, weights, "t").clean());
 
   // The stride-2 3x3 from a 2x2 map to 1x1 reads taps (1..2, 1..2).
   EXPECT_EQ(conv3x3_layout(3, 4, 2, 2).taps, (TapRect{1, 1, 2, 2}));
@@ -266,8 +255,7 @@ TEST(ProductTableShapeTest, OwnSignWordsMatchDirectFills) {
   const SegmentSchedule sched{96, 4, 24};
   StreamBank bank(9, 0xACE5, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(2 * 27, 13);
-  const auto tbl =
-      build_product_table(bank, sched, layout, WeightKey{weights, {}});
+  const auto tbl = build_product_table(bank, sched, layout, weights);
   ASSERT_EQ(layout.taps.count(), 9u);
   std::vector<std::uint64_t> want(sched.seg_words());
   for (std::size_t group = 0; group < 4; ++group) {
@@ -297,9 +285,8 @@ TEST(ProductTableShapeTest, ValidatorReportsCorruptedTapOffsetAndSignSlot) {
   const SegmentSchedule sched{64, 1, 64};
   StreamBank bank(8, 0x77, 2 * sched.phase, true);
   const std::vector<float> weights = signed_weights(2 * 27, 17);
-  const WeightKey key{weights, {}};
-  const auto tbl = build_product_table(bank, sched, layout, key);
-  ASSERT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
+  const auto tbl = build_product_table(bank, sched, layout, weights);
+  ASSERT_TRUE(check_product_table(*tbl, bank, weights, "t").clean());
 
   // A tap offset moved one entry late: the entry it skips lies outside
   // its tap's run.
@@ -307,7 +294,7 @@ TEST(ProductTableShapeTest, ValidatorReportsCorruptedTapOffsetAndSignSlot) {
   std::uint32_t* const to = moved.tap_off.data() + 5;  // group 0, tap 5
   ASSERT_LT(to[0], moved.tap_off[9]);                   // group 0's end
   ++to[0];
-  const core::Report r1 = check_product_table(moved, bank, key, "t");
+  const core::Report r1 = check_product_table(moved, bank, weights, "t");
   EXPECT_TRUE(r1.has_rule("plan-invariant")) << r1.to_string();
 
   // Entry 0 (positive) holding its negative-phase words, as if its sign
@@ -321,39 +308,51 @@ TEST(ProductTableShapeTest, ValidatorReportsCorruptedTapOffsetAndSignSlot) {
             other);
   ASSERT_NE(swapped.words[0], other[0]);
   swapped.words[0] = other[0];
-  const core::Report r2 = check_product_table(swapped, bank, key, "t");
+  const core::Report r2 = check_product_table(swapped, bank, weights, "t");
   EXPECT_TRUE(r2.has_rule("plan-invariant")) << r2.to_string();
 
-  // A key that no longer matches the node is reported before anything
-  // else is re-derived.
+  // A table checked against other weights (one sign flipped) is reported:
+  // the re-classification walk moves that weight to the other phase.
   std::vector<float> edited = weights;
   edited[3] = -edited[3];
-  const core::Report r3 =
-      check_product_table(*tbl, bank, WeightKey{edited, {}}, "t");
+  const core::Report r3 = check_product_table(*tbl, bank, edited, "t");
   EXPECT_TRUE(r3.has_rule("plan-invariant")) << r3.to_string();
 }
 
 TEST(ProductTableShapeTest, BatchNormScaleFoldsIntoTheKeyedWeights) {
-  // A table keyed on (raw weights, scale) classifies the folded weights:
-  // a negative scale moves its channel's products to the other phase.
-  const WeightLayout layout = dense_layout(2, 3);
+  // A 1x1 conv node with a folded BatchNorm: node_weights multiplies each
+  // output channel's weights by its scale, and the table classifies those
+  // folded weights, so a negative scale moves its channel's products to
+  // the other phase.
+  nn::Network net;
+  auto& conv = net.add<nn::Conv2D>(
+      nn::ConvSpec{.in_channels = 3, .out_channels = 2, .kernel = 1});
   const std::vector<float> raw{0.5f, -0.25f, 0.75f, 0.5f, -0.25f, 0.75f};
-  const std::vector<float> scale{1.0f, -1.0f};
+  std::copy(raw.begin(), raw.end(), conv.weights().begin());
+  auto& bn = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 2});
+  bn.gamma()[0] = 1.0f;
+  bn.gamma()[1] = -1.0f;
+  const std::vector<LoweredOp> ops =
+      lower_graph(net, LowerOptions{.fold_batch_norm = true}, "t");
+  ASSERT_EQ(ops.size(), 1u);
+  ASSERT_EQ(ops[0].bn, &bn);
+  std::vector<float> scratch;
+  const std::span<const float> folded = node_weights(ops[0], scratch);
+  ASSERT_EQ(folded.size(), raw.size());
+  for (std::size_t j = 0; j < raw.size(); ++j) {
+    EXPECT_EQ(folded[j], raw[j] * bn.scale(static_cast<int>(j / 3)));
+  }
+  EXPECT_LT(folded[1], 0.0f);
+  EXPECT_GT(folded[4], 0.0f);
+  // A 1x1 conv's layout is a dense one.
+  const WeightLayout layout = dense_layout(2, 3);
   const SegmentSchedule sched{64, 1, 64};
   StreamBank bank(8, 0x99, 2 * sched.phase, true);
-  const WeightKey key{raw, scale};
-  std::vector<float> scratch;
-  const std::span<const float> folded = folded_weights(key, scratch);
-  ASSERT_EQ(folded.size(), raw.size());
-  EXPECT_EQ(folded[1], -0.25f);
-  EXPECT_EQ(folded[4], 0.25f);
-  const auto tbl = build_product_table(bank, sched, layout, key);
-  EXPECT_TRUE(tbl->keyed_on(sched, layout, key));
-  EXPECT_FALSE(tbl->keyed_on(sched, layout, WeightKey{raw, {}}));
+  const auto tbl = build_product_table(bank, sched, layout, folded);
   // Channel 0 holds two positive weights, channel 1 (scale -1) one.
   EXPECT_EQ(tbl->taps_of(1)[1] - tbl->taps_of(0)[0], 3u);
   EXPECT_EQ(tbl->taps_of(1)[1] - tbl->taps_of(1)[0], 1u);
-  EXPECT_TRUE(check_product_table(*tbl, bank, key, "t").clean());
+  EXPECT_TRUE(check_product_table(*tbl, bank, folded, "t").clean());
 }
 
 TEST(ProductTableShapeTest, ValidatorReDerivesLiveTaps) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "nn/pool.hpp"
 #include "train/models.hpp"
@@ -55,6 +56,17 @@ TEST(Trainer, DeterministicGivenSeeds) {
   const TrainStats sa = fit(a, data, quick_config(2));
   const TrainStats sb = fit(b, data, quick_config(2));
   EXPECT_EQ(sa.epoch_loss, sb.epoch_loss);
+}
+
+TEST(Trainer, RejectsEmptyDataset) {
+  // An empty set has no mean loss or accuracy to record: fit refuses it
+  // instead of writing NaN for every epoch. Zero epochs touch no sample.
+  const Dataset empty;
+  nn::Network net = build_lenet_small(nn::AccumMode::kSum, 16);
+  EXPECT_THROW((void)fit(net, empty, quick_config(1)), std::invalid_argument);
+  const TrainStats none = fit(net, empty, quick_config(0));
+  EXPECT_TRUE(none.epoch_loss.empty());
+  EXPECT_TRUE(none.epoch_accuracy.empty());
 }
 
 /// FNV-1a over the float bytes of every parameter of @p net, in order.

@@ -900,8 +900,8 @@ int cmd_eval(cli::Args args) {
                    opt.side, 0),
        cli::number("--stream", "N", "stream length (default 128)",
                    opt.sc.stream_length),
-       cli::number("--train", "N", "training samples (default 300)",
-                   opt.train_count),
+       cli::number("--train", "N", "training samples, at least 1 (default 300)",
+                   opt.train_count, std::size_t{1}),
        cli::number("--test", "N", "test samples, at least 1 (default 120)",
                    opt.test_count, std::size_t{1}),
        cli::number("--epochs", "N", "training epochs (default 3)",
