@@ -739,6 +739,109 @@ TEST(ScGolden, ActivationPlanOverBudgetRegeneratesInPlace) {
   }
 }
 
+/// The scalar oracle's output for @p net on @p input, from a fresh
+/// executor.
+nn::Tensor oracle_forward(nn::Network& net, const nn::Tensor& input,
+                          ScConfig cfg) {
+  cfg.exec = ExecMode::kScalar;
+  ScNetwork scalar(net, cfg);
+  return scalar.forward(input);
+}
+
+bool same_bytes(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+TEST(ScGolden, FoldedBatchNormEditsArePickedUp) {
+  // The BatchNorm folds into the conv's weights when an executor takes its
+  // snapshot, so an edit to gamma or variance — which moves the folded
+  // weights, and with a sign flip their phases — is picked up by the next
+  // executor built on the network: it matches the oracle on the edited
+  // network with clean plans. A warm executor built before keeps its
+  // bytes.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 4,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(521);
+  auto& bn = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4});
+  bn.initialize(523);
+  net.add<nn::ReLU>();
+  const nn::Tensor input = random_unit(nn::Shape{4, 4, 2}, 525);
+  const ScConfig cfg = golden_config();
+  ScNetwork warm(net, cfg);
+  const nn::Tensor original = warm.forward(input);
+  expect_bytes_equal(original, oracle_forward(net, input, cfg),
+                     "before edits");
+  nn::Tensor previous = original;
+  const auto expect_picked_up = [&](const std::string& label) {
+    ScNetwork planned(net, cfg);
+    const nn::Tensor got = planned.forward(input);
+    expect_bytes_equal(got, oracle_forward(net, input, cfg), label);
+    EXPECT_FALSE(same_bytes(got, previous)) << label;
+    const core::Report plans = planned.validate_plans();
+    EXPECT_TRUE(plans.clean()) << label << ":\n" << plans.to_string();
+    expect_bytes_equal(warm.forward(input), original,
+                       label + ", built before");
+    previous = got;
+  };
+  bn.gamma()[1] = -1.5f * bn.gamma()[1];
+  expect_picked_up("gamma edit");
+  bn.variance()[2] *= 4.0f;
+  expect_picked_up("variance edit");
+}
+
+TEST(ScGolden, ParamViewWriteBackIsPickedUp) {
+  // Writers that hold ParamView spans (as train::evaluate_quantized does:
+  // quantize in place, evaluate, restore) bypass any setter. An executor
+  // built after the write-back runs the written values, one built after
+  // the restore the original ones, and each keeps its own bytes through
+  // the other's edit.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 2, .out_channels = 4,
+                                   .kernel = 3, .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(531);
+  net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4}).initialize(533);
+  net.add<nn::ReLU>();
+  net.add<nn::Dense>(nn::DenseSpec{.in_features = 4 * 4 * 4,
+                                   .out_features = 5,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(535);
+  const nn::Tensor input = random_unit(nn::Shape{4, 4, 2}, 537);
+  const ScConfig cfg = golden_config();
+  std::vector<nn::ParamView> params = net.parameters();
+  std::vector<std::vector<float>> saved;
+  for (const nn::ParamView& p : params) {
+    saved.emplace_back(p.values.begin(), p.values.end());
+  }
+  ScNetwork warm(net, cfg);
+  const nn::Tensor original = warm.forward(input);
+  for (nn::ParamView& p : params) {
+    for (std::size_t i = 0; i < p.values.size(); i += 3) {
+      p.values[i] = -0.5f * p.values[i];
+    }
+  }
+  ScNetwork written(net, cfg);
+  const nn::Tensor written_out = written.forward(input);
+  expect_bytes_equal(written_out, oracle_forward(net, input, cfg),
+                     "written back");
+  EXPECT_FALSE(same_bytes(written_out, original));
+  const core::Report plans = written.validate_plans();
+  EXPECT_TRUE(plans.clean()) << plans.to_string();
+  expect_bytes_equal(warm.forward(input), original,
+                     "written back, built before");
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    std::copy(saved[p].begin(), saved[p].end(), params[p].values.begin());
+  }
+  expect_bytes_equal(ScNetwork(net, cfg).forward(input), original,
+                     "restored");
+  expect_bytes_equal(written.forward(input), written_out,
+                     "restored, built before");
+}
+
 /// FNV-1a over the logits' float bytes followed by the work counters that
 /// must not drift when the executor is restructured.
 std::uint64_t forward_digest(nn::Network& net, const nn::Tensor& input,

@@ -120,5 +120,28 @@ TEST(ScNetworkExtra, DifferentSeedsDifferentNoise) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST(ScNetworkExtra, WeightsSnapshotAtConstruction) {
+  // The executor copies the network's weights when it is built, so an edit
+  // between forwards (retraining, as stream-aware fine-tuning does between
+  // SGD steps) reaches the next executor built on the network, not this
+  // one.
+  nn::Network net;
+  auto& dense = net.add<nn::Dense>(nn::DenseSpec{
+      .in_features = 1, .out_features = 1, .mode = nn::AccumMode::kOrExact});
+  dense.weights()[0] = 0.9f;
+  nn::Tensor x = nn::Tensor::vector(1);
+  x[0] = 1.0f;
+  ScConfig cfg;
+  cfg.stream_length = 4096;
+  cfg.sng_width = 12;
+  ScNetwork executor(net, cfg);
+  const float before = executor.forward(x)[0];
+  dense.weights()[0] = 0.1f;
+  EXPECT_EQ(executor.forward(x)[0], before);
+  const float after = ScNetwork(net, cfg).forward(x)[0];
+  EXPECT_GT(before, 0.7f);
+  EXPECT_LT(after, 0.3f);
+}
+
 }  // namespace
 }  // namespace acoustic::sim
