@@ -12,8 +12,6 @@ BatchNorm::BatchNorm(const BatchNormSpec& spec)
     : spec_(spec),
       gamma_(static_cast<std::size_t>(spec.channels), 1.0f),
       beta_(static_cast<std::size_t>(spec.channels), 0.0f),
-      gamma_grads_(gamma_.size(), 0.0f),
-      beta_grads_(beta_.size(), 0.0f),
       mean_(gamma_.size(), 0.0f),
       var_(gamma_.size(), 1.0f) {
   if (spec.channels <= 0 || spec.epsilon <= 0.0f) {
@@ -48,12 +46,8 @@ std::vector<ParamView> BatchNorm::parameters() {
 }
 
 void BatchNorm::zero_gradients() {
-  for (float& g : gamma_grads_) {
-    g = 0.0f;
-  }
-  for (float& g : beta_grads_) {
-    g = 0.0f;
-  }
+  gamma_grads_.assign(gamma_.size(), 0.0f);
+  beta_grads_.assign(beta_.size(), 0.0f);
 }
 
 Shape BatchNorm::output_shape(Shape input) const {
@@ -89,6 +83,8 @@ Tensor BatchNorm::backward(const Tensor& grad_output) {
   // parameter gradients are dgamma = sum g * xhat, dbeta = sum g.
   const Shape s = grad_output.shape();
   Tensor grad_input(s);
+  gamma_grads_.resize(gamma_.size());  // zero-filled on first use
+  beta_grads_.resize(beta_.size());
   for (int c = 0; c < s.c; ++c) {
     const float sigma_inv = 1.0f / std::sqrt(var_[c] + spec_.epsilon);
     const float a = gamma_[c] * sigma_inv;

@@ -60,6 +60,7 @@ class BatchNorm final : public Layer {
   BatchNormSpec spec_;
   std::vector<float> gamma_;
   std::vector<float> beta_;
+  // Empty until the first zero_gradients() or backward() (see Conv2D).
   std::vector<float> gamma_grads_;
   std::vector<float> beta_grads_;
   std::vector<float> mean_;

@@ -144,9 +144,7 @@ Conv2D::Conv2D(const ConvSpec& spec)
     : spec_(validate(spec)),
       weights_(static_cast<std::size_t>(spec.out_channels) * spec.kernel *
                spec.kernel * (spec.in_channels / spec.groups)),
-      weight_grads_(weights_.size()),
-      bias_(spec.bias ? static_cast<std::size_t>(spec.out_channels) : 0),
-      bias_grads_(bias_.size()) {}
+      bias_(spec.bias ? static_cast<std::size_t>(spec.out_channels) : 0) {}
 
 std::size_t Conv2D::weight_index(int oc, int ky, int kx,
                                  int ic) const noexcept {
@@ -205,12 +203,8 @@ std::vector<ParamView> Conv2D::parameters() {
 }
 
 void Conv2D::zero_gradients() {
-  for (float& g : weight_grads_) {
-    g = 0.0f;
-  }
-  for (float& g : bias_grads_) {
-    g = 0.0f;
-  }
+  weight_grads_.assign(weights_.size(), 0.0f);
+  bias_grads_.assign(bias_.size(), 0.0f);
 }
 
 Tensor Conv2D::forward(const Tensor& input) {
@@ -258,6 +252,8 @@ void Conv2D::compute(const Tensor& input, Tensor& out, Tensor* pos,
 Tensor Conv2D::backward(const Tensor& grad_output) {
   const Shape out_shape = grad_output.shape();
   Tensor grad_input(input_.shape());
+  weight_grads_.resize(weights_.size());  // zero-filled on first use
+  bias_grads_.resize(bias_.size());
   with_mode(spec_.mode, [&](auto mode) {
     constexpr AccumMode M = decltype(mode)::value;
     std::size_t o = 0;  // grad_output.index(oy, ox, oc)

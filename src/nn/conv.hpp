@@ -88,8 +88,10 @@ class Conv2D final : public Layer {
 
   ConvSpec spec_;
   std::vector<float> weights_;
-  std::vector<float> weight_grads_;
   std::vector<float> bias_;
+  // Empty until the first zero_gradients() or backward() sizes them, so a
+  // copy that only infers (Network::clone) carries no gradient storage.
+  std::vector<float> weight_grads_;
   std::vector<float> bias_grads_;
 
   // Caches from forward() for backward().

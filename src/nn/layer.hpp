@@ -29,7 +29,10 @@ namespace acoustic::nn {
 enum class AccumMode { kSum, kOrApprox, kOrExact };
 
 /// A mutable view of one parameter array and its gradient, exposed to the
-/// optimizer. Both spans have equal length and outlive the optimizer step.
+/// optimizer. `gradients` stays empty until the layer's first
+/// zero_gradients() or backward() sizes it (a network that only infers,
+/// such as a Network::clone, never does); from then on both spans have
+/// equal length and outlive the optimizer step.
 struct ParamView {
   std::span<float> values;
   std::span<float> gradients;

@@ -10,12 +10,14 @@ namespace acoustic::runtime {
 
 namespace {
 
-/// Which pool (and which worker slot) the calling thread belongs to, and
-/// how many tasks it is running nested one inside another.
+/// Which pool (and which worker slot) the calling thread belongs to, how
+/// many tasks it is running nested one inside another, and the task count
+/// of the outermost job of the task it runs (0 between tasks).
 struct TlsBinding {
   ThreadPool* pool = nullptr;
   unsigned worker = 0;
   unsigned depth = 0;
+  std::size_t outer_tasks = 0;
 };
 thread_local TlsBinding tl_binding;  // NOLINT(misc-use-internal-linkage)
 
@@ -50,6 +52,7 @@ struct ThreadPool::Job {
   std::atomic<bool> cancelled{false};     ///< set on first exception: drain
   std::exception_ptr error;               ///< first thrown; guarded by done_mu_
   std::uint64_t serial = 0;               ///< jitter-hash salt
+  std::size_t outer_tasks = 0;  ///< task count of the outermost job above
 };
 
 /// Per-worker state: a mutex-guarded ring deque of tasks plus the thread.
@@ -151,6 +154,14 @@ void ThreadPool::stop_and_join() {
 
 ThreadPool* ThreadPool::current() noexcept { return tl_binding.pool; }
 
+unsigned ThreadPool::spare_workers() const noexcept {
+  const std::size_t outer = tl_binding.outer_tasks;
+  if (tl_binding.pool != this || outer == 0 || outer >= size()) {
+    return 0;
+  }
+  return size() - static_cast<unsigned>(outer);
+}
+
 void ThreadPool::set_task_jitter_us(unsigned max_us) noexcept {
   g_jitter_us.store(max_us, std::memory_order_relaxed);
 }
@@ -228,6 +239,8 @@ void ThreadPool::execute(const Task& task, unsigned worker, bool stolen) {
   // A worker is busy once however deeply it nests: the tasks it runs
   // inside its own task (a nested join) do not count it again.
   const bool outermost = tl_binding.depth++ == 0;
+  const std::size_t enclosing_outer = tl_binding.outer_tasks;
+  tl_binding.outer_tasks = job.outer_tasks;
   if (outermost) {
     const unsigned now_active =
         active_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -266,6 +279,7 @@ void ThreadPool::execute(const Task& task, unsigned worker, bool stolen) {
   if (outermost) {
     active_.fetch_sub(1, std::memory_order_relaxed);
   }
+  tl_binding.outer_tasks = enclosing_outer;
   --tl_binding.depth;
   if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     const std::lock_guard<std::mutex> lock(done_mu_);
@@ -330,6 +344,8 @@ void ThreadPool::parallel_for(
   job.fn = &fn;
   job.serial = job_serial_.fetch_add(1, std::memory_order_relaxed) + 1;
   job.remaining.store(count, std::memory_order_relaxed);
+  // A nested job inherits the figure of the external job above it.
+  job.outer_tasks = tl_binding.pool == this ? tl_binding.outer_tasks : count;
 
   if (tl_binding.pool == this) {
     // Nested job: all tasks go onto the calling worker's own deque, in

@@ -104,6 +104,16 @@ class ThreadPool {
   /// image task) shard on the pool it already runs on.
   [[nodiscard]] static ThreadPool* current() noexcept;
 
+  /// Workers the calling task's outermost job leaves idle: size() minus
+  /// that job's task count, floored at 0, and 0 from any thread that is
+  /// not running a task of this pool. The outermost job is the external
+  /// parallel_for the task descends from, so a nested task reads the
+  /// figure of the job that forked its parent on whichever worker runs
+  /// it. A function of the pool size and that one count alone, never of
+  /// which workers happen to be idle now, so a decision taken on it is
+  /// deterministic (ScNetwork's auto sharding gate).
+  [[nodiscard]] unsigned spare_workers() const noexcept;
+
   /// Test hook: busy-wait up to @p max_us microseconds before each task,
   /// for a duration that is a deterministic hash of (job, index) — it
   /// perturbs SCHEDULING (forcing heavy stealing) without perturbing any

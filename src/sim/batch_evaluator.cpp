@@ -156,8 +156,9 @@ void export_metrics(const EvalResult& result, obs::Registry& registry) {
   registry.add("sc.plan_misses", result.stats.plan_misses);
   // Gauge, not a counter: the steady-state per-forward scratch footprint
   // (max across clones, identical for each). Thread-count invariant only
-  // while no layer shards: a sharded layer carves one scratch state per
-  // pool worker, so the gauge then grows with the thread count.
+  // while no node shards: a sharded node carves one scratch state per
+  // pool worker, so the gauge then grows with the thread count. Under
+  // auto a node shards only when the run has fewer images than workers.
   registry.set("sc.scratch_bytes",
                static_cast<double>(result.stats.scratch_bytes));
   registry.describe("sc.scratch_bytes",

@@ -144,11 +144,14 @@ struct RunStats {
   std::uint64_t plan_misses = 0;
   /// High-water mark of the per-forward scratch arena in bytes — the
   /// steady-state working set one executor needs beyond the plan tables.
-  /// A pure function of (network, config, input shape) and, once a layer
+  /// A pure function of (network, config, input shape) and, once a node
   /// shards, of the worker count of the pool it shards on: each worker
   /// gets its own row-unit scratch state, so the figure grows with the
   /// evaluator's thread count then and is invariant across thread counts
-  /// otherwise. Identical for every clone of one run and across repeated
+  /// otherwise. Under auto sharding whether a node shards depends on the
+  /// pool size and the task count of the forward's outermost job too (a
+  /// 2-image run on 4 workers shards, a 4-image run does not), never on
+  /// timing. Identical for every clone of one run and across repeated
   /// runs, so merge() takes the max, not the sum.
   std::uint64_t scratch_bytes = 0;
 

@@ -77,14 +77,15 @@ struct ScConfig {
 
   /// Intra-image sharding policy of the planned path (a weighted node's
   /// output rows x output-channel blocks): 0 = auto (the production
-  /// default — a layer shards only when its estimated word-level work
-  /// reaches a fixed 4M word-ops, ScNetwork's kIntraWorkThreshold; small
-  /// layers stay serial because the fork/join cost dominates them, the
-  /// recorded LeNet-small regression), 1 = always serial, 2 or more =
-  /// shard every layer. The value sizes nothing: units run as nested jobs
-  /// of the runtime::ThreadPool the forward already runs on (a
-  /// batch-evaluator image task), on that pool's workers, so a forward
-  /// called from outside any pool, or on a one-worker pool, runs serial.
+  /// default — a node shards only when the forward's outermost job leaves
+  /// workers of its pool idle, runtime::ThreadPool::spare_workers, and
+  /// the node's estimated word-level work reaches sim::kShardMinWords; a
+  /// batch with an image per worker, and every node below the floor,
+  /// stays serial), 1 = always serial, 2 or more = shard every node. The
+  /// value sizes nothing: units run as nested jobs of the
+  /// runtime::ThreadPool the forward already runs on (a batch-evaluator
+  /// image task), on that pool's workers, so a forward called from
+  /// outside any pool, or on a one-worker pool, runs serial.
   /// Results are bit-identical for any value. Ignored in scalar mode and
   /// by a node whose weight table is over plan_budget_bytes: the scalar
   /// oracle it runs never shards.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -88,30 +89,26 @@ void charge(RunStats& run, bool planned, std::uint64_t fetches,
   }
 }
 
-/// Auto mode's per-layer gate (intra_threads == 0 only): estimated
-/// word-level AND/OR operations (output positions x window slots x live
-/// field x output channels x segment words) a layer must exceed before the
-/// row/output sharding engages. Calibrated on the forward bench:
-/// LeNet-small layers (~1e5..1e6 word-ops, where 4 threads measured 1.6x
-/// SLOWER than serial) stay serial, while VGG-scale layers (1e8+)
-/// parallelize.
-constexpr std::size_t kIntraWorkThreshold = std::size_t{4} << 20;
-
-/// The pool that shards a layer's row units, or nullptr for serial
-/// execution: the pool the forward already runs on (idle workers steal
-/// the units as nested jobs) when it has more than one worker and
-/// ScConfig::intra_threads asks for sharding. Auto (0) asks only for a
-/// layer whose estimated word-level work @p work_words reaches
-/// kIntraWorkThreshold: below it the fork/join overhead exceeds the
-/// sharding win (the LeNet-small forward bench, `acoustic bench --suite
-/// forward`, measured 330 us at 4 forced threads vs 211 us serial).
+/// The pool that shards a node's units, or nullptr for serial execution:
+/// the pool the forward already runs on (idle workers steal the units as
+/// nested jobs) when it has more than one worker and
+/// ScConfig::intra_threads asks for sharding. Auto (0) asks only when the
+/// forward's outermost job leaves workers idle
+/// (ThreadPool::spare_workers: a batch that fills the pool keeps every
+/// node serial) and the node's estimated work @p work_words reaches
+/// kShardMinWords. Both read only the node, the config, the pool size and
+/// that job's task count, never live idle counts, so the decision, and
+/// RunStats::scratch_bytes with it, is the same on every run.
 runtime::ThreadPool* intra_pool(const ScConfig& cfg, std::size_t work_words) {
-  if (cfg.intra_threads == 1 ||
-      (cfg.intra_threads == 0 && work_words < kIntraWorkThreshold)) {
+  runtime::ThreadPool* pool = runtime::ThreadPool::current();
+  if (cfg.intra_threads == 1 || pool == nullptr || pool->size() < 2) {
     return nullptr;
   }
-  runtime::ThreadPool* pool = runtime::ThreadPool::current();
-  return pool != nullptr && pool->size() > 1 ? pool : nullptr;
+  if (cfg.intra_threads == 0 &&
+      (pool->spare_workers() == 0 || work_words < kShardMinWords)) {
+    return nullptr;
+  }
+  return pool;
 }
 
 }  // namespace
@@ -317,7 +314,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
 
   // Estimated word-level AND/OR work: output positions x window slots x
   // live field x output channels x segment words — the quantity the
-  // auto-mode gate compares against kIntraWorkThreshold.
+  // auto-mode gate compares against kShardMinWords.
   const std::size_t work_words = static_cast<std::size_t>(g.out_shape.h) *
                                  static_cast<std::size_t>(g.out_shape.w) *
                                  sched.positions * oc_count * live_rf * sw;
@@ -544,7 +541,9 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t node,
 
   const std::size_t units = rows * oc_blocks;
   if (pool != nullptr) {
-    pool->parallel_for(units, run_unit);
+    // By reference: a std::function holding the closure itself would
+    // allocate on every sharded node of every forward.
+    pool->parallel_for(units, std::ref(run_unit));
   } else {
     for (std::size_t unit = 0; unit < units; ++unit) {
       run_unit(unit, 0);

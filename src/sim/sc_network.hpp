@@ -49,6 +49,17 @@
 
 namespace acoustic::sim {
 
+/// Auto sharding's per-node work floor (ScConfig::intra_threads == 0): the
+/// estimated word-level AND/OR operations (output positions x window
+/// slots x live field x output channels x segment words) a weighted node
+/// must reach before its units fork onto the workers its forward's
+/// outermost job leaves idle. Measured on resnet18-latency (stream 128,
+/// side 16) with every node forced to shard on a 4-worker pool: nodes of
+/// 32,768 and 65,536 word-ops got slower (the 64->128 projection 0.073 ->
+/// 0.107 ms), every node from 131,072 up got faster (the 256->512
+/// projection 0.129 -> 0.107 ms).
+inline constexpr std::size_t kShardMinWords = 98'304;
+
 /// The split-unipolar executor: the graph walk (GraphExecutor) with the
 /// scalar oracle or the planned body for weighted nodes and the exact max
 /// or the stochastic max FSM for max-pool nodes. Input values must lie in

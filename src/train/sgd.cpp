@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace acoustic::train {
 
@@ -18,6 +19,11 @@ void Sgd::step(std::vector<nn::ParamView>& params) {
   for (std::size_t p = 0; p < params.size(); ++p) {
     auto values = params[p].values;
     auto grads = params[p].gradients;
+    if (grads.size() != values.size()) {
+      throw std::invalid_argument(
+          "Sgd::step: parameter " + std::to_string(p) +
+          " has no gradients (run zero_gradients() or backward() first)");
+    }
     auto& vel = velocity_[p];
     for (std::size_t i = 0; i < values.size(); ++i) {
       vel[i] = config_.momentum * vel[i] - config_.learning_rate * grads[i];

@@ -22,7 +22,10 @@ class Sgd {
   explicit Sgd(SgdConfig config) : config_(config) {}
 
   /// One update step over @p params (velocity buffers are keyed by position,
-  /// so pass the same parameter list every step).
+  /// so pass the same parameter list every step). Throws
+  /// std::invalid_argument for a parameter whose gradient span is not as
+  /// long as its values (a layer that has run no zero_gradients() or
+  /// backward() yet).
   void step(std::vector<nn::ParamView>& params);
 
   [[nodiscard]] const SgdConfig& config() const noexcept { return config_; }

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
@@ -166,6 +167,46 @@ TEST(NetworkClone, ParameterCountsMatch) {
   Network net = train::build_resnet_tiny(AccumMode::kOrApprox, 16);
   Network copy = net.clone();
   EXPECT_EQ(copy.parameter_count(), net.parameter_count());
+}
+
+TEST(NetworkClone, CarriesNoGradients) {
+  // An inference copy holds the values only: conv, BatchNorm and dense
+  // gradients stay unsized until the copy itself trains, even when the
+  // original has gradients.
+  Network net;
+  net.add<Conv2D>(ConvSpec{.in_channels = 2, .out_channels = 3,
+                           .kernel = 3, .padding = 1, .bias = true})
+      .initialize(541);
+  net.add<BatchNorm>(BatchNormSpec{.channels = 3}).initialize(543);
+  net.add<ReLU>();
+  net.add<Dense>(
+         DenseSpec{.in_features = 48, .out_features = 4, .bias = true})
+      .initialize(547);
+  Tensor x(Shape{4, 4, 2});
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(i % 7) / 7.0f;
+  }
+  net.zero_gradients();
+  (void)net.backward(net.forward(x));
+
+  Network copy = net.clone();
+  const std::vector<ParamView> original = net.parameters();
+  const std::vector<ParamView> cloned = copy.parameters();
+  ASSERT_EQ(cloned.size(), original.size());
+  ASSERT_EQ(cloned.size(), 6u);  // conv w + b, gamma, beta, dense w + b
+  for (std::size_t p = 0; p < cloned.size(); ++p) {
+    EXPECT_EQ(original[p].gradients.size(), original[p].values.size()) << p;
+    EXPECT_EQ(cloned[p].values.size(), original[p].values.size()) << p;
+    EXPECT_TRUE(cloned[p].gradients.empty()) << "parameter " << p;
+  }
+  // Training the copy sizes them, zero-filled.
+  copy.zero_gradients();
+  for (const ParamView& p : copy.parameters()) {
+    ASSERT_EQ(p.gradients.size(), p.values.size());
+    for (const float g : p.gradients) {
+      EXPECT_EQ(g, 0.0f);
+    }
+  }
 }
 
 }  // namespace

@@ -174,6 +174,53 @@ TEST(ThreadPool, CurrentIsBoundInsideWorkersOnly) {
   EXPECT_EQ(ThreadPool::current(), nullptr);
 }
 
+TEST(ThreadPool, SpareWorkersFollowTheOutermostJob) {
+  // size() minus the outermost job's task count, floored at 0; 0 off the
+  // pool. Jitter forces steals, so nested tasks also run on workers that
+  // did not fork them: they still read the figure of the job above.
+  const unsigned saved = ThreadPool::task_jitter_us();
+  ThreadPool::set_task_jitter_us(50);
+  ThreadPool pool(4);
+  ThreadPool other(2);
+  EXPECT_EQ(pool.spare_workers(), 0u);
+  std::atomic<unsigned> alone{99};
+  pool.parallel_for(1, [&](std::size_t, unsigned) {
+    alone.store(pool.spare_workers());
+  });
+  EXPECT_EQ(alone.load(), 3u);
+  std::vector<std::atomic<unsigned>> full(8);
+  pool.parallel_for(full.size(), [&](std::size_t i, unsigned) {
+    full[i].store(pool.spare_workers() + 1);
+  });
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(full[i].load(), 1u) << "task " << i;
+  }
+  constexpr std::size_t kInner = 16;
+  std::vector<std::atomic<unsigned>> nested(2 * kInner);
+  std::atomic<unsigned> outer_after{99};
+  std::atomic<unsigned> foreign{99};
+  pool.parallel_for(2, [&](std::size_t outer, unsigned) {
+    pool.parallel_for(kInner, [&](std::size_t inner, unsigned) {
+      nested[outer * kInner + inner].store(pool.spare_workers() + 1);
+    });
+    if (outer == 0) {
+      outer_after.store(pool.spare_workers());
+      // Another pool's task is off this pool, and its own figure is its
+      // own job's.
+      other.parallel_for(1, [&](std::size_t, unsigned) {
+        foreign.store(pool.spare_workers() * 10 + other.spare_workers());
+      });
+    }
+  });
+  ThreadPool::set_task_jitter_us(saved);
+  for (std::size_t i = 0; i < nested.size(); ++i) {
+    EXPECT_EQ(nested[i].load(), 3u) << "nested task " << i;
+  }
+  EXPECT_EQ(outer_after.load(), 2u);
+  EXPECT_EQ(foreign.load(), 1u);
+  EXPECT_EQ(pool.spare_workers(), 0u);
+}
+
 TEST(ThreadPool, StealingRebalancesImbalancedLoad) {
   // Round-robin seeding gives each worker half the tasks. Parking the
   // FIRST task that runs — while its worker still holds its whole deque

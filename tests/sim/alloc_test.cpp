@@ -3,9 +3,10 @@
 // This binary replaces global operator new/delete with counting versions
 // (which is why it is its own test executable) and asserts the central
 // ScratchArena promise: after warm-up, a planned-mode forward performs
-// ZERO heap allocations, and a BatchEvaluator run's allocation COUNT is
-// independent of how many images it evaluates — every per-image buffer
-// (logits, arena scratch, stream plans, product tables) is reused.
+// ZERO heap allocations, sharded across a pool's idle workers or not, and
+// a BatchEvaluator run's allocation COUNT is independent of how many
+// images it evaluates — every per-image buffer (logits, arena scratch,
+// stream plans, product tables) is reused.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "nn/conv.hpp"
 #include "nn/network.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sc/rng.hpp"
 #include "sim/backend.hpp"
 #include "sim/batch_evaluator.hpp"
@@ -126,6 +129,48 @@ TEST(AllocFree, SecondImageWithSameShapeAllocatesNothing) {
   EXPECT_LE(g_news.load(std::memory_order_relaxed) - before,
             per_call_tensor_allocs)
       << "per-image forward work leaked heap allocations";
+}
+
+TEST(AllocFree, ShardedForwardAllocatesNothingAfterWarmup) {
+  // A conv3x3(16->16) over 8x8x16 (147,456 word-ops at stream 128, over
+  // the auto floor) run as the only task of a 4-worker pool forks its 8
+  // row units onto the idle workers, under auto and forced sharding alike.
+  // Neither the fork nor the join may touch the heap once warm.
+  nn::Network net;
+  net.add<nn::Conv2D>(nn::ConvSpec{.in_channels = 16,
+                                   .out_channels = 16,
+                                   .kernel = 3,
+                                   .padding = 1,
+                                   .mode = nn::AccumMode::kOrExact})
+      .initialize(77);
+  nn::Tensor input(nn::Shape{8, 8, 16});
+  sc::XorShift32 rng(78);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<float>(rng.next_double());
+  }
+  for (const unsigned intra : {0u, 4u}) {
+    sim::ScConfig cfg;
+    cfg.stream_length = 128;
+    cfg.intra_threads = intra;
+    sim::ScNetwork exec(net, cfg);
+    runtime::ThreadPool pool(4);
+    nn::Tensor out;
+    std::uint64_t allocs = 0;
+    const runtime::ThreadPool::Stats before = pool.stats();
+    pool.parallel_for(1, [&](std::size_t, unsigned) {
+      exec.forward_into(input, out);
+      exec.forward_into(input, out);
+      const std::uint64_t start = g_news.load(std::memory_order_relaxed);
+      for (int i = 0; i < 10; ++i) {
+        exec.forward_into(input, out);
+      }
+      allocs = g_news.load(std::memory_order_relaxed) - start;
+    });
+    EXPECT_EQ(allocs, 0u) << "intra_threads " << intra;
+    // The forward task plus 8 units for each of the 12 forwards.
+    EXPECT_EQ(pool.stats().tasks - before.tasks, 1u + 12u * 8u)
+        << "intra_threads " << intra;
+  }
 }
 
 TEST(AllocFree, EvaluatorAllocationCountIsIndependentOfImageCount) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
+
+#include "nn/conv.hpp"
 
 namespace acoustic::train {
 namespace {
@@ -61,6 +64,19 @@ TEST(Sgd, ChangedParameterListThrows) {
   sgd.step(params);
   params.push_back({v, g});
   EXPECT_THROW(sgd.step(params), std::invalid_argument);
+}
+
+TEST(Sgd, UnsizedGradientsThrow) {
+  // A layer sizes its gradients on its first zero_gradients() or
+  // backward(); a step before that is refused, not read past the end.
+  nn::Conv2D conv(nn::ConvSpec{.in_channels = 2, .out_channels = 2});
+  std::vector<nn::ParamView> params = conv.parameters();
+  ASSERT_TRUE(params.front().gradients.empty());
+  Sgd sgd(SgdConfig{});
+  EXPECT_THROW(sgd.step(params), std::invalid_argument);
+  conv.zero_gradients();
+  params = conv.parameters();
+  EXPECT_NO_THROW(sgd.step(params));
 }
 
 TEST(Sgd, LearningRateCanDecay) {
