@@ -1,10 +1,14 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace acoustic::runtime {
 
@@ -30,13 +34,25 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31U);
 }
 
+/// ACOUSTIC_SCHED_JITTER as a whole decimal count of microseconds. Unset
+/// or empty runs unjittered; anything else that is not such a count (a
+/// unit suffix, a sign, a value past unsigned) warns once and does too.
 unsigned jitter_from_env() {
   const char* env = std::getenv("ACOUSTIC_SCHED_JITTER");
-  if (env == nullptr) {
+  if (env == nullptr || *env == '\0') {
     return 0;
   }
-  const int v = std::atoi(env);
-  return v > 0 ? static_cast<unsigned>(v) : 0U;
+  const char* end = env + std::strlen(env);
+  unsigned us = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, us);
+  if (ec != std::errc{} || ptr != end) {
+    std::fprintf(stderr,
+                 "acoustic: ACOUSTIC_SCHED_JITTER=%s is not a microsecond "
+                 "count, running unjittered\n",
+                 env);
+    return 0;
+  }
+  return us;
 }
 
 std::atomic<unsigned> g_jitter_us{jitter_from_env()};
@@ -115,11 +131,6 @@ ThreadPool::ThreadPool(unsigned threads) {
   }
   const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
   const unsigned n = threads != 0 ? threads : std::min(hw, kMaxThreads);
-  // Execution-slot cap (see the header): more workers than cores still
-  // give callers their per-worker scratch shards, but never more than
-  // `cores` of them run at once.
-  slots_ = std::min(n, hw);
-  slots_free_ = slots_;
   workers_.reserve(n);
   for (unsigned id = 0; id < n; ++id) {
     workers_.push_back(std::make_unique<Worker>());
@@ -287,49 +298,25 @@ void ThreadPool::execute(const Task& task, unsigned worker, bool stolen) {
   }
 }
 
-void ThreadPool::acquire_slot() {
-  std::unique_lock<std::mutex> lock(sleep_mu_);
-  sleep_cv_.wait(lock, [&] { return slots_free_ > 0; });
-  --slots_free_;
-}
-
-void ThreadPool::release_slot() {
-  {
-    const std::lock_guard<std::mutex> lock(sleep_mu_);
-    ++slots_free_;
-  }
-  sleep_cv_.notify_all();
-}
-
 void ThreadPool::worker_loop(unsigned id) {
   tl_binding = {this, id, 0};
   Task task;
+  // Own deque first, then steals; a worker that finds no task parks.
   for (;;) {
-    {
+    if (try_pop_local(id, task)) {
+      execute(task, id, /*stolen=*/false);
+    } else if (try_steal(id, task)) {
+      execute(task, id, /*stolen=*/true);
+    } else {
       std::unique_lock<std::mutex> lock(sleep_mu_);
       sleep_cv_.wait(lock, [&] {
         return stop_.load(std::memory_order_acquire) ||
-               (slots_free_ > 0 &&
-                pending_.load(std::memory_order_acquire) > 0);
+               pending_.load(std::memory_order_acquire) > 0;
       });
       if (stop_.load(std::memory_order_acquire)) {
         return;
       }
-      --slots_free_;
     }
-    // Slot held: drain every task in reach. Keeping the slot across
-    // tasks is what makes oversubscribed big tasks run back-to-back
-    // cache-warm instead of timeslicing against each other.
-    for (;;) {
-      if (try_pop_local(id, task)) {
-        execute(task, id, /*stolen=*/false);
-      } else if (try_steal(id, task)) {
-        execute(task, id, /*stolen=*/true);
-      } else {
-        break;
-      }
-    }
-    release_slot();
   }
 }
 
@@ -339,59 +326,30 @@ void ThreadPool::parallel_for(
     return;
   }
   const unsigned n = size();
+  const bool nested = tl_binding.pool == this;
+  const unsigned home = tl_binding.worker;
 
   Job job;
   job.fn = &fn;
   job.serial = job_serial_.fetch_add(1, std::memory_order_relaxed) + 1;
   job.remaining.store(count, std::memory_order_relaxed);
   // A nested job inherits the figure of the external job above it.
-  job.outer_tasks = tl_binding.pool == this ? tl_binding.outer_tasks : count;
+  job.outer_tasks = nested ? tl_binding.outer_tasks : count;
 
-  if (tl_binding.pool == this) {
+  if (nested) {
     // Nested job: all tasks go onto the calling worker's own deque, in
     // REVERSE index order — its back-pops then run 0, 1, 2, ... while
     // thieves (front side) start from the high end after clearing any
     // older outer tasks queued below.
-    const unsigned home = tl_binding.worker;
     Worker& worker = *workers_[home];
-    {
-      const std::lock_guard<std::mutex> lock(worker.mu);
-      worker.reserve(count);
-      for (std::size_t i = count; i-- > 0;) {
-        worker.push_back(Task{&job, i});
-      }
-    }
-    pending_.fetch_add(count, std::memory_order_release);
-    wake_workers();
-    // Help-first join: run own-job tasks until none are left, then BLOCK
-    // until the thieves' in-flight tasks complete. Executing anything
-    // else here would nest an unrelated task under this frame, and own
-    // tasks can never reappear once the local segment is drained (only
-    // the owner pushes, thieves only remove), so there is nothing to poll
-    // for — spinning here burned whole scheduler quanta on oversubscribed
-    // hosts (measured 3.3x throughput loss at 4 threads on 1 CPU).
-    Task task;
-    while (try_pop_local_job(home, &job, task)) {
-      execute(task, home, /*stolen=*/false);
-    }
-    if (job.remaining.load(std::memory_order_acquire) != 0) {
-      // Hand the execution slot back while blocked: the in-flight tasks
-      // are with thieves — or still buried in our deque under a
-      // concurrent external job's pushes — and on a fully subscribed
-      // host those workers need our slot to finish them. Reacquire
-      // before resuming the enclosing task.
-      release_slot();
-      {
-        std::unique_lock<std::mutex> lock(done_mu_);
-        done_cv_.wait(lock, [&] {
-          return job.remaining.load(std::memory_order_acquire) == 0;
-        });
-      }
-      acquire_slot();
+    const std::lock_guard<std::mutex> lock(worker.mu);
+    worker.reserve(count);
+    for (std::size_t i = count; i-- > 0;) {
+      worker.push_back(Task{&job, i});
     }
   } else {
-    // External job: round-robin the tasks across every worker deque and
-    // block; stealing rebalances whatever the static spread got wrong.
+    // External job: round-robin the tasks across every worker deque;
+    // stealing rebalances whatever the static spread got wrong.
     for (unsigned w = 0; w < n; ++w) {
       const std::size_t mine = count / n + (w < count % n ? 1 : 0);
       if (mine == 0) {
@@ -404,17 +362,32 @@ void ThreadPool::parallel_for(
         worker.push_back(Task{&job, i});
       }
     }
-    pending_.fetch_add(count, std::memory_order_release);
-    wake_workers();
+  }
+  pending_.fetch_add(count, std::memory_order_release);
+  wake_workers();
+
+  if (nested) {
+    // Help-first join: run own-job tasks until none are left, then BLOCK
+    // below. Executing anything else here would nest an unrelated task
+    // under this frame, and own tasks can never reappear once the local
+    // segment is drained (only the owner pushes, thieves only remove), so
+    // there is nothing to poll for — spinning here burned whole scheduler
+    // quanta on oversubscribed hosts (measured 3.3x throughput loss at 4
+    // threads on 1 CPU).
+    Task task;
+    while (try_pop_local_job(home, &job, task)) {
+      execute(task, home, /*stolen=*/false);
+    }
+  }
+  // Block until every task has completed. The rest are in flight with
+  // thieves, or, for a nested job, still queued in our deque under a
+  // concurrent external job's pushes, where only a thief reaches them.
+  std::exception_ptr error;
+  {
     std::unique_lock<std::mutex> lock(done_mu_);
     done_cv_.wait(lock, [&] {
       return job.remaining.load(std::memory_order_acquire) == 0;
     });
-  }
-
-  std::exception_ptr error;
-  {
-    const std::lock_guard<std::mutex> lock(done_mu_);
     error = job.error;
   }
   if (error != nullptr) {

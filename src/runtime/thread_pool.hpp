@@ -26,14 +26,10 @@
 // and the ACOUSTIC_SCHED_JITTER environment hook). No within-worker
 // ordering is promised either: a worker may run its tasks in any order.
 //
-// Oversubscription guard: a pool may have more workers than the host has
-// cores (worker count doubles as the per-thread-scratch shard count, so
-// callers pick it freely), but only min(size, hardware cores) workers
-// EXECUTE at once. A worker acquires an execution slot before draining
-// work and keeps it while work remains, so on a saturated host large
-// tasks run back-to-back cache-warm instead of timeslicing their working
-// sets against each other (measured 2-3x throughput loss on 1 CPU with 4
-// workers interleaving ResNet-sized images before the cap).
+// Every worker runs whenever it has a task: a pool may have more workers
+// than the host has cores (worker count doubles as the per-thread-scratch
+// shard count, so callers pick it freely), and then its workers timeslice
+// the cores under the operating system's scheduler.
 #pragma once
 
 #include <atomic>
@@ -78,8 +74,11 @@ class ThreadPool {
   ///
   /// If fn throws, the FIRST exception is rethrown here at the join and
   /// the remaining tasks are drained (counted complete without running),
-  /// so the pool stays usable. Concurrent callers are allowed; a call
-  /// from inside a pool worker runs as a nested job on the same workers.
+  /// so the pool stays usable. A call from inside a pool worker runs as a
+  /// nested job on the same workers. Concurrent external callers are
+  /// allowed, but not alongside nested jobs: a nested join whose own
+  /// tasks sit under another caller's push waits for a thief, and may
+  /// wait forever if every worker is in that state (DESIGN.md §17).
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t, unsigned)>& fn);
 
@@ -90,9 +89,9 @@ class ThreadPool {
     std::uint64_t steals = 0;  ///< tasks executed off another worker's deque
     /// Max workers seen with a task in progress at once since the last
     /// reset_busy_peak(), at most size(). A worker running nested tasks
-    /// inside its own counts once; one blocked in a nested join still
-    /// counts while it lends its execution slot, so on an oversubscribed
-    /// host this can exceed the core count.
+    /// inside its own counts once, and one blocked in a nested join still
+    /// counts. It counts workers, not cores: a pool larger than the core
+    /// count can read more than the cores.
     unsigned busy_peak = 0;
   };
   [[nodiscard]] Stats stats() const noexcept;
@@ -119,7 +118,8 @@ class ThreadPool {
   /// perturbs SCHEDULING (forcing heavy stealing) without perturbing any
   /// result, which is exactly what the stealing-determinism suites need.
   /// Also settable via the ACOUSTIC_SCHED_JITTER environment variable
-  /// (read once at process start). 0 disables.
+  /// (read once at process start; a value that is not a whole microsecond
+  /// count warns on stderr and runs unjittered). 0 disables.
   static void set_task_jitter_us(unsigned max_us) noexcept;
   [[nodiscard]] static unsigned task_jitter_us() noexcept;
 
@@ -134,8 +134,6 @@ class ThreadPool {
   /// Wakes every worker to exit and joins the running ones.
   void stop_and_join();
   void worker_loop(unsigned id);
-  void acquire_slot();
-  void release_slot();
   bool try_pop_local(unsigned id, Task& out);
   bool try_pop_local_job(unsigned id, const Job* job, Task& out);
   bool try_steal(unsigned id, Task& out);
@@ -145,12 +143,9 @@ class ThreadPool {
   std::vector<std::unique_ptr<Worker>> workers_;
 
   std::mutex done_mu_;  ///< guards Job::error; pairs with done_cv_
-  std::condition_variable done_cv_;   ///< wakes external joiners
+  std::condition_variable done_cv_;   ///< wakes blocked joiners
   std::mutex sleep_mu_;               ///< parking lot for idle workers
   std::condition_variable sleep_cv_;
-
-  unsigned slots_ = 1;       ///< execution-slot cap: min(size, hw cores)
-  unsigned slots_free_ = 1;  ///< guarded by sleep_mu_
 
   std::atomic<std::size_t> pending_{0};  ///< tasks queued, not yet popped
   std::atomic<bool> stop_{false};

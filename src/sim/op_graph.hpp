@@ -197,11 +197,9 @@ class InferenceBackend {
   [[nodiscard]] virtual nn::Tensor forward(const nn::Tensor& input) = 0;
 
   /// Runs one sample into a caller-owned output tensor, reusing its
-  /// capacity (allocation-free on the SC executor once warm); the default
-  /// simply wraps forward(). Same bits as forward() in every backend.
-  virtual void forward_into(const nn::Tensor& input, nn::Tensor& out) {
-    out = forward(input);
-  }
+  /// capacity (allocation-free on the SC executor once warm). Same bits
+  /// as forward() in every backend.
+  virtual void forward_into(const nn::Tensor& input, nn::Tensor& out) = 0;
 
   /// Stats accumulated since construction / the last take_stats().
   [[nodiscard]] virtual RunStats stats() const = 0;
@@ -213,12 +211,8 @@ class InferenceBackend {
   /// index under the batch evaluator). The profiler must outlive the
   /// backend and may be shared across clones — it is thread-safe. A
   /// clone() does NOT inherit the profiler (the evaluator re-attaches
-  /// per worker with the worker's own track). Default: no-op, so
-  /// third-party backends keep working unprofiled.
-  virtual void set_profiler(obs::Profiler* profiler, std::uint32_t track) {
-    (void)profiler;
-    (void)track;
-  }
+  /// per worker with the worker's own track).
+  virtual void set_profiler(obs::Profiler* profiler, std::uint32_t track) = 0;
 };
 
 /// The one walk over a lowered graph that every executor runs, and the

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -219,6 +220,37 @@ TEST(ThreadPool, SpareWorkersFollowTheOutermostJob) {
   EXPECT_EQ(outer_after.load(), 2u);
   EXPECT_EQ(foreign.load(), 1u);
   EXPECT_EQ(pool.spare_workers(), 0u);
+}
+
+TEST(ThreadPool, PoolLargerThanTheCoreCountRunsNestedJobs) {
+  // Twice the cores (at most 16 workers): they timeslice, and under forced
+  // stealing every (outer, inner) pair still runs exactly once, the busy
+  // peak stays within the pool, and the pool is usable afterwards.
+  const unsigned saved = ThreadPool::task_jitter_us();
+  ThreadPool::set_task_jitter_us(50);
+  const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
+  ThreadPool pool(std::min(2 * hw, 16U));
+  const std::size_t outer_count = 2 * pool.size();
+  constexpr std::size_t kInner = 8;
+  std::vector<std::atomic<int>> hits(outer_count * kInner);
+  pool.reset_busy_peak();
+  pool.parallel_for(outer_count, [&](std::size_t outer, unsigned) {
+    pool.parallel_for(kInner, [&](std::size_t inner, unsigned) {
+      hits[outer * kInner + inner].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  const unsigned peak = pool.stats().busy_peak;
+  std::atomic<std::size_t> done{0};
+  pool.parallel_for(outer_count, [&](std::size_t, unsigned) {
+    done.fetch_add(1, std::memory_order_relaxed);
+  });
+  ThreadPool::set_task_jitter_us(saved);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "pair " << i;
+  }
+  EXPECT_GE(peak, 1u);
+  EXPECT_LE(peak, pool.size());
+  EXPECT_EQ(done.load(), outer_count);
 }
 
 TEST(ThreadPool, StealingRebalancesImbalancedLoad) {

@@ -260,9 +260,9 @@ void run_scaling(obs::Bench& bench, const BenchSuiteOptions& options) {
   // per-task scheduling overhead shows), ResNet-18 images are tens of ms
   // (load imbalance and stealing show); cifar-max adds the serial
   // stochastic-max stage in between. The gate is monotone throughput
-  // 1 -> 4 threads within the bench.v1 noise thresholds — on a saturated
-  // or single-core host "monotone" degrades to "no regression", which is
-  // exactly what oversubscription must not cause.
+  // 1 -> 4 threads within the bench.v1 noise thresholds. On a saturated
+  // or single-core host the workers timeslice, and "monotone" degrades to
+  // "more workers than cores cost no throughput".
   struct Workload {
     std::string name;
     nn::Network net;
