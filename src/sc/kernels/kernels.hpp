@@ -82,9 +82,8 @@ struct KernelTable {
   ///   bit = scramble(w, states[j]) < level
   /// and OR it into bit (bit0 + j) of the packed word buffer @p out.
   /// The destination bits [bit0, bit0 + count) must be pre-zeroed; words
-  /// outside that range are never written. This is StreamBank::fill's
-  /// inner loop: callers split a wrap-around window into (at most) two
-  /// contiguous state runs and invoke the kernel once per piece.
+  /// outside that range are never written. StreamBank::fill calls it once
+  /// per window, at bit0 0, on one contiguous run of its stored sequence.
   void (*compare_pack)(const CompareWiring& w, const std::uint32_t* states,
                        std::size_t count, std::uint32_t level,
                        std::uint64_t* out, std::size_t bit0);

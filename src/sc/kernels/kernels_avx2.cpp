@@ -1,6 +1,8 @@
-// AVX2 kernel table: 8-wide comparator packing (8 LFSR states scrambled
-// and compared per iteration, movemask into the packed output word) and
-// the gathered multi-word AND/OR product group in 256-bit registers. The
+// AVX2 kernel table: comparator packing and the gathered multi-word
+// AND/OR product group in 256-bit registers. compare_pack scrambles 16
+// LFSR states per instruction in 16-bit lanes when the wiring fits them
+// (width <= 16, the default SNG width included) and builds each 64-bit
+// output word in a register; the 8-wide 32-bit body takes the rest. The
 // other entries are the generic bodies compiled under this TU's
 // -mavx2 -mpopcnt: the word loops auto-vectorize and std::popcount
 // emits the popcnt instruction.
@@ -21,9 +23,10 @@ namespace {
 using acoustic::sc::kernels::CompareWiring;
 using acoustic::sc::kernels::kScrambleMul;
 
-void avx2_compare_pack(const CompareWiring& w, const std::uint32_t* states,
-                       std::size_t count, std::uint32_t level,
-                       std::uint64_t* out, std::size_t bit0) {
+/// The 8-wide body in 32-bit lanes: every wiring, width and level.
+void compare_pack32(const CompareWiring& w, const std::uint32_t* states,
+                    std::size_t count, std::uint32_t level,
+                    std::uint64_t* out, std::size_t bit0) {
   const __m256i pre = _mm256_set1_epi32(static_cast<int>(w.pre_xor));
   const __m256i post = _mm256_set1_epi32(static_cast<int>(w.post_xor));
   const __m256i mask = _mm256_set1_epi32(static_cast<int>(w.mask));
@@ -71,6 +74,74 @@ void avx2_compare_pack(const CompareWiring& w, const std::uint32_t* states,
   if (j < count) {
     generic_compare_pack(w, states + j, count - j, level, out, bit0 + j);
   }
+}
+
+/// The 16-bit-lane body: 64 states per iteration, each output word built
+/// in a register and written once, from a word-aligned @p bit0. Returns
+/// how many states it packed, a multiple of 64; the caller packs the
+/// tail.
+std::size_t compare_pack16(const CompareWiring& w,
+                           const std::uint32_t* states, std::size_t count,
+                           std::uint32_t level, std::uint64_t* out,
+                           std::size_t bit0) {
+  const __m256i low16 = _mm256_set1_epi32(0xFFFF);
+  const __m256i pre = _mm256_set1_epi16(static_cast<short>(w.pre_xor));
+  const __m256i mask = _mm256_set1_epi16(static_cast<short>(w.mask));
+  const __m256i mul = _mm256_set1_epi16(static_cast<short>(kScrambleMul));
+  // The post-XOR also flips the sign bit, so the signed compare against
+  // the flipped level is the unsigned x < level.
+  const __m256i post =
+      _mm256_set1_epi16(static_cast<short>(w.post_xor ^ 0x8000u));
+  const __m256i lvl = _mm256_set1_epi16(static_cast<short>(level ^ 0x8000u));
+  // x < 2^width, so at rot == 0 the right shift by width clears it and
+  // the rotate needs no branch.
+  const __m128i rot_l = _mm_cvtsi32_si128(static_cast<int>(w.rot));
+  const __m128i rot_r = _mm_cvtsi32_si128(static_cast<int>(w.width - w.rot));
+  // packus_epi32 and packs_epi16 interleave their operands per 128-bit
+  // lane; this puts the 4-state byte groups back in state order.
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+
+  // packus saturates, so each state is cut to its low 16 bits first.
+  const auto lt16 = [&](const std::uint32_t* s) {  // 16 compare masks
+    const __m256i a = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s)), low16);
+    const __m256i b = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 8)), low16);
+    __m256i x = _mm256_xor_si256(_mm256_packus_epi32(a, b), pre);
+    x = _mm256_and_si256(_mm256_mullo_epi16(x, mul), mask);
+    x = _mm256_and_si256(_mm256_or_si256(_mm256_sll_epi16(x, rot_l),
+                                         _mm256_srl_epi16(x, rot_r)),
+                         mask);
+    return _mm256_cmpgt_epi16(lvl, _mm256_xor_si256(x, post));
+  };
+  const auto bits32 = [&](const std::uint32_t* s) {  // 32 compare bits
+    const __m256i b = _mm256_packs_epi16(lt16(s), lt16(s + 16));
+    return static_cast<std::uint32_t>(
+        _mm256_movemask_epi8(_mm256_permutevar8x32_epi32(b, order)));
+  };
+
+  std::size_t j = 0;
+  for (; j + 64 <= count; j += 64) {
+    out[(bit0 + j) / 64] |=
+        bits32(states + j) |
+        (static_cast<std::uint64_t>(bits32(states + j + 32)) << 32);
+  }
+  return j;
+}
+
+void avx2_compare_pack(const CompareWiring& w, const std::uint32_t* states,
+                       std::size_t count, std::uint32_t level,
+                       std::uint64_t* out, std::size_t bit0) {
+  // Every scrambler step is exact in 16-bit lanes when the wiring
+  // scrambles at width <= 16: the multiply's low 16 bits depend only on
+  // its operands' low 16 bits, and the mask, rotate, post-XOR and level
+  // all stay below 2^16. StreamBank::fill packs from bit0 0.
+  const bool lanes16 = !w.identity && w.width <= 16 &&
+                       w.post_xor <= 0xFFFFu && level <= 0xFFFFu &&
+                       bit0 % 64 == 0;
+  const std::size_t j =
+      lanes16 ? compare_pack16(w, states, count, level, out, bit0) : 0;
+  compare_pack32(w, states + j, count - j, level, out, bit0 + j);
 }
 
 /// Words [w0, w0 + 4 * kRegs) of a gathered product group, OR-accumulated

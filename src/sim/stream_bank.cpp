@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "sc/sng.hpp"
 
@@ -19,6 +20,10 @@ StreamBank::StreamBank(unsigned width, std::uint32_t seed, std::size_t length,
   for (std::size_t t = 0; t < length; ++t) {
     base_[t] = lfsr.next();
   }
+  // The first resize rejected a length past max_size(), so 2 * length
+  // cannot wrap here.
+  base_.resize(2 * length);
+  std::copy_n(base_.begin(), length, base_.begin() + length);
 }
 
 sc::kernels::CompareWiring StreamBank::lane_wiring(
@@ -62,33 +67,34 @@ std::size_t StreamBank::lane_phase(std::uint32_t lane) const noexcept {
   // Each SNG taps the shared LFSR at a lane-specific delay (standard RNG
   // sharing practice): phase offsets break the remaining time alignment
   // between lanes that scrambling alone cannot.
-  return (static_cast<std::size_t>(lane) * 7919u) % base_.size();
+  return (static_cast<std::size_t>(lane) * 7919u) % length();
 }
 
 void StreamBank::fill(std::uint32_t level, std::uint32_t lane,
                       std::size_t offset, std::size_t length,
                       std::span<std::uint64_t> words) const {
-  if (offset + length > base_.size()) {
-    throw std::out_of_range("StreamBank::fill: window exceeds bank length");
+  const std::size_t n = this->length();
+  if (length > n || offset > n - length) {
+    throw std::out_of_range("StreamBank::fill: window of " +
+                            std::to_string(length) + " bits at offset " +
+                            std::to_string(offset) + " exceeds bank length " +
+                            std::to_string(n));
   }
   const std::size_t word_count = (length + 63) / 64;
+  if (words.size() < word_count) {
+    throw std::invalid_argument(
+        "StreamBank::fill: " + std::to_string(words.size()) +
+        " words cannot hold a window of " + std::to_string(length) + " bits");
+  }
   std::fill_n(words.begin(), word_count, 0);
   if (level == 0 || length == 0) {
     return;  // comparator never fires: all-zero stream
   }
-  const sc::kernels::CompareWiring wiring = lane_wiring(lane);
-  const std::size_t n = base_.size();
-  // Absolute position in the shared sequence the lane's tap starts at.
-  // The window wraps at most once (length <= n), so it splits into at
-  // most two contiguous state runs — one kernel call each.
+  // The lane's tap starts inside the first copy of the sequence and the
+  // window is at most one copy long, so it is one contiguous state run.
   const std::size_t pos = (offset + lane_phase(lane)) % n;
-  const std::size_t first = std::min(length, n - pos);
-  kt_->compare_pack(wiring, base_.data() + pos, first, level, words.data(),
-                    0);
-  if (first < length) {
-    kt_->compare_pack(wiring, base_.data(), length - first, level,
-                      words.data(), first);
-  }
+  kt_->compare_pack(lane_wiring(lane), base_.data() + pos, length, level,
+                    words.data(), 0);
 }
 
 std::uint32_t StreamBank::quantize(double value) const {

@@ -45,24 +45,29 @@ class StreamBank {
   /// Full-window stream for @p lane.
   [[nodiscard]] sc::BitStream stream(std::uint32_t level,
                                      std::uint32_t lane) const {
-    return stream(level, lane, 0, base_.size());
+    return stream(level, lane, 0, length());
   }
 
   /// Writes the stream for (@p level, @p lane, @p offset) into @p words
-  /// (packed, bit t of the segment = bit t of words). words must hold at
-  /// least (length+63)/64 entries; they are fully overwritten. The window
-  /// is split at the shared sequence's wrap point into (at most) two
-  /// contiguous state runs and handed to the active compare_pack kernel
-  /// (sc/kernels): the per-lane scrambler constants are hoisted once and
-  /// the SIMD level packs up to 8 comparator outputs per iteration.
-  /// stream() is a thin wrapper, so both entry points share one kernel.
+  /// (packed, bit t of the segment = bit t of words): bit t is
+  /// scramble(state_at(offset + t, lane), lane) < level. Its first
+  /// (length+63)/64 words are overwritten, the rest left alone. Throws
+  /// std::out_of_range when offset+length exceeds the bank length and
+  /// std::invalid_argument when words is shorter than that. The bank
+  /// stores the shared sequence twice, so the window is one contiguous
+  /// state run even where it wraps, and one call of the active
+  /// compare_pack kernel (sc/kernels) packs it with the per-lane
+  /// scrambler constants hoisted. stream() is a thin wrapper, so both
+  /// entry points share one kernel.
   void fill(std::uint32_t level, std::uint32_t lane, std::size_t offset,
             std::size_t length, std::span<std::uint64_t> words) const;
 
   /// Quantizes @p value in [0,1] to this bank's comparator grid.
   [[nodiscard]] std::uint32_t quantize(double value) const;
 
-  [[nodiscard]] std::size_t length() const noexcept { return base_.size(); }
+  [[nodiscard]] std::size_t length() const noexcept {
+    return base_.size() / 2;
+  }
   [[nodiscard]] unsigned width() const noexcept { return width_; }
 
   /// Per-lane scrambling of a shared LFSR state (fixed XOR-multiply-rotate
@@ -78,7 +83,7 @@ class StreamBank {
   /// (used by the bipolar-MUX executor, which touches one lane per cycle).
   [[nodiscard]] std::uint32_t state_at(std::size_t t,
                                        std::uint32_t lane) const noexcept {
-    return base_[(t + lane_phase(lane)) % base_.size()];
+    return base_[(t + lane_phase(lane)) % length()];
   }
 
  private:
@@ -91,7 +96,9 @@ class StreamBank {
   unsigned width_;
   std::uint32_t mask_;
   bool decorrelate_;
-  std::vector<std::uint32_t> base_;  ///< shared LFSR sequence
+  /// The shared LFSR sequence of length() states, stored twice so that
+  /// every window is one contiguous run.
+  std::vector<std::uint32_t> base_;
   /// Active kernel table, resolved once at construction (dispatch is
   /// process-wide; caching the pointer keeps fill() call-overhead-free).
   const sc::kernels::KernelTable* kt_;

@@ -5,6 +5,7 @@
 // pick any level at startup without changing a single output bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -37,16 +38,15 @@ std::vector<std::uint64_t> random_words(std::size_t n, std::uint32_t seed) {
   return words;
 }
 
-/// Packs the expected comparator bits with the reference scrambler — the
-/// oracle every compare_pack level is held to.
-std::vector<std::uint64_t> expected_pack(const kn::CompareWiring& w,
-                                         const std::vector<std::uint32_t>& st,
-                                         std::uint32_t level,
-                                         std::size_t bit0,
-                                         std::size_t total_words) {
+/// Packs the expected comparator bits from the reference scrambler's
+/// outputs (scramble_state of each state) — the oracle every compare_pack
+/// level is held to.
+std::vector<std::uint64_t> expected_pack(
+    const std::vector<std::uint32_t>& scrambled, std::uint32_t level,
+    std::size_t bit0, std::size_t total_words) {
   std::vector<std::uint64_t> out(total_words, 0);
-  for (std::size_t j = 0; j < st.size(); ++j) {
-    if (kn::scramble_state(w, st[j]) < level) {
+  for (std::size_t j = 0; j < scrambled.size(); ++j) {
+    if (scrambled[j] < level) {
       const std::size_t bit = bit0 + j;
       out[bit / 64] |= std::uint64_t{1} << (bit % 64);
     }
@@ -81,9 +81,13 @@ TEST(Kernels, ResolveLevelMapsRequestsWithoutEverSigilling) {
 }
 
 TEST(Kernels, ComparePackMatchesScalarReferenceEverywhere) {
+  // Every width, rotations across each width, counts on both sides of the
+  // 8-state groups and of the 64-state words the AVX2 level packs in
+  // 16-bit lanes up to width 16 from a word-aligned bit0, and levels on
+  // both sides of 2^16, where it hands over to its 32-bit body.
   const auto levels = supported_levels();
   acoustic::sc::XorShift32 rng(12345);
-  for (const unsigned width : {4u, 8u, 17u, 32u}) {
+  for (unsigned width = 3; width <= 32; ++width) {
     const std::uint32_t mask =
         width >= 32 ? ~std::uint32_t{0} : ((std::uint32_t{1} << width) - 1);
     std::vector<kn::CompareWiring> wirings;
@@ -92,31 +96,49 @@ TEST(Kernels, ComparePackMatchesScalarReferenceEverywhere) {
     identity.mask = mask;
     identity.width = width;
     wirings.push_back(identity);
-    kn::CompareWiring scrambled;
-    scrambled.pre_xor = 0x9E3779B9u & mask;
-    scrambled.post_xor = 0x85EBCA6Bu & mask;
-    scrambled.rot = (width > 1) ? (width / 2) : 0;
-    scrambled.mask = mask;
-    scrambled.width = width;
-    wirings.push_back(scrambled);
+    std::vector<unsigned> rotations;
+    for (unsigned rot = 0; rot < width - 1; rot += std::max(1u, width / 4)) {
+      rotations.push_back(rot);
+    }
+    rotations.push_back(width - 1);
+    for (const unsigned rot : rotations) {
+      kn::CompareWiring scrambled;
+      scrambled.pre_xor = rng.next() & mask;
+      scrambled.post_xor = rng.next() & mask;
+      scrambled.rot = rot;
+      scrambled.mask = mask;
+      scrambled.width = width;
+      wirings.push_back(scrambled);
+    }
+    // XOR constants with bits above the width: the pre-XOR's drop out
+    // with the multiply's high bits, and the post-XOR's lift every output
+    // of a narrow wiring above 2^16.
+    kn::CompareWiring wide_xor = wirings.back();
+    wide_xor.pre_xor = 0x9E3779B9u;
+    wide_xor.post_xor = 0x85EBCA6Bu;
+    wirings.push_back(wide_xor);
     for (const kn::CompareWiring& wiring : wirings) {
       for (const std::size_t count :
-           {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-            std::size_t{63}, std::size_t{64}, std::size_t{65},
-            std::size_t{127}, std::size_t{128}, std::size_t{1000}}) {
+           {0, 1, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129,
+            512, 1000}) {
+        // Scrambled wirings see states with bits above the width, which
+        // the scrambler's mask drops; the identity compares the raw state.
         std::vector<std::uint32_t> states(count);
-        for (auto& s : states) {
-          s = rng.next() & mask;
+        std::vector<std::uint32_t> scrambled(count);
+        for (std::size_t j = 0; j < count; ++j) {
+          states[j] = wiring.identity ? (rng.next() & mask) : rng.next();
+          scrambled[j] = kn::scramble_state(wiring, states[j]);
         }
         for (const std::size_t bit0 :
              {std::size_t{0}, std::size_t{1}, std::size_t{37},
-              std::size_t{63}}) {
+              std::size_t{63}, std::size_t{64}}) {
           const std::size_t total_words = (bit0 + count + 63) / 64 + 1;
           for (const std::uint32_t cmp_level :
-               {std::uint32_t{0}, std::uint32_t{1}, (mask >> 1) + 1,
-                mask, mask + 1}) {
-            const std::vector<std::uint64_t> want = expected_pack(
-                wiring, states, cmp_level, bit0, total_words);
+               {std::uint32_t{0}, std::uint32_t{1}, (mask >> 1) + 1, mask,
+                mask + 1, std::uint32_t{0xFFFF}, std::uint32_t{0x10000},
+                std::uint32_t{0x12345}}) {
+            const std::vector<std::uint64_t> want =
+                expected_pack(scrambled, cmp_level, bit0, total_words);
             for (const kn::Level level : levels) {
               std::vector<std::uint64_t> got(total_words, 0);
               kn::table_for(level).compare_pack(wiring, states.data(),
@@ -124,8 +146,9 @@ TEST(Kernels, ComparePackMatchesScalarReferenceEverywhere) {
                                                bit0);
               ASSERT_EQ(got, want)
                   << kn::level_name(level) << " width=" << width
-                  << " count=" << count << " bit0=" << bit0
-                  << " level=" << cmp_level
+                  << " rot=" << wiring.rot << " pre=" << wiring.pre_xor
+                  << " post=" << wiring.post_xor << " count=" << count
+                  << " bit0=" << bit0 << " level=" << cmp_level
                   << " identity=" << wiring.identity;
             }
           }

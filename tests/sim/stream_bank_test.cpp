@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sc/correlation.hpp"
@@ -56,6 +61,84 @@ TEST(StreamBank, OffsetSlicesAreSegmentsOfTheFullStream) {
 TEST(StreamBank, OutOfRangeWindowThrows) {
   StreamBank bank(8, 1, 128);
   EXPECT_THROW((void)bank.stream(10, 0, 100, 64), std::out_of_range);
+}
+
+TEST(StreamBank, OverflowingWindowThrows) {
+  // offset + length past SIZE_MAX wraps to a small sum; the check must
+  // not be fooled by it.
+  StreamBank bank(8, 1, 128);
+  std::vector<std::uint64_t> words(4);
+  const std::size_t huge = std::numeric_limits<std::size_t>::max() - 1;
+  EXPECT_THROW(bank.fill(10, 0, 2, huge, words), std::out_of_range);
+  EXPECT_THROW(bank.fill(10, 0, huge, 2, words), std::out_of_range);
+  EXPECT_THROW(bank.fill(10, 0, 129, 0, words), std::out_of_range);
+  EXPECT_THROW(bank.fill(10, 0, 0, 129, words), std::out_of_range);
+  EXPECT_NO_THROW(bank.fill(10, 0, 0, 128, words));
+  EXPECT_NO_THROW(bank.fill(10, 0, 128, 0, words));
+}
+
+TEST(StreamBank, ShortWordSpanThrows) {
+  StreamBank bank(8, 1, 256);
+  const std::uint64_t stale = 0x5A5A5A5A5A5A5A5Aull;
+  std::vector<std::uint64_t> words(3, stale);
+  EXPECT_THROW(bank.fill(100, 0, 0, 193, words), std::invalid_argument);
+  EXPECT_THROW(bank.fill(100, 0, 10, 129, std::span(words).first(2)),
+               std::invalid_argument);
+  EXPECT_THROW(bank.fill(0, 0, 0, 1, std::span<std::uint64_t>()),
+               std::invalid_argument);
+  for (const std::uint64_t w : words) {
+    EXPECT_EQ(w, stale);  // nothing written before the throw
+  }
+  EXPECT_NO_THROW(bank.fill(100, 0, 0, 192, words));
+  EXPECT_NO_THROW(bank.fill(100, 0, 0, 0, std::span<std::uint64_t>()));
+}
+
+TEST(StreamBank, FillMatchesThePerBitDefinition) {
+  // Bit t of fill(level, lane, offset, length) is
+  // scramble(state_at(offset + t, lane), lane) < level, the expression
+  // BipolarNetwork evaluates bit by bit. Widths on both sides of the
+  // 16-bit kernel lanes, levels up to full scale, and lanes whose tap
+  // delay carries the window across the end of the shared sequence.
+  std::size_t crossing = 0;
+  for (const unsigned width : {3u, 8u, 15u, 16u, 17u, 32u}) {
+    const std::uint64_t full = std::uint64_t{1} << width;
+    std::vector<std::uint32_t> levels;
+    for (const std::uint64_t level :
+         {std::uint64_t{0}, std::uint64_t{1}, full / 2, full - 1, full}) {
+      if (level <= std::numeric_limits<std::uint32_t>::max()) {
+        levels.push_back(static_cast<std::uint32_t>(level));
+      }
+    }
+    for (const std::size_t n : {1, 64, 200, 256, 1024}) {
+      const std::pair<std::size_t, std::size_t> windows[] = {
+          {0, n}, {1, n - 1}, {n - 1, 1}, {n / 3, n - n / 3}, {n / 5, n / 2}};
+      for (const bool decorrelate : {true, false}) {
+        const StreamBank bank(width, 0xACE1u + width, n, decorrelate);
+        for (std::uint32_t lane = 0; lane <= 600; lane += 37) {
+          for (const auto& [offset, length] : windows) {
+            crossing += (offset + bank.lane_phase(lane)) % n + length > n;
+            for (const std::uint32_t level : levels) {
+              std::vector<std::uint64_t> want((length + 63) / 64, 0);
+              for (std::size_t t = 0; t < length; ++t) {
+                if (bank.scramble(bank.state_at(offset + t, lane), lane) <
+                    level) {
+                  want[t / 64] |= std::uint64_t{1} << (t % 64);
+                }
+              }
+              std::vector<std::uint64_t> got(want.size(), ~std::uint64_t{0});
+              bank.fill(level, lane, offset, length, got);
+              ASSERT_EQ(got, want)
+                  << "width=" << width << " n=" << n
+                  << " decorrelate=" << decorrelate << " lane=" << lane
+                  << " offset=" << offset << " length=" << length
+                  << " level=" << level;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(crossing, 0u);
 }
 
 TEST(StreamBank, FillMatchesStream) {

@@ -169,8 +169,9 @@ void run_kernels(obs::Bench& bench, const BenchSuiteOptions& options) {
     sink(out[words - 1]);
   });
 
-  // Comparator packing through the production entry point, wrap handling
-  // and per-lane scrambling included.
+  // Comparator packing through the production entry point: one kernel
+  // call per window, per-lane scrambling included, at the default 8-bit
+  // SNG width.
   const std::size_t fill_bits = options.quick ? (1U << 14U) : (1U << 16U);
   const sim::StreamBank bank(8, 0x5eed5eed, fill_bits);
   std::vector<std::uint64_t> packed((fill_bits + 63) / 64, 0);
